@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.core.config import BlaeuConfig
 from repro.core.datamap import DataMap
-from repro.core.pipeline import MapBuilder
+from repro.core.pipeline import MapBuilder, predicate_mask
 from repro.core.themes import Theme, ThemeSet, extract_themes
 from repro.graph.dependency import GraphBuilder
 from repro.table.column import CategoricalColumn, NumericColumn
@@ -195,13 +195,7 @@ class Explorer:
         """
         import hashlib
 
-        state = self.state
-        scan_mask = getattr(self._table, "scan_mask", None)
-        if scan_mask is not None:  # store-backed: pushdown evaluation
-            mask = scan_mask(state.selection)
-        else:
-            mask = state.selection.mask(self._table)
-        indices = np.flatnonzero(mask)
+        indices = np.flatnonzero(predicate_mask(self._table, self.state.selection))
         digest = hashlib.sha256(
             np.ascontiguousarray(indices, dtype=np.int64).tobytes()
         ).digest()
@@ -278,7 +272,12 @@ class Explorer:
         state = self.state
         region = state.map.region(region_id)
         new_selection = And.of(state.selection, region.predicate)
-        n_rows = int(new_selection.mask(self._table).sum())
+        # An exact map already carries the region's size; re-deriving it
+        # would scan the whole conjunction just to repeat that number.
+        if state.map.counts_status == "exact":
+            n_rows = region.n_rows
+        else:
+            n_rows = int(predicate_mask(self._table, new_selection).sum())
         if n_rows < self._config.min_zoom_rows:
             raise ValueError(
                 f"region {region_id!r} holds {n_rows} tuples; at least "
@@ -374,11 +373,12 @@ class Explorer:
 
         The predicate is evaluated by :meth:`~repro.store.StoredTable.
         scan_mask` (reads only the predicate's columns), then one
-        chunked scan over just the ``inspect`` columns accumulates the
-        per-column summaries — matched numeric cells for the order
-        statistics, per-chunk ``bincount`` totals for the categorical
-        value counts — and the bounded tuple preview.  Results are
-        identical to the in-memory path on the same rows.
+        chunked pass over just the ``inspect`` columns, in just the
+        chunks where a row matched, accumulates the per-column summaries
+        — matched numeric cells for the order statistics, per-chunk
+        ``bincount`` totals for the categorical value counts — and the
+        bounded tuple preview.  Results are identical to the in-memory
+        path on the same rows.
         """
         table = self._table
         for name in inspect:
@@ -405,62 +405,20 @@ class Explorer:
                 category_codes[name] = np.zeros(
                     len(categories[name]), dtype=np.int64
                 )
-        partitions = getattr(table, "partitions", ())
-        scan_jobs = getattr(table, "scan_jobs", None)
-        if scan_jobs not in (None, 1) and len(partitions) > 1:
-            # Partition-parallel accumulation: numeric matches
-            # concatenate and code counts sum in partition order, and
-            # each worker over-collects up to the preview cap so the
-            # first ``preview_cap`` matches overall are always present
-            # — all three merges reproduce the serial loop exactly.
-            from repro.store.parallel import (
-                highlight_task,
-                run_partition_tasks,
-            )
+        # One selection pass over the inspected columns: numeric matches
+        # concatenate and code counts sum in partition order, and each
+        # partition over-collects up to the preview cap so the first
+        # ``preview_cap`` matches overall are always present.
+        from repro.store.parallel import highlight_task, run_selection_pass
 
-            results = run_partition_tasks(
-                highlight_task,
-                [
-                    (
-                        str(table.root),
-                        inspect,
-                        mask[partition.start : partition.stop],
-                        partition.start,
-                        partition.stop,
-                        table.chunk_rows,
-                        preview_cap,
-                    )
-                    for partition in partitions
-                ],
-                scan_jobs,
-            )
-            for (parts, code_counts, rows), _, _ in results:
-                for name, chunks in parts.items():
-                    numeric_parts[name].extend(chunks)
-                for name, counts in code_counts.items():
-                    category_codes[name] += counts
-                preview.extend(rows[: max(preview_cap - len(preview), 0)])
-        else:
-            for start, stop, chunk in table.iter_chunks(columns=inspect):
-                matched = np.flatnonzero(mask[start:stop])
-                if matched.size == 0:
-                    continue
-                chunk_columns = {name: chunk.column(name) for name in inspect}
-                for name, column in chunk_columns.items():
-                    if isinstance(column, NumericColumn):
-                        numeric_parts[name].append(column.take(matched))
-                    elif isinstance(column, CategoricalColumn):
-                        codes = column.codes[matched]
-                        category_codes[name] += np.bincount(
-                            codes[codes >= 0], minlength=len(column.categories)
-                        )
-                for local in matched[: max(preview_cap - len(preview), 0)]:
-                    preview.append(
-                        {
-                            name: column.value_at(int(local))
-                            for name, column in chunk_columns.items()
-                        }
-                    )
+        for parts, code_counts, rows in run_selection_pass(
+            "store.highlight", highlight_task, table, mask, inspect, preview_cap
+        ):
+            for name, chunks in parts.items():
+                numeric_parts[name].extend(chunks)
+            for name, counts in code_counts.items():
+                category_codes[name] += counts
+            preview.extend(rows[: max(preview_cap - len(preview), 0)])
 
         numeric_summaries = {
             name: _numeric_summary(

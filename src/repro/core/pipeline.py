@@ -87,6 +87,7 @@ __all__ = [
     "STAGES",
     "cache_key_seed",
     "map_cache_key",
+    "predicate_mask",
     "refine_exact",
 ]
 
@@ -135,6 +136,16 @@ def map_cache_key(
     the same place share a key even if they got there independently.
     """
     return (table.fingerprint(), config.digest(), selection_sql, tuple(columns), k)
+
+
+def predicate_mask(table: Table, predicate: Predicate) -> np.ndarray:
+    """``predicate`` over every row of ``table``: a pushdown scan on
+    store-backed tables (bounded memory, zone-map pruned), in place on
+    in-memory ones."""
+    scan = getattr(table, "scan_mask", None)
+    if scan is not None:
+        return scan(predicate)
+    return np.asarray(predicate.mask(table), dtype=bool)
 
 
 # ----------------------------------------------------------------------
@@ -371,12 +382,7 @@ class MapPipeline:
         if predicate is None or isinstance(predicate, Everything):
             mask, n_selection = None, table.n_rows
         else:
-            scan = getattr(table, "scan_mask", None)
-            mask = (
-                scan(predicate)
-                if scan is not None
-                else np.asarray(predicate.mask(table), dtype=bool)
-            )
+            mask = predicate_mask(table, predicate)
             n_selection = int(mask.sum())
         if n_selection < 2:
             raise MapBuildError(
@@ -854,12 +860,7 @@ def refine_exact(
     if selection is None or isinstance(selection, Everything):
         mask = None
     else:
-        scan = getattr(table, "scan_mask", None)
-        mask = (
-            scan(selection)
-            if scan is not None
-            else np.asarray(selection.mask(table), dtype=bool)
-        )
+        mask = predicate_mask(table, selection)
     leaves = [leaf for leaf in approximate.leaves() if leaf.cluster is not None]
     root = _exact_regions(
         tree,
@@ -891,12 +892,14 @@ def _exact_regions(
 
     In-memory selections are gathered once and routed subset-sized (a
     zoomed region of a huge table must not pay per-node full-table
-    masks); store-backed selections stay on disk — the chunked router
-    reads only the split columns over the full store, and the selection
-    mask restricts the counts.
+    masks); store-backed selections stay on disk — the chunked count
+    pass reads only the split columns, only in the chunks that hold a
+    selected row, and routes only the selected rows down the tree.
     """
-    if selection_mask is not None and getattr(table, "iter_chunks", None) is None:
-        subset = table.filter(selection_mask)
+    if getattr(table, "iter_chunks", None) is None:
+        subset = (
+            table.filter(selection_mask) if selection_mask is not None else table
+        )
         return _tree_to_regions(
             tree.root,
             subset.n_rows,
@@ -904,19 +907,46 @@ def _exact_regions(
             leaf_silhouettes,
             exemplars,
         )
-    row_mask = (
+    # The hierarchy is mirrored over zero rows (structure, predicates,
+    # labels), then every region takes the count the pass produced for
+    # its node: both walks are pre-order, left before right.
+    root = _tree_to_regions(
+        tree.root,
+        0,
+        lambda node: np.zeros(0, dtype=bool),
+        leaf_silhouettes,
+        exemplars,
+    )
+    counts = _store_node_counts(tree, table, selection_mask)
+    for region, count in zip(root.walk(), counts):
+        region.n_rows = int(count)
+    return root
+
+
+def _store_node_counts(
+    tree: DecisionTree, table: Table, selection_mask: np.ndarray | None
+) -> np.ndarray:
+    """Selected rows reaching each tree node (walk order), from the store.
+
+    One selection pass (see :func:`repro.store.parallel.run_selection_pass`)
+    over just the columns the tree splits on; per-partition counts add
+    up, so the result is the same at any ``scan_jobs``.
+    """
+    from repro.store.parallel import router_task, run_selection_pass
+
+    mask = (
         selection_mask
         if selection_mask is not None
         else np.ones(table.n_rows, dtype=bool)
     )
-    return _tree_to_regions(
-        tree.root,
-        table.n_rows,
-        _left_router(tree, table),
-        leaf_silhouettes,
-        exemplars,
-        row_mask=row_mask,
+    nodes = list(tree.root.walk())
+    needed = tuple(sorted({n.column or "" for n in nodes if not n.is_leaf}))
+    if not needed:  # a single leaf: every selected row is in it
+        return np.asarray([mask.sum()], dtype=np.int64)
+    partials = run_selection_pass(
+        "store.count", router_task, table, mask, needed, tree.root
     )
+    return sum(partials, np.zeros(len(nodes), dtype=np.int64))
 
 
 def _approximate_regions(
@@ -983,65 +1013,11 @@ def _exemplars(
 
 
 def _left_router(tree: DecisionTree, selection: Table):
-    """A ``node -> goes-left mask`` function over the full selection.
-
-    In-memory selections evaluate lazily per node (the column arrays are
-    already resident).  Store-backed selections — anything exposing
-    ``iter_chunks`` — are routed in **one chunked pass** that reads only
-    the columns the tree actually splits on, so exact region counts over
-    millions of rows cost one bounded scan instead of per-node
-    full-column materializations.
-    """
-    iter_chunks = getattr(selection, "iter_chunks", None)
-    if iter_chunks is None:
-        return lambda node: _route_left(node, selection)
-
-    from repro.tree.cart import _left_mask
-
-    internal = [node for node in tree.root.walk() if not node.is_leaf]
-    masks = {
-        id(node): np.zeros(selection.n_rows, dtype=bool) for node in internal
-    }
-    if internal:
-        needed = tuple(sorted({node.column or "" for node in internal}))
-        partitions = getattr(selection, "partitions", ())
-        scan_jobs = getattr(selection, "scan_jobs", None)
-        if scan_jobs not in (None, 1) and len(partitions) > 1:
-            # Partition-parallel routing: each worker routes its row
-            # range through the same tree (walk order fixes the
-            # node <-> segment correspondence) and the segments are
-            # stitched back positionally — bit-identical to the serial
-            # chunk loop below at any worker count.
-            from repro.store.parallel import router_task, run_partition_tasks
-
-            results = run_partition_tasks(
-                router_task,
-                [
-                    (
-                        str(selection.root),
-                        tree.root,
-                        needed,
-                        partition.start,
-                        partition.stop,
-                        selection.chunk_rows,
-                    )
-                    for partition in partitions
-                ],
-                scan_jobs,
-            )
-            for partition, (segments, _, _) in zip(partitions, results):
-                for node, segment in zip(internal, segments):
-                    masks[id(node)][partition.start : partition.stop] = segment
-        else:
-            for start, stop, chunk in iter_chunks(columns=needed):
-                checkpoint("count.chunk")
-                local = np.arange(stop - start, dtype=np.intp)
-                for node in internal:
-                    column = chunk.column(node.column or "")
-                    masks[id(node)][start:stop] = _left_mask(
-                        node, column, local
-                    )
-    return lambda node: masks[id(node)]
+    """A ``node -> goes-left mask`` function over an in-memory selection,
+    evaluated lazily per node (the column arrays are already resident).
+    Store-backed exact counts never build such masks: see
+    :func:`_store_node_counts`."""
+    return lambda node: _route_left(node, selection)
 
 
 def _exact_counter(row_mask: np.ndarray) -> tuple[int, int | None]:

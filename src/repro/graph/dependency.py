@@ -379,7 +379,6 @@ class GraphBuilder:
                         nmi_task,
                         [
                             (
-                                str(table.root),
                                 names,
                                 n_codes,
                                 entries,
@@ -390,8 +389,9 @@ class GraphBuilder:
                             for partition in partitions
                         ],
                         table.scan_jobs,
+                        table=table,
                     )
-                    for counts, _, read_chunks in results:
+                    for counts, read_chunks in results:
                         streaming.merge_counts(counts)
                         chunks += read_chunks
                 else:

@@ -9,6 +9,25 @@ Threads would not help here: chunk decoding and predicate evaluation
 hold the GIL for real Python time, unlike the GEMM-heavy clustering
 kernels that :mod:`repro.cluster.parallel` fans over threads.
 
+**One open table per scan.**  The table workers (``scan_mask_task``,
+``router_task``, ``highlight_task``, ``nmi_task``) are called
+``worker(table, task)`` with an already-open
+:class:`~repro.store.stored.StoredTable` and never open one themselves:
+the serial path hands them the caller's table, a pool worker opens its
+store once when the process starts (the pool's initializer) and serves
+every task from it.  A scan on an open table therefore never parses the
+manifest or re-validates the data files again, and serial and pooled
+scans stay one implementation.  The reads a pool worker performs are
+folded back into the caller's ``data_reads`` budget counter; serial
+reads land there directly.
+
+**Selection passes follow the selection.**  The passes that run over an
+already-evaluated selection mask (exact counts, highlights) go through
+:func:`run_selection_pass`: a partition without a selected row gets no
+task, a chunk without one is never read, and a worker touches only the
+selected rows of the chunks it does read — the pass costs what the
+selection holds, not what the table holds.
+
 Resilience rides along explicitly.  The parent's
 :class:`~repro.resilience.deadline.Deadline` travels to workers as its
 absolute monotonic expiry (``CLOCK_MONOTONIC`` is system-wide on the
@@ -19,19 +38,20 @@ environment variable, which worker processes inherit, and every worker
 re-arms its injector from it — ``--faults`` chaos runs hit
 ``store.read`` fault points inside workers exactly as they do serially.
 
-Workers are top-level functions taking one picklable task tuple; every
-worker returns ``(payload, data_reads, chunk_reads)`` so the parent can
-fold worker IO into its own ``data_reads`` budget counter and metrics.
+Workers are top-level functions taking one picklable task tuple; table
+workers return ``(payload, chunks read)``.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from repro.cluster.parallel import resolve_jobs
+from repro.obs.metrics import get_metrics
+from repro.obs.trace import get_tracer
 from repro.resilience.deadline import (
     Deadline,
     checkpoint,
@@ -39,34 +59,59 @@ from repro.resilience.deadline import (
     set_deadline,
 )
 
+if TYPE_CHECKING:
+    from repro.store.stored import StoredTable
+
 __all__ = [
     "highlight_task",
     "nmi_task",
     "router_task",
     "run_partition_tasks",
+    "run_selection_pass",
     "scan_mask_task",
     "zones_task",
 ]
 
-T = TypeVar("T")
-R = TypeVar("R")
+#: A pool worker process's own open table, set once by the pool's
+#: initializer; the parent process never assigns it.
+_worker_table: "StoredTable | None" = None
 
 
-def _run_with_deadline(
-    worker: Callable[[T], R], task: T, expiry: tuple[float, float] | None
-) -> R:
-    """Worker-side shim: reinstall the parent's deadline, then run."""
+def _open_worker_table(root: str, columns, name: str) -> None:
+    """Pool initializer: open this worker's table, once per process."""
+    global _worker_table
+    from repro.store.stored import StoredTable
+
+    _worker_table = StoredTable(root, columns=columns, name=name, scan_jobs=None)
+
+
+def _run_in_worker(worker, task, expiry: tuple[float, float] | None):
+    """Worker-side shim: reinstall the parent's deadline, then run.
+
+    Table workers run on the process's own table and report the data
+    reads the task cost alongside its result.
+    """
     if expiry is not None:
         set_deadline(Deadline(expires_at=expiry[0], budget=expiry[1]))
-    return worker(task)
+    table = _worker_table
+    if table is None:
+        return worker(task)
+    before = table.data_reads
+    return worker(table, task), table.data_reads - before
 
 
 def run_partition_tasks(
-    worker: Callable[[T], R],
-    tasks: Sequence[T],
+    worker: Callable,
+    tasks: Sequence,
     scan_jobs: int | None,
-) -> list[R]:
+    table: "StoredTable | None" = None,
+) -> list:
     """``[worker(task) for task in tasks]``, optionally across processes.
+
+    With ``table`` the calls are ``worker(table, task)`` on an open
+    table: the caller's own serially, each pool process's own (opened
+    once, by the pool initializer) otherwise, with the workers' reads
+    added to ``table.data_reads``.
 
     ``scan_jobs`` follows the repo's jobs convention (``None``/1 serial,
     0 every core, otherwise that many workers, clamped to the task
@@ -80,29 +125,75 @@ def run_partition_tasks(
         results = []
         for task in tasks:
             checkpoint("store.partition")
-            results.append(worker(task))
+            results.append(worker(task) if table is None else worker(table, task))
         return results
     deadline = current_deadline()
     expiry = (
         (deadline.expires_at, deadline.budget) if deadline is not None else None
     )
-    with ProcessPoolExecutor(max_workers=workers) as executor:
+    opener: dict = {}
+    if table is not None:
+        columns = table.column_names if table.is_projection() else None
+        opener = {
+            "initializer": _open_worker_table,
+            "initargs": (str(table.root), columns, table.name),
+        }
+    with ProcessPoolExecutor(max_workers=workers, **opener) as executor:
         futures = [
-            executor.submit(_run_with_deadline, worker, task, expiry)
-            for task in tasks
+            executor.submit(_run_in_worker, worker, task, expiry) for task in tasks
         ]
-        return [future.result() for future in futures]
+        results = [future.result() for future in futures]
+    if table is None:
+        return results
+    table.add_worker_reads(sum(reads for _, reads in results))
+    return [payload for payload, _ in results]
+
+
+def run_selection_pass(
+    span_name: str,
+    worker: Callable,
+    table: "StoredTable",
+    mask: np.ndarray,
+    columns: tuple[str, ...],
+    *extra: object,
+) -> list:
+    """Run ``worker`` over the partitions in which ``mask`` selects a row.
+
+    Tasks are ``(columns, mask segment, start, stop, chunk_rows,
+    *extra)``, one per partition holding a selected row; workers skip
+    the chunks holding none (``iter_chunks(where=...)``).  The pass runs
+    under a ``span_name`` span saying what it read and what it skipped.
+    Returns the workers' payloads in partition order.
+    """
+    step = table.chunk_rows
+    partitions = table.partitions
+    with get_tracer().span(span_name) as span:
+        live = [p for p in partitions if mask[p.start : p.stop].any()]
+        results = run_partition_tasks(
+            worker,
+            [
+                (columns, mask[p.start : p.stop], p.start, p.stop, step, *extra)
+                for p in live
+            ],
+            table.scan_jobs,
+            table=table,
+        )
+        chunks = sum(read for _, read in results)
+        skipped = sum(-(-p.rows // step) for p in partitions) - chunks
+        get_metrics().increment("blaeu_store_chunks_skipped_total", skipped)
+        if span.enabled:
+            span.set("rows_selected", int(np.count_nonzero(mask)))
+            span.set("columns", len(columns))
+            span.set("chunks", chunks)
+            span.set("chunks_skipped", skipped)
+            span.set("partitions", len(live))
+            span.set("partitions_skipped", len(partitions) - len(live))
+    return [payload for payload, _ in results]
 
 
 # ----------------------------------------------------------------------
 # Workers (top-level, picklable; imports deferred to avoid cycles)
 # ----------------------------------------------------------------------
-
-
-def _open(root: str):
-    from repro.store.stored import StoredTable
-
-    return StoredTable(root, scan_jobs=None)
 
 
 def zones_task(task) -> dict:
@@ -116,11 +207,10 @@ def zones_task(task) -> dict:
     return compute_zones(Path(root), columns, start, stop, chunk_rows)
 
 
-def scan_mask_task(task) -> tuple[np.ndarray, int, int]:
-    """Predicate mask of one partition range: ``(root, predicate, needed,
-    start, stop, chunk_rows)`` → ``(mask segment, data_reads, chunks)``."""
-    root, predicate, needed, start, stop, chunk_rows = task
-    table = _open(root)
+def scan_mask_task(table: "StoredTable", task) -> tuple[np.ndarray, int]:
+    """Predicate mask of one partition range: ``(predicate, needed,
+    start, stop, chunk_rows)`` → ``(mask segment, chunks)``."""
+    predicate, needed, start, stop, chunk_rows = task
     out = np.empty(stop - start, dtype=bool)
     chunks = 0
     for lo, hi, chunk in table.iter_chunks(
@@ -128,42 +218,35 @@ def scan_mask_task(task) -> tuple[np.ndarray, int, int]:
     ):
         out[lo - start : hi - start] = predicate.mask(chunk)
         chunks += 1
-    return out, table.data_reads, chunks
+    return out, chunks
 
 
-def router_task(task) -> tuple[list[np.ndarray], int, int]:
-    """Tree-routing masks of one partition range: ``(root, tree_root,
-    needed, start, stop, chunk_rows)`` → one goes-left mask segment per
-    internal node, in :meth:`TreeNode.walk` order."""
-    from repro.tree.cart import _left_mask
+def router_task(table: "StoredTable", task) -> tuple[np.ndarray, int]:
+    """Tree-routing counts of one partition range: ``(needed, mask
+    segment, start, stop, chunk_rows, tree_root)`` → how many selected
+    rows reach each node, in :meth:`TreeNode.walk` order."""
+    from repro.tree.cart import count_reaching
 
-    root, tree_root, needed, start, stop, chunk_rows = task
-    table = _open(root)
-    internal = [node for node in tree_root.walk() if not node.is_leaf]
-    segments = [
-        np.zeros(stop - start, dtype=bool) for _ in internal
-    ]
+    needed, mask, start, stop, chunk_rows, tree_root = task
+    counts = np.zeros(sum(1 for _ in tree_root.walk()), dtype=np.int64)
     chunks = 0
     for lo, hi, chunk in table.iter_chunks(
-        columns=needed, chunk_rows=chunk_rows, start=start, stop=stop
+        columns=needed, chunk_rows=chunk_rows, start=start, stop=stop, where=mask
     ):
         checkpoint("count.chunk")
-        local = np.arange(hi - lo, dtype=np.intp)
-        for segment, node in zip(segments, internal):
-            column = chunk.column(node.column or "")
-            segment[lo - start : hi - start] = _left_mask(node, column, local)
+        selected = np.flatnonzero(mask[lo - start : hi - start])
+        counts += count_reaching(tree_root, chunk, selected)
         chunks += 1
-    return segments, table.data_reads, chunks
+    return counts, chunks
 
 
-def highlight_task(task):
-    """Highlight partials of one partition range: ``(root, inspect, mask
+def highlight_task(table: "StoredTable", task):
+    """Highlight partials of one partition range: ``(inspect, mask
     segment, start, stop, chunk_rows, preview_cap)`` → per-column numeric
     matches, categorical code counts, and a bounded row preview."""
     from repro.table.column import CategoricalColumn, NumericColumn
 
-    root, inspect, mask, start, stop, chunk_rows, preview_cap = task
-    table = _open(root)
+    inspect, mask, start, stop, chunk_rows, preview_cap = task
     numeric_parts: dict[str, list] = {}
     category_codes: dict[str, np.ndarray] = {}
     for name in inspect:
@@ -174,12 +257,11 @@ def highlight_task(task):
                 len(table.categories(name)), dtype=np.int64
             )
     preview: list[dict[str, object]] = []
+    chunks = 0
     for lo, hi, chunk in table.iter_chunks(
-        columns=inspect, chunk_rows=chunk_rows, start=start, stop=stop
+        columns=inspect, chunk_rows=chunk_rows, start=start, stop=stop, where=mask
     ):
         matched = np.flatnonzero(mask[lo - start : hi - start])
-        if matched.size == 0:
-            continue
         chunk_columns = {name: chunk.column(name) for name in inspect}
         for name, column in chunk_columns.items():
             if isinstance(column, NumericColumn):
@@ -196,18 +278,18 @@ def highlight_task(task):
                     for name, column in chunk_columns.items()
                 }
             )
-    return (numeric_parts, category_codes, preview), table.data_reads, 0
+        chunks += 1
+    return (numeric_parts, category_codes, preview), chunks
 
 
-def nmi_task(task):
-    """Streaming-NMI contingencies of one partition range: ``(root, names,
+def nmi_task(table: "StoredTable", task):
+    """Streaming-NMI contingencies of one partition range: ``(names,
     n_codes, entries, start, stop, chunk_rows)`` → the accumulated
     :class:`StreamingPairwiseNMI` count arrays."""
     from repro.graph.codes import iter_code_chunks
     from repro.stats.batched import StreamingPairwiseNMI
 
-    root, names, n_codes, entries, start, stop, chunk_rows = task
-    table = _open(root)
+    names, n_codes, entries, start, stop, chunk_rows = task
     streaming = StreamingPairwiseNMI(names, n_codes)
     chunks = 0
     for matrix in iter_code_chunks(
@@ -216,4 +298,4 @@ def nmi_task(task):
         checkpoint("graph.nmi.chunk")
         streaming.update(matrix)
         chunks += 1
-    return streaming.counts_state(), table.data_reads, chunks
+    return streaming.counts_state(), chunks

@@ -24,6 +24,13 @@ within one chunk of memory.  Full-column access (:meth:`column`) hands
 out read-only memory maps wrapped in the regular column classes, so
 every consumer of ``Column`` — predicates, CART routing, statistics —
 works unchanged.
+
+Opening a table parses the manifest and checks every data file's size
+once; every scan afterwards runs on the open table (the partition
+workers of :mod:`repro.store.parallel` are handed it, they never
+re-open the store), and a scan restricted by a selection mask
+(``iter_chunks(where=...)``) reads only the chunks that hold a selected
+row.
 """
 
 from __future__ import annotations
@@ -217,6 +224,11 @@ class StoredTable:
         """
         return self._data_reads
 
+    def add_worker_reads(self, reads: int) -> None:
+        """Fold the data IO pool workers did for this table's scan into
+        :attr:`data_reads` (serial scans count on the table directly)."""
+        self._data_reads += reads
+
     @property
     def partitions(self) -> tuple[PartitionMeta, ...]:
         """The store's range partitions (implicit single range when the
@@ -342,6 +354,7 @@ class StoredTable:
         chunk_rows: int | None = None,
         start: int = 0,
         stop: int | None = None,
+        where: np.ndarray | None = None,
     ) -> Iterator[tuple[int, int, Table]]:
         """Yield ``(start, stop, chunk)`` plain in-memory tables.
 
@@ -350,6 +363,8 @@ class StoredTable:
         ``columns`` — the scan primitive every pushdown is built on.
         ``start``/``stop`` bound the scan to a row range (how partition
         workers scan just their slice); defaults cover the whole table.
+        ``where`` is a boolean mask over that range: a chunk in which it
+        selects no row is skipped before anything is read.
         """
         names = tuple(columns) if columns is not None else self._order
         for column_name in names:
@@ -365,14 +380,21 @@ class StoredTable:
             raise ValueError(
                 f"invalid scan range [{start}, {stop}) for {self.n_rows} rows"
             )
+        if where is not None and where.shape != (end - start,):
+            raise ValueError(
+                f"where mask of shape {where.shape} does not cover the "
+                f"{end - start} rows of scan range [{start}, {end})"
+            )
         metrics = get_metrics()
         for lo in range(start, end, step):
+            hi = min(lo + step, end)
+            if where is not None and not where[lo - start : hi - start].any():
+                continue
             # Per-chunk deadline checkpoint + chaos hook: scans over
             # millions of rows abort within one chunk of an expired
             # budget, and the fault harness can fail or slow each read.
             checkpoint("store.chunk")
             fault_point("store.read")
-            hi = min(lo + step, end)
             chunk_columns = [
                 self._read_column_chunk(name, lo, hi) for name in names
             ]
@@ -440,27 +462,18 @@ class StoredTable:
             results = run_partition_tasks(
                 scan_mask_task,
                 [
-                    (
-                        str(self._root),
-                        predicate,
-                        needed,
-                        partition.start,
-                        partition.stop,
-                        step,
-                    )
+                    (predicate, needed, partition.start, partition.stop, step)
                     for partition in live
                 ],
                 self.scan_jobs,
+                table=self,
             )
             chunks = 0
             metrics = get_metrics()
-            for partition, (segment, reads, read_chunks) in zip(live, results):
+            for partition, (segment, read_chunks) in zip(live, results):
                 out[partition.start : partition.stop] = segment
-                self._data_reads += reads
                 chunks += read_chunks
-            metrics.increment(
-                "blaeu_store_partitions_scanned_total", max(len(live), 0)
-            )
+            metrics.increment("blaeu_store_partitions_scanned_total", len(live))
             if span.enabled:
                 span.set("rows", self.n_rows)
                 span.set("columns", len(needed))
