@@ -16,6 +16,8 @@ downstream user starts from::
 
 from __future__ import annotations
 
+import threading
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +28,7 @@ from repro.core.navigation import Explorer
 from repro.core.pipeline import MapBuilder
 from repro.core.themes import ThemeSet, extract_themes
 from repro.graph.dependency import GraphBuilder
+from repro.obs.trace import get_tracer
 from repro.table.database import Database
 from repro.table.table import Table
 
@@ -41,8 +44,13 @@ class Blaeu:
         map_cache: object | None = None,
     ) -> None:
         self._config = config or BlaeuConfig()
+        self._config_digest = self._config.digest()
         self._database = Database(seed=self._config.seed)
-        self._theme_cache: dict[str, ThemeSet] = {}
+        #: Themes by table content and config, plus one lock per entry
+        #: so concurrent first requests run a single extraction.
+        self._themes: dict[tuple, ThemeSet] = {}
+        self._theme_flights: dict[tuple, threading.Lock] = {}
+        self._flights_lock = threading.Lock()
         self._map_cache = map_cache
         self._graph_builder = GraphBuilder(result_cache=map_cache)
         self._map_builder = MapBuilder(result_cache=map_cache)
@@ -79,7 +87,9 @@ class Blaeu:
         explorers keep the builder they were created with.  The graph
         and map builders adopt the same cache as their memo, so finished
         dependency graphs and pipeline stage artifacts are shared across
-        sessions alongside maps.
+        sessions alongside maps; theme sets are looked up in (and written
+        to) it as well, which is how a disk-backed cache carries them to
+        other workers and across restarts.
         """
         self._map_cache = cache
         self._graph_builder.set_result_cache(cache)
@@ -102,18 +112,14 @@ class Blaeu:
         processes; otherwise ``BLAEU_SCAN_JOBS`` applies.
         """
         if self._config.scan_jobs is not None:
-            table = self._database.load_store(
+            return self._database.load_store(
                 path, name=name, scan_jobs=self._config.scan_jobs
             )
-        else:
-            table = self._database.load_store(path, name=name)
-        self._theme_cache.pop(table.name, None)
-        return table
+        return self._database.load_store(path, name=name)
 
     def register(self, table) -> None:
         """Register an in-memory ``Table`` or a ``StoredTable``."""
         self._database.register(table)
-        self._theme_cache.pop(table.name, None)
 
     def tables(self) -> tuple[str, ...]:
         """Names of the registered tables."""
@@ -124,17 +130,43 @@ class Blaeu:
     # ------------------------------------------------------------------
 
     def themes(self, table_name: str) -> ThemeSet:
-        """The themes of a registered table (cached per table)."""
-        if table_name not in self._theme_cache:
-            table = self._database.table(table_name)
-            rng = np.random.default_rng(self._config.seed)
-            self._theme_cache[table_name] = extract_themes(
-                table,
-                config=self._config,
-                rng=rng,
-                builder=self._graph_builder,
-            )
-        return self._theme_cache[table_name]
+        """The themes of a registered table.
+
+        Resolved once per table *content* and configuration: from this
+        engine's memo, else from the installed result cache (where
+        another session, another worker or an earlier boot left them),
+        else extracted — by one caller, while concurrent ones wait —
+        with randomness rooted at ``config.seed``.
+        """
+        return self._resolve_themes(self._database.table(table_name))
+
+    def _resolve_themes(self, table) -> ThemeSet:
+        key = ("themes", table.fingerprint(), self._config_digest)
+        with self._flights_lock:
+            flight = self._theme_flights.setdefault(key, threading.Lock())
+        with get_tracer().span("themes.resolve") as span, flight:
+            span.set("key_scan_chunks", 0)  # extraction sets what it read
+            themes, source = self._themes.get(key), "memo"
+            cache = self._map_cache
+            if themes is None and cache is not None:
+                # A tiered cache promotes a disk hit into memory, so
+                # which tier answers has to be asked before the lookup.
+                memory = getattr(cache, "memory", None)
+                source = "l1" if memory is None or key in memory else "l2"
+                themes = cache.get(key)
+            if themes is None:
+                source = "computed"
+                themes = extract_themes(
+                    table,
+                    config=self._config,
+                    rng=np.random.default_rng(self._config.seed),
+                    builder=self._graph_builder,
+                )
+                if cache is not None:
+                    cache.put(key, themes)
+            span.set("source", source)
+            self._themes[key] = themes
+            return themes
 
     def map(
         self,
@@ -158,11 +190,10 @@ class Blaeu:
     def explore(self, table_name: str) -> Explorer:
         """Start an interactive exploration session over a table."""
         table = self._database.table(table_name)
-        themes = self._theme_cache.get(table_name)
         return Explorer(
             table,
             config=self._config,
-            themes=themes,
+            themes=partial(self._resolve_themes, table),
             map_cache=self._map_cache,
             graph_builder=self._graph_builder,
             map_builder=self._map_builder,

@@ -10,7 +10,8 @@ back to a previous state of the system with a rollback."
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
+from functools import partial
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -84,7 +85,12 @@ class Explorer:
     config:
         Engine knobs.
     themes:
-        Pre-extracted themes (otherwise computed lazily on first access).
+        The table's themes, or a callable that resolves them on first
+        access (the engine passes :meth:`Blaeu.themes`, so every session
+        over a table shares one theme set).  Omitted, they are extracted
+        on first access with randomness rooted at ``config.seed`` —
+        never drawn from the session's generator, so the maps of a
+        session do not depend on when its themes were first looked at.
     map_cache:
         Optional shared result cache (``get(key)``/``put(key, value)``).
         When set, maps for (table content, config, action path) triples
@@ -109,7 +115,7 @@ class Explorer:
         self,
         table: Table,
         config: BlaeuConfig | None = None,
-        themes: ThemeSet | None = None,
+        themes: ThemeSet | Callable[[], ThemeSet] | None = None,
         map_cache: object | None = None,
         graph_builder: GraphBuilder | None = None,
         map_builder: MapBuilder | None = None,
@@ -117,8 +123,15 @@ class Explorer:
         self._table = table
         self._config = config or BlaeuConfig()
         self._rng = np.random.default_rng(self._config.seed)
-        self._themes = themes
         self._graph_builder = graph_builder or GraphBuilder()
+        if themes is None:
+            themes = partial(
+                extract_themes,
+                table,
+                config=self._config,
+                builder=self._graph_builder,
+            )
+        self._themes = themes
         self._map_builder = map_builder or MapBuilder(result_cache=map_cache)
         self._stack: list[ExplorationState] = []
         self._observers: list[object] = []
@@ -168,14 +181,9 @@ class Explorer:
         return self._map_builder
 
     def themes(self) -> ThemeSet:
-        """The table's themes (computed once, then cached)."""
-        if self._themes is None:
-            self._themes = extract_themes(
-                self._table,
-                config=self._config,
-                rng=self._rng,
-                builder=self._graph_builder,
-            )
+        """The table's themes (resolved once, then kept)."""
+        if not isinstance(self._themes, ThemeSet):
+            self._themes = self._themes()
         return self._themes
 
     def local_themes(self) -> ThemeSet:

@@ -115,9 +115,8 @@ def preprocess(
 
     dropped_keys: tuple[str, ...] = ()
     if drop_keys:
-        keys = set(detect_keys(table)) & set(names)
-        dropped_keys = tuple(n for n in names if n in keys)
-        names = [n for n in names if n not in keys]
+        dropped_keys = detect_keys(table, names)
+        names = [n for n in names if n not in dropped_keys]
 
     blocks: list[np.ndarray] = []
     feature_names: list[str] = []

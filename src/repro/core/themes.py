@@ -17,8 +17,9 @@ import numpy as np
 from repro.core.config import BlaeuConfig
 from repro.graph.dependency import DependencyGraph, GraphBuilder
 from repro.graph.partition import pam_partition
+from repro.obs.trace import current_span
 from repro.table.column import CategoricalColumn
-from repro.table.schema import detect_keys
+from repro.table.schema import KeyScan
 from repro.table.table import Table
 
 __all__ = ["Theme", "ThemeSet", "default_theme_k_grid", "extract_themes"]
@@ -169,7 +170,12 @@ def extract_themes(
 
     Keys are excluded (they depend on nothing), the dependency graph is
     estimated from a row sample, and PAM partitions it with k chosen by
-    the silhouette over ``config.theme_k_values``.
+    the silhouette over ``config.theme_k_values``.  Key detection is a
+    :class:`~repro.table.schema.KeyScan` over the candidate columns: on
+    a table of continuous measurements and small dictionaries it reads
+    one chunk per numeric column, so no step here is a pass over the
+    table.  The chunks it read are set as ``key_scan_chunks`` on the
+    caller's span.
 
     ``builder`` is the engine's shared :class:`GraphBuilder` (one is
     created ad hoc when omitted): it reuses cached column codes across
@@ -186,16 +192,19 @@ def extract_themes(
     builder = builder or GraphBuilder()
 
     candidates = list(columns) if columns is not None else list(table.column_names)
-    keys = set(detect_keys(table))
+    scan = KeyScan(table)
+    keys = set(scan.keys(candidates))
     # Near-key categoricals (e.g. 1,500 region names) carry identity, not
     # structure — exclude them just like the preprocessing stage does.
-    for column in table.columns:
-        if (
-            column.name in candidates
-            and isinstance(column, CategoricalColumn)
-            and column.n_distinct() > config.max_categorical_cardinality
+    for name in candidates:
+        column = table.column(name)
+        if isinstance(column, CategoricalColumn) and scan.wider_than(
+            column, config.max_categorical_cardinality
         ):
-            keys.add(column.name)
+            keys.add(name)
+    span = current_span()
+    if span is not None:
+        span.set("key_scan_chunks", scan.chunks)
     kept = tuple(c for c in candidates if c not in keys)
     excluded = tuple(c for c in candidates if c in keys)
     if len(kept) < 2:

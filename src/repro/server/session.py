@@ -62,7 +62,6 @@ class SessionManager:
         self._sessions: dict[str, Session] = {}
         self._counter = 0
         self._lock = threading.RLock()
-        self._themes_lock = threading.Lock()
         self._reserved: set[str] = set()
         self._trace_recorder = None
 
@@ -149,8 +148,7 @@ class SessionManager:
 
     def _handle_themes(self, request: Request) -> Response:
         table = str(request.arg("table"))
-        with self._themes_lock:
-            themes = self._engine.themes(table)
+        themes = self._engine.themes(table)
         return Response(
             {"table": table, "themes": json.loads(export_themes_json(themes))}
         )

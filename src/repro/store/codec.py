@@ -7,8 +7,8 @@ cache entry executes code on load) and a compatibility trap (class
 moves break every stored artifact).  This module is the replacement: a
 closed *type registry* of the objects the map/graph pipelines cache
 (:class:`~repro.core.datamap.DataMap`, the stage artifacts, dependency
-graphs and everything they transitively contain), encoded as a JSON
-structure tree plus a flat list of raw NumPy arrays.
+graphs, theme sets and everything they transitively contain), encoded
+as a JSON structure tree plus a flat list of raw NumPy arrays.
 
 Container format (one artifact per file)::
 
@@ -49,6 +49,7 @@ from repro.core.pipeline import (
     SpaceArtifact,
 )
 from repro.core.preprocess import FeatureSpace
+from repro.core.themes import Theme, ThemeSet
 from repro.graph.dependency import DependencyGraph
 from repro.stats.normalize import ScalerStats
 from repro.table.column import CategoricalColumn, NumericColumn
@@ -347,6 +348,18 @@ _register(
     DependencyGraph,
     _fields("columns", "weights", "measure"),
     lambda f: DependencyGraph(**f),
+)
+_register(
+    "theme",
+    Theme,
+    _fields("name", "columns", "cohesion"),
+    lambda f: Theme(**f),
+)
+_register(
+    "themeset",
+    ThemeSet,
+    _fields("themes", "graph", "silhouette", "k_scores", "excluded_keys"),
+    lambda f: ThemeSet(**f),
 )
 
 _register(

@@ -90,6 +90,22 @@ class TestPreprocess:
         space = preprocess(mixed_table, columns=("income", "city"))
         assert set(space.used_columns) == {"income", "city"}
 
+    def test_keys_are_looked_for_among_the_requested_columns_only(
+        self, mixed_table, monkeypatch
+    ):
+        from repro.table.schema import KeyScan
+
+        tested = []
+        is_key = KeyScan._is_key
+        monkeypatch.setattr(
+            KeyScan,
+            "_is_key",
+            lambda self, column: tested.append(column.name) or is_key(self, column),
+        )
+        space = preprocess(mixed_table, columns=("income", "id"))
+        assert tested == ["income", "id"]
+        assert space.dropped_keys == ("id",)
+
     def test_unknown_column_rejected(self, mixed_table):
         with pytest.raises(KeyError):
             preprocess(mixed_table, columns=("nope",))

@@ -115,6 +115,18 @@ class TestDomainTypes:
         again = decode(encode(data_map))
         assert again.to_dict() == data_map.to_dict()
 
+    def test_round_trips_a_theme_set(self, built, table):
+        engine, _ = built
+        themes = engine.themes(table.name)
+        again = decode(encode(themes))
+        assert again.themes == themes.themes
+        assert again.excluded_keys == themes.excluded_keys
+        assert again.silhouette == themes.silhouette
+        assert again.k_scores == themes.k_scores
+        assert again.graph.columns == themes.graph.columns
+        assert again.graph.measure == themes.graph.measure
+        np.testing.assert_array_equal(again.graph.weights, themes.graph.weights)
+
     def test_round_trips_stage_artifacts(self, built, table):
         engine, _ = built
         cache = engine.map_cache
