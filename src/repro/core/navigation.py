@@ -9,6 +9,7 @@ back to a previous state of the system with a rollback."
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import TYPE_CHECKING, Callable
@@ -65,13 +66,17 @@ class Highlight:
 
 
 def _numeric_summary(column: NumericColumn) -> dict[str, float]:
-    """The univariate statistics a highlight reports for one column."""
+    """The univariate statistics a highlight reports for one column
+    (every one ``nan`` when no value is present)."""
+    present = column.present_values()
+    if present.size == 0:
+        return dict.fromkeys(("min", "max", "mean", "median", "std"), math.nan)
     return {
-        "min": column.min(),
-        "max": column.max(),
-        "mean": column.mean(),
-        "median": column.median(),
-        "std": column.std(),
+        "min": float(present.min()),
+        "max": float(present.max()),
+        "mean": float(present.mean()),
+        "median": float(np.median(present)),
+        "std": float(present.std()),
     }
 
 
@@ -430,7 +435,7 @@ class Explorer:
 
         numeric_summaries = {
             name: _numeric_summary(
-                NumericColumn(
+                NumericColumn.adopt(
                     name,
                     np.concatenate([part.values for part in parts])
                     if parts

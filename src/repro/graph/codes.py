@@ -45,6 +45,7 @@ from repro.table.sampling import uniform_sample
 __all__ = [
     "CodeCache",
     "CodeEntry",
+    "code_matrix",
     "gather_codes",
     "is_store_backed",
     "iter_code_chunks",
@@ -188,29 +189,32 @@ def gather_codes(
 
 
 def iter_code_chunks(
-    table,
-    names: Sequence[str],
-    entries: dict[str, CodeEntry],
-    chunk_rows: int | None = None,
-    start: int = 0,
-    stop: int | None = None,
+    table, names: Sequence[str], entries: dict[str, CodeEntry]
 ) -> Iterator[np.ndarray]:
     """Yield ``(n_columns, chunk)`` code matrices from a chunked scan.
 
     The streaming complement of :func:`gather_codes`: a store-backed
     table's whole-table graph build feeds these chunks into
     :class:`~repro.stats.batched.StreamingPairwiseNMI`, keeping resident
-    memory at one chunk of the named columns.  ``start``/``stop`` bound
-    the scan to one partition's rows for the process-parallel build.
+    memory at one chunk of the named columns.  (The process-parallel
+    build scans a partition at a time and calls :func:`code_matrix`
+    itself.)
     """
     names = tuple(names)
-    for _, _, chunk in table.iter_chunks(
-        columns=names, chunk_rows=chunk_rows, start=start, stop=stop
-    ):
-        matrix = np.empty((len(names), chunk.n_rows), dtype=np.int32)
-        for index, name in enumerate(names):
-            matrix[index] = _column_codes(chunk.column(name), entries[name])
-        yield matrix
+    with table.chunk_reader() as reader:
+        for _, _, chunk in table.scan_chunks(reader, names):
+            yield code_matrix(chunk, names, entries)
+
+
+def code_matrix(
+    chunk, names: Sequence[str], entries: dict[str, CodeEntry]
+) -> np.ndarray:
+    """The ``(n_columns, rows)`` code matrix of one scan chunk — a fresh
+    array, so the chunk's own (reused) buffers may be overwritten."""
+    matrix = np.empty((len(names), chunk.n_rows), dtype=np.int32)
+    for index, name in enumerate(names):
+        matrix[index] = _column_codes(chunk.column(name), entries[name])
+    return matrix
 
 
 def resolve_entries(

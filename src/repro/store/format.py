@@ -13,7 +13,7 @@ A store is a directory::
         c00001.categories.json category list, first-appearance order
 
 Column files are header-less little-endian binaries — one
-``np.memmap``/``np.fromfile`` call away from an array, with no parsing
+``np.memmap``/``readinto`` call away from an array, with no parsing
 and no row-group framing.  The manifest carries everything else:
 
 ``fingerprint``
@@ -49,7 +49,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, BinaryIO, Iterator
 
 import numpy as np
 
@@ -70,10 +70,12 @@ __all__ = [
     "PRIORITY_DTYPE",
     "PRIORITY_FILE",
     "VALUES_DTYPE",
+    "ChunkReader",
     "ColumnMeta",
     "ColumnZone",
     "PartitionMeta",
     "StoreManifest",
+    "StoreReadError",
     "StreamingFingerprint",
     "categorical_zone",
     "iter_file_chunks",
@@ -424,6 +426,79 @@ def iter_file_chunks(
     """Stream a raw column file as arrays of at most ``chunk_rows`` items."""
     for start in range(0, n_rows, chunk_rows):
         yield read_file_chunk(path, dtype, start, min(start + chunk_rows, n_rows))
+
+
+class StoreReadError(OSError):
+    """A column file gave fewer bytes than the manifest promises."""
+
+
+class ChunkReader:
+    """Chunk reads of a store's raw column files, for the length of one scan.
+
+    A file is opened at its first read and closed by :meth:`close` (the
+    end of the ``with`` block), so a scan opens each file it needs once.
+    Every read is a ``seek`` + ``readinto`` whose byte count is checked:
+    a file truncated under an open table raises :class:`StoreReadError`
+    instead of serving stale bytes.
+
+    With ``reuse`` (the scan passes) all the chunks of one file land in
+    one array, and :meth:`all_false` hands out one shared mask: what a
+    read returns is valid until the next read of the same file, and a
+    scan's resident memory is one chunk per file.  Without it (the
+    public chunk iterator) every read returns an array of its own.
+    """
+
+    def __init__(self, root: Path, reuse: bool = True) -> None:
+        self._root = root
+        self._reuse = reuse
+        self._files: dict[str, BinaryIO] = {}
+        self._buffers: dict[str, np.ndarray] = {}
+        self._all_false = np.zeros(0, dtype=bool)
+
+    def __enter__(self) -> "ChunkReader":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Close every file this reader opened."""
+        files, self._files = self._files, {}
+        for handle in files.values():
+            handle.close()
+
+    def read(self, relative: str, dtype: str, start: int, stop: int) -> np.ndarray:
+        """Rows ``[start, stop)`` of the raw column file ``relative``."""
+        count = stop - start
+        handle = self._files.get(relative)
+        if handle is None:
+            handle = self._files[relative] = open(self._root / relative, "rb")
+        if not self._reuse:
+            out = np.empty(count, dtype=dtype)
+        else:
+            buffer = self._buffers.get(relative)
+            if buffer is None or buffer.shape[0] < count:
+                buffer = self._buffers[relative] = np.empty(count, dtype=dtype)
+            out = buffer[:count]
+        offset = start * out.itemsize
+        handle.seek(offset)
+        got = handle.readinto(out)
+        if got != out.nbytes:
+            raise StoreReadError(
+                f"store file {relative!r} under {str(self._root)!r} gave "
+                f"{got} of the {out.nbytes} bytes of rows [{start}, {stop}) "
+                f"at offset {offset}; was it truncated under an open table?"
+            )
+        return out
+
+    def all_false(self, count: int) -> np.ndarray:
+        """A read-only all-``False`` mask of ``count`` cells."""
+        if not self._reuse:
+            return np.zeros(count, dtype=bool)
+        if self._all_false.shape[0] < count:
+            self._all_false = np.zeros(count, dtype=bool)
+            self._all_false.setflags(write=False)
+        return self._all_false[:count]
 
 
 class StreamingFingerprint:

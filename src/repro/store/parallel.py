@@ -5,21 +5,31 @@ highlight accumulation, streaming NMI, zone-map construction — all
 reduce per-partition partials with associative merges, so fanning
 partitions out over a ``ProcessPoolExecutor`` and re-assembling the
 results **in partition order** reproduces the serial scan bit for bit.
-Threads would not help here: chunk decoding and predicate evaluation
-hold the GIL for real Python time, unlike the GEMM-heavy clustering
-kernels that :mod:`repro.cluster.parallel` fans over threads.
+What a serial scan spends, measured on a 1M-row / 16-partition store
+(three-column conjunctive ``scan_mask``, 5-6 ms): 46 % in ``readinto``
+from the page cache, 26 % in the predicate's NumPy kernels, the rest in
+per-chunk Python.  Nothing is decoded or copied in between, and the
+fresh pool a fanned-out scan builds costs several times that (the
+``partition`` bench reads ``scan_jobs=4`` at 0.12x of serial on two
+cores) — the ROADMAP item on the parallel knobs owns that question.
 
-**One open table per scan.**  The table workers (``scan_mask_task``,
-``router_task``, ``highlight_task``, ``nmi_task``) are called
-``worker(table, task)`` with an already-open
-:class:`~repro.store.stored.StoredTable` and never open one themselves:
-the serial path hands them the caller's table, a pool worker opens its
-store once when the process starts (the pool's initializer) and serves
-every task from it.  A scan on an open table therefore never parses the
-manifest or re-validates the data files again, and serial and pooled
-scans stay one implementation.  The reads a pool worker performs are
-folded back into the caller's ``data_reads`` budget counter; serial
-reads land there directly.
+**One open table and one reader per scan.**  The table workers
+(``scan_mask_task``, ``router_task``, ``highlight_task``, ``nmi_task``)
+are called ``worker(table, reader, task)`` with an already-open
+:class:`~repro.store.stored.StoredTable` and one of its
+:class:`~repro.store.format.ChunkReader` s, and open neither themselves:
+the serial path hands them the caller's table and a single reader that
+spans every partition task of the scan (a task is often one chunk, so
+only a reader that outlives it can reuse a file or a buffer), a pool
+worker opens its store once when the process starts (the pool's
+initializer) and makes a reader per task.  A scan on an open table
+therefore never parses the manifest or re-validates the data files
+again, opens each column file it needs once, and serial and pooled
+scans stay one implementation.  A reader's arrays are overwritten by
+the next chunk: a worker keeps nothing of a chunk but what it computed
+or copied from it.  The reads a pool worker performs are folded back
+into the caller's ``data_reads`` budget counter; serial reads land
+there directly.
 
 **Selection passes follow the selection.**  The passes that run over an
 already-evaluated selection mask (exact counts, highlights) go through
@@ -45,6 +55,7 @@ workers return ``(payload, chunks read)``.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -60,6 +71,7 @@ from repro.resilience.deadline import (
 )
 
 if TYPE_CHECKING:
+    from repro.store.format import ChunkReader
     from repro.store.stored import StoredTable
 
 __all__ = [
@@ -97,7 +109,9 @@ def _run_in_worker(worker, task, expiry: tuple[float, float] | None):
     if table is None:
         return worker(task)
     before = table.data_reads
-    return worker(table, task), table.data_reads - before
+    with table.chunk_reader() as reader:
+        payload = worker(table, reader, task)
+    return payload, table.data_reads - before
 
 
 def run_partition_tasks(
@@ -108,10 +122,12 @@ def run_partition_tasks(
 ) -> list:
     """``[worker(task) for task in tasks]``, optionally across processes.
 
-    With ``table`` the calls are ``worker(table, task)`` on an open
-    table: the caller's own serially, each pool process's own (opened
-    once, by the pool initializer) otherwise, with the workers' reads
-    added to ``table.data_reads``.
+    With ``table`` the calls are ``worker(table, reader, task)`` on an
+    open table and one of its chunk readers: serially the caller's own
+    table and a single reader spanning every task (closed on any exit);
+    otherwise each pool process's own table (opened once, by the pool
+    initializer) and a reader per task, with the workers' reads added
+    to ``table.data_reads``.
 
     ``scan_jobs`` follows the repo's jobs convention (``None``/1 serial,
     0 every core, otherwise that many workers, clamped to the task
@@ -123,9 +139,13 @@ def run_partition_tasks(
     workers = resolve_jobs(scan_jobs, n_items=len(tasks))
     if workers == 1 or len(tasks) <= 1:
         results = []
-        for task in tasks:
-            checkpoint("store.partition")
-            results.append(worker(task) if table is None else worker(table, task))
+        scan = table.chunk_reader() if table is not None else nullcontext()
+        with scan as reader:
+            for task in tasks:
+                checkpoint("store.partition")
+                results.append(
+                    worker(task) if table is None else worker(table, reader, task)
+                )
         return results
     deadline = current_deadline()
     expiry = (
@@ -161,7 +181,7 @@ def run_selection_pass(
 
     Tasks are ``(columns, mask segment, start, stop, chunk_rows,
     *extra)``, one per partition holding a selected row; workers skip
-    the chunks holding none (``iter_chunks(where=...)``).  The pass runs
+    the chunks holding none (``scan_chunks(where=...)``).  The pass runs
     under a ``span_name`` span saying what it read and what it skipped.
     Returns the workers' payloads in partition order.
     """
@@ -207,21 +227,25 @@ def zones_task(task) -> dict:
     return compute_zones(Path(root), columns, start, stop, chunk_rows)
 
 
-def scan_mask_task(table: "StoredTable", task) -> tuple[np.ndarray, int]:
+def scan_mask_task(
+    table: "StoredTable", reader: "ChunkReader", task
+) -> tuple[np.ndarray, int]:
     """Predicate mask of one partition range: ``(predicate, needed,
     start, stop, chunk_rows)`` → ``(mask segment, chunks)``."""
     predicate, needed, start, stop, chunk_rows = task
     out = np.empty(stop - start, dtype=bool)
     chunks = 0
-    for lo, hi, chunk in table.iter_chunks(
-        columns=needed, chunk_rows=chunk_rows, start=start, stop=stop
+    for lo, hi, chunk in table.scan_chunks(
+        reader, needed, chunk_rows, start, stop
     ):
         out[lo - start : hi - start] = predicate.mask(chunk)
         chunks += 1
     return out, chunks
 
 
-def router_task(table: "StoredTable", task) -> tuple[np.ndarray, int]:
+def router_task(
+    table: "StoredTable", reader: "ChunkReader", task
+) -> tuple[np.ndarray, int]:
     """Tree-routing counts of one partition range: ``(needed, mask
     segment, start, stop, chunk_rows, tree_root)`` → how many selected
     rows reach each node, in :meth:`TreeNode.walk` order."""
@@ -230,8 +254,8 @@ def router_task(table: "StoredTable", task) -> tuple[np.ndarray, int]:
     needed, mask, start, stop, chunk_rows, tree_root = task
     counts = np.zeros(sum(1 for _ in tree_root.walk()), dtype=np.int64)
     chunks = 0
-    for lo, hi, chunk in table.iter_chunks(
-        columns=needed, chunk_rows=chunk_rows, start=start, stop=stop, where=mask
+    for lo, hi, chunk in table.scan_chunks(
+        reader, needed, chunk_rows, start, stop, where=mask
     ):
         checkpoint("count.chunk")
         selected = np.flatnonzero(mask[lo - start : hi - start])
@@ -240,7 +264,7 @@ def router_task(table: "StoredTable", task) -> tuple[np.ndarray, int]:
     return counts, chunks
 
 
-def highlight_task(table: "StoredTable", task):
+def highlight_task(table: "StoredTable", reader: "ChunkReader", task):
     """Highlight partials of one partition range: ``(inspect, mask
     segment, start, stop, chunk_rows, preview_cap)`` → per-column numeric
     matches, categorical code counts, and a bounded row preview."""
@@ -258,8 +282,8 @@ def highlight_task(table: "StoredTable", task):
             )
     preview: list[dict[str, object]] = []
     chunks = 0
-    for lo, hi, chunk in table.iter_chunks(
-        columns=inspect, chunk_rows=chunk_rows, start=start, stop=stop, where=mask
+    for lo, hi, chunk in table.scan_chunks(
+        reader, inspect, chunk_rows, start, stop, where=mask
     ):
         matched = np.flatnonzero(mask[lo - start : hi - start])
         chunk_columns = {name: chunk.column(name) for name in inspect}
@@ -282,20 +306,20 @@ def highlight_task(table: "StoredTable", task):
     return (numeric_parts, category_codes, preview), chunks
 
 
-def nmi_task(table: "StoredTable", task):
+def nmi_task(table: "StoredTable", reader: "ChunkReader", task):
     """Streaming-NMI contingencies of one partition range: ``(names,
     n_codes, entries, start, stop, chunk_rows)`` → the accumulated
     :class:`StreamingPairwiseNMI` count arrays."""
-    from repro.graph.codes import iter_code_chunks
+    from repro.graph.codes import code_matrix
     from repro.stats.batched import StreamingPairwiseNMI
 
     names, n_codes, entries, start, stop, chunk_rows = task
     streaming = StreamingPairwiseNMI(names, n_codes)
     chunks = 0
-    for matrix in iter_code_chunks(
-        table, names, entries, chunk_rows=chunk_rows, start=start, stop=stop
+    for _, _, chunk in table.scan_chunks(
+        reader, names, chunk_rows, start, stop
     ):
         checkpoint("graph.nmi.chunk")
-        streaming.update(matrix)
+        streaming.update(code_matrix(chunk, names, entries))
         chunks += 1
     return streaming.counts_state(), chunks

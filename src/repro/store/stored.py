@@ -19,17 +19,17 @@ against the on-disk column files:
 
 Materializing operations (``take``, ``select``, ``sample``, ``head``)
 return plain in-memory ``Table`` objects sized by their result; scans
-(:meth:`iter_chunks`, :meth:`scan_mask`) use buffered reads and stay
-within one chunk of memory.  Full-column access (:meth:`column`) hands
-out read-only memory maps wrapped in the regular column classes, so
-every consumer of ``Column`` — predicates, CART routing, statistics —
-works unchanged.
+(:meth:`scan_chunks`, :meth:`scan_mask`) use buffered reads into one
+reused array per column file and stay within one chunk of memory.
+Full-column access (:meth:`column`) hands out read-only memory maps
+wrapped in the regular column classes, so every consumer of ``Column``
+— predicates, CART routing, statistics — works unchanged.
 
 Opening a table parses the manifest and checks every data file's size
 once; every scan afterwards runs on the open table (the partition
 workers of :mod:`repro.store.parallel` are handed it, they never
 re-open the store), and a scan restricted by a selection mask
-(``iter_chunks(where=...)``) reads only the chunks that hold a selected
+(``scan_chunks(where=...)``) reads only the chunks that hold a selected
 row.
 """
 
@@ -39,6 +39,7 @@ import hashlib
 import json
 import os
 import time
+from bisect import bisect_left, bisect_right
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -56,6 +57,7 @@ from repro.store.format import (
     MASK_DTYPE,
     PRIORITY_DTYPE,
     VALUES_DTYPE,
+    ChunkReader,
     ColumnMeta,
     PartitionMeta,
     StoreManifest,
@@ -108,13 +110,13 @@ class _MappedCategoricalColumn(CategoricalColumn):
         name: str,
         codes: np.ndarray,
         missing: np.ndarray,
-        categories: tuple[str, ...],
+        dictionary: CategoricalColumn,
     ) -> None:
         self._name = name
         self._missing = missing
         self._codes = codes
-        self._categories = categories
-        self._index = {c: i for i, c in enumerate(categories)}
+        self._categories = dictionary.categories
+        self._index = dictionary._index
 
 
 class StoredTable:
@@ -169,7 +171,9 @@ class StoredTable:
             self._order = tuple(columns)
         self._name = name or self._manifest.table
         self._mapped: dict[str, Column] = {}
-        self._categories: dict[str, tuple[str, ...]] = {}
+        self._dictionaries: dict[str, CategoricalColumn] = {}
+        self._partition_starts = [p.start for p in self.partitions]
+        self._null_free: dict[str, list[bool]] = {}
         self._priorities: np.ndarray | None = None
         self._data_reads = 0
         self._partitions_skipped = 0
@@ -292,15 +296,7 @@ class StoredTable:
 
     def categories(self, name: str) -> tuple[str, ...]:
         """The category list of a categorical column."""
-        meta = self._meta[name]
-        if meta.kind != KIND_CATEGORICAL:
-            raise TypeError(f"column {name!r} is numeric; it has no categories")
-        if name not in self._categories:
-            path = self._root / meta.files["categories"]
-            self._categories[name] = tuple(
-                json.loads(path.read_text(encoding="utf-8"))
-            )
-        return self._categories[name]
+        return self._dictionary(name).categories
 
     def __len__(self) -> int:
         return self.n_rows
@@ -358,13 +354,48 @@ class StoredTable:
     ) -> Iterator[tuple[int, int, Table]]:
         """Yield ``(start, stop, chunk)`` plain in-memory tables.
 
-        Chunks are built with buffered reads (never mmap), so a full
-        scan's resident memory is bounded by one chunk of the requested
-        ``columns`` — the scan primitive every pushdown is built on.
-        ``start``/``stop`` bound the scan to a row range (how partition
-        workers scan just their slice); defaults cover the whole table.
-        ``where`` is a boolean mask over that range: a chunk in which it
-        selects no row is skipped before anything is read.
+        Chunks are built with buffered reads (never mmap) from files
+        opened once for the whole iteration, and each chunk owns its
+        arrays: they may be kept, and holding all of them holds the
+        requested ``columns`` whole.  A consumer that drops each chunk
+        before the next keeps resident memory at one chunk of those
+        columns.  ``start``/``stop`` bound the scan to a row range;
+        defaults cover the whole table.  ``where`` is a boolean mask
+        over that range: a chunk in which it selects no row is skipped
+        before anything is read.
+        """
+        with ChunkReader(self._root, reuse=False) as reader:
+            yield from self.scan_chunks(
+                reader, columns, chunk_rows, start, stop, where
+            )
+
+    def chunk_reader(self) -> ChunkReader:
+        """The reader of one scan over this table, for :meth:`scan_chunks`."""
+        return ChunkReader(self._root)
+
+    def scan_chunks(
+        self,
+        reader: ChunkReader,
+        columns: Sequence[str] | None = None,
+        chunk_rows: int | None = None,
+        start: int = 0,
+        stop: int | None = None,
+        where: np.ndarray | None = None,
+    ) -> Iterator[tuple[int, int, Table]]:
+        """:meth:`iter_chunks` through a caller's ``reader`` — the scan
+        primitive every pushdown is built on.
+
+        The reader decides what a chunk's arrays are: with the reusing
+        reader of :meth:`chunk_reader` they are views of its per-file
+        buffers, overwritten by the next chunk, so a consumer must be
+        done with a chunk (or have copied what it keeps) before it asks
+        for the next, and a scan's resident memory is bounded by one
+        chunk of the requested ``columns``.  One reader may serve any
+        number of consecutive ranges — :func:`repro.store.parallel.
+        run_partition_tasks` spans all the partition tasks of a scan
+        with one — and each needed file is opened once for all of them.
+        A numeric column's mask file is read only where a partition's
+        zone map does not record ``null_count == 0``.
         """
         names = tuple(columns) if columns is not None else self._order
         for column_name in names:
@@ -396,7 +427,7 @@ class StoredTable:
             checkpoint("store.chunk")
             fault_point("store.read")
             chunk_columns = [
-                self._read_column_chunk(name, lo, hi) for name in names
+                self._read_column_chunk(reader, name, lo, hi) for name in names
             ]
             metrics.increment("blaeu_store_chunk_reads_total")
             yield lo, hi, Table(self._name, chunk_columns)
@@ -686,23 +717,55 @@ class StoredTable:
             return _MappedNumericColumn(meta.name, values, mask)
         codes = self._mmap(meta.files["codes"], CODES_DTYPE)
         return _MappedCategoricalColumn(
-            meta.name, codes, mask, self.categories(meta.name)
+            meta.name, codes, mask, self._dictionary(meta.name)
         )
 
-    def _read_column_chunk(self, name: str, start: int, stop: int) -> Column:
+    def _dictionary(self, name: str) -> CategoricalColumn:
+        """A categorical column's dictionary, as a column of no rows.
+
+        Built — the category file parsed, the labels validated, the
+        label index made — once per open table; every chunk and map of
+        the column shares it (:meth:`CategoricalColumn.with_codes`).
+        """
+        meta = self._meta[name]
+        if meta.kind != KIND_CATEGORICAL:
+            raise TypeError(f"column {name!r} is numeric; it has no categories")
+        if name not in self._dictionaries:
+            path = self._root / meta.files["categories"]
+            self._dictionaries[name] = CategoricalColumn(
+                name,
+                np.empty(0, dtype=np.int32),
+                json.loads(path.read_text(encoding="utf-8")),
+            )
+        return self._dictionaries[name]
+
+    def _zones_record_no_nulls(self, name: str, start: int, stop: int) -> bool:
+        """Whether every partition holding a row of ``[start, stop)``
+        has a zone for column ``name`` with ``null_count == 0`` (the
+        field :func:`~repro.store.partitions.zone_proves_empty` trusts).
+        Zone-less partitions prove nothing."""
+        proven = self._null_free.get(name)
+        if proven is None:
+            proven = self._null_free[name] = [
+                name in p.zones and p.zones[name].null_count == 0
+                for p in self.partitions
+            ]
+        first = bisect_right(self._partition_starts, start) - 1
+        return all(proven[first : bisect_left(self._partition_starts, stop)])
+
+    def _read_column_chunk(
+        self, reader: ChunkReader, name: str, start: int, stop: int
+    ) -> Column:
         meta = self._meta[name]
         self._data_reads += 1
         if meta.kind == KIND_NUMERIC:
-            values = read_file_chunk(
-                self._root / meta.files["values"], VALUES_DTYPE, start, stop
-            )
-            mask = read_file_chunk(
-                self._root / meta.files["mask"], MASK_DTYPE, start, stop
-            )
-            return NumericColumn(meta.name, values, mask)
+            values = reader.read(meta.files["values"], VALUES_DTYPE, start, stop)
+            if self._zones_record_no_nulls(name, start, stop):
+                mask = reader.all_false(stop - start)
+            else:
+                mask = reader.read(meta.files["mask"], MASK_DTYPE, start, stop)
+            return NumericColumn.adopt(meta.name, values, mask)
         # The mask file is skipped here: CategoricalColumn rederives
         # missingness from the -1 codes, so reading it would be waste.
-        codes = read_file_chunk(
-            self._root / meta.files["codes"], CODES_DTYPE, start, stop
-        )
-        return CategoricalColumn(meta.name, codes, self.categories(name))
+        codes = reader.read(meta.files["codes"], CODES_DTYPE, start, stop)
+        return self._dictionary(name).with_codes(codes)

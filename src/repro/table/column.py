@@ -144,6 +144,30 @@ class NumericColumn(Column):
             list(values) if not isinstance(values, np.ndarray) else values,
             dtype=np.float64,
         )
+        if missing is not None:
+            # Missing cells are poisoned below: never in the caller's array.
+            array = array.copy()
+        self._install(name, array, missing)
+
+    @classmethod
+    def adopt(
+        cls, name: str, values: np.ndarray, missing: np.ndarray
+    ) -> "NumericColumn":
+        """A column over arrays the caller has just created and hands over.
+
+        The constructor without its defensive copy, for the producers of
+        fresh arrays (chunk reads, gathers, concatenations): same
+        validation, and missing cells are poisoned *in* ``values``.  The
+        caller must not write to either array afterwards.
+        """
+        column = cls.__new__(cls)
+        column._install(name, np.asarray(values, dtype=np.float64), missing)
+        return column
+
+    def _install(
+        self, name: str, array: np.ndarray, missing: np.ndarray | None
+    ) -> None:
+        """Validate and keep ``array`` (which this column now owns)."""
         if array.ndim != 1:
             raise ValueError("numeric column values must be one-dimensional")
         if missing is None:
@@ -152,8 +176,8 @@ class NumericColumn(Column):
             mask = np.asarray(missing, dtype=bool)
             if mask.shape != array.shape:
                 raise ValueError("missing mask shape must match values shape")
-            array = array.copy()
-            array[mask] = np.nan
+            if mask.any():
+                array[mask] = np.nan
         array.setflags(write=False)
         super().__init__(name, mask)
         self._values = array
@@ -189,7 +213,7 @@ class NumericColumn(Column):
 
     def take(self, indices: np.ndarray) -> "NumericColumn":
         indices = np.asarray(indices, dtype=np.intp)
-        return NumericColumn(
+        return NumericColumn.adopt(
             self._name, self._values[indices], self._missing[indices]
         )
 
@@ -253,15 +277,39 @@ class CategoricalColumn(Column):
         codes: Iterable[int],
         categories: Sequence[str],
     ) -> None:
+        categories = tuple(str(c) for c in categories)
+        if len(set(categories)) != len(categories):
+            raise ValueError("categories must be distinct")
+        self._install(
+            name, codes, categories, {c: i for i, c in enumerate(categories)}
+        )
+
+    def with_codes(self, codes: Iterable[int]) -> "CategoricalColumn":
+        """A column of ``codes`` over this column's dictionary.
+
+        The category list and its label index were validated when this
+        column was built and are immutable, so the new column shares
+        them: only the codes are checked.  What lets a chunked scan or a
+        gather cost the same whatever the size of the dictionary.
+        """
+        column = CategoricalColumn.__new__(CategoricalColumn)
+        column._install(self._name, codes, self._categories, self._index)
+        return column
+
+    def _install(
+        self,
+        name: str,
+        codes: Iterable[int],
+        categories: tuple[str, ...],
+        index: dict[str, int],
+    ) -> None:
+        """Validate ``codes`` against an already-validated dictionary."""
         codes_array = np.asarray(
             list(codes) if not isinstance(codes, np.ndarray) else codes,
             dtype=np.int32,
         )
         if codes_array.ndim != 1:
             raise ValueError("categorical codes must be one-dimensional")
-        categories = tuple(str(c) for c in categories)
-        if len(set(categories)) != len(categories):
-            raise ValueError("categories must be distinct")
         if codes_array.size and codes_array.max(initial=-1) >= len(categories):
             raise ValueError("code out of range of the category list")
         if codes_array.size and codes_array.min(initial=0) < -1:
@@ -270,7 +318,7 @@ class CategoricalColumn(Column):
         super().__init__(name, codes_array == self.MISSING_CODE)
         self._codes = codes_array
         self._categories = categories
-        self._index = {c: i for i, c in enumerate(categories)}
+        self._index = index
 
     @classmethod
     def from_labels(
@@ -313,7 +361,7 @@ class CategoricalColumn(Column):
 
     def take(self, indices: np.ndarray) -> "CategoricalColumn":
         indices = np.asarray(indices, dtype=np.intp)
-        return CategoricalColumn(self._name, self._codes[indices], self._categories)
+        return self.with_codes(self._codes[indices])
 
     def rename(self, name: str) -> "CategoricalColumn":
         return CategoricalColumn(name, self._codes, self._categories)
