@@ -125,8 +125,8 @@ class Serve:
             [sys.executable, "-u", "-m", "repro", "serve", *argv],
             env=ENV,
             stdout=subprocess.PIPE,
-            # stderr inherits: quiet in normal runs, and the proxy's
-            # BLAEU_PROXY_DEBUG attempt trails stay visible when set.
+            # stderr inherits: quiet in normal runs, and a worker's
+            # traceback stays visible when one dies.
             stderr=None,
             text=True,
         )

@@ -31,7 +31,7 @@ from pathlib import Path
 from repro.core.config import BlaeuConfig
 from repro.core.engine import Blaeu
 from repro.datasets.synthetic import mixed_blobs
-from repro.service.app import BlaeuService, ServiceConfig
+from repro.service.app import BlaeuService, PoolConfig, ServiceConfig
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -106,7 +106,7 @@ def _timed_open(client: Client, session_id: str, table: str) -> float:
     started = time.perf_counter()
     status, payload = client.request(
         "POST",
-        "/api/open",
+        "/v1/commands/open",
         {"session": session_id, "table": table, "theme": 0},
     )
     elapsed = time.perf_counter() - started
@@ -125,11 +125,11 @@ def _client_workload(
         for round_index in range(n_rounds):
             session = f"bench-c{client_index}-r{round_index}"
             for method, path, body in (
-                ("POST", "/api/open", {"session": session, "table": table, "theme": 0}),
-                ("POST", "/api/map", {"session": session}),
-                ("POST", "/api/sql", {"session": session}),
-                ("POST", "/api/history", {"session": session}),
-                ("POST", "/api/close", {"session": session}),
+                ("POST", "/v1/commands/open", {"session": session, "table": table, "theme": 0}),
+                ("POST", "/v1/commands/map", {"session": session}),
+                ("POST", "/v1/commands/sql", {"session": session}),
+                ("POST", "/v1/commands/history", {"session": session}),
+                ("POST", "/v1/commands/close", {"session": session}),
             ):
                 started = time.perf_counter()
                 status, payload = client.request(method, path, body)
@@ -154,13 +154,16 @@ def run_benchmark(smoke: bool) -> dict[str, object]:
 
     with ServiceThread(
         engine,
-        ServiceConfig(port=0, workers=4, max_pending=n_clients * 4 + 8),
+        ServiceConfig(
+            port=0,
+            pool=PoolConfig(threads=4, max_pending=n_clients * 4 + 8),
+        ),
     ) as running:
         port = running.port
         client = Client(port)
 
         # Theme extraction is not what we measure; prime it.
-        status, _ = client.request("POST", "/api/themes", {"table": table})
+        status, _ = client.request("POST", "/v1/commands/themes", {"table": table})
         assert status == 200
 
         # Cold: the very first map build, cache empty.

@@ -16,9 +16,7 @@ Run with::
         [--partition-rows N] [--scan-jobs N] [--append]
     python -m repro store repartition <store-dir> \
         [--partition-rows N] [--scan-jobs N]
-    python -m repro serve [--host H] [--port P] [--cache-size N] \
-        [--cache-ttl S] [--workers N] [--threads T] [--cache-dir DIR] \
-        [--trace] [--access-log] \
+    python -m repro serve [serving options — see serve --help] \
         (<data.csv|store-dir> … | --demo <name>)
     python -m repro trace <http://host:port | spans.jsonl> [--limit N] \
         [--export PATH]
@@ -611,8 +609,15 @@ def guide_main(argv: list[str]) -> None:
 
 
 def serve_main(argv: list[str]) -> None:
-    """The ``serve`` subcommand: boot the HTTP service over the data."""
+    """The ``serve`` subcommand: boot the HTTP service over the data.
+
+    Serving options come from :mod:`repro.service.config`: each is
+    declared there once, with its flag and its ``BLAEU_*`` override
+    (explicit flag > environment > default).
+    """
     import argparse
+
+    from repro.service import config as options
 
     parser = argparse.ArgumentParser(
         prog="blaeu serve",
@@ -622,100 +627,11 @@ def serve_main(argv: list[str]) -> None:
     parser.add_argument(
         "--demo", choices=_DEMOS, help="serve a bundled demo dataset"
     )
-    parser.add_argument("--host", default="127.0.0.1", help="bind address")
-    parser.add_argument(
-        "--port", type=int, default=8787, help="bind port (0: pick free)"
-    )
-    parser.add_argument(
-        "--cache-size",
-        type=int,
-        default=256,
-        help="shared map-cache capacity (entries)",
-    )
-    parser.add_argument(
-        "--cache-ttl",
-        type=float,
-        default=None,
-        help="map-cache entry lifetime in seconds (default: no expiry)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker *processes*; more than one boots the pre-fork "
-        "supervisor over a shared on-disk artifact cache "
-        "(default %(default)s)",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=4,
-        help="worker threads per process for map builds "
-        "(default %(default)s)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="shared on-disk artifact cache (the L2 tier); created if "
-        "missing.  Workers of one supervisor always share a cache dir "
-        "(a temp dir when this flag is omitted)",
-    )
-    parser.add_argument(
-        "--cache-disk-bytes",
-        type=int,
-        default=None,
-        metavar="BYTES",
-        help="size budget of --cache-dir before LRU eviction "
-        "(default 1 GiB)",
-    )
+    options.add_flags(parser)
     parser.add_argument(
         "--port-file",
         default=None,
         help=argparse.SUPPRESS,  # supervisor-internal port announcement
-    )
-    parser.add_argument(
-        "--trace",
-        action="store_true",
-        help="record request traces (served at /trace, headers carry "
-        "X-Blaeu-Trace)",
-    )
-    parser.add_argument(
-        "--trace-buffer",
-        type=int,
-        default=512,
-        help="spans retained in the trace ring buffer (default %(default)s)",
-    )
-    parser.add_argument(
-        "--slow-op-threshold",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="log any span at least this slow (default: off)",
-    )
-    parser.add_argument(
-        "--access-log",
-        action="store_true",
-        help="log one structured line per request to stderr",
-    )
-    parser.add_argument(
-        "--prefetch",
-        action="store_true",
-        help="speculatively build the top suggested next maps into the "
-        "shared cache after each served map (idle workers only)",
-    )
-    parser.add_argument(
-        "--guide-top-n",
-        type=int,
-        default=3,
-        help="suggestions per /suggestions response and actions warmed "
-        "per speculation (default %(default)s)",
-    )
-    parser.add_argument(
-        "--guide-prefetch-jobs",
-        type=int,
-        default=1,
-        help="maximum concurrent speculative builds (default %(default)s)",
     )
     parser.add_argument(
         "--scan-jobs",
@@ -725,23 +641,6 @@ def serve_main(argv: list[str]) -> None:
         help="worker processes per store scan (0 = all cores; exported "
         "as BLAEU_SCAN_JOBS so every service worker's store-backed "
         "tables fan chunked scans out; default: serial)",
-    )
-    parser.add_argument(
-        "--request-deadline",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="default per-request time budget; requests past it get a "
-        "504 (clients can override per request with X-Blaeu-Deadline; "
-        "default: no deadline)",
-    )
-    parser.add_argument(
-        "--drain-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="seconds to let in-flight requests finish on shutdown or "
-        "worker restart (default 5)",
     )
     parser.add_argument(
         "--faults",
@@ -754,29 +653,22 @@ def serve_main(argv: list[str]) -> None:
     if args.demo and args.data:
         parser.error("give either CSV files or --demo, not both")
     if args.demo:
-        engine_argv = ["--demo", args.demo]
+        sources = ["--demo", args.demo]
     elif args.data:
-        engine_argv = list(args.data)
+        sources = list(args.data)
     else:
         parser.error("provide CSV files or --demo <name>")
-    if args.workers < 1:
-        parser.error("--workers must be at least 1")
+    try:
+        config = options.resolve(vars(args))
+    except ValueError as error:
+        parser.error(str(error))
 
-    # Resilience knobs travel as environment variables: the service
-    # config folds them in (single-worker mode) and supervisor workers
-    # inherit them (multi-worker mode) — one spelling for both.
+    # Read below the service (store scans, fault points), so they travel
+    # as environment variables that supervisor workers inherit.
     if args.scan_jobs is not None:
         if args.scan_jobs < 0:
             parser.error("--scan-jobs must be >= 0")
         os.environ["BLAEU_SCAN_JOBS"] = str(args.scan_jobs)
-    if args.request_deadline is not None:
-        if args.request_deadline <= 0:
-            parser.error("--request-deadline must be positive")
-        os.environ["BLAEU_REQUEST_DEADLINE"] = str(args.request_deadline)
-    if args.drain_timeout is not None:
-        if args.drain_timeout < 0:
-            parser.error("--drain-timeout must be non-negative")
-        os.environ["BLAEU_DRAIN_TIMEOUT"] = str(args.drain_timeout)
     if args.faults is not None:
         from repro.resilience.faults import FAULTS_ENV, parse_faults
 
@@ -786,97 +678,18 @@ def serve_main(argv: list[str]) -> None:
             parser.error(f"--faults: {error}")
         os.environ[FAULTS_ENV] = args.faults
 
-    if args.workers > 1:
+    if config.pool.processes > 1:
         # Pre-fork mode: N single-process services behind a routing
         # front, sharing one artifact-cache directory so warm work
         # crosses process (and restart) boundaries.
-        import tempfile
-
         from repro.service.supervisor import Supervisor
 
-        cache_dir = args.cache_dir or tempfile.mkdtemp(prefix="blaeu-cache-")
-        worker_argv = [
-            "--threads",
-            str(args.threads),
-            "--cache-size",
-            str(args.cache_size),
-            "--cache-dir",
-            cache_dir,
-        ]
-        if args.cache_ttl is not None:
-            worker_argv += ["--cache-ttl", str(args.cache_ttl)]
-        if args.cache_disk_bytes is not None:
-            worker_argv += ["--cache-disk-bytes", str(args.cache_disk_bytes)]
-        if args.trace:
-            worker_argv += ["--trace", "--trace-buffer", str(args.trace_buffer)]
-        if args.slow_op_threshold is not None:
-            worker_argv += ["--slow-op-threshold", str(args.slow_op_threshold)]
-        if args.access_log:
-            worker_argv += ["--access-log"]
-        if args.prefetch:
-            worker_argv += ["--prefetch"]
-        worker_argv += ["--guide-top-n", str(args.guide_top_n)]
-        worker_argv += ["--guide-prefetch-jobs", str(args.guide_prefetch_jobs)]
-        worker_argv += engine_argv
-        try:
-            supervisor_kwargs = {}
-            if args.drain_timeout is not None:
-                supervisor_kwargs["drain_timeout"] = args.drain_timeout
-            supervisor = Supervisor(
-                worker_argv,
-                n_workers=args.workers,
-                host=args.host,
-                port=args.port,
-                **supervisor_kwargs,
-            )
-        except ValueError as error:  # pragma: no cover - guarded above
-            parser.error(str(error))
-        supervisor.run()
+        Supervisor(config, sources).run()
         return
 
-    from repro.service.app import (
-        BlaeuService,
-        CacheConfig,
-        GuideConfig,
-        ServiceConfig,
-    )
-    from repro.store.artifacts import DEFAULT_MAX_BYTES
+    from repro.service.app import BlaeuService
 
-    try:
-        cache = (
-            CacheConfig(
-                size=args.cache_size,
-                ttl=args.cache_ttl,
-                dir=args.cache_dir,
-                disk_bytes=args.cache_disk_bytes or DEFAULT_MAX_BYTES,
-            )
-            if args.cache_dir
-            else None
-        )
-        config = ServiceConfig(
-            host=args.host,
-            port=args.port,
-            cache=cache,
-            cache_size=args.cache_size,
-            cache_ttl=args.cache_ttl,
-            workers=args.threads,
-            # Admission bound scales with the pool so large --threads
-            # values don't trip the max_pending >= workers invariant.
-            max_pending=max(64, args.threads * 4),
-            trace_enabled=args.trace,
-            trace_buffer_size=args.trace_buffer,
-            slow_op_threshold=args.slow_op_threshold,
-            access_log=args.access_log,
-            guide=GuideConfig(
-                top_n=args.guide_top_n,
-                prefetch=args.prefetch,
-                prefetch_jobs=args.guide_prefetch_jobs,
-            ),
-        )
-    except ValueError as error:
-        parser.error(str(error))
-    engine = build_engine(engine_argv)
-    BlaeuService(engine, config).run(port_file=args.port_file)
+    BlaeuService(build_engine(sources), config).run(port_file=args.port_file)
 
 
 def _group_span_dicts(
@@ -916,7 +729,7 @@ def trace_main(argv: list[str]) -> None:
     parser = argparse.ArgumentParser(
         prog="blaeu trace",
         description=(
-            "Fetch recent traces from a running service's /trace "
+            "Fetch recent traces from a running service's /v1/traces "
             "endpoint (give its base URL) or re-read a JSONL span "
             "export, and print each trace as a tree with the slowest "
             "span marked."
@@ -946,7 +759,7 @@ def trace_main(argv: list[str]) -> None:
         from urllib.error import URLError
         from urllib.request import urlopen
 
-        url = args.source.rstrip("/") + f"/trace?limit={args.limit}"
+        url = args.source.rstrip("/") + f"/v1/traces?limit={args.limit}"
         try:
             with urlopen(url) as response:
                 payload = json.loads(response.read().decode("utf-8"))

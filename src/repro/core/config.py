@@ -172,6 +172,12 @@ class BlaeuConfig:
     #: "results are identical either way" contracts depend on this).
     _RESULT_NEUTRAL_KNOBS = ("pipeline_reuse", "count_mode")
 
+    #: Parallelism widths: results are bit-identical at any value, so
+    #: :meth:`digest` hashes them as ``None``.  They stay *in* the
+    #: payload (not popped) because the default digest — and every
+    #: golden digest derived from it — names them.
+    _WIDTH_KNOBS = ("graph_jobs", "clara_jobs", "scan_jobs")
+
     def digest(self) -> str:
         """A stable hash of every result-affecting knob.
 
@@ -183,11 +189,15 @@ class BlaeuConfig:
         result-neutral knobs ``pipeline_reuse`` and ``count_mode`` are
         excluded: stage memoization and two-phase counting never change
         the final exact map, so sessions differing only there share
-        cache entries and refinements.
+        cache entries and refinements.  So are the ``*_jobs`` widths:
+        a cached engine at ``clara_jobs=2`` draws the same key-derived
+        seeds, and shares artifacts with, one at ``clara_jobs=None``.
         """
         payload = dataclasses.asdict(self)
         for knob in self._RESULT_NEUTRAL_KNOBS:
             payload.pop(knob)
+        for knob in self._WIDTH_KNOBS:
+            payload[knob] = None
         text = json.dumps(payload, sort_keys=True, default=repr)
         return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 

@@ -1,7 +1,6 @@
 """The process-global metric registry (Prometheus text exposition).
 
-Grown out of the serving layer's private registry
-(:mod:`repro.service.metrics` now re-exports from here): counters keyed
+Grown out of the serving layer's private registry: counters keyed
 by (route, status), log-bucketed latency histograms, named counters,
 named histograms and gauges — all thread-safe, all rendered by
 :meth:`Metrics.render` into the ``/metrics`` body.

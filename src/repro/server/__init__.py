@@ -8,59 +8,7 @@ messages into engine calls and engine results into JSON payloads.  No
 sockets are opened — the protocol is exercised in process, which is what
 the architecture benchmark times end to end.
 
-.. deprecated::
-    The package-level re-exports moved behind the :mod:`repro.service`
-    facade (``from repro.service import SessionManager``); importing
-    them from ``repro.server`` still works for one release but raises a
-    :class:`DeprecationWarning`.  The submodules
-    (``repro.server.protocol`` etc.) are *not* deprecated — they are
-    implementation homes, reached through the facade.
+The entry points live in the submodules (:mod:`repro.server.protocol`,
+:mod:`repro.server.session`, :mod:`repro.server.persistence`);
+:mod:`repro.service` re-exports them next to the HTTP tier.
 """
-
-from __future__ import annotations
-
-import warnings
-
-#: name → (submodule, attribute) for the lazily-resolved shim below.
-_MOVED = {
-    "ErrorResponse": ("repro.server.protocol", "ErrorResponse"),
-    "ProtocolError": ("repro.server.protocol", "ProtocolError"),
-    "Request": ("repro.server.protocol", "Request"),
-    "Response": ("repro.server.protocol", "Response"),
-    "parse_request": ("repro.server.protocol", "parse_request"),
-    "Session": ("repro.server.session", "Session"),
-    "SessionManager": ("repro.server.session", "SessionManager"),
-    "replay_session": ("repro.server.persistence", "replay_session"),
-    "save_session": ("repro.server.persistence", "save_session"),
-}
-
-__all__ = sorted(_MOVED)
-
-
-def __getattr__(name: str) -> object:
-    """The deprecation shim for names folded into ``repro.service``.
-
-    Module-level ``__getattr__`` (PEP 562) means the warning fires only
-    when one of the moved names is actually touched — importing the
-    submodules directly stays silent, so internal code and the facade
-    itself never warn.
-    """
-    try:
-        module_name, attribute = _MOVED[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    warnings.warn(
-        f"importing {name!r} from 'repro.server' is deprecated; "
-        f"use 'from repro.service import {name}' instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    import importlib
-
-    return getattr(importlib.import_module(module_name), attribute)
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_MOVED))

@@ -11,6 +11,11 @@ and the DBMS; this package is that tier, grown for the ROADMAP's
   map builds off the event loop.
 * :mod:`repro.service.http` — a stdlib-only ``asyncio`` HTTP/1.1
   server.
+* :mod:`repro.service.config` — every serving option declared once;
+  the ``serve`` flags, the ``BLAEU_*`` overrides and the supervisor →
+  worker hand-off are derived from the declarations.
+* :mod:`repro.service.routes` — the route table worker and proxy both
+  dispatch on.
 * :mod:`repro.service.app` — the wiring: engine + session manager +
   cache tiers + pool behind the versioned ``/v1`` JSON API, with
   graceful shutdown.
@@ -18,10 +23,9 @@ and the DBMS; this package is that tier, grown for the ROADMAP's
   multi-process tier: consistent-hash placement of table fingerprints
   and the pre-fork supervisor behind ``blaeu serve --workers N``.
 
-This package is also the *facade* for the session tier: the
-``repro.server`` entry points (session management, protocol parsing,
-session persistence) are re-exported here, which is where new code
-should import them from (``repro.server`` itself warns).
+This package is also the *facade* for the session tier: the entry
+points of ``repro.server``'s submodules (session management, protocol
+parsing, session persistence) are re-exported here.
 """
 
 from repro.server.persistence import replay_session, save_session
@@ -33,21 +37,21 @@ from repro.server.protocol import (
     parse_request,
 )
 from repro.server.session import Session, SessionManager
-from repro.service.app import (
-    BlaeuService,
-    CacheConfig,
-    GuideConfig,
-    PoolConfig,
-    ServiceConfig,
-    TraceConfig,
-)
+from repro.service.app import BlaeuService
 from repro.service.cache import (
     CacheStats,
     LRUCache,
     TieredCache,
     TieredCacheStats,
 )
-from repro.service.metrics import Metrics
+from repro.service.config import (
+    CacheConfig,
+    GuideConfig,
+    PoolConfig,
+    ResilienceConfig,
+    ServiceConfig,
+    TraceConfig,
+)
 from repro.service.pool import PoolSaturatedError, WorkerPool
 from repro.service.routing import HashRing
 from repro.service.supervisor import Supervisor, SupervisorError
@@ -60,11 +64,11 @@ __all__ = [
     "GuideConfig",
     "HashRing",
     "LRUCache",
-    "Metrics",
     "PoolConfig",
     "PoolSaturatedError",
     "ProtocolError",
     "Request",
+    "ResilienceConfig",
     "Response",
     "ServiceConfig",
     "Session",

@@ -3,19 +3,10 @@
 :class:`BlaeuService` is the composition root of the serving layer.  It
 installs a shared :class:`~repro.service.cache.LRUCache` on the engine
 (so every session's map builds go through it), wraps a thread-safe
-:class:`~repro.server.session.SessionManager`, and exposes the protocol
-commands as JSON endpoints:
-
-========================== ==========================================
-route                       meaning
-========================== ==========================================
-``GET /healthz``            liveness + basic stats
-``GET /metrics``            Prometheus-style counters and histograms
-``GET /trace``              recent traces from the span ring buffer
-``GET /tables``             registered table names
-``GET /catalog``            tables with content fingerprints
-``POST /api/<command>``     any protocol command; body = its arguments
-========================== ==========================================
+:class:`~repro.server.session.SessionManager`, and answers the routes
+declared in :mod:`repro.service.routes` (``/healthz``, ``/metrics`` and
+the ``/v1`` API: table resources and ``POST /v1/commands/<command>``).
+Its options are declared in :mod:`repro.service.config`.
 
 Engine work runs on the worker pool, never on the event loop; error
 responses map onto HTTP statuses (unknown command / bad arguments →
@@ -29,12 +20,9 @@ import contextlib
 import functools
 import json
 import os
-import signal
 import sys
 import time
-from dataclasses import dataclass
 from typing import Callable
-from urllib.parse import urlencode
 
 from repro.core.engine import Blaeu
 from repro.core.pipeline import MapBuildError
@@ -65,18 +53,28 @@ from repro.server.protocol import (
     parse_request,
 )
 from repro.server.session import SessionManager
+from repro.service import routes
 from repro.service.cache import CacheStats, LRUCache, TieredCache
+from repro.service.config import (
+    CacheConfig,
+    GuideConfig,
+    PoolConfig,
+    ResilienceConfig,
+    ServiceConfig,
+    TraceConfig,
+)
 from repro.service.http import (
     HttpError,
     HttpRequest,
     HttpResponse,
     HttpServer,
+    error_response,
     json_response,
-    redirect_response,
+    serve_until_signalled,
     text_response,
 )
 from repro.service.pool import PoolSaturatedError, WorkerPool
-from repro.store.artifacts import DEFAULT_MAX_BYTES, ArtifactCache
+from repro.store.artifacts import ArtifactCache
 
 __all__ = [
     "BlaeuService",
@@ -90,310 +88,6 @@ __all__ = [
 
 #: Error prefixes that mean "the thing you named does not exist".
 _NOT_FOUND_PREFIXES = ("no session ", "no table ", "no theme ", "no region ")
-
-#: Legacy routes kept as 307 shims for one release (→ their /v1 homes).
-LEGACY_ROUTES = {
-    "/tables": "/v1/tables",
-    "/catalog": "/v1/tables",
-    "/trace": "/v1/traces",
-}
-
-
-def _env(name: str) -> str | None:
-    value = os.environ.get(name, "").strip()
-    return value or None
-
-
-def _env_int(name: str) -> int | None:
-    value = _env(name)
-    if value is None:
-        return None
-    try:
-        return int(value)
-    except ValueError as error:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from error
-
-
-def _env_float(name: str) -> float | None:
-    value = _env(name)
-    if value is None:
-        return None
-    try:
-        return float(value)
-    except ValueError as error:
-        raise ValueError(f"{name} must be a number, got {value!r}") from error
-
-
-def _env_bool(name: str) -> bool | None:
-    value = _env(name)
-    if value is None:
-        return None
-    lowered = value.lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"{name} must be a boolean flag, got {value!r}")
-
-
-def _pick(*candidates):
-    """The first non-``None`` candidate (explicit > env > default)."""
-    for candidate in candidates:
-        if candidate is not None:
-            return candidate
-    return None
-
-
-@dataclass(frozen=True)
-class CacheConfig:
-    """The result-cache tiers: in-memory L1, optional on-disk L2.
-
-    ``dir=None`` disables the disk tier (single-process default);
-    pointing several workers at one ``dir`` is what shares warm
-    artifacts across processes and restarts.
-    """
-
-    size: int = 256
-    ttl: float | None = None
-    dir: str | None = None
-    disk_bytes: int = DEFAULT_MAX_BYTES
-
-    def __post_init__(self) -> None:
-        if self.size < 1:
-            raise ValueError("cache_size must be at least 1")
-        if self.ttl is not None and self.ttl <= 0:
-            raise ValueError("cache_ttl must be positive (or None)")
-        if self.disk_bytes < 1:
-            raise ValueError("cache disk_bytes must be positive")
-
-
-@dataclass(frozen=True)
-class TraceConfig:
-    """Observability knobs (tracing, slow-op log, access log)."""
-
-    enabled: bool = False
-    buffer_size: int = 512
-    slow_op_threshold: float | None = None
-    access_log: bool = False
-
-    def __post_init__(self) -> None:
-        if self.buffer_size < 1:
-            raise ValueError("trace_buffer_size must be at least 1")
-        if self.slow_op_threshold is not None and self.slow_op_threshold <= 0:
-            raise ValueError("slow_op_threshold must be positive (or None)")
-
-
-@dataclass(frozen=True)
-class PoolConfig:
-    """Concurrency shape: threads per worker, processes per service."""
-
-    threads: int = 4
-    max_pending: int = 64
-    processes: int = 1
-
-    def __post_init__(self) -> None:
-        if self.threads < 1:
-            raise ValueError("workers must be at least 1")
-        if self.max_pending < self.threads:
-            raise ValueError("max_pending must be >= workers")
-        if self.processes < 1:
-            raise ValueError("processes must be at least 1")
-
-
-@dataclass(frozen=True)
-class GuideConfig:
-    """Guided exploration: suggestion depth and speculative prefetch.
-
-    ``prefetch`` is opt-in: when on, every served map/theme response
-    plans the top-``top_n`` suggested next actions and builds them as
-    background pool jobs into the shared cache (at most
-    ``prefetch_jobs`` at a time, only on idle workers, cancelled when
-    the user navigates elsewhere).  Suggestions themselves are always
-    available — the ``/v1/.../suggestions`` endpoint and the
-    ``suggest`` command work with prefetch off.
-    """
-
-    top_n: int = 3
-    prefetch: bool = False
-    prefetch_jobs: int = 1
-
-    def __post_init__(self) -> None:
-        if self.top_n < 1:
-            raise ValueError("guide top_n must be at least 1")
-        if self.prefetch_jobs < 1:
-            raise ValueError("guide prefetch_jobs must be at least 1")
-
-
-@dataclass(frozen=True)
-class ResilienceConfig:
-    """Deadlines, degradation and the L2 circuit breaker.
-
-    ``request_deadline=None`` means requests carry no default budget —
-    only an explicit ``X-Blaeu-Deadline`` header installs one.  The
-    header, when present, always wins (clamped to ``max_deadline``).
-
-    ``degrade_when_busy`` lets map requests fall back to
-    ``count_mode="approximate"`` when every pool thread is busy or the
-    request's remaining budget is short — a fast degraded answer
-    instead of an exact one that would queue past its deadline.
-    """
-
-    request_deadline: float | None = None
-    max_deadline: float = 300.0
-    drain_timeout: float = 5.0
-    degrade_when_busy: bool = True
-    degrade_remaining: float = 1.0
-    background_deadline: float = 30.0
-    breaker_failures: int = 3
-    breaker_recovery: float = 5.0
-    breaker_latency: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.request_deadline is not None and self.request_deadline <= 0:
-            raise ValueError("request_deadline must be positive (or None)")
-        if self.max_deadline <= 0:
-            raise ValueError("max_deadline must be positive")
-        if self.drain_timeout < 0:
-            raise ValueError("drain_timeout must be >= 0")
-        if self.background_deadline <= 0:
-            raise ValueError("background_deadline must be positive")
-        if self.breaker_failures < 1:
-            raise ValueError("breaker_failures must be at least 1")
-        if self.breaker_recovery <= 0:
-            raise ValueError("breaker_recovery must be positive")
-
-
-@dataclass(frozen=True)
-class ServiceConfig:
-    """Knobs of the serving layer (the engine has its own config).
-
-    The canonical surface is the nested groups — ``cache``, ``trace``,
-    ``pool`` and ``guide`` — each overridable through ``BLAEU_*``
-    environment variables (explicit arguments > environment > defaults):
-
-    ==========================  =====================================
-    variable                    nested knob
-    ==========================  =====================================
-    ``BLAEU_CACHE_SIZE``        ``cache.size``
-    ``BLAEU_CACHE_TTL``         ``cache.ttl``
-    ``BLAEU_CACHE_DIR``         ``cache.dir``
-    ``BLAEU_CACHE_DISK_BYTES``  ``cache.disk_bytes``
-    ``BLAEU_TRACE``             ``trace.enabled``
-    ``BLAEU_TRACE_BUFFER``      ``trace.buffer_size``
-    ``BLAEU_SLOW_OP_THRESHOLD`` ``trace.slow_op_threshold``
-    ``BLAEU_ACCESS_LOG``        ``trace.access_log``
-    ``BLAEU_THREADS``           ``pool.threads``
-    ``BLAEU_MAX_PENDING``       ``pool.max_pending``
-    ``BLAEU_WORKERS``           ``pool.processes``
-    ``BLAEU_GUIDE_TOP_N``       ``guide.top_n``
-    ``BLAEU_GUIDE_PREFETCH``    ``guide.prefetch``
-    ``BLAEU_GUIDE_PREFETCH_JOBS`` ``guide.prefetch_jobs``
-    ``BLAEU_REQUEST_DEADLINE``  ``resilience.request_deadline``
-    ``BLAEU_DRAIN_TIMEOUT``     ``resilience.drain_timeout``
-    ``BLAEU_DEGRADE_WHEN_BUSY`` ``resilience.degrade_when_busy``
-    ``BLAEU_BACKGROUND_DEADLINE`` ``resilience.background_deadline``
-    ``BLAEU_BREAKER_FAILURES``  ``resilience.breaker_failures``
-    ``BLAEU_BREAKER_RECOVERY``  ``resilience.breaker_recovery``
-    ``BLAEU_BREAKER_LATENCY``   ``resilience.breaker_latency``
-    ==========================  =====================================
-
-    ``BLAEU_SCAN_JOBS`` is read one layer below the service: every
-    store-backed table opened without an explicit ``scan_jobs`` (the
-    engine default) takes its process-parallel scan width from it, so
-    ``blaeu serve --scan-jobs N`` reaches all workers through their
-    inherited environment.
-
-    The pre-redesign flat kwargs (``cache_size``, ``cache_ttl``,
-    ``workers`` — *threads*, ``max_pending``, ``trace_enabled``,
-    ``trace_buffer_size``, ``slow_op_threshold``, ``access_log``) keep
-    working: ``__post_init__`` folds them into the nested groups (an
-    explicitly passed nested group wins) and re-materializes them as
-    read-only aliases, so ``config.cache_size`` always answers.
-    """
-
-    host: str = "127.0.0.1"
-    port: int = 8787
-    read_timeout: float = 30.0
-    cache: CacheConfig | None = None
-    trace: TraceConfig | None = None
-    pool: PoolConfig | None = None
-    guide: GuideConfig | None = None
-    resilience: ResilienceConfig | None = None
-    # Legacy flat aliases; ``None`` means "not given" and defers to the
-    # nested group, the environment, then the default.
-    cache_size: int | None = None
-    cache_ttl: float | None = None
-    workers: int | None = None
-    max_pending: int | None = None
-    trace_enabled: bool | None = None
-    trace_buffer_size: int | None = None
-    slow_op_threshold: float | None = None
-    access_log: bool | None = None
-
-    def __post_init__(self) -> None:
-        cache = self.cache or CacheConfig(
-            size=_pick(self.cache_size, _env_int("BLAEU_CACHE_SIZE"), 256),
-            ttl=_pick(self.cache_ttl, _env_float("BLAEU_CACHE_TTL")),
-            dir=_env("BLAEU_CACHE_DIR"),
-            disk_bytes=_pick(
-                _env_int("BLAEU_CACHE_DISK_BYTES"), DEFAULT_MAX_BYTES
-            ),
-        )
-        trace = self.trace or TraceConfig(
-            enabled=_pick(self.trace_enabled, _env_bool("BLAEU_TRACE"), False),
-            buffer_size=_pick(
-                self.trace_buffer_size, _env_int("BLAEU_TRACE_BUFFER"), 512
-            ),
-            slow_op_threshold=_pick(
-                self.slow_op_threshold, _env_float("BLAEU_SLOW_OP_THRESHOLD")
-            ),
-            access_log=_pick(
-                self.access_log, _env_bool("BLAEU_ACCESS_LOG"), False
-            ),
-        )
-        threads = _pick(self.workers, _env_int("BLAEU_THREADS"), 4)
-        pool = self.pool or PoolConfig(
-            threads=threads,
-            max_pending=_pick(
-                self.max_pending,
-                _env_int("BLAEU_MAX_PENDING"),
-                max(64, threads * 4),
-            ),
-            processes=_pick(_env_int("BLAEU_WORKERS"), 1),
-        )
-        guide = self.guide or GuideConfig(
-            top_n=_pick(_env_int("BLAEU_GUIDE_TOP_N"), 3),
-            prefetch=_pick(_env_bool("BLAEU_GUIDE_PREFETCH"), False),
-            prefetch_jobs=_pick(_env_int("BLAEU_GUIDE_PREFETCH_JOBS"), 1),
-        )
-        resilience = self.resilience or ResilienceConfig(
-            request_deadline=_env_float("BLAEU_REQUEST_DEADLINE"),
-            drain_timeout=_pick(_env_float("BLAEU_DRAIN_TIMEOUT"), 5.0),
-            degrade_when_busy=_pick(
-                _env_bool("BLAEU_DEGRADE_WHEN_BUSY"), True
-            ),
-            background_deadline=_pick(
-                _env_float("BLAEU_BACKGROUND_DEADLINE"), 30.0
-            ),
-            breaker_failures=_pick(_env_int("BLAEU_BREAKER_FAILURES"), 3),
-            breaker_recovery=_pick(_env_float("BLAEU_BREAKER_RECOVERY"), 5.0),
-            breaker_latency=_env_float("BLAEU_BREAKER_LATENCY"),
-        )
-        # Materialize both surfaces: nested groups for new callers,
-        # resolved flat aliases for pre-redesign ones.
-        object.__setattr__(self, "cache", cache)
-        object.__setattr__(self, "trace", trace)
-        object.__setattr__(self, "pool", pool)
-        object.__setattr__(self, "guide", guide)
-        object.__setattr__(self, "resilience", resilience)
-        object.__setattr__(self, "cache_size", cache.size)
-        object.__setattr__(self, "cache_ttl", cache.ttl)
-        object.__setattr__(self, "workers", pool.threads)
-        object.__setattr__(self, "max_pending", pool.max_pending)
-        object.__setattr__(self, "trace_enabled", trace.enabled)
-        object.__setattr__(self, "trace_buffer_size", trace.buffer_size)
-        object.__setattr__(self, "slow_op_threshold", trace.slow_op_threshold)
-        object.__setattr__(self, "access_log", trace.access_log)
 
 
 class BlaeuService:
@@ -447,9 +141,9 @@ class BlaeuService:
         # blaeu_pipeline_* and blaeu_store_* alongside the HTTP numbers.
         self._metrics = reset_metrics()
         self._tracer = configure_tracing(
-            enabled=self._config.trace_enabled,
-            buffer_size=self._config.trace_buffer_size,
-            slow_op_threshold=self._config.slow_op_threshold,
+            enabled=self._config.trace.enabled,
+            buffer_size=self._config.trace.buffer_size,
+            slow_op_threshold=self._config.trace.slow_op_threshold,
         )
         #: Where access-log lines go (swapped out by tests).
         self.access_log_sink: Callable[[str], None] = (
@@ -461,8 +155,8 @@ class BlaeuService:
         self._refine_tasks: set[asyncio.Task] = set()
         self._stopping = False
         self._pool = WorkerPool(
-            workers=self._config.workers,
-            max_pending=self._config.max_pending,
+            workers=self._config.pool.threads,
+            max_pending=self._config.pool.max_pending,
         )
         #: The speculative-prefetch scheduler (``None`` unless enabled):
         #: after served map/theme responses it plans the top suggested
@@ -525,7 +219,7 @@ class BlaeuService:
 
     @property
     def tracer(self) -> Tracer:
-        """The tracer behind ``/trace`` (disabled unless configured)."""
+        """The tracer behind ``/v1/traces`` (disabled unless configured)."""
         return self._tracer
 
     @property
@@ -586,32 +280,24 @@ class BlaeuService:
         ``port_file`` (written atomically after bind) is how supervisor
         workers announce the port they got when asked for port 0.
         """
-        asyncio.run(self._run(port_file))
+        asyncio.run(
+            serve_until_signalled(
+                self, functools.partial(self._announce, port_file)
+            )
+        )
 
-    async def _run(self, port_file: str | None = None) -> None:
-        await self.start()
+    def _announce(self, port_file: str | None) -> None:
         if port_file:
             tmp = f"{port_file}.tmp"
             with open(tmp, "w", encoding="utf-8") as handle:
                 handle.write(str(self.port))
             os.replace(tmp, port_file)
-        loop = asyncio.get_running_loop()
-        stop_requested = asyncio.Event()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            with contextlib.suppress(NotImplementedError):  # pragma: no cover
-                loop.add_signal_handler(signum, stop_requested.set)
         print(
             f"blaeu service listening on http://{self.host}:{self.port} "
             f"({len(self._engine.tables())} tables, "
-            f"cache={self._config.cache_size}, "
-            f"workers={self._config.workers})"
+            f"cache={self._config.cache.size}, "
+            f"threads={self._config.pool.threads})"
         )
-        serve_task = asyncio.create_task(self.serve_forever())
-        await stop_requested.wait()
-        await self.stop()
-        serve_task.cancel()
-        with contextlib.suppress(asyncio.CancelledError):
-            await serve_task
 
     # ------------------------------------------------------------------
     # Routing
@@ -652,28 +338,15 @@ class BlaeuService:
                 self._metrics.increment(
                     "blaeu_resilience_deadline_exceeded_total"
                 )
-                route, response = escape_label_value(request.path), json_response(
-                    {
-                        "ok": False,
-                        "error": str(error),
-                        "code": "deadline_exceeded",
-                    },
-                    504,
-                )
+                route = escape_label_value(request.path)
+                response = error_response(504, "deadline_exceeded", str(error))
             except HttpError as error:
                 # Count request-level failures (e.g. malformed JSON
                 # bodies) too — otherwise abusive traffic is invisible
                 # in /metrics.  The path is attacker-controlled, so it
                 # must be escaped before becoming a label value.
-                route, response = escape_label_value(request.path), json_response(
-                    {
-                        "ok": False,
-                        "error": error.message,
-                        "code": error.code,
-                    },
-                    error.status,
-                    headers=error.headers,
-                )
+                route = escape_label_value(request.path)
+                response = error.response()
             finally:
                 if token is not None:
                     reset_deadline(token)
@@ -684,7 +357,7 @@ class BlaeuService:
                 response.headers["X-Blaeu-Trace"] = span.trace_id
         duration = time.perf_counter() - started
         self._metrics.observe_request(route, response.status, duration)
-        if self._config.access_log:
+        if self._config.trace.access_log:
             fields: dict[str, object] = {
                 "method": request.method,
                 "route": route,
@@ -700,121 +373,55 @@ class BlaeuService:
     async def _dispatch(
         self, request: HttpRequest
     ) -> tuple[str, HttpResponse]:
-        path = request.path.rstrip("/") or "/"
-        if path == "/healthz":
-            return path, self._handle_healthz(request)
-        if path == "/metrics":
-            return path, self._handle_metrics(request)
-        # Legacy routes answer 307 (method- and body-preserving) shims
-        # into the /v1 namespace for one release.
-        if path in LEGACY_ROUTES:
-            return path, redirect_response(
-                self._shim_target(LEGACY_ROUTES[path], request)
+        """Answer one request → ``(route metric label, response)``."""
+        route, params = routes.match(request.path)
+        if route is None or route.tier == "fleet":
+            return routes.unknown_label(request.path), error_response(
+                404, "unknown_route", f"no route {request.path!r}"
             )
-        if path.startswith("/api/"):
-            return path, redirect_response(
-                self._shim_target(
-                    "/v1/commands/" + path[len("/api/") :], request
-                )
+        if route.method not in (None, request.method):
+            response = error_response(
+                405,
+                "method_not_allowed",
+                f"use {route.method} for this resource",
             )
-        if path == "/v1/tables":
-            if request.method != "GET":
-                return path, self._method_not_allowed("GET")
-            return path, await self._run_command(request, "catalog", {})
-        if path == "/v1/traces":
-            if request.method != "GET":
-                return path, self._method_not_allowed("GET")
-            return path, self._handle_trace(request)
-        if path.startswith("/v1/tables/"):
-            return await self._dispatch_table_resource(request, path)
-        if path.startswith("/v1/commands/"):
-            command = path[len("/v1/commands/") :]
-            if request.method != "POST":
-                return path, self._method_not_allowed("POST")
-            if command not in COMMANDS:
-                return "/v1/commands/<unknown>", json_response(
-                    {
-                        "ok": False,
-                        "error": (
-                            f"unknown command {command!r}; "
-                            f"known: {sorted(COMMANDS)}"
-                        ),
-                        "code": "unknown_command",
-                    },
-                    404,
-                )
-            return path, await self._run_command(
-                request, command, request.json()
+        elif "table" in params:
+            response = await self._serve_table_resource(
+                request, route.name, params["table"]
             )
-        return "/<unknown>", json_response(
-            {
-                "ok": False,
-                "error": f"no route {request.path!r}",
-                "code": "unknown_route",
-            },
-            404,
-        )
+        else:
+            handler = getattr(self, f"_serve_{route.name}")
+            response = await handler(request, **params)
+        return route.label(params), response
 
-    @staticmethod
-    def _shim_target(base: str, request: HttpRequest) -> str:
-        """The /v1 home of a legacy route, query string preserved."""
-        if not request.query:
-            return base
-        return base + "?" + urlencode(request.query, doseq=True)
+    async def _serve_tables(self, request: HttpRequest) -> HttpResponse:
+        return await self._run_command(request, "catalog", {})
 
-    @staticmethod
-    def _method_not_allowed(allowed: str) -> HttpResponse:
-        return json_response(
-            {
-                "ok": False,
-                "error": f"use {allowed} for this resource",
-                "code": "method_not_allowed",
-            },
-            405,
-        )
+    async def _serve_command(
+        self, request: HttpRequest, command: str
+    ) -> HttpResponse:
+        if command not in COMMANDS:
+            return error_response(
+                404,
+                "unknown_command",
+                f"unknown command {command!r}; known: {sorted(COMMANDS)}",
+            )
+        return await self._run_command(request, command, request.json())
 
-    async def _dispatch_table_resource(
-        self, request: HttpRequest, path: str
-    ) -> tuple[str, HttpResponse]:
-        """Resource routes under ``/v1/tables/{table}/…``.
+    async def _serve_table_resource(
+        self, request: HttpRequest, resource: str, ref: str
+    ) -> HttpResponse:
+        """``GET /v1/tables/{table}/<resource>``.
 
         ``{table}`` accepts a registered name or a full content
         fingerprint (the identity the artifact tiers and the
         multi-worker router key on).
         """
-        parts = path[len("/v1/tables/") :].split("/")
-        if len(parts) != 2 or parts[1] not in (
-            "map",
-            "graph",
-            "themes",
-            "suggestions",
-        ):
-            return "/v1/tables/<unknown>", json_response(
-                {
-                    "ok": False,
-                    "error": f"no route {request.path!r}",
-                    "code": "unknown_route",
-                },
-                404,
-            )
-        ref, resource = parts
-        route = f"/v1/tables/<table>/{resource}"
-        if request.method != "GET":
-            return route, self._method_not_allowed("GET")
         table = self._resolve_table(ref)
         if table is None:
-            return route, json_response(
-                {
-                    "ok": False,
-                    "error": f"no table {ref!r}",
-                    "code": "not_found",
-                },
-                404,
-            )
+            return error_response(404, "not_found", f"no table {ref!r}")
         if resource == "themes":
-            return route, await self._run_command(
-                request, "themes", {"table": table}
-            )
+            return await self._run_command(request, "themes", {"table": table})
         if resource == "graph":
             handler = self._handle_graph
         elif resource == "suggestions":
@@ -832,14 +439,16 @@ class BlaeuService:
         try:
             response = await self._pool.run(handler, table, request)
         except PoolSaturatedError as error:
-            return route, json_response(
-                {"ok": False, "error": str(error), "code": "pool_saturated"},
-                503,
-                headers={"Retry-After": "1"},
-            )
+            return self._saturated(error)
         if resource == "map" and response.status == 200:
             self._speculate_table(table, request)
-        return route, response
+        return response
+
+    @staticmethod
+    def _saturated(error: PoolSaturatedError) -> HttpResponse:
+        return error_response(
+            503, "pool_saturated", str(error), headers={"Retry-After": "1"}
+        )
 
     def _should_degrade(self) -> bool:
         """Serve a degraded (approximate-count) map for this request?"""
@@ -879,45 +488,13 @@ class BlaeuService:
         pool.
         """
         columns, theme, k = self._map_request_params(table, request)
-        if columns is None:
-            themes = self._engine.themes(table)
-            ref: str | int = theme if theme is not None else 0
-            try:
-                resolved = (
-                    themes[ref] if isinstance(ref, int) else themes.theme(ref)
-                )
-                columns = tuple(resolved.columns)
-            except (KeyError, IndexError):
-                return json_response(
-                    {
-                        "ok": False,
-                        "error": f"no theme {ref!r} on table {table!r}",
-                        "code": "not_found",
-                    },
-                    404,
-                )
-        try:
-            data_map = self._engine.map(
-                table, columns, k=k, count_mode=count_mode
-            )
-        except MapBuildError as error:
-            return json_response(
-                {
-                    "ok": False,
-                    "error": str(error),
-                    "code": "map_build_invalid",
-                },
-                400,
-            )
-        except KeyError as error:
-            return json_response(
-                {
-                    "ok": False,
-                    "error": str(error).strip("'\""),
-                    "code": "not_found",
-                },
-                404,
-            )
+        themes = self._engine.themes(table) if columns is None else None
+        built = self._requested_map(
+            table, themes, columns, 0 if theme is None else theme, k, count_mode
+        )
+        if isinstance(built, HttpResponse):
+            return built
+        columns, data_map = built
         payload: dict[str, object] = {
             "ok": True,
             "table": table,
@@ -941,15 +518,7 @@ class BlaeuService:
         """
         theme_values = request.query.get("theme", [])
         column_values = request.query.get("columns", [])
-        k_values = request.query.get("k", [])
-        k: int | None = None
-        if k_values:
-            try:
-                k = int(k_values[0])
-            except ValueError:
-                raise HttpError(
-                    400, f"k must be an integer, got {k_values[0]!r}"
-                ) from None
+        k = request.query_int("k")
         columns: tuple[str, ...] | None = None
         if column_values:
             columns = tuple(
@@ -964,6 +533,43 @@ class BlaeuService:
             word = theme_values[0]
             theme = int(word) if word.isdigit() else word
         return columns, theme, k
+
+    def _requested_map(
+        self,
+        table: str,
+        themes,
+        columns: tuple[str, ...] | None,
+        theme: str | int,
+        k: int | None,
+        count_mode: str | None = None,
+    ):
+        """Build the map a request names → ``(columns, map)``, or the
+        4xx response that refuses it.
+
+        ``columns=None`` defers to ``theme`` (an index or a name into
+        ``themes``, which is consulted only then).
+        """
+        if columns is None:
+            try:
+                resolved = (
+                    themes[theme]
+                    if isinstance(theme, int)
+                    else themes.theme(theme)
+                )
+            except (KeyError, IndexError):
+                return error_response(
+                    404, "not_found", f"no theme {theme!r} on table {table!r}"
+                )
+            columns = tuple(resolved.columns)
+        try:
+            data_map = self._engine.map(
+                table, columns, k=k, count_mode=count_mode
+            )
+        except MapBuildError as error:
+            return error_response(400, "map_build_invalid", str(error))
+        except KeyError as error:
+            return error_response(404, "not_found", str(error).strip("'\""))
+        return columns, data_map
 
     def _handle_suggestions(
         self, table: str, request: HttpRequest
@@ -981,59 +587,17 @@ class BlaeuService:
         from repro.table.predicates import Everything
 
         columns, theme, k = self._map_request_params(table, request)
-        limit = self._config.guide.top_n
-        limit_values = request.query.get("limit", [])
-        if limit_values:
-            try:
-                limit = int(limit_values[0])
-            except ValueError:
-                raise HttpError(
-                    400,
-                    f"limit must be an integer, got {limit_values[0]!r}",
-                ) from None
-            if limit < 1:
-                raise HttpError(400, "limit must be at least 1")
+        limit = request.query_int(
+            "limit", default=self._config.guide.top_n, minimum=1
+        )
         themes = self._engine.themes(table)
         if columns is None and theme is None:
             suggestions = initial_suggestions(themes, limit=limit)
         else:
-            if columns is None:
-                try:
-                    resolved = (
-                        themes[theme]
-                        if isinstance(theme, int)
-                        else themes.theme(str(theme))
-                    )
-                    columns = tuple(resolved.columns)
-                except (KeyError, IndexError):
-                    return json_response(
-                        {
-                            "ok": False,
-                            "error": f"no theme {theme!r} on table {table!r}",
-                            "code": "not_found",
-                        },
-                        404,
-                    )
-            try:
-                data_map = self._engine.map(table, columns, k=k)
-            except MapBuildError as error:
-                return json_response(
-                    {
-                        "ok": False,
-                        "error": str(error),
-                        "code": "map_build_invalid",
-                    },
-                    400,
-                )
-            except KeyError as error:
-                return json_response(
-                    {
-                        "ok": False,
-                        "error": str(error).strip("'\""),
-                        "code": "not_found",
-                    },
-                    404,
-                )
+            built = self._requested_map(table, themes, columns, theme, k)
+            if isinstance(built, HttpResponse):
+                return built
+            columns, data_map = built
             table_obj = self._engine.database.table(table)
             suggestions = score_state(
                 table_obj,
@@ -1107,7 +671,7 @@ class BlaeuService:
             }
         )
 
-    def _handle_healthz(self, request: HttpRequest) -> HttpResponse:
+    async def _serve_healthz(self, request: HttpRequest) -> HttpResponse:
         uptime = (
             time.monotonic() - self._started_at
             if self._started_at is not None
@@ -1135,19 +699,9 @@ class BlaeuService:
             }
         return json_response(payload)
 
-    def _handle_trace(self, request: HttpRequest) -> HttpResponse:
+    async def _serve_traces(self, request: HttpRequest) -> HttpResponse:
         """Recent traces from the ring buffer (newest first)."""
-        limit = 10
-        values = request.query.get("limit")
-        if values:
-            try:
-                limit = int(values[0])
-            except ValueError as error:
-                raise HttpError(
-                    400, f"limit must be an integer, got {values[0]!r}"
-                ) from error
-            if limit < 1:
-                raise HttpError(400, "limit must be at least 1")
+        limit = request.query_int("limit", default=10, minimum=1)
         return json_response(
             {
                 "ok": True,
@@ -1156,7 +710,7 @@ class BlaeuService:
             }
         )
 
-    def _handle_metrics(self, request: HttpRequest) -> HttpResponse:
+    async def _serve_metrics(self, request: HttpRequest) -> HttpResponse:
         cache = self.cache_stats()
         pool = self._pool.stats()
         tier_stats = getattr(self._engine.map_cache, "tier_stats", None)
@@ -1241,44 +795,27 @@ class BlaeuService:
         try:
             parsed = parse_request(json.dumps(payload))
         except ProtocolError as error:
-            return json_response(
-                {"ok": False, "error": str(error), "code": "bad_request"}, 400
-            )
+            return error_response(400, "bad_request", str(error))
         except TypeError as error:
-            return json_response(
-                {
-                    "ok": False,
-                    "error": f"unserializable arguments: {error}",
-                    "code": "bad_request",
-                },
-                400,
+            return error_response(
+                400, "bad_request", f"unserializable arguments: {error}"
             )
         try:
             result = await self._pool.run(self._manager.handle, parsed)
         except PoolSaturatedError as error:
-            return json_response(
-                {"ok": False, "error": str(error), "code": "pool_saturated"},
-                503,
-                headers={"Retry-After": "1"},
-            )
+            return self._saturated(error)
         if isinstance(result, Response):
             payload: dict[str, object] = {"ok": True, **result.payload}
             self._annotate_counts(payload)
             return json_response(payload)
         assert isinstance(result, ErrorResponse)
         status = self._error_status(result.error)
-        body: dict[str, object] = {
-            "ok": False,
-            "error": result.error,
-            "command": command,
-            # Structured client errors (e.g. the map pipeline rejecting
-            # the request as posed) carry their own machine-readable
-            # code; everything else gets the status-derived one, so no
-            # error body leaves the service without a ``code``.
-            "code": result.code
-            or ("not_found" if status == 404 else "bad_request"),
-        }
-        return json_response(body, status)
+        # Structured client errors (e.g. the map pipeline rejecting the
+        # request as posed) carry their own machine-readable code;
+        # everything else gets the status-derived one, so no error body
+        # leaves the service without a ``code``.
+        code = result.code or ("not_found" if status == 404 else "bad_request")
+        return error_response(status, code, result.error, command=command)
 
     def _annotate_counts(self, payload: dict[str, object]) -> None:
         """Surface count-refinement status on map-bearing responses.

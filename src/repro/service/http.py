@@ -17,7 +17,9 @@ testable without sockets::
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
+import signal
 from dataclasses import dataclass, field
 from typing import Awaitable, Callable
 from urllib.parse import parse_qs, unquote, urlsplit
@@ -27,8 +29,9 @@ __all__ = [
     "HttpRequest",
     "HttpResponse",
     "HttpServer",
+    "error_response",
     "json_response",
-    "redirect_response",
+    "serve_until_signalled",
     "text_response",
 ]
 
@@ -40,7 +43,6 @@ MAX_BODY_BYTES = 4 * 1024 * 1024
 REASONS = {
     200: "OK",
     202: "Accepted",
-    307: "Temporary Redirect",
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
@@ -88,6 +90,12 @@ class HttpError(Exception):
         self.code = code or ERROR_CODES.get(status, "error")
         self.headers = headers or {}
 
+    def response(self) -> HttpResponse:
+        """The error body this failure answers with."""
+        return error_response(
+            self.status, self.code, self.message, headers=self.headers
+        )
+
 
 @dataclass(frozen=True)
 class HttpRequest:
@@ -110,6 +118,26 @@ class HttpRequest:
         if not isinstance(payload, dict):
             raise HttpError(400, "JSON body must be an object")
         return payload
+
+    def query_int(
+        self,
+        name: str,
+        default: int | None = None,
+        minimum: int | None = None,
+    ) -> int | None:
+        """The integer ``?name=`` parameter (400 on anything else)."""
+        values = self.query.get(name)
+        if not values:
+            return default
+        try:
+            value = int(values[0])
+        except ValueError:
+            raise HttpError(
+                400, f"{name} must be an integer, got {values[0]!r}"
+            ) from None
+        if minimum is not None and value < minimum:
+            raise HttpError(400, f"{name} must be at least {minimum}")
+        return value
 
 
 @dataclass(frozen=True)
@@ -146,15 +174,23 @@ def json_response(
     return HttpResponse(status=status, body=body, headers=headers or {})
 
 
-def redirect_response(location: str, status: int = 307) -> HttpResponse:
-    """A redirect shim response (307 preserves method and body)."""
-    return HttpResponse(
-        status=status,
-        body=json.dumps(
-            {"ok": False, "code": "moved", "location": location},
-            sort_keys=True,
-        ).encode("utf-8"),
-        headers={"Location": location},
+def error_response(
+    status: int,
+    code: str,
+    message: str,
+    headers: dict[str, str] | None = None,
+    **extra: object,
+) -> HttpResponse:
+    """The one error shape: ``{"ok": false, "error": …, "code": …}``.
+
+    ``code`` is the machine-readable half of the contract (see
+    :data:`ERROR_CODES` for the status-derived defaults); ``extra``
+    adds fields such as the failing ``command``.
+    """
+    return json_response(
+        {"ok": False, "error": message, "code": code, **extra},
+        status,
+        headers=headers,
     )
 
 
@@ -280,15 +316,7 @@ class HttpServer:
                 except asyncio.TimeoutError:
                     break
                 except HttpError as error:
-                    response = json_response(
-                        {
-                            "ok": False,
-                            "error": error.message,
-                            "code": error.code,
-                        },
-                        error.status,
-                    )
-                    writer.write(response.serialize(keep_alive=False))
+                    writer.write(error.response().serialize(keep_alive=False))
                     await writer.drain()
                     break
                 if request is None:  # client closed the connection
@@ -304,25 +332,12 @@ class HttpServer:
                     finally:
                         self._active_requests -= 1
                 except HttpError as error:
-                    response = json_response(
-                        {
-                            "ok": False,
-                            "error": error.message,
-                            "code": error.code,
-                        },
-                        error.status,
-                        headers=error.headers,
-                    )
+                    response = error.response()
                 except asyncio.CancelledError:
                     raise
                 except Exception as error:  # noqa: BLE001 - last resort
-                    response = json_response(
-                        {
-                            "ok": False,
-                            "error": f"internal error: {error}",
-                            "code": "internal",
-                        },
-                        500,
+                    response = error_response(
+                        500, "internal", f"internal error: {error}"
                     )
                 writer.write(response.serialize(keep_alive=keep_alive))
                 await writer.drain()
@@ -413,3 +428,26 @@ class HttpServer:
             headers=headers,
             body=body,
         )
+
+
+async def serve_until_signalled(server, announce: Callable[[], None]) -> None:
+    """Run a service until SIGINT/SIGTERM: start, announce, serve, stop.
+
+    ``server`` has ``start`` / ``serve_forever`` / ``stop`` coroutines
+    (a worker's service, or the supervisor); ``announce`` runs once the
+    socket is bound — it prints the banner a launcher parses the port
+    from.
+    """
+    await server.start()
+    loop = asyncio.get_running_loop()
+    stop_requested = asyncio.Event()
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        with contextlib.suppress(NotImplementedError):  # pragma: no cover
+            loop.add_signal_handler(signum, stop_requested.set)
+    announce()
+    serve_task = asyncio.create_task(server.serve_forever())
+    await stop_requested.wait()
+    await server.stop()
+    serve_task.cancel()
+    with contextlib.suppress(asyncio.CancelledError):
+        await serve_task

@@ -36,23 +36,25 @@ import contextlib
 import json
 import os
 import random
-import signal
 import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from urllib.parse import urlencode
 
 from repro.resilience.retry import RetryBudget, jittered_backoff
+from repro.service import routes
+from repro.service.config import ServiceConfig, worker_env
 from repro.service.http import (
     HttpError,
     HttpRequest,
     HttpResponse,
     HttpServer,
+    error_response,
     json_response,
-    redirect_response,
+    serve_until_signalled,
     text_response,
 )
 from repro.service.routing import HashRing
@@ -61,6 +63,25 @@ __all__ = ["Supervisor", "SupervisorError", "merge_metrics"]
 
 #: Headers the proxy strips rather than forwards (hop-by-hop framing).
 _HOP_HEADERS = ("connection", "content-length", "host", "keep-alive")
+
+#: How an exchange with a worker fails at the transport level: the
+#: socket refuses or resets (``ConnectionError`` is an ``OSError``), or
+#: the worker dies mid-response.
+_TRANSPORT_ERRORS = (OSError, asyncio.IncompleteReadError)
+
+#: Seconds a spawned worker has to announce its port.
+SPAWN_TIMEOUT = 60.0
+#: Active health checks: each worker gets a ``/healthz`` probe every
+#: ``HEALTH_INTERVAL`` seconds, bounded by ``HEALTH_TIMEOUT``;
+#: ``HEALTH_FAIL_THRESHOLD`` consecutive failures mark a hung-but-alive
+#: worker (process up, socket wedged) for a hard respawn.
+HEALTH_INTERVAL = 1.0
+HEALTH_TIMEOUT = 2.0
+HEALTH_FAIL_THRESHOLD = 2
+#: Retry-budget deposit per first attempt (see
+#: :class:`~repro.resilience.retry.RetryBudget`): retries are capped at
+#: roughly this fraction of live traffic.
+RETRY_RATIO = 0.2
 
 
 class SupervisorError(RuntimeError):
@@ -152,78 +173,63 @@ class Supervisor:
 
     Parameters
     ----------
-    worker_argv:
-        The ``blaeu serve`` argument vector each worker runs with
-        (data sources and per-worker flags) — *without* ``--port`` /
-        ``--port-file``, which the supervisor appends per slot.
-    n_workers:
-        Worker process count (slots ``0 … n-1``).
-    host / port:
-        The public bind address (workers bind loopback port 0).
+    config:
+        The resolved serving config.  ``pool.processes`` is the worker
+        count (slots ``0 … n-1``), ``host`` / ``port`` the public bind
+        address (workers bind loopback port 0),
+        ``resilience.drain_timeout`` how long a draining slot may finish
+        in-flight requests before a graceful restart terminates it.
+        Every worker boots under this config (:func:`worker_env`), over
+        one shared ``cache.dir`` — a temp directory when none is set.
+    sources:
+        What each worker serves: the data arguments of ``blaeu serve``
+        (CSV files / store directories, or ``--demo <name>``).
     state_dir:
         Where port files live; a temp directory by default.
-    spawn_timeout:
-        Seconds to wait for a worker to announce its port.
-    drain_timeout:
-        Seconds a draining slot may finish in-flight requests before a
-        graceful restart terminates it.
-    health_interval / health_timeout / health_fail_threshold:
-        Active health checks: every ``health_interval`` seconds each
-        worker gets a ``/healthz`` probe bounded by ``health_timeout``;
-        ``health_fail_threshold`` consecutive failures mark a
-        hung-but-alive worker (process up, socket wedged) for a
-        hard respawn.
-    retry_ratio:
-        Retry-budget deposit per first attempt (see
-        :class:`~repro.resilience.retry.RetryBudget`) — retries are
-        capped at roughly this fraction of live traffic.
     """
 
     def __init__(
         self,
-        worker_argv: list[str],
-        n_workers: int,
-        host: str = "127.0.0.1",
-        port: int = 8787,
-        read_timeout: float = 30.0,
+        config: ServiceConfig,
+        sources: list[str],
         state_dir: str | Path | None = None,
-        spawn_timeout: float = 60.0,
-        drain_timeout: float = 5.0,
-        health_interval: float = 1.0,
-        health_timeout: float = 2.0,
-        health_fail_threshold: int = 2,
-        retry_ratio: float = 0.2,
     ) -> None:
-        if n_workers < 2:
+        if config.pool.processes < 2:
             raise ValueError("a supervisor needs at least 2 workers")
-        self._worker_argv = list(worker_argv)
-        self._n_workers = n_workers
+        if config.cache.dir is None:
+            config = replace(
+                config,
+                cache=replace(
+                    config.cache, dir=tempfile.mkdtemp(prefix="blaeu-cache-")
+                ),
+            )
+        self._config = config
+        self._sources = list(sources)
+        self._n_workers = config.pool.processes
         self._state_dir = (
             Path(state_dir)
             if state_dir is not None
             else Path(tempfile.mkdtemp(prefix="blaeu-supervisor-"))
         )
         self._state_dir.mkdir(parents=True, exist_ok=True)
-        self._spawn_timeout = spawn_timeout
         self._workers = [
             WorkerProcess(
                 slot=slot, port_file=self._state_dir / f"worker-{slot}.port"
             )
-            for slot in range(n_workers)
+            for slot in range(self._n_workers)
         ]
-        self._ring = HashRing(range(n_workers))
+        self._ring = HashRing(range(self._n_workers))
         self._fingerprints: dict[str, str] = {}  # name -> fingerprint
         self._http = HttpServer(
-            self._route, host=host, port=port, read_timeout=read_timeout
+            self._route,
+            host=config.host,
+            port=config.port,
+            read_timeout=config.read_timeout,
         )
         self._monitor_task: asyncio.Task | None = None
         self._stopping = False
         self._started_at: float | None = None
-        self._drain_timeout = drain_timeout
-        self._health_interval = health_interval
-        self._health_timeout = health_timeout
-        self._health_fail_threshold = health_fail_threshold
-        self._retry_budget = RetryBudget(ratio=retry_ratio, burst=10.0)
+        self._retry_budget = RetryBudget(ratio=RETRY_RATIO, burst=10.0)
         # Seeded jitter: retry timing is reproducible run over run (the
         # chaos bench depends on it), while still decorrelating retries
         # within a run.
@@ -292,42 +298,32 @@ class Supervisor:
 
     def run(self) -> None:
         """Blocking entry point with signal-triggered shutdown."""
-        asyncio.run(self._run())
+        asyncio.run(serve_until_signalled(self, self._announce))
 
-    async def _run(self) -> None:
-        await self.start()
-        loop = asyncio.get_running_loop()
-        stop_requested = asyncio.Event()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            with contextlib.suppress(NotImplementedError):  # pragma: no cover
-                loop.add_signal_handler(signum, stop_requested.set)
+    def _announce(self) -> None:
         ports = [worker.port for worker in self._workers]
         print(
             f"blaeu supervisor listening on http://{self.host}:{self.port} "
             f"({self._n_workers} workers on ports {ports})"
         )
-        serve_task = asyncio.create_task(self.serve_forever())
-        await stop_requested.wait()
-        await self.stop()
-        serve_task.cancel()
-        with contextlib.suppress(asyncio.CancelledError):
-            await serve_task
 
     async def restart(self, slot: int) -> None:
         """Gracefully restart one worker (warm restart via the disk tier).
 
         The slot is first marked *draining*: the proxy stops routing to
         it (idempotent requests fail over on the ring) while in-flight
-        requests get up to ``drain_timeout`` seconds to finish.  Only
-        then does the old process get SIGTERM — under which the worker
-        itself drains — and the replacement reoccupies the same slot,
-        so the ring still sends it the same tables, whose artifacts it
-        now finds on disk.
+        requests get up to ``resilience.drain_timeout`` seconds to
+        finish.  Only then does the old process get SIGTERM — under
+        which the worker itself drains — and the replacement reoccupies
+        the same slot, so the ring still sends it the same tables, whose
+        artifacts it now finds on disk.
         """
         worker = self._worker(slot)
         worker.draining = True
         try:
-            give_up = time.monotonic() + self._drain_timeout
+            give_up = (
+                time.monotonic() + self._config.resilience.drain_timeout
+            )
             while worker.in_flight > 0 and time.monotonic() < give_up:
                 await asyncio.sleep(0.05)
             self._terminate(worker)
@@ -362,9 +358,9 @@ class Supervisor:
             "0",
             "--port-file",
             str(worker.port_file),
-            *self._worker_argv,
+            *self._sources,
         ]
-        env = dict(os.environ)
+        env = worker_env(self._config, os.environ)
         env["BLAEU_WORKER_SLOT"] = str(worker.slot)
         worker.process = subprocess.Popen(  # noqa: S603 - our own argv
             argv,
@@ -375,7 +371,7 @@ class Supervisor:
         )
 
     async def _await_port(self, worker: WorkerProcess) -> None:
-        deadline = time.monotonic() + self._spawn_timeout
+        deadline = time.monotonic() + SPAWN_TIMEOUT
         while time.monotonic() < deadline:
             if worker.process is not None and worker.process.poll() is not None:
                 raise SupervisorError(
@@ -392,7 +388,7 @@ class Supervisor:
             await asyncio.sleep(0.05)
         raise SupervisorError(
             f"worker {worker.slot} did not announce a port within "
-            f"{self._spawn_timeout:.0f}s"
+            f"{SPAWN_TIMEOUT:.0f}s"
         )
 
     def _terminate(self, worker: WorkerProcess) -> None:
@@ -425,10 +421,10 @@ class Supervisor:
         """Respawn dead workers into their slots (ring stays stable).
 
         Besides watching for process exit, the monitor actively probes
-        each worker's ``/healthz`` every ``health_interval`` seconds: a
+        each worker's ``/healthz`` every ``HEALTH_INTERVAL`` seconds: a
         worker whose process is up but whose socket is wedged (hung
         event loop, stopped process) fails probes, and after
-        ``health_fail_threshold`` consecutive failures is killed and
+        ``HEALTH_FAIL_THRESHOLD`` consecutive failures is killed and
         respawned — liveness is "answers requests", not "has a pid".
         """
         last_probe = time.monotonic()
@@ -459,7 +455,7 @@ class Supervisor:
             if dead:
                 await asyncio.gather(*(_absorb(worker) for worker in dead))
             now = time.monotonic()
-            if now - last_probe >= self._health_interval:
+            if now - last_probe >= HEALTH_INTERVAL:
                 last_probe = now
                 await self._probe_health()
 
@@ -475,21 +471,16 @@ class Supervisor:
             try:
                 response = await asyncio.wait_for(
                     self._request_worker(worker, "GET", "/healthz"),
-                    timeout=self._health_timeout,
+                    timeout=HEALTH_TIMEOUT,
                 )
                 ok = response.status == 200
-            except (
-                asyncio.TimeoutError,
-                ConnectionError,
-                asyncio.IncompleteReadError,
-                OSError,
-            ):
+            except (asyncio.TimeoutError, *_TRANSPORT_ERRORS):
                 ok = False
             if ok:
                 worker.health_fails = 0
                 continue
             worker.health_fails += 1
-            if worker.health_fails < self._health_fail_threshold:
+            if worker.health_fails < HEALTH_FAIL_THRESHOLD:
                 continue
             self._unhealthy_restarts += 1
             worker.health_fails = 0
@@ -507,83 +498,58 @@ class Supervisor:
         try:
             return await self._dispatch(request)
         except HttpError as error:
-            return json_response(
-                {"ok": False, "error": error.message, "code": error.code},
-                error.status,
-            )
-        except (ConnectionError, asyncio.IncompleteReadError, OSError) as error:
+            return error.response()
+        except _TRANSPORT_ERRORS as error:
             # The routed worker died mid-request; the monitor will
             # respawn it.  Tell the client to retry rather than hang.
-            return json_response(
-                {
-                    "ok": False,
-                    "error": f"worker unavailable: {error}",
-                    "code": "unavailable",
-                },
-                503,
+            return error_response(
+                503, "unavailable", f"worker unavailable: {error}"
             )
 
     async def _dispatch(self, request: HttpRequest) -> HttpResponse:
-        path = request.path.rstrip("/") or "/"
-        if path == "/healthz":
-            return await self._handle_healthz()
-        if path == "/metrics":
-            return await self._handle_metrics()
-        if path in ("/trace", "/v1/traces"):
-            if path == "/trace":
-                return redirect_response("/v1/traces")
-            return await self._handle_traces(request)
-        if path == "/v1/workers":
-            return self._handle_workers()
-        if path.startswith("/v1/workers/") and path.endswith("/restart"):
-            if request.method != "POST":
-                raise HttpError(405, "use POST to restart a worker")
-            word = path[len("/v1/workers/") : -len("/restart")]
-            try:
-                slot = int(word)
-            except ValueError:
-                raise HttpError(404, f"no worker slot {word!r}") from None
-            await self.restart(slot)
-            worker = self._worker(slot)
-            return json_response(
-                {
-                    "ok": True,
-                    "slot": slot,
-                    "port": worker.port,
-                    "generation": worker.generation,
-                    "restarts": worker.restarts,
-                }
-            )
+        """Answer a fleet-level route here; proxy the rest to an owner."""
+        route, params = routes.match(request.path)
+        if route is not None and route.tier != "worker":
+            handler = getattr(self, f"_serve_{route.name}")
+            return await handler(request, **params)
+        if "table" in params and not self._fingerprints:
+            await self._refresh_catalog()
         return await self._forward_resilient(
-            self._slots_for(request, path), request
+            self._slots_for(request, route, params), request
         )
 
-    def _slot_for(self, request: HttpRequest, path: str) -> int:
-        """The worker slot owning this request's content identity."""
-        return self._slots_for(request, path)[0]
-
-    def _slots_for(self, request: HttpRequest, path: str) -> list[int]:
+    def _slots_for(
+        self,
+        request: HttpRequest,
+        route: routes.Route | None,
+        params: dict[str, str],
+    ) -> list[int]:
         """Preference-ordered slots: the owner, then its ring successor
-        (the failover target for idempotent requests)."""
-        if path.startswith("/v1/tables/"):
-            ref = path[len("/v1/tables/") :].split("/", 1)[0]
-            return self._ring.owners(f"table:{self._fingerprint(ref)}", 2)
+        (the failover target for idempotent requests).
+
+        The owner is named by the route's first routing-key parameter
+        the request carries — in its path, else in its JSON body; a
+        request that names no content places by its path.
+        """
+        names = route.key if route is not None else ()
         body: dict[str, object] = {}
-        if request.body:
+        if request.body and any(name not in params for name in names):
             with contextlib.suppress(HttpError):
                 body = request.json()
-        session = body.get("session")
-        if isinstance(session, str) and session:
-            return self._ring.owners(f"session:{session}", 2)
-        table = body.get("table")
-        if isinstance(table, str) and table:
-            return self._ring.owners(f"table:{self._fingerprint(table)}", 2)
-        return self._ring.owners(f"path:{path}", 2)
+        for name in names:
+            value = params.get(name, body.get(name))
+            if isinstance(value, str) and value:
+                if name == "table":
+                    value = self._fingerprint(value)
+                return self._ring.owners(f"{name}:{value}", 2)
+        return self._ring.owners(
+            f"path:{request.path.rstrip('/') or '/'}", 2
+        )
 
     def _fingerprint(self, ref: str) -> str:
         """Resolve a table name to its content fingerprint (best effort).
 
-        The catalog map is filled by :meth:`_handle_healthz` /
+        The catalog map is filled by :meth:`_serve_healthz` /
         :meth:`_refresh_catalog`; an unresolved name still routes
         deterministically on its own spelling.
         """
@@ -599,7 +565,7 @@ class Supervisor:
                     worker, "GET", "/v1/tables"
                 )
                 payload = json.loads(response.body.decode("utf-8"))
-            except (OSError, ValueError, asyncio.IncompleteReadError):
+            except (ValueError, *_TRANSPORT_ERRORS):
                 continue
             records = payload.get("catalog", [])
             if isinstance(records, list):
@@ -681,19 +647,7 @@ class Supervisor:
                     self._failovers += 1
             try:
                 response = await self._forward(slot, request)
-            except (
-                ConnectionError,
-                asyncio.IncompleteReadError,
-                OSError,
-            ) as error:
-                if os.environ.get("BLAEU_PROXY_DEBUG"):
-                    print(
-                        f"proxy-debug t={time.monotonic():.3f} "
-                        f"target={self._target(request)} attempt={attempt} "
-                        f"slot={slot} tried={tried} err={error!r} workers="
-                        f"{[(w.slot, w.port, w.alive) for w in self._workers]}",
-                        file=sys.stderr,
-                    )
+            except _TRANSPORT_ERRORS as error:
                 last_error = error
                 continue
             if attempt > 0:
@@ -747,11 +701,11 @@ class Supervisor:
     ) -> None:
         """Wait until some candidate slot is routable or booting.
 
-        Bounded by the request deadline and by ``spawn_timeout`` (the
+        Bounded by the request deadline and by ``SPAWN_TIMEOUT`` (the
         time a respawn is entitled to) — on expiry the caller proceeds
         and takes the connection error.
         """
-        cap = time.monotonic() + self._spawn_timeout
+        cap = time.monotonic() + SPAWN_TIMEOUT
         if give_up is not None:
             cap = min(cap, give_up)
         while time.monotonic() < cap:
@@ -765,9 +719,6 @@ class Supervisor:
     async def _forward(
         self, slot: int, request: HttpRequest
     ) -> HttpResponse:
-        if not self._fingerprints and request.path.startswith("/v1/tables/"):
-            await self._refresh_catalog()
-            slot = self._slot_for(request, request.path.rstrip("/") or "/")
         worker = self._worker(slot)
         if worker.draining:
             raise ConnectionError(f"worker {slot} is draining")
@@ -824,9 +775,7 @@ class Supervisor:
             return await self._read_response(reader)
         finally:
             writer.close()
-            with contextlib.suppress(
-                ConnectionError, asyncio.IncompleteReadError, OSError
-            ):
+            with contextlib.suppress(*_TRANSPORT_ERRORS):
                 await writer.wait_closed()
 
     @staticmethod
@@ -851,7 +800,7 @@ class Supervisor:
         passthrough = {
             name: value
             for name, value in headers.items()
-            if name in ("location", "x-blaeu-trace")
+            if name == "x-blaeu-trace"
         }
         return HttpResponse(
             status=status,
@@ -872,7 +821,7 @@ class Supervisor:
         async def one(worker: WorkerProcess) -> HttpResponse | None:
             try:
                 return await self._request_worker(worker, method, target)
-            except (OSError, ConnectionError, asyncio.IncompleteReadError):
+            except _TRANSPORT_ERRORS:
                 return None
 
         responses = await asyncio.gather(
@@ -880,7 +829,7 @@ class Supervisor:
         )
         return list(zip(self._workers, responses))
 
-    async def _handle_healthz(self) -> HttpResponse:
+    async def _serve_healthz(self, request: HttpRequest) -> HttpResponse:
         await self._refresh_catalog()
         results = await self._fan_out("GET", "/healthz")
         workers = []
@@ -916,7 +865,7 @@ class Supervisor:
             200 if healthy_count else 503,
         )
 
-    async def _handle_metrics(self) -> HttpResponse:
+    async def _serve_metrics(self, request: HttpRequest) -> HttpResponse:
         results = await self._fan_out("GET", "/metrics")
         bodies = [
             response.body.decode("utf-8")
@@ -956,16 +905,8 @@ class Supervisor:
             extra.append(f"{name} {value}")
         return text_response(merge_metrics(bodies, extra))
 
-    async def _handle_traces(self, request: HttpRequest) -> HttpResponse:
-        limit = 10
-        values = request.query.get("limit")
-        if values:
-            try:
-                limit = int(values[0])
-            except ValueError:
-                raise HttpError(
-                    400, f"limit must be an integer, got {values[0]!r}"
-                ) from None
+    async def _serve_traces(self, request: HttpRequest) -> HttpResponse:
+        limit = request.query_int("limit", default=10)
         results = await self._fan_out("GET", f"/v1/traces?limit={limit}")
         traces: list[dict[str, object]] = []
         enabled = False
@@ -982,7 +923,28 @@ class Supervisor:
             {"ok": True, "enabled": enabled, "traces": traces[:limit]}
         )
 
-    def _handle_workers(self) -> HttpResponse:
+    async def _serve_restart(
+        self, request: HttpRequest, slot: str
+    ) -> HttpResponse:
+        if request.method != "POST":
+            raise HttpError(405, "use POST to restart a worker")
+        try:
+            index = int(slot)
+        except ValueError:
+            raise HttpError(404, f"no worker slot {slot!r}") from None
+        await self.restart(index)
+        worker = self._worker(index)
+        return json_response(
+            {
+                "ok": True,
+                "slot": worker.slot,
+                "port": worker.port,
+                "generation": worker.generation,
+                "restarts": worker.restarts,
+            }
+        )
+
+    async def _serve_workers(self, request: HttpRequest) -> HttpResponse:
         return json_response(
             {
                 "ok": True,

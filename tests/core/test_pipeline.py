@@ -509,7 +509,7 @@ class TestPipelineMechanics:
         assert export_map_json(a) == export_map_json(b)
 
     def test_builder_metrics_counters(self, table):
-        from repro.service.metrics import Metrics
+        from repro.obs.metrics import Metrics
 
         metrics = Metrics()
         builder = MapBuilder(

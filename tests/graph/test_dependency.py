@@ -210,7 +210,7 @@ class TestGraphBuilder:
         assert stats["code_cache_hits"] >= themed.table.n_columns
 
     def test_metrics_sink_receives_counters(self, themed):
-        from repro.service.metrics import Metrics
+        from repro.obs.metrics import Metrics
 
         metrics = Metrics()
         builder = GraphBuilder(result_cache=LRUCache(max_size=4))

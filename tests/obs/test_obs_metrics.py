@@ -109,12 +109,3 @@ class TestGlobalRegistry:
         assert get_metrics() is second
         assert second is not first
         assert second.counter("blaeu_graph_builds_total") == 0
-
-    def test_service_shim_still_exports_the_registry(self):
-        from repro.service.metrics import Histogram as ShimHistogram
-        from repro.service.metrics import Metrics as ShimMetrics
-
-        from repro.obs.metrics import Histogram, Metrics
-
-        assert ShimMetrics is Metrics
-        assert ShimHistogram is Histogram

@@ -12,7 +12,7 @@ import pytest
 from repro.core.config import BlaeuConfig
 from repro.core.engine import Blaeu
 from repro.datasets.synthetic import mixed_blobs
-from repro.service.app import BlaeuService, ServiceConfig
+from repro.service.app import BlaeuService, PoolConfig, ServiceConfig
 
 
 class RunningService:
@@ -61,53 +61,34 @@ class RunningService:
     # Client helpers
     # ------------------------------------------------------------------
 
-    def get(self, path: str, follow_redirects: bool = True) -> tuple[int, bytes]:
-        # Legacy routes answer 307 shims into /v1; the helper follows
-        # one hop (like a real client) unless a test wants the shim.
-        for _ in range(2):
-            connection = http.client.HTTPConnection(
-                "127.0.0.1", self.port, timeout=30
-            )
-            try:
-                connection.request("GET", path)
-                response = connection.getresponse()
-                location = response.getheader("Location")
-                if follow_redirects and response.status == 307 and location:
-                    response.read()
-                    path = location
-                    continue
-                return response.status, response.read()
-            finally:
-                connection.close()
-        raise RuntimeError(f"redirect loop at {path!r}")
+    def exchange(
+        self,
+        method: str,
+        path: str,
+        body: bytes | None = None,
+        headers: dict[str, str] | None = None,
+    ) -> tuple[int, bytes]:
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", self.port, timeout=30
+        )
+        try:
+            connection.request(method, path, body=body, headers=headers or {})
+            response = connection.getresponse()
+            return response.status, response.read()
+        finally:
+            connection.close()
 
-    def post(
-        self, path: str, body: object, follow_redirects: bool = True
-    ) -> tuple[int, dict]:
+    def get(self, path: str) -> tuple[int, bytes]:
+        return self.exchange("GET", path)
+
+    def post(self, path: str, body: object) -> tuple[int, dict]:
         payload = (
             body if isinstance(body, bytes) else json.dumps(body).encode()
         )
-        for _ in range(2):
-            connection = http.client.HTTPConnection(
-                "127.0.0.1", self.port, timeout=30
-            )
-            try:
-                connection.request(
-                    "POST",
-                    path,
-                    body=payload,
-                    headers={"Content-Type": "application/json"},
-                )
-                response = connection.getresponse()
-                location = response.getheader("Location")
-                if follow_redirects and response.status == 307 and location:
-                    response.read()
-                    path = location  # 307 preserves method and body
-                    continue
-                return response.status, json.loads(response.read())
-            finally:
-                connection.close()
-        raise RuntimeError(f"redirect loop at {path!r}")
+        status, raw = self.exchange(
+            "POST", path, payload, {"Content-Type": "application/json"}
+        )
+        return status, json.loads(raw)
 
     def get_json(self, path: str) -> tuple[int, dict]:
         status, body = self.get(path)
@@ -126,7 +107,8 @@ def service():
     engine = Blaeu(BlaeuConfig(map_k_values=(2, 3), seed=5))
     engine.register(mixed_blobs(n_rows=300, k=2, seed=61).table)
     running = RunningService(
-        engine, ServiceConfig(port=0, workers=2, max_pending=32)
+        engine,
+        ServiceConfig(port=0, pool=PoolConfig(threads=2, max_pending=32)),
     ).start()
     yield running
     running.stop()
@@ -149,7 +131,8 @@ def approx_service(tmp_path_factory):
     engine = Blaeu(config)
     engine.load_store(root)
     running = RunningService(
-        engine, ServiceConfig(port=0, workers=2, max_pending=32)
+        engine,
+        ServiceConfig(port=0, pool=PoolConfig(threads=2, max_pending=32)),
     ).start()
     yield running
     running.stop()

@@ -10,7 +10,7 @@ import pytest
 from repro.core.config import BlaeuConfig
 from repro.core.engine import Blaeu
 from repro.datasets.synthetic import mixed_blobs
-from repro.service.app import GuideConfig, ServiceConfig
+from repro.service.app import GuideConfig, PoolConfig, ServiceConfig
 
 
 def fresh_engine():
@@ -112,7 +112,9 @@ class TestDeterminismAcrossWorkerCounts:
         for threads in (1, 4):
             running = service_runner(
                 fresh_engine(),
-                ServiceConfig(port=0, workers=threads, max_pending=32),
+                ServiceConfig(
+                    port=0, pool=PoolConfig(threads=threads, max_pending=32)
+                ),
             ).start()
             try:
                 status, payload = running.get_json(
@@ -132,8 +134,7 @@ class TestSpeculativePrefetch:
             fresh_engine(),
             ServiceConfig(
                 port=0,
-                workers=2,
-                max_pending=32,
+                pool=PoolConfig(threads=2, max_pending=32),
                 guide=GuideConfig(top_n=2, prefetch=True, prefetch_jobs=1),
             ),
         ).start()

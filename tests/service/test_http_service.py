@@ -31,7 +31,7 @@ class TestHealthAndMetrics:
     def test_trace_endpoint_reports_tracing_disabled_by_default(
         self, service
     ):
-        status, payload = service.get_json("/trace")
+        status, payload = service.get_json("/v1/traces")
         assert status == 200
         assert payload["ok"] is True
         assert payload["enabled"] is False
@@ -40,15 +40,13 @@ class TestHealthAndMetrics:
 
 class TestCatalogRoutes:
     def test_tables_lists_registered_tables(self, service):
-        # The legacy spelling rides the 307 shim into /v1/tables, which
-        # answers the resource listing (the old /catalog shape).
-        status, payload = service.get_json("/tables")
+        status, payload = service.get_json("/v1/tables")
         assert status == 200
         assert payload["ok"] is True
         assert [r["name"] for r in payload["catalog"]] == ["mixed_blobs"]
 
     def test_catalog_carries_content_fingerprints(self, service):
-        status, payload = service.get_json("/catalog")
+        status, payload = service.get_json("/v1/tables")
         assert status == 200
         (record,) = payload["catalog"]
         assert record["name"] == "mixed_blobs"
@@ -60,7 +58,7 @@ class TestCatalogRoutes:
 class TestProtocolCommands:
     def test_full_navigation_roundtrip(self, service):
         status, opened = service.post(
-            "/api/open",
+            "/v1/commands/open",
             {"session": "nav", "table": "mixed_blobs", "theme": 0},
         )
         assert status == 200
@@ -75,30 +73,30 @@ class TestProtocolCommands:
 
         biggest = max(leaves(opened["map"]["root"]), key=lambda r: r["value"])
         status, zoomed = service.post(
-            "/api/zoom", {"session": "nav", "region": biggest["id"]}
+            "/v1/commands/zoom", {"session": "nav", "region": biggest["id"]}
         )
         assert status == 200
         assert zoomed["map"]["n_rows"] == biggest["value"]
 
-        status, sql = service.post("/api/sql", {"session": "nav"})
+        status, sql = service.post("/v1/commands/sql", {"session": "nav"})
         assert status == 200
         assert sql["sql"].startswith("SELECT")
 
-        status, history = service.post("/api/history", {"session": "nav"})
+        status, history = service.post("/v1/commands/history", {"session": "nav"})
         assert status == 200
         assert len(history["history"]) == 2
 
-        status, rolled = service.post("/api/rollback", {"session": "nav"})
+        status, rolled = service.post("/v1/commands/rollback", {"session": "nav"})
         assert status == 200
         assert rolled["map"]["n_rows"] == 300
 
-        status, closed = service.post("/api/close", {"session": "nav"})
+        status, closed = service.post("/v1/commands/close", {"session": "nav"})
         assert status == 200
         assert closed == {"ok": True, "closed": "nav"}
 
     def test_themes_command(self, service):
         status, payload = service.post(
-            "/api/themes", {"table": "mixed_blobs"}
+            "/v1/commands/themes", {"table": "mixed_blobs"}
         )
         assert status == 200
         assert payload["themes"]["type"] == "blaeu.themes"
@@ -106,36 +104,36 @@ class TestProtocolCommands:
     def test_repeated_open_hits_shared_cache(self, service):
         before = service.service.cache.stats()
         status, _ = service.post(
-            "/api/open",
+            "/v1/commands/open",
             {"session": "cache-a", "table": "mixed_blobs", "theme": 0},
         )
         assert status == 200
         status, _ = service.post(
-            "/api/open",
+            "/v1/commands/open",
             {"session": "cache-b", "table": "mixed_blobs", "theme": 0},
         )
         assert status == 200
         after = service.service.cache.stats()
         assert after.hits > before.hits
         for session in ("cache-a", "cache-b"):
-            service.post("/api/close", {"session": session})
+            service.post("/v1/commands/close", {"session": session})
 
 
 class TestErrorPaths:
     def test_unknown_command_is_404(self, service):
-        status, payload = service.post("/api/frobnicate", {})
+        status, payload = service.post("/v1/commands/frobnicate", {})
         assert status == 404
         assert payload["ok"] is False
         assert "unknown command" in payload["error"]
 
     def test_missing_arguments_are_400(self, service):
-        status, payload = service.post("/api/zoom", {"session": "s"})
+        status, payload = service.post("/v1/commands/zoom", {"session": "s"})
         assert status == 400
         assert "region" in payload["error"]
 
     def test_missing_session_is_404(self, service):
         status, payload = service.post(
-            "/api/zoom", {"session": "ghost", "region": "r0"}
+            "/v1/commands/zoom", {"session": "ghost", "region": "r0"}
         )
         assert status == 404
         assert "no session" in payload["error"]
@@ -143,36 +141,36 @@ class TestErrorPaths:
 
     def test_missing_table_is_404(self, service):
         status, payload = service.post(
-            "/api/themes", {"table": "nope"}
+            "/v1/commands/themes", {"table": "nope"}
         )
         assert status == 404
         assert "no table" in payload["error"]
 
     def test_engine_rejection_is_400(self, service):
         service.post(
-            "/api/open",
+            "/v1/commands/open",
             {"session": "dup", "table": "mixed_blobs", "theme": 0},
         )
         status, payload = service.post(
-            "/api/open",
+            "/v1/commands/open",
             {"session": "dup", "table": "mixed_blobs", "theme": 0},
         )
         assert status == 400
         assert "already exists" in payload["error"]
-        service.post("/api/close", {"session": "dup"})
+        service.post("/v1/commands/close", {"session": "dup"})
 
     def test_malformed_json_body_is_400(self, service):
-        status, payload = service.post("/api/tables", b"{not json")
+        status, payload = service.post("/v1/commands/tables", b"{not json")
         assert status == 400
         assert "malformed JSON" in payload["error"]
 
     def test_non_object_json_body_is_400(self, service):
-        status, payload = service.post("/api/tables", b'["list"]')
+        status, payload = service.post("/v1/commands/tables", b'["list"]')
         assert status == 400
         assert "object" in payload["error"]
 
     def test_get_on_api_route_is_405(self, service):
-        status, payload = service.get_json("/api/tables")
+        status, payload = service.get_json("/v1/commands/tables")
         assert status == 405
 
     def test_unknown_route_is_404(self, service):
@@ -181,9 +179,9 @@ class TestErrorPaths:
         assert "no route" in payload["error"]
 
     def test_body_command_cannot_override_route(self, service):
-        # /api/tables with a smuggled "command" still runs `tables`.
+        # A smuggled "command" in the body still runs `tables`.
         status, payload = service.post(
-            "/api/tables", {"command": "close", "session": "nav"}
+            "/v1/commands/tables", {"command": "close", "session": "nav"}
         )
         assert status == 200
         assert "tables" in payload
@@ -207,7 +205,7 @@ class TestErrorPaths:
             ("127.0.0.1", service.port), timeout=10
         ) as sock:
             sock.sendall(
-                b"POST /api/tables HTTP/1.1\r\nHost: x\r\n"
+                b"POST /v1/commands/tables HTTP/1.1\r\nHost: x\r\n"
                 b"Content-Length: 4\r\nTransfer-Encoding: chunked\r\n\r\n"
                 b"0\r\n\r\n"
             )
@@ -219,7 +217,7 @@ class TestErrorPaths:
             ("127.0.0.1", service.port), timeout=10
         ) as sock:
             sock.sendall(
-                b"POST /api/tables HTTP/1.1\r\nHost: x\r\n"
+                b"POST /v1/commands/tables HTTP/1.1\r\nHost: x\r\n"
                 b"Content-Length: 999999999\r\n\r\n"
             )
             response = sock.recv(4096)
@@ -245,16 +243,16 @@ class TestConcurrency:
             try:
                 barrier.wait()
                 status, opened = service.post(
-                    "/api/open",
+                    "/v1/commands/open",
                     {"session": session, "table": "mixed_blobs", "theme": 0},
                 )
                 if status != 200:
                     errors.append(f"open {status}: {opened}")
                     return
-                status, _ = service.post("/api/map", {"session": session})
+                status, _ = service.post("/v1/commands/map", {"session": session})
                 if status != 200:
                     errors.append(f"map {status}")
-                status, _ = service.post("/api/close", {"session": session})
+                status, _ = service.post("/v1/commands/close", {"session": session})
                 if status != 200:
                     errors.append(f"close {status}")
             except Exception as error:  # pragma: no cover

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.service.metrics import Histogram, Metrics
+from repro.obs.metrics import Histogram, Metrics
 
 
 class TestHistogram:

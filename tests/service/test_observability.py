@@ -19,7 +19,7 @@ import pytest
 from repro.core.config import BlaeuConfig
 from repro.core.engine import Blaeu
 from repro.datasets.synthetic import mixed_blobs
-from repro.service.app import ServiceConfig
+from repro.service.app import PoolConfig, ServiceConfig, TraceConfig
 
 
 def _request(running, method, path, body=None):
@@ -52,11 +52,11 @@ def _request(running, method, path, body=None):
 
 
 def _find_trace(running, trace_id, timeout=10.0, require=()):
-    """Poll /trace until ``trace_id`` shows up with the required spans."""
+    """Poll /v1/traces until ``trace_id`` shows up with the required spans."""
     deadline = time.monotonic() + timeout
     match = None
     while time.monotonic() < deadline:
-        _, _, data = _request(running, "GET", "/trace?limit=50")
+        _, _, data = _request(running, "GET", "/v1/traces?limit=50")
         traces = json.loads(data)["traces"]
         match = next(
             (t for t in traces if t["trace_id"] == trace_id), match
@@ -77,11 +77,10 @@ def traced_service(service_runner):
         engine,
         ServiceConfig(
             port=0,
-            workers=2,
-            max_pending=32,
-            trace_enabled=True,
-            trace_buffer_size=4096,
-            access_log=True,
+            pool=PoolConfig(threads=2, max_pending=32),
+            trace=TraceConfig(
+                enabled=True, buffer_size=4096, access_log=True
+            ),
         ),
     ).start()
     lines: list[str] = []
@@ -99,7 +98,7 @@ class TestTracedRequests:
         status, headers, body = _request(
             traced_service,
             "POST",
-            "/api/open",
+            "/v1/commands/open",
             {"session": "t1", "table": "mixed_blobs", "theme": 0},
         )
         wall = time.perf_counter() - started
@@ -110,7 +109,7 @@ class TestTracedRequests:
         trace = _find_trace(
             traced_service, trace_id, require={"http.request", "map.build"}
         )
-        assert trace is not None, "trace never appeared at /trace"
+        assert trace is not None, "trace never appeared at /v1/traces"
         spans = trace["spans"]
         names = {span["name"] for span in spans}
         # The request span, the pipeline build, and the cold stages —
@@ -147,7 +146,7 @@ class TestTracedRequests:
         status, headers, _ = _request(
             traced_service,
             "POST",
-            "/api/open",
+            "/v1/commands/open",
             {"session": "t2", "table": "mixed_blobs", "theme": 0},
         )
         assert status == 200
@@ -170,11 +169,11 @@ class TestTracedRequests:
         assert first != second  # one trace per request
 
     def test_trace_endpoint_validates_limit(self, traced_service):
-        status, _, body = _request(traced_service, "GET", "/trace?limit=x")
+        status, _, body = _request(traced_service, "GET", "/v1/traces?limit=x")
         assert status == 400
-        status, _, body = _request(traced_service, "GET", "/trace?limit=0")
+        status, _, body = _request(traced_service, "GET", "/v1/traces?limit=0")
         assert status == 400
-        status, _, body = _request(traced_service, "GET", "/trace?limit=2")
+        status, _, body = _request(traced_service, "GET", "/v1/traces?limit=2")
         assert status == 200
         payload = json.loads(body)
         assert payload["enabled"] is True
@@ -233,17 +232,15 @@ class TestRefinementTracing:
             engine,
             ServiceConfig(
                 port=0,
-                workers=2,
-                max_pending=32,
-                trace_enabled=True,
-                trace_buffer_size=8192,
+                pool=PoolConfig(threads=2, max_pending=32),
+                trace=TraceConfig(enabled=True, buffer_size=8192),
             ),
         ).start()
         try:
             status, headers, body = _request(
                 running,
                 "POST",
-                "/api/open",
+                "/v1/commands/open",
                 {"session": "r1", "table": "mixed_blobs", "theme": 0},
             )
             assert status == 200

@@ -5,7 +5,7 @@ immediately with sample-extrapolated counts — the proof is the
 ``counts_status="approximate"`` payload itself, which can only be
 observed before the exact routing pass has patched the session — and
 the exact pass then runs through the service worker pool in the
-background, upgrading ``/api/map`` reads to ``counts_status="exact"``.
+background, upgrading ``/v1/commands/map`` reads to ``counts_status="exact"``.
 
 Also here: the map pipeline's client-fixable :class:`MapBuildError`s
 surface as *structured* 400s (machine-readable ``code``), not opaque
@@ -27,7 +27,7 @@ from repro.core.pipeline import MapBuildError
 from repro.datasets.synthetic import mixed_blobs
 from repro.server.protocol import parse_request
 from repro.server.session import SessionManager
-from repro.service.app import BlaeuService, ServiceConfig
+from repro.service.app import BlaeuService, PoolConfig, ServiceConfig
 
 APPROX_CONFIG = BlaeuConfig(
     map_k_values=(2, 3),
@@ -40,7 +40,7 @@ APPROX_CONFIG = BlaeuConfig(
 def _poll_exact(service, session, timeout=20.0):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        status, payload = service.post("/api/map", {"session": session})
+        status, payload = service.post("/v1/commands/map", {"session": session})
         assert status == 200
         if payload["counts_status"] == "exact":
             return payload
@@ -53,7 +53,7 @@ class TestApproximateFirstResponses:
         self, approx_service
     ):
         status, opened = approx_service.post(
-            "/api/open",
+            "/v1/commands/open",
             {"session": "ap1", "table": "mixed_blobs", "theme": 0},
         )
         assert status == 200
@@ -83,7 +83,7 @@ class TestApproximateFirstResponses:
 
     def test_refined_counts_partition_the_selection(self, approx_service):
         approx_service.post(
-            "/api/open",
+            "/v1/commands/open",
             {"session": "ap2", "table": "mixed_blobs", "theme": 0},
         )
         refined = _poll_exact(approx_service, "ap2")
@@ -99,7 +99,7 @@ class TestApproximateFirstResponses:
 
     def test_metrics_expose_pipeline_counters(self, approx_service):
         approx_service.post(
-            "/api/open",
+            "/v1/commands/open",
             {"session": "ap3", "table": "mixed_blobs", "theme": 0},
         )
         _poll_exact(approx_service, "ap3")
@@ -168,7 +168,8 @@ class TestStructuredMapBuildErrors:
         engine = Blaeu(BlaeuConfig(map_k_values=(2, 3), seed=5))
         engine.register(mixed_blobs(n_rows=200, k=2, seed=61).table)
         service = BlaeuService(
-            engine, ServiceConfig(port=0, workers=1, max_pending=8)
+            engine,
+            ServiceConfig(port=0, pool=PoolConfig(threads=1, max_pending=8)),
         )
 
         def raise_build_error(*args, **kwargs):

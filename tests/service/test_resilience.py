@@ -13,7 +13,7 @@ import pytest
 from repro.core.config import BlaeuConfig
 from repro.core.engine import Blaeu
 from repro.datasets.synthetic import mixed_blobs
-from repro.service.app import ResilienceConfig, ServiceConfig
+from repro.service.app import PoolConfig, ResilienceConfig, ServiceConfig
 
 
 def _get(port: int, path: str, headers: dict[str, str] | None = None):
@@ -39,10 +39,18 @@ def _engine() -> Blaeu:
     return engine
 
 
+def _config(threads: int, max_pending: int, **groups) -> ServiceConfig:
+    return ServiceConfig(
+        port=0,
+        pool=PoolConfig(threads=threads, max_pending=max_pending),
+        **groups,
+    )
+
+
 class TestRequestDeadline:
     def test_spent_header_budget_is_a_structured_504(self, service_runner):
         running = service_runner(
-            _engine(), ServiceConfig(port=0, workers=2, max_pending=8)
+            _engine(), _config(threads=2, max_pending=8)
         ).start()
         try:
             # A budget this small is gone before the request reaches the
@@ -66,7 +74,7 @@ class TestRequestDeadline:
 
     def test_malformed_header_is_a_400(self, service_runner):
         running = service_runner(
-            _engine(), ServiceConfig(port=0, workers=2, max_pending=8)
+            _engine(), _config(threads=2, max_pending=8)
         ).start()
         try:
             for bad in ("soon", "-1", "0"):
@@ -82,7 +90,7 @@ class TestRequestDeadline:
 
     def test_roomy_budget_answers_normally(self, service_runner):
         running = service_runner(
-            _engine(), ServiceConfig(port=0, workers=2, max_pending=8)
+            _engine(), _config(threads=2, max_pending=8)
         ).start()
         try:
             status, _, payload = _get_json(
@@ -102,9 +110,8 @@ class TestDegradedMode:
         # degrade_remaining is cranked above any realistic budget, so a
         # deadline-carrying request always takes the degraded path: a
         # fast approximate-count map instead of queueing an exact one.
-        config = ServiceConfig(
-            port=0,
-            workers=2,
+        config = _config(
+            threads=2,
             max_pending=8,
             resilience=ResilienceConfig(degrade_remaining=10_000.0),
         )
@@ -125,9 +132,8 @@ class TestDegradedMode:
             running.stop()
 
     def test_degradation_can_be_disabled(self, service_runner):
-        config = ServiceConfig(
-            port=0,
-            workers=2,
+        config = _config(
+            threads=2,
             max_pending=8,
             resilience=ResilienceConfig(
                 degrade_when_busy=False, degrade_remaining=10_000.0
@@ -149,7 +155,7 @@ class TestDegradedMode:
 class TestLoadShedding:
     def test_saturated_pool_sheds_with_retry_after(self, service_runner):
         running = service_runner(
-            _engine(), ServiceConfig(port=0, workers=1, max_pending=1)
+            _engine(), _config(threads=1, max_pending=1)
         ).start()
         try:
             # Deterministically occupy the single admission slot with a
@@ -168,8 +174,18 @@ class TestLoadShedding:
                 running.port, "/v1/tables/mixed_blobs/map?k=2"
             )
             assert status == 503
-            assert payload["code"] == "pool_saturated"
+            assert payload == {
+                "ok": False,
+                "code": "pool_saturated",
+                "error": "worker pool saturated (1 jobs in flight, limit 1)",
+            }
             assert headers.get("Retry-After") == "1"
+            # Commands shed through the same door, in the same shape.
+            assert _get_json(running.port, "/v1/tables") == (
+                status,
+                headers,
+                payload,
+            )
 
             release.set()
             assert future.result(timeout=10) is True
@@ -180,7 +196,7 @@ class TestLoadShedding:
 class TestGracefulDrain:
     def test_stop_finishes_the_in_flight_request(self, service_runner):
         running = service_runner(
-            _engine(), ServiceConfig(port=0, workers=2, max_pending=8)
+            _engine(), _config(threads=2, max_pending=8)
         ).start()
         try:
             results: list[tuple[int, dict]] = []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import re
@@ -14,7 +15,10 @@ from pathlib import Path
 import pytest
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
-ENV = {**os.environ, "PYTHONPATH": SRC}
+ENV = {
+    **{k: v for k, v in os.environ.items() if not k.startswith("BLAEU_")},
+    "PYTHONPATH": SRC,
+}
 
 CSV = """name,x,y,group
 a,1.0,2.0,red
@@ -39,126 +43,90 @@ def csv_path(tmp_path):
     return path
 
 
-def test_serve_boots_and_round_trips_one_request(csv_path):
+@contextlib.contextmanager
+def serving(argv, env=ENV, boot_timeout=30):
+    """``python -m repro serve --port 0 <argv>``, healthy → its base URL."""
     process = subprocess.Popen(
-        [
-            sys.executable,
-            "-u",
-            "-m",
-            "repro",
-            "serve",
-            "--port",
-            "0",
-            "--cache-size",
-            "16",
-            "--threads",
-            "2",
-            str(csv_path),
-        ],
-        env=ENV,
+        [sys.executable, "-u", "-m", "repro", "serve", "--port", "0", *argv],
+        env=env,
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
     )
     try:
-        # The banner line carries the resolved port (we asked for 0).
         assert process.stdout is not None
         line = process.stdout.readline()
         match = re.search(r"http://127\.0\.0\.1:(\d+)", line)
         assert match, f"unexpected banner: {line!r}"
-        port = int(match.group(1))
-
-        deadline = time.monotonic() + 10
-        payload = None
-        while time.monotonic() < deadline:
+        base = f"http://127.0.0.1:{match.group(1)}"
+        deadline = time.monotonic() + boot_timeout
+        while True:
             try:
-                with urllib.request.urlopen(
-                    f"http://127.0.0.1:{port}/healthz", timeout=5
-                ) as response:
-                    payload = json.loads(response.read())
-                break
-            except OSError:
-                time.sleep(0.1)
-        assert payload is not None, "service never answered /healthz"
-        assert payload["ok"] is True
-        assert payload["tables"] == 1
-
-        # The legacy spelling follows its 307 shim into /v1/tables
-        # (urllib follows 307 on GET), answering the catalog listing.
-        with urllib.request.urlopen(
-            f"http://127.0.0.1:{port}/tables", timeout=5
-        ) as response:
-            tables = json.loads(response.read())
-        assert tables["ok"] is True
-        assert [r["name"] for r in tables["catalog"]] == ["points"]
+                if fetch(f"{base}/healthz")["ok"]:
+                    break
+            except OSError:  # not listening yet, or a 503 while workers boot
+                pass
+            assert time.monotonic() < deadline, "never became healthy"
+            time.sleep(0.1)
+        yield base, line
     finally:
         process.terminate()
         try:
-            process.wait(timeout=10)
+            process.wait(timeout=15)
         except subprocess.TimeoutExpired:  # pragma: no cover
             process.kill()
-            process.wait(timeout=10)
+            process.wait(timeout=15)
+
+
+def fetch(url, timeout=10):
+    with urllib.request.urlopen(url, timeout=timeout) as response:
+        return json.loads(response.read())
+
+
+def test_serve_boots_and_round_trips_one_request(csv_path):
+    argv = ["--cache-size", "16", "--threads", "2", str(csv_path)]
+    # The banner line carries the resolved port (we asked for 0).
+    with serving(argv, boot_timeout=10) as (base, _):
+        payload = fetch(f"{base}/healthz")
+        assert payload["ok"] is True
+        assert payload["tables"] == 1
+
+        tables = fetch(f"{base}/v1/tables")
+        assert tables["ok"] is True
+        assert [r["name"] for r in tables["catalog"]] == ["points"]
 
 
 def test_serve_multi_worker_boots_routes_and_restarts(csv_path, tmp_path):
     """``--workers 2`` boots the supervisor: routed requests answer,
     metrics merge across workers, and a restarted worker comes back."""
-    process = subprocess.Popen(
-        [
-            sys.executable,
-            "-u",
-            "-m",
-            "repro",
-            "serve",
-            "--port",
-            "0",
-            "--workers",
-            "2",
-            "--threads",
-            "2",
-            "--cache-size",
-            "16",
-            "--cache-dir",
-            str(tmp_path / "artifacts"),
-            str(csv_path),
-        ],
-        env=ENV,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-    )
-    try:
-        assert process.stdout is not None
-        line = process.stdout.readline()
-        match = re.search(r"http://127\.0\.0\.1:(\d+)", line)
-        assert match, f"unexpected banner: {line!r}"
-        port = int(match.group(1))
-        base = f"http://127.0.0.1:{port}"
-
-        deadline = time.monotonic() + 30
-        payload = None
-        while time.monotonic() < deadline:
-            try:
-                with urllib.request.urlopen(
-                    f"{base}/healthz", timeout=5
-                ) as response:
-                    payload = json.loads(response.read())
-                break
-            except OSError:
-                time.sleep(0.2)
-        assert payload is not None, "supervisor never answered /healthz"
+    argv = [
+        "--workers",
+        "2",
+        "--threads",
+        "2",
+        "--cache-size",
+        "16",
+        "--cache-dir",
+        str(tmp_path / "artifacts"),
+        "--trace",
+        str(csv_path),
+    ]
+    with serving(argv) as (base, _):
+        payload = fetch(f"{base}/healthz")
         assert payload["ok"] is True
         assert [w["healthy"] for w in payload["workers"]] == [True, True]
 
-        with urllib.request.urlopen(f"{base}/v1/tables", timeout=10) as response:
-            catalog = json.loads(response.read())
+        catalog = fetch(f"{base}/v1/tables")
         assert [r["name"] for r in catalog["catalog"]] == ["points"]
 
-        with urllib.request.urlopen(
-            f"{base}/v1/tables/points/map", timeout=60
-        ) as response:
-            data_map = json.loads(response.read())
-        assert data_map["ok"] is True
+        # The supervisor hands its resolved config down: --trace and
+        # --threads reached the *workers* (each asked on its own port).
+        assert fetch(f"{base}/v1/traces")["enabled"] is True
+        for worker in fetch(f"{base}/v1/workers")["workers"]:
+            health = fetch(f"http://127.0.0.1:{worker['port']}/healthz")
+            assert health["pool"]["workers"] == 2
+
+        assert fetch(f"{base}/v1/tables/points/map", timeout=60)["ok"] is True
 
         with urllib.request.urlopen(f"{base}/metrics", timeout=10) as response:
             metrics = response.read().decode()
@@ -169,20 +137,11 @@ def test_serve_multi_worker_boots_routes_and_restarts(csv_path, tmp_path):
         restart = urllib.request.Request(
             f"{base}/v1/workers/0/restart", method="POST"
         )
-        with urllib.request.urlopen(restart, timeout=60) as response:
-            restarted = json.loads(response.read())
+        restarted = fetch(restart, timeout=60)
         assert restarted["ok"] is True and restarted["restarts"] == 1
 
-        with urllib.request.urlopen(f"{base}/healthz", timeout=10) as response:
-            payload = json.loads(response.read())
+        payload = fetch(f"{base}/healthz")
         assert [w["healthy"] for w in payload["workers"]] == [True, True]
-    finally:
-        process.terminate()
-        try:
-            process.wait(timeout=15)
-        except subprocess.TimeoutExpired:  # pragma: no cover
-            process.kill()
-            process.wait(timeout=15)
 
 
 def test_serve_requires_data_or_demo():
@@ -194,3 +153,43 @@ def test_serve_requires_data_or_demo():
     )
     assert result.returncode != 0
     assert "CSV files or --demo" in result.stderr
+
+
+
+@pytest.mark.parametrize(
+    ("argv", "threads"),
+    [([], 3), (["--threads", "2"], 2)],
+    ids=["environment-when-the-flag-is-absent", "flag-over-environment"],
+)
+def test_serve_resolves_flag_then_environment_then_default(csv_path, argv, threads):
+    env = {**ENV, "BLAEU_TRACE": "1", "BLAEU_THREADS": "3"}
+    with serving([*argv, str(csv_path)], env) as (base, banner):
+        assert f"threads={threads}" in banner
+        assert fetch(f"{base}/healthz")["pool"]["workers"] == threads
+        assert fetch(f"{base}/v1/traces")["enabled"] is True
+
+
+def test_blaeu_workers_boots_the_supervisor_like_the_flag(csv_path):
+    env = {**ENV, "BLAEU_WORKERS": "2"}
+    with serving(["--threads", "2", str(csv_path)], env) as (base, banner):
+        assert "blaeu supervisor listening" in banner
+        workers = fetch(f"{base}/v1/workers")["workers"]
+        assert [worker["alive"] for worker in workers] == [True, True]
+        # The variable stopped at the supervisor: a worker's port is a
+        # plain service (a thread pool), not a supervisor of its own.
+        health = fetch(f"http://127.0.0.1:{workers[0]['port']}/healthz")
+        assert health["pool"]["workers"] == 2
+
+
+def test_serve_malformed_environment_is_a_one_line_error(csv_path):
+    result = subprocess.run(
+        [sys.executable, "-m", "repro", "serve", str(csv_path)],
+        env={**ENV, "BLAEU_CACHE_SIZE": "many"},
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert result.stderr.splitlines()[-1] == (
+        "blaeu serve: error: BLAEU_CACHE_SIZE must be an integer, got 'many'"
+    )

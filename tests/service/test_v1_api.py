@@ -1,9 +1,9 @@
-"""The versioned /v1 surface: resources, shims, codes, config, exports.
+"""The versioned /v1 surface: resources, codes, config, exports.
 
 ``test_http_service.py`` exercises the command plane end to end; this
-file pins the *contract* of the redesign — resource routes, the 307
-deprecation shims, structured error codes, ServiceConfig's layered
-precedence, and the curated import surface.
+file pins the *contract* of the redesign — resource routes, structured
+error codes, ServiceConfig's layered precedence, and the curated import
+surface.  (``test_routes.py`` drives every row of the route table.)
 """
 
 from __future__ import annotations
@@ -20,10 +20,11 @@ from repro.service.app import (
     ServiceConfig,
     TraceConfig,
 )
+from repro.service.config import resolve
 
 
 def _raw(service, method, path, body=None):
-    """One exchange with redirects NOT followed: (status, headers, dict)."""
+    """One exchange: (status, headers, dict)."""
     payload = json.dumps(body).encode() if body is not None else None
     connection = http.client.HTTPConnection(
         "127.0.0.1", service.port, timeout=30
@@ -89,41 +90,6 @@ class TestResourceRoutes:
         assert payload["code"] == "not_found"
 
 
-class TestLegacyShims:
-    @pytest.mark.parametrize(
-        ("old", "new"),
-        [
-            ("/tables", "/v1/tables"),
-            ("/catalog", "/v1/tables"),
-            ("/trace", "/v1/traces"),
-        ],
-    )
-    def test_get_shims_answer_307_with_location(self, service, old, new):
-        status, headers, _ = _raw(service, "GET", old)
-        assert status == 307
-        assert headers["Location"] == new
-
-    def test_api_shim_preserves_the_command(self, service):
-        status, headers, _ = _raw(service, "POST", "/api/themes", {})
-        assert status == 307
-        assert headers["Location"] == "/v1/commands/themes"
-
-    def test_shims_preserve_query_strings(self, service):
-        status, headers, _ = _raw(service, "GET", "/trace?limit=3")
-        assert status == 307
-        assert headers["Location"] == "/v1/traces?limit=3"
-
-    def test_a_shimmed_post_round_trips_the_body(self, service):
-        # 307 preserves method and body, so the legacy spelling still
-        # runs the command after one hop (the conftest helper follows).
-        status, payload = service.post(
-            "/api/open",
-            {"session": "shim", "table": "mixed_blobs", "theme": 0},
-        )
-        assert status == 200
-        assert payload["ok"] is True
-
-
 class TestErrorCodes:
     def test_unknown_command_code(self, service):
         status, _, payload = _raw(service, "POST", "/v1/commands/nope", {})
@@ -149,52 +115,42 @@ class TestErrorCodes:
 
 
 class TestServiceConfigLayers:
-    def test_defaults(self, monkeypatch):
-        for name in ("BLAEU_CACHE_SIZE", "BLAEU_THREADS", "BLAEU_TRACE"):
-            monkeypatch.delenv(name, raising=False)
-        config = ServiceConfig()
+    def test_defaults(self):
+        config = resolve({}, environ={})
+        assert config == ServiceConfig()
         assert config.cache == CacheConfig()
         assert config.trace == TraceConfig()
         assert config.pool == PoolConfig()
 
-    def test_env_overrides_defaults(self, monkeypatch):
-        monkeypatch.setenv("BLAEU_CACHE_SIZE", "99")
-        monkeypatch.setenv("BLAEU_TRACE", "yes")
-        monkeypatch.setenv("BLAEU_THREADS", "7")
-        monkeypatch.setenv("BLAEU_WORKERS", "3")
-        config = ServiceConfig()
+    def test_env_overrides_defaults(self):
+        config = resolve(
+            {},
+            environ={
+                "BLAEU_CACHE_SIZE": "99",
+                "BLAEU_TRACE": "yes",
+                "BLAEU_THREADS": "7",
+                "BLAEU_WORKERS": "3",
+            },
+        )
         assert config.cache.size == 99
         assert config.trace.enabled is True
         assert config.pool.threads == 7
         assert config.pool.processes == 3
 
-    def test_flat_kwargs_override_env(self, monkeypatch):
+    def test_the_process_environment_is_the_default_source(self, monkeypatch):
         monkeypatch.setenv("BLAEU_CACHE_SIZE", "99")
-        config = ServiceConfig(cache_size=12)
-        assert config.cache.size == 12
+        assert resolve().cache.size == 99
 
     def test_nested_group_overrides_everything(self, monkeypatch):
+        # Constructing a config reads nothing but its arguments: the
+        # environment is resolve()'s business.
         monkeypatch.setenv("BLAEU_CACHE_SIZE", "99")
-        config = ServiceConfig(cache=CacheConfig(size=5), cache_size=12)
-        assert config.cache.size == 5
-        # The flat alias re-materializes from the winning group, so
-        # pre-redesign readers see the resolved truth.
-        assert config.cache_size == 5
+        assert ServiceConfig(cache=CacheConfig(size=5)).cache.size == 5
+        assert ServiceConfig().cache.size == 256
 
-    def test_flat_aliases_always_answer(self):
-        config = ServiceConfig(
-            trace=TraceConfig(enabled=True, buffer_size=64),
-            pool=PoolConfig(threads=2, max_pending=8),
-        )
-        assert config.trace_enabled is True
-        assert config.trace_buffer_size == 64
-        assert config.workers == 2
-        assert config.max_pending == 8
-
-    def test_malformed_env_fails_loudly(self, monkeypatch):
-        monkeypatch.setenv("BLAEU_CACHE_SIZE", "many")
-        with pytest.raises(ValueError):
-            ServiceConfig()
+    def test_malformed_env_fails_loudly(self):
+        with pytest.raises(ValueError, match="BLAEU_CACHE_SIZE"):
+            resolve({}, environ={"BLAEU_CACHE_SIZE": "many"})
 
     def test_validation_still_bites(self):
         with pytest.raises(ValueError):
@@ -231,6 +187,7 @@ class TestCuratedImports:
         for name in (
             "BlaeuService",
             "ServiceConfig",
+            "ResilienceConfig",
             "SessionManager",
             "Session",
             "TieredCache",
@@ -242,22 +199,6 @@ class TestCuratedImports:
         ):
             assert name in service.__all__
             assert getattr(service, name) is not None
-
-    def test_server_names_warn_and_forward(self):
-        import importlib
-
-        import repro.server
-
-        importlib.reload(repro.server)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            moved = repro.server.SessionManager
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        ), "expected a DeprecationWarning from repro.server"
-        from repro.service import SessionManager
-
-        assert moved is SessionManager
 
     def test_server_submodules_stay_silent(self):
         with warnings.catch_warnings():
