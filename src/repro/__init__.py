@@ -20,8 +20,8 @@ Quickstart::
     data_map = explorer.open_theme(0)
     print(explorer.sql())
 
-See DESIGN.md for the full system inventory and EXPERIMENTS.md for the
-paper-vs-measured record of every reproduced figure and claim.
+The README's "Measuring" section holds the paper-vs-measured record of
+every reproduced figure and claim; ``tests/paper/`` asserts it.
 """
 
 from repro.core import (

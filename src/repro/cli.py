@@ -811,10 +811,6 @@ def main(argv: list[str] | None = None) -> None:
     if argv and argv[0] == "guide":
         guide_main(argv[1:])
         return
-    if argv and argv[0] == "bench":
-        from repro.bench.runner import main as bench_main
-
-        sys.exit(bench_main(argv[1:]))
     engine = build_engine(argv)
     shell = BlaeuShell(engine)
     print("blaeu — type 'help' for commands, 'quit' to leave")

@@ -1,8 +1,8 @@
 """Lloyd's k-means — the baseline clustering algorithm.
 
 The paper reports choosing PAM from "a dozen clustering algorithms from
-the literature"; k-means is the natural baseline for the comparison
-benches (it is faster but mean-based, so its centers are not data points
+the literature"; k-means is the natural baseline to compare it with
+(it is faster but mean-based, so its centers are not data points
 and it is more sensitive to outliers — the properties that motivated the
 authors' choice of medoids).  Initialization is k-means++ (Arthur &
 Vassilvitskii 2007).

@@ -1,7 +1,7 @@
 """External clustering-quality indices (evaluation only).
 
 These are not part of Blaeu's runtime — the paper's engine never sees
-ground truth.  The benchmark harness uses them to quantify the claims:
+ground truth.  ``tests/paper/`` uses them to quantify the claims:
 ARI measures how well a sampled map matches the full-data map
 (§3 "the loss of accuracy is minimal"), NMI measures recovery of planted
 themes, purity is the human-friendly summary.

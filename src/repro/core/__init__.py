@@ -1,7 +1,7 @@
 """Blaeu's core: themes, data maps, navigation, the engine facade.
 
 This package is the paper's primary contribution — everything else in
-the repository is substrate for it.  See DESIGN.md for the module map.
+the repository is substrate for it.
 """
 
 from repro.core.config import BlaeuConfig, ExplorationConfig

@@ -578,10 +578,7 @@ class Explorer:
     def _resolve_theme(self, theme: str | int | Theme) -> Theme:
         if isinstance(theme, Theme):
             return theme
-        themes = self.themes()
-        if isinstance(theme, int):
-            return themes[theme]
-        return themes.theme(theme)
+        return self.themes().theme(theme)
 
     def _push(
         self,

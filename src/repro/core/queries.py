@@ -6,8 +6,8 @@ users need only to consider a few discrete alternatives."
 
 This module renders exploration states as SQL and enumerates the
 *quantized query space* of a map — the finite set of queries one click
-away — which the expressivity benchmark checks against direct predicate
-evaluation.
+away — which ``tests/paper/test_expressivity.py`` checks against direct
+predicate evaluation.
 """
 
 from __future__ import annotations

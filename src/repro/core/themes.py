@@ -89,13 +89,22 @@ class ThemeSet:
     def __getitem__(self, index: int) -> Theme:
         return self.themes[index]
 
-    def theme(self, name: str) -> Theme:
-        """The theme called ``name``; raises ``KeyError`` when absent."""
+    def theme(self, ref: str | int) -> Theme:
+        """The theme called ``ref`` or, for an ``int``, at that position;
+        raises ``KeyError`` when absent.
+
+        Positions arrive off the wire, so a negative one is absent too:
+        ``-1`` must not quietly mean "the last theme".
+        """
+        if isinstance(ref, int):
+            if 0 <= ref < len(self.themes):
+                return self.themes[ref]
+            raise KeyError(f"no theme {ref}; the table has {len(self.themes)}")
         for theme in self.themes:
-            if theme.name == name:
+            if theme.name == ref:
                 return theme
         raise KeyError(
-            f"no theme named {name!r}; available: {[t.name for t in self.themes]}"
+            f"no theme named {ref!r}; available: {[t.name for t in self.themes]}"
         )
 
     def theme_of(self, column: str) -> Theme:

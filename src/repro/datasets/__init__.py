@@ -6,7 +6,7 @@ LOFAR radio-astronomy catalog (100,000s × dozens).  None of those files
 ship with the paper, so this package generates seeded synthetic tables
 matching their published shapes, mixed types, missing-value rates and —
 crucially for evaluation — with *planted* themes and clusters whose
-recovery the benchmarks can score.
+recovery ``tests/paper/`` scores.
 """
 
 from repro.datasets.hollywood import hollywood

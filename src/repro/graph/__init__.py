@@ -6,7 +6,7 @@ between two columns", then "partitions the dependency graph with cluster
 analysis" (§3, Figure 2).  This package builds that graph (on mutual
 information by default, correlation as the documented alternative) and
 partitions it with PAM over the induced dissimilarity, alongside two
-baselines used by the benchmarks.
+classic baselines to compare it with.
 """
 
 from repro.graph.codes import CodeCache

@@ -4,7 +4,7 @@ The paper's method: "Blaeu creates groups of mutually dependent columns.
 To do so, it partitions the dependency graph with cluster analysis …
 Partitioning Around Medoids" (§3).  :func:`pam_partition` is that method
 (PAM over ``1 − dependency``, k chosen by silhouette).  Two classic
-alternatives are provided for the benchmark comparisons:
+alternatives are provided for comparison:
 :func:`threshold_components` (connected components after dropping weak
 edges) and :func:`modularity_partition` (greedy modularity via networkx).
 """
@@ -51,8 +51,8 @@ def threshold_components(
 ) -> list[list[str]]:
     """Baseline: connected components of the graph above a weight threshold.
 
-    Simple and parameter-sensitive — the benchmark shows where it breaks
-    (a single bridge edge merges unrelated themes).
+    Simple and parameter-sensitive: a single bridge edge merges
+    unrelated themes.
     """
     view = graph.to_networkx(min_weight=min_weight)
     components = [sorted(component) for component in nx.connected_components(view)]

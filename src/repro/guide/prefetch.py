@@ -176,12 +176,7 @@ def plan_table(
             request_columns = tuple(columns)
         else:
             themes = engine.themes(table_name)
-            if theme is None:
-                resolved = themes[0]
-            elif isinstance(theme, int):
-                resolved = themes[theme]
-            else:
-                resolved = themes.theme(theme)
+            resolved = themes.theme(0 if theme is None else theme)
             request_columns = tuple(resolved.columns)
         explorer = engine.explore(table_name)
         data_map = explorer.map_builder.build(

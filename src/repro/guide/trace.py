@@ -1,4 +1,4 @@
-"""Navigation traces: record real click streams, replay them in benches.
+"""Navigation traces: record real click streams, replay them on demand.
 
 Prefetch effectiveness is only measurable against a *realistic* action
 sequence — synthetic uniform-random navigation over-rewards any cache
@@ -7,9 +7,9 @@ to one or more :class:`~repro.core.navigation.Explorer` sessions
 (observer hook, zero cost when detached) and records every completed
 action as a ``(session, action, target, fingerprint)`` step; the
 resulting :class:`NavigationTrace` round-trips through JSONL so traces
-can be checked in next to bench baselines, and :func:`replay_trace`
-drives a fresh explorer through the same steps — with or without a
-prefetcher running — to compare cache hit rates on identical work.
+can be checked in, and :func:`replay_trace` drives a fresh explorer
+through the same steps — with or without a prefetcher running — to
+compare cache hit rates on identical work.
 
 The table *fingerprint* is recorded per step so a replayer can refuse
 to replay a trace against different data (the cache keys would never
@@ -176,7 +176,7 @@ def replay_trace(
     With ``session``, only that session's steps are replayed.  Every
     step's fingerprint must match the explorer's table — replaying a
     trace against different data would measure nothing.  ``on_step``
-    (called *after* each applied action) is the bench's hook for
+    (called *after* each applied action) is the caller's hook for
     per-step measurements.
     """
     fingerprint = explorer.table.fingerprint()

@@ -9,7 +9,8 @@ Four small, composable pieces:
 - :mod:`repro.resilience.breaker` — a circuit breaker around the L2
   disk artifact tier.
 - :mod:`repro.resilience.faults` — deterministic, seed-keyed fault
-  injection powering the chaos suite and ``chaos`` bench.
+  injection powering the chaos tests
+  (``tests/service/test_supervisor_resilience.py``).
 """
 
 from repro.resilience.breaker import BreakerOpenError, CircuitBreaker

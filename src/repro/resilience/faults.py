@@ -1,4 +1,4 @@
-"""Deterministic, seed-keyed fault injection for chaos tests and benches.
+"""Deterministic, seed-keyed fault injection for chaos tests.
 
 Production code is sprinkled with named *fault points*::
 

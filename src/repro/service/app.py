@@ -27,7 +27,7 @@ from typing import Callable
 from repro.core.engine import Blaeu
 from repro.core.pipeline import MapBuildError
 from repro.guide.prefetch import PrefetchScheduler, plan_session, plan_table
-from repro.obs.metrics import Metrics, escape_label_value, reset_metrics
+from repro.obs.metrics import Metrics, reset_metrics
 from repro.obs.trace import (
     Tracer,
     collect_notes,
@@ -325,42 +325,46 @@ class BlaeuService:
     async def _route(self, request: HttpRequest) -> HttpResponse:
         started = time.perf_counter()
         # Chaos hook: lets the fault harness kill or wedge this worker
-        # mid-request (health endpoints stay clean so probes and the
-        # bench's metric scrapes don't consume the fault budget).
+        # mid-request (health endpoints stay clean so probes and a chaos
+        # test's metric scrapes don't consume the fault budget).
         if request.path not in ("/healthz", "/metrics"):
             fault_point("worker.request")
+        # The metric label is settled before anything can raise, so a
+        # route's 400s and 504s are counted with its other statuses.
+        route, params = routes.match(request.path)
+        if route is None or route.tier == "fleet":
+            route, label = None, routes.unknown_label(request.path)
+        else:
+            label = route.label(params)
         with self._tracer.span("http.request") as span, collect_notes() as notes:
             token = None
             try:
                 token = set_deadline(self._request_deadline(request))
-                route, response = await self._dispatch(request)
+                response = await self._dispatch(request, route, params)
             except DeadlineExceeded as error:
                 self._metrics.increment(
                     "blaeu_resilience_deadline_exceeded_total"
                 )
-                route = escape_label_value(request.path)
                 response = error_response(504, "deadline_exceeded", str(error))
             except HttpError as error:
-                # Count request-level failures (e.g. malformed JSON
-                # bodies) too — otherwise abusive traffic is invisible
-                # in /metrics.  The path is attacker-controlled, so it
-                # must be escaped before becoming a label value.
-                route = escape_label_value(request.path)
+                # Request-level failures (e.g. malformed JSON bodies)
+                # are counted too — otherwise abusive traffic is
+                # invisible in /metrics.
                 response = error.response()
             finally:
                 if token is not None:
                     reset_deadline(token)
             if span.enabled:
                 span.set("method", request.method)
-                span.set("route", route)
+                span.set("route", label)
                 span.set("status", response.status)
                 response.headers["X-Blaeu-Trace"] = span.trace_id
         duration = time.perf_counter() - started
-        self._metrics.observe_request(route, response.status, duration)
+        self._metrics.observe_request(label, response.status, duration)
         if self._config.trace.access_log:
             fields: dict[str, object] = {
                 "method": request.method,
-                "route": route,
+                "route": label,
                 "status": response.status,
                 "duration_ms": round(duration * 1000, 3),
             }
@@ -371,28 +375,29 @@ class BlaeuService:
         return response
 
     async def _dispatch(
-        self, request: HttpRequest
-    ) -> tuple[str, HttpResponse]:
-        """Answer one request → ``(route metric label, response)``."""
-        route, params = routes.match(request.path)
-        if route is None or route.tier == "fleet":
-            return routes.unknown_label(request.path), error_response(
+        self,
+        request: HttpRequest,
+        route: routes.Route | None,
+        params: dict[str, str],
+    ) -> HttpResponse:
+        """Answer one request on the route it matched (``None``: no
+        route this tier serves)."""
+        if route is None:
+            return error_response(
                 404, "unknown_route", f"no route {request.path!r}"
             )
         if route.method not in (None, request.method):
-            response = error_response(
+            return error_response(
                 405,
                 "method_not_allowed",
                 f"use {route.method} for this resource",
             )
-        elif "table" in params:
-            response = await self._serve_table_resource(
+        if "table" in params:
+            return await self._serve_table_resource(
                 request, route.name, params["table"]
             )
-        else:
-            handler = getattr(self, f"_serve_{route.name}")
-            response = await handler(request, **params)
-        return route.label(params), response
+        handler = getattr(self, f"_serve_{route.name}")
+        return await handler(request, **params)
 
     async def _serve_tables(self, request: HttpRequest) -> HttpResponse:
         return await self._run_command(request, "catalog", {})
@@ -551,12 +556,8 @@ class BlaeuService:
         """
         if columns is None:
             try:
-                resolved = (
-                    themes[theme]
-                    if isinstance(theme, int)
-                    else themes.theme(theme)
-                )
-            except (KeyError, IndexError):
+                resolved = themes.theme(theme)
+            except KeyError:
                 return error_response(
                     404, "not_found", f"no theme {theme!r} on table {table!r}"
                 )

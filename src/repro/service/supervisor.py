@@ -231,7 +231,7 @@ class Supervisor:
         self._started_at: float | None = None
         self._retry_budget = RetryBudget(ratio=RETRY_RATIO, burst=10.0)
         # Seeded jitter: retry timing is reproducible run over run (the
-        # chaos bench depends on it), while still decorrelating retries
+        # chaos tests depend on it), while still decorrelating retries
         # within a run.
         self._retry_rng = random.Random(0xB1AE)
         self._retries = 0

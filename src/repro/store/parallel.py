@@ -9,9 +9,9 @@ What a serial scan spends, measured on a 1M-row / 16-partition store
 (three-column conjunctive ``scan_mask``, 5-6 ms): 46 % in ``readinto``
 from the page cache, 26 % in the predicate's NumPy kernels, the rest in
 per-chunk Python.  Nothing is decoded or copied in between, and the
-fresh pool a fanned-out scan builds costs several times that (the
-``partition`` bench reads ``scan_jobs=4`` at 0.12x of serial on two
-cores) — the ROADMAP item on the parallel knobs owns that question.
+fresh pool a fanned-out scan builds costs several times that
+(``scan_jobs=4`` read 0.15x of serial on two cores, the reading ROADMAP
+item 2 records) — that item, on the parallel knobs, owns the question.
 
 **One open table and one reader per scan.**  The table workers
 (``scan_mask_task``, ``router_task``, ``highlight_task``, ``nmi_task``)

@@ -11,7 +11,7 @@ from repro.datasets.lofar import lofar
 from repro.datasets.oecd import LABOR_THEME, UNEMPLOYMENT_THEME, oecd_small
 from repro.server.session import SessionManager
 from repro.viz.export import export_map_json
-from repro.viz.render import render_map, render_theme_view
+from repro.viz.render import render_theme_view
 
 
 @pytest.fixture(scope="module")
@@ -69,25 +69,6 @@ class TestCountriesScenario:
         unemployment = themes.theme_of(UNEMPLOYMENT_THEME[0])
         assert set(UNEMPLOYMENT_THEME) <= set(unemployment.columns)
 
-    def test_figure1_navigation(self, engine):
-        explorer = engine.explore("countries_small")
-        data_map = explorer.open_columns(LABOR_THEME)
-        # Fig 1b: the first split separates long working hours around 20%.
-        root_split = data_map.root.children
-        assert root_split, "initial map must be subdivided"
-        split_columns = {
-            region.label.split(" ")[0] for region in data_map.regions()
-            if not region.is_leaf or region.depth > 0
-        }
-        text = render_map(data_map)
-        assert "% Employees Working Long Hours" in text or "Average Income" in text
-        # Zoom into the largest region and project onto unemployment.
-        biggest = max(data_map.leaves(), key=lambda r: r.n_rows)
-        explorer.zoom(biggest.region_id)
-        projected = explorer.project_columns(UNEMPLOYMENT_THEME)
-        assert projected.columns == UNEMPLOYMENT_THEME
-        assert "Unemployment" in render_map(projected)
-
     def test_theme_view_renders(self, engine):
         themes = engine.themes("countries_small")
         text = render_theme_view(themes)
@@ -132,6 +113,7 @@ class TestProtocolRoundTrip:
             command="open", session="it", table="hollywood", theme=0
         )
         assert opened["ok"]
+        assert opened["map"]["n_rows"] == 900
         children = opened["map"]["root"]["children"]
         target = max(children, key=lambda c: c["value"])
         zoomed = send(command="zoom", session="it", region=target["id"])

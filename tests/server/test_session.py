@@ -127,6 +127,26 @@ class TestErrorHandling:
         response = send(manager, command="zoom", session="s1", region="r99")
         assert not response["ok"]
 
+    @pytest.mark.parametrize("command", ["open", "project"])
+    @pytest.mark.parametrize("index", [99, -5, -1])
+    def test_theme_index_out_of_range_is_error_response(
+        self, manager, command, index
+    ):
+        # An index is refused the way an unknown name is — no
+        # IndexError escapes, and -1 is not "the last theme".
+        themes = send(manager, command="themes", table="mixed_blobs")
+        n_themes = len(themes["themes"]["themes"])
+        if command == "project":
+            open_session(manager, "s2")
+        response = send(
+            manager, command=command, session="s2", table="mixed_blobs", theme=index
+        )
+        assert response == {
+            "ok": False,
+            "command": command,
+            "error": f"'no theme {index}; the table has {n_themes}'",
+        }
+
     def test_malformed_json_is_error_response(self, manager):
         response = json.loads(manager.handle_json("{broken"))
         assert not response["ok"]

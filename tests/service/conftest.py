@@ -1,11 +1,21 @@
-"""Fixtures for the serving-layer tests: a real service on a real port."""
+"""Fixtures for the serving-layer tests: a real service on a real port —
+in-process on a thread, or ``python -m repro serve`` as a child process.
+"""
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import http.client
 import json
+import os
+import re
+import subprocess
+import sys
 import threading
+import time
+import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -136,3 +146,99 @@ def approx_service(tmp_path_factory):
     ).start()
     yield running
     running.stop()
+
+
+# ----------------------------------------------------------------------
+# ``python -m repro serve`` as a child process
+# ----------------------------------------------------------------------
+
+POINTS_CSV = """name,x,y,group
+a,1.0,2.0,red
+b,1.1,2.1,red
+c,1.2,1.9,red
+d,8.0,9.0,blue
+e,8.1,9.2,blue
+f,7.9,8.8,blue
+g,1.05,2.05,red
+h,8.05,9.05,blue
+i,1.15,1.95,red
+j,7.95,9.1,blue
+k,1.08,2.02,red
+l,8.02,8.95,blue
+"""
+
+
+@pytest.fixture(scope="session")
+def csv_path(tmp_path_factory):
+    """The ``points`` table (12 rows, two obvious clusters); read-only."""
+    path = tmp_path_factory.mktemp("data") / "points.csv"
+    path.write_text(POINTS_CSV)
+    return path
+
+
+#: A child's environment: the source tree importable and every inherited
+#: ``BLAEU_*`` stripped — a stray one changes what boots.
+SERVE_ENV = {
+    **{k: v for k, v in os.environ.items() if not k.startswith("BLAEU_")},
+    "PYTHONPATH": str(Path(__file__).resolve().parents[2] / "src"),
+}
+
+
+def _fetch(url, timeout=10):
+    with urllib.request.urlopen(url, timeout=timeout) as response:
+        return json.loads(response.read())
+
+
+@contextlib.contextmanager
+def _serving(argv, env=SERVE_ENV, boot_timeout=30):
+    process = subprocess.Popen(
+        [sys.executable, "-u", "-m", "repro", "serve", "--port", "0", *argv],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+    )
+    try:
+        assert process.stdout is not None
+        line = process.stdout.readline()
+        match = re.search(r"http://127\.0\.0\.1:(\d+)", line)
+        assert match, f"unexpected banner: {line!r}"
+        base = f"http://127.0.0.1:{match.group(1)}"
+        deadline = time.monotonic() + boot_timeout
+        while True:
+            try:
+                if _fetch(f"{base}/healthz")["ok"]:
+                    break
+            except OSError:  # not listening yet, or a 503 while workers boot
+                pass
+            assert time.monotonic() < deadline, "never became healthy"
+            time.sleep(0.1)
+        yield base, line
+    finally:
+        process.terminate()
+        try:
+            process.wait(timeout=15)
+        except subprocess.TimeoutExpired:  # pragma: no cover
+            process.kill()
+            process.wait(timeout=15)
+
+
+@pytest.fixture(scope="session")
+def serve_env():
+    """:data:`SERVE_ENV`, for tests that add a variable or run a child
+    themselves."""
+    return SERVE_ENV
+
+
+@pytest.fixture(scope="session")
+def fetch():
+    """``fetch(url or Request, timeout=10)`` → the decoded JSON answer."""
+    return _fetch
+
+
+@pytest.fixture(scope="session")
+def serving():
+    """``serving(argv, env=SERVE_ENV, boot_timeout=30)``: a context manager
+    around ``python -m repro serve --port 0 <argv>`` that yields, once
+    ``/healthz`` answers ok, its base URL and banner line."""
+    return _serving

@@ -6,7 +6,7 @@ import http.client
 import json
 import socket
 import threading
-
+import time
 
 
 class TestHealthAndMetrics:
@@ -263,9 +263,20 @@ class TestConcurrency:
         ]
         for thread in threads:
             thread.start()
+        probes: list[tuple[int, float]] = []
+        while any(thread.is_alive() for thread in threads):
+            started = time.perf_counter()
+            status, _ = service.get("/healthz")
+            probes.append((status, time.perf_counter() - started))
+            time.sleep(0.01)
         for thread in threads:
             thread.join(timeout=60)
         assert not errors
+        # No event-loop stall: the pool took the work, so a liveness probe
+        # sent while the clients were busy was answered at once (a bound
+        # on responsiveness, not a performance number).
+        assert probes
+        assert all(status == 200 and seconds < 1.0 for status, seconds in probes)
         # All sessions were closed again.
         status, payload = service.get_json("/healthz")
         assert status == 200

@@ -147,19 +147,25 @@ class TestWorkerAnswersEveryRow:
         assert counted == 1
 
     @pytest.mark.parametrize(
-        ("method", "path", "label"),
+        ("method", "path", "status", "label"),
         [
-            ("GET", "/nowhere", "/<unknown>"),
-            ("GET", "/v1/tables/mixed_blobs/nope", "/v1/tables/<unknown>"),
-            ("GET", "/v1/tables/mixed_blobs", "/v1/tables/<unknown>"),
-            ("POST", "/v1/commands/nope", "/v1/commands/<unknown>"),
+            ("GET", "/nowhere", 404, "/<unknown>"),
+            ("GET", "/v1/tables/mixed_blobs/nope", 404, "/v1/tables/<unknown>"),
+            ("GET", "/v1/tables/mixed_blobs", 404, "/v1/tables/<unknown>"),
+            ("POST", "/v1/commands/nope", 404, "/v1/commands/<unknown>"),
+            # A request its route refuses is counted with the route's
+            # other statuses, not once per spelling of the path.
+            ("GET", "/v1/tables/mixed_blobs/map?k=bad", 400, "/v1/tables/<table>/map"),
+            ("GET", "/v1/tables/mixed_blobs/map/?k=bad", 400, "/v1/tables/<table>/map"),
         ],
     )
-    def test_unknown_labels_stay_bounded(self, service, method, path, label):
-        status, _, counted = recorded_under(service, label, method, path)
-        assert (status, counted) == (404, 1)
-        if not path.startswith("/v1/commands/"):
+    def test_unknown_labels_stay_bounded(self, service, method, path, status, label):
+        answered, _, counted = recorded_under(service, label, method, path)
+        assert (answered, counted) == (status, 1)
+        if status == 404 and not path.startswith("/v1/commands/"):
             assert unknown_label(path) == label
+        _, exposition = exchange(service, "GET", "/metrics")
+        assert not re.search(r'route="[^"]*mixed_blobs', exposition)
 
     @pytest.mark.parametrize(
         ("method", "path"),
@@ -180,6 +186,21 @@ class TestWorkerAnswersEveryRow:
             "error": f"no route {path.split('?')[0]!r}",
         }
         assert counted == 1
+
+
+def theme_index_refused(command, index):
+    """A theme *index* the table lacks is refused like an unknown theme
+    *name* — the commit before answered 99 and -5 with a 500 and -1 with
+    the last theme."""
+    body = json.dumps({"session": "idx", "table": "mixed_blobs", "theme": index})
+    return (
+        ("POST", f"/v1/commands/{command}", body.encode(), {}),
+        (
+            404,
+            f'{{"code": "not_found", "command": "{command}", "error": '
+            f'"\'no theme {index}; the table has 3\'", "ok": false}}',
+        ),
+    )
 
 
 #: (method, target, body, headers) → (status, body bytes), as the commit
@@ -297,6 +318,7 @@ PARENT_ERRORS = [
             "arguments: ['session', 'table', 'theme']\", \"ok\": false}",
         ),
     ),
+    *(theme_index_refused("open", index) for index in (99, -5, -1)),
     (
         ("POST", "/v1/commands/open", b'["list"]', {}),
         (
@@ -347,6 +369,16 @@ class TestOneErrorShape:
         if target.startswith("/v1/commands/") and "command" in json.loads(text):
             allowed.add("command")
         assert set(json.loads(text)) == allowed
+
+    @pytest.mark.parametrize("index", [99, -5, -1])
+    def test_project_refuses_a_theme_index_like_open(self, service, index):
+        opened = {"session": "idx", "table": "mixed_blobs", "theme": 0}
+        assert service.post("/v1/commands/open", opened)[0] == 200
+        try:
+            request_, expected = theme_index_refused("project", index)
+            assert exchange(service, *request_) == expected
+        finally:
+            service.post("/v1/commands/close", {"session": "idx"})
 
 
 @pytest.fixture(scope="module")
