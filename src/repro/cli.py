@@ -358,12 +358,19 @@ def build_engine(argv: list[str]) -> Blaeu:
 
             engine.register(lofar(n_rows=50_000))
         return engine
-    if not argv:
-        raise SystemExit(
-            "usage: python -m repro <data.csv|store-dir> [more …] "
-            f"| --demo {{{'|'.join(_DEMOS)}}}"
-        )
     from pathlib import Path
+
+    usage = (
+        "usage: python -m repro <data.csv|store-dir> [more …] "
+        f"| --demo {{{'|'.join(_DEMOS)}}}"
+    )
+    if not argv:
+        raise SystemExit(usage)
+    missing = next((path for path in argv if not Path(path).exists()), None)
+    if missing is not None:
+        # Not a subcommand, not --demo, not data: a typo, not a traceback.
+        print(f"{usage} (no such file: {missing!r})", file=sys.stderr)
+        raise SystemExit(2)
 
     from repro.store import MANIFEST_NAME
 

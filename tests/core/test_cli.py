@@ -126,6 +126,16 @@ class TestBuildEngine:
         with pytest.raises(SystemExit):
             build_engine(["--demo", "nope"])
 
+    def test_unknown_word_is_usage_error(self, capsys):
+        """``python -m repro frobnicate`` used to end in pathlib's
+        ``FileNotFoundError`` traceback."""
+        with pytest.raises(SystemExit) as caught:
+            build_engine(["frobnicate"])
+        assert caught.value.code == 2
+        error = capsys.readouterr().err
+        assert error.startswith("usage:") and "frobnicate" in error
+        assert len(error.splitlines()) == 1
+
 
 class TestGotoStates:
     def test_goto_out_of_range(self, shell):
