@@ -93,7 +93,6 @@ def clara(
         full = pam(
             pairwise_distances(points, metric, dtype=dtype),
             k,
-            rng=rng,
             validate=False,
         )
         return full
@@ -107,7 +106,6 @@ def clara(
             sample_result = pam(
                 pairwise_distances(sample, metric, dtype=dtype),
                 k,
-                rng=draw_rng,
                 validate=False,
             )
             medoid_rows = sample_indices[sample_result.medoids]

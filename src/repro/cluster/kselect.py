@@ -62,7 +62,6 @@ class KSelection:
 def select_k(
     distances: np.ndarray,
     k_values: Sequence[int] = (2, 3, 4, 5, 6),
-    rng: np.random.Generator | None = None,
 ) -> KSelection:
     """Pick k by exact silhouette over a precomputed distance matrix.
 
@@ -77,7 +76,7 @@ def select_k(
     usable = [k for k in k_values if 2 <= k <= max(n - 1, 1)]
     if not usable:
         # Too few points to split: a single cluster is the only option.
-        clustering = pam(distances, 1, rng=rng, validate=False)
+        clustering = pam(distances, 1, validate=False)
         only = KCandidate(k=1, clustering=clustering, silhouette=0.0)
         return KSelection(candidates=(only,), best=only)
 
@@ -85,7 +84,7 @@ def select_k(
     candidates: list[KCandidate] = []
     for k in usable:
         with tracer.span("kselect.candidate") as span:
-            clustering = pam(distances, k, rng=rng, validate=False)
+            clustering = pam(distances, k, validate=False)
             score = mean_silhouette(
                 distances, clustering.labels, validate=False
             )

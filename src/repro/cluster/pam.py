@@ -70,10 +70,11 @@ def pam(
     distances: np.ndarray,
     k: int,
     max_iter: int = 200,
-    rng: np.random.Generator | None = None,
     validate: bool = True,
 ) -> Clustering:
     """Cluster the points of a dissimilarity matrix around ``k`` medoids.
+
+    Deterministic given the matrix: PAM draws no randomness.
 
     Parameters
     ----------
@@ -85,9 +86,6 @@ def pam(
         Safety cap on SWAP exchanges (the algorithm normally converges in
         far fewer; each exchange strictly decreases the cost, so it cannot
         cycle).
-    rng:
-        Only used to break exact ties deterministically; PAM itself is
-        deterministic given the matrix.
     validate:
         Check the matrix (symmetry, zero diagonal, non-negativity) before
         clustering.  Hot paths that build the matrix with

@@ -111,7 +111,7 @@ def cluster_features(
 
     def cluster_fn(points: np.ndarray, k: int) -> Clustering:
         if distances is not None:
-            return pam(distances, k, rng=rng, validate=False)
+            return pam(distances, k, validate=False)
         return clara(
             points,
             k,

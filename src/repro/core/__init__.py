@@ -8,9 +8,13 @@ from repro.core.config import BlaeuConfig, ExplorationConfig
 from repro.core.datamap import DataMap, Region
 from repro.core.engine import Blaeu
 from repro.core.insights import InsightReport, region_insights
-from repro.core.mapping import build_map
 from repro.core.navigation import ExplorationState, Explorer, Highlight
-from repro.core.pipeline import MapBuilder, MapBuildError, MapPipeline
+from repro.core.pipeline import (
+    MapBuilder,
+    MapBuildError,
+    MapPipeline,
+    build_map,
+)
 from repro.core.preprocess import FeatureSpace, preprocess
 from repro.core.queries import QuantizedQuery, quantized_queries, state_to_sql
 from repro.core.themes import Theme, ThemeSet, extract_themes

@@ -36,8 +36,8 @@ class BlaeuConfig:
         across settings.
     graph_bin_sample_size:
         Rows in the deterministic sample the graph stage derives its
-        numeric bin cuts from.  The sample is seeded independently of
-        the session RNG, so cuts — and therefore cached column codes —
+        numeric bin cuts from.  The sample is seeded by ``seed``
+        alone, so cuts — and therefore cached column codes —
         are identical across processes and across store/memory
         residencies of the same table.
     clara_threshold:
@@ -92,13 +92,6 @@ class BlaeuConfig:
     prune_min_fidelity:
         Pruning never drops the tree's agreement with the clustering
         below this fraction.
-    pipeline_reuse:
-        Whether the staged map pipeline memoizes per-stage artifacts
-        (sample, feature space, distance matrix, clustering,
-        description) in the shared result cache, so navigation actions
-        re-enter mid-pipeline instead of recomputing from scratch.
-        ``False`` keeps only the finished-map cache.  Results are
-        identical either way.
     count_mode:
         ``"exact"`` (default) blocks each map build on the exact
         region-count routing pass over the full selection;
@@ -106,7 +99,9 @@ class BlaeuConfig:
         counts (± error bounds) and leaves the exact pass to
         :meth:`Explorer.refine` / the service's background refinement.
     seed:
-        Root seed for all engine randomness.
+        Root seed for all engine randomness: it is part of
+        :meth:`digest`, and every build seeds itself from its content
+        key (:func:`repro.table.sampling.seed_for`), digest included.
     """
 
     map_sample_size: int = 2000
@@ -130,7 +125,6 @@ class BlaeuConfig:
     highlight_preview_rows: int = 12
     prune_leaf_factor: int = 2
     prune_min_fidelity: float = 0.9
-    pipeline_reuse: bool = True
     count_mode: str = "exact"
     seed: int = 42
 
@@ -170,7 +164,7 @@ class BlaeuConfig:
     #: which result — excluded from :meth:`digest` so configs differing
     #: only here share cache entries and key-derived randomness (the
     #: "results are identical either way" contracts depend on this).
-    _RESULT_NEUTRAL_KNOBS = ("pipeline_reuse", "count_mode")
+    _RESULT_NEUTRAL_KNOBS = ("count_mode",)
 
     #: Parallelism widths: results are bit-identical at any value, so
     #: :meth:`digest` hashes them as ``None``.  They stay *in* the
@@ -186,10 +180,10 @@ class BlaeuConfig:
         cache-key component (and, via the key-seeded RNG chain, as the
         randomness root) so results computed under one configuration
         are never served — or perturbed — by another.  The
-        result-neutral knobs ``pipeline_reuse`` and ``count_mode`` are
-        excluded: stage memoization and two-phase counting never change
-        the final exact map, so sessions differing only there share
-        cache entries and refinements.  So are the ``*_jobs`` widths:
+        result-neutral knob ``count_mode`` is excluded: two-phase
+        counting never changes the final exact map, so sessions
+        differing only there share cache entries and refinements.  So
+        are the ``*_jobs`` widths:
         a cached engine at ``clara_jobs=2`` draws the same key-derived
         seeds, and shares artifacts with, one at ``clara_jobs=None``.
         """

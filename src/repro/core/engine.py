@@ -20,8 +20,6 @@ import threading
 from functools import partial
 from pathlib import Path
 
-import numpy as np
-
 from repro.core.config import BlaeuConfig
 from repro.core.datamap import DataMap
 from repro.core.navigation import Explorer
@@ -135,8 +133,8 @@ class Blaeu:
         Resolved once per table *content* and configuration: from this
         engine's memo, else from the installed result cache (where
         another session, another worker or an earlier boot left them),
-        else extracted — by one caller, while concurrent ones wait —
-        with randomness rooted at ``config.seed``.
+        else extracted — by one caller, while concurrent ones wait.
+        The themes are the same whichever of the three answers.
         """
         return self._resolve_themes(self._database.table(table_name))
 
@@ -159,7 +157,6 @@ class Blaeu:
                 themes = extract_themes(
                     table,
                     config=self._config,
-                    rng=np.random.default_rng(self._config.seed),
                     builder=self._graph_builder,
                 )
                 if cache is not None:
@@ -177,12 +174,10 @@ class Blaeu:
     ) -> DataMap:
         """A one-shot data map over explicit columns (no session)."""
         table = self._database.table(table_name)
-        rng = np.random.default_rng(self._config.seed)
         return self._map_builder.build(
             table,
             tuple(columns),
             config=self._config,
-            rng=rng,
             k=k,
             count_mode=count_mode,
         )

@@ -83,6 +83,11 @@ def _numeric_summary(column: NumericColumn) -> dict[str, float]:
 class Explorer:
     """Interactive navigation over one table.
 
+    A state's map is a function of the table, the config and the state's
+    *(selection, columns)* alone (builds are seeded from that content
+    key), so an action path names the same map in every session and a
+    zoom repeated after a rollback returns the map it returned before.
+
     Parameters
     ----------
     table:
@@ -93,14 +98,12 @@ class Explorer:
         The table's themes, or a callable that resolves them on first
         access (the engine passes :meth:`Blaeu.themes`, so every session
         over a table shares one theme set).  Omitted, they are extracted
-        on first access with randomness rooted at ``config.seed`` —
-        never drawn from the session's generator, so the maps of a
-        session do not depend on when its themes were first looked at.
+        on first access.
     map_cache:
         Optional shared result cache (``get(key)``/``put(key, value)``).
         When set, maps for (table content, config, action path) triples
         already built — by this session or any other sharing the cache —
-        are reused instead of re-clustered.
+        are reused instead of re-clustered; the maps are the same.
     graph_builder:
         Optional shared :class:`~repro.graph.dependency.GraphBuilder`.
         When the engine passes its builder, theme extraction across all
@@ -127,7 +130,6 @@ class Explorer:
     ) -> None:
         self._table = table
         self._config = config or BlaeuConfig()
-        self._rng = np.random.default_rng(self._config.seed)
         self._graph_builder = graph_builder or GraphBuilder()
         if themes is None:
             themes = partial(
@@ -201,24 +203,14 @@ class Explorer:
         (no re-discretization), and repeated visits to the same
         selection hit the graph memo when a result cache is installed.
 
-        Randomness derives from ``(config.seed, selection digest)``,
-        never from the session stream: inspecting a selection is
-        read-only, repeatable, and leaves every later map in the
-        session exactly as it would have been without the deep-dive.
+        Like every build its randomness is seeded from its content key
+        (here: the table, the config and the selected rows), so
+        inspecting a selection is read-only and repeatable.
         """
-        import hashlib
-
         indices = np.flatnonzero(predicate_mask(self._table, self.state.selection))
-        digest = hashlib.sha256(
-            np.ascontiguousarray(indices, dtype=np.int64).tobytes()
-        ).digest()
-        rng = np.random.default_rng(
-            (self._config.seed, int.from_bytes(digest[:8], "big"))
-        )
         return extract_themes(
             self._table,
             config=self._config,
-            rng=rng,
             builder=self._graph_builder,
             row_indices=indices,
         )
@@ -590,7 +582,6 @@ class Explorer:
             self._table,
             columns,
             config=self._config,
-            rng=self._rng,
             selection=selection,
         )
         self._stack.append(

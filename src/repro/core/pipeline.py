@@ -1,10 +1,10 @@
 """The staged map pipeline (paper §3, Figure 3) with per-stage reuse.
 
-:func:`repro.core.mapping.build_map` used to be one opaque function, so
-every navigation action — zoom, project, k-override, rollback-and-re-map
-— recomputed all of sampling, preprocessing, distance work, clustering,
-description and exact counting, and blocked on the exact-count routing
-pass over the full selection.  This module makes the pipeline explicit:
+Map building as one opaque function made every navigation action — zoom,
+project, k-override, rollback-and-re-map — recompute all of sampling,
+preprocessing, distance work, clustering, description and exact
+counting, and block on the exact-count routing pass over the full
+selection.  This module makes the pipeline explicit:
 
 ========== ============================================================
 stage       artifact
@@ -25,19 +25,15 @@ Cluster stage on the cached sample/space/distance matrix; re-mapping the
 same selection under another theme reuses the Sample artifact; repeating
 an action path anywhere returns the finished map.
 
-**RNG discipline.**  Cache-managed builds derive their randomness from
-the sample artifact's key (the same convention as
-:func:`~repro.core.pipeline.cache_key_seed` elsewhere), and every
-downstream stage resumes the post-sample generator state recorded in the
-artifact — never a live generator whose position depends on which
-earlier actions hit the cache.  Two consequences, both tested:
-
-* results are independent of cache warmth and of the stage the build
-  entered at, and
-* the staged build is **bit-identical** to the legacy single-pass
-  builder fed one sequential generator with the same starting state
-  (the stages consume randomness in exactly the order the single pass
-  did).
+**RNG discipline.**  Every build — cached or not, in the shell, the
+library or the server — seeds its Sample stage with
+:func:`~repro.table.sampling.seed_for` of the content key
+``("pipeline", table fingerprint, config digest, selection SQL)``, and
+every downstream stage resumes the post-sample generator state recorded
+in the sample artifact.  So a map depends on what was asked, never on
+cache warmth, the entry stage or what the session did before; and the
+staged build is **bit-identical** to the single-pass reference builder
+(``tests/core/test_pipeline.py``) started from the same seed.
 
 **Two-phase counting.**  With ``config.count_mode = "approximate"``,
 maps return immediately with sample-extrapolated region counts
@@ -52,7 +48,6 @@ blocking exact build.
 from __future__ import annotations
 
 import copy
-import hashlib
 import math
 import threading
 import time
@@ -75,7 +70,7 @@ from repro.obs.trace import get_tracer, note
 from repro.resilience.deadline import checkpoint
 from repro.resilience.faults import fault_point
 from repro.table.predicates import And, Comparison, Everything, Predicate
-from repro.table.sampling import uniform_sample
+from repro.table.sampling import seed_for, uniform_sample
 from repro.table.table import Table
 from repro.tree.cart import DecisionTree, TreeNode, fit_tree
 from repro.tree.prune import prune_for_legibility
@@ -85,7 +80,7 @@ __all__ = [
     "MapBuilder",
     "MapPipeline",
     "STAGES",
-    "cache_key_seed",
+    "build_map",
     "map_cache_key",
     "predicate_mask",
     "refine_exact",
@@ -107,18 +102,6 @@ class MapBuildError(ValueError):
     Subclasses :class:`ValueError`, so pre-existing ``except
     ValueError`` callers keep working.
     """
-
-
-def cache_key_seed(cache_key: object) -> int:
-    """A deterministic RNG seed derived from a cache key.
-
-    Cache-aware builds seed their randomness from keys instead of from a
-    session-local RNG stream: otherwise the RNG state a build sees would
-    depend on which earlier actions hit the cache, and the same action
-    path could yield different maps depending on cache warmth.
-    """
-    digest = hashlib.sha256(repr(cache_key).encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
 
 
 def map_cache_key(
@@ -238,11 +221,8 @@ class MapPipeline:
         Force a cluster count instead of silhouette selection.
     cache:
         Stage-artifact memo (any ``get``/``put`` mapping; the service's
-        shared cache).  ``None`` disables stage reuse.
-    rng:
-        Session generator for cache-less sequential builds.  ``None``
-        (the cache-managed mode) seeds the chain from the sample
-        artifact's key instead.
+        shared cache).  ``None`` disables stage reuse; the map is the
+        same either way.
     recorder:
         Stage hit/miss/timing sink (the builder's).
     """
@@ -255,7 +235,6 @@ class MapPipeline:
         selection: Predicate | None = None,
         k: int | None = None,
         cache: object | None = None,
-        rng: np.random.Generator | None = None,
         recorder: _StageRecorder | None = None,
     ) -> None:
         if not columns:
@@ -267,7 +246,6 @@ class MapPipeline:
         self._selection_sql = _selection_sql(selection)
         self._k = k
         self._cache = cache
-        self._rng = rng
         self._recorder = recorder or _StageRecorder()
         self._local: dict[str, object] = {}
         self._base_key: tuple | None = None
@@ -277,11 +255,8 @@ class MapPipeline:
     # ------------------------------------------------------------------
 
     def _key_base(self) -> tuple:
-        """The content prefix of every stage key, computed on demand.
-
-        Lazy because cache-less sequential builds never consult keys —
-        hashing the table's bytes per navigation would be pure waste.
-        """
+        """The content prefix of every stage key and of the build's seed
+        (hashed once per build; the fingerprint is memoized per table)."""
         if self._base_key is None:
             self._base_key = (
                 self._table.fingerprint(),
@@ -350,18 +325,10 @@ class MapPipeline:
 
     def _chain_rng(self) -> np.random.Generator:
         """The generator the Sample stage starts from."""
-        if self._rng is not None:
-            return self._rng
-        return np.random.default_rng(
-            cache_key_seed(("pipeline", *self._key_base()))
-        )
+        return np.random.default_rng(seed_for("pipeline", *self._key_base()))
 
     def _resume_rng(self, state: dict) -> np.random.Generator:
         """A generator resumed at a recorded post-stage state."""
-        if self._rng is not None:
-            # Cache-less sequential mode: the session generator already
-            # sits at this state (the Sample stage just advanced it).
-            return self._rng
         generator = np.random.default_rng(0)
         generator.bit_generator.state = copy.deepcopy(state)
         return generator
@@ -569,15 +536,11 @@ class MapBuilder:
 
     One builder is shared per engine.  An optional ``result_cache``
     (any ``get(key)``/``put(key, value)`` mapping — the service installs
-    its shared map cache) memoizes finished maps *and*, when
-    ``config.pipeline_reuse`` is on, every intermediate stage artifact,
-    so navigation actions re-enter the pipeline mid-way instead of
-    rebuilding from the table.
-
-    With a result cache installed the build RNG derives from the cache
-    key chain (see the module docstring); without one the caller's
-    generator is threaded through the stages sequentially, preserving
-    the original session behaviour bit for bit.
+    its shared map cache) memoizes finished maps *and* every
+    intermediate stage artifact, so navigation actions re-enter the
+    pipeline mid-way instead of rebuilding from the table.  The cache
+    changes what a build costs, never what it returns (see the module
+    docstring's RNG discipline).
     """
 
     def __init__(
@@ -641,7 +604,6 @@ class MapBuilder:
         config: BlaeuConfig | None = None,
         selection: Predicate | None = None,
         k: int | None = None,
-        rng: np.random.Generator | None = None,
         count_mode: str | None = None,
     ) -> DataMap:
         """Build (or recall) the map of ``selection`` over ``columns``.
@@ -682,9 +644,6 @@ class MapBuilder:
                 with self._lock:
                     self._map_misses += 1
                 self._count("blaeu_pipeline_map_misses_total")
-                rng = None  # cache-managed builds are key-seeded
-            elif rng is None:
-                rng = np.random.default_rng(config.seed)
             note("map_cache", "miss")
             if span.enabled:
                 span.set("cache_hit", False)
@@ -697,8 +656,7 @@ class MapBuilder:
                 config,
                 selection=selection,
                 k=k,
-                cache=cache if config.pipeline_reuse else None,
-                rng=rng,
+                cache=cache,
                 recorder=recorder,
             )
             data_map = pipeline.build(mode)
@@ -779,14 +737,13 @@ class MapBuilder:
             # No refinement context (e.g. a foreign cache entry): rerun
             # the pipeline exactly; cached stage artifacts keep it cheap.
             recorder = _StageRecorder()
-            cache = self._result_cache
             exact = MapPipeline(
                 table,
                 columns,
                 config,
                 selection=selection,
                 k=k,
-                cache=cache if config.pipeline_reuse else None,
+                cache=self._result_cache,
                 recorder=recorder,
             ).build("exact")
             self._absorb(recorder, time.perf_counter() - started)
@@ -830,6 +787,25 @@ class MapBuilder:
     def _count(self, name: str, by: int = 1) -> None:
         if by:
             self._registry().increment(name, by)
+
+
+def build_map(
+    selection: Table,
+    columns: tuple[str, ...],
+    config: BlaeuConfig | None = None,
+    k: int | None = None,
+    count_mode: str | None = None,
+) -> DataMap:
+    """The data map of ``selection`` (a table of already-selected tuples)
+    over ``columns``, in one shot.
+
+    ``k`` forces a cluster count instead of silhouette selection;
+    ``count_mode`` overrides ``config.count_mode``.  Long-lived callers
+    hold a :class:`MapBuilder`, which adds the result cache and the
+    counters; the map is the same.
+    """
+    pipeline = MapPipeline(selection, tuple(columns), config or BlaeuConfig(), k=k)
+    return pipeline.build(count_mode)
 
 
 # ----------------------------------------------------------------------

@@ -170,7 +170,6 @@ class ThemeSet:
 def extract_themes(
     table: Table,
     config: BlaeuConfig | None = None,
-    rng: np.random.Generator | None = None,
     columns: tuple[str, ...] | None = None,
     builder: GraphBuilder | None = None,
     row_indices: np.ndarray | None = None,
@@ -178,13 +177,14 @@ def extract_themes(
     """Detect the themes of a table.
 
     Keys are excluded (they depend on nothing), the dependency graph is
-    estimated from a row sample, and PAM partitions it with k chosen by
-    the silhouette over ``config.theme_k_values``.  Key detection is a
-    :class:`~repro.table.schema.KeyScan` over the candidate columns: on
-    a table of continuous measurements and small dictionaries it reads
-    one chunk per numeric column, so no step here is a pass over the
-    table.  The chunks it read are set as ``key_scan_chunks`` on the
-    caller's span.
+    estimated from a row sample seeded by the graph's content key (see
+    :class:`GraphBuilder`), and PAM — which draws nothing — partitions
+    it with k chosen by the silhouette over ``config.theme_k_values``.
+    Key detection is a :class:`~repro.table.schema.KeyScan` over the
+    candidate columns: on a table of continuous measurements and small
+    dictionaries it reads one chunk per numeric column, so no step here
+    is a pass over the table.  The chunks it read are set as
+    ``key_scan_chunks`` on the caller's span.
 
     ``builder`` is the engine's shared :class:`GraphBuilder` (one is
     created ad hoc when omitted): it reuses cached column codes across
@@ -197,7 +197,6 @@ def extract_themes(
     whole-table builds stream chunked scans.
     """
     config = config or BlaeuConfig()
-    rng = rng or np.random.default_rng(config.seed)
     builder = builder or GraphBuilder()
 
     candidates = list(columns) if columns is not None else list(table.column_names)
@@ -227,7 +226,6 @@ def extract_themes(
         columns=kept,
         measure="nmi",
         sample=config.dependency_sample_size,
-        rng=rng,
         seed=config.seed,
         row_indices=row_indices,
         n_jobs=config.graph_jobs,
@@ -236,7 +234,7 @@ def extract_themes(
     k_values = config.theme_k_values
     if k_values is None:
         k_values = default_theme_k_grid(len(kept))
-    groups, selection = pam_partition(graph, k_values=k_values, rng=rng)
+    groups, selection = pam_partition(graph, k_values=k_values)
 
     themes = tuple(
         Theme(

@@ -5,8 +5,8 @@ zoom, theme edit, or selection re-examination needs the active columns
 as integer codes.  This module makes that cost *once per table*:
 
 * numeric **bin cuts** are derived from a deterministic row sample of
-  the base table (seeded independently of the session RNG, so the same
-  table yields the same cuts in every process and on every residency);
+  the base table (seeded by the row count and the root seed alone, so
+  the same table yields the same cuts in every process and on every residency);
 * a :class:`CodeCache` keyed by ``(table fingerprint, column, binning
   signature)`` keeps the derived artifact — the full code vector for
   in-memory tables, just the cuts for store-backed ones — so navigating
@@ -55,7 +55,7 @@ __all__ = [
 #: vectors, bounding a cache entry at the size of the cuts array.
 _MAX_CACHED_CODE_ROWS = 1 << 18
 
-#: Seed-stream tag separating the bin-cut sample from session randomness.
+#: Seed-stream tag separating the bin-cut sample from every build's draws.
 _CUT_SAMPLE_TAG = 0x9E3779B9
 
 
@@ -270,7 +270,7 @@ def resolve_entries(
 def is_store_backed(table) -> bool:
     """Whether a table executes as chunked scans (the store residency).
 
-    The same duck-typed probe :mod:`repro.core.mapping` uses; the one
+    The same duck-typed probe :mod:`repro.core.pipeline` uses; the one
     shared definition keeps the gather and streaming paths agreeing on
     residency.
     """
@@ -280,8 +280,8 @@ def is_store_backed(table) -> bool:
 def _cut_sample_rows(n_rows: int, bin_sample_size: int, seed: int) -> np.ndarray:
     """The deterministic row sample the numeric bin cuts derive from.
 
-    Seeded by ``(tag, seed)`` only — independent of residency and of any
-    session RNG stream — so the same table always produces the same
+    Seeded by ``(tag, seed)`` only — independent of residency and of the
+    build that asks — so the same table always produces the same
     cuts, which is what lets cached codes be shared across processes and
     lets store/memory twins agree bit for bit.
     """

@@ -48,7 +48,7 @@ from repro.resilience.deadline import checkpoint
 from repro.stats.batched import StreamingPairwiseNMI, pairwise_nmi_matrix
 from repro.stats.correlation import pairwise_correlation_matrix
 from repro.table.column import NumericColumn
-from repro.table.sampling import uniform_sample
+from repro.table.sampling import seed_for, uniform_sample
 from repro.table.table import Table
 
 __all__ = [
@@ -61,9 +61,9 @@ __all__ = [
 
 Measure = Literal["nmi", "pearson", "spearman"]
 
-#: Fallback seed when a caller provides neither ``rng`` nor ``seed`` —
-#: the same root every other stage defaults to (``BlaeuConfig.seed``),
-#: so repeated builds (and the cache keys derived from them) agree.
+#: Fallback ``seed`` — the same root every other stage defaults to
+#: (``BlaeuConfig.seed``), so repeated builds (and the keys derived from
+#: them) agree.
 DEFAULT_GRAPH_SEED = 42
 
 #: Default size of the deterministic row sample numeric bin cuts are
@@ -139,10 +139,10 @@ class GraphBuilder:
     mapping — the service installs its shared map cache) memoizes
     finished graphs across sessions.
 
-    When a result cache is installed, the build RNG is re-seeded from
-    the cache key (the same convention as
-    :func:`repro.core.mapping.build_map_cached`), so the graph an
-    action path produces never depends on cache warmth.
+    Every build draws its row sample from a generator seeded by
+    :func:`~repro.table.sampling.seed_for` of the graph's content key —
+    the map pipeline's convention — so the graph a request produces
+    depends on neither cache warmth nor whether a cache is installed.
     """
 
     def __init__(
@@ -205,7 +205,6 @@ class GraphBuilder:
         measure: Measure = "nmi",
         n_bins: int | None = None,
         sample: int | None = None,
-        rng: np.random.Generator | None = None,
         seed: int = DEFAULT_GRAPH_SEED,
         row_indices: np.ndarray | None = None,
         n_jobs: int | None = None,
@@ -228,19 +227,19 @@ class GraphBuilder:
 
         started = time.perf_counter()
         with get_tracer().span("graph.build") as span:
-            key = None
-            if self._result_cache is not None:
-                key = _graph_cache_key(
-                    table,
-                    names,
-                    measure,
-                    n_bins,
-                    sample,
-                    seed,
-                    bin_sample_size,
-                    row_indices,
-                )
-                hit = self._result_cache.get(key)
+            cache = self._result_cache
+            key = _graph_cache_key(
+                table,
+                names,
+                measure,
+                n_bins,
+                sample,
+                seed,
+                bin_sample_size,
+                row_indices,
+            )
+            if cache is not None:
+                hit = cache.get(key)
                 if hit is not None:
                     with self._lock:
                         self._result_hits += 1
@@ -251,9 +250,6 @@ class GraphBuilder:
                 with self._lock:
                     self._result_misses += 1
                 self._count("blaeu_graph_cache_misses_total")
-                rng = np.random.default_rng(_key_seed(key))
-            if rng is None:
-                rng = np.random.default_rng(seed)
 
             if span.enabled:
                 span.set("cache_hit", False)
@@ -266,14 +262,14 @@ class GraphBuilder:
                 measure,
                 n_bins,
                 sample,
-                rng,
+                key,
                 seed,
                 row_indices,
                 n_jobs,
                 bin_sample_size,
             )
-            if key is not None:
-                self._result_cache.put(key, graph)
+            if cache is not None:
+                cache.put(key, graph)
             seconds = time.perf_counter() - started
             with self._lock:
                 self._builds += 1
@@ -310,7 +306,7 @@ class GraphBuilder:
         measure: Measure,
         n_bins: int | None,
         sample: int | None,
-        rng: np.random.Generator,
+        key: tuple,
         seed: int,
         row_indices: np.ndarray | None,
         n_jobs: int | None,
@@ -322,6 +318,7 @@ class GraphBuilder:
         universe = base.shape[0] if base is not None else table.n_rows
         rows = base
         if sample is not None and sample < universe:
+            rng = np.random.default_rng(seed_for(*key))
             picked = uniform_sample(universe, sample, rng)
             rows = base[picked] if base is not None else picked
 
@@ -456,7 +453,6 @@ def build_dependency_graph(
     measure: Measure = "nmi",
     n_bins: int | None = None,
     sample: int | None = None,
-    rng: np.random.Generator | None = None,
     seed: int = DEFAULT_GRAPH_SEED,
     row_indices: np.ndarray | None = None,
     n_jobs: int | None = None,
@@ -485,14 +481,12 @@ def build_dependency_graph(
         Discretization override for the NMI estimator.
     sample:
         Estimate from a uniform sample of this many rows (the engine's
-        interaction-time path for large tables).
-    rng:
-        Randomness for the row sample.  When omitted, a generator seeded
-        by ``seed`` is used, so repeated builds agree — an unseeded
-        default here used to make sampled builds irreproducible.
+        interaction-time path for large tables).  The sample is drawn
+        from a generator seeded by the graph's content key (see
+        :class:`GraphBuilder`), so repeated builds agree.
     seed:
-        Root seed for the default ``rng`` and for the deterministic
-        bin-cut sample; defaults to the engine-wide root
+        Root seed: part of the content key, and the seed of the
+        deterministic bin-cut sample; defaults to the engine-wide root
         (:data:`DEFAULT_GRAPH_SEED`).
     row_indices:
         Restrict the build to these base-table rows (a navigation
@@ -513,7 +507,6 @@ def build_dependency_graph(
         measure=measure,
         n_bins=n_bins,
         sample=sample,
-        rng=rng,
         seed=seed,
         row_indices=row_indices,
         n_jobs=n_jobs,
@@ -524,10 +517,6 @@ def build_dependency_graph(
 # ----------------------------------------------------------------------
 # Module internals
 # ----------------------------------------------------------------------
-
-
-def is_store_backed(table) -> bool:
-    return getattr(table, "iter_chunks", None) is not None
 
 
 def _is_numeric_column(table, name: str) -> bool:
@@ -569,7 +558,8 @@ def _graph_cache_key(
     bin_sample_size: int,
     row_indices: np.ndarray | None,
 ) -> tuple:
-    """The canonical memo key of one graph build.
+    """The canonical key of one graph build: its memo key and, through
+    :func:`~repro.table.sampling.seed_for`, its seed.
 
     Content-addressed like the map cache: the table's fingerprint, a
     digest of the vertex set, every estimator knob, and (for
@@ -594,15 +584,3 @@ def _graph_cache_key(
         seed,
         rows_digest,
     )
-
-
-def _key_seed(key: tuple) -> int:
-    """A deterministic RNG seed derived from a cache key.
-
-    Same construction as :func:`repro.core.mapping.cache_key_seed`
-    (duplicated here because :mod:`repro.core` sits *above* this
-    package): cache-aware builds are seeded from their key, so results
-    never depend on cache warmth.
-    """
-    digest = hashlib.sha256(repr(key).encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")

@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import networkx as nx
-import numpy as np
 
 from repro.cluster.kselect import KSelection, select_k
 from repro.graph.dependency import DependencyGraph
@@ -25,7 +24,6 @@ __all__ = ["pam_partition", "threshold_components", "modularity_partition"]
 def pam_partition(
     graph: DependencyGraph,
     k_values: Sequence[int] = (2, 3, 4, 5, 6, 7, 8),
-    rng: np.random.Generator | None = None,
 ) -> tuple[list[list[str]], KSelection]:
     """The paper's theme partition: PAM on graph dissimilarity.
 
@@ -33,7 +31,7 @@ def pam_partition(
     full k-selection record (silhouette per candidate k).
     """
     dissimilarity = graph.dissimilarity()
-    selection = select_k(dissimilarity, k_values=k_values, rng=rng)
+    selection = select_k(dissimilarity, k_values=k_values)
     clustering = selection.clustering
     groups: list[list[str]] = []
     for cluster in range(clustering.k):

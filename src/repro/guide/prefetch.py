@@ -74,8 +74,8 @@ class PrefetchAction:
     The thunk runs on a pool thread and builds through the shared
     :class:`~repro.core.pipeline.MapBuilder`, so the artifact lands in
     the shared cache under exactly the key foreground navigation would
-    look up (cache-managed builds are key-seeded — the result is
-    bit-identical to the foreground build it pre-empts).
+    look up (every build is seeded from its content key — the result
+    is bit-identical to the foreground build it pre-empts).
     """
 
     label: str

@@ -23,7 +23,7 @@ scores them **only with signals the system already computes**:
 
 Every score is deterministic for a fixed (table content, config,
 exploration state): nothing here reads the cache, the clock or a
-session RNG, so the ranked list is identical across cache warmth and
+generator, so the ranked list is identical across cache warmth and
 worker counts — which is what makes it safe to *prefetch* the top
 suggestions (:mod:`repro.guide.prefetch`) without changing what the
 user would have been recommended.

@@ -85,14 +85,9 @@ def replay_session(path: str | Path, engine: Blaeu) -> Explorer:
     """Reconstruct an explorer by replaying a saved session.
 
     The engine must already hold the session's table; with the same
-    engine seed the replayed maps are identical to the saved run's.
-
-    Caveat: the replaying engine must match the saving engine's map
-    *caching* mode as well.  A cache-enabled engine seeds each build
-    from its cache key (so results are independent of cache warmth),
-    while a cache-free engine draws from the session RNG stream —
-    replaying a file across the two modes can produce maps whose
-    region ids differ from the recorded zoom targets.
+    engine config the replayed maps are identical to the saved run's,
+    whether or not either engine has a map cache (every build is seeded
+    from its content key).
     """
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if payload.get("format") != _FORMAT:

@@ -4,7 +4,7 @@ Blaeu's interactivity comes from not recomputing: once one user's zoom
 has paid for a CLARA/PAM run, every other session that navigates to the
 same (table content, configuration, action path) triple should get the
 finished map back in microseconds.  Keys are built by
-:func:`repro.core.mapping.map_cache_key` from the table's content
+:func:`repro.core.pipeline.map_cache_key` from the table's content
 fingerprint, the config digest and the canonical action path — never
 from session ids — which is what makes the cache safely *shared*.
 

@@ -82,7 +82,7 @@ def _key_hash(key: object) -> str:
 
     ``repr`` of the key tuples is deterministic for the str/int/None
     leaves the pipeline uses — the same convention
-    :func:`repro.core.pipeline.cache_key_seed` already relies on.
+    :func:`repro.table.sampling.seed_for` relies on.
     """
     return hashlib.sha256(repr(key).encode("utf-8")).hexdigest()
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.table.csv_io import read_csv
 from repro.table.predicates import Everything, Predicate
-from repro.table.sampling import SampleCascade
+from repro.table.sampling import SampleCascade, seed_for
 from repro.table.table import Table
 
 if TYPE_CHECKING:  # pragma: no cover - layering guard (store sits above)
@@ -80,14 +80,15 @@ class Database:
         Store-backed tables (anything exposing a ``cascade()`` factory)
         reuse their *persisted* sampling priorities, so their nested
         samples are identical in every process that opens the store;
-        in-memory tables draw a fresh priority permutation here.
+        in-memory tables draw a priority permutation here, seeded by
+        the catalog seed and the table name — the same in every process.
         """
         self._tables[table.name] = table  # type: ignore[assignment]
         cascade_factory = getattr(table, "cascade", None)
         if callable(cascade_factory):
             self._cascades[table.name] = cascade_factory()
         else:
-            rng = np.random.default_rng((self._seed, hash(table.name) & 0xFFFF))
+            rng = np.random.default_rng(seed_for("cascade", self._seed, table.name))
             self._cascades[table.name] = SampleCascade(table.n_rows, rng)
 
     def load_csv(self, path: str | Path, name: str | None = None) -> Table:

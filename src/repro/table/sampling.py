@@ -15,16 +15,33 @@ each zoom, Blaeu only takes a few thousand samples from the database."
 
 from __future__ import annotations
 
+import hashlib
 from typing import Iterable
 
 import numpy as np
 
 __all__ = [
+    "seed_for",
     "uniform_sample",
     "reservoir_sample",
     "stratified_sample",
     "SampleCascade",
 ]
+
+
+def seed_for(*key_parts: object) -> int:
+    """The RNG seed of the computation that ``key_parts`` name.
+
+    Every map, dependency graph and cascade draws from a generator
+    seeded by its *content key* (table fingerprint, config digest,
+    action path, stage inputs), never by a stream whose position depends
+    on what ran before: the same request yields the same result in the
+    shell, the library and the server, with or without a cache.  Parts
+    are hashed by ``repr``, so they must print identically in every
+    process (no object addresses).
+    """
+    digest = hashlib.sha256(repr(key_parts).encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big")
 
 
 def uniform_sample(

@@ -1,12 +1,15 @@
 """Tests for cache-aware map building across engine sessions."""
 
+import numpy as np
 import pytest
 
 from repro.core.config import BlaeuConfig
 from repro.core.engine import Blaeu
-from repro.core.mapping import map_cache_key
+from repro.core.pipeline import MapPipeline, build_map, map_cache_key
+from repro.datasets.oecd import oecd
 from repro.datasets.synthetic import mixed_blobs
 from repro.service.cache import LRUCache
+from repro.viz.export import export_map_json
 
 CONFIG = BlaeuConfig(map_k_values=(2, 3), seed=5)
 
@@ -29,11 +32,10 @@ class TestConfigDigest:
         assert base.digest() != BlaeuConfig(map_k_values=(2, 3)).digest()
 
     def test_result_neutral_knobs_share_the_digest(self):
-        """Stage memoization and two-phase counting never change the
-        final exact map, so these knobs must share cache entries (and
-        the key-derived RNG chain) with the defaults."""
+        """Two-phase counting never changes the final exact map, so the
+        knob must share cache entries (and the key-derived RNG chain)
+        with the default."""
         base = BlaeuConfig()
-        assert base.digest() == BlaeuConfig(pipeline_reuse=False).digest()
         assert base.digest() == BlaeuConfig(count_mode="approximate").digest()
 
     def test_the_default_digest_is_pinned(self):
@@ -47,9 +49,9 @@ class TestConfigDigest:
         assert BlaeuConfig(**{knob: jobs}).digest() == BlaeuConfig().digest()
 
     def test_a_cached_engine_maps_the_same_at_any_clara_width(self):
-        """Behind a result cache the seed of every draw derives from the
-        cache key, hence from the digest: a width that moved the digest
-        would move the map."""
+        """The seed of every draw derives from the content key, hence
+        from the digest: a width that moved the digest would move the
+        map."""
         table = mixed_blobs(n_rows=6_000, k=3, seed=7).table
         maps = []
         for jobs in (None, 2):
@@ -136,8 +138,6 @@ class TestSharedCacheAcrossSessions:
         builds.  The zoom maps must still be identical — the build RNG
         is derived from the cache key, not from session history.
         """
-        from repro.viz.export import export_map_json
-
         def zoom_map(engine, warm_first):
             if warm_first:
                 warmup = engine.explore("mixed_blobs")
@@ -178,3 +178,107 @@ class TestSharedCacheAcrossSessions:
         assert blaeu.map_cache is cache
         blaeu.set_map_cache(None)
         assert blaeu.map_cache is None
+
+
+# ----------------------------------------------------------------------
+# One randomness regime: a request names its result on every entry point
+# ----------------------------------------------------------------------
+
+
+def _largest_leaf(data_map):
+    return max(data_map.leaves(), key=lambda region: region.n_rows).region_id
+
+
+def _open_and_zoom(explorer):
+    """*Open theme 0 → zoom the largest leaf*: both maps, as export JSON."""
+    opened = explorer.open_theme(0)
+    zoomed = explorer.zoom(_largest_leaf(opened))
+    return export_map_json(opened), export_map_json(zoomed)
+
+
+#: Budgets below the small table's size, so every stage has to draw.
+SMALL_CONFIG = BlaeuConfig(
+    map_k_values=(2, 3),
+    map_sample_size=250,
+    clara_threshold=100,
+    dependency_sample_size=200,
+    seed=5,
+)
+
+
+@pytest.fixture(
+    scope="module",
+    params=[
+        pytest.param(
+            (lambda: mixed_blobs(n_rows=900, k=3, seed=61).table, SMALL_CONFIG),
+            id="mixed_blobs",
+        ),
+        pytest.param((oecd, BlaeuConfig()), id="oecd"),
+    ],
+)
+def regimes(request):
+    """One table behind a cache-less engine (the shell's) and a cached
+    one (the server's)."""
+    make_table, config = request.param
+    table = make_table()
+    shell = Blaeu(config)
+    served = Blaeu(config, map_cache=LRUCache(max_size=256))
+    shell.register(table)
+    served.register(table)
+    return table, config, shell, served
+
+
+class TestOneRandomnessRegime:
+    def test_an_action_path_names_its_map(self, regimes):
+        table, config, shell, served = regimes
+        name = table.name
+        reference = _open_and_zoom(shell.explore(name))
+        assert _open_and_zoom(served.explore(name)) == reference  # cold
+        assert _open_and_zoom(served.explore(name)) == reference  # warm
+
+        detour = shell.explore(name)
+        detour.open_columns(table.column_names[:2])
+        assert _open_and_zoom(detour) == reference
+
+        back = shell.explore(name)
+        leaf = _largest_leaf(back.open_theme(0))
+        back.zoom(leaf)
+        back.rollback()
+        assert export_map_json(back.zoom(leaf)) == reference[1]
+
+    def test_every_entry_point_builds_the_same_map(self, regimes):
+        table, config, shell, served = regimes
+        explorer = shell.explore(table.name)
+        opened, zoomed = _open_and_zoom(explorer)
+        state = explorer.state
+        assert opened == export_map_json(shell.map(table.name, state.columns))
+        assert opened == export_map_json(served.map(table.name, state.columns))
+        assert opened == export_map_json(build_map(table, state.columns, config))
+        assert opened == export_map_json(
+            MapPipeline(table, state.columns, config).build()
+        )
+        assert zoomed == export_map_json(
+            MapPipeline(
+                table, state.columns, config, selection=state.selection
+            ).build()
+        )
+
+    def test_themes_do_not_depend_on_a_cache(self, regimes):
+        table, _, shell, served = regimes
+        of_shell, of_served = shell.themes(table.name), served.themes(table.name)
+        assert [t.columns for t in of_shell] == [t.columns for t in of_served]
+        assert np.array_equal(of_shell.graph.weights, of_served.graph.weights)
+
+    def test_local_themes_are_a_pure_read(self, regimes):
+        table, _, shell, served = regimes
+        explorer = shell.explore(table.name)
+        _open_and_zoom(explorer)
+        first, again = explorer.local_themes(), explorer.local_themes()
+        explorer.project_columns(table.column_names[:2])
+        explorer.rollback()
+        after = explorer.local_themes()
+        cached = served.explore(table.name)
+        _open_and_zoom(cached)
+        for other in (again, after, cached.local_themes()):
+            assert [t.columns for t in other] == [t.columns for t in first]
+            assert np.array_equal(other.graph.weights, first.graph.weights)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.cluster.validation import adjusted_rand_index
 from repro.core.config import BlaeuConfig
-from repro.core.mapping import build_map
+from repro.core.pipeline import build_map
 from repro.datasets.synthetic import mixed_blobs, numeric_blobs
 from repro.table.predicates import Everything
 
@@ -20,7 +20,6 @@ class TestBuildMap:
         data_map = build_map(
             blobs.table,
             blobs.table.column_names,
-            rng=np.random.default_rng(0),
         )
         assert data_map.k == 3
         # Leaf regions, interpreted as a labeling of the table, should
@@ -34,7 +33,6 @@ class TestBuildMap:
     def test_root_covers_selection(self, blobs):
         data_map = build_map(
             blobs.table, blobs.table.column_names,
-            rng=np.random.default_rng(0),
         )
         assert data_map.n_rows == blobs.table.n_rows
         assert isinstance(data_map.root.predicate, Everything)
@@ -43,7 +41,6 @@ class TestBuildMap:
     def test_children_counts_sum_to_parent(self, blobs):
         data_map = build_map(
             blobs.table, blobs.table.column_names,
-            rng=np.random.default_rng(0),
         )
         for region in data_map.regions():
             if not region.is_leaf:
@@ -54,7 +51,6 @@ class TestBuildMap:
     def test_region_ids_encode_paths(self, blobs):
         data_map = build_map(
             blobs.table, blobs.table.column_names,
-            rng=np.random.default_rng(0),
         )
         for region in data_map.regions():
             assert region.region_id.startswith("r")
@@ -64,7 +60,6 @@ class TestBuildMap:
     def test_leaves_have_clusters_and_exemplars(self, blobs):
         data_map = build_map(
             blobs.table, blobs.table.column_names,
-            rng=np.random.default_rng(0),
         )
         clusters = {leaf.cluster for leaf in data_map.leaves()}
         assert clusters == set(range(data_map.k))
@@ -73,23 +68,21 @@ class TestBuildMap:
 
     def test_forced_k(self, blobs):
         data_map = build_map(
-            blobs.table, blobs.table.column_names,
-            rng=np.random.default_rng(0), k=2,
+            blobs.table, blobs.table.column_names, k=2,
         )
         assert data_map.k == 2
 
     def test_forced_k_out_of_range(self, blobs):
         with pytest.raises(ValueError):
             build_map(
-                blobs.table, blobs.table.column_names,
-                rng=np.random.default_rng(0), k=0,
+                blobs.table, blobs.table.column_names, k=0,
             )
 
     def test_sampling_bounds_work(self, blobs):
         config = BlaeuConfig(map_sample_size=150)
         data_map = build_map(
             blobs.table, blobs.table.column_names,
-            config=config, rng=np.random.default_rng(0),
+            config=config,
         )
         assert data_map.sample_size == 150
         # Counts stay exact over the full selection despite sampling.
@@ -102,7 +95,6 @@ class TestBuildMap:
         data_map = build_map(
             planted.table,
             planted.table.column_names,
-            rng=np.random.default_rng(0),
         )
         assert data_map.k >= 2
         assert 0.0 <= data_map.fidelity <= 1.0
@@ -115,20 +107,18 @@ class TestBuildMap:
     def test_fidelity_high_on_separable_data(self, blobs):
         data_map = build_map(
             blobs.table, blobs.table.column_names,
-            rng=np.random.default_rng(0),
         )
         assert data_map.fidelity > 0.9
 
     def test_silhouette_in_range(self, blobs):
         data_map = build_map(
             blobs.table, blobs.table.column_names,
-            rng=np.random.default_rng(0),
         )
         assert -1.0 <= data_map.silhouette <= 1.0
 
     def test_empty_columns_rejected(self, blobs):
         with pytest.raises(ValueError):
-            build_map(blobs.table, (), rng=np.random.default_rng(0))
+            build_map(blobs.table, ())
 
     def test_tiny_selection_rejected(self, blobs):
         tiny = blobs.table.head(1)
@@ -138,7 +128,6 @@ class TestBuildMap:
     def test_to_dict_payload(self, blobs):
         data_map = build_map(
             blobs.table, blobs.table.column_names,
-            rng=np.random.default_rng(0),
         )
         payload = data_map.to_dict()
         assert payload["k"] == data_map.k

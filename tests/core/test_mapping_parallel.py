@@ -1,10 +1,9 @@
 """End-to-end determinism of build_map under the new performance knobs."""
 
-import numpy as np
 import pytest
 
 from repro.core.config import BlaeuConfig
-from repro.core.mapping import build_map
+from repro.core.pipeline import build_map
 from repro.datasets.synthetic import numeric_blobs
 
 
@@ -22,9 +21,7 @@ def _build(table, **overrides):
         seed=11,
         **overrides,
     )
-    return build_map(
-        table, table.column_names, config=config, rng=np.random.default_rng(11)
-    )
+    return build_map(table, table.column_names, config=config)
 
 
 def _map_signature(data_map):

@@ -235,8 +235,8 @@ class TestLocalThemes:
 
     def test_local_themes_deterministic_and_session_neutral(self, explorer):
         """Deep-diving a selection is read-only: its randomness derives
-        from the selection, not the session stream, so repeating it
-        gives the same themes and later maps are unaffected."""
+        from the selection alone, so repeating it gives the same
+        themes."""
         data_map = explorer.open_columns(("x0", "x1"))
         target = max(data_map.leaves(), key=lambda r: r.n_rows)
         explorer.zoom(target.region_id)
@@ -279,12 +279,10 @@ class TestRefine:
         approx.open_columns(("x0", "x1"))
         refined = approx.refine()
 
-        rng = np.random.default_rng(self.APPROX.seed)
         direct = MapBuilder().build(
             planted.table,
             ("x0", "x1"),
             config=self.APPROX,
-            rng=rng,
             count_mode="exact",
         )
         assert export_map_json(refined) == export_map_json(direct)

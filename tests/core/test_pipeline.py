@@ -23,7 +23,6 @@ from repro.cluster.pam import pam
 from repro.cluster.silhouette import SharedSilhouette, silhouette_samples
 from repro.core.config import BlaeuConfig
 from repro.core.datamap import DataMap
-from repro.core.mapping import build_map
 from repro.core.pipeline import (
     MapBuilder,
     MapBuildError,
@@ -31,13 +30,14 @@ from repro.core.pipeline import (
     _exemplars,
     _left_router,
     _tree_to_regions,
-    cache_key_seed,
+    build_map,
 )
 from repro.core.preprocess import preprocess
 from repro.datasets.synthetic import mixed_blobs
 from repro.service.cache import LRUCache
 from repro.store import StoredTable, write_store
 from repro.table.predicates import Comparison, Everything
+from repro.table.sampling import seed_for
 from repro.tree.cart import fit_tree
 from repro.tree.prune import prune_for_legibility
 from repro.viz.export import export_map_json
@@ -65,7 +65,7 @@ def _legacy_cluster(matrix, config, rng, forced_k):
 
     def cluster_fn(points, k):
         if shared_matrix is not None:
-            return pam(shared_matrix, k, rng=rng, validate=False)
+            return pam(shared_matrix, k, validate=False)
         return clara(
             points,
             k,
@@ -180,9 +180,10 @@ def legacy_build_map(selection, columns, config, rng, k=None):
 
 
 def chain_rng(table, config, selection_sql="TRUE"):
-    """The generator a cache-managed pipeline build starts from."""
-    key = ("pipeline", table.fingerprint(), config.digest(), selection_sql)
-    return np.random.default_rng(cache_key_seed(key))
+    """The generator every pipeline build starts from."""
+    return np.random.default_rng(
+        seed_for("pipeline", table.fingerprint(), config.digest(), selection_sql)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -286,35 +287,6 @@ class TestBitIdentity:
             chain_rng(table, CONFIG, predicate.to_sql()),
         )
         assert export_map_json(staged) == export_map_json(legacy)
-
-    def test_pipeline_reuse_off_is_identical(self, table):
-        config = BlaeuConfig(
-            map_k_values=CONFIG.map_k_values,
-            map_sample_size=CONFIG.map_sample_size,
-            clara_threshold=CONFIG.clara_threshold,
-            seed=CONFIG.seed,
-            pipeline_reuse=False,
-        )
-        cache = LRUCache(max_size=64)
-        builder = MapBuilder(result_cache=cache)
-        first = builder.build(table, COLUMNS, config=config)
-        legacy = legacy_build_map(table, COLUMNS, config, chain_rng(table, config))
-        assert export_map_json(first) == export_map_json(legacy)
-        # Only the finished map is cached; no stage artifacts.
-        assert cache.stats().size == 1
-        assert builder.build(table, COLUMNS, config=config) is first
-
-    def test_session_mode_without_cache_matches_legacy_stream(self, table):
-        """Cache-less builds thread one RNG sequentially, as before."""
-        rng_a = np.random.default_rng(123)
-        rng_b = np.random.default_rng(123)
-        staged = build_map(table, COLUMNS, config=CONFIG, rng=rng_a)
-        legacy = legacy_build_map(table, COLUMNS, CONFIG, rng_b)
-        assert export_map_json(staged) == export_map_json(legacy)
-        # Both consumed the same amount of stream: follow-up builds agree.
-        staged2 = build_map(table, COLUMNS, config=CONFIG, rng=rng_a, k=3)
-        legacy2 = legacy_build_map(table, COLUMNS, CONFIG, rng_b, k=3)
-        assert export_map_json(staged2) == export_map_json(legacy2)
 
 
 # ----------------------------------------------------------------------
@@ -504,8 +476,7 @@ class TestPipelineMechanics:
     def test_everything_selection_matches_none(self, table):
         a = MapPipeline(table, COLUMNS, CONFIG).build()
         b = MapPipeline(table, COLUMNS, CONFIG, selection=Everything()).build()
-        # No cache, no explicit rng: both default to the key-seeded
-        # chain of the same canonical action path.
+        # Both name the same canonical action path, hence the same seed.
         assert export_map_json(a) == export_map_json(b)
 
     def test_builder_metrics_counters(self, table):

@@ -1,9 +1,8 @@
 """Unit tests for the quantized query space (expressivity, paper §2)."""
 
-import numpy as np
 import pytest
 
-from repro.core.mapping import build_map
+from repro.core.pipeline import build_map
 from repro.core.queries import quantized_queries, state_to_sql
 from repro.datasets.synthetic import numeric_blobs
 from repro.table.predicates import Comparison, Everything
@@ -15,7 +14,6 @@ def mapped():
     data_map = build_map(
         planted.table,
         planted.table.column_names,
-        rng=np.random.default_rng(0),
     )
     return planted.table, data_map
 

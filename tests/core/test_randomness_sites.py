@@ -1,0 +1,92 @@
+"""Where generators are born: one allow-list, a reason per entry.
+
+A build's randomness is a pure function of its content key
+(:func:`repro.table.sampling.seed_for`).  That rule is only as good as
+the absence of a second root, so this walk pins every place in ``src/``
+that constructs a generator — the way
+``tests/service/test_service_config.py`` pins ``os.environ`` reads.  A
+new bare ``default_rng(config.seed)`` anywhere fails here.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+
+#: Constructors of a random stream: NumPy's and the stdlib's.
+CONSTRUCTORS = {"default_rng", "Random"}
+
+ALLOWED = {
+    # Rooted at seed_for(content key).
+    ("core/pipeline.py", "MapPipeline._chain_rng"): "seed_for(pipeline key)",
+    ("core/pipeline.py", "MapPipeline._resume_rng"): (
+        "an empty shell whose state is overwritten with the recorded "
+        "post-sample state of the key-seeded chain"
+    ),
+    ("graph/dependency.py", "GraphBuilder._build"): "seed_for(graph key)",
+    ("table/database.py", "Database.register"): "seed_for(cascade, seed, name)",
+    # Persisted formats: stored and served bytes depend on these seeds.
+    ("graph/codes.py", "_cut_sample_rows"): "bin cuts, shared across processes",
+    ("store/format.py", "write_priorities"): "priority.bin, written once",
+    # Data generators: the caller's seed *is* the content.
+    ("datasets/hollywood.py", "hollywood"): "dataset generator",
+    ("datasets/lofar.py", "lofar"): "dataset generator",
+    ("datasets/oecd.py", "oecd"): "dataset generator",
+    ("datasets/synthetic.py", "mixed_blobs"): "dataset generator",
+    ("datasets/synthetic.py", "numeric_blobs"): "dataset generator",
+    ("datasets/synthetic.py", "planted_themes"): "dataset generator",
+    # Timing, not results.
+    ("service/supervisor.py", "Supervisor.__init__"): "retry back-off jitter",
+    # Known debt: ``rng or default_rng()`` entropy fallbacks in kernels
+    # that draw.  Every engine path passes a generator; a direct caller
+    # who does not gets an irreproducible result instead of an error.
+    ("cluster/clara.py", "clara"): "entropy fallback",
+    ("cluster/kmeans.py", "kmeans"): "entropy fallback",
+    ("cluster/kselect.py", "select_k_points"): "entropy fallback",
+    ("cluster/silhouette.py", "SharedSilhouette.__init__"): "entropy fallback",
+    ("store/stored.py", "StoredTable.sample"): "entropy fallback",
+    ("table/table.py", "Table.sample"): "entropy fallback",
+}
+
+
+def _call_sites(names: set[str]) -> set[tuple[str, str]]:
+    """``(file, enclosing def)`` of every call to one of ``names``."""
+    found: set[tuple[str, str]] = set()
+
+    def visit(node: ast.AST, path: str, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                inner = scope + (child.name,)
+            if isinstance(child, ast.Call):
+                callee = child.func
+                name = getattr(callee, "attr", None) or getattr(callee, "id", None)
+                if name in names:
+                    found.add((path, ".".join(scope) or "<module>"))
+            visit(child, path, inner)
+
+    for file in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(file.read_text(encoding="utf-8"))
+        visit(tree, file.relative_to(SRC).as_posix(), ())
+    return found
+
+
+def test_generators_are_born_only_at_the_listed_sites():
+    assert _call_sites(CONSTRUCTORS) == set(ALLOWED)
+
+
+def test_no_salted_hash_can_reach_a_seed():
+    """``hash(str)`` differs from interpreter to interpreter: the only
+    calls left implement ``__hash__`` itself."""
+    callers = {function for _, function in _call_sites({"hash"})}
+    assert all(name.endswith(".__hash__") for name in callers), callers
+
+
+def test_the_second_regime_left_no_name_behind():
+    assert not (SRC / "core" / "mapping.py").exists()
+    for file in sorted(SRC.rglob("*.py")):
+        source = file.read_text(encoding="utf-8")
+        for needle in ("_key_seed", "pipeline_reuse", "core.mapping"):
+            assert needle not in source, (file.name, needle)

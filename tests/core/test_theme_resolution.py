@@ -78,7 +78,6 @@ def _reference_detect_keys(table: Table) -> tuple[str, ...]:
 def _reference_extract_themes(
     table: Table, config: BlaeuConfig, columns: tuple[str, ...] | None = None
 ) -> ThemeSet:
-    rng = np.random.default_rng(config.seed)
     candidates = list(columns) if columns is not None else list(table.column_names)
     keys = set(_reference_detect_keys(table))
     for column in table.columns:
@@ -97,12 +96,11 @@ def _reference_extract_themes(
         columns=kept,
         measure="nmi",
         sample=config.dependency_sample_size,
-        rng=rng,
         seed=config.seed,
         n_jobs=config.graph_jobs,
         bin_sample_size=config.graph_bin_sample_size,
     )
-    groups, selection = pam_partition(graph, k_values=config.theme_k_values, rng=rng)
+    groups, selection = pam_partition(graph, k_values=config.theme_k_values)
     themes = tuple(
         Theme(name=g[0], columns=tuple(g), cohesion=_cohesion(graph, tuple(g)))
         for g in sorted(groups, key=lambda g: (-len(g), g[0]))
@@ -369,7 +367,7 @@ def test_a_standalone_explorer_roots_its_themes_at_the_seed():
     table = _measurements(400)
     config = replace(CONFIG, map_sample_size=150)
     late = Explorer(table, config=config)
-    late.open_columns(("a", "b"))  # draws from the session generator
+    late.open_columns(("a", "b"))
     assert_same_themes(late.themes(), extract_themes(table, config=config))
 
 

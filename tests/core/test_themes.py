@@ -1,6 +1,5 @@
 """Unit tests for theme extraction and editing."""
 
-import numpy as np
 import pytest
 
 from repro.core.config import BlaeuConfig
@@ -21,7 +20,6 @@ def themed_set():
     themes = extract_themes(
         planted.table,
         config=BlaeuConfig(theme_k_values=(2, 3, 4, 5)),
-        rng=np.random.default_rng(0),
     )
     return planted, themes
 
@@ -54,31 +52,31 @@ class TestExtractThemes:
         _, themes = themed_set
         assert set(themes.k_scores) == {2, 3, 4, 5}
 
-    def test_keys_excluded(self, rng):
+    def test_keys_excluded(self):
         planted = planted_themes(n_rows=200, seed=3)
         table = planted.table.with_column(
             CategoricalColumn.from_labels(
                 "row_id", [f"r{i}" for i in range(200)]
             )
         )
-        themes = extract_themes(table, rng=rng)
+        themes = extract_themes(table)
         assert "row_id" in themes.excluded_keys
         with pytest.raises(KeyError):
             themes.theme_of("row_id")
 
-    def test_wide_categoricals_excluded(self, rng):
+    def test_wide_categoricals_excluded(self):
         planted = planted_themes(n_rows=300, seed=4)
         labels = [f"region{i % 200}" for i in range(300)]
         table = planted.table.with_column(
             CategoricalColumn.from_labels("region", labels)
         )
-        themes = extract_themes(table, rng=rng)
+        themes = extract_themes(table)
         assert "region" in themes.excluded_keys
 
     def test_too_few_columns_rejected(self, rng):
         table = Table("t", [NumericColumn("only", rng.normal(0, 1, 30))])
         with pytest.raises(ValueError, match="at least two"):
-            extract_themes(table, rng=rng)
+            extract_themes(table)
 
     def test_lookup_api(self, themed_set):
         _, themes = themed_set
@@ -103,14 +101,13 @@ class TestThemeEditing:
         # The original is untouched (ThemeSets are immutable values).
         assert column in themes.theme_of(column).columns
 
-    def test_move_last_column_dissolves_theme(self, rng):
+    def test_move_last_column_dissolves_theme(self):
         planted = planted_themes(
             n_rows=200, group_sizes={"a": 2, "b": 1}, seed=8
         )
         themes = extract_themes(
             planted.table,
             config=BlaeuConfig(theme_k_values=(2,)),
-            rng=rng,
         )
         solo = next(t for t in themes if t.size == 1)
         other = next(t for t in themes if t.size != 1)

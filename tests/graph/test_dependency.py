@@ -67,9 +67,7 @@ class TestBuildGraph:
 
     def test_sampled_estimation_close_to_full(self, themed):
         full = build_dependency_graph(themed.table)
-        sampled = build_dependency_graph(
-            themed.table, sample=200, rng=np.random.default_rng(0)
-        )
+        sampled = build_dependency_graph(themed.table, sample=200)
         # Sampled weights track the full-data weights.
         delta = np.abs(full.weights - sampled.weights).max()
         assert delta < 0.25
@@ -101,8 +99,7 @@ class TestBuildGraph:
 
 class TestDeterminism:
     def test_sampled_builds_agree_without_rng(self, themed):
-        """The regression this PR fixes: ``sample`` with no ``rng`` used
-        an unseeded generator, so repeated builds disagreed."""
+        """A sampled build draws from its content key: repeats agree."""
         first = build_dependency_graph(themed.table, sample=150)
         second = build_dependency_graph(themed.table, sample=150)
         assert np.array_equal(first.weights, second.weights)

@@ -1,12 +1,11 @@
 """Cross-module property tests: engine-level invariants under random data."""
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import BlaeuConfig
-from repro.core.mapping import build_map
+from repro.core.pipeline import build_map
 from repro.core.navigation import Explorer
 from repro.core.queries import quantized_queries
 from repro.datasets.synthetic import mixed_blobs
@@ -37,7 +36,6 @@ def test_map_counts_partition_selection(scenario):
         planted.table,
         planted.table.column_names,
         config=BlaeuConfig(map_k_values=(2, 3)),
-        rng=np.random.default_rng(scenario["seed"]),
     )
     assert sum(leaf.n_rows for leaf in data_map.leaves()) == planted.table.n_rows
     for region in data_map.regions():
@@ -58,7 +56,6 @@ def test_quantized_queries_consistent_with_counts(scenario):
         planted.table,
         planted.table.column_names,
         config=BlaeuConfig(map_k_values=(2, 3)),
-        rng=np.random.default_rng(scenario["seed"]),
     )
     for query in quantized_queries(planted.table, data_map):
         assert planted.table.select(query.predicate).n_rows == query.n_rows
@@ -73,7 +70,6 @@ def test_treemap_mass_conservation(scenario):
         planted.table,
         planted.table.column_names,
         config=BlaeuConfig(map_k_values=(2, 3)),
-        rng=np.random.default_rng(scenario["seed"]),
     )
     rectangles = treemap_layout(data_map, width=4.0, height=2.5)
     leaf_area = sum(

@@ -14,12 +14,11 @@ Each panel of the paper's Figure 1 on the OECD-shaped dataset
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core.config import BlaeuConfig
 from repro.core.engine import Blaeu
-from repro.core.mapping import build_map
+from repro.core.pipeline import build_map
 from repro.core.themes import extract_themes
 from repro.datasets.oecd import (
     HIGH_INCOME_COUNTRIES,
@@ -66,7 +65,6 @@ def test_fig1a_theme_list(engine):
     themes = extract_themes(
         engine.database.table("countries"),
         config=engine.config,
-        rng=np.random.default_rng(0),
     )
     labor = themes.theme_of(HOURS)
     unemployment = themes.theme_of(UNEMPLOYMENT_THEME[0])
@@ -85,7 +83,6 @@ def test_fig1b_initial_map(engine):
         engine.database.table("countries"),
         LABOR_THEME,
         config=engine.config,
-        rng=np.random.default_rng(1),
         k=3,
     )
     assert data_map.k == 3

@@ -18,9 +18,7 @@ FIGURE_COLUMNS = UNEMPLOYMENT_THEME + HEALTH_THEME
 
 
 def test_fig2_two_communities_are_visible_in_the_weights():
-    graph = build_dependency_graph(
-        oecd(), columns=FIGURE_COLUMNS, sample=1000, rng=np.random.default_rng(0)
-    )
+    graph = build_dependency_graph(oecd(), columns=FIGURE_COLUMNS, sample=1000)
     intra, inter = [], []
     for i, a in enumerate(FIGURE_COLUMNS):
         for b in FIGURE_COLUMNS[i + 1 :]:

@@ -37,9 +37,7 @@ def test_fig5_pam_on_the_dependency_graph_recovers_the_planted_themes():
     columns = tuple(
         c for c in table.column_names if c not in ("RegionName", "CountryName")
     )
-    graph = build_dependency_graph(
-        table, columns=columns, sample=1000, rng=np.random.default_rng(0)
-    )
+    graph = build_dependency_graph(table, columns=columns, sample=1000)
     groups, _ = pam_partition(graph, k_values=(30, 40, 45, 50))
 
     found = {column: g for g, group in enumerate(groups) for column in group}

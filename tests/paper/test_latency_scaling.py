@@ -10,11 +10,10 @@ point — while the map still accounts for every row.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core.config import BlaeuConfig
-from repro.core.mapping import build_map
+from repro.core.pipeline import build_map
 from repro.datasets.lofar import lofar
 
 COLUMNS = ("Flux150MHz", "SpectralIndex", "AngularSize", "Variability")
@@ -27,7 +26,6 @@ def test_clustered_sample_is_the_budget_whatever_the_table_size(n_rows):
         lofar(n_rows=n_rows),
         COLUMNS,
         config=BlaeuConfig(map_sample_size=BUDGET, map_k_values=(2, 3, 4)),
-        rng=np.random.default_rng(0),
         k=4,
     )
     assert data_map.sample_size == min(BUDGET, n_rows)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import time
 
-import numpy as np
 import pytest
 
 from repro.core.config import BlaeuConfig
@@ -96,6 +95,23 @@ class TestApproximateFirstResponses:
 
         total = sum(leaf["value"] for leaf in leaves(refined["map"]["root"]))
         assert total == 2_500
+
+    def test_the_shell_and_the_server_show_the_same_map(self, approx_service):
+        """A cache-less engine in this process (what ``blaeu explore``
+        builds) maps the table exactly as the service, which always
+        installs a cache, served it."""
+        status, payload = approx_service.get_json("/v1/tables/mixed_blobs/map")
+        assert status == 200
+        served = approx_service.service.engine
+        library = Blaeu(served.config)
+        library.register(served.database.table("mixed_blobs"))
+        assert library.map_cache is None
+        theme_zero = library.themes("mixed_blobs")[0].columns
+        # Another session may already have refined the cached map.
+        mapped = library.map(
+            "mixed_blobs", theme_zero, count_mode=payload["map"]["counts_status"]
+        )
+        assert payload["map"] == json.loads(json.dumps(mapped.to_dict()))
 
     def test_metrics_expose_pipeline_counters(self, approx_service):
         approx_service.post(
@@ -218,7 +234,7 @@ class TestStructuredMapBuildErrors:
 class TestNumpyRngEquivalence:
     def test_session_mode_refine_matches_service_exact(self):
         """An explorer without any cache refines to the same exact map a
-        cache-managed exact build produces at the session seed."""
+        blocking exact build produces."""
         from repro.core.pipeline import MapBuilder
         from repro.viz.export import export_map_json
 
@@ -231,7 +247,6 @@ class TestNumpyRngEquivalence:
             table,
             refined.columns,
             config=APPROX_CONFIG,
-            rng=np.random.default_rng(APPROX_CONFIG.seed),
             count_mode="exact",
         )
         assert export_map_json(refined) == export_map_json(direct)

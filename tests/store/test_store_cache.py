@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.config import BlaeuConfig
 from repro.core.engine import Blaeu
-from repro.core.mapping import build_map_cached, map_cache_key
+from repro.core.pipeline import MapBuilder, map_cache_key
 from repro.service.cache import LRUCache
 from repro.store import StoredTable, write_store
 from repro.table.column import CategoricalColumn, NumericColumn
@@ -65,12 +65,12 @@ class TestSharedMapCache:
     ):
         cache = LRUCache(max_size=8)
         config = BlaeuConfig()
-        first = build_map_cached(
-            table, ("x", "y"), config=config, cache=cache
+        first = MapBuilder(result_cache=cache).build(
+            table, ("x", "y"), config=config
         )
         reads_before = stored.data_reads
-        second = build_map_cached(
-            stored, ("x", "y"), config=config, cache=cache
+        second = MapBuilder(result_cache=cache).build(
+            stored, ("x", "y"), config=config
         )
         stats = cache.stats()
         # One warm lookup answers the store build (the six cold misses
@@ -85,11 +85,11 @@ class TestSharedMapCache:
         config = BlaeuConfig()
         cache_a = LRUCache(max_size=8)
         cache_b = LRUCache(max_size=8)
-        mem_map = build_map_cached(
-            table, ("x", "y"), config=config, cache=cache_a
+        mem_map = MapBuilder(result_cache=cache_a).build(
+            table, ("x", "y"), config=config
         )
-        sto_map = build_map_cached(
-            stored, ("x", "y"), config=config, cache=cache_b
+        sto_map = MapBuilder(result_cache=cache_b).build(
+            stored, ("x", "y"), config=config
         )
         assert export_map_json(mem_map) == export_map_json(sto_map)
 

@@ -71,12 +71,8 @@ class TestResidencyBitIdentity:
     def test_extract_themes_identical(self, twins):
         memory, stored = twins
         config = BlaeuConfig(theme_k_values=(2, 3))
-        of_memory = extract_themes(
-            memory, config=config, rng=np.random.default_rng(0)
-        )
-        of_store = extract_themes(
-            stored, config=config, rng=np.random.default_rng(0)
-        )
+        of_memory = extract_themes(memory, config=config)
+        of_store = extract_themes(stored, config=config)
         assert [t.columns for t in of_memory] == [t.columns for t in of_store]
         assert np.array_equal(
             of_memory.graph.weights, of_store.graph.weights

@@ -1,5 +1,10 @@
 """Unit tests for the Database catalog and SelectProject queries."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -110,3 +115,30 @@ class TestSampleIndices:
         a = database.sample_indices("people", 3, None)
         b = database.sample_indices("people", 3, Everything())
         assert a.tolist() == b.tolist()
+
+    def test_samples_agree_across_interpreters(self):
+        """``str`` hashes are salted per process: a cascade seeded from
+        ``hash(table.name)`` sampled differently in every interpreter."""
+        script = (
+            "from repro.datasets.synthetic import mixed_blobs\n"
+            "from repro.table.database import Database\n"
+            "database = Database(seed=42)\n"
+            "database.register(mixed_blobs(n_rows=2000, k=3, seed=1).table)\n"
+            "print(database.sample_indices('mixed_blobs', 5).tolist())\n"
+        )
+        outputs = {
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={
+                    **os.environ,
+                    "PYTHONPATH": str(Path(__file__).resolve().parents[2] / "src"),
+                    "PYTHONHASHSEED": hash_seed,
+                },
+                capture_output=True,
+                text=True,
+                check=True,
+                timeout=60,
+            ).stdout
+            for hash_seed in ("1", "2")
+        }
+        assert len(outputs) == 1, outputs

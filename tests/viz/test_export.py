@@ -2,11 +2,10 @@
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.core.config import BlaeuConfig
-from repro.core.mapping import build_map
+from repro.core.pipeline import build_map
 from repro.core.themes import extract_themes
 from repro.datasets.synthetic import numeric_blobs, planted_themes
 from repro.viz.export import export_map_json, export_themes_json
@@ -17,7 +16,6 @@ def data_map():
     planted = numeric_blobs(n_rows=300, k=2, n_features=2, spread=0.4, seed=3)
     return build_map(
         planted.table, planted.table.column_names,
-        rng=np.random.default_rng(0),
     )
 
 
@@ -70,7 +68,6 @@ class TestThemesExport:
         themes = extract_themes(
             planted.table,
             config=BlaeuConfig(theme_k_values=(2, 3)),
-            rng=np.random.default_rng(0),
         )
         payload = json.loads(export_themes_json(themes))
         assert payload["type"] == "blaeu.themes"

@@ -1,6 +1,5 @@
 """Unit tests for the ASCII theme-view and map-view renderers."""
 
-import numpy as np
 import pytest
 
 from repro.core.config import BlaeuConfig
@@ -57,7 +56,6 @@ class TestRenderThemeView:
         themes = extract_themes(
             planted.table,
             config=BlaeuConfig(theme_k_values=(2, 3)),
-            rng=np.random.default_rng(0),
         )
         text = render_theme_view(themes)
         assert "THEMES" in text
@@ -71,7 +69,6 @@ class TestRenderThemeView:
         themes = extract_themes(
             planted.table,
             config=BlaeuConfig(theme_k_values=(2,)),
-            rng=np.random.default_rng(0),
         )
         text = render_theme_view(themes, max_columns=3)
         assert "… and" in text

@@ -1,10 +1,9 @@
 """Unit and property tests for the treemap layout."""
 
-import numpy as np
 import pytest
 
 from repro.core.datamap import DataMap, Region
-from repro.core.mapping import build_map
+from repro.core.pipeline import build_map
 from repro.datasets.synthetic import numeric_blobs
 from repro.table.predicates import Everything
 from repro.viz.treemap import Rect, treemap_layout
@@ -16,7 +15,6 @@ def data_map() -> DataMap:
     return build_map(
         planted.table,
         planted.table.column_names,
-        rng=np.random.default_rng(0),
     )
 
 
