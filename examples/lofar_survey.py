@@ -16,6 +16,8 @@ Run with::
 import sys
 import time
 
+import numpy as np
+
 from repro import Blaeu, BlaeuConfig
 from repro.datasets import lofar
 from repro.viz import render_map, text_histogram, text_scatter
@@ -61,7 +63,7 @@ def main(n_rows: int) -> None:
     print()
     print(text_histogram(selection.column("SpectralIndex")))
     print()
-    sample = selection.sample(1500)
+    sample = selection.sample(1500, rng=np.random.default_rng(0))
     print(
         text_scatter(
             sample.column("AngularSize"),  # type: ignore[arg-type]

@@ -7,11 +7,12 @@ whole dataset, and keeps the medoid set with the lowest *full-data* cost.
 The quadratic PAM work is confined to the sample, so the overall cost is
 O(draws · (s² + k·n)) instead of PAM's O(k·n²).
 
-The draws are independent, so they fan out across a thread pool
-(``n_jobs``).  Each draw owns a child generator spawned from the caller's
-RNG (``rng.spawn``), which makes the randomness a function of the draw
-index alone — parallel runs are **bit-identical** to serial runs with the
-same seed, whatever the worker count.
+Each draw owns a child generator spawned from the caller's RNG
+(``rng.spawn``), so its rows are a function of the seed and the draw
+index alone.  The draws then run as one array program: their sample
+matrices form a ``(draws, s, s)`` stack for the batched PAM kernel, and
+all medoid sets are assigned to the full data in one call — bit-identical
+to running the draws one by one.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cluster.distance import distances_to_points, pairwise_distances
-from repro.cluster.pam import Clustering, pam
-from repro.cluster.parallel import map_in_order
+from repro.cluster.pam import Clustering, canonical_order, pam, pam_batch
 from repro.obs.trace import get_tracer
+from repro.resilience.deadline import checkpoint
 
 __all__ = ["clara"]
 
@@ -38,8 +39,8 @@ def clara(
     n_draws: int = 5,
     sample_size: int | None = None,
     metric: str = "euclidean",
-    rng: np.random.Generator | None = None,
-    n_jobs: int | None = None,
+    *,
+    rng: np.random.Generator,
     dtype: object = None,
 ) -> Clustering:
     """Cluster a large point matrix around ``k`` medoids via sampling.
@@ -60,11 +61,7 @@ def clara(
         distances for the assignment step).
     rng:
         Source of sampling randomness.  Each draw gets its own child
-        generator spawned from it, so results depend only on the seed —
-        not on the worker count.
-    n_jobs:
-        Draw-level parallelism: ``None``/``1`` serial, ``0`` all cores,
-        otherwise that many worker threads.
+        generator spawned from it.
     dtype:
         Distance-kernel dtype (``float32`` opt-in; default float64).
 
@@ -83,77 +80,53 @@ def clara(
         raise ValueError(f"k must be in [1, {n}], got {k}")
     if n_draws < 1:
         raise ValueError(f"n_draws must be >= 1, got {n_draws}")
-    rng = rng or np.random.default_rng()
     if sample_size is None:
         sample_size = default_sample_size(k)
     sample_size = min(max(sample_size, k), n)
 
     if sample_size >= n:
         # Sampling would be the identity; fall through to plain PAM.
-        full = pam(
-            pairwise_distances(points, metric, dtype=dtype),
-            k,
-            validate=False,
+        return pam(pairwise_distances(points, metric, dtype=dtype), k, validate=False)
+
+    # Deadline checkpoint: an expired request aborts between CLARA runs.
+    checkpoint("clara")
+    with get_tracer().span("clara.draws") as span:
+        rows = np.stack([
+            np.sort(draw.choice(n, size=sample_size, replace=False))
+            for draw in rng.spawn(n_draws)
+        ])
+        if sample_size == k:
+            # Every sample row is a medoid (PAM's k == n case).
+            medoid_rows = rows
+            n_swaps = np.zeros(n_draws, dtype=np.intp)
+        else:
+            samples = pairwise_distances(points[rows], metric, dtype=dtype)
+            sample_medoids, _, _, n_swaps = pam_batch(samples, k)
+            medoid_rows = np.take_along_axis(rows, sample_medoids, axis=1)
+
+        to_medoids = distances_to_points(
+            points, points[medoid_rows], metric, dtype=dtype
         )
-        return full
+        # A draw's cost sums each point's distance to its nearest medoid;
+        # only the winner needs to know which medoid that is.
+        nearest = np.minimum.reduce(to_medoids.swapaxes(1, 2), axis=1)
+        costs = nearest.sum(axis=1)
+        # First strictly-better draw wins.
+        best = 0
+        for draw in range(1, n_draws):
+            if costs[draw] < costs[best]:
+                best = draw
+        if span.enabled:
+            span.set("k", k)
+            span.set("costs", [float(cost) for cost in costs])
+            span.set("best_draw", best)
+            span.set("n_iterations", int(n_swaps[best]))
 
-    def run_draw(item: tuple[int, np.random.Generator]) -> Clustering:
-        index, draw_rng = item
-        with get_tracer().span("clara.draw") as span:
-            sample_indices = draw_rng.choice(n, size=sample_size, replace=False)
-            sample_indices.sort()
-            sample = points[sample_indices]
-            sample_result = pam(
-                pairwise_distances(sample, metric, dtype=dtype),
-                k,
-                validate=False,
-            )
-            medoid_rows = sample_indices[sample_result.medoids]
-
-            to_medoids = distances_to_points(
-                points, points[medoid_rows], metric, dtype=dtype
-            )
-            labels = np.argmin(to_medoids, axis=1).astype(np.intp)
-            cost = float(to_medoids[np.arange(n), labels].sum())
-            if span.enabled:
-                span.set("draw", index)
-                span.set("k", k)
-                span.set("cost", cost)
-            return Clustering(
-                labels=labels,
-                medoids=medoid_rows.astype(np.intp),
-                cost=cost,
-                n_iterations=sample_result.n_iterations,
-            )
-
-    # Spawn order (not completion order) fixes each draw's generator, so
-    # the enumeration changes nothing about the random stream.
-    draws = map_in_order(
-        run_draw, list(enumerate(rng.spawn(n_draws))), n_jobs=n_jobs
-    )
-
-    # First strictly-better draw wins — the same tie-breaking a serial
-    # loop applies, so the choice is independent of completion order.
-    best = draws[0]
-    for candidate in draws[1:]:
-        if candidate.cost < best.cost:
-            best = candidate
-    return _relabel_by_size(best)
-
-
-def _relabel_by_size(result: Clustering) -> Clustering:
-    """Apply the same canonical (size-descending) ordering PAM uses."""
-    sizes = np.bincount(result.labels, minlength=result.k)
-    ranking = sorted(
-        range(result.k),
-        key=lambda c: (-int(sizes[c]), int(result.medoids[c])),
-    )
-    order = np.empty(result.k, dtype=np.intp)
-    for new_id, old_id in enumerate(ranking):
-        order[old_id] = new_id
+    labels = np.argmin(to_medoids[best], axis=1)
+    order = canonical_order(medoid_rows[best][None], labels[None])[0]
     return Clustering(
-        labels=order[result.labels],
-        medoids=result.medoids[np.argsort(order)],
-        cost=result.cost,
-        n_iterations=result.n_iterations,
+        labels=order[labels],
+        medoids=medoid_rows[best][np.argsort(order)],
+        cost=float(costs[best]),
+        n_iterations=int(n_swaps[best]),
     )

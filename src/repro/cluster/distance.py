@@ -13,6 +13,13 @@ Every dense kernel accepts an optional ``dtype``: ``float32`` halves the
 memory traffic of the n×n matrices and roughly doubles throughput on
 memory-bound shapes, at a bounded accuracy cost (see the accuracy tests).
 The default stays ``float64``.
+
+The Euclidean and Manhattan kernels also take a *stack* of point sets,
+``(B, n, d)`` → ``(B, n, n)`` (and :func:`distances_to_points` a stack of
+reference sets), so CLARA's draws and the Monte-Carlo subsamples are one
+call each.  Slice b of a stacked result is bit-identical to the kernel
+run on slice b alone: every step is elementwise or reduces one row, and
+the products are one BLAS call per slice inside a single ``matmul``.
 """
 
 from __future__ import annotations
@@ -45,36 +52,39 @@ def resolve_dtype(dtype: object) -> np.dtype:
 
 
 def euclidean_distances(points: np.ndarray, dtype: object = None) -> np.ndarray:
-    """Dense n×n Euclidean distance matrix.
+    """Dense n×n Euclidean distance matrix (``(B, n, n)`` for a stack).
 
     Uses the Gram-matrix expansion ``||a-b||² = ||a||² + ||b||² − 2a·b``
     with clipping against negative rounding; exact enough for clustering
     while an order of magnitude faster than pairwise loops.
     """
-    points = _as_matrix(points, dtype)
-    squared_norms = (points**2).sum(axis=1)
-    gram = points @ points.T
-    squared = squared_norms[:, None] + squared_norms[None, :] - 2.0 * gram
+    points = _as_points(points, dtype)
+    squared_norms = (points**2).sum(axis=-1)
+    gram = points @ points.swapaxes(-1, -2)
+    squared = squared_norms[..., :, None] + squared_norms[..., None, :]
+    gram *= 2.0
+    squared -= gram
     np.maximum(squared, 0.0, out=squared)
     np.sqrt(squared, out=squared)
-    np.fill_diagonal(squared, 0.0)
+    diagonal = np.arange(points.shape[-2])
+    squared[..., diagonal, diagonal] = 0.0
     return squared
 
 
 def manhattan_distances(points: np.ndarray, dtype: object = None) -> np.ndarray:
-    """Dense n×n Manhattan (L1) distance matrix.
+    """Dense n×n Manhattan (L1) distance matrix (``(B, n, n)`` for a stack).
 
     Accumulates one feature at a time into a single reused n×n scratch
     buffer: peak memory is two n×n arrays total (output + scratch), not a
     fresh broadcast temporary per feature.
     """
-    points = _as_matrix(points, dtype)
-    n, d = points.shape
-    out = np.zeros((n, n), dtype=points.dtype)
-    scratch = np.empty((n, n), dtype=points.dtype)
-    for j in range(d):
-        column = points[:, j]
-        np.subtract(column[:, None], column[None, :], out=scratch)
+    points = _as_points(points, dtype)
+    n = points.shape[-2]
+    out = np.zeros(points.shape[:-1] + (n,), dtype=points.dtype)
+    scratch = np.empty_like(out)
+    for j in range(points.shape[-1]):
+        column = points[..., j]
+        np.subtract(column[..., :, None], column[..., None, :], out=scratch)
         np.abs(scratch, out=scratch)
         out += scratch
     return out
@@ -146,7 +156,10 @@ def gower_distances(
 def pairwise_distances(
     points: np.ndarray, metric: str = "euclidean", dtype: object = None
 ) -> np.ndarray:
-    """Dispatch to a named metric (``euclidean``, ``manhattan``, ``gower``)."""
+    """Dispatch to a named metric (``euclidean``, ``manhattan``, ``gower``).
+
+    The first two also turn a ``(B, n, d)`` stack into a ``(B, n, n)`` one.
+    """
     if metric == "euclidean":
         return euclidean_distances(points, dtype=dtype)
     if metric == "manhattan":
@@ -165,34 +178,38 @@ def distances_to_points(
     """n×m distances from each point to each reference point.
 
     The CLARA assignment step and out-of-sample medoid assignment both
-    need point-to-medoid (not full pairwise) distances.
+    need point-to-medoid (not full pairwise) distances.  A ``(B, m, d)``
+    stack of reference sets gives ``(B, n, m)``: CLARA assigns all its
+    draws in one call, sharing the point norms.
+
+    The result is a transposed view of a reference-major ``(…, m, n)``
+    array: with few references, the elementwise steps then run along the
+    long point axis, and a reduction over references is one pass per
+    reference.
     """
     points = _as_matrix(points, dtype)
-    references = _as_matrix(references, dtype)
-    if points.shape[1] != references.shape[1]:
+    references = _as_points(references, dtype)
+    if points.shape[1] != references.shape[-1]:
         raise ValueError(
-            f"dimensionality mismatch: {points.shape[1]} vs {references.shape[1]}"
+            f"dimensionality mismatch: {points.shape[1]} vs {references.shape[-1]}"
         )
     if metric == "euclidean":
         point_norms = (points**2).sum(axis=1)
-        reference_norms = (references**2).sum(axis=1)
-        squared = (
-            point_norms[:, None]
-            + reference_norms[None, :]
-            - 2.0 * points @ references.T
-        )
+        reference_norms = (references**2).sum(axis=-1)
+        cross = 2.0 * points @ references.swapaxes(-1, -2)
+        squared = reference_norms[..., :, None] + point_norms
+        squared -= cross.swapaxes(-1, -2)
         np.maximum(squared, 0.0, out=squared)
-        return np.sqrt(squared)
+        np.sqrt(squared, out=squared)
+        return squared.swapaxes(-1, -2)
     if metric == "manhattan":
-        out = np.zeros((points.shape[0], references.shape[0]), dtype=points.dtype)
+        out = np.zeros(references.shape[:-1] + points.shape[:1], dtype=points.dtype)
         scratch = np.empty_like(out)
         for j in range(points.shape[1]):
-            np.subtract(
-                points[:, j][:, None], references[:, j][None, :], out=scratch
-            )
+            np.subtract(points[:, j], references[..., j][..., :, None], out=scratch)
             np.abs(scratch, out=scratch)
             out += scratch
-        return out
+        return out.swapaxes(-1, -2)
     raise ValueError(f"unknown metric {metric!r} for point-to-point distances")
 
 
@@ -200,6 +217,16 @@ def _as_matrix(points: np.ndarray, dtype: object = None) -> np.ndarray:
     points = np.asarray(points, dtype=resolve_dtype(dtype))
     if points.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {points.shape}")
+    return points
+
+
+def _as_points(points: np.ndarray, dtype: object = None) -> np.ndarray:
+    """A point matrix or a ``(B, n, d)`` stack of them."""
+    points = np.asarray(points, dtype=resolve_dtype(dtype))
+    if points.ndim not in (2, 3):
+        raise ValueError(
+            f"expected a 2-d matrix or a stack of them, got shape {points.shape}"
+        )
     return points
 
 

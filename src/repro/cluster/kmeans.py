@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cluster.distance import distances_to_points
-from repro.cluster.pam import Clustering
+from repro.cluster.pam import Clustering, canonical_order
 
 __all__ = ["kmeans"]
 
@@ -23,7 +23,8 @@ def kmeans(
     k: int,
     max_iter: int = 100,
     tol: float = 1e-6,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> Clustering:
     """Cluster ``points`` into ``k`` groups with Lloyd's algorithm.
 
@@ -39,7 +40,6 @@ def kmeans(
     n = points.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    rng = rng or np.random.default_rng()
 
     centroids = _kmeans_plus_plus(points, k, rng)
     labels = np.zeros(n, dtype=np.intp)
@@ -68,13 +68,13 @@ def kmeans(
     labels = np.argmin(to_centroids, axis=1).astype(np.intp)
     cost = float(to_centroids[np.arange(n), labels].sum())
     nearest_points = np.argmin(to_centroids, axis=0).astype(np.intp)
-    return _canonicalize(
-        Clustering(
-            labels=labels,
-            medoids=nearest_points,
-            cost=cost,
-            n_iterations=n_iterations,
-        )
+    # Clusters by decreasing size, for deterministic presentation.
+    order = canonical_order(nearest_points[None], labels[None])[0]
+    return Clustering(
+        labels=order[labels],
+        medoids=nearest_points[np.argsort(order)],
+        cost=cost,
+        n_iterations=n_iterations,
     )
 
 
@@ -100,20 +100,3 @@ def _kmeans_plus_plus(
         np.minimum(squared, new_squared, out=squared)
     return np.asarray(centroids)
 
-
-def _canonicalize(result: Clustering) -> Clustering:
-    """Relabel clusters by decreasing size for deterministic presentation."""
-    sizes = np.bincount(result.labels, minlength=result.k)
-    ranking = sorted(
-        range(result.k),
-        key=lambda c: (-int(sizes[c]), int(result.medoids[c])),
-    )
-    order = np.empty(result.k, dtype=np.intp)
-    for new_id, old_id in enumerate(ranking):
-        order[old_id] = new_id
-    return Clustering(
-        labels=order[result.labels],
-        medoids=result.medoids[np.argsort(order)],
-        cost=result.cost,
-        n_iterations=result.n_iterations,
-    )

@@ -102,7 +102,8 @@ def select_k_points(
     k_values: Sequence[int] = (2, 3, 4, 5, 6),
     n_subsamples: int = 8,
     subsample_size: int = 200,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
     exact_threshold: int | None = None,
     metric: str = "euclidean",
     dtype: object = None,
@@ -135,7 +136,6 @@ def select_k_points(
         only = KCandidate(k=1, clustering=clustering, silhouette=0.0)
         return KSelection(candidates=(only,), best=only)
 
-    rng = rng or np.random.default_rng()
     if shared is None:
         shared = SharedSilhouette(
             points,

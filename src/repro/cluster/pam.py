@@ -13,8 +13,18 @@ The implementation follows the book's two phases:
   improves the cost.
 
 Cost is the sum of dissimilarities from each point to its medoid (the
-quantity the paper says PAM minimizes).  The SWAP evaluation is vectorized
-over candidates, giving O(k·n²) per iteration without Python-loop overhead.
+quantity the paper says PAM minimizes).
+
+One kernel serves every caller: :func:`pam_batch` runs B independent
+PAMs over a ``(B, n, n)`` stack of matrices as a handful of array
+operations — BUILD and SWAP vectorised over the batch, the candidates
+and the medoid positions, a converged run frozen while the others go on.
+CLARA hands it one k's draws; :func:`pam` is its B = 1 case.  Every
+result is bit-identical to running the runs one at a time: each
+reduction keeps the memory orientation of the one-matrix formulation
+(BUILD gains accumulate point by point, SWAP costs are pairwise sums
+along a contiguous point axis), and the medoid-position scan keeps its
+first-better-by-1e-12 rule.
 """
 
 from __future__ import annotations
@@ -25,7 +35,14 @@ import numpy as np
 
 from repro.cluster.distance import validate_distance_matrix
 
-__all__ = ["Clustering", "pam"]
+__all__ = ["Clustering", "pam", "pam_batch", "canonical_order"]
+
+#: SWAP evaluates medoid positions in blocks of at most this many
+#: (run, position, candidate, point) costs — 1 MB of float64 — or one
+#: position when that alone is more: at PAM scale above ~360 points a
+#: block is a single position, and no temporary outgrows the ``c × n``
+#: candidate gather that one position needs anyway.
+_SWAP_BLOCK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -102,113 +119,185 @@ def pam(
     if k == n:
         labels = np.arange(n, dtype=np.intp)
         return Clustering(labels=labels, medoids=labels.copy(), cost=0.0)
-
-    medoids = _build(distances, k)
-    medoids, n_swaps = _swap(distances, medoids, max_iter)
-    labels, cost = _assign(distances, medoids)
-    order = _canonical_order(medoids, labels)
+    stack = np.ascontiguousarray(distances)[None]
+    medoids, labels, costs, n_swaps = pam_batch(stack, k, max_iter)
     return Clustering(
-        labels=order[labels],
-        medoids=medoids[np.argsort(order)],
-        cost=cost,
-        n_iterations=n_swaps,
+        labels=labels[0],
+        medoids=medoids[0],
+        cost=float(costs[0]),
+        n_iterations=int(n_swaps[0]),
     )
 
 
+def pam_batch(
+    distances: np.ndarray, k: int, max_iter: int = 200
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """PAM on every matrix of a ``(B, n, n)`` stack, ``1 <= k < n``.
+
+    Returns ``(medoids, labels, costs, n_swaps)`` of shapes ``(B, k)``,
+    ``(B, n)``, ``(B,)`` and ``(B,)``, clusters in :func:`canonical_order`
+    — row b is exactly what :func:`pam` returns for ``distances[b]``.
+    The matrices are trusted (no validation).
+    """
+    medoids = _build(distances, k)
+    medoids, n_swaps = _swap(distances, medoids, max_iter)
+    labels, costs = _assign(distances, medoids)
+    order = canonical_order(medoids, labels)
+    runs = _column(medoids.shape[0])
+    medoids = medoids[runs, np.argsort(order, axis=1)]
+    return medoids, order[runs, labels], costs, n_swaps
+
+
 def _build(distances: np.ndarray, k: int) -> np.ndarray:
-    """BUILD phase: greedy selection of k initial medoids."""
-    n = distances.shape[0]
+    """BUILD phase: greedy selection of k initial medoids per matrix."""
+    batch = distances.shape[0]
+    runs = np.arange(batch)
+    medoids = np.empty((batch, k), dtype=np.intp)
     # First medoid: the point minimizing total distance to all others.
-    totals = distances.sum(axis=1)
-    medoids = [int(np.argmin(totals))]
+    medoids[:, 0] = np.argmin(distances.sum(axis=2), axis=1)
     # Distance from each point to its nearest chosen medoid.
-    nearest = distances[:, medoids[0]].copy()
-    while len(medoids) < k:
+    nearest = distances[runs, :, medoids[:, 0]]
+    scratch = np.empty_like(distances)
+    for step in range(1, k):
         # Gain of choosing candidate c: sum over points j of
-        # max(nearest[j] - d(j, c), 0).
-        gains = np.maximum(nearest[:, None] - distances, 0.0).sum(axis=0)
-        gains[medoids] = -np.inf
-        chosen = int(np.argmax(gains))
-        medoids.append(chosen)
-        np.minimum(nearest, distances[:, chosen], out=nearest)
-    return np.asarray(medoids, dtype=np.intp)
+        # max(nearest[j] - d(j, c), 0), accumulated point by point.
+        np.subtract(nearest[:, :, None], distances, out=scratch)
+        np.maximum(scratch, 0.0, out=scratch)
+        gains = scratch.sum(axis=1)
+        gains[runs[:, None], medoids[:, :step]] = -np.inf
+        medoids[:, step] = np.argmax(gains, axis=1)
+        np.minimum(nearest, distances[runs, :, medoids[:, step]], out=nearest)
+    return medoids
 
 
 def _swap(
     distances: np.ndarray, medoids: np.ndarray, max_iter: int
-) -> tuple[np.ndarray, int]:
-    """SWAP phase: steepest-descent medoid exchanges until local optimum."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """SWAP phase: steepest-descent medoid exchanges until local optimum.
+
+    Every unconverged run performs one exchange per round; a run whose
+    best exchange does not improve its cost leaves the batch.
+    """
     medoids = medoids.copy()
-    n = distances.shape[0]
-    n_swaps = 0
+    batch, n = distances.shape[:2]
+    k = medoids.shape[1]
+    n_swaps = np.zeros(batch, dtype=np.intp)
+    active = np.arange(batch)
+    points = np.arange(n)
     for _ in range(max_iter):
-        medoid_distances = distances[:, medoids]  # n x k
-        # For each point: nearest and second-nearest medoid distances.
+        if active.size == 0:
+            break
+        block = distances if active.size == batch else distances[active]
+        runs = _column(active.size)
+        current = medoids[active]
+        # For each point: nearest and second-nearest medoid distances
+        # (medoid-major: row p of a run holds every point's distance to
+        # its medoid p).
+        medoid_distances = block[runs, :, current]
         order = np.argsort(medoid_distances, axis=1)
         nearest_idx = order[:, 0]
-        d_nearest = medoid_distances[np.arange(n), nearest_idx]
-        if medoids.shape[0] > 1:
-            second_idx = order[:, 1]
-            d_second = medoid_distances[np.arange(n), second_idx]
+        d_nearest = medoid_distances[runs, nearest_idx, points]
+        if k > 1:
+            d_second = medoid_distances[runs, order[:, 1], points]
         else:
-            d_second = np.full(n, np.inf)
+            # float64 whatever the matrix dtype: with one medoid, float32
+            # costs are summed in float64 (the one-matrix code did so).
+            d_second = np.full(d_nearest.shape, np.inf)
+        is_medoid = np.zeros((active.size, n), dtype=bool)
+        is_medoid[runs, current] = True
+        candidates = np.nonzero(~is_medoid)[1].reshape(active.size, n - k)
 
-        best_delta = 0.0
-        best_swap: tuple[int, int] | None = None
-        is_medoid = np.zeros(n, dtype=bool)
-        is_medoid[medoids] = True
-        candidates = np.flatnonzero(~is_medoid)
-        if candidates.size == 0:
+        deltas = _swap_deltas(block, candidates, k, nearest_idx, d_nearest, d_second)
+        best_candidate = np.argmin(deltas, axis=2)
+        best_value = deltas[runs, np.arange(k), best_candidate]
+        # Positions in order; a later one wins only if better by 1e-12.
+        swapped, positions = [], []
+        for run, values in enumerate(best_value.tolist()):
+            best_delta, best_position = 0.0, -1
+            for position, delta in enumerate(values):
+                if delta < best_delta - 1e-12:
+                    best_delta, best_position = delta, position
+            if best_position >= 0:
+                swapped.append(run)
+                positions.append(best_position)
+        if not swapped:
             break
 
-        d_candidates = distances[:, candidates]  # n x c
-        for position in range(medoids.shape[0]):
-            # Cost change of replacing medoid `position` by each candidate.
-            loses_medoid = nearest_idx == position
-            # Points whose nearest medoid is being removed move to
-            # min(second nearest, candidate); others to
-            # min(current nearest, candidate).
-            floor = np.where(loses_medoid, d_second, d_nearest)
-            new_d = np.minimum(d_candidates, floor[:, None])
-            deltas = new_d.sum(axis=0) - d_nearest.sum()
-            best_candidate = int(np.argmin(deltas))
-            delta = float(deltas[best_candidate])
-            if delta < best_delta - 1e-12:
-                best_delta = delta
-                best_swap = (position, int(candidates[best_candidate]))
-
-        if best_swap is None:
-            break
-        position, replacement = best_swap
-        medoids[position] = replacement
-        n_swaps += 1
+        replacement = candidates[swapped, best_candidate[swapped, positions]]
+        active = active[swapped]
+        medoids[active, positions] = replacement
+        n_swaps[active] += 1
     return medoids, n_swaps
+
+
+def _swap_deltas(
+    block: np.ndarray,
+    candidates: np.ndarray,
+    k: int,
+    nearest_idx: np.ndarray,
+    d_nearest: np.ndarray,
+    d_second: np.ndarray,
+) -> np.ndarray:
+    """Cost change of every (run, medoid position, candidate) exchange.
+
+    Points whose nearest medoid is removed move to min(second nearest,
+    candidate); the others to min(current nearest, candidate).  The
+    candidate columns are gathered candidate-major — ``(A, c, n)``, the
+    point axis contiguous — so each cost is a pairwise sum over points,
+    as in the one-run formulation; a point-major gather would sum
+    sequentially and break exact ties differently.
+    """
+    gathered = block[_column(block.shape[0]), :, candidates]
+    current = d_nearest.sum(axis=1)[:, None, None]
+    per_block = min(k, max(1, _SWAP_BLOCK // gathered.size))
+    # One buffer for every block: at PAM scale a fresh multi-megabyte
+    # temporary per position costs more in page faults than in arithmetic.
+    new_d = np.empty(
+        (gathered.shape[0], per_block) + gathered.shape[1:],
+        dtype=np.result_type(gathered, d_nearest, d_second),
+    )
+    parts = []
+    for start in range(0, k, per_block):
+        positions = np.arange(start, min(start + per_block, k))
+        loses = nearest_idx[:, None, :] == positions[:, None]
+        floor = np.where(loses, d_second[:, None, :], d_nearest[:, None, :])
+        out = new_d[:, : positions.size]
+        np.minimum(gathered[:, None, :, :], floor[:, :, None, :], out=out)
+        parts.append(out.sum(axis=3) - current)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+
+
+def _column(size: int) -> np.ndarray:
+    """``arange(size)`` as a column, to index one row per run."""
+    return np.arange(size)[:, None]
 
 
 def _assign(
     distances: np.ndarray, medoids: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Assign each point to its nearest medoid; return labels and cost."""
-    medoid_distances = distances[:, medoids]
-    labels = np.argmin(medoid_distances, axis=1).astype(np.intp)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Assign each point to its nearest medoid; return labels and costs."""
+    runs = _column(medoids.shape[0])
+    medoid_distances = distances[runs, :, medoids]  # medoid-major
+    labels = np.argmin(medoid_distances, axis=1)
     # Medoids always belong to their own cluster (they are at distance 0
     # of themselves, so argmin already guarantees this absent ties).
-    for position, medoid in enumerate(medoids):
-        labels[medoid] = position
-    cost = float(medoid_distances[np.arange(distances.shape[0]), labels].sum())
-    return labels, cost
+    labels[runs, medoids] = np.arange(medoids.shape[1])
+    points = np.arange(distances.shape[1])
+    return labels, medoid_distances[runs, labels, points].sum(axis=1)
 
 
-def _canonical_order(medoids: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Relabel clusters by decreasing size (ties: by medoid index).
+def canonical_order(medoids: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per run, the new id of each cluster: by decreasing size, then medoid.
 
-    Gives deterministic, presentation-friendly cluster ids: cluster 0 is
-    always the largest region on the map.
+    ``medoids`` is ``(B, k)`` and ``labels`` ``(B, n)``; row b of the
+    result maps old cluster ids to new ones.  Gives deterministic,
+    presentation-friendly cluster ids: cluster 0 is always the largest
+    region on the map.
     """
-    k = medoids.shape[0]
-    sizes = np.bincount(labels, minlength=k)
-    ranking = sorted(range(k), key=lambda c: (-int(sizes[c]), int(medoids[c])))
-    order = np.empty(k, dtype=np.intp)
-    for new_id, old_id in enumerate(ranking):
-        order[old_id] = new_id
+    batch, k = medoids.shape
+    runs = _column(batch)
+    sizes = np.bincount((labels + k * runs).ravel(), minlength=batch * k)
+    ranking = np.lexsort((medoids, -sizes.reshape(batch, k)), axis=-1)
+    order = np.empty_like(ranking)
+    order[runs, ranking] = np.arange(k)
     return order

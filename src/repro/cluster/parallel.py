@@ -1,10 +1,10 @@
-"""Deterministic fan-out helpers for the clustering hot paths.
+"""Deterministic fan-out helpers (the ``*_jobs`` convention).
 
-CLARA's draws are embarrassingly parallel: each one samples, runs PAM on
-the sample, and extends the medoids to the full data — all pure NumPy,
-which releases the GIL inside the heavy kernels (GEMM, reductions).  A
-thread pool therefore gives real speedup without pickling the feature
-matrix into worker processes.
+The batched NMI kernel behind the dependency graph (``graph_jobs``) fans
+its left columns out over a thread pool: the work is pure NumPy, which
+releases the GIL inside the heavy kernels, so threads need no pickling
+of the code matrix into worker processes.  Store scans resolve their
+``scan_jobs`` width through :func:`resolve_jobs` too.
 
 The helpers here keep parallel execution *bit-identical* to serial: work
 items are dispatched with their index and results are re-assembled in
@@ -65,8 +65,8 @@ def map_in_order(
     if workers == 1 or len(items) <= 1:
         results = []
         for item in items:
-            # Per-item deadline checkpoint: CLARA draws and k-selection
-            # candidates abort between items, never mid-kernel.
+            # Per-item deadline checkpoint: work aborts between items,
+            # never mid-kernel.
             checkpoint("parallel.item")
             results.append(fn(item))
         return results

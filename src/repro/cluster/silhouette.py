@@ -9,9 +9,18 @@ results" (§3).  Both estimators live here, plus
 :class:`SharedSilhouette` — the structure k selection scores every
 candidate against: the distance matrices (full, or one per subsample)
 are computed **once per feature matrix** and reused across all k.
+
+One kernel scores every matrix: :func:`_silhouettes` takes a list of
+matrices with one labelling each (the Monte-Carlo subsamples, or a
+single full matrix) and scores them together.  Its cluster sums add each
+cluster's members in index order, one at a time — the order a
+per-cluster column gather reduces in — so every value is bit-identical
+to scoring the matrices one by one.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -33,8 +42,9 @@ def silhouette_samples(
     ``a_i`` is the mean distance to the point's own cluster (excluding
     itself), ``b_i`` the smallest mean distance to any other cluster.
     Points in singleton clusters get ``s(i) = 0`` by Rousseeuw's
-    convention.  Values lie in ``[-1, 1]``.  ``validate=False`` skips the
-    O(n²) matrix check when the caller scores many labelings of one
+    convention, and so does every point when there is a single cluster.
+    Values lie in ``[-1, 1]``.  ``validate=False`` skips the O(n²)
+    matrix check when the caller scores many labelings of one
     already-checked matrix.
     """
     if validate:
@@ -47,40 +57,8 @@ def silhouette_samples(
         raise ValueError(
             f"labels shape {labels.shape} does not match matrix size {n}"
         )
-    unique = np.unique(labels)
-    if unique.size < 2:
-        # A single cluster has no "next best" cluster; silhouette undefined,
-        # reported as all-zero (neutral).
-        return np.zeros(n, dtype=np.float64)
-
-    # Mean distance from every point to every cluster, via label one-hots.
-    sums = np.zeros((n, unique.size), dtype=np.float64)
-    counts = np.zeros(unique.size, dtype=np.float64)
-    for position, cluster in enumerate(unique):
-        members = labels == cluster
-        sums[:, position] = distances[:, members].sum(axis=1)
-        counts[position] = members.sum()
-
-    own_position = np.searchsorted(unique, labels)
-    own_counts = counts[own_position]
-    out = np.zeros(n, dtype=np.float64)
-
-    # a_i: exclude the point itself from its own-cluster average.
-    own_sums = sums[np.arange(n), own_position]
-    singleton = own_counts <= 1
-    with np.errstate(invalid="ignore", divide="ignore"):
-        a = own_sums / np.maximum(own_counts - 1, 1)
-
-    # b_i: min over other clusters of mean distance.
-    with np.errstate(invalid="ignore", divide="ignore"):
-        means = sums / counts[None, :]
-    means[np.arange(n), own_position] = np.inf
-    b = means.min(axis=1)
-
-    denominator = np.maximum(a, b)
-    valid = ~singleton & (denominator > 0)
-    out[valid] = (b[valid] - a[valid]) / denominator[valid]
-    return np.clip(out, -1.0, 1.0)
+    values, _ = _silhouettes([_member_major(distances)], _codes(labels)[None])
+    return values[0]
 
 
 def mean_silhouette(
@@ -109,7 +87,8 @@ def monte_carlo_silhouette(
     n_subsamples: int = 8,
     subsample_size: int = 200,
     metric: str = "euclidean",
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> float:
     """Monte-Carlo estimate of the mean silhouette.
 
@@ -145,13 +124,13 @@ class SharedSilhouette:
       exact mean silhouette.
     * **sampled mode** (above the row threshold): ``n_subsamples`` index
       sets are drawn once and each subsample's distance matrix cached;
-      :meth:`score` averages the exact silhouettes of the cached
-      subsamples — the paper's Monte-Carlo estimator, minus the repeated
-      matrix builds.
+      :meth:`score` averages the exact silhouettes of the subsamples —
+      the paper's Monte-Carlo estimator, minus the repeated matrix
+      builds, scored as one batch.
 
     A caller that already owns the full matrix (e.g. the mapping engine,
     which feeds it to PAM) passes it via ``distances`` and gets exact
-    scoring for free.
+    scoring for free.  Exact mode never draws from ``rng``.
     """
 
     def __init__(
@@ -161,7 +140,8 @@ class SharedSilhouette:
         subsample_size: int = 200,
         metric: str = "euclidean",
         exact_threshold: int | None = None,
-        rng: np.random.Generator | None = None,
+        *,
+        rng: np.random.Generator,
         dtype: object = None,
         distances: np.ndarray | None = None,
     ) -> None:
@@ -179,7 +159,7 @@ class SharedSilhouette:
         )
 
         self._full: np.ndarray | None = None
-        self._subsamples: list[tuple[np.ndarray, np.ndarray]] = []
+        self._chosen: np.ndarray | None = None
         if distances is not None:
             distances = np.asarray(distances)
             if distances.shape != (n, n):
@@ -190,14 +170,17 @@ class SharedSilhouette:
             self._full = distances
         elif n <= threshold:
             self._full = pairwise_distances(points, metric, dtype=dtype)
+        if self._full is not None:
+            self._columns = [_member_major(self._full)]
         else:
-            rng = rng or np.random.default_rng()
-            for _ in range(n_subsamples):
-                chosen = rng.choice(n, size=subsample_size, replace=False)
-                sub_distances = pairwise_distances(
-                    points[chosen], metric, dtype=dtype
-                )
-                self._subsamples.append((chosen, sub_distances))
+            self._chosen = np.stack([
+                rng.choice(n, size=subsample_size, replace=False)
+                for _ in range(n_subsamples)
+            ])
+            self._columns = [
+                _member_major(pairwise_distances(points[chosen], metric, dtype=dtype))
+                for chosen in self._chosen
+            ]
 
     @property
     def exact(self) -> bool:
@@ -214,16 +197,88 @@ class SharedSilhouette:
         labels = np.asarray(labels)
         if labels.shape != (self.n_points,):
             raise ValueError("labels must align with points")
-        if self._full is not None:
-            return mean_silhouette(self._full, labels, validate=False)
-        estimates: list[float] = []
-        for chosen, sub_distances in self._subsamples:
-            sub_labels = labels[chosen]
-            if np.unique(sub_labels).size < 2:
-                continue
-            estimates.append(
-                mean_silhouette(sub_distances, sub_labels, validate=False)
-            )
-        if not estimates:
+        codes = _codes(labels)
+        if self._chosen is None:
+            values, _ = _silhouettes(self._columns, codes[None])
+            return float(values[0].mean()) if values.size else 0.0
+        values, defined = _silhouettes(self._columns, codes[self._chosen])
+        if not defined.any():
             return 0.0
-        return float(np.mean(estimates))
+        return float(values[defined].mean(axis=1).mean())
+
+
+def _codes(labels: np.ndarray) -> np.ndarray:
+    """Labels as non-negative codes that rank like the labels.
+
+    Cluster ids already are such codes (a gap is a cluster with no
+    member, which scores as absent); anything else is ranked.
+    """
+    if (
+        labels.dtype.kind in "iu"
+        and labels.size
+        and labels.min() >= 0
+        and labels.max() < labels.size
+    ):
+        return labels
+    return np.unique(labels, return_inverse=True)[1].reshape(labels.shape)
+
+
+def _member_major(distances: np.ndarray) -> np.ndarray:
+    """The matrix with row j holding every point's distance *to* point j."""
+    if np.array_equal(distances, distances.T):
+        return distances
+    return np.ascontiguousarray(distances.T)
+
+
+def _silhouettes(
+    columns: Sequence[np.ndarray], codes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-point silhouettes of S labelled matrices, scored together.
+
+    ``columns`` holds S member-major m×m matrices (``columns[s][j, i]``
+    is the distance from point i to point j), ``codes`` the ``(S, m)``
+    cluster codes.  Returns the ``(S, m)`` values and which of the S
+    labellings have at least two clusters; the others score all-zero.
+    """
+    n_sets, m = codes.shape
+    n_codes = int(codes.max()) + 1 if codes.size else 1
+    sets = np.arange(n_sets)[:, None]
+    points = np.arange(m)
+    counts = np.bincount(
+        (codes + n_codes * sets).ravel(), minlength=n_sets * n_codes
+    ).reshape(n_sets, n_codes)
+
+    # Sum of distances from every point to every cluster.  One gather
+    # per matrix puts each cluster's member rows next to each other, in
+    # index order; each slice then reduces along its rows, adding one
+    # member at a time.  (Matrices are gathered one by one: a stacked
+    # gather is a multi-megabyte temporary, slower than eight small ones.)
+    small = codes.astype(np.min_scalar_type(n_codes))  # radix-sortable
+    member_order = np.argsort(small, axis=1, kind="stable")
+    sums = np.zeros((n_sets, n_codes, m), dtype=columns[0].dtype)
+    for index, set_counts in enumerate(counts.tolist()):
+        member_rows = columns[index][member_order[index]]
+        start = 0
+        for code, count in enumerate(set_counts):
+            if count:
+                stop = start + count
+                np.add.reduce(member_rows[start:stop], axis=0, out=sums[index, code])
+                start = stop
+    sums = sums.astype(np.float64, copy=False)
+    counts = counts.astype(np.float64)
+
+    own = (sets, codes, points)
+    own_counts = counts[sets, codes]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        # a_i: exclude the point itself from its own-cluster average.
+        a = sums[own] / np.maximum(own_counts - 1, 1)
+        # b_i: min over other (present) clusters of mean distance.
+        means = sums / counts[:, :, None]
+        means[counts == 0] = np.inf
+        means[own] = np.inf
+        b = means.min(axis=1)
+        denominator = np.maximum(a, b)
+        values = (b - a) / denominator
+    defined = np.count_nonzero(counts, axis=1) >= 2
+    valid = (own_counts > 1) & (denominator > 0) & defined[:, None]
+    return np.clip(np.where(valid, values, 0.0), -1.0, 1.0), defined

@@ -59,7 +59,6 @@ class ClusterParams:
     clara_threshold: int = 1200
     clara_draws: int = 5
     clara_sample_size: int | None = None
-    clara_jobs: int | None = None
     silhouette_subsamples: int = 8
     silhouette_subsample_size: int = 200
     silhouette_exact_threshold: int = 600
@@ -103,9 +102,9 @@ def cluster_features(
     ``distances`` is the Distances-stage artifact
     (:func:`shared_distance_matrix` of the same matrix): when present,
     every candidate k runs PAM on it and silhouettes are exact over it;
-    when absent the CLARA path fans draws out over
-    ``params.clara_jobs`` threads and the Monte-Carlo silhouette
-    subsamples are drawn once for the whole k sweep.
+    when absent each k runs its CLARA draws as one batch and the
+    Monte-Carlo silhouette subsamples are drawn once for the whole k
+    sweep.
     """
     n = matrix.shape[0]
 
@@ -118,7 +117,6 @@ def cluster_features(
             n_draws=params.clara_draws,
             sample_size=params.clara_sample_size,
             rng=rng,
-            n_jobs=params.clara_jobs,
             dtype=params.dtype,
         )
 

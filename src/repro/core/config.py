@@ -46,11 +46,6 @@ class BlaeuConfig:
         Independent CLARA samples (Kaufman & Rousseeuw recommend 5).
     clara_sample_size:
         Rows per CLARA draw (``None``: the book's 40 + 2k rule).
-    clara_jobs:
-        Thread-level parallelism for CLARA's independent draws: ``None``
-        or 1 runs serially, 0 uses every core, any other value that many
-        workers.  Results are bit-identical across settings (each draw
-        owns a spawned child RNG).
     scan_jobs:
         Process-level parallelism of chunked store scans (exact region
         counts, predicate masks, highlights, whole-table NMI): ``None``
@@ -111,7 +106,6 @@ class BlaeuConfig:
     clara_threshold: int = 1200
     clara_draws: int = 5
     clara_sample_size: int | None = None
-    clara_jobs: int | None = None
     scan_jobs: int | None = None
     map_k_values: tuple[int, ...] = (2, 3, 4, 5, 6)
     theme_k_values: tuple[int, ...] | None = None
@@ -139,8 +133,6 @@ class BlaeuConfig:
             not self.theme_k_values or min(self.theme_k_values) < 2
         ):
             raise ValueError("theme_k_values must contain integers >= 2")
-        if self.clara_jobs is not None and self.clara_jobs < 0:
-            raise ValueError("clara_jobs must be None, 0 (all cores) or >= 1")
         if self.graph_jobs is not None and self.graph_jobs < 0:
             raise ValueError("graph_jobs must be None, 0 (all cores) or >= 1")
         if self.scan_jobs is not None and self.scan_jobs < 0:
@@ -170,7 +162,13 @@ class BlaeuConfig:
     #: :meth:`digest` hashes them as ``None``.  They stay *in* the
     #: payload (not popped) because the default digest — and every
     #: golden digest derived from it — names them.
-    _WIDTH_KNOBS = ("graph_jobs", "clara_jobs", "scan_jobs")
+    _WIDTH_KNOBS = ("graph_jobs", "scan_jobs")
+
+    #: Payload entries of knobs that no longer exist, frozen at the value
+    #: they were hashed with, so the default digest (and every key-derived
+    #: seed and golden digest) does not move: the CLARA draw width, gone
+    #: since the draws became one array program.
+    _RETIRED_KNOBS = {"clara_jobs": None}
 
     def digest(self) -> str:
         """A stable hash of every result-affecting knob.
@@ -184,14 +182,15 @@ class BlaeuConfig:
         counting never changes the final exact map, so sessions
         differing only there share cache entries and refinements.  So
         are the ``*_jobs`` widths:
-        a cached engine at ``clara_jobs=2`` draws the same key-derived
-        seeds, and shares artifacts with, one at ``clara_jobs=None``.
+        a cached engine at ``graph_jobs=2`` draws the same key-derived
+        seeds, and shares artifacts with, one at ``graph_jobs=None``.
         """
         payload = dataclasses.asdict(self)
         for knob in self._RESULT_NEUTRAL_KNOBS:
             payload.pop(knob)
         for knob in self._WIDTH_KNOBS:
             payload[knob] = None
+        payload.update(self._RETIRED_KNOBS)
         text = json.dumps(payload, sort_keys=True, default=repr)
         return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 

@@ -316,7 +316,6 @@ class MapPipeline:
             clara_threshold=config.clara_threshold,
             clara_draws=config.clara_draws,
             clara_sample_size=config.clara_sample_size,
-            clara_jobs=config.clara_jobs,
             silhouette_subsamples=config.silhouette_subsamples,
             silhouette_subsample_size=config.silhouette_subsample_size,
             silhouette_exact_threshold=config.silhouette_exact_threshold,

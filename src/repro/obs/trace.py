@@ -6,8 +6,8 @@ monotonic start/duration, structured attributes, and ``trace_id`` /
 :mod:`contextvars` variable, so parenting follows the flow of control —
 across ``await`` points, into :class:`~repro.service.pool.WorkerPool`
 threads, and through the :func:`~repro.cluster.parallel.map_in_order`
-fan-outs of CLARA draws and the batched NMI kernel — without any
-explicit plumbing at the call sites.
+fan-out of the batched NMI kernel — without any explicit plumbing at
+the call sites.
 
 The tracer is **off by default** and the disabled path is engineered to
 cost nothing: :meth:`Tracer.span` returns the module-level

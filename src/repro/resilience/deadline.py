@@ -9,7 +9,7 @@ copies the context per item, so a deadline set in the request coroutine
 is visible at every cooperative :func:`checkpoint` below it.
 
 Checkpoints are placed at stage boundaries and inside chunked loops
-(store scans, streaming NMI, CLARA draws).  When no deadline is set the
+(store scans, streaming NMI, each CLARA run).  When no deadline is set the
 checkpoint is a single contextvar read — cheap enough for per-chunk use.
 
 Background work (count refinement, speculative prefetch) must *not*

@@ -23,8 +23,8 @@ Three entry points:
 * :func:`encode_table` — factorize every column once into a dense int32
   code matrix (missing = ``-1``);
 * :func:`pairwise_nmi_matrix` — the in-memory kernel, with an
-  ``n_jobs`` thread fan-out over left columns (mirroring
-  ``clara_jobs``; results are identical at any worker count);
+  ``n_jobs`` thread fan-out over left columns (results are identical
+  at any worker count);
 * :class:`StreamingPairwiseNMI` — the out-of-core twin: the same fused
   contingencies accumulated chunk by chunk, so a store-backed table's
   graph never materializes full columns.

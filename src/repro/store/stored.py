@@ -588,14 +588,13 @@ class StoredTable:
             columns = [self.column(n).take(indices) for n in names]
         return Table(name or self._name, columns)
 
-    def sample(self, n: int, rng: np.random.Generator | None = None) -> Table:
+    def sample(self, n: int, rng: np.random.Generator) -> Table:
         """A uniform sample of ``min(n, n_rows)`` distinct rows.
 
         Index-identical to :meth:`Table.sample` at the same ``rng``
         state — the bit-identity guarantee between store-backed and
         in-memory map builds rests on this.
         """
-        rng = rng or np.random.default_rng()
         indices = uniform_sample(self.n_rows, n, rng)
         return self.take(indices)
 

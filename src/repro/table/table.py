@@ -268,7 +268,7 @@ class Table:
         columns.append(column)
         return Table(self._name, columns)
 
-    def sample(self, n: int, rng: np.random.Generator | None = None) -> "Table":
+    def sample(self, n: int, rng: np.random.Generator) -> "Table":
         """A uniform sample of ``min(n, n_rows)`` distinct rows.
 
         This is the stand-in for MonetDB's ``SAMPLE`` clause; row order in
@@ -276,7 +276,6 @@ class Table:
         """
         from repro.table.sampling import uniform_sample
 
-        rng = rng or np.random.default_rng()
         indices = uniform_sample(self._n_rows, n, rng)
         return self.take(indices)
 

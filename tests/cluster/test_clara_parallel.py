@@ -1,4 +1,4 @@
-"""Parallel CLARA must be bit-identical to the serial reference."""
+"""CLARA's seed contract, and the deterministic fan-out helpers."""
 
 import numpy as np
 import pytest
@@ -15,45 +15,34 @@ def _blobs(seed=0, n_per=500):
     ])
 
 
-def _run(points, n_jobs, seed=42, dtype=None):
+def _run(points, seed=42, dtype=None):
     return clara(
         points,
         4,
         n_draws=5,
         sample_size=60,
         rng=np.random.default_rng(seed),
-        n_jobs=n_jobs,
         dtype=dtype,
     )
 
 
-class TestParallelDeterminism:
-    @pytest.mark.parametrize("n_jobs", [2, 3, 0])
-    def test_parallel_matches_serial_bitwise(self, n_jobs):
-        points = _blobs()
-        serial = _run(points, n_jobs=1)
-        parallel = _run(points, n_jobs=n_jobs)
-        assert np.array_equal(serial.labels, parallel.labels)
-        assert np.array_equal(serial.medoids, parallel.medoids)
-        assert serial.cost == parallel.cost  # exact, not approx
-        assert serial.n_iterations == parallel.n_iterations
-
-    def test_none_jobs_matches_serial(self):
-        points = _blobs(seed=3)
-        assert _run(points, n_jobs=None).cost == _run(points, n_jobs=1).cost
-
+class TestSeedContract:
     def test_different_seeds_still_differ(self):
         # Guard against the degenerate "determinism" of ignoring the RNG.
         points = _blobs(seed=5, n_per=300)
-        a = _run(points, n_jobs=2, seed=1)
-        b = _run(points, n_jobs=2, seed=2)
+        a = _run(points, seed=1)
+        b = _run(points, seed=2)
         assert not np.array_equal(a.medoids, b.medoids) or a.cost != b.cost
 
     def test_float32_close_to_float64(self):
         points = _blobs(seed=7)
-        exact = _run(points, n_jobs=1)
-        approx = _run(points, n_jobs=2, dtype="float32")
+        exact = _run(points)
+        approx = _run(points, dtype="float32")
         assert approx.cost == pytest.approx(exact.cost, rel=1e-4)
+
+    def test_a_generator_is_required(self):
+        with pytest.raises(TypeError):
+            clara(_blobs(n_per=20), 2)  # type: ignore[call-arg]
 
 
 class TestParallelHelpers:

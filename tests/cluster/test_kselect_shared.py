@@ -24,14 +24,14 @@ def _blobs(rng, k, n_per=60, gap=12.0):
 class TestSharedSilhouetteExact:
     def test_exact_mode_below_threshold(self, rng):
         points = _blobs(rng, 3, n_per=30)
-        shared = SharedSilhouette(points, exact_threshold=200)
+        shared = SharedSilhouette(points, exact_threshold=200, rng=rng)
         assert shared.exact
         assert shared.matrix is not None
 
     def test_exact_score_matches_per_k_recomputation(self, rng):
         """The old path rebuilt the matrix per k; scores must be unchanged."""
         points = _blobs(rng, 3, n_per=40)
-        shared = SharedSilhouette(points, exact_threshold=500)
+        shared = SharedSilhouette(points, exact_threshold=500, rng=rng)
         for k in (2, 3, 4, 5):
             labels = pam(pairwise_distances(points), k).labels
             legacy = mean_silhouette(pairwise_distances(points), labels)
@@ -40,7 +40,7 @@ class TestSharedSilhouetteExact:
     def test_caller_provided_matrix_is_used(self, rng):
         points = _blobs(rng, 2, n_per=25)
         matrix = pairwise_distances(points)
-        shared = SharedSilhouette(points, distances=matrix)
+        shared = SharedSilhouette(points, distances=matrix, rng=rng)
         assert shared.exact
         assert shared.matrix is matrix
         labels = pam(matrix, 2).labels
@@ -49,7 +49,7 @@ class TestSharedSilhouetteExact:
     def test_mismatched_matrix_rejected(self, rng):
         points = _blobs(rng, 2, n_per=25)
         with pytest.raises(ValueError):
-            SharedSilhouette(points, distances=np.zeros((3, 3)))
+            SharedSilhouette(points, distances=np.zeros((3, 3)), rng=rng)
 
 
 class TestSharedSilhouetteSampled:
@@ -88,7 +88,7 @@ class TestSharedSilhouetteSampled:
 
     def test_misaligned_labels_rejected(self, rng):
         points = _blobs(rng, 2, n_per=30)
-        shared = SharedSilhouette(points)
+        shared = SharedSilhouette(points, rng=rng)
         with pytest.raises(ValueError):
             shared.score(np.zeros(5, dtype=np.intp))
 
@@ -102,7 +102,7 @@ class TestSelectKPointsShared:
             return pam(pairwise_distances(pts), k)
 
         selection = select_k_points(
-            points, cluster_fn, k_values=(2, 3, 4), exact_threshold=1000
+            points, cluster_fn, k_values=(2, 3, 4), exact_threshold=1000, rng=rng
         )
 
         # Legacy reference: recompute matrix and silhouette for every k.
@@ -122,20 +122,20 @@ class TestSelectKPointsShared:
             return pam(pairwise_distances(pts), k)
 
         selection = select_k_points(
-            points, cluster_fn, k_values=(2, 3, 4, 5), exact_threshold=500
+            points, cluster_fn, k_values=(2, 3, 4, 5), exact_threshold=500, rng=rng
         )
         assert selection.k == 4
 
     def test_explicit_shared_scorer_is_honoured(self, rng):
         points = _blobs(rng, 2, n_per=30)
         matrix = pairwise_distances(points)
-        shared = SharedSilhouette(points, distances=matrix)
+        shared = SharedSilhouette(points, distances=matrix, rng=rng)
 
         def cluster_fn(pts, k):
             return pam(matrix, k, validate=False)
 
         selection = select_k_points(
-            points, cluster_fn, k_values=(2, 3), shared=shared
+            points, cluster_fn, k_values=(2, 3), rng=rng, shared=shared
         )
         for candidate in selection.candidates:
             expected = mean_silhouette(matrix, candidate.clustering.labels)

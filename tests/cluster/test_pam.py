@@ -86,9 +86,9 @@ class TestPam:
         result = pam(distances, 4)
         from repro.cluster.pam import _assign, _build
 
-        build_only = _build(distances, 4)
-        _, build_cost = _assign(distances, build_only)
-        assert result.cost <= build_cost + 1e-9
+        stack = distances[None]  # the kernels run a batch of one
+        _, build_costs = _assign(stack, _build(stack, 4))
+        assert result.cost <= build_costs[0] + 1e-9
 
 
 class TestClusteringHelpers:

@@ -43,12 +43,21 @@ class TestConfigDigest:
         key-derived RNG chain), so it may only move on purpose."""
         assert BlaeuConfig().digest() == "16a753f91cf0ec48"
 
-    @pytest.mark.parametrize("knob", ["graph_jobs", "clara_jobs", "scan_jobs"])
+    @pytest.mark.parametrize("knob", ["graph_jobs", "scan_jobs"])
     @pytest.mark.parametrize("jobs", [None, 1, 2])
     def test_parallel_widths_share_the_digest(self, knob, jobs):
         assert BlaeuConfig(**{knob: jobs}).digest() == BlaeuConfig().digest()
 
-    def test_a_cached_engine_maps_the_same_at_any_clara_width(self):
+    def test_the_retired_clara_width_stays_in_the_payload(self):
+        """CLARA's draws no longer fan out, so its width knob is gone —
+        but the digest still hashes it as ``None``: dropping the entry
+        would move the default digest, every key-derived seed, and so
+        every map."""
+        with pytest.raises(TypeError):
+            BlaeuConfig(clara_jobs=2)  # type: ignore[call-arg]
+        assert BlaeuConfig._RETIRED_KNOBS == {"clara_jobs": None}
+
+    def test_a_cached_engine_maps_the_same_at_any_graph_width(self):
         """The seed of every draw derives from the content key, hence
         from the digest: a width that moved the digest would move the
         map."""
@@ -56,7 +65,7 @@ class TestConfigDigest:
         maps = []
         for jobs in (None, 2):
             blaeu = Blaeu(
-                BlaeuConfig(clara_jobs=jobs), map_cache=LRUCache(max_size=16)
+                BlaeuConfig(graph_jobs=jobs), map_cache=LRUCache(max_size=16)
             )
             blaeu.register(table)
             data_map = blaeu.map(table.name, ("x0", "x1", "x2", "cat0"))

@@ -34,16 +34,6 @@ def _map_signature(data_map):
 
 
 class TestParallelMapBuilds:
-    def test_parallel_config_is_bit_identical(self, big_blobs):
-        serial = _build(big_blobs.table, clara_jobs=None)
-        parallel = _build(big_blobs.table, clara_jobs=3)
-        assert _map_signature(serial) == _map_signature(parallel)
-
-    def test_all_cores_config_is_bit_identical(self, big_blobs):
-        serial = _build(big_blobs.table, clara_jobs=None)
-        parallel = _build(big_blobs.table, clara_jobs=0)
-        assert _map_signature(serial) == _map_signature(parallel)
-
     def test_float32_map_is_structurally_sound(self, big_blobs):
         data_map = _build(big_blobs.table, distance_dtype="float32")
         assert data_map.k in (2, 3)
@@ -55,7 +45,7 @@ class TestParallelMapBuilds:
     def test_config_digest_tracks_new_knobs(self):
         base = BlaeuConfig()
         # A width is not a result knob: maps are bit-identical at any.
-        assert base.digest() == BlaeuConfig(clara_jobs=4).digest()
+        assert base.digest() == BlaeuConfig(graph_jobs=4).digest()
         assert base.digest() != BlaeuConfig(distance_dtype="float32").digest()
         assert base.digest() != BlaeuConfig(silhouette_exact_threshold=10).digest()
 
@@ -63,6 +53,6 @@ class TestParallelMapBuilds:
         with pytest.raises(ValueError):
             BlaeuConfig(distance_dtype="float16")
         with pytest.raises(ValueError):
-            BlaeuConfig(clara_jobs=-2)
+            BlaeuConfig(graph_jobs=-2)
         with pytest.raises(ValueError):
             BlaeuConfig(silhouette_exact_threshold=-1)

@@ -72,7 +72,6 @@ def _legacy_cluster(matrix, config, rng, forced_k):
             n_draws=config.clara_draws,
             sample_size=config.clara_sample_size,
             rng=rng,
-            n_jobs=config.clara_jobs,
             dtype=dtype,
         )
 

@@ -37,15 +37,6 @@ ALLOWED = {
     ("datasets/synthetic.py", "planted_themes"): "dataset generator",
     # Timing, not results.
     ("service/supervisor.py", "Supervisor.__init__"): "retry back-off jitter",
-    # Known debt: ``rng or default_rng()`` entropy fallbacks in kernels
-    # that draw.  Every engine path passes a generator; a direct caller
-    # who does not gets an irreproducible result instead of an error.
-    ("cluster/clara.py", "clara"): "entropy fallback",
-    ("cluster/kmeans.py", "kmeans"): "entropy fallback",
-    ("cluster/kselect.py", "select_k_points"): "entropy fallback",
-    ("cluster/silhouette.py", "SharedSilhouette.__init__"): "entropy fallback",
-    ("store/stored.py", "StoredTable.sample"): "entropy fallback",
-    ("table/table.py", "Table.sample"): "entropy fallback",
 }
 
 

@@ -149,32 +149,28 @@ class TestPropagation:
         assert {parent for _, parent in results} == {root.span_id}
 
     def test_clara_draw_spans_join_the_callers_trace(self):
+        """One span per CLARA run (its draws run as one batch), parented
+        to the caller's span, naming every draw's cost and the winner."""
         tracer = configure_tracing(enabled=True, buffer_size=256)
         points = np.random.default_rng(7).normal(size=(80, 3))
         with tracer.span("map.build") as root:
-            clara(
-                points,
-                k=2,
-                n_draws=3,
-                rng=np.random.default_rng(0),
-                n_jobs=2,
-            )
-        draws = [s for s in tracer.spans() if s.name == "clara.draw"]
-        assert len(draws) == 3
-        assert {s.trace_id for s in draws} == {root.trace_id}
-        assert {s.parent_id for s in draws} == {root.span_id}
-        assert {s.attributes["draw"] for s in draws} == {0, 1, 2}
+            result = clara(points, k=2, n_draws=3, rng=np.random.default_rng(0))
+        (draws,) = [s for s in tracer.spans() if s.name == "clara.draws"]
+        assert draws.trace_id == root.trace_id
+        assert draws.parent_id == root.span_id
+        attributes = draws.attributes
+        assert attributes["k"] == 2
+        assert len(attributes["costs"]) == 3
+        best = attributes["best_draw"]
+        assert attributes["costs"][best] == result.cost == min(attributes["costs"])
+        assert attributes["n_iterations"] == result.n_iterations
 
     def test_tracing_does_not_change_clara_results(self):
         points = np.random.default_rng(7).normal(size=(80, 3))
         configure_tracing(enabled=True, buffer_size=256)
-        traced = clara(
-            points, k=2, n_draws=3, rng=np.random.default_rng(0), n_jobs=2
-        )
+        traced = clara(points, k=2, n_draws=3, rng=np.random.default_rng(0))
         configure_tracing(enabled=False)
-        plain = clara(
-            points, k=2, n_draws=3, rng=np.random.default_rng(0), n_jobs=2
-        )
+        plain = clara(points, k=2, n_draws=3, rng=np.random.default_rng(0))
         np.testing.assert_array_equal(traced.labels, plain.labels)
         np.testing.assert_array_equal(traced.medoids, plain.medoids)
 
