@@ -3,7 +3,7 @@
 Production code is sprinkled with named *fault points*::
 
     fault_point("store.artifact.read")
-    blob = corrupt_bytes("store.artifact.index", blob)
+    blob = corrupt_bytes("store.artifact.write", blob)
 
 which are single ``None``-checks unless an injector is installed.  An
 injector is a list of :class:`FaultSpec` rules — site glob, mode, rate,

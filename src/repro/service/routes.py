@@ -62,7 +62,7 @@ ROUTES: tuple[Route, ...] = (
     Route("themes", "GET", "/v1/tables/{table}/themes", key=("table",)),
     Route("suggestions", "GET", "/v1/tables/{table}/suggestions", key=("table",)),
     Route("command", "POST", "/v1/commands/{command}", key=("session", "table")),
-    Route("workers", None, "/v1/workers", tier="fleet"),
+    Route("workers", "GET", "/v1/workers", tier="fleet"),
     Route("restart", "POST", "/v1/workers/{slot}/restart", tier="fleet"),
 )
 

@@ -510,6 +510,8 @@ class Supervisor:
         """Answer a fleet-level route here; proxy the rest to an owner."""
         route, params = routes.match(request.path)
         if route is not None and route.tier != "worker":
+            if route.method not in (None, request.method):
+                raise HttpError(405, f"use {route.method} for this resource")
             handler = getattr(self, f"_serve_{route.name}")
             return await handler(request, **params)
         if "table" in params and not self._fingerprints:
@@ -906,7 +908,7 @@ class Supervisor:
         return text_response(merge_metrics(bodies, extra))
 
     async def _serve_traces(self, request: HttpRequest) -> HttpResponse:
-        limit = request.query_int("limit", default=10)
+        limit = request.query_int("limit", default=10, minimum=1)
         results = await self._fan_out("GET", f"/v1/traces?limit={limit}")
         traces: list[dict[str, object]] = []
         enabled = False
@@ -926,8 +928,6 @@ class Supervisor:
     async def _serve_restart(
         self, request: HttpRequest, slot: str
     ) -> HttpResponse:
-        if request.method != "POST":
-            raise HttpError(405, "use POST to restart a worker")
         try:
             index = int(slot)
         except ValueError:

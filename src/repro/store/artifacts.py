@@ -16,9 +16,13 @@ Design constraints, and how each is met:
   same lock so callers can coordinate "compute once" across processes.
   Hosts without ``fcntl`` degrade to uncoordinated (still atomic)
   writes.
-* **Bounded size** — an ``index.json`` (itself atomically replaced,
-  under its own lock) tracks per-entry sizes and last-use stamps;
-  writers evict least-recently-used entries beyond ``max_bytes``.
+* **Bounded size** — the filesystem is the index: an object's size is
+  its ``st_size`` and its last use its ``st_mtime``, stamped from the
+  cache's clock on every write and every hit (one ``utime``, no lock),
+  so a hit costs one file read whatever the entry count.  A write that
+  leaves the directory over ``max_bytes`` takes the eviction lock and
+  unlinks the least recently used objects; a write far under budget
+  does not list the directory at all.
 * **Corruption quarantine** — an entry that fails checksum or decode
   validation is moved into ``quarantine/`` (for post-mortems) and
   reported as a miss, so the caller transparently recomputes.
@@ -26,19 +30,21 @@ Design constraints, and how each is met:
 Layout of a cache directory::
 
     root/
-      index.json          {key_hash: {key, nbytes, last_used, created}}
-      index.lock          flock guarding index.json
-      objects/ab/abcd….art
-      locks/abcd….lock    per-key write locks
-      quarantine/         corrupted entries, moved aside
-      tmp/                in-flight writes
+      objects/ab/abcd….art  one artifact; its mtime is its last use
+      locks/abcd….lock      per-key write locks
+      evict.lock            flock held by the one evicting writer
+      quarantine/           corrupted entries, moved aside
+      tmp/                  in-flight writes
+
+Older versions of this module also kept a JSON index and its lock file
+at the root; a directory they left behind is served as-is, and those
+two files are ignored.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
-import json
 import os
 import threading
 import time
@@ -65,7 +71,9 @@ _SUFFIX = ".art"
 
 @dataclass(frozen=True)
 class ArtifactCacheStats:
-    """Counters of one :class:`ArtifactCache` instance (this process)."""
+    """Counters of one :class:`ArtifactCache` instance (this process),
+    plus the census of the directory it shares (``entries``,
+    ``total_bytes``)."""
 
     hits: int
     misses: int
@@ -98,7 +106,7 @@ class ArtifactCache:
     max_bytes:
         Size budget; writers evict LRU entries beyond it.
     clock:
-        Injectable time source (tests).
+        Injectable time source (tests); it stamps each object's mtime.
     breaker:
         Optional circuit breaker guarding the disk.  Consecutive IO
         errors (or slow reads, when the breaker has a latency
@@ -127,6 +135,10 @@ class ArtifactCache:
         self._write_errors = 0
         self._evictions = 0
         self._quarantined = 0
+        # Room under the budget at this process's last census, and the
+        # bytes it has written since (see _evict).
+        self._headroom = 0
+        self._unchecked = 0
         for sub in ("objects", "locks", "quarantine", "tmp"):
             (self._root / sub).mkdir(parents=True, exist_ok=True)
 
@@ -146,7 +158,7 @@ class ArtifactCache:
 
     def stats(self) -> ArtifactCacheStats:
         """Process-local counters plus the on-disk entry census."""
-        index = self._read_index()
+        census = self._census()
         with self._mutex:
             return ArtifactCacheStats(
                 hits=self._hits,
@@ -155,12 +167,12 @@ class ArtifactCache:
                 write_errors=self._write_errors,
                 evictions=self._evictions,
                 quarantined=self._quarantined,
-                entries=len(index),
-                total_bytes=sum(int(e.get("nbytes", 0)) for e in index.values()),
+                entries=len(census),
+                total_bytes=sum(nbytes for _, _, nbytes, _ in census),
             )
 
     def __len__(self) -> int:
-        return len(self._read_index())
+        return len(self._census())
 
     # ------------------------------------------------------------------
     # The cache surface (duck-compatible with LRUCache)
@@ -193,7 +205,7 @@ class ArtifactCache:
             self._quarantine(name, path, error)
             self._bump("_misses")
             return None
-        self._touch(name)
+        self._stamp(path)
         self._bump("_hits")
         return value
 
@@ -238,27 +250,20 @@ class ArtifactCache:
             return False
         self._record_breaker(ok=True, started=started)
         self._bump("_writes")
-        self._record(name, key, len(blob))
+        self._stamp(path)
+        self._evict(len(blob))
         return True
 
     def invalidate(self, key: object) -> None:
         """Drop one entry (missing is fine)."""
-        name = _key_hash(key)
-        with self._index_lock():
-            index = self._read_index()
-            index.pop(name, None)
-            self._write_index(index)
         with contextlib.suppress(OSError):
-            self._object_path(name).unlink()
+            self._object_path(_key_hash(key)).unlink()
 
     def clear(self) -> None:
         """Drop every entry."""
-        with self._index_lock():
-            self._write_index({})
-        objects = self._root / "objects"
-        for path in objects.glob(f"*/*{_SUFFIX}"):
+        for *_, path in self._census():
             with contextlib.suppress(OSError):
-                path.unlink()
+                os.unlink(path)
 
     @contextlib.contextmanager
     def lock(self, key: object) -> Iterator[None]:
@@ -304,85 +309,71 @@ class ArtifactCache:
             finally:
                 fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
 
-    def _index_lock(self):
-        return self._flock(self._root / "index.lock")
+    def _stamp(self, path: Path) -> None:
+        """Record a use: an object's mtime is its recency.  Best effort —
+        another process may have evicted the object meanwhile."""
+        now = int(self._clock() * 1e9)
+        with contextlib.suppress(OSError):
+            os.utime(path, ns=(now, now))
 
-    def _read_index(self) -> dict[str, dict[str, object]]:
-        try:
-            raw = (self._root / "index.json").read_text(encoding="utf-8")
-        except OSError:
-            return {}
-        try:
-            index = json.loads(raw)
-        except json.JSONDecodeError:
-            # The index is a rebuildable accessory, never the source of
-            # truth — a torn index (pre-atomic-write crash) degrades to
-            # an empty census, and the next write re-records survivors.
-            return {}
-        return index if isinstance(index, dict) else {}
+    def _census(self) -> list[tuple[int, str, int, str]]:
+        """``(mtime_ns, name, nbytes, path)`` of every object on disk.
 
-    def _write_index(self, index: dict[str, dict[str, object]]) -> None:
-        fault_point("store.artifact.index")
-        payload = json.dumps(index, sort_keys=True, separators=(",", ":"))
-        blob = corrupt_bytes("store.artifact.index", payload.encode("utf-8"))
-        tmp = self._root / "tmp" / f"index.{os.getpid()}.{threading.get_ident()}"
-        tmp.write_bytes(blob)
-        os.replace(tmp, self._root / "index.json")
+        An object another process removes mid-listing is not counted.
+        """
+        census = []
+        with contextlib.suppress(OSError), os.scandir(self._root / "objects") as shards:
+            for shard in shards:
+                with contextlib.suppress(OSError), os.scandir(shard.path) as objects:
+                    for entry in objects:
+                        if not entry.name.endswith(_SUFFIX):
+                            continue
+                        try:
+                            stat = entry.stat()
+                        except OSError:
+                            continue
+                        census.append(
+                            (stat.st_mtime_ns, entry.name, stat.st_size, entry.path)
+                        )
+        return census
 
-    def _record(self, name: str, key: object, nbytes: int) -> None:
-        """Index a fresh write, then shed LRU entries beyond the budget."""
-        now = self._clock()
-        evicted: list[str] = []
-        # The index is a rebuildable accessory: an IO failure updating
-        # it must not fail the put whose object file already published.
-        with contextlib.suppress(OSError), self._index_lock():
-            index = self._read_index()
-            entry = index.get(name, {})
-            index[name] = {
-                "key": repr(key),
-                "nbytes": int(nbytes),
-                "created": entry.get("created", now),
-                "last_used": now,
-            }
-            total = sum(int(e.get("nbytes", 0)) for e in index.values())
-            if total > self._max_bytes:
-                # Oldest first; the entry just written is the newest, so
-                # it only goes when it alone exceeds the whole budget.
-                by_age = sorted(
-                    index.items(), key=lambda kv: float(kv[1].get("last_used", 0.0))
-                )
-                for stale_name, stale in by_age:
+    def _evict(self, written: int) -> None:
+        """Shed the least recently used objects beyond the byte budget.
+
+        A census lists every shard, so a writer takes one only once the
+        bytes it wrote since its last census could have filled half the
+        headroom that census found: two writers cannot overrun the
+        budget unseen, and a directory far below its budget is not
+        listed on every write.  Only a census over budget takes the
+        eviction lock; under it the census is taken again, since another
+        writer may have evicted meanwhile.  Equal stamps go in name
+        order, so the order is deterministic.
+        """
+        with self._mutex:
+            self._unchecked += written
+            if 2 * self._unchecked <= self._headroom:
+                return
+            self._unchecked = 0
+        total = sum(nbytes for _, _, nbytes, _ in self._census())
+        evicted = 0
+        if total > self._max_bytes:
+            with contextlib.suppress(OSError), self._flock(self._root / "evict.lock"):
+                census = sorted(self._census())
+                total = sum(nbytes for _, _, nbytes, _ in census)
+                for _, _, nbytes, path in census:
                     if total <= self._max_bytes:
                         break
-                    total -= int(stale.get("nbytes", 0))
-                    del index[stale_name]
-                    evicted.append(stale_name)
-            self._write_index(index)
-        for stale_name in evicted:
-            with contextlib.suppress(OSError):
-                self._object_path(stale_name).unlink()
-        if evicted:
-            with self._mutex:
-                self._evictions += len(evicted)
-
-    def _touch(self, name: str) -> None:
-        """Refresh an entry's recency stamp (best effort)."""
-        with contextlib.suppress(OSError):
-            with self._index_lock():
-                index = self._read_index()
-                entry = index.get(name)
-                if entry is not None:
-                    entry["last_used"] = self._clock()
-                    self._write_index(index)
+                    total -= nbytes
+                    with contextlib.suppress(OSError):
+                        os.unlink(path)
+                        evicted += 1
+        with self._mutex:
+            self._headroom = max(self._max_bytes - total, 0)
+            self._evictions += evicted
 
     def _quarantine(self, name: str, path: Path, error: Exception) -> None:
         """Move a failed entry aside; the caller recomputes."""
         target = self._root / "quarantine" / f"{name}{_SUFFIX}"
         with contextlib.suppress(OSError):
             os.replace(path, target)
-        with contextlib.suppress(OSError), self._index_lock():
-            index = self._read_index()
-            if index.pop(name, None) is not None:
-                self._write_index(index)
-        with self._mutex:
-            self._quarantined += 1
+        self._bump("_quarantined")

@@ -10,9 +10,11 @@ byte.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import re
 from pathlib import Path
+from urllib.parse import parse_qs
 
 import pytest
 
@@ -444,6 +446,51 @@ class TestProxyPlacesByTheSameTable:
         for route in ROUTES:
             if route.tier != "worker":
                 assert callable(getattr(supervisor, f"_serve_{route.name}"))
+
+
+def proxied(supervisor, method, target):
+    """The supervisor's own answer to one request (no worker is asked)."""
+    path, _, query = target.partition("?")
+    answer = asyncio.run(
+        supervisor._route(
+            HttpRequest(method, path, query=parse_qs(query), headers={}, body=b"")
+        )
+    )
+    return answer.status, answer.body.decode("utf-8")
+
+
+PROXY_ANSWERED = [route for route in ROUTES if route.tier != "worker" and route.method]
+
+
+class TestProxyRefusesLikeAWorker:
+    @pytest.mark.parametrize("route", PROXY_ANSWERED, ids=ids(PROXY_ANSWERED))
+    def test_the_other_method_is_a_405(self, supervisor, route):
+        other = "POST" if route.method == "GET" else "GET"
+        body = {
+            "code": "method_not_allowed",
+            "error": f"use {route.method} for this resource",
+            "ok": False,
+        }
+        assert proxied(supervisor, other, route.template.format(**PARAMS)) == (
+            405,
+            json.dumps(body, sort_keys=True),
+        )
+
+    @pytest.mark.parametrize(
+        ("method", "target"),
+        [
+            ("POST", "/v1/traces"),
+            ("GET", "/v1/traces?limit=0"),
+            ("GET", "/v1/traces?limit=x"),
+        ],
+    )
+    def test_traces_refuses_with_a_single_processs_bytes(
+        self, supervisor, service, method, target
+    ):
+        body = b"{}" if method == "POST" else None
+        assert proxied(supervisor, method, target) == exchange(
+            service, method, target, body
+        )
 
 
 def readme_row(route) -> str:

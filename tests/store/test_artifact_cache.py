@@ -7,6 +7,8 @@ worker mounts the same directory as its L2 tier.
 
 from __future__ import annotations
 
+import contextlib
+import json
 import os
 import subprocess
 import sys
@@ -15,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.store.artifacts import ArtifactCache
+from repro.store.artifacts import ArtifactCache, _key_hash
 from repro.store.codec import encode
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -24,6 +26,42 @@ ENV = {**os.environ, "PYTHONPATH": SRC}
 
 def _payload(seed: int, n: int = 512) -> dict[str, object]:
     return {"seed": seed, "values": np.arange(n, dtype=np.float64) + seed}
+
+
+def _objects_on_disk(cache: ArtifactCache) -> list[Path]:
+    return sorted((cache.root / "objects").glob("*/*.art"))
+
+
+def _ticking(start: int = 0):
+    """A clock that advances one second per reading."""
+    ticks = iter(range(start, start + 10_000))
+    return lambda: float(next(ticks))
+
+
+#: Audit events seen while a test records (``None``: not recording).
+#: Audit hooks cannot be removed, so one hook is installed for the
+#: process and switched by this list.
+_AUDITED: list[tuple[str, tuple]] | None = None
+_HOOKED = False
+
+
+@contextlib.contextmanager
+def _audited():
+    """Record every file open and directory listing in the block."""
+    global _AUDITED, _HOOKED
+    if not _HOOKED:
+
+        def hook(event: str, args: tuple) -> None:
+            if _AUDITED is not None and event in ("open", "os.scandir", "os.listdir"):
+                _AUDITED.append((event, args))
+
+        sys.addaudithook(hook)
+        _HOOKED = True
+    _AUDITED = events = []
+    try:
+        yield events
+    finally:
+        _AUDITED = None
 
 
 class TestBasics:
@@ -105,11 +143,153 @@ class TestEviction:
         # but the cache stays functional.
         assert cache.stats().total_bytes <= 64 or len(cache) == 0
 
+    def test_writes_far_under_budget_skip_the_census(self, tmp_path, monkeypatch):
+        one_entry = len(encode(_payload(0)))
+        cache = ArtifactCache(tmp_path / "c", max_bytes=one_entry * 100)
+        cache.put("first", _payload(0))  # this process's first census
+        listed = []
+        scandir = os.scandir
+        monkeypatch.setattr(
+            os, "scandir", lambda path: listed.append(path) or scandir(path)
+        )
+        for i in range(40):  # under half the 99 entries of headroom
+            cache.put(f"k{i}", _payload(i))
+        assert listed == []
+        for i in range(40, 60):
+            cache.put(f"k{i}", _payload(i))
+        assert listed, "a writer past half its headroom must count again"
+
+    def test_equal_stamps_evict_in_name_order(self, tmp_path):
+        one_entry = len(encode(_payload(0)))
+        keys = [f"k{i}" for i in range(6)]
+        survivors = []
+        for run in ("first", "second"):
+            cache = ArtifactCache(
+                tmp_path / run, max_bytes=one_entry * 3 + 16, clock=lambda: 5.0
+            )
+            for i, key in enumerate(keys):
+                cache.put(key, _payload(i))
+            survivors.append([path.name for path in _objects_on_disk(cache)])
+        # Every put past the third sheds the smallest name on disk.
+        expected: list[str] = []
+        for key in keys:
+            expected = sorted([*expected, f"{_key_hash(key)}.art"])[-3:]
+        assert survivors == [expected, expected]
+
+    def test_recency_crosses_processes(self, tmp_path):
+        """A read in one process protects the entry from an eviction
+        another process's write triggers."""
+        script = r"""
+import sys
+import numpy as np
+from repro.store.artifacts import ArtifactCache
+
+root, budget, verb, key = sys.argv[1:5]
+cache = ArtifactCache(root, max_bytes=int(budget))
+if verb == "get":
+    assert cache.get(key) is not None
+else:
+    value = {"seed": 9, "values": np.arange(512, dtype=np.float64) + 9}
+    assert cache.put(key, value) is True
+print(cache.stats().evictions)
+"""
+        one_entry = len(encode(_payload(0)))
+        budget = one_entry * 3 + 16
+        root = tmp_path / "shared"
+        # Three entries stamped long ago, "a" the oldest.
+        seeded = ArtifactCache(root, max_bytes=budget, clock=_ticking(100))
+        for i, key in enumerate("abc"):
+            seeded.put(key, _payload(i))
+
+        def run(verb: str, key: str) -> str:
+            result = subprocess.run(
+                [sys.executable, "-c", script, str(root), str(budget), verb, key],
+                env=ENV,
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert result.returncode == 0, result.stderr
+            return result.stdout.strip()
+
+        assert run("get", "a") == "0"  # process B reads "a"
+        assert run("put", "d") == "1"  # process A's write evicts one
+        cache = ArtifactCache(root, max_bytes=budget)
+        assert cache.get("b") is None  # the least recently used went
+        assert all(cache.get(key) is not None for key in "acd")
+
+    def test_a_directory_left_by_the_index_version_is_served(self, tmp_path):
+        """The layout the index-keeping version wrote — its objects plus
+        an ``index.json`` that even lists an object no longer on disk —
+        is served, counted and evicted from the objects alone."""
+        root = tmp_path / "c"
+        one_entry = len(encode(_payload(0)))
+        index = {}
+        for i, key in enumerate("abc"):
+            name = _key_hash(key)
+            path = root / "objects" / name[:2] / f"{name}.art"
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(encode(_payload(i)))
+            os.utime(path, ns=(i * 10**9, i * 10**9))
+            index[name] = {
+                "key": repr(key),
+                "nbytes": one_entry,
+                "created": float(i),
+                "last_used": float(i),
+            }
+        index["f" * 64] = {
+            "key": "'gone'",
+            "nbytes": 10**9,
+            "created": 0.0,
+            "last_used": 0.0,
+        }
+        (root / "index.json").write_text(json.dumps(index), encoding="utf-8")
+        (root / "index.lock").touch()
+        left_behind = (root / "index.json").read_bytes()
+
+        cache = ArtifactCache(
+            root, max_bytes=one_entry * 3 + 16, clock=_ticking(100)
+        )
+        stats = cache.stats()
+        assert (stats.entries, stats.total_bytes) == (3, 3 * one_entry)
+        assert cache.get("b")["seed"] == 1
+        assert cache.put("d", _payload(3)) is True  # evicts "a", the oldest
+        assert cache.stats().evictions == 1
+        assert cache.get("a") is None
+        assert all(cache.get(key) is not None for key in "bcd")
+        assert len(cache) == 3
+        assert (root / "index.json").read_bytes() == left_behind
+        assert (root / "index.lock").exists()
+
+
+class TestAHitIsOneRead:
+    @pytest.mark.parametrize("entries", [1, 500])
+    def test_a_hit_opens_one_object_and_lists_nothing(
+        self, tmp_path, monkeypatch, entries
+    ):
+        cache = ArtifactCache(tmp_path / "c")
+        for i in range(entries):
+            cache.put(("k", i), {"i": i})
+
+        def no_listing(*_args, **_kwargs):
+            raise AssertionError("a hit listed a directory")
+
+        monkeypatch.setattr(os, "scandir", no_listing)
+        with _audited() as events:
+            value = cache.get(("k", 0))
+        assert value == {"i": 0}
+        opened = [
+            Path(os.fsdecode(args[0]))
+            for event, args in events
+            if event == "open" and isinstance(args[0], (str, bytes, os.PathLike))
+        ]
+        opened = [path for path in opened if tmp_path in path.parents]
+        assert [path.name for path in opened] == [f"{_key_hash(('k', 0))}.art"]
+        assert not [event for event, _ in events if event != "open"]
+
 
 class TestCorruption:
     def _object_file(self, cache: ArtifactCache, key: object) -> Path:
-        from repro.store.artifacts import _key_hash
-
         name = _key_hash(key)
         return cache.root / "objects" / name[:2] / f"{name}.art"
 
@@ -138,15 +318,18 @@ class TestCorruption:
         assert cache.get("k") is None
         assert cache.stats().quarantined == 1
 
-    def test_torn_index_degrades_to_empty_census(self, tmp_path):
+    def test_the_census_after_a_quarantine_is_the_files_on_disk(self, tmp_path):
         cache = ArtifactCache(tmp_path / "c")
-        cache.put("k", _payload(5))
-        (cache.root / "index.json").write_text('{"k": {"nby')  # torn
-        # Objects remain readable; the index is a rebuildable accessory.
-        assert cache.get("k") is not None
-        cache.put("k2", _payload(6))  # next write re-records survivors
-        assert "k2" in (cache.root / "index.json").read_text() or True
-        assert len(cache) >= 1
+        for key in "abc":
+            cache.put(key, _payload(1))
+        path = self._object_file(cache, "b")
+        path.write_bytes(path.read_bytes()[:100])
+        assert cache.get("b") is None
+        on_disk = _objects_on_disk(cache)
+        stats = cache.stats()
+        assert stats.quarantined == 1
+        assert stats.entries == len(on_disk) == 2
+        assert stats.total_bytes == sum(path.stat().st_size for path in on_disk)
 
 
 _RACE_SCRIPT = r"""
@@ -169,6 +352,23 @@ for _ in range(30):
     assert got is not None, "observed a torn artifact"
     assert got["values"].shape == (2048,)
 print(wrote)
+"""
+
+_EVICTION_RACE_SCRIPT = r"""
+import sys
+from repro.store.artifacts import ArtifactCache
+import numpy as np
+
+root, budget, worker = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+cache = ArtifactCache(root, max_bytes=budget)
+for i in range(25):
+    key = ("worker", worker, i)
+    assert cache.put(key, {"values": np.arange(512, dtype=np.float64)}) is True
+    for j in range(i + 1):
+        # An entry another writer evicted is a miss; a torn one would
+        # be quarantined and counted.
+        cache.get(("worker", worker, j))
+print(cache.stats().quarantined)
 """
 
 
@@ -195,6 +395,40 @@ class TestCrossProcess:
         assert final is not None and final["seed"] in (1, 2)
         assert cache.stats().quarantined == 0
         assert not list((cache.root / "quarantine").iterdir())
+
+    def test_writers_evicting_together_never_tear_or_overshoot(self, tmp_path):
+        """More writers than cores, all over budget at once: reads see
+        whole artifacts or misses, and the next write lands the
+        directory back inside its budget."""
+        one_entry = len(encode({"values": np.arange(512, dtype=np.float64)}))
+        budget = one_entry * 5 + 16
+        root = tmp_path / "shared"
+        procs = [
+            subprocess.Popen(
+                [
+                    sys.executable,
+                    "-c",
+                    _EVICTION_RACE_SCRIPT,
+                    str(root),
+                    str(budget),
+                    str(worker),
+                ],
+                env=ENV,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+            for worker in range(4)
+        ]
+        for proc in procs:
+            out, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err
+            assert out.strip() == "0"
+        cache = ArtifactCache(root, max_bytes=budget)
+        assert cache.put("last", _payload(0)) is True
+        assert cache.stats().total_bytes <= budget
+        assert not list((root / "quarantine").iterdir())
+        assert not list((root / "tmp").iterdir())
 
     def test_per_key_lock_excludes_across_processes(self, tmp_path):
         root = str(tmp_path / "shared")
