@@ -9,7 +9,6 @@ back to a previous state of the system with a rollback."
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import TYPE_CHECKING, Callable
@@ -21,7 +20,8 @@ from repro.core.datamap import DataMap
 from repro.core.pipeline import MapBuilder, predicate_mask
 from repro.core.themes import Theme, ThemeSet, extract_themes
 from repro.graph.dependency import GraphBuilder
-from repro.table.column import CategoricalColumn, NumericColumn
+from repro.stats.summary import present_summary
+from repro.table.column import CategoricalColumn, Column, ColumnKind, NumericColumn
 from repro.table.predicates import And, Everything, Predicate
 from repro.table.table import Table
 
@@ -29,7 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.insights import InsightReport
     from repro.guide.recommend import Suggestion
 
-__all__ = ["Explorer", "ExplorationState", "Highlight"]
+__all__ = ["Explorer", "ExplorationState", "Highlight", "MatchedRows"]
 
 
 @dataclass(frozen=True)
@@ -65,19 +65,86 @@ class Highlight:
     category_counts: dict[str, dict[str, int]] = field(default_factory=dict)
 
 
-def _numeric_summary(column: NumericColumn) -> dict[str, float]:
-    """The univariate statistics a highlight reports for one column
-    (every one ``nan`` when no value is present)."""
-    present = column.present_values()
-    if present.size == 0:
-        return dict.fromkeys(("min", "max", "mean", "median", "std"), math.nan)
-    return {
-        "min": float(present.min()),
-        "max": float(present.max()),
-        "mean": float(present.mean()),
-        "median": float(np.median(present)),
-        "std": float(present.std()),
-    }
+@dataclass
+class MatchedRows:
+    """What a highlight keeps of the rows it matched, chunk by chunk.
+
+    Numeric columns keep their present matched values, one array per
+    chunk (``np.compress`` straight out of the chunk: each cell is
+    copied once and nothing else of the chunk is kept); categorical
+    columns keep per-code counts; the preview keeps the first rows up
+    to its cap.  Partials of consecutive row ranges merge with
+    :meth:`extend`, in row order.
+    """
+
+    n_rows: int = 0
+    values: dict[str, list[np.ndarray]] = field(default_factory=dict)
+    code_counts: dict[str, np.ndarray] = field(default_factory=dict)
+    preview: list[dict[str, object]] = field(default_factory=list)
+
+    def add(
+        self, columns: dict[str, Column], rows: np.ndarray, preview_cap: int
+    ) -> None:
+        """Collect the ``rows`` (a boolean mask) of one chunk's inspected
+        ``columns`` (in the highlight's column order)."""
+        self.n_rows += int(np.count_nonzero(rows))
+        for name, column in columns.items():
+            if isinstance(column, NumericColumn):
+                keep = rows & ~column.missing_mask
+                self.values.setdefault(name, []).append(
+                    np.compress(keep, column.values)
+                )
+            elif isinstance(column, CategoricalColumn):
+                # Shifted by one, the missing code -1 counts in bin 0.
+                shifted = np.compress(rows, column.codes) + 1
+                counts = np.bincount(
+                    shifted, minlength=len(column.categories) + 1
+                )[1:]
+                self.code_counts[name] = self.code_counts.get(name, 0) + counts
+        room = preview_cap - len(self.preview)
+        for local in np.flatnonzero(rows)[: max(room, 0)]:
+            self.preview.append(
+                {name: column.value_at(int(local)) for name, column in columns.items()}
+            )
+
+    def extend(self, later: "MatchedRows", preview_cap: int) -> None:
+        """Append the partial of the rows after this one's."""
+        self.n_rows += later.n_rows
+        for name, parts in later.values.items():
+            self.values.setdefault(name, []).extend(parts)
+        for name, counts in later.code_counts.items():
+            self.code_counts[name] = self.code_counts.get(name, 0) + counts
+        room = preview_cap - len(self.preview)
+        self.preview.extend(later.preview[: max(room, 0)])
+
+    def highlight(
+        self, region_id: str, table: Table, inspect: tuple[str, ...]
+    ) -> Highlight:
+        """The :class:`Highlight` of the collected rows.  Consumes the
+        numeric values: each column's are dropped once summarized."""
+        numeric_summaries: dict[str, dict[str, float]] = {}
+        category_counts: dict[str, dict[str, int]] = {}
+        for name in inspect:
+            if table.kind(name) is ColumnKind.NUMERIC:
+                numeric_summaries[name] = present_summary(
+                    self.values.pop(name, [])
+                )
+                continue
+            categories = table.categories(name)
+            counts = self.code_counts.get(name, ())
+            pairs = [
+                (categories[code], int(n)) for code, n in enumerate(counts) if n > 0
+            ]
+            pairs.sort(key=lambda item: (-item[1], item[0]))
+            category_counts[name] = dict(pairs)
+        return Highlight(
+            region_id=region_id,
+            columns=inspect,
+            n_rows=self.n_rows,
+            preview=tuple(self.preview),
+            numeric_summaries=numeric_summaries,
+            category_counts=category_counts,
+        )
 
 
 class Explorer:
@@ -329,62 +396,18 @@ class Explorer:
         """Inspect the tuples of a region without changing state (Fig. 1c).
 
         Returns a bounded preview plus univariate summaries for the
-        requested columns (default: the active columns).  On
-        store-backed tables the summaries come from **one chunked
-        pushdown scan over only the highlighted columns** — the full
-        selection is never materialized and non-highlighted columns are
-        never read.
+        requested columns (default: the active columns).  Only the
+        matched cells of those columns are copied, each once
+        (:class:`MatchedRows`).  On store-backed tables they come from
+        **one chunked pushdown pass** that evaluates the predicate and
+        collects the matches together: the full selection is never
+        materialized, and no column but the predicate's and the
+        highlighted ones is read.
         """
         state = self.state
         region = state.map.region(region_id)
         predicate = And.of(state.selection, region.predicate)
         inspect = tuple(columns) if columns else state.columns
-        if getattr(self._table, "iter_chunks", None) is not None:
-            return self._highlight_store(region_id, predicate, inspect)
-        rows = self._table.select(predicate)
-        for name in inspect:
-            self._table.column(name)
-
-        preview_rows = rows.head(self._config.highlight_preview_rows)
-        preview = tuple(
-            {name: row[name] for name in inspect}
-            for row in preview_rows.rows()
-        )
-
-        numeric_summaries: dict[str, dict[str, float]] = {}
-        category_counts: dict[str, dict[str, int]] = {}
-        for name in inspect:
-            column = rows.column(name)
-            if isinstance(column, NumericColumn):
-                numeric_summaries[name] = _numeric_summary(column)
-            elif isinstance(column, CategoricalColumn):
-                category_counts[name] = column.value_counts()
-        return Highlight(
-            region_id=region_id,
-            columns=inspect,
-            n_rows=rows.n_rows,
-            preview=preview,
-            numeric_summaries=numeric_summaries,
-            category_counts=category_counts,
-        )
-
-    def _highlight_store(
-        self,
-        region_id: str,
-        predicate: Predicate,
-        inspect: tuple[str, ...],
-    ) -> Highlight:
-        """The store-backed highlight: chunked pushdown, no full gather.
-
-        The predicate is evaluated by :meth:`~repro.store.StoredTable.
-        scan_mask` (reads only the predicate's columns), then one
-        chunked pass over just the ``inspect`` columns, in just the
-        chunks where a row matched, accumulates the per-column summaries
-        — matched numeric cells for the order statistics, per-chunk
-        ``bincount`` totals for the categorical value counts — and the
-        bounded tuple preview.  Results are identical to the in-memory
-        path on the same rows.
-        """
         table = self._table
         for name in inspect:
             if not table.has_column(name):
@@ -392,70 +415,19 @@ class Explorer:
                     f"table {table.name!r} has no column {name!r}; "
                     f"available: {list(table.column_names)}"
                 )
-        mask = table.scan_mask(predicate)
-        n_rows = int(mask.sum())
         preview_cap = self._config.highlight_preview_rows
-        preview: list[dict[str, object]] = []
-        # Accumulators are seeded from the manifest for every inspected
-        # column, so a region matching zero rows still reports the same
-        # (NaN summaries / empty counts) shape as the in-memory path.
-        numeric_parts: dict[str, list[NumericColumn]] = {}
-        category_codes: dict[str, np.ndarray] = {}
-        categories: dict[str, tuple[str, ...]] = {}
-        for name in inspect:
-            if table.kind(name).value == "numeric":
-                numeric_parts[name] = []
-            else:
-                categories[name] = table.categories(name)
-                category_codes[name] = np.zeros(
-                    len(categories[name]), dtype=np.int64
-                )
-        # One selection pass over the inspected columns: numeric matches
-        # concatenate and code counts sum in partition order, and each
-        # partition over-collects up to the preview cap so the first
-        # ``preview_cap`` matches overall are always present.
-        from repro.store.parallel import highlight_task, run_selection_pass
+        if getattr(table, "iter_chunks", None) is not None:
+            from repro.store.parallel import run_highlight_pass
 
-        for parts, code_counts, rows in run_selection_pass(
-            "store.highlight", highlight_task, table, mask, inspect, preview_cap
-        ):
-            for name, chunks in parts.items():
-                numeric_parts[name].extend(chunks)
-            for name, counts in code_counts.items():
-                category_codes[name] += counts
-            preview.extend(rows[: max(preview_cap - len(preview), 0)])
-
-        numeric_summaries = {
-            name: _numeric_summary(
-                NumericColumn.adopt(
-                    name,
-                    np.concatenate([part.values for part in parts])
-                    if parts
-                    else np.empty(0, dtype=np.float64),
-                    np.concatenate([part.missing_mask for part in parts])
-                    if parts
-                    else np.empty(0, dtype=bool),
-                )
+            matched = run_highlight_pass(table, predicate, inspect, preview_cap)
+        else:
+            matched = MatchedRows()
+            matched.add(
+                {name: table.column(name) for name in inspect},
+                np.asarray(predicate.mask(table), dtype=bool),
+                preview_cap,
             )
-            for name, parts in numeric_parts.items()
-        }
-        category_counts: dict[str, dict[str, int]] = {}
-        for name, counts in category_codes.items():
-            pairs = [
-                (categories[name][code], int(n))
-                for code, n in enumerate(counts)
-                if n > 0
-            ]
-            pairs.sort(key=lambda item: (-item[1], item[0]))
-            category_counts[name] = dict(pairs)
-        return Highlight(
-            region_id=region_id,
-            columns=inspect,
-            n_rows=n_rows,
-            preview=tuple(preview),
-            numeric_summaries=numeric_summaries,
-            category_counts=category_counts,
-        )
+        return matched.highlight(region_id, table, inspect)
 
     def rollback(self) -> DataMap:
         """Undo the latest zoom/project/open; returns the restored map."""

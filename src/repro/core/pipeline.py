@@ -355,7 +355,8 @@ class MapPipeline:
                 f"selection has {n_selection} rows; nothing to cluster"
             )
         # Only the sampled slice is ever materialized; store-backed
-        # tables gather just the picked rows through their memory maps.
+        # tables gather just the picked rows, each column file mapped
+        # for that gather only.
         if n_selection > config.map_sample_size:
             if mask is None:
                 sample = table.sample(config.map_sample_size, rng=rng)
@@ -1126,11 +1127,7 @@ def _route_left(node: TreeNode, table: Table) -> np.ndarray:
     """Boolean mask of all table rows that follow the node's left branch."""
     from repro.tree.cart import _left_mask
 
-    indices = np.arange(table.n_rows, dtype=np.intp)
-    out = np.zeros(table.n_rows, dtype=bool)
-    goes_left = _left_mask(node, table.column(node.column or ""), indices)
-    out[indices[goes_left]] = True
-    return out
+    return _left_mask(node, table.column(node.column or ""))
 
 
 def _selection_sql(selection: Predicate | None) -> str:

@@ -18,7 +18,7 @@ from repro.core.config import BlaeuConfig
 from repro.graph.dependency import DependencyGraph, GraphBuilder
 from repro.graph.partition import pam_partition
 from repro.obs.trace import current_span
-from repro.table.column import CategoricalColumn
+from repro.table.column import ColumnKind
 from repro.table.schema import KeyScan
 from repro.table.table import Table
 
@@ -205,9 +205,8 @@ def extract_themes(
     # Near-key categoricals (e.g. 1,500 region names) carry identity, not
     # structure — exclude them just like the preprocessing stage does.
     for name in candidates:
-        column = table.column(name)
-        if isinstance(column, CategoricalColumn) and scan.wider_than(
-            column, config.max_categorical_cardinality
+        if table.kind(name) is ColumnKind.CATEGORICAL and scan.wider_than(
+            table.column(name), config.max_categorical_cardinality
         ):
             keys.add(name)
     span = current_span()

@@ -47,7 +47,7 @@ from repro.obs.trace import get_tracer
 from repro.resilience.deadline import checkpoint
 from repro.stats.batched import StreamingPairwiseNMI, pairwise_nmi_matrix
 from repro.stats.correlation import pairwise_correlation_matrix
-from repro.table.column import NumericColumn
+from repro.table.column import ColumnKind
 from repro.table.sampling import seed_for, uniform_sample
 from repro.table.table import Table
 
@@ -433,7 +433,7 @@ class GraphBuilder:
         numeric = [
             index
             for index, name in enumerate(names)
-            if _is_numeric_column(table, name)
+            if table.kind(name) is ColumnKind.NUMERIC
         ]
         if len(numeric) < 2:
             return weights
@@ -517,13 +517,6 @@ def build_dependency_graph(
 # ----------------------------------------------------------------------
 # Module internals
 # ----------------------------------------------------------------------
-
-
-def _is_numeric_column(table, name: str) -> bool:
-    kind = getattr(table, "kind", None)
-    if callable(kind):  # store-backed: answered from the manifest, no IO
-        return kind(name).value == "numeric"
-    return isinstance(table.column(name), NumericColumn)
 
 
 def _numeric_block(

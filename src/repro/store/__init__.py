@@ -38,11 +38,12 @@ Pushdown rules
 * **projection** — ``project``/``drop`` return store-backed *views*
   over a restricted column set, copying nothing;
 * **sample** — ``sample`` computes row indices first and gathers only
-  those rows through the memory maps, and ``top_k_sample`` answers the
-  multi-scale :class:`~repro.table.sampling.SampleCascade` sample of
-  the whole table with a bounded top-k scan over the *persisted*
-  ``priority.bin`` column — nested zoom samples are stable across
-  processes and never require a priority redraw.
+  those rows, through memory maps closed when the gather returns, and
+  ``top_k_sample`` answers the multi-scale
+  :class:`~repro.table.sampling.SampleCascade` sample of the whole
+  table with one chunked scan over the *persisted* ``priority.bin``
+  column — nested zoom samples are stable across processes and never
+  require a priority redraw.
 
 Materializing operations return plain in-memory
 :class:`~repro.table.table.Table` objects sized by their result, which

@@ -78,7 +78,6 @@ __all__ = [
     "StoreReadError",
     "StreamingFingerprint",
     "categorical_zone",
-    "iter_file_chunks",
     "numeric_zone",
     "partition_spans",
     "write_store",
@@ -406,28 +405,6 @@ def column_file_stem(position: int) -> str:
     return f"columns/c{position:05d}"
 
 
-def read_file_chunk(
-    path: str | Path, dtype: str, start: int, stop: int
-) -> np.ndarray:
-    """Rows ``[start, stop)`` of a raw column file as an in-memory array.
-
-    A buffered read (``np.fromfile`` with an offset), not mmap, so scans
-    built on it never grow the resident set beyond the requested chunk.
-    """
-    itemsize = np.dtype(dtype).itemsize
-    return np.fromfile(
-        path, dtype=dtype, count=stop - start, offset=start * itemsize
-    )
-
-
-def iter_file_chunks(
-    path: str | Path, dtype: str, n_rows: int, chunk_rows: int
-) -> Iterator[np.ndarray]:
-    """Stream a raw column file as arrays of at most ``chunk_rows`` items."""
-    for start in range(0, n_rows, chunk_rows):
-        yield read_file_chunk(path, dtype, start, min(start + chunk_rows, n_rows))
-
-
 class StoreReadError(OSError):
     """A column file gave fewer bytes than the manifest promises."""
 
@@ -525,16 +502,12 @@ class StreamingFingerprint:
     def add_numeric(self, name: str, values_path: Path, mask_path: Path) -> None:
         """Hash one numeric column from its values + mask files."""
         self._preamble(name, KIND_NUMERIC)
-        masks = iter_file_chunks(
-            mask_path, MASK_DTYPE, self._n_rows, self._chunk_rows
-        )
-        for values, mask in zip(
-            iter_file_chunks(
-                values_path, VALUES_DTYPE, self._n_rows, self._chunk_rows
-            ),
-            masks,
-        ):
-            self._digest.update(np.where(mask, 0.0, values).tobytes())
+        with ChunkReader(values_path.parent) as reader:
+            for values, mask in zip(
+                self._chunks(reader, values_path, VALUES_DTYPE),
+                self._chunks(reader, mask_path, MASK_DTYPE),
+            ):
+                self._digest.update(np.where(mask, 0.0, values).tobytes())
         self._hash_mask(mask_path)
 
     def add_categorical(
@@ -546,10 +519,9 @@ class StreamingFingerprint:
     ) -> None:
         """Hash one categorical column from its codes file + category list."""
         self._preamble(name, KIND_CATEGORICAL)
-        for codes in iter_file_chunks(
-            codes_path, CODES_DTYPE, self._n_rows, self._chunk_rows
-        ):
-            self._digest.update(codes.tobytes())
+        with ChunkReader(codes_path.parent) as reader:
+            for codes in self._chunks(reader, codes_path, CODES_DTYPE):
+                self._digest.update(codes.tobytes())
         self._digest.update(len(categories).to_bytes(4, "big"))
         for category in categories:
             encoded = category.encode("utf-8")
@@ -558,10 +530,18 @@ class StreamingFingerprint:
         self._hash_mask(mask_path)
 
     def _hash_mask(self, mask_path: Path) -> None:
-        for mask in iter_file_chunks(
-            mask_path, MASK_DTYPE, self._n_rows, self._chunk_rows
-        ):
-            self._digest.update(mask.tobytes())
+        with ChunkReader(mask_path.parent) as reader:
+            for mask in self._chunks(reader, mask_path, MASK_DTYPE):
+                self._digest.update(mask.tobytes())
+
+    def _chunks(
+        self, reader: ChunkReader, path: Path, dtype: str
+    ) -> Iterator[np.ndarray]:
+        """The file at ``path`` in chunks of ``chunk_rows`` items, through
+        ``reader`` (rooted at its directory): a short file raises."""
+        for start in range(0, self._n_rows, self._chunk_rows):
+            stop = min(start + self._chunk_rows, self._n_rows)
+            yield reader.read(path.name, dtype, start, stop)
 
     def hexdigest(self) -> str:
         """The finished digest."""

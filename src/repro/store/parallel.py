@@ -31,12 +31,17 @@ or copied from it.  The reads a pool worker performs are folded back
 into the caller's ``data_reads`` budget counter; serial reads land
 there directly.
 
-**Selection passes follow the selection.**  The passes that run over an
-already-evaluated selection mask (exact counts, highlights) go through
+**Selection passes follow the selection.**  A pass over an
+already-evaluated selection mask (exact counts) goes through
 :func:`run_selection_pass`: a partition without a selected row gets no
-task, a chunk without one is never read, and a worker touches only the
-selected rows of the chunks it does read — the pass costs what the
-selection holds, not what the table holds.
+task, a chunk without one is never read, and a worker routes the chunk's
+selection segment as a contiguous mask — the pass costs what the
+selection holds, not what the table holds.  A highlight evaluates its
+own predicate in the same pass that collects the matches
+(``highlight_task``): a chunk reads the predicate's columns, and only a
+chunk holding a match goes on to read the inspected columns the
+predicate does not reference, so no column is read twice and the
+selection is never materialized as a whole-table mask.
 
 Resilience rides along explicitly.  The parent's
 :class:`~repro.resilience.deadline.Deadline` travels to workers as its
@@ -54,6 +59,7 @@ workers return ``(payload, chunks read)``.
 
 from __future__ import annotations
 
+import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -71,13 +77,16 @@ from repro.resilience.deadline import (
 )
 
 if TYPE_CHECKING:
+    from repro.core.navigation import MatchedRows
     from repro.store.format import ChunkReader
     from repro.store.stored import StoredTable
+    from repro.table.predicates import Predicate
 
 __all__ = [
     "highlight_task",
     "nmi_task",
     "router_task",
+    "run_highlight_pass",
     "run_partition_tasks",
     "run_selection_pass",
     "scan_mask_task",
@@ -211,6 +220,51 @@ def run_selection_pass(
     return [payload for payload, _ in results]
 
 
+def run_highlight_pass(
+    table: "StoredTable",
+    predicate: "Predicate",
+    inspect: tuple[str, ...],
+    preview_cap: int,
+) -> "MatchedRows":
+    """The rows of ``table`` matching ``predicate``, collected for a
+    highlight of the ``inspect`` columns in one scan.
+
+    :func:`highlight_task` runs over every partition the zone maps
+    cannot rule out; the partials merge in partition order, so each
+    partition's preview over-collects up to ``preview_cap`` and the
+    first matches overall are always present.  The pass is counted and
+    timed as a store scan, under a ``store.highlight`` span.
+    """
+    from repro.core.navigation import MatchedRows
+
+    started = time.perf_counter()
+    with get_tracer().span("store.highlight") as span:
+        live, skipped = table.prune_partitions(predicate)
+        partials = run_partition_tasks(
+            highlight_task,
+            [
+                (predicate, inspect, p.start, p.stop, table.chunk_rows, preview_cap)
+                for p in live
+            ],
+            table.scan_jobs,
+            table=table,
+        )
+        matched = MatchedRows()
+        for partial, _ in partials:
+            matched.extend(partial, preview_cap)
+        if span.enabled:
+            span.set("rows_selected", matched.n_rows)
+            span.set("columns", len(inspect))
+            span.set("chunks", sum(chunks for _, chunks in partials))
+            span.set("partitions", len(live))
+            span.set("partitions_skipped", skipped)
+    metrics = get_metrics()
+    metrics.increment("blaeu_store_partitions_scanned_total", len(live))
+    metrics.increment("blaeu_store_scans_total")
+    metrics.observe("blaeu_store_scan_seconds", time.perf_counter() - started)
+    return matched
+
+
 # ----------------------------------------------------------------------
 # Workers (top-level, picklable; imports deferred to avoid cycles)
 # ----------------------------------------------------------------------
@@ -258,52 +312,42 @@ def router_task(
         reader, needed, chunk_rows, start, stop, where=mask
     ):
         checkpoint("count.chunk")
-        selected = np.flatnonzero(mask[lo - start : hi - start])
-        counts += count_reaching(tree_root, chunk, selected)
+        counts += count_reaching(tree_root, chunk, mask[lo - start : hi - start])
         chunks += 1
     return counts, chunks
 
 
 def highlight_task(table: "StoredTable", reader: "ChunkReader", task):
-    """Highlight partials of one partition range: ``(inspect, mask
-    segment, start, stop, chunk_rows, preview_cap)`` → per-column numeric
-    matches, categorical code counts, and a bounded row preview."""
-    from repro.table.column import CategoricalColumn, NumericColumn
+    """Highlight partials of one partition range: ``(predicate, inspect,
+    start, stop, chunk_rows, preview_cap)`` → the
+    :class:`~repro.core.navigation.MatchedRows` of the range, and the
+    chunks scanned.
 
-    inspect, mask, start, stop, chunk_rows, preview_cap = task
-    numeric_parts: dict[str, list] = {}
-    category_codes: dict[str, np.ndarray] = {}
-    for name in inspect:
-        if table.kind(name).value == "numeric":
-            numeric_parts[name] = []
-        else:
-            category_codes[name] = np.zeros(
-                len(table.categories(name)), dtype=np.int64
-            )
-    preview: list[dict[str, object]] = []
+    One pass evaluates the predicate and collects the matches: each
+    chunk reads the predicate's columns (the inspected ones when the
+    predicate references none), and only a chunk in which a row matched
+    reads the inspected columns the predicate does not reference.
+    """
+    from repro.core.navigation import MatchedRows
+
+    predicate, inspect, start, stop, chunk_rows, preview_cap = task
+    first = tuple(sorted(predicate.columns())) or inspect
+    later = tuple(name for name in inspect if name not in first)
+    matched = MatchedRows()
     chunks = 0
-    for lo, hi, chunk in table.scan_chunks(
-        reader, inspect, chunk_rows, start, stop, where=mask
-    ):
-        matched = np.flatnonzero(mask[lo - start : hi - start])
-        chunk_columns = {name: chunk.column(name) for name in inspect}
-        for name, column in chunk_columns.items():
-            if isinstance(column, NumericColumn):
-                numeric_parts[name].append(column.take(matched))
-            elif isinstance(column, CategoricalColumn):
-                codes = column.codes[matched]
-                category_codes[name] += np.bincount(
-                    codes[codes >= 0], minlength=len(column.categories)
-                )
-        for local in matched[: max(preview_cap - len(preview), 0)]:
-            preview.append(
-                {
-                    name: column.value_at(int(local))
-                    for name, column in chunk_columns.items()
-                }
-            )
+    for lo, hi, chunk in table.scan_chunks(reader, first, chunk_rows, start, stop):
         chunks += 1
-    return (numeric_parts, category_codes, preview), chunks
+        rows = predicate.mask(chunk)
+        if not rows.any():
+            continue
+        if later:
+            rest = table.read_chunk(reader, later, lo, hi)
+        columns = {
+            name: (chunk if name in first else rest).column(name)
+            for name in inspect
+        }
+        matched.add(columns, rows, preview_cap)
+    return matched, chunks
 
 
 def nmi_task(table: "StoredTable", reader: "ChunkReader", task):

@@ -29,12 +29,12 @@ from repro.store.format import (
     KIND_NUMERIC,
     MASK_DTYPE,
     VALUES_DTYPE,
+    ChunkReader,
     ColumnMeta,
     ColumnZone,
     PartitionMeta,
     StoreManifest,
     partition_spans,
-    read_file_chunk,
 )
 from repro.table.predicates import (
     And,
@@ -129,39 +129,34 @@ def compute_zones(
 ) -> dict[str, ColumnZone]:
     """Zone maps of rows ``[start, stop)``, by bounded chunked reads."""
     zones: dict[str, ColumnZone] = {}
-    for meta in columns:
-        null_count = 0
-        minimum: float | None = None
-        maximum: float | None = None
-        for lo in range(start, stop, chunk_rows):
-            checkpoint("store.zones")
-            hi = min(lo + chunk_rows, stop)
-            if meta.kind == KIND_NUMERIC:
-                values = read_file_chunk(
-                    root / meta.files["values"], VALUES_DTYPE, lo, hi
-                )
-                mask = read_file_chunk(
-                    root / meta.files["mask"], MASK_DTYPE, lo, hi
-                ).astype(bool, copy=False)
-                null_count += int(np.count_nonzero(mask))
-                present = values[~mask]
-                if present.size:
-                    lo_value = float(present.min())
-                    hi_value = float(present.max())
-                    minimum = (
-                        lo_value if minimum is None else min(minimum, lo_value)
-                    )
-                    maximum = (
-                        hi_value if maximum is None else max(maximum, hi_value)
-                    )
-            else:
-                codes = read_file_chunk(
-                    root / meta.files["codes"], CODES_DTYPE, lo, hi
-                )
-                null_count += int(np.count_nonzero(codes < 0))
-        zones[meta.name] = ColumnZone(
-            null_count=null_count, min=minimum, max=maximum
-        )
+    with ChunkReader(root) as reader:
+        for meta in columns:
+            null_count = 0
+            minimum: float | None = None
+            maximum: float | None = None
+            for lo in range(start, stop, chunk_rows):
+                checkpoint("store.zones")
+                hi = min(lo + chunk_rows, stop)
+                if meta.kind == KIND_NUMERIC:
+                    values = reader.read(meta.files["values"], VALUES_DTYPE, lo, hi)
+                    mask = reader.read(meta.files["mask"], MASK_DTYPE, lo, hi)
+                    null_count += int(np.count_nonzero(mask))
+                    present = values[~mask]
+                    if present.size:
+                        lo_value = float(present.min())
+                        hi_value = float(present.max())
+                        minimum = (
+                            lo_value if minimum is None else min(minimum, lo_value)
+                        )
+                        maximum = (
+                            hi_value if maximum is None else max(maximum, hi_value)
+                        )
+                else:
+                    codes = reader.read(meta.files["codes"], CODES_DTYPE, lo, hi)
+                    null_count += int(np.count_nonzero(codes < 0))
+            zones[meta.name] = ColumnZone(
+                null_count=null_count, min=minimum, max=maximum
+            )
     return zones
 
 

@@ -1,4 +1,4 @@
-"""Store-backed tables: the ``Table`` surface over memory-mapped columns.
+"""Store-backed tables: the ``Table`` surface over on-disk column files.
 
 A :class:`StoredTable` opens a store directory and exposes the same
 relational operations as :class:`~repro.table.table.Table` —
@@ -13,7 +13,7 @@ against the on-disk column files:
 * **sample pushdown** — ``sample`` computes the row indices first and
   gathers only those rows (a few thousand page touches, not a table
   scan), and :meth:`top_k_sample` turns the *persisted* priority column
-  into a bounded-memory top-k scan — the multi-scale
+  into a chunked scan — the multi-scale
   :class:`~repro.table.sampling.SampleCascade` sample without ever
   materializing or redrawing priorities.
 
@@ -21,9 +21,18 @@ Materializing operations (``take``, ``select``, ``sample``, ``head``)
 return plain in-memory ``Table`` objects sized by their result; scans
 (:meth:`scan_chunks`, :meth:`scan_mask`) use buffered reads into one
 reused array per column file and stay within one chunk of memory.
-Full-column access (:meth:`column`) hands out read-only memory maps
-wrapped in the regular column classes, so every consumer of ``Column``
-— predicates, CART routing, statistics — works unchanged.
+
+**No map outlives the call that made it.**  A gather maps each file it
+reads for that gather only: the kernel may fault a whole page-cache
+folio for one row (a few thousand scattered rows map most of a column
+file), and a map kept open would keep all of it resident for the life
+of the table.  A numeric column's mask file is mapped only where the
+zone maps do not record ``null_count == 0`` for the gathered rows, and
+a categorical column's never (its ``-1`` codes carry missingness).
+:meth:`column` hands out read-only memory maps wrapped in the regular
+column classes — so every consumer of ``Column`` works unchanged — and
+each call maps afresh: the maps live as long as the caller holds the
+column.
 
 Opening a table parses the manifest and checks every data file's size
 once; every scan afterwards runs on the open table (the partition
@@ -37,6 +46,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import mmap
 import os
 import time
 from bisect import bisect_left, bisect_right
@@ -61,7 +71,7 @@ from repro.store.format import (
     ColumnMeta,
     PartitionMeta,
     StoreManifest,
-    read_file_chunk,
+    StoreReadError,
 )
 from repro.table.column import (
     CategoricalColumn,
@@ -170,11 +180,9 @@ class StoredTable:
                 raise ValueError("projection must keep at least one column")
             self._order = tuple(columns)
         self._name = name or self._manifest.table
-        self._mapped: dict[str, Column] = {}
         self._dictionaries: dict[str, CategoricalColumn] = {}
         self._partition_starts = [p.start for p in self.partitions]
         self._null_free: dict[str, list[bool]] = {}
-        self._priorities: np.ndarray | None = None
         self._data_reads = 0
         self._partitions_skipped = 0
         self._validate_files()
@@ -264,15 +272,17 @@ class StoredTable:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def column(self, name: str) -> Column:
-        """The column called ``name`` as a memory-mapped ``Column``."""
+        """The column called ``name`` as a memory-mapped ``Column``.
+
+        Each call maps the column's files afresh; the maps close when
+        the caller drops the column.
+        """
         if name not in self._order:
             raise KeyError(
                 f"table {self._name!r} has no column {name!r}; "
                 f"available: {list(self._order)}"
             )
-        if name not in self._mapped:
-            self._mapped[name] = self._map_column(self._meta[name])
-        return self._mapped[name]
+        return self._map_column(self._meta[name])
 
     @property
     def columns(self) -> tuple[Column, ...]:
@@ -416,21 +426,28 @@ class StoredTable:
                 f"where mask of shape {where.shape} does not cover the "
                 f"{end - start} rows of scan range [{start}, {end})"
             )
-        metrics = get_metrics()
         for lo in range(start, end, step):
             hi = min(lo + step, end)
             if where is not None and not where[lo - start : hi - start].any():
                 continue
-            # Per-chunk deadline checkpoint + chaos hook: scans over
-            # millions of rows abort within one chunk of an expired
-            # budget, and the fault harness can fail or slow each read.
-            checkpoint("store.chunk")
-            fault_point("store.read")
-            chunk_columns = [
-                self._read_column_chunk(reader, name, lo, hi) for name in names
-            ]
-            metrics.increment("blaeu_store_chunk_reads_total")
-            yield lo, hi, Table(self._name, chunk_columns)
+            yield lo, hi, self.read_chunk(reader, names, lo, hi)
+
+    def read_chunk(
+        self, reader: ChunkReader, names: Sequence[str], start: int, stop: int
+    ) -> Table:
+        """Rows ``[start, stop)`` of the ``names`` columns through
+        ``reader`` — one chunk of :meth:`scan_chunks` (which checks the
+        names and the range), with the same lifetime rules."""
+        # Per-chunk deadline checkpoint + chaos hook: scans over
+        # millions of rows abort within one chunk of an expired
+        # budget, and the fault harness can fail or slow each read.
+        checkpoint("store.chunk")
+        fault_point("store.read")
+        chunk_columns = [
+            self._read_column_chunk(reader, name, start, stop) for name in names
+        ]
+        get_metrics().increment("blaeu_store_chunk_reads_total")
+        return Table(self._name, chunk_columns)
 
     def prune_partitions(
         self, predicate: Predicate
@@ -534,23 +551,11 @@ class StoredTable:
     def take(self, indices: np.ndarray, name: str | None = None) -> Table:
         """Rows at ``indices``, gathered into a plain in-memory table.
 
-        Memory is bounded by the result: each column is fancy-indexed
-        through its memory map, touching only the pages the indices hit.
+        Memory is bounded by the result: each column file is mapped for
+        its own gather and closed when it returns (see the module
+        docstring), so nothing of the table stays resident afterwards.
         """
-        indices = np.asarray(indices, dtype=np.intp)
-        if indices.size and (
-            indices.min(initial=0) < 0 or indices.max(initial=0) >= self.n_rows
-        ):
-            raise IndexError(
-                f"row indices out of range for table with {self.n_rows} rows"
-            )
-        with get_tracer().span("store.gather") as span:
-            if span.enabled:
-                span.set("rows", int(indices.size))
-                span.set("columns", len(self._order))
-            get_metrics().increment("blaeu_store_gathers_total")
-            columns = [self.column(n).take(indices) for n in self._order]
-        return Table(name or self._name, columns)
+        return self.take_columns(self._order, indices, name=name)
 
     def take_columns(
         self,
@@ -562,16 +567,15 @@ class StoredTable:
 
         The combined projection + gather of the graph stage's hot path:
         equivalent to ``project(names).take(indices)`` but without
-        constructing (and re-validating) an intermediate view, it
-        touches only the pages the indices hit in the named columns'
-        maps.  This is how a dependency-graph build reads its sampled
-        rows from a million-row store without materializing anything
-        else.
+        constructing (and re-validating) an intermediate view, it maps
+        only the named columns' files, each for its own gather.  This is
+        how a dependency-graph build reads its sampled rows from a
+        million-row store without materializing anything else.
         """
         indices = np.asarray(indices, dtype=np.intp)
-        if indices.size and (
-            indices.min(initial=0) < 0 or indices.max(initial=0) >= self.n_rows
-        ):
+        low = int(indices.min(initial=0))
+        high = int(indices.max(initial=0))
+        if indices.size and (low < 0 or high >= self.n_rows):
             raise IndexError(
                 f"row indices out of range for table with {self.n_rows} rows"
             )
@@ -585,7 +589,7 @@ class StoredTable:
                 span.set("rows", int(indices.size))
                 span.set("columns", len(names))
             get_metrics().increment("blaeu_store_gathers_total")
-            columns = [self.column(n).take(indices) for n in names]
+            columns = [self._gather(n, indices, low, high + 1) for n in names]
         return Table(name or self._name, columns)
 
     def sample(self, n: int, rng: np.random.Generator) -> Table:
@@ -606,7 +610,7 @@ class StoredTable:
         """Row ``index`` as a column-name → value mapping."""
         if not 0 <= index < self.n_rows:
             raise IndexError(f"row {index} out of range [0, {self.n_rows})")
-        return {n: self.column(n).value_at(index) for n in self._order}
+        return self.take(np.asarray([index])).row(0)
 
     # ------------------------------------------------------------------
     # Persisted multi-scale sampling
@@ -614,12 +618,9 @@ class StoredTable:
 
     @property
     def priorities(self) -> np.ndarray:
-        """The persisted per-row sampling priorities (read-only map)."""
-        if self._priorities is None:
-            self._priorities = self._mmap(
-                self._manifest.priority_file, PRIORITY_DTYPE
-            )
-        return self._priorities
+        """The persisted per-row sampling priorities (a read-only map,
+        made afresh on each access)."""
+        return self._mmap(self._manifest.priority_file, PRIORITY_DTYPE)
 
     def cascade(self) -> SampleCascade:
         """The table's :class:`SampleCascade` over the persisted priorities.
@@ -632,11 +633,14 @@ class StoredTable:
     def top_k_sample(
         self, k: int, chunk_rows: int | None = None
     ) -> np.ndarray:
-        """Indices of the ``k`` lowest-priority rows, by bounded top-k scan.
+        """Indices of the ``k`` lowest-priority rows, by one chunked scan.
 
-        Equals ``cascade().sample(k)`` but streams the priority column
-        (memory O(chunk + k)) instead of holding it whole — the
-        pushed-down form of the multi-scale sample of the full table.
+        Equals ``cascade().sample(k)`` without holding the priority
+        column: the persisted priorities are a permutation of
+        ``range(n_rows)`` (:func:`~repro.store.format.write_priorities`),
+        so the ``k`` lowest are exactly the rows whose priority is below
+        ``k``, collected in row order.  Any other count means the file
+        is not that permutation, and raises :class:`StoreReadError`.
         """
         if k < 0:
             raise ValueError(f"sample size must be non-negative, got {k}")
@@ -646,31 +650,28 @@ class StoredTable:
             return np.arange(self.n_rows, dtype=np.intp)
         with get_tracer().span("store.topk_sample") as span:
             step = chunk_rows or self._manifest.chunk_rows
-            path = self._root / self._manifest.priority_file
-            best_priority = np.empty(0, dtype=np.int64)
-            best_index = np.empty(0, dtype=np.intp)
+            relative = self._manifest.priority_file
+            picked: list[np.ndarray] = []
             chunks = 0
-            for start in range(0, self.n_rows, step):
-                stop = min(start + step, self.n_rows)
-                self._data_reads += 1
-                chunk = read_file_chunk(
-                    path, PRIORITY_DTYPE, start, stop
-                ).astype(np.int64, copy=False)
-                priority = np.concatenate([best_priority, chunk])
-                index = np.concatenate(
-                    [best_index, np.arange(start, stop, dtype=np.intp)]
+            with self.chunk_reader() as reader:
+                for start in range(0, self.n_rows, step):
+                    stop = min(start + step, self.n_rows)
+                    self._data_reads += 1
+                    priority = reader.read(relative, PRIORITY_DTYPE, start, stop)
+                    picked.append(np.flatnonzero(priority < k) + start)
+                    chunks += 1
+            rows = np.concatenate(picked)
+            if rows.size != k:
+                raise StoreReadError(
+                    f"store file {relative!r} under {str(self._root)!r} "
+                    f"holds {rows.size} priorities below {k}; a permutation "
+                    f"of range({self.n_rows}) holds exactly {k}"
                 )
-                if priority.size > k:
-                    keep = np.argpartition(priority, k - 1)[:k]
-                    priority = priority[keep]
-                    index = index[keep]
-                best_priority, best_index = priority, index
-                chunks += 1
             if span.enabled:
                 span.set("k", k)
                 span.set("chunks", chunks)
             get_metrics().increment("blaeu_store_topk_scans_total")
-            return np.sort(best_index)
+            return rows
 
     # ------------------------------------------------------------------
     # Internals
@@ -718,6 +719,37 @@ class StoredTable:
         return _MappedCategoricalColumn(
             meta.name, codes, mask, self._dictionary(meta.name)
         )
+
+    def _gather(self, name: str, indices: np.ndarray, start: int, stop: int) -> Column:
+        """Column ``name`` at ``indices`` (all inside rows ``[start,
+        stop)``).
+
+        The files read follow :meth:`_read_column_chunk`: no mask file
+        where the zones prove the rows null-free, never a categorical
+        column's.
+        """
+        meta = self._meta[name]
+        if meta.kind == KIND_CATEGORICAL:
+            codes = self._read_rows(meta.files["codes"], CODES_DTYPE, indices)
+            return self._dictionary(name).with_codes(codes)
+        values = self._read_rows(meta.files["values"], VALUES_DTYPE, indices)
+        if self._zones_record_no_nulls(name, start, stop):
+            missing = np.zeros(indices.size, dtype=bool)
+        else:
+            missing = self._read_rows(meta.files["mask"], MASK_DTYPE, indices)
+        return NumericColumn.adopt(name, values, missing)
+
+    def _read_rows(self, relative: str, dtype: str, indices: np.ndarray) -> np.ndarray:
+        """Items ``indices`` of the raw column file ``relative``, read
+        through a map that is closed before this returns."""
+        if not indices.size:
+            return np.empty(0, dtype=dtype)
+        self._data_reads += 1
+        with (
+            open(self._root / relative, "rb") as handle,
+            mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ) as mapped,
+        ):
+            return np.frombuffer(mapped, dtype=dtype)[indices]
 
     def _dictionary(self, name: str) -> CategoricalColumn:
         """A categorical column's dictionary, as a column of no rows.

@@ -146,7 +146,8 @@ class KeyScan:
     as long as the table) pays a full distinct count.
 
     On a store-backed table the chunks are slices of the column's
-    memory map, so pages past the deciding chunk are never touched.
+    memory map, so pages past the deciding chunk are never touched, and
+    the map closes once that column's test returns.
     ``chunks`` counts the column chunks read so far (a full distinct
     count reads every chunk of its column).
     """

@@ -141,6 +141,17 @@ class Table:
         """Whether a column called ``name`` exists."""
         return name in self._columns
 
+    def kind(self, name: str) -> ColumnKind:
+        """The kind of column ``name``."""
+        return self.column(name).kind
+
+    def categories(self, name: str) -> tuple[str, ...]:
+        """The category list of the categorical column ``name``."""
+        column = self.column(name)
+        if not isinstance(column, CategoricalColumn):
+            raise TypeError(f"column {name!r} is numeric; it has no categories")
+        return column.categories
+
     def fingerprint(self) -> str:
         """A stable content hash over schema and column bytes.
 

@@ -131,16 +131,21 @@ class TestTracedRequests:
             if span["parent_id"] is not None
         )
 
-        # The request's own span covers the request wall-clock minus
-        # client/socket overhead.
+        # The request's own span fits inside the client's wall-clock and
+        # covers the build it caused (both offsets are the server's
+        # monotonic clock; the client's clock is not comparable).
         root = roots[0]
         assert root["duration"] <= wall
-        assert root["duration"] >= 0.5 * wall
         assert root["attributes"]["route"] == "/v1/commands/open"
         assert root["attributes"]["status"] == 200
 
         build = next(s for s in spans if s["name"] == "map.build")
         assert build["attributes"]["cache_hit"] is False
+        assert root["offset"] <= build["offset"]
+        assert (
+            build["offset"] + build["duration"]
+            <= root["offset"] + root["duration"]
+        )
 
     def test_warm_build_marks_the_cache_hit(self, traced_service):
         status, headers, _ = _request(

@@ -401,10 +401,11 @@ class TestReadBudgets:
         )
         _store_node_counts(tree, stored, mask)
         _highlight(stored, PREDICATE, int(mask.sum()))
-        # The scan, the count pass, the highlight's scan and its pass:
-        # each opened what it needed once, into one buffer per file of
-        # at most one chunk — and closed it.
-        assert len(readers) == 4
+        # The scan, the count pass and the highlight's one pass (the
+        # predicate and the matches together): each opened what it
+        # needed once, into one buffer per file of at most one chunk —
+        # and closed it.
+        assert len(readers) == 3
         assert len(opened) == sum(len(reader._buffers) for reader in readers)
         for reader in readers:
             assert reader._buffers and not reader._files

@@ -233,11 +233,10 @@ class TestReadBudgets:
         selection = Between("row", 200.0, 299.0)  # zone maps keep partition 2
         before = stored.data_reads
         highlight = _highlight(stored, selection, 100)
-        # The predicate scan over ``row`` plus the pass over the
-        # inspected columns, both in partition 2 alone.
-        assert stored.data_reads - before == CHUNKS_PER_PARTITION * (
-            1 + len(INSPECT)
-        )
+        # One pass in partition 2 alone: every chunk there matches, so
+        # each reads ``row`` for the predicate and then the other
+        # inspected columns — ``row`` is not read a second time.
+        assert stored.data_reads - before == CHUNKS_PER_PARTITION * len(INSPECT)
         assert highlight == _highlight(table, selection, 100)
 
 

@@ -109,16 +109,23 @@ class TestStoreHighlightIoBudget:
         predicate = And.of(state.selection, region.predicate)
         predicate_columns = predicate.columns()
         n_chunks = -(-stored.n_rows // CHUNK_ROWS)  # ceil division
+        mask = stored.scan_mask(predicate)
+        matching_chunks = sum(
+            bool(mask[start : start + CHUNK_ROWS].any())
+            for start in range(0, stored.n_rows, CHUNK_ROWS)
+        )
 
         before = stored.data_reads
         explorer.highlight(region.region_id, columns=inspect)
         delta = stored.data_reads - before
 
-        # One chunked predicate scan over the predicate's columns plus
-        # one chunked pass over the two highlighted columns — nothing
-        # else.  Materializing the selection would have read all six
-        # columns (and opened their memory maps).
-        expected = n_chunks * (len(predicate_columns) + len(inspect))
+        # One chunked pass: every chunk reads the predicate's columns,
+        # and a chunk holding a match then reads the highlighted columns
+        # the predicate did not — nothing else, nothing twice.
+        # Materializing the selection would have read all six columns.
+        expected = n_chunks * len(predicate_columns) + matching_chunks * len(
+            set(inspect) - predicate_columns
+        )
         assert delta == expected
 
     def test_repeat_highlights_stay_bounded(self, stored):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.store import StoredTable, write_store
+from repro.store.format import StoreReadError
 from repro.table.column import CategoricalColumn, ColumnKind, NumericColumn
 from repro.table.predicates import And, Comparison, Everything, IsMissing
 from repro.table.table import Table
@@ -191,6 +192,20 @@ class TestPersistedSampling:
     def test_top_k_rejects_negative(self, stored):
         with pytest.raises(ValueError):
             stored.top_k_sample(-1)
+
+    def test_top_k_of_a_truncated_priority_file_raises(self, stored, tmp_path):
+        path = tmp_path / "s" / stored.manifest.priority_file
+        path.write_bytes(path.read_bytes()[: 60 * 8])  # after the open
+        with pytest.raises(StoreReadError, match="truncated"):
+            stored.top_k_sample(10, chunk_rows=17)
+
+    def test_top_k_of_priorities_that_are_no_permutation_raises(
+        self, stored, tmp_path
+    ):
+        path = tmp_path / "s" / stored.manifest.priority_file
+        np.zeros(stored.n_rows, dtype="<i8").tofile(path)
+        with pytest.raises(StoreReadError, match="permutation"):
+            stored.top_k_sample(10)
 
     def test_cascade_is_stable_across_opens(self, stored, tmp_path):
         reopened = StoredTable(tmp_path / "s")
