@@ -3,7 +3,7 @@
 The paper deploys Blaeu as a web application: browser → NodeJS session
 manager → R mapping engine → MonetDB.  This example exercises the same
 round-trip shape in process: every interaction is a JSON request line
-handed to the :class:`~repro.service.SessionManager`, and every
+handed to the :class:`~repro.server.session.SessionManager`, and every
 answer is a JSON payload a D3 client could render.
 
 Run with::
@@ -15,7 +15,7 @@ import json
 
 from repro import Blaeu
 from repro.datasets import hollywood
-from repro.service import SessionManager
+from repro.server.session import SessionManager
 
 
 def send(manager: SessionManager, request: dict) -> dict:

@@ -24,23 +24,7 @@ The README's "Measuring" section holds the paper-vs-measured record of
 every reproduced figure and claim; ``tests/paper/`` asserts it.
 """
 
-from repro.core import (
-    Blaeu,
-    BlaeuConfig,
-    DataMap,
-    ExplorationConfig,
-    Explorer,
-    Highlight,
-    MapBuilder,
-    MapBuildError,
-    Region,
-    Theme,
-    ThemeSet,
-    build_map,
-    extract_themes,
-)
-from repro.store import StoredTable, ingest_csv
-from repro.table import Database, Table, read_csv
+import importlib
 
 __version__ = "1.0.0"
 
@@ -50,7 +34,7 @@ __version__ = "1.0.0"
 #: ``ExplorationConfig`` (every engine knob; ``BlaeuConfig`` is its
 #: historical name) are the five names the quickstart needs; the rest
 #: are the supporting types those five hand back.  Serving-layer names
-#: live in :mod:`repro.service`.
+#: live in the :mod:`repro.service` submodules.
 __all__ = [
     "Blaeu",
     "BlaeuConfig",
@@ -72,3 +56,43 @@ __all__ = [
     "ingest_csv",
     "read_csv",
 ]
+
+#: Each curated name's home module.  A name is imported from its home on
+#: first use (PEP 562), so ``python -m repro`` and the supervisor, which
+#: need none of them, do not load the engine.
+_HOMES = {
+    "Blaeu": "repro.core.engine",
+    "BlaeuConfig": "repro.core.config",
+    "DataMap": "repro.core.datamap",
+    "Database": "repro.table.database",
+    "ExplorationConfig": "repro.core.config",
+    "Explorer": "repro.core.navigation",
+    "Highlight": "repro.core.navigation",
+    "MapBuildError": "repro.core.pipeline",
+    "MapBuilder": "repro.core.pipeline",
+    "Region": "repro.core.datamap",
+    "StoredTable": "repro.store.stored",
+    "Table": "repro.table.table",
+    "Theme": "repro.core.themes",
+    "ThemeSet": "repro.core.themes",
+    "build_map": "repro.core.pipeline",
+    "extract_themes": "repro.core.themes",
+    "ingest_csv": "repro.store.ingest",
+    "read_csv": "repro.table.csv_io",
+}
+
+
+def __getattr__(name: str):
+    try:
+        home = _HOMES[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    value = getattr(importlib.import_module(home), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -5,8 +5,7 @@ each vertex represents a column and each edge the statistical dependency
 between two columns", then "partitions the dependency graph with cluster
 analysis" (§3, Figure 2).  This package builds that graph (on mutual
 information by default, correlation as the documented alternative) and
-partitions it with PAM over the induced dissimilarity, alongside two
-classic baselines to compare it with.
+partitions it with PAM over the induced dissimilarity.
 """
 
 from repro.graph.codes import CodeCache
@@ -15,18 +14,12 @@ from repro.graph.dependency import (
     GraphBuilder,
     build_dependency_graph,
 )
-from repro.graph.partition import (
-    modularity_partition,
-    pam_partition,
-    threshold_components,
-)
+from repro.graph.partition import pam_partition
 
 __all__ = [
     "CodeCache",
     "DependencyGraph",
     "GraphBuilder",
     "build_dependency_graph",
-    "modularity_partition",
     "pam_partition",
-    "threshold_components",
 ]

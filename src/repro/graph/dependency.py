@@ -32,7 +32,6 @@ import time
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
-import networkx as nx
 import numpy as np
 
 from repro.graph.codes import (
@@ -120,14 +119,6 @@ class DependencyGraph:
                     out.append((self.columns[i], self.columns[j], weight))
         out.sort(key=lambda edge: (-edge[2], edge[0], edge[1]))
         return out
-
-    def to_networkx(self, min_weight: float = 0.0) -> nx.Graph:
-        """A networkx view (used by the modularity baseline and rendering)."""
-        graph = nx.Graph()
-        graph.add_nodes_from(self.columns)
-        for a, b, weight in self.edges(min_weight):
-            graph.add_edge(a, b, weight=weight)
-        return graph
 
 
 class GraphBuilder:

@@ -11,46 +11,8 @@ Four small, composable pieces:
 - :mod:`repro.resilience.faults` — deterministic, seed-keyed fault
   injection powering the chaos tests
   (``tests/service/test_supervisor_resilience.py``).
+
+Import names from their submodules: this package re-exports nothing, so
+the supervisor's retry budget does not pull in the breaker, deadline
+and fault machinery (or the metric registry they record into).
 """
-
-from repro.resilience.breaker import BreakerOpenError, CircuitBreaker
-from repro.resilience.deadline import (
-    Deadline,
-    DeadlineExceeded,
-    checkpoint,
-    clear_deadline,
-    current_deadline,
-    deadline_scope,
-    set_deadline,
-)
-from repro.resilience.faults import (
-    FaultInjector,
-    FaultSpec,
-    InjectedFault,
-    clear_faults,
-    corrupt_bytes,
-    fault_point,
-    install_faults,
-)
-from repro.resilience.retry import RetryBudget, jittered_backoff
-
-__all__ = [
-    "BreakerOpenError",
-    "CircuitBreaker",
-    "Deadline",
-    "DeadlineExceeded",
-    "FaultInjector",
-    "FaultSpec",
-    "InjectedFault",
-    "RetryBudget",
-    "checkpoint",
-    "clear_deadline",
-    "clear_faults",
-    "corrupt_bytes",
-    "current_deadline",
-    "deadline_scope",
-    "fault_point",
-    "install_faults",
-    "jittered_backoff",
-    "set_deadline",
-]

@@ -21,65 +21,9 @@ and the DBMS; this package is that tier, grown for the ROADMAP's
   graceful shutdown.
 * :mod:`repro.service.routing` / :mod:`repro.service.supervisor` — the
   multi-process tier: consistent-hash placement of table fingerprints
-  and the pre-fork supervisor behind ``blaeu serve --workers N``.
+  and the supervisor behind ``blaeu serve --workers N``, a stdlib-only
+  proxy over spawned ``python -m repro serve`` workers.
 
-This package is also the *facade* for the session tier: the entry
-points of ``repro.server``'s submodules (session management, protocol
-parsing, session persistence) are re-exported here.
+Import names from their submodules: this package re-exports nothing, so
+importing the supervisor does not import the engine.
 """
-
-from repro.server.persistence import replay_session, save_session
-from repro.server.protocol import (
-    ErrorResponse,
-    ProtocolError,
-    Request,
-    Response,
-    parse_request,
-)
-from repro.server.session import Session, SessionManager
-from repro.service.app import BlaeuService
-from repro.service.cache import (
-    CacheStats,
-    LRUCache,
-    TieredCache,
-    TieredCacheStats,
-)
-from repro.service.config import (
-    CacheConfig,
-    GuideConfig,
-    PoolConfig,
-    ResilienceConfig,
-    ServiceConfig,
-    TraceConfig,
-)
-from repro.service.pool import PoolSaturatedError, WorkerPool
-from repro.service.routing import HashRing
-from repro.service.supervisor import Supervisor, SupervisorError
-
-__all__ = [
-    "BlaeuService",
-    "CacheConfig",
-    "CacheStats",
-    "ErrorResponse",
-    "GuideConfig",
-    "HashRing",
-    "LRUCache",
-    "PoolConfig",
-    "PoolSaturatedError",
-    "ProtocolError",
-    "Request",
-    "ResilienceConfig",
-    "Response",
-    "ServiceConfig",
-    "Session",
-    "SessionManager",
-    "Supervisor",
-    "SupervisorError",
-    "TieredCache",
-    "TieredCacheStats",
-    "TraceConfig",
-    "WorkerPool",
-    "parse_request",
-    "replay_session",
-    "save_session",
-]

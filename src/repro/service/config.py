@@ -27,8 +27,6 @@ import os
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Iterator, Mapping, get_args, get_type_hints
 
-from repro.store.artifacts import DEFAULT_MAX_BYTES
-
 __all__ = [
     "OPTIONS",
     "CacheConfig",
@@ -77,8 +75,10 @@ class CacheConfig:
         "missing.  Workers of one supervisor always share a cache dir "
         "(a temp dir when this is unset)",
     )
+    # The literal keeps this module (and so the supervisor) free of the
+    # store and the engine; a test pins it to ArtifactCache's default.
     disk_bytes: int = _option(
-        DEFAULT_MAX_BYTES,
+        1 << 30,
         "--cache-disk-bytes",
         "BLAEU_CACHE_DISK_BYTES",
         "size budget of --cache-dir before LRU eviction",
@@ -153,8 +153,8 @@ class PoolConfig:
         1,
         "--workers",
         "BLAEU_WORKERS",
-        "worker *processes*; more than one boots the pre-fork "
-        "supervisor over a shared on-disk artifact cache",
+        "worker *processes*; more than one boots the supervisor over "
+        "a shared on-disk artifact cache",
     )
 
     def __post_init__(self) -> None:

@@ -1,14 +1,16 @@
-"""A pre-fork supervisor: N worker processes over one artifact cache.
+"""The fleet supervisor: N worker processes over one artifact cache.
 
 ``blaeu serve --workers N`` boots this tier instead of a single
 :class:`~repro.service.app.BlaeuService`.  The supervisor owns the
 public socket and forwards each request to one of N worker processes,
-each a full single-process service on a loopback port.  What makes the
-fleet act like one warm service is the *shared on-disk artifact cache*
-(:mod:`repro.store.artifacts`): every worker mounts the same cache
-directory as its L2 tier, so a map one worker pays for is a disk hit
-for every other worker — and for the worker's own replacement after a
-restart.
+each a full single-process service on a loopback port: a spawned
+``python -m repro serve`` that imports its own engine.  The supervisor
+itself imports only the standard library and the proxy's own modules.
+What makes the fleet act like one warm service is the *shared on-disk
+artifact cache* (:mod:`repro.store.artifacts`): every worker mounts the
+same cache directory as its L2 tier, so a map one worker pays for is a
+disk hit for every other worker — and for the worker's own replacement
+after a restart.
 
 Request placement is consistent-hash routing
 (:mod:`repro.service.routing`) keyed on content identity:

@@ -73,6 +73,8 @@ from repro.store.format import (
     StoreManifest,
     StoreReadError,
 )
+from repro.store.parallel import run_partition_tasks, scan_mask_task
+from repro.store.partitions import zone_proves_empty
 from repro.table.column import (
     CategoricalColumn,
     Column,
@@ -461,8 +463,6 @@ class StoredTable:
         full scan exactly.  Skips are counted on this view and on the
         ``blaeu_store_partitions_skipped_total`` metric.
         """
-        from repro.store.partitions import zone_proves_empty
-
         kinds = {meta.name: meta.kind for meta in self._manifest.columns}
         live: list[PartitionMeta] = []
         skipped = 0
@@ -499,8 +499,6 @@ class StoredTable:
                 raise KeyError(
                     f"table {self._name!r} has no column {column_name!r}"
                 )
-        from repro.store.parallel import run_partition_tasks, scan_mask_task
-
         with get_tracer().span("store.scan") as span:
             started = time.perf_counter()
             reads_before = self._data_reads

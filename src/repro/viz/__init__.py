@@ -10,7 +10,6 @@ D3-ready JSON export.
 
 from repro.viz.charts import text_histogram, text_scatter
 from repro.viz.export import export_map_json, export_themes_json
-from repro.viz.graphview import render_dependency_graph, render_weight_matrix
 from repro.viz.render import render_map, render_region_panel, render_theme_view
 from repro.viz.treemap import Rect, treemap_layout
 
@@ -18,11 +17,9 @@ __all__ = [
     "Rect",
     "export_map_json",
     "export_themes_json",
-    "render_dependency_graph",
     "render_map",
     "render_region_panel",
     "render_theme_view",
-    "render_weight_matrix",
     "text_histogram",
     "text_scatter",
     "treemap_layout",

@@ -1,13 +1,14 @@
-"""Unit tests for the terminal browser (repro.cli)."""
+"""Unit tests for the command line (repro.cli) and its shell (repro.shell)."""
 
 import io
 
 import pytest
 
-from repro.cli import BlaeuShell, build_engine
+from repro.cli import build_engine
 from repro.core.config import BlaeuConfig
 from repro.core.engine import Blaeu
 from repro.datasets.synthetic import mixed_blobs
+from repro.shell import BlaeuShell
 
 
 @pytest.fixture

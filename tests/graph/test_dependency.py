@@ -52,13 +52,6 @@ class TestBuildGraph:
         graph = build_dependency_graph(themed.table)
         assert all(w >= 0.5 for _, _, w in graph.edges(min_weight=0.5))
 
-    def test_networkx_view(self, themed):
-        graph = build_dependency_graph(themed.table)
-        view = graph.to_networkx(min_weight=0.4)
-        assert set(view.nodes) == set(graph.columns)
-        for a, b, data in view.edges(data=True):
-            assert data["weight"] >= 0.4
-
     def test_column_subset(self, themed):
         graph = build_dependency_graph(
             themed.table, columns=("eco_0", "eco_1")

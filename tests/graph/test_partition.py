@@ -6,11 +6,7 @@ import pytest
 from repro.cluster.validation import clustering_nmi
 from repro.datasets.synthetic import planted_themes
 from repro.graph.dependency import build_dependency_graph
-from repro.graph.partition import (
-    modularity_partition,
-    pam_partition,
-    threshold_components,
-)
+from repro.graph.partition import pam_partition
 
 
 @pytest.fixture
@@ -55,42 +51,3 @@ class TestPamPartition:
         }
         assert {group[0] for group in groups} == medoid_names
 
-
-class TestThresholdComponents:
-    def test_recovers_groups_at_sensible_threshold(self, graph):
-        themed, dependency = graph
-        groups = threshold_components(dependency, min_weight=0.3)
-        predicted = _labels(groups, dependency.columns)
-        truth = themed.column_labels(dependency.columns)
-        assert clustering_nmi(predicted, truth) > 0.9
-
-    def test_extreme_thresholds_degenerate(self, graph):
-        _, dependency = graph
-        # Threshold 0: everything connects into one component.
-        assert len(threshold_components(dependency, min_weight=0.0)) == 1
-        # Threshold 1: nothing connects; all singletons.
-        singletons = threshold_components(dependency, min_weight=1.01)
-        assert len(singletons) == dependency.n_columns
-
-
-class TestModularityPartition:
-    def test_recovers_groups(self, graph):
-        themed, dependency = graph
-        groups = modularity_partition(dependency)
-        predicted = _labels(groups, dependency.columns)
-        truth = themed.column_labels(dependency.columns)
-        assert clustering_nmi(predicted, truth) > 0.6
-
-    def test_empty_graph_gives_singletons(self):
-        themed = planted_themes(
-            n_rows=60, group_sizes={"a": 2}, noise=0.2, seed=1
-        )
-        dependency = build_dependency_graph(themed.table)
-        # Zero out the weights to simulate an edgeless graph.
-        import dataclasses
-
-        edgeless = dataclasses.replace(
-            dependency, weights=np.eye(dependency.n_columns)
-        )
-        groups = modularity_partition(edgeless)
-        assert all(len(g) == 1 for g in groups)

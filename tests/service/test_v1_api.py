@@ -181,24 +181,29 @@ class TestCuratedImports:
 
         assert ExplorationConfig is BlaeuConfig
 
-    def test_service_facade_carries_the_serving_surface(self):
-        import repro.service as service
+    def test_serving_surface_lives_in_its_submodules(self):
+        import importlib
 
-        for name in (
-            "BlaeuService",
-            "ServiceConfig",
-            "ResilienceConfig",
-            "SessionManager",
-            "Session",
-            "TieredCache",
-            "HashRing",
-            "Supervisor",
-            "parse_request",
-            "save_session",
-            "replay_session",
-        ):
-            assert name in service.__all__
-            assert getattr(service, name) is not None
+        import repro.service
+
+        homes = {
+            "BlaeuService": "repro.service.app",
+            "ServiceConfig": "repro.service.config",
+            "ResilienceConfig": "repro.service.config",
+            "SessionManager": "repro.server.session",
+            "Session": "repro.server.session",
+            "TieredCache": "repro.service.cache",
+            "HashRing": "repro.service.routing",
+            "Supervisor": "repro.service.supervisor",
+            "parse_request": "repro.server.protocol",
+            "save_session": "repro.server.persistence",
+            "replay_session": "repro.server.persistence",
+        }
+        for name, home in homes.items():
+            assert getattr(importlib.import_module(home), name) is not None
+            # The package re-exports nothing: importing it (as the
+            # supervisor does) must not drag the engine in.
+            assert name not in vars(repro.service)
 
     def test_server_submodules_stay_silent(self):
         with warnings.catch_warnings():

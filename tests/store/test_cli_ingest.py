@@ -4,7 +4,8 @@ import io
 
 import pytest
 
-from repro.cli import BlaeuShell, build_engine, ingest_main
+from repro.cli import build_engine, ingest_main
+from repro.shell import BlaeuShell
 
 CSV = "x,y,tag\n" + "".join(
     f"{(i % 4) * 5 + i * 0.01},{(i % 4) * -3 + i * 0.01},t{i % 4}\n"
