@@ -7,10 +7,9 @@ fast enough" (§3), switching to the sampling-based **CLARA** when the
 data is too large, and choosing the number of clusters with the
 **silhouette coefficient**, estimated "in a Monte-Carlo fashion".
 Everything here is implemented from the original references on top of
-NumPy; a Lloyd's k-means is included as the comparison baseline.
+NumPy.
 """
 
-from repro.cluster.assignment import assign_to_medoids
 from repro.cluster.clara import clara
 from repro.cluster.distance import (
     euclidean_distances,
@@ -18,7 +17,6 @@ from repro.cluster.distance import (
     manhattan_distances,
     pairwise_distances,
 )
-from repro.cluster.kmeans import kmeans
 from repro.cluster.kselect import KSelection, select_k, select_k_points
 from repro.cluster.pam import Clustering, pam
 from repro.cluster.parallel import map_in_order, resolve_jobs
@@ -48,13 +46,11 @@ __all__ = [
     "KSelection",
     "SharedSilhouette",
     "adjusted_rand_index",
-    "assign_to_medoids",
     "clara",
     "cluster_features",
     "clustering_nmi",
     "euclidean_distances",
     "gower_distances",
-    "kmeans",
     "leaf_silhouettes",
     "manhattan_distances",
     "map_in_order",

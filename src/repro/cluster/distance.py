@@ -177,8 +177,8 @@ def distances_to_points(
 ) -> np.ndarray:
     """n×m distances from each point to each reference point.
 
-    The CLARA assignment step and out-of-sample medoid assignment both
-    need point-to-medoid (not full pairwise) distances.  A ``(B, m, d)``
+    The CLARA assignment step needs point-to-medoid (not full
+    pairwise) distances.  A ``(B, m, d)``
     stack of reference sets gives ``(B, n, m)``: CLARA assigns all its
     draws in one call, sharing the point norms.
 

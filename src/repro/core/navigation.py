@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.core.config import BlaeuConfig
 from repro.core.datamap import DataMap
-from repro.core.pipeline import MapBuilder, predicate_mask
+from repro.core.pipeline import MapBuilder
 from repro.core.themes import Theme, ThemeSet, extract_themes
 from repro.graph.dependency import GraphBuilder
 from repro.stats.summary import present_summary
@@ -274,7 +274,7 @@ class Explorer:
         (here: the table, the config and the selected rows), so
         inspecting a selection is read-only and repeatable.
         """
-        indices = np.flatnonzero(predicate_mask(self._table, self.state.selection))
+        indices = np.flatnonzero(self._table.scan_mask(self.state.selection))
         return extract_themes(
             self._table,
             config=self._config,
@@ -349,7 +349,7 @@ class Explorer:
         if state.map.counts_status == "exact":
             n_rows = region.n_rows
         else:
-            n_rows = int(predicate_mask(self._table, new_selection).sum())
+            n_rows = int(self._table.scan_mask(new_selection).sum())
         if n_rows < self._config.min_zoom_rows:
             raise ValueError(
                 f"region {region_id!r} holds {n_rows} tuples; at least "
@@ -398,11 +398,11 @@ class Explorer:
         Returns a bounded preview plus univariate summaries for the
         requested columns (default: the active columns).  Only the
         matched cells of those columns are copied, each once
-        (:class:`MatchedRows`).  On store-backed tables they come from
-        **one chunked pushdown pass** that evaluates the predicate and
-        collects the matches together: the full selection is never
-        materialized, and no column but the predicate's and the
-        highlighted ones is read.
+        (:class:`MatchedRows`), by **one chunked pass**
+        (:func:`~repro.store.parallel.run_highlight_pass`) that
+        evaluates the predicate and collects the matches together: the
+        full selection is never materialized, and no column but the
+        predicate's and the highlighted ones is read.
         """
         state = self.state
         region = state.map.region(region_id)
@@ -415,18 +415,11 @@ class Explorer:
                     f"table {table.name!r} has no column {name!r}; "
                     f"available: {list(table.column_names)}"
                 )
-        preview_cap = self._config.highlight_preview_rows
-        if getattr(table, "iter_chunks", None) is not None:
-            from repro.store.parallel import run_highlight_pass
+        from repro.store.parallel import run_highlight_pass
 
-            matched = run_highlight_pass(table, predicate, inspect, preview_cap)
-        else:
-            matched = MatchedRows()
-            matched.add(
-                {name: table.column(name) for name in inspect},
-                np.asarray(predicate.mask(table), dtype=bool),
-                preview_cap,
-            )
+        matched = run_highlight_pass(
+            table, predicate, inspect, self._config.highlight_preview_rows
+        )
         return matched.highlight(region_id, table, inspect)
 
     def rollback(self) -> DataMap:

@@ -82,7 +82,6 @@ __all__ = [
     "STAGES",
     "build_map",
     "map_cache_key",
-    "predicate_mask",
     "refine_exact",
 ]
 
@@ -119,16 +118,6 @@ def map_cache_key(
     the same place share a key even if they got there independently.
     """
     return (table.fingerprint(), config.digest(), selection_sql, tuple(columns), k)
-
-
-def predicate_mask(table: Table, predicate: Predicate) -> np.ndarray:
-    """``predicate`` over every row of ``table``: a pushdown scan on
-    store-backed tables (bounded memory, zone-map pruned), in place on
-    in-memory ones."""
-    scan = getattr(table, "scan_mask", None)
-    if scan is not None:
-        return scan(predicate)
-    return np.asarray(predicate.mask(table), dtype=bool)
 
 
 # ----------------------------------------------------------------------
@@ -215,8 +204,8 @@ class MapPipeline:
         Engine knobs.
     selection:
         Selection predicate over ``table`` (``None`` = everything).  It
-        is evaluated as a pushdown scan on store-backed tables; the full
-        selection is never materialized.
+        is evaluated as a chunked scan (:meth:`Table.scan_mask`); the
+        full selection is never materialized.
     k:
         Force a cluster count instead of silhouette selection.
     cache:
@@ -337,7 +326,7 @@ class MapPipeline:
     # ------------------------------------------------------------------
 
     def sample_artifact(self) -> SampleArtifact:
-        """Stage 0: sample the selection (pushdown on store residency)."""
+        """Stage 0: sample the selection (only the sampled rows are gathered)."""
         key = self._stage_key("sample")
         return self._stage("sample", key, self._compute_sample)
 
@@ -348,15 +337,16 @@ class MapPipeline:
         if predicate is None or isinstance(predicate, Everything):
             mask, n_selection = None, table.n_rows
         else:
-            mask = predicate_mask(table, predicate)
+            mask = table.scan_mask(predicate)
             n_selection = int(mask.sum())
         if n_selection < 2:
             raise MapBuildError(
                 f"selection has {n_selection} rows; nothing to cluster"
             )
-        # Only the sampled slice is ever materialized; store-backed
-        # tables gather just the picked rows, each column file mapped
-        # for that gather only.
+        # Only the sampled slice is ever materialized: the picked rows
+        # are gathered (on a store, each column file mapped for that
+        # gather only), and a selection no larger than the sample is
+        # gathered whole — at most ``map_sample_size`` rows.
         if n_selection > config.map_sample_size:
             if mask is None:
                 sample = table.sample(config.map_sample_size, rng=rng)
@@ -365,12 +355,8 @@ class MapPipeline:
                 sample = table.take(np.flatnonzero(mask)[picked])
         elif mask is not None:
             sample = table.take(np.flatnonzero(mask))
-        elif getattr(table, "iter_chunks", None) is not None:
-            # A store-backed table small enough to skip sampling still
-            # needs one in-memory copy for the vectorized stages.
-            sample = table.take(np.arange(table.n_rows, dtype=np.intp))
         else:
-            sample = table
+            sample = table.take(np.arange(table.n_rows, dtype=np.intp))
         return SampleArtifact(
             sample=sample,
             selection_mask=mask,
@@ -647,7 +633,7 @@ class MapBuilder:
             note("map_cache", "miss")
             if span.enabled:
                 span.set("cache_hit", False)
-                span.set("table", getattr(table, "name", ""))
+                span.set("table", table.name)
                 span.set("mode", mode)
             recorder = _StageRecorder()
             pipeline = MapPipeline(
@@ -732,7 +718,7 @@ class MapBuilder:
             with get_tracer().span("map.upgrade") as span:
                 exact = refine_exact(approximate, table, selection)
                 if span.enabled:
-                    span.set("table", getattr(table, "name", ""))
+                    span.set("table", table.name)
         else:
             # No refinement context (e.g. a foreign cache entry): rerun
             # the pipeline exactly; cached stage artifacts keep it cheap.
@@ -820,12 +806,12 @@ def refine_exact(
 ) -> DataMap:
     """The exact-count upgrade of an approximate map.
 
-    Routes the full selection through the map's own description tree —
-    one chunked pushdown pass over just the split columns on
-    store-backed tables — and rebuilds the region hierarchy with exact
-    counts.  Everything else (clustering, silhouettes, tree, exemplars,
-    fidelity) is carried over unchanged, so the result is bit-identical
-    to a blocking exact build of the same request.
+    Routes the full selection through the map's own description tree
+    (one chunked pass over just the split columns: :func:`_node_counts`)
+    and rebuilds the region hierarchy with exact counts.  Everything
+    else (clustering, silhouettes, tree, exemplars, fidelity) is carried
+    over unchanged, so the result is bit-identical to a blocking exact
+    build of the same request.
     """
     tree = approximate.refinement
     if not isinstance(tree, DecisionTree):
@@ -836,7 +822,7 @@ def refine_exact(
     if selection is None or isinstance(selection, Everything):
         mask = None
     else:
-        mask = predicate_mask(table, selection)
+        mask = table.scan_mask(selection)
     leaves = [leaf for leaf in approximate.leaves() if leaf.cluster is not None]
     root = _exact_regions(
         tree,
@@ -866,23 +852,11 @@ def _exact_regions(
 ) -> Region:
     """Region hierarchy with exact counts over the full selection.
 
-    In-memory selections are gathered once and routed subset-sized (a
-    zoomed region of a huge table must not pay per-node full-table
-    masks); store-backed selections stay on disk — the chunked count
-    pass reads only the split columns, only in the chunks that hold a
-    selected row, and routes only the selected rows down the tree.
+    The selection is never materialized, on either residency: the
+    count pass (:func:`_node_counts`) reads only the split columns,
+    only in the chunks that hold a selected row, and routes only the
+    selected rows down the tree.
     """
-    if getattr(table, "iter_chunks", None) is None:
-        subset = (
-            table.filter(selection_mask) if selection_mask is not None else table
-        )
-        return _tree_to_regions(
-            tree.root,
-            subset.n_rows,
-            _left_router(tree, subset),
-            leaf_silhouettes,
-            exemplars,
-        )
     # The hierarchy is mirrored over zero rows (structure, predicates,
     # labels), then every region takes the count the pass produced for
     # its node: both walks are pre-order, left before right.
@@ -893,16 +867,16 @@ def _exact_regions(
         leaf_silhouettes,
         exemplars,
     )
-    counts = _store_node_counts(tree, table, selection_mask)
+    counts = _node_counts(tree, table, selection_mask)
     for region, count in zip(root.walk(), counts):
         region.n_rows = int(count)
     return root
 
 
-def _store_node_counts(
+def _node_counts(
     tree: DecisionTree, table: Table, selection_mask: np.ndarray | None
 ) -> np.ndarray:
-    """Selected rows reaching each tree node (walk order), from the store.
+    """Selected rows reaching each tree node (walk order).
 
     One selection pass (see :func:`repro.store.parallel.run_selection_pass`)
     over just the columns the tree splits on; per-partition counts add
@@ -989,10 +963,9 @@ def _exemplars(
 
 
 def _left_router(tree: DecisionTree, selection: Table):
-    """A ``node -> goes-left mask`` function over an in-memory selection,
+    """A ``node -> goes-left mask`` function over an in-memory sample,
     evaluated lazily per node (the column arrays are already resident).
-    Store-backed exact counts never build such masks: see
-    :func:`_store_node_counts`."""
+    Exact counts never build such masks: see :func:`_node_counts`."""
     return lambda node: _route_left(node, selection)
 
 

@@ -6,16 +6,18 @@ as integer codes.  This module makes that cost *once per table*:
 
 * numeric **bin cuts** are derived from a deterministic row sample of
   the base table (seeded by the row count and the root seed alone, so
-  the same table yields the same cuts in every process and on every residency);
+  the same table yields the same cuts in every process and on every
+  residency), gathered with one ``take_columns`` read;
 * a :class:`CodeCache` keyed by ``(table fingerprint, column, binning
-  signature)`` keeps the derived artifact — the full code vector for
-  in-memory tables, just the cuts for store-backed ones — so navigating
-  to a new selection re-gathers cached codes by row index instead of
+  signature)`` keeps the derived artifact — the cuts, plus the full
+  code vector for a resident table of at most
+  :data:`_MAX_CACHED_CODE_ROWS` rows — so navigating to a new
+  selection re-gathers cached codes by row index instead of
   re-discretizing;
-* store-backed tables (:mod:`repro.store`) never materialize a full
-  column: their codes are produced per request by pushdown-gathering
-  exactly the needed rows and applying the cached cuts, or chunk by
-  chunk for streaming whole-table builds.
+* a column without cached codes never has to be materialized whole:
+  its codes are produced per request by gathering exactly the needed
+  rows (:func:`gather_codes`) and applying the cached cuts, or chunk by
+  chunk (:func:`code_matrix`) for streaming whole-table builds.
 
 Because cuts are a pure function of ``(fingerprint, column, binning
 signature)``, a store-backed table and its in-memory twin produce
@@ -28,7 +30,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,7 +41,7 @@ from repro.stats.discretize import (
     equal_frequency_cuts,
     suggest_bin_count,
 )
-from repro.table.column import CategoricalColumn, Column, NumericColumn
+from repro.table.column import CategoricalColumn, Column, ColumnKind, NumericColumn
 from repro.table.sampling import uniform_sample
 
 __all__ = [
@@ -47,12 +49,13 @@ __all__ = [
     "CodeEntry",
     "code_matrix",
     "gather_codes",
-    "is_store_backed",
-    "iter_code_chunks",
 ]
 
-#: In-memory tables larger than this cache bin cuts instead of full code
-#: vectors, bounding a cache entry at the size of the cuts array.
+#: Resident tables up to this many rows also cache their full code
+#: vectors: a gather from them is an index into a kept array (1.4 ms for
+#: 1 000 rows x 378 columns on a 2-vCPU host, against 16 ms applying
+#: cuts to gathered values).  Larger tables, and every store, cache the
+#: cuts alone, bounding a cache entry at the size of the cuts array.
 _MAX_CACHED_CODE_ROWS = 1 << 18
 
 #: Seed-stream tag separating the bin-cut sample from every build's draws.
@@ -64,11 +67,11 @@ class CodeEntry:
     """One column's cached code artifact.
 
     ``codes`` is the full-length code vector when it was cheap enough to
-    keep (in-memory tables up to :data:`_MAX_CACHED_CODE_ROWS` rows);
+    keep (resident tables up to :data:`_MAX_CACHED_CODE_ROWS` rows);
     ``cuts`` alone suffices otherwise — codes are then derived per
-    request from the gathered raw values.  Categorical columns on a
-    store are pure pass-through (both fields ``None``): their codes ride
-    along with every pushdown read.
+    request from the gathered raw values.  Without kept codes a
+    categorical column is pure pass-through (both fields ``None``): its
+    codes ride along with every read.
     """
 
     n_codes: int
@@ -146,9 +149,9 @@ def gather_codes(
 
     Derives (or recalls from ``cache``) each column's
     :class:`CodeEntry`, then assembles the requested rows into a
-    :class:`~repro.stats.batched.ColumnCodes` matrix.  Store-backed
-    tables gather only the requested rows of the needed columns —
-    one pushdown read, no full-column materialization.
+    :class:`~repro.stats.batched.ColumnCodes` matrix.  Columns without
+    kept codes are gathered at just the requested rows — one
+    ``take_columns`` read of the needed columns.
     """
     names = tuple(names)
     entries = resolve_entries(
@@ -163,8 +166,7 @@ def gather_codes(
     matrix = np.empty((len(names), n_out), dtype=np.int32)
 
     raw_needed = [name for name in names if entries[name].codes is None]
-    sub = None
-    if raw_needed and is_store_backed(table):
+    if raw_needed:
         gather_at = (
             rows if rows is not None else np.arange(table.n_rows, dtype=np.intp)
         )
@@ -177,33 +179,12 @@ def gather_codes(
                 entry.codes if rows is None else entry.codes[rows]
             )
             continue
-        column = sub.column(name) if sub is not None else table.column(name)
-        if sub is None and rows is not None:
-            column = column.take(rows)
-        matrix[index] = _column_codes(column, entry)
+        matrix[index] = _column_codes(sub.column(name), entry)
     return ColumnCodes(
         names=names,
         codes=matrix,
         n_codes=tuple(entries[name].n_codes for name in names),
     )
-
-
-def iter_code_chunks(
-    table, names: Sequence[str], entries: dict[str, CodeEntry]
-) -> Iterator[np.ndarray]:
-    """Yield ``(n_columns, chunk)`` code matrices from a chunked scan.
-
-    The streaming complement of :func:`gather_codes`: a store-backed
-    table's whole-table graph build feeds these chunks into
-    :class:`~repro.stats.batched.StreamingPairwiseNMI`, keeping resident
-    memory at one chunk of the named columns.  (The process-parallel
-    build scans a partition at a time and calls :func:`code_matrix`
-    itself.)
-    """
-    names = tuple(names)
-    with table.chunk_reader() as reader:
-        for _, _, chunk in table.scan_chunks(reader, names):
-            yield code_matrix(chunk, names, entries)
 
 
 def code_matrix(
@@ -244,18 +225,13 @@ def resolve_entries(
         return entries
 
     cut_rows = _cut_sample_rows(table.n_rows, bin_sample_size, seed)
-    store_backed = is_store_backed(table)
-    sample = None
-    if store_backed:
-        numeric = [
-            name for name in missing if table.kind(name).value == "numeric"
-        ]
-        if numeric:
-            sample = table.take_columns(numeric, cut_rows)
+    numeric = [name for name in missing if table.kind(name) is ColumnKind.NUMERIC]
+    sample = table.take_columns(numeric, cut_rows) if numeric else None
+    keep_codes = (
+        table.residency == "memory" and table.n_rows <= _MAX_CACHED_CODE_ROWS
+    )
     for name in missing:
-        entry = _derive_entry(
-            table, name, n_bins, cut_rows, sample, store_backed
-        )
+        entry = _derive_entry(table, name, n_bins, sample, keep_codes)
         entries[name] = entry
         if cache is not None:
             cache.put((fingerprint, name, signature), entry)
@@ -265,16 +241,6 @@ def resolve_entries(
 # ----------------------------------------------------------------------
 # Internals
 # ----------------------------------------------------------------------
-
-
-def is_store_backed(table) -> bool:
-    """Whether a table executes as chunked scans (the store residency).
-
-    The same duck-typed probe :mod:`repro.core.pipeline` uses; the one
-    shared definition keeps the gather and streaming paths agreeing on
-    residency.
-    """
-    return getattr(table, "iter_chunks", None) is not None
 
 
 def _cut_sample_rows(n_rows: int, bin_sample_size: int, seed: int) -> np.ndarray:
@@ -293,34 +259,25 @@ def _derive_entry(
     table,
     name: str,
     n_bins: int | None,
-    cut_rows: np.ndarray,
     sample,
-    store_backed: bool,
+    keep_codes: bool,
 ) -> CodeEntry:
-    """Compute one column's entry from the cut-sample rows."""
-    if store_backed:
-        if table.kind(name).value == "categorical":
-            return CodeEntry(n_codes=len(table.categories(name)))
-        column = sample.column(name)
-        cuts = _numeric_cuts(column, n_bins)
+    """Compute one column's entry; a numeric column's cuts come from
+    ``sample`` (the cut-sample rows of the numeric columns), and with
+    ``keep_codes`` the full code vector is kept too."""
+    if table.kind(name) is ColumnKind.CATEGORICAL:
+        n_codes = len(table.categories(name))
+        if not keep_codes:
+            return CodeEntry(n_codes=n_codes)
+        return CodeEntry(n_codes=n_codes, codes=table.column(name).codes)
+    cuts = _numeric_cuts(sample.column(name), n_bins)
+    if not keep_codes:
         return CodeEntry(n_codes=len(cuts) + 1, cuts=cuts)
-
-    column = table.column(name)
-    if isinstance(column, CategoricalColumn):
-        return CodeEntry(
-            n_codes=len(column.categories), codes=column.codes
-        )
-    if not isinstance(column, NumericColumn):
-        raise TypeError(f"unsupported column type {type(column).__name__}")
-    cuts = _numeric_cuts(column.take(cut_rows), n_bins)
-    entry = CodeEntry(n_codes=len(cuts) + 1, cuts=cuts)
-    if len(column) <= _MAX_CACHED_CODE_ROWS:
-        entry = CodeEntry(
-            n_codes=entry.n_codes,
-            codes=_numeric_apply(column, cuts),
-            cuts=cuts,
-        )
-    return entry
+    return CodeEntry(
+        n_codes=len(cuts) + 1,
+        codes=_numeric_apply(table.column(name), cuts),
+        cuts=cuts,
+    )
 
 
 def _numeric_cuts(column: NumericColumn, n_bins: int | None) -> np.ndarray:

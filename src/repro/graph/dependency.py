@@ -16,12 +16,14 @@ of reuse over the batched NMI kernel (:mod:`repro.stats.batched`):
   (the service's map cache) keyed by (fingerprint, columns digest,
   measure, bins, sample, seed, selection rows) — a rollback or a second
   session landing on the same graph pays one dictionary lookup;
-* **store-backed tables** build without materializing full columns:
-  sampled builds pushdown-gather just the sampled rows, and whole-table
-  NMI builds stream chunked scans through the accumulating kernel.
-  (The correlation measures are the one exception: a whole-table
-  pearson/spearman build gathers the numeric block — rank transforms
-  do not stream — so pass ``sample`` on huge stores.)
+* **a build reads what it needs**, one code path on either residency:
+  sampled and selection-restricted builds gather just their rows, and
+  whole-table NMI builds stream the table's partitions, chunk by chunk,
+  through the accumulating kernel
+  (:func:`~repro.store.parallel.nmi_task`).  (The correlation measures
+  are the one exception: a whole-table pearson/spearman build gathers
+  the numeric block — rank transforms do not stream — so pass
+  ``sample`` on huge stores.)
 """
 
 from __future__ import annotations
@@ -34,16 +36,9 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from repro.graph.codes import (
-    CodeCache,
-    gather_codes,
-    is_store_backed,
-    iter_code_chunks,
-    resolve_entries,
-)
+from repro.graph.codes import CodeCache, gather_codes, resolve_entries
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import get_tracer
-from repro.resilience.deadline import checkpoint
 from repro.stats.batched import StreamingPairwiseNMI, pairwise_nmi_matrix
 from repro.stats.correlation import pairwise_correlation_matrix
 from repro.table.column import ColumnKind
@@ -332,10 +327,14 @@ class GraphBuilder:
         seed: int,
     ) -> np.ndarray:
         tracer = get_tracer()
-        if rows is None and is_store_backed(table):
-            # Whole-table build on a store: stream chunked pushdown
-            # scans through the accumulating kernel — full columns are
-            # never resident.
+        if rows is None:
+            # Whole-table build: stream every partition through the
+            # accumulating kernel, full columns never resident.
+            # Contingency counts are elementwise sums, so merging the
+            # per-partition accumulators in partition order is the same
+            # at any ``scan_jobs``.
+            from repro.store.parallel import nmi_task, run_partition_tasks
+
             with tracer.span("graph.codes"):
                 entries = resolve_entries(
                     table,
@@ -348,48 +347,27 @@ class GraphBuilder:
             with tracer.span("graph.nmi") as span:
                 n_codes = [entries[name].n_codes for name in names]
                 streaming = StreamingPairwiseNMI(names, n_codes)
-                chunks = 0
-                partitions = getattr(table, "partitions", ())
-                if (
-                    getattr(table, "scan_jobs", None) not in (None, 1)
-                    and len(partitions) > 1
-                ):
-                    # Partition-parallel accumulation: contingency
-                    # counts are elementwise sums, so merging the
-                    # per-partition accumulators in partition order is
-                    # bit-identical to the serial chunk loop below.
-                    from repro.store.parallel import (
-                        nmi_task,
-                        run_partition_tasks,
-                    )
-
-                    results = run_partition_tasks(
-                        nmi_task,
-                        [
-                            (
-                                names,
-                                n_codes,
-                                entries,
-                                partition.start,
-                                partition.stop,
-                                table.chunk_rows,
-                            )
-                            for partition in partitions
-                        ],
-                        table.scan_jobs,
-                        table=table,
-                    )
-                    for counts, read_chunks in results:
-                        streaming.merge_counts(counts)
-                        chunks += read_chunks
-                else:
-                    for chunk in iter_code_chunks(table, names, entries):
-                        checkpoint("graph.nmi.chunk")
-                        streaming.update(chunk)
-                        chunks += 1
+                results = run_partition_tasks(
+                    nmi_task,
+                    [
+                        (
+                            names,
+                            n_codes,
+                            entries,
+                            partition.start,
+                            partition.stop,
+                            table.chunk_rows,
+                        )
+                        for partition in table.partitions
+                    ],
+                    table.scan_jobs,
+                    table=table,
+                )
+                for counts, _ in results:
+                    streaming.merge_counts(counts)
                 if span.enabled:
                     span.set("streaming", True)
-                    span.set("chunks", chunks)
+                    span.set("chunks", sum(chunks for _, chunks in results))
                 return streaming.finalize()
         with tracer.span("graph.codes"):
             codes = gather_codes(
@@ -483,8 +461,9 @@ def build_dependency_graph(
         Restrict the build to these base-table rows (a navigation
         selection); sampling applies within them.
     n_jobs:
-        Thread fan-out of the batched NMI kernel (``None``/1 serial,
-        0 all cores); results are identical at any setting.
+        Thread fan-out of the batched NMI kernel, which sampled and
+        row-restricted builds run (``None``/1 serial, 0 all cores);
+        results are identical at any setting.
     bin_sample_size:
         Rows in the deterministic bin-cut sample.
     code_cache / cache:
@@ -515,21 +494,18 @@ def _numeric_block(
 ) -> np.ndarray:
     """The named numeric columns stacked as ``(rows, columns)`` float64.
 
-    Missing cells are NaN.  Store-backed tables gather only the
-    requested rows of the named columns (one pushdown read).  With
+    Missing cells are NaN.  Only the requested rows of the named
+    columns are gathered (one ``take_columns`` read).  With
     ``rows=None`` this materializes the whole numeric block — fine for
     the correlation measures' sampled path, deliberate for whole-table
     builds (Spearman's rank transform needs every row resident); the
     NMI path never comes through here.
     """
-    if is_store_backed(table):
-        gather_at = (
-            rows if rows is not None else np.arange(table.n_rows, dtype=np.intp)
-        )
-        sub = table.take_columns(names, gather_at)
-        return np.column_stack([sub.column(name).values for name in names])
-    out = np.column_stack([table.column(name).values for name in names])
-    return out if rows is None else out[rows]
+    gather_at = (
+        rows if rows is not None else np.arange(table.n_rows, dtype=np.intp)
+    )
+    sub = table.take_columns(names, gather_at)
+    return np.column_stack([sub.column(name).values for name in names])
 
 
 def _graph_cache_key(

@@ -118,12 +118,10 @@ class BlaeuShell:
         for name in self._engine.tables():
             table = self._engine.database.table(name)
             marker = "*" if name == self._table_name else " "
-            residency = getattr(table, "residency", "memory")
             suffix = ""
-            if residency == "store":
-                n_partitions = len(getattr(table, "partitions", ()))
-                skipped = getattr(table, "partitions_skipped", 0)
-                suffix = f" [store, {n_partitions} partitions"
+            if table.residency == "store":
+                skipped = table.partitions_skipped
+                suffix = f" [store, {len(table.partitions)} partitions"
                 if skipped:
                     suffix += f", {skipped} pruned"
                 suffix += "]"

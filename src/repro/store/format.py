@@ -49,15 +49,12 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, BinaryIO, Iterator
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
 from repro.table.column import CategoricalColumn, NumericColumn
-from repro.table.csv_io import DEFAULT_CHUNK_ROWS
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.table.table import Table
+from repro.table.table import DEFAULT_CHUNK_ROWS, Table
 
 __all__ = [
     "CODES_DTYPE",
@@ -418,16 +415,14 @@ class ChunkReader:
     a file truncated under an open table raises :class:`StoreReadError`
     instead of serving stale bytes.
 
-    With ``reuse`` (the scan passes) all the chunks of one file land in
-    one array, and :meth:`all_false` hands out one shared mask: what a
-    read returns is valid until the next read of the same file, and a
-    scan's resident memory is one chunk per file.  Without it (the
-    public chunk iterator) every read returns an array of its own.
+    All the chunks of one file land in one array, and :meth:`all_false`
+    hands out one shared mask: what a read returns is valid until the
+    next read of the same file, and a scan's resident memory is one
+    chunk per file.
     """
 
-    def __init__(self, root: Path, reuse: bool = True) -> None:
+    def __init__(self, root: Path) -> None:
         self._root = root
-        self._reuse = reuse
         self._files: dict[str, BinaryIO] = {}
         self._buffers: dict[str, np.ndarray] = {}
         self._all_false = np.zeros(0, dtype=bool)
@@ -450,13 +445,10 @@ class ChunkReader:
         handle = self._files.get(relative)
         if handle is None:
             handle = self._files[relative] = open(self._root / relative, "rb")
-        if not self._reuse:
-            out = np.empty(count, dtype=dtype)
-        else:
-            buffer = self._buffers.get(relative)
-            if buffer is None or buffer.shape[0] < count:
-                buffer = self._buffers[relative] = np.empty(count, dtype=dtype)
-            out = buffer[:count]
+        buffer = self._buffers.get(relative)
+        if buffer is None or buffer.shape[0] < count:
+            buffer = self._buffers[relative] = np.empty(count, dtype=dtype)
+        out = buffer[:count]
         offset = start * out.itemsize
         handle.seek(offset)
         got = handle.readinto(out)
@@ -470,8 +462,6 @@ class ChunkReader:
 
     def all_false(self, count: int) -> np.ndarray:
         """A read-only all-``False`` mask of ``count`` cells."""
-        if not self._reuse:
-            return np.zeros(count, dtype=bool)
         if self._all_false.shape[0] < count:
             self._all_false = np.zeros(count, dtype=bool)
             self._all_false.setflags(write=False)
@@ -558,7 +548,7 @@ def write_priorities(
 
 
 def write_store(
-    table: "Table",
+    table: Table,
     root: str | Path,
     chunk_rows: int = DEFAULT_CHUNK_ROWS,
     priority_seed: int = 0,

@@ -1,11 +1,20 @@
-"""Process-parallel partition scans with deterministic merges.
+"""Partition passes with deterministic merges, on both residencies.
 
-The store's scan paths — predicate masks, exact-count routing,
-highlight accumulation, streaming NMI, zone-map construction — all
-reduce per-partition partials with associative merges, so fanning
+Every selection-proportional pass — predicate masks, exact-count
+routing, highlight accumulation, streaming NMI, zone-map construction —
+reduces per-partition partials with associative merges, so fanning
 partitions out over a ``ProcessPoolExecutor`` and re-assembling the
 results **in partition order** reproduces the serial scan bit for bit.
-What a serial scan spends, measured on a 1M-row / 16-partition store
+The passes run one body whatever the table: a
+:class:`~repro.store.stored.StoredTable`'s partitions come from its
+manifest and its chunks are buffered reads, while an in-memory
+:class:`~repro.table.table.Table` is one zone-less partition that is
+never pruned, with no reader (``chunk_reader()`` opens nothing), chunks
+that are zero-copy column slices and ``scan_jobs = None``.  Such a pass
+is traced and counted under the same ``store.*`` span and metric names,
+with ``partitions: 1``.
+
+What a serial store scan spends, measured on a 1M-row / 16-partition store
 (three-column conjunctive ``scan_mask``, 5-6 ms): 46 % in ``readinto``
 from the page cache, 26 % in the predicate's NumPy kernels, the rest in
 per-chunk Python.  Nothing is decoded or copied in between, and the
@@ -15,9 +24,9 @@ item 2 records) — that item, on the parallel knobs, owns the question.
 
 **One open table and one reader per scan.**  The table workers
 (``scan_mask_task``, ``router_task``, ``highlight_task``, ``nmi_task``)
-are called ``worker(table, reader, task)`` with an already-open
-:class:`~repro.store.stored.StoredTable` and one of its
-:class:`~repro.store.format.ChunkReader` s, and open neither themselves:
+are called ``worker(table, reader, task)`` with an already-open table
+and the reader of its ``chunk_reader()`` (a store's
+:class:`~repro.store.format.ChunkReader`), and open neither themselves:
 the serial path hands them the caller's table and a single reader that
 spans every partition task of the scan (a task is often one chunk, so
 only a reader that outlives it can reuse a file or a buffer), a pool
@@ -81,6 +90,7 @@ if TYPE_CHECKING:
     from repro.store.format import ChunkReader
     from repro.store.stored import StoredTable
     from repro.table.predicates import Predicate
+    from repro.table.table import Table
 
 __all__ = [
     "highlight_task",
@@ -127,7 +137,7 @@ def run_partition_tasks(
     worker: Callable,
     tasks: Sequence,
     scan_jobs: int | None,
-    table: "StoredTable | None" = None,
+    table: "Table | StoredTable | None" = None,
 ) -> list:
     """``[worker(task) for task in tasks]``, optionally across processes.
 
@@ -181,7 +191,7 @@ def run_partition_tasks(
 def run_selection_pass(
     span_name: str,
     worker: Callable,
-    table: "StoredTable",
+    table: "Table | StoredTable",
     mask: np.ndarray,
     columns: tuple[str, ...],
     *extra: object,
@@ -221,7 +231,7 @@ def run_selection_pass(
 
 
 def run_highlight_pass(
-    table: "StoredTable",
+    table: "Table | StoredTable",
     predicate: "Predicate",
     inspect: tuple[str, ...],
     preview_cap: int,
@@ -282,7 +292,7 @@ def zones_task(task) -> dict:
 
 
 def scan_mask_task(
-    table: "StoredTable", reader: "ChunkReader", task
+    table: "Table | StoredTable", reader: "ChunkReader | None", task
 ) -> tuple[np.ndarray, int]:
     """Predicate mask of one partition range: ``(predicate, needed,
     start, stop, chunk_rows)`` → ``(mask segment, chunks)``."""
@@ -298,7 +308,7 @@ def scan_mask_task(
 
 
 def router_task(
-    table: "StoredTable", reader: "ChunkReader", task
+    table: "Table | StoredTable", reader: "ChunkReader | None", task
 ) -> tuple[np.ndarray, int]:
     """Tree-routing counts of one partition range: ``(needed, mask
     segment, start, stop, chunk_rows, tree_root)`` → how many selected
@@ -317,7 +327,9 @@ def router_task(
     return counts, chunks
 
 
-def highlight_task(table: "StoredTable", reader: "ChunkReader", task):
+def highlight_task(
+    table: "Table | StoredTable", reader: "ChunkReader | None", task
+):
     """Highlight partials of one partition range: ``(predicate, inspect,
     start, stop, chunk_rows, preview_cap)`` → the
     :class:`~repro.core.navigation.MatchedRows` of the range, and the
@@ -350,7 +362,7 @@ def highlight_task(table: "StoredTable", reader: "ChunkReader", task):
     return matched, chunks
 
 
-def nmi_task(table: "StoredTable", reader: "ChunkReader", task):
+def nmi_task(table: "Table | StoredTable", reader: "ChunkReader | None", task):
     """Streaming-NMI contingencies of one partition range: ``(names,
     n_codes, entries, start, stop, chunk_rows)`` → the accumulated
     :class:`StreamingPairwiseNMI` count arrays."""

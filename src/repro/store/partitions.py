@@ -36,6 +36,7 @@ from repro.store.format import (
     StoreManifest,
     partition_spans,
 )
+from repro.store.parallel import run_partition_tasks, zones_task
 from repro.table.predicates import (
     And,
     Between,
@@ -179,8 +180,6 @@ def build_partitions(
     spans = partition_spans(n_rows, partition_rows, start=start)
     if not spans:
         return ()
-    from repro.store.parallel import run_partition_tasks, zones_task
-
     results = run_partition_tasks(
         zones_task,
         [

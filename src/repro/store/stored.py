@@ -18,9 +18,19 @@ against the on-disk column files:
   materializing or redrawing priorities.
 
 Materializing operations (``take``, ``select``, ``sample``, ``head``)
-return plain in-memory ``Table`` objects sized by their result; scans
-(:meth:`scan_chunks`, :meth:`scan_mask`) use buffered reads into one
-reused array per column file and stay within one chunk of memory.
+return plain in-memory ``Table`` objects sized by their result.
+
+**One scan surface for both residencies.**  The partition passes of
+:mod:`repro.store.parallel` consume the same surface from a store and
+from an in-memory table: ``partitions``, :meth:`prune_partitions`,
+:meth:`chunk_reader`, :meth:`read_chunk` and ``chunk_rows`` /
+``scan_jobs``.  What differs is defined here: a store's partitions
+carry zone maps, and its chunks are ``readinto`` buffers, one reused
+array per column file, so a scan stays within one chunk of memory.
+What does not differ is not redefined: :meth:`scan_chunks`,
+:meth:`scan_mask` and the operations built on them and on gathers
+(``select``, ``filter``, ``sample``, ``head``, ``drop``, ``describe``)
+are :class:`~repro.table.table.Table`'s own bodies.
 
 **No map outlives the call that made it.**  A gather maps each file it
 reads for that gather only: the kernel may fault a whole page-cache
@@ -48,10 +58,9 @@ import hashlib
 import json
 import mmap
 import os
-import time
 from bisect import bisect_left, bisect_right
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -73,7 +82,6 @@ from repro.store.format import (
     StoreManifest,
     StoreReadError,
 )
-from repro.store.parallel import run_partition_tasks, scan_mask_task
 from repro.store.partitions import zone_proves_empty
 from repro.table.column import (
     CategoricalColumn,
@@ -82,7 +90,7 @@ from repro.table.column import (
     NumericColumn,
 )
 from repro.table.predicates import Predicate
-from repro.table.sampling import SampleCascade, uniform_sample
+from repro.table.sampling import SampleCascade
 from repro.table.table import Table
 
 __all__ = ["StoredTable"]
@@ -322,13 +330,20 @@ class StoredTable:
             f"columns={self.n_columns} root={str(self._root)!r}>"
         )
 
-    def describe(self) -> list[dict[str, object]]:
-        """Per-column summaries (full scan via the memory maps)."""
-        return Table.describe(self)  # type: ignore[arg-type]
-
     # ------------------------------------------------------------------
     # Relational operations (chunked scans + gathers)
     # ------------------------------------------------------------------
+
+    # What does not depend on where the rows live is ``Table``'s own
+    # body, run over this table's scans, gathers and memory maps.
+    describe = Table.describe
+    drop = Table.drop
+    filter = Table.filter
+    head = Table.head
+    sample = Table.sample
+    scan_chunks = Table.scan_chunks
+    scan_mask = Table.scan_mask
+    select = Table.select
 
     def rename(self, name: str) -> "StoredTable":
         """The same store-backed view under a different name."""
@@ -350,96 +365,26 @@ class StoredTable:
             scan_jobs=self.scan_jobs,
         )
 
-    def drop(self, names: Sequence[str], name: str | None = None) -> "StoredTable":
-        """A view of all columns except ``names``."""
-        dropped = set(names)
-        kept = [n for n in self._order if n not in dropped]
-        return self.project(kept, name=name)
-
-    def iter_chunks(
-        self,
-        columns: Sequence[str] | None = None,
-        chunk_rows: int | None = None,
-        start: int = 0,
-        stop: int | None = None,
-        where: np.ndarray | None = None,
-    ) -> Iterator[tuple[int, int, Table]]:
-        """Yield ``(start, stop, chunk)`` plain in-memory tables.
-
-        Chunks are built with buffered reads (never mmap) from files
-        opened once for the whole iteration, and each chunk owns its
-        arrays: they may be kept, and holding all of them holds the
-        requested ``columns`` whole.  A consumer that drops each chunk
-        before the next keeps resident memory at one chunk of those
-        columns.  ``start``/``stop`` bound the scan to a row range;
-        defaults cover the whole table.  ``where`` is a boolean mask
-        over that range: a chunk in which it selects no row is skipped
-        before anything is read.
-        """
-        with ChunkReader(self._root, reuse=False) as reader:
-            yield from self.scan_chunks(
-                reader, columns, chunk_rows, start, stop, where
-            )
-
     def chunk_reader(self) -> ChunkReader:
         """The reader of one scan over this table, for :meth:`scan_chunks`."""
         return ChunkReader(self._root)
-
-    def scan_chunks(
-        self,
-        reader: ChunkReader,
-        columns: Sequence[str] | None = None,
-        chunk_rows: int | None = None,
-        start: int = 0,
-        stop: int | None = None,
-        where: np.ndarray | None = None,
-    ) -> Iterator[tuple[int, int, Table]]:
-        """:meth:`iter_chunks` through a caller's ``reader`` — the scan
-        primitive every pushdown is built on.
-
-        The reader decides what a chunk's arrays are: with the reusing
-        reader of :meth:`chunk_reader` they are views of its per-file
-        buffers, overwritten by the next chunk, so a consumer must be
-        done with a chunk (or have copied what it keeps) before it asks
-        for the next, and a scan's resident memory is bounded by one
-        chunk of the requested ``columns``.  One reader may serve any
-        number of consecutive ranges — :func:`repro.store.parallel.
-        run_partition_tasks` spans all the partition tasks of a scan
-        with one — and each needed file is opened once for all of them.
-        A numeric column's mask file is read only where a partition's
-        zone map does not record ``null_count == 0``.
-        """
-        names = tuple(columns) if columns is not None else self._order
-        for column_name in names:
-            if column_name not in self._order:
-                raise KeyError(
-                    f"table {self._name!r} has no column {column_name!r}"
-                )
-        step = chunk_rows or self._manifest.chunk_rows
-        if step < 1:
-            raise ValueError(f"chunk_rows must be positive, got {step}")
-        end = self.n_rows if stop is None else stop
-        if not 0 <= start <= end <= self.n_rows:
-            raise ValueError(
-                f"invalid scan range [{start}, {stop}) for {self.n_rows} rows"
-            )
-        if where is not None and where.shape != (end - start,):
-            raise ValueError(
-                f"where mask of shape {where.shape} does not cover the "
-                f"{end - start} rows of scan range [{start}, {end})"
-            )
-        for lo in range(start, end, step):
-            hi = min(lo + step, end)
-            if where is not None and not where[lo - start : hi - start].any():
-                continue
-            yield lo, hi, self.read_chunk(reader, names, lo, hi)
 
     def read_chunk(
         self, reader: ChunkReader, names: Sequence[str], start: int, stop: int
     ) -> Table:
         """Rows ``[start, stop)`` of the ``names`` columns through
-        ``reader`` — one chunk of :meth:`scan_chunks` (which checks the
-        names and the range), with the same lifetime rules."""
+        ``reader`` — one chunk of :meth:`scan_chunks`, which checks the
+        names and the range.
+
+        The arrays are views of ``reader``'s per-file buffers, valid
+        until its next read of the same file.  One reader may serve any
+        number of consecutive ranges —
+        :func:`repro.store.parallel.run_partition_tasks` spans all the
+        partition tasks of a scan with one — and each needed file is
+        opened once for all of them.  A numeric column's mask file is
+        read only where a partition's zone map does not record
+        ``null_count == 0``.
+        """
         # Per-chunk deadline checkpoint + chaos hook: scans over
         # millions of rows abort within one chunk of an expired
         # budget, and the fault harness can fail or slow each read.
@@ -479,72 +424,6 @@ class StoredTable:
                 "blaeu_store_partitions_skipped_total", skipped
             )
         return live, skipped
-
-    def scan_mask(
-        self, predicate: Predicate, chunk_rows: int | None = None
-    ) -> np.ndarray:
-        """Evaluate ``predicate`` over all rows as a chunked scan.
-
-        Predicate pushdown: only the columns the predicate references
-        are read, only in the partitions whose zone maps cannot rule
-        the predicate out, fanned over ``scan_jobs`` worker processes.
-        Returns a boolean mask of length ``n_rows``, bit-identical at
-        every pruning/parallelism setting.
-        """
-        needed = tuple(sorted(predicate.columns()))
-        if not needed:  # Everything (no predicate references any column)
-            return predicate.mask(self)  # type: ignore[arg-type]
-        for column_name in needed:
-            if column_name not in self._order:
-                raise KeyError(
-                    f"table {self._name!r} has no column {column_name!r}"
-                )
-        with get_tracer().span("store.scan") as span:
-            started = time.perf_counter()
-            reads_before = self._data_reads
-            live, skipped = self.prune_partitions(predicate)
-            out = np.zeros(self.n_rows, dtype=bool)
-            step = chunk_rows or self._manifest.chunk_rows
-            results = run_partition_tasks(
-                scan_mask_task,
-                [
-                    (predicate, needed, partition.start, partition.stop, step)
-                    for partition in live
-                ],
-                self.scan_jobs,
-                table=self,
-            )
-            chunks = 0
-            metrics = get_metrics()
-            for partition, (segment, read_chunks) in zip(live, results):
-                out[partition.start : partition.stop] = segment
-                chunks += read_chunks
-            metrics.increment("blaeu_store_partitions_scanned_total", len(live))
-            if span.enabled:
-                span.set("rows", self.n_rows)
-                span.set("columns", len(needed))
-                span.set("chunks", chunks)
-                span.set("partitions", len(live))
-                span.set("partitions_skipped", skipped)
-                span.set("data_reads", self._data_reads - reads_before)
-            metrics.increment("blaeu_store_scans_total")
-            metrics.observe(
-                "blaeu_store_scan_seconds", time.perf_counter() - started
-            )
-        return out
-
-    def select(self, predicate: Predicate, name: str | None = None) -> Table:
-        """Rows matching ``predicate``, materialized (order preserved)."""
-        return self.take(np.flatnonzero(self.scan_mask(predicate)), name=name)
-
-    def filter(self, mask: np.ndarray, name: str | None = None) -> Table:
-        """Rows where the boolean ``mask`` is ``True``, materialized."""
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape[0] != self.n_rows:
-            raise ValueError(
-                f"mask length {mask.shape[0]} != table rows {self.n_rows}"
-            )
-        return self.take(np.flatnonzero(mask), name=name)
 
     def take(self, indices: np.ndarray, name: str | None = None) -> Table:
         """Rows at ``indices``, gathered into a plain in-memory table.
@@ -589,20 +468,6 @@ class StoredTable:
             get_metrics().increment("blaeu_store_gathers_total")
             columns = [self._gather(n, indices, low, high + 1) for n in names]
         return Table(name or self._name, columns)
-
-    def sample(self, n: int, rng: np.random.Generator) -> Table:
-        """A uniform sample of ``min(n, n_rows)`` distinct rows.
-
-        Index-identical to :meth:`Table.sample` at the same ``rng``
-        state — the bit-identity guarantee between store-backed and
-        in-memory map builds rests on this.
-        """
-        indices = uniform_sample(self.n_rows, n, rng)
-        return self.take(indices)
-
-    def head(self, n: int = 10) -> Table:
-        """The first ``n`` rows, materialized."""
-        return self.take(np.arange(min(n, self.n_rows)))
 
     def row(self, index: int) -> dict[str, object]:
         """Row ``index`` as a column-name → value mapping."""

@@ -95,8 +95,13 @@ class Column(ABC):
         return self.take(np.flatnonzero(mask))
 
     @abstractmethod
-    def rename(self, name: str) -> "Column":
-        """Return a copy of this column under a new name."""
+    def slice(self, start: int, stop: int) -> "Column":
+        """Rows ``[start, stop)`` as views of this column's arrays.
+
+        The arrays were validated when this column was built and are
+        read-only, so the slice shares them and checks nothing: what an
+        in-memory scan chunk costs, whatever its length.
+        """
 
     @abstractmethod
     def value_at(self, index: int) -> object:
@@ -217,8 +222,11 @@ class NumericColumn(Column):
             self._name, self._values[indices], self._missing[indices]
         )
 
-    def rename(self, name: str) -> "NumericColumn":
-        return NumericColumn(name, self._values, self._missing)
+    def slice(self, start: int, stop: int) -> "NumericColumn":
+        column = NumericColumn.__new__(NumericColumn)
+        Column.__init__(column, self._name, self._missing[start:stop])
+        column._values = self._values[start:stop]
+        return column
 
     def value_at(self, index: int) -> float | None:
         if self._missing[index]:
@@ -363,8 +371,13 @@ class CategoricalColumn(Column):
         indices = np.asarray(indices, dtype=np.intp)
         return self.with_codes(self._codes[indices])
 
-    def rename(self, name: str) -> "CategoricalColumn":
-        return CategoricalColumn(name, self._codes, self._categories)
+    def slice(self, start: int, stop: int) -> "CategoricalColumn":
+        column = CategoricalColumn.__new__(CategoricalColumn)
+        Column.__init__(column, self._name, self._missing[start:stop])
+        column._codes = self._codes[start:stop]
+        column._categories = self._categories
+        column._index = self._index
+        return column
 
     def value_at(self, index: int) -> str | None:
         code = int(self._codes[index])

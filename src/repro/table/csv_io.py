@@ -27,17 +27,12 @@ from repro.table.schema import infer_column
 from repro.table.table import Table
 
 __all__ = [
-    "DEFAULT_CHUNK_ROWS",
     "CsvChunkReader",
     "read_csv",
     "read_csv_text",
     "write_csv",
     "write_csv_text",
 ]
-
-#: Records per chunk when a caller asks for chunking without a size
-#: (also the store layer's ingestion/scan default — single source).
-DEFAULT_CHUNK_ROWS = 65_536
 
 
 class CsvChunkReader:

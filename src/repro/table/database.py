@@ -141,7 +141,8 @@ class Database:
         tell whether two names refer to the same data.  ``residency``
         says where the rows live: ``"memory"`` for plain tables,
         ``"store"`` for disk-backed ones (whose fingerprint comes from
-        the store manifest in O(1), never from a data re-hash).
+        the store manifest in O(1), never from a data re-hash), which
+        also report their ``n_partitions``.
         """
         return [
             {
@@ -149,10 +150,10 @@ class Database:
                 "n_rows": table.n_rows,
                 "n_columns": table.n_columns,
                 "fingerprint": table.fingerprint(),
-                "residency": getattr(table, "residency", "memory"),
+                "residency": table.residency,
                 **(
                     {"n_partitions": len(table.partitions)}
-                    if hasattr(table, "partitions")
+                    if table.residency == "store"
                     else {}
                 ),
             }

@@ -33,10 +33,6 @@ FLAG_VALUES = frozenset({0.0, 1.0})
 #: Common name fragments that mark identifier columns.
 KEY_NAME_HINTS = ("id", "key", "uuid", "code")
 
-#: Rows per chunk of a :class:`KeyScan` over an in-memory table (a
-#: store-backed table is read in its own ``chunk_rows``).
-KEY_SCAN_ROWS = 65_536
-
 
 @dataclass(frozen=True)
 class Schema:
@@ -145,16 +141,16 @@ class KeyScan:
     Only a column those tests leave open (an integer id, a label column
     as long as the table) pays a full distinct count.
 
-    On a store-backed table the chunks are slices of the column's
-    memory map, so pages past the deciding chunk are never touched, and
-    the map closes once that column's test returns.
-    ``chunks`` counts the column chunks read so far (a full distinct
-    count reads every chunk of its column).
+    Chunks are the table's own ``chunk_rows``.  On a store-backed table
+    they are slices of the column's memory map, so pages past the
+    deciding chunk are never touched, and the map closes once that
+    column's test returns.  ``chunks`` counts the column chunks read so
+    far (a full distinct count reads every chunk of its column).
     """
 
     def __init__(self, table: Table) -> None:
         self._table = table
-        self._step = getattr(table, "chunk_rows", KEY_SCAN_ROWS)
+        self._step = table.chunk_rows
         self.chunks = 0
 
     def keys(self, columns: Sequence[str] | None = None) -> tuple[str, ...]:

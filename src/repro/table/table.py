@@ -11,15 +11,27 @@ operations Blaeu's engine needs from its DBMS:
   index arrays).
 
 All operations return new tables; nothing is mutated in place.
+
+A table is also what a store-backed
+:class:`~repro.store.stored.StoredTable` is to the partition passes of
+:mod:`repro.store.parallel`: one implicit, zone-less partition
+``[0, n_rows)`` that no predicate prunes, read in chunks that are
+zero-copy slices of its columns.  Every selection-proportional pass —
+predicate masks, exact counts, highlights, whole-table NMI — therefore
+runs one body on both residencies.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Iterator, Mapping, Sequence
+import time
+from contextlib import AbstractContextManager, nullcontext
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from repro.obs.metrics import get_metrics
+from repro.obs.trace import get_tracer
 from repro.table.column import (
     CategoricalColumn,
     Column,
@@ -28,7 +40,14 @@ from repro.table.column import (
 )
 from repro.table.predicates import Predicate
 
-__all__ = ["Table"]
+if TYPE_CHECKING:  # pragma: no cover - the store layer sits above this one
+    from repro.store.format import PartitionMeta
+
+__all__ = ["DEFAULT_CHUNK_ROWS", "Table"]
+
+#: Rows per scan chunk of an in-memory table, and the chunk size a
+#: store is ingested and scanned in unless told otherwise.
+DEFAULT_CHUNK_ROWS = 65_536
 
 
 class Table:
@@ -44,6 +63,19 @@ class Table:
     """
 
     __slots__ = ("_name", "_columns", "_order", "_n_rows", "_fingerprint")
+
+    #: Where the rows live (a store-backed table says ``"store"``).
+    residency = "memory"
+
+    #: Rows per chunk of :meth:`scan_chunks` unless a pass asks otherwise.
+    chunk_rows = DEFAULT_CHUNK_ROWS
+
+    #: Worker processes of a partition pass: the rows are already in
+    #: this process, so every pass runs serially.
+    scan_jobs = None
+
+    #: Column-data IO events of this table's scans: it reads no file.
+    data_reads = 0
 
     def __init__(self, name: str, columns: Sequence[Column]) -> None:
         if not name:
@@ -228,16 +260,16 @@ class Table:
         return Table(name, self.columns)
 
     def select(self, predicate: Predicate, name: str | None = None) -> "Table":
-        """Rows matching ``predicate`` (order preserved)."""
-        mask = predicate.mask(self)
-        return self.filter(mask, name=name)
+        """Rows matching ``predicate`` (order preserved): the
+        :meth:`scan_mask` of the predicate, gathered."""
+        return self.filter(self.scan_mask(predicate), name=name)
 
     def filter(self, mask: np.ndarray, name: str | None = None) -> "Table":
         """Rows where the boolean ``mask`` is ``True``."""
         mask = np.asarray(mask, dtype=bool)
-        if mask.shape[0] != self._n_rows:
+        if mask.shape[0] != self.n_rows:
             raise ValueError(
-                f"mask length {mask.shape[0]} != table rows {self._n_rows}"
+                f"mask length {mask.shape[0]} != table rows {self.n_rows}"
             )
         return self.take(np.flatnonzero(mask), name=name)
 
@@ -266,7 +298,7 @@ class Table:
     def drop(self, names: Sequence[str], name: str | None = None) -> "Table":
         """All columns except ``names``."""
         dropped = set(names)
-        kept = [n for n in self._order if n not in dropped]
+        kept = [n for n in self.column_names if n not in dropped]
         return self.project(kept, name=name)
 
     def with_column(self, column: Column) -> "Table":
@@ -283,16 +315,164 @@ class Table:
         """A uniform sample of ``min(n, n_rows)`` distinct rows.
 
         This is the stand-in for MonetDB's ``SAMPLE`` clause; row order in
-        the output follows the original table (MonetDB semantics).
+        the output follows the original table (MonetDB semantics).  The
+        indices are drawn first and only those rows are gathered, so at
+        the same ``rng`` state both residencies sample the same rows —
+        the bit-identity of store-backed and in-memory map builds rests
+        on this.
         """
         from repro.table.sampling import uniform_sample
 
-        indices = uniform_sample(self._n_rows, n, rng)
+        indices = uniform_sample(self.n_rows, n, rng)
         return self.take(indices)
 
     def head(self, n: int = 10) -> "Table":
         """The first ``n`` rows."""
-        return self.take(np.arange(min(n, self._n_rows)))
+        return self.take(np.arange(min(n, self.n_rows)))
+
+    def take_columns(
+        self,
+        names: Sequence[str],
+        indices: np.ndarray,
+        name: str | None = None,
+    ) -> "Table":
+        """Rows at ``indices`` of just the ``names`` columns, gathered
+        (``project(names).take(indices)``)."""
+        return self.project(names).take(indices, name=name)
+
+    # ------------------------------------------------------------------
+    # Scans: one implicit partition
+    # ------------------------------------------------------------------
+
+    @property
+    def partitions(self) -> tuple["PartitionMeta", ...]:
+        """One zone-less partition over every row, which no predicate
+        prunes (the shape of a store written before partitioning)."""
+        from repro.store.format import PartitionMeta
+
+        return (PartitionMeta(0, self._n_rows),)
+
+    def prune_partitions(
+        self, predicate: Predicate
+    ) -> tuple[list["PartitionMeta"], int]:
+        """Every partition, none skipped: there are no zone maps."""
+        return list(self.partitions), 0
+
+    def chunk_reader(self) -> AbstractContextManager[None]:
+        """The reader of one scan: none, the columns are resident."""
+        return nullcontext()
+
+    def scan_chunks(
+        self,
+        reader,
+        columns: Sequence[str] | None = None,
+        chunk_rows: int | None = None,
+        start: int = 0,
+        stop: int | None = None,
+        where: np.ndarray | None = None,
+    ) -> Iterator[tuple[int, int, "Table"]]:
+        """Yield ``(start, stop, chunk)`` tables of the ``columns`` (all
+        by default) over rows ``[start, stop)`` (all by default), in
+        steps of ``chunk_rows`` (default :attr:`chunk_rows`) — the scan
+        primitive every pass is built on, on both residencies.
+
+        ``where`` is a boolean mask over the range: a chunk in which it
+        selects no row is skipped before anything is read.  ``reader``
+        comes from :meth:`chunk_reader` and decides what a chunk's
+        arrays are: here views of the resident columns; on a
+        :class:`~repro.store.stored.StoredTable` views of the reader's
+        per-file buffers, overwritten by the next chunk.  A consumer is
+        therefore done with a chunk, or has copied what it keeps, before
+        it asks for the next.
+        """
+        names = tuple(columns) if columns is not None else self.column_names
+        for column_name in names:
+            if not self.has_column(column_name):
+                raise KeyError(
+                    f"table {self.name!r} has no column {column_name!r}"
+                )
+        step = chunk_rows or self.chunk_rows
+        if step < 1:
+            raise ValueError(f"chunk_rows must be positive, got {step}")
+        end = self.n_rows if stop is None else stop
+        if not 0 <= start <= end <= self.n_rows:
+            raise ValueError(
+                f"invalid scan range [{start}, {stop}) for {self.n_rows} rows"
+            )
+        if where is not None and where.shape != (end - start,):
+            raise ValueError(
+                f"where mask of shape {where.shape} does not cover the "
+                f"{end - start} rows of scan range [{start}, {end})"
+            )
+        for lo in range(start, end, step):
+            hi = min(lo + step, end)
+            if where is not None and not where[lo - start : hi - start].any():
+                continue
+            yield lo, hi, self.read_chunk(reader, names, lo, hi)
+
+    def read_chunk(
+        self, reader: None, names: Sequence[str], start: int, stop: int
+    ) -> "Table":
+        """Rows ``[start, stop)`` of the ``names`` columns — one chunk of
+        :meth:`scan_chunks`, which checks the names and the range."""
+        return Table(
+            self._name, [self._columns[n].slice(start, stop) for n in names]
+        )
+
+    def scan_mask(
+        self, predicate: Predicate, chunk_rows: int | None = None
+    ) -> np.ndarray:
+        """Evaluate ``predicate`` over all rows as a chunked scan.
+
+        Predicate pushdown: only the columns the predicate references
+        are read, only in the partitions whose zone maps cannot rule
+        the predicate out, fanned over ``scan_jobs`` worker processes.
+        Returns a boolean mask of length ``n_rows``, bit-identical at
+        every pruning/parallelism setting and on both residencies.
+        """
+        from repro.store.parallel import run_partition_tasks, scan_mask_task
+
+        needed = tuple(sorted(predicate.columns()))
+        if not needed:  # Everything (no predicate references any column)
+            return predicate.mask(self)  # type: ignore[arg-type]
+        for column_name in needed:
+            if not self.has_column(column_name):
+                raise KeyError(
+                    f"table {self.name!r} has no column {column_name!r}"
+                )
+        with get_tracer().span("store.scan") as span:
+            started = time.perf_counter()
+            reads_before = self.data_reads
+            live, skipped = self.prune_partitions(predicate)
+            out = np.zeros(self.n_rows, dtype=bool)
+            step = chunk_rows or self.chunk_rows
+            results = run_partition_tasks(
+                scan_mask_task,
+                [
+                    (predicate, needed, partition.start, partition.stop, step)
+                    for partition in live
+                ],
+                self.scan_jobs,
+                table=self,
+            )
+            chunks = 0
+            metrics = get_metrics()
+            for partition, (segment, read_chunks) in zip(live, results):
+                out[partition.start : partition.stop] = segment
+                chunks += read_chunks
+            metrics.increment("blaeu_store_partitions_scanned_total", len(live))
+            if span.enabled:
+                span.set("rows", self.n_rows)
+                span.set("columns", len(needed))
+                span.set("chunks", chunks)
+                span.set("partitions", len(live))
+                span.set("partitions_skipped", skipped)
+                span.set("data_reads", self.data_reads - reads_before)
+            metrics.increment("blaeu_store_scans_total")
+            metrics.observe(
+                "blaeu_store_scan_seconds", time.perf_counter() - started
+            )
+        return out
 
     # ------------------------------------------------------------------
     # Row access

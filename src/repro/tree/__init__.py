@@ -8,21 +8,16 @@ human-readable region boundaries on the map ("Hours Worked >= 20").
 
 This package implements classification CART (Breiman et al. 1984) with
 Gini impurity, numeric threshold splits and categorical equality splits,
-cost-complexity pruning, and rule extraction into the table layer's
-predicate algebra.
+and cost-complexity pruning.
 """
 
 from repro.tree.cart import CartParams, DecisionTree, TreeNode, fit_tree
 from repro.tree.prune import cost_complexity_prune
-from repro.tree.rules import describe_leaf, leaf_predicates, tree_rules
 
 __all__ = [
     "CartParams",
     "DecisionTree",
     "TreeNode",
     "cost_complexity_prune",
-    "describe_leaf",
     "fit_tree",
-    "leaf_predicates",
-    "tree_rules",
 ]

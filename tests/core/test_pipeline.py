@@ -132,7 +132,7 @@ def legacy_build_map(selection, columns, config, rng, k=None):
     """
     if selection.n_rows > config.map_sample_size:
         sample = selection.sample(config.map_sample_size, rng=rng)
-    elif getattr(selection, "iter_chunks", None) is not None:
+    elif selection.residency == "store":
         sample = selection.take(np.arange(selection.n_rows, dtype=np.intp))
     else:
         sample = selection

@@ -5,10 +5,13 @@ A build's randomness is a pure function of its content key
 the absence of a second root, so this walk pins every place in ``src/``
 that constructs a generator — the way
 ``tests/service/test_service_config.py`` pins ``os.environ`` reads.  A
-new bare ``default_rng(config.seed)`` anywhere fails here.
+new bare ``default_rng(config.seed)`` anywhere fails here — a second one
+inside a listed function too: each site constructs exactly one
+generator.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
@@ -40,9 +43,12 @@ ALLOWED = {
 }
 
 
-def _call_sites(names: set[str]) -> set[tuple[str, str]]:
-    """``(file, enclosing def)`` of every call to one of ``names``."""
-    found: set[tuple[str, str]] = set()
+def _call_sites(
+    names: set[str], sources: dict[str, str] | None = None
+) -> Counter[tuple[str, str]]:
+    """How many calls to one of ``names`` each ``(file, enclosing def)``
+    makes, over ``sources`` (path to text; all of ``src/`` by default)."""
+    found: Counter[tuple[str, str]] = Counter()
 
     def visit(node: ast.AST, path: str, scope: tuple[str, ...]) -> None:
         for child in ast.iter_child_nodes(node):
@@ -55,17 +61,34 @@ def _call_sites(names: set[str]) -> set[tuple[str, str]]:
                 callee = child.func
                 name = getattr(callee, "attr", None) or getattr(callee, "id", None)
                 if name in names:
-                    found.add((path, ".".join(scope) or "<module>"))
+                    found[(path, ".".join(scope) or "<module>")] += 1
             visit(child, path, inner)
 
-    for file in sorted(SRC.rglob("*.py")):
-        tree = ast.parse(file.read_text(encoding="utf-8"))
-        visit(tree, file.relative_to(SRC).as_posix(), ())
+    if sources is None:
+        sources = {
+            file.relative_to(SRC).as_posix(): file.read_text(encoding="utf-8")
+            for file in sorted(SRC.rglob("*.py"))
+        }
+    for path, text in sources.items():
+        visit(ast.parse(text), path, ())
     return found
 
 
 def test_generators_are_born_only_at_the_listed_sites():
-    assert _call_sites(CONSTRUCTORS) == set(ALLOWED)
+    assert _call_sites(CONSTRUCTORS) == dict.fromkeys(ALLOWED, 1)
+
+
+def test_a_second_generator_at_a_listed_site_is_counted():
+    planted = """
+class MapPipeline:
+    def _chain_rng(self, key):
+        rng = np.random.default_rng(seed_for(key))
+        spare = np.random.default_rng(self.config.seed)
+        return rng
+"""
+    assert _call_sites(CONSTRUCTORS, {"core/pipeline.py": planted}) == {
+        ("core/pipeline.py", "MapPipeline._chain_rng"): 2
+    }
 
 
 def test_no_salted_hash_can_reach_a_seed():

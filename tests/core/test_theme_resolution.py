@@ -32,7 +32,6 @@ from repro.server.session import SessionManager
 from repro.service.cache import LRUCache, TieredCache
 from repro.store import StoredTable, write_store
 from repro.store.artifacts import ArtifactCache, _key_hash
-from repro.table import schema
 from repro.table.column import CategoricalColumn, Column, NumericColumn
 from repro.table.schema import KEY_NAME_HINTS, KeyScan, detect_keys
 from repro.table.table import Table
@@ -217,7 +216,7 @@ def _cases(draw):
 @given(case=_cases())
 def test_keys_and_themes_equal_the_whole_column_reference(case, monkeypatch):
     table, chunk_rows = case
-    monkeypatch.setattr(schema, "KEY_SCAN_ROWS", chunk_rows)
+    monkeypatch.setattr(Table, "chunk_rows", chunk_rows)
     with np.errstate(invalid="ignore"), tempfile.TemporaryDirectory() as tmp:
         write_store(table, Path(tmp) / "s", chunk_rows=chunk_rows, partition_rows=97)
         twins = (table, StoredTable(Path(tmp) / "s", scan_jobs=None))

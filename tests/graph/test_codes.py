@@ -6,8 +6,8 @@ import pytest
 from repro.graph.codes import (
     CodeCache,
     CodeEntry,
+    code_matrix,
     gather_codes,
-    iter_code_chunks,
     resolve_entries,
 )
 from repro.store import StoredTable, write_store
@@ -117,7 +117,11 @@ class TestStoredStreaming:
             seed=42,
             cache=None,
         )
-        chunks = list(iter_code_chunks(stored, names, entries))
+        with stored.chunk_reader() as reader:
+            chunks = [
+                code_matrix(chunk, names, entries)
+                for _, _, chunk in stored.scan_chunks(reader, names)
+            ]
         assert len(chunks) > 1  # chunk_rows=64 over 500 rows
         combined = np.concatenate(chunks, axis=1)
         full = gather_codes(

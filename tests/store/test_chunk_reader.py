@@ -27,7 +27,7 @@ import repro.store.format as store_format
 from repro.core.config import BlaeuConfig
 from repro.core.datamap import DataMap, Region
 from repro.core.navigation import ExplorationState, Explorer
-from repro.core.pipeline import _store_node_counts
+from repro.core.pipeline import _node_counts
 from repro.resilience.deadline import DeadlineExceeded, deadline_scope
 from repro.resilience.faults import (
     InjectedFault,
@@ -156,7 +156,7 @@ def _highlight(base, selection, n_selected):
 def _passes(stored, predicate, tree):
     """What the three passes of one action compute on a store."""
     mask = stored.scan_mask(predicate)
-    counts = _store_node_counts(tree, stored, mask)
+    counts = _node_counts(tree, stored, mask)
     return mask, counts, _highlight(stored, predicate, int(mask.sum()))
 
 
@@ -284,26 +284,6 @@ class TestNothingOutlivesItsChunk:
         np.testing.assert_array_equal(counts, expected[1])
         assert repr(highlight) == repr(expected[2])
 
-    def test_iter_chunks_yields_chunks_that_do_not_alias(self, store_root, table):
-        stored = StoredTable(store_root)
-        chunks = list(stored.iter_chunks())
-        assert len(chunks) == 14  # ceil(400 / 30): chunks straddle partitions
-        arrays = []
-        for start, stop, chunk in chunks:
-            for name in COLUMNS:
-                column, twin = chunk.column(name), table.column(name)
-                data = "codes" if name == "tag" else "values"
-                np.testing.assert_array_equal(
-                    getattr(column, data), getattr(twin, data)[start:stop]
-                )
-                np.testing.assert_array_equal(
-                    column.missing_mask, twin.missing_mask[start:stop]
-                )
-                arrays += [getattr(column, data), column.missing_mask]
-        for index, left in enumerate(arrays):
-            for right in arrays[index + 1 :]:
-                assert not np.shares_memory(left, right)
-
 
 class TestTruncatedFile:
     def test_a_short_read_is_a_typed_error_naming_file_and_bytes(self, store_root):
@@ -315,8 +295,8 @@ class TestTruncatedFile:
         # Rows [230, 260) straddle the cut: 20 of the 30 cells are left.
         message = str(excinfo.value)
         assert relative in message and "160 of the 240 bytes" in message
-        with pytest.raises(StoreReadError):
-            list(stored.iter_chunks(columns=("clean",)))
+        with pytest.raises(StoreReadError), stored.chunk_reader() as reader:
+            list(stored.scan_chunks(reader, columns=("clean",)))
 
 
 @pytest.mark.skipif(
@@ -353,9 +333,10 @@ class TestNoDescriptorLeaks:
             with pytest.raises(DeadlineExceeded) as excinfo:
                 stored.scan_mask(PREDICATE)
         assert excinfo.value.stage in ("store.chunk", "store.partition")
-        chunks = stored.iter_chunks()  # abandoned mid-way
-        next(chunks)
-        del chunks
+        with stored.chunk_reader() as reader:
+            chunks = stored.scan_chunks(reader)  # abandoned mid-way
+            next(chunks)
+            del chunks
         assert len(os.listdir("/proc/self/fd")) == before
 
 
@@ -399,7 +380,7 @@ class TestReadBudgets:
                 _file(stored, "holes", "mask"),
             ]
         )
-        _store_node_counts(tree, stored, mask)
+        _node_counts(tree, stored, mask)
         _highlight(stored, PREDICATE, int(mask.sum()))
         # The scan, the count pass and the highlight's one pass (the
         # predicate and the matches together): each opened what it

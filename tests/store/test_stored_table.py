@@ -130,25 +130,29 @@ class TestChunkedScans:
     def test_scan_mask_everything(self, stored):
         assert stored.scan_mask(Everything()).all()
 
-    def test_iter_chunks_projection_pushdown(self, stored, table):
+    def test_scan_chunks_projection_pushdown(self, stored, table):
         seen_rows = 0
-        for start, stop, chunk in stored.iter_chunks(columns=("y",)):
-            assert chunk.column_names == ("y",)
-            np.testing.assert_array_equal(
-                chunk.column("y").values, table.column("y").values[start:stop]
-            )
-            seen_rows += chunk.n_rows
+        with stored.chunk_reader() as reader:
+            for start, stop, chunk in stored.scan_chunks(reader, columns=("y",)):
+                assert chunk.column_names == ("y",)
+                np.testing.assert_array_equal(
+                    chunk.column("y").values, table.column("y").values[start:stop]
+                )
+                seen_rows += chunk.n_rows
         assert seen_rows == table.n_rows
 
-    def test_iter_chunks_unknown_column(self, stored):
-        with pytest.raises(KeyError):
-            list(stored.iter_chunks(columns=("ghost",)))
+    def test_scan_chunks_unknown_column(self, stored):
+        with pytest.raises(KeyError), stored.chunk_reader() as reader:
+            list(stored.scan_chunks(reader, columns=("ghost",)))
 
     def test_chunked_categorical_keeps_global_codes(self, stored, table):
-        pieces = [
-            chunk.column("band").codes
-            for _, _, chunk in stored.iter_chunks(columns=("band",), chunk_rows=9)
-        ]
+        with stored.chunk_reader() as reader:
+            pieces = [
+                chunk.column("band").codes.copy()  # the reader reuses its buffers
+                for _, _, chunk in stored.scan_chunks(
+                    reader, columns=("band",), chunk_rows=9
+                )
+            ]
         np.testing.assert_array_equal(
             np.concatenate(pieces), table.column("band").codes
         )
@@ -221,6 +225,7 @@ class TestEmptyTable:
         stored = StoredTable(tmp_path / "s")
         assert stored.n_rows == 0
         assert stored.select(Everything()).n_rows == 0
-        assert list(stored.iter_chunks()) == []
+        with stored.chunk_reader() as reader:
+            assert list(stored.scan_chunks(reader)) == []
         assert stored.top_k_sample(5).size == 0
         assert stored.fingerprint() == table.fingerprint()

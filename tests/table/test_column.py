@@ -69,11 +69,19 @@ class TestNumericColumn:
         with pytest.raises(ValueError):
             column.values[0] = 99.0
 
-    def test_rename_preserves_data(self):
-        column = NumericColumn("x", [1.0, np.nan])
-        renamed = column.rename("y")
-        assert renamed.name == "y"
-        assert renamed.n_missing == 1
+    def test_slice_shares_the_validated_arrays(self):
+        column = NumericColumn("x", [1.0, np.nan, 3.0, 4.0])
+        sliced = column.slice(1, 3)
+        assert sliced.name == "x" and len(sliced) == 2
+        assert np.shares_memory(sliced.values, column.values)
+        assert np.shares_memory(sliced.missing_mask, column.missing_mask)
+        assert sliced.missing_mask.tolist() == [True, False]
+        assert sliced.value_at(1) == 3.0
+
+    def test_slice_is_read_only(self):
+        sliced = NumericColumn("x", [1.0, 2.0, 3.0]).slice(0, 2)
+        with pytest.raises(ValueError):
+            sliced.values[0] = 99.0
 
     def test_n_distinct(self):
         column = NumericColumn("x", [1.0, 1.0, 2.0, np.nan])
@@ -148,6 +156,19 @@ class TestCategoricalColumn:
         labels = ["x", None, "y", "x"]
         column = CategoricalColumn.from_labels("c", labels)
         assert column.labels() == labels
+
+    def test_slice_shares_codes_and_categories(self):
+        column = CategoricalColumn.from_labels("c", ["x", None, "y", "x"])
+        sliced = column.slice(1, 4)
+        assert sliced.labels() == [None, "y", "x"]
+        assert sliced.categories == column.categories
+        assert sliced.code_of("y") == column.code_of("y")
+        assert np.shares_memory(sliced.codes, column.codes)
+        assert sliced.n_missing == 1
+
+    def test_empty_slice(self):
+        sliced = CategoricalColumn.from_labels("c", ["x", "y"]).slice(1, 1)
+        assert len(sliced) == 0 and sliced.labels() == []
 
     def test_unique_key_detection(self):
         assert CategoricalColumn.from_labels("id", ["a", "b", "c"]).is_unique_key()

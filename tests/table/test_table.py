@@ -5,7 +5,7 @@ import pytest
 
 from repro.table.column import ColumnKind, NumericColumn
 from repro.table.predicates import Comparison
-from repro.table.table import Table
+from repro.table.table import DEFAULT_CHUNK_ROWS, Table
 
 
 class TestConstruction:
@@ -150,6 +150,50 @@ class TestRelationalOps:
         before = people.n_rows
         people.select(Comparison("age", "<", 40))
         assert people.n_rows == before
+
+
+class TestOnePartition:
+    """An in-memory table is one implicit, zone-less partition read in
+    zero-copy chunks (the shared surface is in
+    ``tests/store/test_scan_surface.py``)."""
+
+    def test_residency_attributes(self, people):
+        assert people.residency == "memory"
+        assert people.chunk_rows == DEFAULT_CHUNK_ROWS
+        assert people.scan_jobs is None
+        assert people.data_reads == 0
+
+    def test_one_zoneless_partition(self, people):
+        (partition,) = people.partitions
+        assert (partition.start, partition.stop) == (0, people.n_rows)
+        assert partition.zones == {}
+
+    def test_no_predicate_prunes(self, people):
+        live, skipped = people.prune_partitions(Comparison("age", ">", 1e9))
+        assert live == list(people.partitions)
+        assert skipped == 0
+
+    def test_chunk_reader_holds_nothing(self, people):
+        with people.chunk_reader() as reader:
+            assert reader is None
+
+    def test_chunks_are_views_of_the_columns(self, people):
+        with people.chunk_reader() as reader:
+            for lo, hi, chunk in people.scan_chunks(reader, chunk_rows=4):
+                for name in ("age", "city"):
+                    source = people.column(name)
+                    sliced = chunk.column(name)
+                    payload = "values" if name == "age" else "codes"
+                    assert np.shares_memory(
+                        getattr(sliced, payload), getattr(source, payload)
+                    )
+                    assert [sliced.value_at(i) for i in range(hi - lo)] == [
+                        source.value_at(i) for i in range(lo, hi)
+                    ]
+
+    def test_scan_mask_runs_one_partition(self, people):
+        mask = people.scan_mask(Comparison("age", "<", 40.0), chunk_rows=4)
+        np.testing.assert_array_equal(mask, [True, True, False, False, False, True])
 
 
 class TestDescribe:
