@@ -6,7 +6,9 @@ fits in a few hundred lines of careful parsing.  The server supports
 keep-alive (interactive clients issue many small requests per
 connection), bounds header and body sizes, enforces a per-read timeout
 so dead peers cannot pin sockets, and hands every request to an async
-handler that returns an :class:`HttpResponse`.
+handler that returns an :class:`HttpResponse`.  Its header reader and
+framing checks also read the responses of the one client in the tree,
+the supervisor's proxy (:func:`read_response`).
 
 The handler contract is deliberately tiny so the app layer stays
 testable without sockets::
@@ -31,6 +33,7 @@ __all__ = [
     "HttpServer",
     "error_response",
     "json_response",
+    "read_response",
     "serve_until_signalled",
     "text_response",
 ]
@@ -99,13 +102,19 @@ class HttpError(Exception):
 
 @dataclass(frozen=True)
 class HttpRequest:
-    """One parsed HTTP request."""
+    """One parsed HTTP request.
+
+    ``path`` and ``query`` are decoded (routing matches on them);
+    ``target`` is the request target exactly as it arrived, still
+    percent-encoded — what a proxy forwards.
+    """
 
     method: str
     path: str
     query: dict[str, list[str]]
     headers: dict[str, str]
     body: bytes
+    target: str = ""
 
     def json(self) -> dict[str, object]:
         """The body parsed as a JSON object (400 on anything else)."""
@@ -377,47 +386,17 @@ class HttpServer:
         if not version.startswith("HTTP/1."):
             raise HttpError(400, f"unsupported protocol {version!r}")
 
-        headers: dict[str, str] = {}
-        header_bytes = 0
-        while True:
-            try:
-                line = await reader.readline()
-            except ValueError as error:
-                # One header line overflowed the stream reader's limit.
-                raise HttpError(413, "header line too long") from error
-            header_bytes += len(line)
-            if header_bytes > MAX_HEADER_BYTES:
-                raise HttpError(413, "headers too large")
-            if line in (b"\r\n", b"\n", b""):
-                break
-            try:
-                name, _, value = line.decode("latin-1").partition(":")
-            except UnicodeDecodeError as error:  # pragma: no cover
-                raise HttpError(400, "undecodable header") from error
-            headers[name.strip().lower()] = value.strip()
-
+        headers = await read_headers(reader)
         body = b""
-        length_text = headers.get("content-length")
-        if length_text is not None and "transfer-encoding" in headers:
-            # RFC 9112 §6.1: ambiguous framing, a smuggling vector.
-            raise HttpError(
-                400, "both Content-Length and Transfer-Encoding present"
-            )
-        if length_text is not None:
+        length = content_length(headers, MAX_BODY_BYTES)
+        if length:
             try:
-                length = int(length_text)
-            except ValueError as error:
-                raise HttpError(400, "invalid Content-Length") from error
-            if length < 0:
-                raise HttpError(400, "negative Content-Length")
-            if length > MAX_BODY_BYTES:
-                raise HttpError(413, "request body too large")
-            if length:
-                try:
-                    body = await reader.readexactly(length)
-                except asyncio.IncompleteReadError as error:
-                    raise HttpError(400, "truncated request body") from error
-        elif headers.get("transfer-encoding", "").lower() == "chunked":
+                body = await reader.readexactly(length)
+            except asyncio.IncompleteReadError as error:
+                raise HttpError(400, "truncated request body") from error
+        elif length is None and (
+            headers.get("transfer-encoding", "").lower() == "chunked"
+        ):
             raise HttpError(400, "chunked request bodies are not supported")
 
         parts = urlsplit(target)
@@ -427,7 +406,95 @@ class HttpServer:
             query=parse_qs(parts.query),
             headers=headers,
             body=body,
+            target=target,
         )
+
+
+async def read_headers(reader: asyncio.StreamReader) -> dict[str, str]:
+    """One header block, up to its blank line: lower-cased name → value.
+
+    Shared by both directions (requests here, worker responses in the
+    supervisor), so both are capped alike: a line past the stream
+    reader's limit or a block past :data:`MAX_HEADER_BYTES` is a 413.
+    """
+    headers: dict[str, str] = {}
+    header_bytes = 0
+    while True:
+        try:
+            line = await reader.readline()
+        except ValueError as error:
+            # One header line overflowed the stream reader's limit.
+            raise HttpError(413, "header line too long") from error
+        header_bytes += len(line)
+        if header_bytes > MAX_HEADER_BYTES:
+            raise HttpError(413, "headers too large")
+        if line in (b"\r\n", b"\n", b""):
+            return headers
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+
+
+def content_length(headers: dict[str, str], limit: int | None) -> int | None:
+    """The body length a header block declares; ``None`` if it has none.
+
+    A 400 for ambiguous framing (RFC 9112 §6.1: Content-Length *and*
+    Transfer-Encoding, a smuggling vector) or a value that is not a
+    non-negative integer; a 413 past ``limit``.
+    """
+    length_text = headers.get("content-length")
+    if length_text is None:
+        return None
+    if "transfer-encoding" in headers:
+        raise HttpError(
+            400, "both Content-Length and Transfer-Encoding present"
+        )
+    try:
+        length = int(length_text)
+    except ValueError as error:
+        raise HttpError(400, "invalid Content-Length") from error
+    if length < 0:
+        raise HttpError(400, "negative Content-Length")
+    if limit is not None and length > limit:
+        raise HttpError(413, "request body too large")
+    return length
+
+
+async def read_response(
+    reader: asyncio.StreamReader,
+) -> tuple[int, dict[str, str], bytes]:
+    """One length-framed response off the stream: status, headers, body.
+
+    The client half of :class:`HttpServer`'s parsing, under the same
+    caps.  A response without a Content-Length is refused rather than
+    read to EOF — on a kept-alive connection EOF only comes when the
+    server gives up on it.  Every failure is a ``ConnectionError`` (or
+    the stream's ``IncompleteReadError`` on a short body): to a client,
+    a peer that answers garbage has failed the exchange like one that
+    hung up.
+    """
+    try:
+        status_line = await reader.readline()
+    except ValueError as error:
+        raise ConnectionError("status line too long") from error
+    if not status_line:
+        raise ConnectionError("connection closed before a response")
+    parts = status_line.decode("latin-1").rstrip("\r\n").split(" ", 2)
+    if (
+        len(parts) < 2
+        or not parts[0].startswith("HTTP/1.")
+        or not (parts[1].isascii() and parts[1].isdigit())
+        or len(status_line) > MAX_REQUEST_LINE
+    ):
+        raise ConnectionError(f"bad status line {status_line[:80]!r}")
+    try:
+        headers = await read_headers(reader)
+        length = content_length(headers, None)
+    except HttpError as error:
+        raise ConnectionError(f"malformed response: {error.message}") from error
+    if length is None:
+        raise ConnectionError("response without a Content-Length")
+    body = await reader.readexactly(length)
+    return int(parts[1]), headers, body
 
 
 async def serve_until_signalled(server, announce: Callable[[], None]) -> None:

@@ -25,6 +25,17 @@ Request placement is consistent-hash routing
   also broken out per worker slot where it matters
   (``blaeu_worker_up``).
 
+The hop to a worker is one HTTP/1.1 exchange over a *pooled keep-alive
+connection*: each slot keeps the idle connections its exchanges left
+behind, tagged with the worker generation that opened them, and an
+exchange takes one (or opens one when none is idle).  Proxying, health
+probes, fan-outs and catalog refreshes share that one client.  The
+request target is forwarded exactly as it arrived.  A connection is
+never reused across a respawn, restart or drain, after a failed or
+cancelled exchange, or once it has been idle for half of
+``read_timeout`` — the time after which a worker closes it — so a
+failure on a pooled connection still means the worker failed.
+
 Workers announce their bound port through a *port file* (they bind
 port 0), are monitored, and are respawned into their slot on death;
 ``POST /v1/workers/{slot}/restart`` triggers a graceful rolling
@@ -44,7 +55,6 @@ import tempfile
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from urllib.parse import urlencode
 
 from repro.resilience.retry import RetryBudget, jittered_backoff
 from repro.service import routes
@@ -56,6 +66,7 @@ from repro.service.http import (
     HttpServer,
     error_response,
     json_response,
+    read_response,
     serve_until_signalled,
     text_response,
 )
@@ -67,8 +78,8 @@ __all__ = ["Supervisor", "SupervisorError", "merge_metrics"]
 _HOP_HEADERS = ("connection", "content-length", "host", "keep-alive")
 
 #: How an exchange with a worker fails at the transport level: the
-#: socket refuses or resets (``ConnectionError`` is an ``OSError``), or
-#: the worker dies mid-response.
+#: socket refuses or resets (``ConnectionError`` is an ``OSError``, and
+#: so is a malformed response), or the worker dies mid-response.
 _TRANSPORT_ERRORS = (OSError, asyncio.IncompleteReadError)
 
 #: Seconds a spawned worker has to announce its port.
@@ -90,6 +101,18 @@ class SupervisorError(RuntimeError):
     """A worker failed to boot or died unrecoverably."""
 
 
+@dataclass(eq=False)
+class _Connection:
+    """One keep-alive connection to a worker, and whose it is."""
+
+    reader: asyncio.StreamReader
+    writer: asyncio.StreamWriter
+    #: The worker generation it was opened to; any other never reuses it.
+    generation: int
+    #: ``time.monotonic()`` when it was last put back idle.
+    idle_since: float = 0.0
+
+
 @dataclass
 class WorkerProcess:
     """One supervised worker slot."""
@@ -107,6 +130,11 @@ class WorkerProcess:
     in_flight: int = 0
     #: Consecutive failed health probes (reset on success).
     health_fails: int = 0
+    #: Keep-alive connections to this slot's worker not in an exchange
+    #: (most recently used last).
+    idle: list[_Connection] = field(default_factory=list)
+    #: Connections ever opened to this slot, across generations.
+    connections_opened: int = 0
 
     @property
     def alive(self) -> bool:
@@ -241,6 +269,14 @@ class Supervisor:
         self._failovers = 0
         self._retry_exhausted = 0
         self._unhealthy_restarts = 0
+        # A worker closes a connection idle for ``read_timeout``, timed
+        # from before its response reached the pool; half of it leaves
+        # that margin.
+        self._idle_limit = config.read_timeout / 2
+        # A connection is only opened when none is idle, so a slot never
+        # holds more than its peak exchanges in flight; this caps the
+        # idle remainder of a burst at what a worker admits at once.
+        self._max_idle = config.pool.threads + config.pool.max_pending
 
     # ------------------------------------------------------------------
     # Introspection
@@ -282,7 +318,8 @@ class Supervisor:
         self._monitor_task = asyncio.create_task(self._monitor())
 
     async def stop(self) -> None:
-        """Stop the front, then terminate the fleet."""
+        """Stop the front, close every pooled connection, terminate the
+        fleet."""
         self._stopping = True
         if self._monitor_task is not None:
             self._monitor_task.cancel()
@@ -290,6 +327,17 @@ class Supervisor:
                 await self._monitor_task
             self._monitor_task = None
         await self._http.stop()
+        # Every exchange was cancelled with its task above, closing its
+        # connection; only the idle ones are left.
+        writers = [c.writer for w in self._workers for c in w.idle]
+        for worker in self._workers:
+            worker.idle.clear()
+        for writer in writers:
+            writer.close()
+        await asyncio.gather(
+            *(writer.wait_closed() for writer in writers),
+            return_exceptions=True,
+        )
         for worker in self._workers:
             self._terminate(worker)
 
@@ -736,7 +784,7 @@ class Supervisor:
             response = await self._request_worker(
                 worker,
                 request.method,
-                self._target(request),
+                request.target,
                 headers=request.headers,
                 body=request.body,
             )
@@ -744,12 +792,6 @@ class Supervisor:
             worker.in_flight -= 1
         response.headers["X-Blaeu-Worker"] = str(slot)
         return response
-
-    @staticmethod
-    def _target(request: HttpRequest) -> str:
-        if not request.query:
-            return request.path
-        return request.path + "?" + urlencode(request.query, doseq=True)
 
     async def _request_worker(
         self,
@@ -759,60 +801,89 @@ class Supervisor:
         headers: dict[str, str] | None = None,
         body: bytes = b"",
     ) -> HttpResponse:
-        """One ``Connection: close`` HTTP exchange with a worker."""
-        if worker.port is None:
-            raise ConnectionError(f"worker {worker.slot} has no port")
-        reader, writer = await asyncio.open_connection(
-            "127.0.0.1", worker.port
-        )
+        """One HTTP exchange with a worker over a pooled keep-alive
+        connection.
+
+        The connection is a reusable idle one of the slot's
+        (:meth:`_reusable`), else a new one.  It goes back to the pool
+        only after a complete, length-framed response that says
+        ``keep-alive``; a failed or cancelled exchange (a health probe's
+        timeout too) closes it and raises as a fresh connection would,
+        so retry, failover and one delivery per session command are what
+        they are without the pool.
+        """
+        connection = await self._connection(worker)
+        lines = [f"{method} {target} HTTP/1.1", "Host: 127.0.0.1"]
+        for name, value in (headers or {}).items():
+            if name.lower() not in _HOP_HEADERS:
+                lines.append(f"{name}: {value}")
+        lines.append(f"Content-Length: {len(body)}")
         try:
-            lines = [f"{method} {target} HTTP/1.1", "Host: 127.0.0.1"]
-            for name, value in (headers or {}).items():
-                if name.lower() not in _HOP_HEADERS:
-                    lines.append(f"{name}: {value}")
-            lines.append(f"Content-Length: {len(body)}")
-            lines.append("Connection: close")
-            writer.write(
+            connection.writer.write(
                 ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
             )
-            await writer.drain()
-            return await self._read_response(reader)
-        finally:
-            writer.close()
-            with contextlib.suppress(*_TRANSPORT_ERRORS):
-                await writer.wait_closed()
-
-    @staticmethod
-    async def _read_response(reader: asyncio.StreamReader) -> HttpResponse:
-        status_line = await reader.readline()
-        parts = status_line.decode("latin-1").split(" ", 2)
-        if len(parts) < 2 or not parts[1].isdigit():
-            raise ConnectionError(f"bad status line {status_line!r}")
-        status = int(parts[1])
-        headers: dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length_text = headers.get("content-length")
-        if length_text is not None:
-            body = await reader.readexactly(int(length_text))
-        else:  # pragma: no cover - workers always send Content-Length
-            body = await reader.read()
+            await connection.writer.drain()
+            status, response_headers, response_body = await read_response(
+                connection.reader
+            )
+        except BaseException:
+            connection.writer.close()
+            raise
+        connection.idle_since = time.monotonic()
+        if (
+            response_headers.get("connection", "").lower() == "keep-alive"
+            and len(worker.idle) < self._max_idle
+            and self._reusable(worker, connection, connection.idle_since)
+        ):
+            worker.idle.append(connection)
+        else:
+            connection.writer.close()
         passthrough = {
             name: value
-            for name, value in headers.items()
+            for name, value in response_headers.items()
             if name == "x-blaeu-trace"
         }
         return HttpResponse(
             status=status,
-            body=body,
-            content_type=headers.get(
+            body=response_body,
+            content_type=response_headers.get(
                 "content-type", "application/json; charset=utf-8"
             ),
             headers=passthrough,
+        )
+
+    async def _connection(self, worker: WorkerProcess) -> _Connection:
+        """The slot's most recent reusable idle connection, else a new
+        one (stale idle ones met on the way are closed)."""
+        if worker.port is None:
+            raise ConnectionError(f"worker {worker.slot} has no port")
+        now = time.monotonic()
+        while worker.idle:
+            connection = worker.idle.pop()
+            if self._reusable(worker, connection, now):
+                return connection
+            connection.writer.close()
+        generation = worker.generation
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", worker.port
+        )
+        worker.connections_opened += 1
+        return _Connection(reader, writer, generation)
+
+    def _reusable(
+        self, worker: WorkerProcess, connection: _Connection, now: float
+    ) -> bool:
+        """Whether a connection may carry another exchange at ``now``.
+
+        Not after its worker was respawned or restarted — a generation
+        mismatch, since a replacement may bind a recycled port — nor
+        while the slot drains, nor once the worker may have timed it
+        out.
+        """
+        return (
+            connection.generation == worker.generation
+            and not worker.draining
+            and now - connection.idle_since < self._idle_limit
         )
 
     # ------------------------------------------------------------------
@@ -963,6 +1034,8 @@ class Supervisor:
                         "generation": worker.generation,
                         "restarts": worker.restarts,
                         "draining": worker.draining,
+                        "connections_opened": worker.connections_opened,
+                        "connections_idle": len(worker.idle),
                     }
                     for worker in self._workers
                 ],

@@ -221,6 +221,7 @@ def _serving(argv, env=SERVE_ENV, boot_timeout=30):
         except subprocess.TimeoutExpired:  # pragma: no cover
             process.kill()
             process.wait(timeout=15)
+        process.stdout.close()
 
 
 @pytest.fixture(scope="session")
