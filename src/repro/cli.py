@@ -11,9 +11,8 @@ Run with::
     python -m repro --demo hollywood|countries|lofar
     python -m repro ingest <data.csv> <store-dir> [--name N] \
         [--chunk-rows R] [--delimiter D] [--priority-seed S] \
-        [--partition-rows N] [--scan-jobs N] [--append]
-    python -m repro store repartition <store-dir> \
-        [--partition-rows N] [--scan-jobs N]
+        [--partition-rows N] [--append]
+    python -m repro store repartition <store-dir> [--partition-rows N]
     python -m repro serve [serving options — see serve --help] \
         (<data.csv|store-dir> … | --demo <name>)
     python -m repro trace <http://host:port | spans.jsonl> [--limit N] \
@@ -150,14 +149,6 @@ def ingest_main(argv: list[str]) -> None:
         "default; with --append, the store's current granularity)",
     )
     parser.add_argument(
-        "--scan-jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for the zone-map pass (0 = all cores; "
-        "default: serial)",
-    )
-    parser.add_argument(
         "--append",
         action="store_true",
         help="append the CSV's rows to an existing store at OUT instead "
@@ -175,7 +166,6 @@ def ingest_main(argv: list[str]) -> None:
                 delimiter=args.delimiter,
                 chunk_rows=args.chunk_rows,
                 partition_rows=args.partition_rows,
-                scan_jobs=args.scan_jobs,
             )
         else:
             from repro.store.format import DEFAULT_PARTITION_ROWS
@@ -188,7 +178,6 @@ def ingest_main(argv: list[str]) -> None:
                 chunk_rows=args.chunk_rows,
                 priority_seed=args.priority_seed,
                 partition_rows=args.partition_rows or DEFAULT_PARTITION_ROWS,
-                scan_jobs=args.scan_jobs,
             )
     except (OSError, ValueError) as error:
         raise SystemExit(f"ingest failed: {error}") from None
@@ -230,23 +219,11 @@ def store_main(argv: list[str]) -> None:
         help="rows per partition (default: keep the store's current "
         "granularity, or the format default when it has none)",
     )
-    repart.add_argument(
-        "--scan-jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for the zone-map pass (0 = all cores; "
-        "default: serial)",
-    )
     args = parser.parse_args(argv)
     from repro.store.partitions import repartition
 
     try:
-        manifest = repartition(
-            args.store,
-            partition_rows=args.partition_rows,
-            scan_jobs=args.scan_jobs,
-        )
+        manifest = repartition(args.store, partition_rows=args.partition_rows)
     except (OSError, ValueError) as error:
         raise SystemExit(f"repartition failed: {error}") from None
     print(
@@ -363,15 +340,6 @@ def serve_main(argv: list[str]) -> None:
         help=argparse.SUPPRESS,  # supervisor-internal port announcement
     )
     parser.add_argument(
-        "--scan-jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes per store scan (0 = all cores; exported "
-        "as BLAEU_SCAN_JOBS so every service worker's store-backed "
-        "tables fan chunked scans out; default: serial)",
-    )
-    parser.add_argument(
         "--faults",
         default=None,
         metavar="JSON",
@@ -392,12 +360,8 @@ def serve_main(argv: list[str]) -> None:
     except ValueError as error:
         parser.error(str(error))
 
-    # Read below the service (store scans, fault points), so they travel
-    # as environment variables that supervisor workers inherit.
-    if args.scan_jobs is not None:
-        if args.scan_jobs < 0:
-            parser.error("--scan-jobs must be >= 0")
-        os.environ["BLAEU_SCAN_JOBS"] = str(args.scan_jobs)
+    # Read below the service (at the fault points), so it travels as an
+    # environment variable that supervisor workers inherit.
     if args.faults is not None:
         from repro.resilience.faults import FAULTS_ENV, parse_faults
 

@@ -3,8 +3,8 @@
 The batched NMI kernel behind the dependency graph (``graph_jobs``) fans
 its left columns out over a thread pool: the work is pure NumPy, which
 releases the GIL inside the heavy kernels, so threads need no pickling
-of the code matrix into worker processes.  Store scans resolve their
-``scan_jobs`` width through :func:`resolve_jobs` too.
+of the code matrix into worker processes.  It is the one fan-out left:
+store scans run every partition pass as one serial fold.
 
 The helpers here keep parallel execution *bit-identical* to serial: work
 items are dispatched with their index and results are re-assembled in

@@ -46,13 +46,6 @@ class BlaeuConfig:
         Independent CLARA samples (Kaufman & Rousseeuw recommend 5).
     clara_sample_size:
         Rows per CLARA draw (``None``: the book's 40 + 2k rule).
-    scan_jobs:
-        Process-level parallelism of chunked store scans (exact region
-        counts, predicate masks, highlights, whole-table NMI): ``None``
-        or 1 runs serially, 0 uses every core, any other value that many
-        worker processes.  Partition partials merge in partition order,
-        so results are bit-identical across settings.  In-memory tables
-        ignore it.
     map_k_values:
         Candidate cluster counts for data maps.
     theme_k_values:
@@ -106,7 +99,6 @@ class BlaeuConfig:
     clara_threshold: int = 1200
     clara_draws: int = 5
     clara_sample_size: int | None = None
-    scan_jobs: int | None = None
     map_k_values: tuple[int, ...] = (2, 3, 4, 5, 6)
     theme_k_values: tuple[int, ...] | None = None
     silhouette_subsamples: int = 8
@@ -135,8 +127,6 @@ class BlaeuConfig:
             raise ValueError("theme_k_values must contain integers >= 2")
         if self.graph_jobs is not None and self.graph_jobs < 0:
             raise ValueError("graph_jobs must be None, 0 (all cores) or >= 1")
-        if self.scan_jobs is not None and self.scan_jobs < 0:
-            raise ValueError("scan_jobs must be None, 0 (all cores) or >= 1")
         if self.graph_bin_sample_size < 2:
             raise ValueError("graph_bin_sample_size must be at least 2")
         if self.silhouette_exact_threshold < 0:
@@ -162,13 +152,15 @@ class BlaeuConfig:
     #: :meth:`digest` hashes them as ``None``.  They stay *in* the
     #: payload (not popped) because the default digest — and every
     #: golden digest derived from it — names them.
-    _WIDTH_KNOBS = ("graph_jobs", "scan_jobs")
+    _WIDTH_KNOBS = ("graph_jobs",)
 
     #: Payload entries of knobs that no longer exist, frozen at the value
     #: they were hashed with, so the default digest (and every key-derived
     #: seed and golden digest) does not move: the CLARA draw width, gone
-    #: since the draws became one array program.
-    _RETIRED_KNOBS = {"clara_jobs": None}
+    #: since the draws became one array program, and the store-scan
+    #: process width, gone since every partition pass became one serial
+    #: fold.
+    _RETIRED_KNOBS = {"clara_jobs": None, "scan_jobs": None}
 
     def digest(self) -> str:
         """A stable hash of every result-affecting knob.
@@ -181,7 +173,7 @@ class BlaeuConfig:
         result-neutral knob ``count_mode`` is excluded: two-phase
         counting never changes the final exact map, so sessions
         differing only there share cache entries and refinements.  So
-        are the ``*_jobs`` widths:
+        is the ``graph_jobs`` width:
         a cached engine at ``graph_jobs=2`` draws the same key-derived
         seeds, and shares artifacts with, one at ``graph_jobs=None``.
         """

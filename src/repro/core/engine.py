@@ -106,13 +106,7 @@ class Blaeu:
 
         The rows stay on disk (:mod:`repro.store`); exploration samples
         and scans them in chunks instead of materializing the table.
-        ``config.scan_jobs`` (when set) fans those scans over worker
-        processes; otherwise ``BLAEU_SCAN_JOBS`` applies.
         """
-        if self._config.scan_jobs is not None:
-            return self._database.load_store(
-                path, name=name, scan_jobs=self._config.scan_jobs
-            )
         return self._database.load_store(path, name=name)
 
     def register(self, table) -> None:

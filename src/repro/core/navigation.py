@@ -9,6 +9,7 @@ back to a previous state of the system with a rollback."
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import TYPE_CHECKING, Callable
@@ -20,6 +21,8 @@ from repro.core.datamap import DataMap
 from repro.core.pipeline import MapBuilder
 from repro.core.themes import Theme, ThemeSet, extract_themes
 from repro.graph.dependency import GraphBuilder
+from repro.obs.metrics import get_metrics
+from repro.obs.trace import get_tracer
 from repro.stats.summary import present_summary
 from repro.table.column import CategoricalColumn, Column, ColumnKind, NumericColumn
 from repro.table.predicates import And, Everything, Predicate
@@ -73,8 +76,8 @@ class MatchedRows:
     chunk (``np.compress`` straight out of the chunk: each cell is
     copied once and nothing else of the chunk is kept); categorical
     columns keep per-code counts; the preview keeps the first rows up
-    to its cap.  Partials of consecutive row ranges merge with
-    :meth:`extend`, in row order.
+    to its cap.  One highlight pass feeds one accumulator, chunk by
+    chunk in row order (:func:`_highlight_pass`).
     """
 
     n_rows: int = 0
@@ -107,16 +110,6 @@ class MatchedRows:
                 {name: column.value_at(int(local)) for name, column in columns.items()}
             )
 
-    def extend(self, later: "MatchedRows", preview_cap: int) -> None:
-        """Append the partial of the rows after this one's."""
-        self.n_rows += later.n_rows
-        for name, parts in later.values.items():
-            self.values.setdefault(name, []).extend(parts)
-        for name, counts in later.code_counts.items():
-            self.code_counts[name] = self.code_counts.get(name, 0) + counts
-        room = preview_cap - len(self.preview)
-        self.preview.extend(later.preview[: max(room, 0)])
-
     def highlight(
         self, region_id: str, table: Table, inspect: tuple[str, ...]
     ) -> Highlight:
@@ -145,6 +138,52 @@ class MatchedRows:
             numeric_summaries=numeric_summaries,
             category_counts=category_counts,
         )
+
+
+def _highlight_pass(
+    table: Table, predicate: Predicate, inspect: tuple[str, ...], preview_cap: int
+) -> MatchedRows:
+    """The rows of ``table`` matching ``predicate``, collected for a
+    highlight of the ``inspect`` columns in one pass.
+
+    The pass walks every partition the zone maps cannot rule out.  Each
+    chunk reads the predicate's columns (the inspected ones when the
+    predicate references none), and only a chunk in which a row matched
+    reads the inspected columns the predicate does not reference, so no
+    column is read twice and the selection is never materialized as a
+    whole-table mask.  The pass is counted and timed as a store scan,
+    under a ``store.highlight`` span.
+    """
+    started = time.perf_counter()
+    first = tuple(sorted(predicate.columns())) or inspect
+    later = tuple(name for name in inspect if name not in first)
+    matched = MatchedRows()
+    with get_tracer().span("store.highlight") as span:
+        live, skipped = table.prune_partitions(predicate)
+        chunks = 0
+        for lo, hi, chunk, reader in table.scan_partitions(live, first):
+            chunks += 1
+            rows = predicate.mask(chunk)
+            if not rows.any():
+                continue
+            if later:
+                rest = table.read_chunk(reader, later, lo, hi)
+            columns = {
+                name: (chunk if name in first else rest).column(name)
+                for name in inspect
+            }
+            matched.add(columns, rows, preview_cap)
+        if span.enabled:
+            span.set("rows_selected", matched.n_rows)
+            span.set("columns", len(inspect))
+            span.set("chunks", chunks)
+            span.set("partitions", len(live))
+            span.set("partitions_skipped", skipped)
+    metrics = get_metrics()
+    metrics.increment("blaeu_store_partitions_scanned_total", len(live))
+    metrics.increment("blaeu_store_scans_total")
+    metrics.observe("blaeu_store_scan_seconds", time.perf_counter() - started)
+    return matched
 
 
 class Explorer:
@@ -399,10 +438,10 @@ class Explorer:
         requested columns (default: the active columns).  Only the
         matched cells of those columns are copied, each once
         (:class:`MatchedRows`), by **one chunked pass**
-        (:func:`~repro.store.parallel.run_highlight_pass`) that
-        evaluates the predicate and collects the matches together: the
-        full selection is never materialized, and no column but the
-        predicate's and the highlighted ones is read.
+        (:func:`_highlight_pass`) that evaluates the predicate and
+        collects the matches together: the full selection is never
+        materialized, and no column but the predicate's and the
+        highlighted ones is read.
         """
         state = self.state
         region = state.map.region(region_id)
@@ -415,9 +454,7 @@ class Explorer:
                     f"table {table.name!r} has no column {name!r}; "
                     f"available: {list(table.column_names)}"
                 )
-        from repro.store.parallel import run_highlight_pass
-
-        matched = run_highlight_pass(
+        matched = _highlight_pass(
             table, predicate, inspect, self._config.highlight_preview_rows
         )
         return matched.highlight(region_id, table, inspect)

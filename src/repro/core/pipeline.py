@@ -72,7 +72,7 @@ from repro.resilience.faults import fault_point
 from repro.table.predicates import And, Comparison, Everything, Predicate
 from repro.table.sampling import seed_for, uniform_sample
 from repro.table.table import Table
-from repro.tree.cart import DecisionTree, TreeNode, fit_tree
+from repro.tree.cart import DecisionTree, TreeNode, count_reaching, fit_tree
 from repro.tree.prune import prune_for_legibility
 
 __all__ = [
@@ -878,12 +878,13 @@ def _node_counts(
 ) -> np.ndarray:
     """Selected rows reaching each tree node (walk order).
 
-    One selection pass (see :func:`repro.store.parallel.run_selection_pass`)
-    over just the columns the tree splits on; per-partition counts add
-    up, so the result is the same at any ``scan_jobs``.
+    One selection pass over just the columns the tree splits on, which
+    costs what the selection holds, not what the table holds: a
+    partition without a selected row is not visited, a chunk without
+    one is never read, and each chunk routes its selection segment into
+    one counts array.  The pass runs under a ``store.count`` span saying
+    what it read and what it skipped.
     """
-    from repro.store.parallel import router_task, run_selection_pass
-
     mask = (
         selection_mask
         if selection_mask is not None
@@ -893,10 +894,26 @@ def _node_counts(
     needed = tuple(sorted({n.column or "" for n in nodes if not n.is_leaf}))
     if not needed:  # a single leaf: every selected row is in it
         return np.asarray([mask.sum()], dtype=np.int64)
-    partials = run_selection_pass(
-        "store.count", router_task, table, mask, needed, tree.root
-    )
-    return sum(partials, np.zeros(len(nodes), dtype=np.int64))
+    counts = np.zeros(len(nodes), dtype=np.int64)
+    step = table.chunk_rows
+    partitions = table.partitions
+    with get_tracer().span("store.count") as span:
+        live = [p for p in partitions if mask[p.start : p.stop].any()]
+        chunks = 0
+        for lo, hi, chunk, _ in table.scan_partitions(live, needed, where=mask):
+            checkpoint("count.chunk")
+            counts += count_reaching(tree.root, chunk, mask[lo:hi])
+            chunks += 1
+        skipped = sum(-(-p.rows // step) for p in partitions) - chunks
+        get_metrics().increment("blaeu_store_chunks_skipped_total", skipped)
+        if span.enabled:
+            span.set("rows_selected", int(np.count_nonzero(mask)))
+            span.set("columns", len(needed))
+            span.set("chunks", chunks)
+            span.set("chunks_skipped", skipped)
+            span.set("partitions", len(live))
+            span.set("partitions_skipped", len(partitions) - len(live))
+    return counts
 
 
 def _approximate_regions(

@@ -19,11 +19,11 @@ of reuse over the batched NMI kernel (:mod:`repro.stats.batched`):
 * **a build reads what it needs**, one code path on either residency:
   sampled and selection-restricted builds gather just their rows, and
   whole-table NMI builds stream the table's partitions, chunk by chunk,
-  through the accumulating kernel
-  (:func:`~repro.store.parallel.nmi_task`).  (The correlation measures
-  are the one exception: a whole-table pearson/spearman build gathers
-  the numeric block — rank transforms do not stream — so pass
-  ``sample`` on huge stores.)
+  through one accumulating kernel
+  (:class:`~repro.stats.batched.StreamingPairwiseNMI`).  (The
+  correlation measures are the one exception: a whole-table
+  pearson/spearman build gathers the numeric block — rank transforms
+  do not stream — so pass ``sample`` on huge stores.)
 """
 
 from __future__ import annotations
@@ -36,9 +36,10 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from repro.graph.codes import CodeCache, gather_codes, resolve_entries
+from repro.graph.codes import CodeCache, code_matrix, gather_codes, resolve_entries
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import get_tracer
+from repro.resilience.deadline import checkpoint
 from repro.stats.batched import StreamingPairwiseNMI, pairwise_nmi_matrix
 from repro.stats.correlation import pairwise_correlation_matrix
 from repro.table.column import ColumnKind
@@ -328,13 +329,9 @@ class GraphBuilder:
     ) -> np.ndarray:
         tracer = get_tracer()
         if rows is None:
-            # Whole-table build: stream every partition through the
-            # accumulating kernel, full columns never resident.
-            # Contingency counts are elementwise sums, so merging the
-            # per-partition accumulators in partition order is the same
-            # at any ``scan_jobs``.
-            from repro.store.parallel import nmi_task, run_partition_tasks
-
+            # Whole-table build: one pass streams every partition's
+            # chunks through one accumulator, full columns never
+            # resident.
             with tracer.span("graph.codes"):
                 entries = resolve_entries(
                     table,
@@ -347,27 +344,16 @@ class GraphBuilder:
             with tracer.span("graph.nmi") as span:
                 n_codes = [entries[name].n_codes for name in names]
                 streaming = StreamingPairwiseNMI(names, n_codes)
-                results = run_partition_tasks(
-                    nmi_task,
-                    [
-                        (
-                            names,
-                            n_codes,
-                            entries,
-                            partition.start,
-                            partition.stop,
-                            table.chunk_rows,
-                        )
-                        for partition in table.partitions
-                    ],
-                    table.scan_jobs,
-                    table=table,
-                )
-                for counts, _ in results:
-                    streaming.merge_counts(counts)
+                chunks = 0
+                for _, _, chunk, _ in table.scan_partitions(
+                    table.partitions, names
+                ):
+                    checkpoint("graph.nmi.chunk")
+                    streaming.update(code_matrix(chunk, names, entries))
+                    chunks += 1
                 if span.enabled:
                     span.set("streaming", True)
-                    span.set("chunks", sum(chunks for _, chunks in results))
+                    span.set("chunks", chunks)
                 return streaming.finalize()
         with tracer.span("graph.codes"):
             codes = gather_codes(

@@ -14,10 +14,9 @@ derived from those declarations (:data:`OPTIONS`):
   config exported as the same variables, so a fleet cannot disagree
   with its front.
 
-``BLAEU_SCAN_JOBS`` and ``BLAEU_FAULTS`` are not serving options: they
-are read one layer below the service (store scans, fault points), so
-``blaeu serve --scan-jobs/--faults`` exports them and every worker
-inherits them.
+``BLAEU_FAULTS`` is not a serving option: it is read one layer below
+the service (at the fault points), so ``blaeu serve --faults`` exports
+it and every worker inherits it.
 """
 
 from __future__ import annotations

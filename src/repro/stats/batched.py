@@ -245,32 +245,6 @@ class StreamingPairwiseNMI:
                         x1, shifted, group, start, stop
                     )
 
-    def counts_state(self) -> list[list[np.ndarray]]:
-        """The accumulated contingency counts (for cross-process merges)."""
-        return self._counts
-
-    def merge_counts(self, counts: list[list[np.ndarray]]) -> None:
-        """Fold another accumulator's :meth:`counts_state` into this one.
-
-        Contingency accumulation is an elementwise sum, so merging
-        per-partition accumulators in any grouping equals one serial
-        pass over the concatenated rows — the property the
-        process-parallel graph build rests on.  Both sides must have
-        been built over the same ``names``/``n_codes``.
-        """
-        if len(counts) != len(self._counts) or any(
-            len(theirs) != len(mine)
-            or any(t.shape != m.shape for t, m in zip(theirs, mine))
-            for theirs, mine in zip(counts, self._counts)
-        ):
-            raise ValueError(
-                "cannot merge streaming NMI accumulators with different "
-                "column/code layouts"
-            )
-        for mine, theirs in zip(self._counts, counts):
-            for accumulator, partial in zip(mine, theirs):
-                accumulator += partial
-
     def finalize(self) -> np.ndarray:
         """The NMI matrix of all rows fed through :meth:`update`."""
         weights = np.eye(self._m, dtype=np.float64)

@@ -266,7 +266,6 @@ def ingest_csv(
     priority_seed: int = 0,
     kinds: Mapping[str, ColumnKind] | None = None,
     partition_rows: int = DEFAULT_PARTITION_ROWS,
-    scan_jobs: int | None = None,
 ) -> StoredTable:
     """Ingest a CSV into a new store directory; returns the opened table.
 
@@ -290,9 +289,6 @@ def ingest_csv(
         spill that inference needs).
     partition_rows:
         Rows per zone-mapped partition recorded in the manifest.
-    scan_jobs:
-        Worker processes for the finalize-time zone pass (``None``/1
-        serial, 0 every core).
     """
     out_dir = Path(out_dir)
     if (out_dir / "manifest.json").exists():
@@ -342,7 +338,6 @@ def ingest_csv(
                 priority_seed,
                 builders,
                 partition_rows=partition_rows,
-                scan_jobs=scan_jobs,
             )
             if span.enabled:
                 span.set("table", resolved_name)
@@ -373,7 +368,6 @@ def append_csv(
     delimiter: str = ",",
     chunk_rows: int | None = None,
     partition_rows: int | None = None,
-    scan_jobs: int | None = None,
 ) -> StoredTable:
     """Append a CSV's rows to an existing store, in place.
 
@@ -407,8 +401,6 @@ def append_csv(
     partition_rows:
         Rows per new partition; defaults to the store's current
         granularity (or the format default when it has none).
-    scan_jobs:
-        Worker processes for the zone pass over the appended range.
     """
     import json
 
@@ -480,7 +472,6 @@ def append_csv(
                 builders,
                 appended,
                 partition_rows,
-                scan_jobs,
                 build_partitions,
             )
             if span.enabled:
@@ -505,7 +496,6 @@ def _apply_append(
     builders: list[_ColumnBuilder],
     appended: int,
     partition_rows: int,
-    scan_jobs: int | None,
     build_partitions,
 ) -> StoreManifest:
     """Grow the store's files by the builders' output, then commit.
@@ -569,7 +559,6 @@ def _apply_append(
             manifest.chunk_rows,
             partition_rows,
             start=old_rows,
-            scan_jobs=scan_jobs,
         )
         partitions = (
             manifest.partitions + fresh if manifest.partitions else ()
@@ -607,7 +596,6 @@ def _finalize_store(
     priority_seed: int,
     builders: list[_ColumnBuilder],
     partition_rows: int = DEFAULT_PARTITION_ROWS,
-    scan_jobs: int | None = None,
 ) -> StoreManifest:
     """Move finished column files into place, fingerprint, write manifest."""
     import json
@@ -675,7 +663,6 @@ def _finalize_store(
         n_rows,
         chunk_rows,
         partition_rows,
-        scan_jobs=scan_jobs,
     )
     manifest = StoreManifest(
         table=table_name,

@@ -36,7 +36,6 @@ from repro.store.format import (
     StoreManifest,
     partition_spans,
 )
-from repro.store.parallel import run_partition_tasks, zones_task
 from repro.table.predicates import (
     And,
     Between,
@@ -141,8 +140,10 @@ def compute_zones(
                 if meta.kind == KIND_NUMERIC:
                     values = reader.read(meta.files["values"], VALUES_DTYPE, lo, hi)
                     mask = reader.read(meta.files["mask"], MASK_DTYPE, lo, hi)
-                    null_count += int(np.count_nonzero(mask))
-                    present = values[~mask]
+                    missing = int(np.count_nonzero(mask))
+                    null_count += missing
+                    # A null-free chunk is its own present values: no copy.
+                    present = values[~mask] if missing else values
                     if present.size:
                         lo_value = float(present.min())
                         hi_value = float(present.max())
@@ -168,36 +169,21 @@ def build_partitions(
     chunk_rows: int,
     partition_rows: int,
     start: int = 0,
-    scan_jobs: int | None = None,
 ) -> tuple[PartitionMeta, ...]:
-    """Partitions (ranges + zone maps) of rows ``[start, n_rows)``.
-
-    One zone pass per range over the column files; with ``scan_jobs``
-    the ranges fan out over worker processes (results are merged in
-    range order, so the output never depends on the worker count).
-    """
+    """Partitions (ranges + zone maps) of rows ``[start, n_rows)``: one
+    zone pass per range over the column files, in range order."""
     root = Path(root)
-    spans = partition_spans(n_rows, partition_rows, start=start)
-    if not spans:
-        return ()
-    results = run_partition_tasks(
-        zones_task,
-        [
-            (str(root), tuple(columns), lo, hi, chunk_rows)
-            for lo, hi in spans
-        ],
-        scan_jobs,
-    )
-    return tuple(
-        PartitionMeta(start=lo, stop=hi, zones=zones)
-        for (lo, hi), zones in zip(spans, results)
-    )
+    partitions = []
+    for lo, hi in partition_spans(n_rows, partition_rows, start=start):
+        checkpoint("store.partition")
+        zones = compute_zones(root, columns, lo, hi, chunk_rows)
+        partitions.append(PartitionMeta(start=lo, stop=hi, zones=zones))
+    return tuple(partitions)
 
 
 def repartition(
     root: str | Path,
     partition_rows: int | None = None,
-    scan_jobs: int | None = None,
 ) -> StoreManifest:
     """Rewrite a store's partitions (manifest only; data files untouched).
 
@@ -224,7 +210,6 @@ def repartition(
         manifest.n_rows,
         manifest.chunk_rows,
         partition_rows,
-        scan_jobs=scan_jobs,
     )
     manifest = dataclasses.replace(manifest, partitions=partitions)
     manifest.save(root)

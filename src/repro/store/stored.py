@@ -20,14 +20,15 @@ against the on-disk column files:
 Materializing operations (``take``, ``select``, ``sample``, ``head``)
 return plain in-memory ``Table`` objects sized by their result.
 
-**One scan surface for both residencies.**  The partition passes of
-:mod:`repro.store.parallel` consume the same surface from a store and
-from an in-memory table: ``partitions``, :meth:`prune_partitions`,
-:meth:`chunk_reader`, :meth:`read_chunk` and ``chunk_rows`` /
-``scan_jobs``.  What differs is defined here: a store's partitions
-carry zone maps, and its chunks are ``readinto`` buffers, one reused
-array per column file, so a scan stays within one chunk of memory.
-What does not differ is not redefined: :meth:`scan_chunks`,
+**One scan surface for both residencies.**  A partition pass consumes
+the same surface from a store and from an in-memory table:
+``partitions``, :meth:`prune_partitions`, :meth:`chunk_reader`,
+:meth:`read_chunk` and ``chunk_rows``.  What differs is defined here: a
+store's partitions carry zone maps, and its chunks are ``readinto``
+buffers, one reused array per column file, so a scan stays within one
+chunk of memory.  What does not differ is not redefined: the pass
+primitive :meth:`scan_partitions` (one reader for the whole pass, the
+live partitions in order, every chunk a fold step), :meth:`scan_chunks`,
 :meth:`scan_mask` and the operations built on them and on gathers
 (``select``, ``filter``, ``sample``, ``head``, ``drop``, ``describe``)
 are :class:`~repro.table.table.Table`'s own bodies.
@@ -45,9 +46,8 @@ each call maps afresh: the maps live as long as the caller holds the
 column.
 
 Opening a table parses the manifest and checks every data file's size
-once; every scan afterwards runs on the open table (the partition
-workers of :mod:`repro.store.parallel` are handed it, they never
-re-open the store), and a scan restricted by a selection mask
+once; every scan afterwards runs on the open table, in this process,
+and never re-opens the store.  A scan restricted by a selection mask
 (``scan_chunks(where=...)``) reads only the chunks that hold a selected
 row.
 """
@@ -57,7 +57,6 @@ from __future__ import annotations
 import hashlib
 import json
 import mmap
-import os
 from bisect import bisect_left, bisect_right
 from pathlib import Path
 from typing import Sequence
@@ -94,21 +93,6 @@ from repro.table.sampling import SampleCascade
 from repro.table.table import Table
 
 __all__ = ["StoredTable"]
-
-#: Sentinel: "no explicit scan_jobs given; fall back to BLAEU_SCAN_JOBS".
-_SCAN_JOBS_ENV = object()
-
-
-def _env_scan_jobs() -> int | None:
-    """The ``BLAEU_SCAN_JOBS`` default (``None`` when unset/invalid)."""
-    raw = os.environ.get("BLAEU_SCAN_JOBS", "").strip()
-    if not raw:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        return None
-
 
 class _MappedNumericColumn(NumericColumn):
     """A ``NumericColumn`` over read-only memory maps (no copies)."""
@@ -153,11 +137,8 @@ class StoredTable:
     name:
         Override the manifest's table name (like ``Table.rename``).
     scan_jobs:
-        Worker processes for partitioned scans: ``None`` or 1 serial,
-        0 every core, otherwise that many.  Left unspecified, the
-        ``BLAEU_SCAN_JOBS`` environment variable decides (how the
-        service's workers pick the knob up).  Results are bit-identical
-        at any setting.
+        Retired: every pass runs serially in this process.  Only
+        ``None`` is accepted, and nothing reads it.
     """
 
     #: Catalog residency marker (in-memory tables report ``"memory"``).
@@ -169,12 +150,17 @@ class StoredTable:
         manifest: StoreManifest | None = None,
         columns: Sequence[str] | None = None,
         name: str | None = None,
-        scan_jobs: int | None = _SCAN_JOBS_ENV,  # type: ignore[assignment]
+        scan_jobs: None = None,
     ) -> None:
+        # The benchmark's frozen store probe still passes
+        # ``scan_jobs=None``; ROADMAP item 1(f) drops that argument, and
+        # this keyword with it.
+        if scan_jobs is not None:
+            raise TypeError(
+                "scan_jobs is retired (every pass runs serially); "
+                f"got {scan_jobs!r}"
+            )
         self._root = Path(root)
-        self.scan_jobs = (
-            _env_scan_jobs() if scan_jobs is _SCAN_JOBS_ENV else scan_jobs
-        )
         self._manifest = (
             manifest if manifest is not None else StoreManifest.load(self._root)
         )
@@ -245,11 +231,6 @@ class StoredTable:
         zero data IO.
         """
         return self._data_reads
-
-    def add_worker_reads(self, reads: int) -> None:
-        """Fold the data IO pool workers did for this table's scan into
-        :attr:`data_reads` (serial scans count on the table directly)."""
-        self._data_reads += reads
 
     @property
     def partitions(self) -> tuple[PartitionMeta, ...]:
@@ -343,6 +324,7 @@ class StoredTable:
     sample = Table.sample
     scan_chunks = Table.scan_chunks
     scan_mask = Table.scan_mask
+    scan_partitions = Table.scan_partitions
     select = Table.select
 
     def rename(self, name: str) -> "StoredTable":
@@ -352,7 +334,6 @@ class StoredTable:
             manifest=self._manifest,
             columns=self._order if self.is_projection() else None,
             name=name,
-            scan_jobs=self.scan_jobs,
         )
 
     def project(self, names: Sequence[str], name: str | None = None) -> "StoredTable":
@@ -362,7 +343,6 @@ class StoredTable:
             manifest=self._manifest,
             columns=tuple(names),
             name=name or self._name,
-            scan_jobs=self.scan_jobs,
         )
 
     def chunk_reader(self) -> ChunkReader:
@@ -378,9 +358,8 @@ class StoredTable:
 
         The arrays are views of ``reader``'s per-file buffers, valid
         until its next read of the same file.  One reader may serve any
-        number of consecutive ranges —
-        :func:`repro.store.parallel.run_partition_tasks` spans all the
-        partition tasks of a scan with one — and each needed file is
+        number of consecutive ranges — :meth:`scan_partitions` spans all
+        the partitions of a pass with one — and each needed file is
         opened once for all of them.  A numeric column's mask file is
         read only where a partition's zone map does not record
         ``null_count == 0``.

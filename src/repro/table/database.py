@@ -24,11 +24,6 @@ if TYPE_CHECKING:  # pragma: no cover - layering guard (store sits above)
 
 __all__ = ["Database", "SelectProject"]
 
-#: "caller did not pass scan_jobs" — distinct from an explicit ``None``
-#: (which forces serial scans regardless of ``BLAEU_SCAN_JOBS``).
-_SCAN_JOBS_UNSET: int | None = object()  # type: ignore[assignment]
-
-
 @dataclass(frozen=True)
 class SelectProject:
     """The one query shape the mapping engine issues.
@@ -98,24 +93,16 @@ class Database:
         return table
 
     def load_store(
-        self,
-        path: str | Path,
-        name: str | None = None,
-        scan_jobs: int | None = _SCAN_JOBS_UNSET,
+        self, path: str | Path, name: str | None = None
     ) -> "StoredTable":
         """Open a store directory and register it; returns the table.
 
         The table's rows stay on disk: queries against it run as chunked
-        scans and gathers (see :mod:`repro.store`).  ``scan_jobs`` fans
-        those scans over worker processes; unset, the table follows the
-        ``BLAEU_SCAN_JOBS`` environment variable.
+        scans and gathers (see :mod:`repro.store`).
         """
         from repro.store.stored import StoredTable
 
-        if scan_jobs is _SCAN_JOBS_UNSET:
-            table = StoredTable(path, name=name)
-        else:
-            table = StoredTable(path, name=name, scan_jobs=scan_jobs)
+        table = StoredTable(path, name=name)
         self.register(table)
         return table
 

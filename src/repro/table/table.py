@@ -13,8 +13,8 @@ operations Blaeu's engine needs from its DBMS:
 All operations return new tables; nothing is mutated in place.
 
 A table is also what a store-backed
-:class:`~repro.store.stored.StoredTable` is to the partition passes of
-:mod:`repro.store.parallel`: one implicit, zone-less partition
+:class:`~repro.store.stored.StoredTable` is to a partition pass
+(:meth:`Table.scan_partitions`): one implicit, zone-less partition
 ``[0, n_rows)`` that no predicate prunes, read in chunks that are
 zero-copy slices of its columns.  Every selection-proportional pass —
 predicate masks, exact counts, highlights, whole-table NMI — therefore
@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import get_tracer
+from repro.resilience.deadline import checkpoint
 from repro.table.column import (
     CategoricalColumn,
     Column,
@@ -69,10 +70,6 @@ class Table:
 
     #: Rows per chunk of :meth:`scan_chunks` unless a pass asks otherwise.
     chunk_rows = DEFAULT_CHUNK_ROWS
-
-    #: Worker processes of a partition pass: the rows are already in
-    #: this process, so every pass runs serially.
-    scan_jobs = None
 
     #: Column-data IO events of this table's scans: it reads no file.
     data_reads = 0
@@ -419,6 +416,37 @@ class Table:
             self._name, [self._columns[n].slice(start, stop) for n in names]
         )
 
+    def scan_partitions(
+        self,
+        partitions: Sequence["PartitionMeta"],
+        columns: Sequence[str],
+        chunk_rows: int | None = None,
+        where: np.ndarray | None = None,
+    ) -> Iterator[tuple[int, int, "Table", object]]:
+        """One partition pass: yield ``(start, stop, chunk, reader)`` for
+        the chunks of the ``columns`` over ``partitions``, in order.
+
+        One :meth:`chunk_reader` serves the whole pass (a partition is
+        often one chunk, so only a reader that outlives it can reuse a
+        file or a buffer), and closes when the pass ends or is
+        abandoned.  Each pass feeds one accumulator chunk by chunk, so
+        its result is the serial fold over the rows in order: it cannot
+        depend on how the rows are cut into partitions and chunks.
+        ``where`` is a boolean mask over every row of the table; a chunk
+        in which it selects no row is skipped unread.  ``reader`` is the
+        pass's reader, for a consumer that reads more columns of a chunk
+        (:meth:`read_chunk`) once it has seen the first ones.
+        """
+        with self.chunk_reader() as reader:
+            for partition in partitions:
+                checkpoint("store.partition")
+                start, stop = partition.start, partition.stop
+                segment = None if where is None else where[start:stop]
+                for lo, hi, chunk in self.scan_chunks(
+                    reader, columns, chunk_rows, start, stop, segment
+                ):
+                    yield lo, hi, chunk, reader
+
     def scan_mask(
         self, predicate: Predicate, chunk_rows: int | None = None
     ) -> np.ndarray:
@@ -426,12 +454,9 @@ class Table:
 
         Predicate pushdown: only the columns the predicate references
         are read, only in the partitions whose zone maps cannot rule
-        the predicate out, fanned over ``scan_jobs`` worker processes.
-        Returns a boolean mask of length ``n_rows``, bit-identical at
-        every pruning/parallelism setting and on both residencies.
+        the predicate out.  Returns a boolean mask of length ``n_rows``,
+        bit-identical at every pruning setting and on both residencies.
         """
-        from repro.store.parallel import run_partition_tasks, scan_mask_task
-
         needed = tuple(sorted(predicate.columns()))
         if not needed:  # Everything (no predicate references any column)
             return predicate.mask(self)  # type: ignore[arg-type]
@@ -445,21 +470,11 @@ class Table:
             reads_before = self.data_reads
             live, skipped = self.prune_partitions(predicate)
             out = np.zeros(self.n_rows, dtype=bool)
-            step = chunk_rows or self.chunk_rows
-            results = run_partition_tasks(
-                scan_mask_task,
-                [
-                    (predicate, needed, partition.start, partition.stop, step)
-                    for partition in live
-                ],
-                self.scan_jobs,
-                table=self,
-            )
             chunks = 0
+            for lo, hi, chunk, _ in self.scan_partitions(live, needed, chunk_rows):
+                out[lo:hi] = predicate.mask(chunk)
+                chunks += 1
             metrics = get_metrics()
-            for partition, (segment, read_chunks) in zip(live, results):
-                out[partition.start : partition.stop] = segment
-                chunks += read_chunks
             metrics.increment("blaeu_store_partitions_scanned_total", len(live))
             if span.enabled:
                 span.set("rows", self.n_rows)

@@ -43,19 +43,20 @@ class TestConfigDigest:
         key-derived RNG chain), so it may only move on purpose."""
         assert BlaeuConfig().digest() == "16a753f91cf0ec48"
 
-    @pytest.mark.parametrize("knob", ["graph_jobs", "scan_jobs"])
     @pytest.mark.parametrize("jobs", [None, 1, 2])
-    def test_parallel_widths_share_the_digest(self, knob, jobs):
-        assert BlaeuConfig(**{knob: jobs}).digest() == BlaeuConfig().digest()
+    def test_parallel_widths_share_the_digest(self, jobs):
+        assert BlaeuConfig(graph_jobs=jobs).digest() == BlaeuConfig().digest()
 
-    def test_the_retired_clara_width_stays_in_the_payload(self):
-        """CLARA's draws no longer fan out, so its width knob is gone —
-        but the digest still hashes it as ``None``: dropping the entry
-        would move the default digest, every key-derived seed, and so
-        every map."""
+    def test_the_retired_widths_stay_in_the_payload(self):
+        """CLARA's draws and store scans no longer fan out, so their
+        width knobs are gone — but the digest still hashes them as
+        ``None``: dropping the entries would move the default digest,
+        every key-derived seed, and so every map."""
         with pytest.raises(TypeError):
             BlaeuConfig(clara_jobs=2)  # type: ignore[call-arg]
-        assert BlaeuConfig._RETIRED_KNOBS == {"clara_jobs": None}
+        with pytest.raises(TypeError):
+            BlaeuConfig(scan_jobs=2)  # type: ignore[call-arg]
+        assert BlaeuConfig._RETIRED_KNOBS == {"clara_jobs": None, "scan_jobs": None}
 
     def test_a_cached_engine_maps_the_same_at_any_graph_width(self):
         """The seed of every draw derives from the content key, hence

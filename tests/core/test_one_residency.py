@@ -32,8 +32,8 @@ SURFACE = {
     "read_chunk",
     "residency",
     "scan_chunks",
-    "scan_jobs",
     "scan_mask",
+    "scan_partitions",
     "take_columns",
 }
 

@@ -219,7 +219,7 @@ def test_keys_and_themes_equal_the_whole_column_reference(case, monkeypatch):
     monkeypatch.setattr(Table, "chunk_rows", chunk_rows)
     with np.errstate(invalid="ignore"), tempfile.TemporaryDirectory() as tmp:
         write_store(table, Path(tmp) / "s", chunk_rows=chunk_rows, partition_rows=97)
-        twins = (table, StoredTable(Path(tmp) / "s", scan_jobs=None))
+        twins = (table, StoredTable(Path(tmp) / "s"))
 
         expected_keys = _reference_detect_keys(table)
         # The dependency graph bins finite values only: "spiky" is in
@@ -277,7 +277,7 @@ def _measurements(n: int = 1000) -> Table:
 @pytest.fixture
 def measurements_store(tmp_path):
     write_store(_measurements(), tmp_path / "m", chunk_rows=100, partition_rows=400)
-    return StoredTable(tmp_path / "m", scan_jobs=None)
+    return StoredTable(tmp_path / "m")
 
 
 def test_key_scan_reads_one_chunk_per_measurement_and_no_codes(
@@ -308,7 +308,7 @@ def test_an_integer_id_pays_the_full_count_and_nothing_else_does(tmp_path):
         ],
     )
     write_store(table, tmp_path / "s", chunk_rows=100)
-    scan = KeyScan(StoredTable(tmp_path / "s", scan_jobs=None))
+    scan = KeyScan(StoredTable(tmp_path / "s"))
     assert scan.keys() == ("row",)
     # "row": ten chunks to prove integrality, ten for the distinct count.
     assert scan.chunks == 10 + 10 + 1

@@ -241,10 +241,10 @@ def _string_literals(path: Path) -> list[str]:
 
 class TestOneHomePerConcept:
     #: ``BLAEU_*`` names that are *not* serving options: the slot a
-    #: worker is told, and the two variables read below the service.
+    #: worker is told, and the variable read below the service.
     ALLOWED = {
         "supervisor.py": {"BLAEU_WORKER_SLOT"},
-        "cli.py": {"BLAEU_SCAN_JOBS", "BLAEU_FAULTS"},
+        "cli.py": {"BLAEU_FAULTS"},
     }
 
     def test_env_names_are_spelled_in_config_only(self):

@@ -93,7 +93,7 @@ class TestAppend:
 
     def test_zone_pruning_covers_appended_rows(self, seeded):
         append_csv(_csv(_rows(1000, 500)), seeded)
-        table = StoredTable(seeded, scan_jobs=None)
+        table = StoredTable(seeded)
         from repro.table.predicates import Comparison
 
         predicate = Comparison("x", ">=", 1400.0)

@@ -1,19 +1,19 @@
 """A chunk pass moves each byte once — and changes no result.
 
-One differential property for the three passes of a navigation action
-(predicate scan, exact node counts, highlight) against the in-memory
-twin, over the layouts that decide *which files a chunk reads*: zoned,
+One differential property for the passes of a navigation action
+(predicate scan, exact node counts, highlight, whole-table NMI) and the
+zone pass, against the in-memory twin and a whole-column reference,
+over the layouts that decide *which files a chunk reads*: zoned,
 zone-less legacy and appended manifests, null-free and nullable numeric
-columns side by side, serial and pooled.  Then what reusing buffers
-makes mandatory: nothing outlives its chunk, a truncated file is a typed
-error, no descriptor leaks; and the budgets: which files a scan opens,
-how many buffers it holds, how often a dictionary is validated.
+columns side by side.  Then what reusing buffers makes mandatory:
+nothing outlives its chunk, a truncated file is a typed error, no
+descriptor leaks; and the budgets: which files a scan opens, how many
+buffers it holds, how often a dictionary is validated.
 """
 
 import dataclasses
 import io
 import json
-import multiprocessing
 import os
 import tempfile
 from pathlib import Path
@@ -57,11 +57,6 @@ LABELS = ("a", "b", "c", "never", "seen")
 
 #: Summaries of columns holding both infinities are NaN, loudly.
 pytestmark = pytest.mark.filterwarnings("ignore:invalid value encountered")
-
-forked = pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="pool workers only inherit a patched reader when forked",
-)
 
 
 def _mixed_table(n: int, void: tuple[int, int], late_from: int, rng) -> Table:
@@ -172,7 +167,7 @@ def _assert_equals_twin(stored, twin, predicate, tree):
     assert repr(highlight) == repr(_highlight(twin, predicate, int(expected.sum())))
 
 
-def _check_against_memory(case, scan_jobs):
+def _check_against_memory(case, check_zones_and_nmi):
     table, partition_rows, chunk_rows, layout, n_head, predicate, tree = case
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp) / "s"
@@ -182,19 +177,20 @@ def _check_against_memory(case, scan_jobs):
         )
         if layout == "legacy":
             dataclasses.replace(manifest, partitions=()).save(root)
-        stored = StoredTable(root, scan_jobs=scan_jobs)
+        stored = StoredTable(root)
         if layout == "append":
             # ``late`` was null-free; the appended rows bring its first
             # nulls.  The table opened before still serves its own rows.
             tail = table.take(np.arange(n_head, table.n_rows))
             append_csv(io.StringIO(write_csv_text(tail)), root, chunk_rows=chunk_rows)
             _assert_equals_twin(stored, head, predicate, tree)
-            stored = StoredTable(root, scan_jobs=scan_jobs)
+            stored = StoredTable(root)
             assert stored.n_rows == table.n_rows
             assert int(stored.scan_mask(IsMissing("late")).sum()) == int(
                 table.column("late").n_missing
             )
         _assert_equals_twin(stored, table, predicate, tree)
+        check_zones_and_nmi(stored, table, partition_rows)
 
 
 _relaxed = [HealthCheck.too_slow, HealthCheck.data_too_large]
@@ -202,14 +198,8 @@ _relaxed = [HealthCheck.too_slow, HealthCheck.data_too_large]
 
 @settings(max_examples=60, deadline=None, suppress_health_check=_relaxed)
 @given(case=_cases())
-def test_serial_passes_equal_the_memory_twin(case):
-    _check_against_memory(case, scan_jobs=None)
-
-
-@settings(max_examples=6, deadline=None, suppress_health_check=_relaxed)
-@given(case=_cases())
-def test_pooled_passes_equal_the_memory_twin(case):
-    _check_against_memory(case, scan_jobs=2)
+def test_serial_passes_equal_the_memory_twin(case, check_zones_and_nmi):
+    _check_against_memory(case, check_zones_and_nmi)
 
 
 # ----------------------------------------------------------------------
@@ -268,13 +258,8 @@ class TestNothingOutlivesItsChunk:
             for buffer in self._buffers.values():
                 buffer.view(np.uint8)[:] = 0xA5
 
-    @pytest.mark.parametrize(
-        "scan_jobs", [None, pytest.param(2, marks=forked)], ids=["serial", "pooled"]
-    )
-    def test_scribbled_buffers_change_no_result(
-        self, store_root, tree, monkeypatch, scan_jobs
-    ):
-        stored = StoredTable(store_root, scan_jobs=scan_jobs)
+    def test_scribbled_buffers_change_no_result(self, store_root, tree, monkeypatch):
+        stored = StoredTable(store_root)
         expected = _passes(stored, PREDICATE, tree)
         monkeypatch.setattr(
             StoredTable, "chunk_reader", lambda table: self.Scribbler(table.root)
@@ -287,7 +272,7 @@ class TestNothingOutlivesItsChunk:
 
 class TestTruncatedFile:
     def test_a_short_read_is_a_typed_error_naming_file_and_bytes(self, store_root):
-        stored = StoredTable(store_root, scan_jobs=None)
+        stored = StoredTable(store_root)
         relative = _file(stored, "clean", "values")
         os.truncate(store_root / relative, 8 * 250)
         with pytest.raises(StoreReadError) as excinfo:
@@ -305,8 +290,8 @@ class TestTruncatedFile:
 class TestNoDescriptorLeaks:
     @pytest.fixture
     def arm(self, monkeypatch):
-        """Install fault rules here and (for spawned pool workers) in
-        ``BLAEU_FAULTS``; cleared when the test ends."""
+        """Install fault rules here and in ``BLAEU_FAULTS``; cleared
+        when the test ends."""
 
         def arm(*faults):
             spec = json.dumps({"seed": 1, "faults": list(faults)})
@@ -316,12 +301,9 @@ class TestNoDescriptorLeaks:
         yield arm
         clear_faults()
 
-    @pytest.mark.parametrize("scan_jobs", [None, 2], ids=["serial", "pooled"])
-    def test_faulted_and_expired_scans_close_their_files(
-        self, store_root, arm, scan_jobs
-    ):
-        stored = StoredTable(store_root, scan_jobs=scan_jobs)
-        stored.scan_mask(PREDICATE)  # pool and tracker plumbing exists now
+    def test_faulted_and_expired_scans_close_their_files(self, store_root, arm):
+        stored = StoredTable(store_root)
+        stored.scan_mask(PREDICATE)  # first-use state (metrics, tracer) exists now
         before = len(os.listdir("/proc/self/fd"))
         # The fourth chunk read fails: files are open by then.
         arm({"site": "store.read", "mode": "error", "after": 3})
@@ -369,7 +351,7 @@ class TestReadBudgets:
     def test_each_needed_file_is_opened_once_per_scan(
         self, store_root, tree, opened, readers
     ):
-        stored = StoredTable(store_root, scan_jobs=None)
+        stored = StoredTable(store_root)
         mask = stored.scan_mask(PREDICATE)  # 4 partitions, 16 chunks
         # ``clean`` is null-free: its mask file is never touched.  The
         # zones of ``holes`` record nulls in every partition.
@@ -402,7 +384,7 @@ class TestReadBudgets:
     ):
         manifest = StoreManifest.load(store_root)
         dataclasses.replace(manifest, partitions=()).save(store_root)
-        legacy = StoredTable(store_root, scan_jobs=None)
+        legacy = StoredTable(store_root)
         legacy.scan_mask(Comparison("clean", ">", 0.0))
         assert sorted(opened) == sorted(
             [_file(legacy, "clean", "values"), _file(legacy, "clean", "mask")]
@@ -425,7 +407,7 @@ class TestReadBudgets:
         )
         root = tmp_path / "wide"
         write_store(wide, root, chunk_rows=50, partition_rows=500)
-        stored = StoredTable(root, scan_jobs=None)
+        stored = StoredTable(root)
         builds = []
         init = CategoricalColumn.__init__
 

@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from repro.cli import build_engine, ingest_main
+from repro.cli import build_engine, ingest_main, main
 from repro.shell import BlaeuShell
 
 CSV = "x,y,tag\n" + "".join(
@@ -39,6 +39,27 @@ class TestIngestMain:
         bad.write_text("", encoding="utf-8")
         with pytest.raises(SystemExit, match="ingest failed"):
             ingest_main([str(bad), str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["ingest", "{csv}", "{out}"],
+        ["store", "repartition", "{out}"],
+        ["serve", "--demo", "hollywood"],
+    ],
+    ids=["ingest", "store repartition", "serve"],
+)
+def test_scan_jobs_is_no_flag(command, csv_path, tmp_path, capsys):
+    """Every pass runs serially: the retired flag is argparse's error."""
+    argv = [
+        arg.format(csv=csv_path, out=tmp_path / "store") for arg in command
+    ]
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--scan-jobs", "1"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --scan-jobs" in capsys.readouterr().err
+    assert not (tmp_path / "store").exists()
 
 
 class TestBuildEngineWithStores:

@@ -64,7 +64,7 @@ def test_navigation_leaves_no_column_file_mapped(tmp_path):
     root = tmp_path / "store"
     write_store(_grouped_table(20_000, seed=3), root, chunk_rows=4096)
     engine = Blaeu(BlaeuConfig(map_sample_size=500, dependency_sample_size=500))
-    engine.register(StoredTable(root, scan_jobs=None))
+    engine.register(StoredTable(root))
 
     themes = engine.themes("grouped")
     assert _mapped_store_files(root) == []
@@ -101,7 +101,7 @@ class TestHighlightHoldsEachMatchedCellOnce:
         write_store(
             _grouped_table(self.N_ROWS, seed=5), root, chunk_rows=self.CHUNK_ROWS
         )
-        return StoredTable(root, scan_jobs=None)
+        return StoredTable(root)
 
     def _explorer(self, stored, predicate, n_matched) -> Explorer:
         """An explorer whose map is one region selecting ``predicate``."""

@@ -18,7 +18,7 @@ from repro.store.format import (
     StoreManifest,
     partition_spans,
 )
-from repro.store.partitions import repartition, zone_proves_empty
+from repro.store.partitions import compute_zones, repartition, zone_proves_empty
 from repro.table.column import CategoricalColumn, NumericColumn
 from repro.table.predicates import (
     And,
@@ -61,7 +61,7 @@ def table() -> Table:
 @pytest.fixture
 def stored(table, tmp_path) -> StoredTable:
     write_store(table, tmp_path / "s", chunk_rows=100, partition_rows=100)
-    return StoredTable(tmp_path / "s", scan_jobs=None)
+    return StoredTable(tmp_path / "s")
 
 
 class TestZoneMaps:
@@ -119,6 +119,42 @@ class TestZoneMaps:
         )
         manifest = StoreManifest.load(tmp_path / "ingested")
         assert manifest.partitions == StoreManifest.load(tmp_path / "s").partitions
+
+
+#: Column values for the zone pass, 30 rows in chunks of 7: the first
+#: chunks null-free, a later one partly missing.
+_NAN = np.nan
+ZONE_COLUMNS = {
+    "null-free": np.arange(30, dtype=float) - 11.5,
+    "partly missing": np.where(np.arange(30) % 9 == 8, _NAN, np.arange(30.0)),
+    "all missing": np.full(30, _NAN),
+    "infinities": np.array([1.0, np.inf, -2.0, -np.inf] * 7 + [_NAN, 3.0]),
+    "signed zeros": np.array([0.0, -0.0] * 14 + [_NAN, -0.0]),
+}
+
+
+class TestComputeZones:
+    """Zones read chunk by chunk (a null-free chunk's values are its
+    present values, uncopied) equal a whole-column NumPy reference."""
+
+    @pytest.mark.parametrize("values", ZONE_COLUMNS.values(), ids=ZONE_COLUMNS.keys())
+    def test_zones_equal_the_whole_column_reference(self, values, tmp_path):
+        codes = np.where(np.isnan(values), -1, 0).astype(np.int32)
+        table = Table(
+            "z",
+            [NumericColumn("v", values), CategoricalColumn("c", codes, ("k",))],
+        )
+        write_store(table, tmp_path / "s", chunk_rows=7, partition_rows=30)
+        columns = StoreManifest.load(tmp_path / "s").columns
+        zones = compute_zones(tmp_path / "s", columns, 0, 30, 7)
+        present = values[~np.isnan(values)]
+        missing = int(np.isnan(values).sum())
+        assert zones["c"] == ColumnZone(null_count=missing)
+        assert zones["v"] == ColumnZone(
+            null_count=missing,
+            min=float(np.min(present)) if present.size else None,
+            max=float(np.max(present)) if present.size else None,
+        )
 
 
 class TestZoneProvesEmpty:
@@ -185,7 +221,7 @@ class TestPruning:
 
     def test_constant_column_prunes_everything_or_nothing(self, stored, table):
         self.check(stored, table, Comparison("z", "==", 6.0), skipped=4, reads=0)
-        stored2 = StoredTable(stored.root, scan_jobs=None)
+        stored2 = StoredTable(stored.root)
         self.check(
             stored2, table, Comparison("z", "==", 5.0), skipped=0, reads=4
         )
@@ -230,14 +266,14 @@ class TestBackwardCompat:
         assert manifest.partitions == ()
         assert manifest.version == 1
         assert manifest.previous_fingerprint is None
-        stored = StoredTable(tmp_path / "s", scan_jobs=None)
+        stored = StoredTable(tmp_path / "s")
         assert [(p.start, p.stop) for p in stored.partitions] == [(0, 400)]
         assert stored.partitions[0].zones == {}
 
     def test_old_store_scans_never_prune(self, table, tmp_path):
         write_store(table, tmp_path / "s", chunk_rows=100, partition_rows=100)
         self.strip(tmp_path / "s")
-        stored = StoredTable(tmp_path / "s", scan_jobs=None)
+        stored = StoredTable(tmp_path / "s")
         predicate = Comparison("x", ">", 350.0)
         mask = stored.scan_mask(predicate)
         assert stored.partitions_skipped == 0
@@ -251,7 +287,7 @@ class TestBackwardCompat:
         assert manifest.partitions == expected.partitions
         assert manifest.fingerprint == expected.fingerprint
         # and the pruned scan now matches the original store's behavior
-        stored = StoredTable(tmp_path / "s", scan_jobs=None)
+        stored = StoredTable(tmp_path / "s")
         predicate = Comparison("x", ">", 350.0)
         before = stored.data_reads
         mask = stored.scan_mask(predicate)
@@ -274,7 +310,7 @@ class TestProjectionScanReads:
 
     def test_scan_mask_projection_read_budget(self, table, tmp_path):
         write_store(table, tmp_path / "s", chunk_rows=100, partition_rows=100)
-        stored = StoredTable(tmp_path / "s", scan_jobs=None)
+        stored = StoredTable(tmp_path / "s")
         view = stored.project(("x", "y", "cat"))
         predicate = Comparison("x", ">=", 0.0)  # no partition prunable
         before = view.data_reads
@@ -286,6 +322,6 @@ class TestProjectionScanReads:
 
     def test_scan_mask_rejects_hidden_columns(self, table, tmp_path):
         write_store(table, tmp_path / "s", chunk_rows=100, partition_rows=100)
-        view = StoredTable(tmp_path / "s", scan_jobs=None).project(("x",))
+        view = StoredTable(tmp_path / "s").project(("x",))
         with pytest.raises(KeyError, match="y"):
             view.scan_mask(Comparison("y", ">", 0.0))

@@ -2,17 +2,31 @@
 
 An in-memory :class:`~repro.table.table.Table` and a store-backed
 :class:`~repro.store.stored.StoredTable` answer the same
-``chunk_reader`` / ``scan_chunks`` / ``read_chunk`` / ``take_columns`` /
-``scan_mask`` calls, so every partition pass of
-:mod:`repro.store.parallel` runs one body on both.  Each test here runs
-on both residencies and asserts the same thing of each; what only one
-residency does (zone maps, zero-copy chunks) is asserted in
-``test_stored_table.py`` and ``tests/table/test_table.py``.
+``chunk_reader`` / ``scan_chunks`` / ``scan_partitions`` /
+``read_chunk`` / ``take_columns`` / ``scan_mask`` calls, so every
+partition pass runs one body on both.  Each test here runs on both
+residencies and asserts the same thing of each; what only one residency
+does (zone maps, zero-copy chunks) is asserted in
+``test_stored_table.py`` and ``tests/table/test_table.py``.  Then the
+passes of a navigation action on a store, against its in-memory twin,
+and how a pass fails.
 """
+
+import json
 
 import numpy as np
 import pytest
 
+from repro.core.navigation import Explorer
+from repro.core.pipeline import MapBuilder
+from repro.graph.dependency import build_dependency_graph
+from repro.resilience.deadline import DeadlineExceeded, deadline_scope
+from repro.resilience.faults import (
+    InjectedFault,
+    clear_faults,
+    install_faults,
+    parse_faults,
+)
 from repro.store import StoredTable, write_store
 from repro.table.column import CategoricalColumn, NumericColumn
 from repro.table.predicates import (
@@ -200,3 +214,148 @@ class TestScanMask:
         selected = resident.select(predicate)
         expected = table.filter(predicate.mask(table))
         assert selected.fingerprint() == expected.fingerprint()
+
+
+class TestScanPartitions:
+    def _pass(self, resident, partitions, **kwargs):
+        """``(start, stop, x copied, reader)`` of one pass."""
+        return [
+            (lo, hi, chunk.column("x").values.copy(), reader)
+            for lo, hi, chunk, reader in resident.scan_partitions(
+                partitions, ("x",), CHUNK, **kwargs
+            )
+        ]
+
+    def test_one_reader_walks_the_partitions_in_order(self, resident, table):
+        chunks = self._pass(resident, resident.partitions)
+        expected = [
+            (lo, min(lo + CHUNK, p.stop))
+            for p in resident.partitions
+            for lo in range(p.start, p.stop, CHUNK)
+        ]
+        assert [(lo, hi) for lo, hi, _, _ in chunks] == expected
+        assert len({id(reader) for _, _, _, reader in chunks}) == 1
+        np.testing.assert_array_equal(
+            np.concatenate([x for _, _, x, _ in chunks]), table.column("x").values
+        )
+
+    def test_only_the_given_partitions_are_read(self, resident):
+        last = resident.partitions[-1]
+        chunks = self._pass(resident, [last])
+        assert chunks[0][0] == last.start and chunks[-1][1] == last.stop
+
+    def test_where_skips_chunks_without_a_selected_row(self, resident):
+        where = np.zeros(100, dtype=bool)
+        where[[3, 90]] = True
+        every = self._pass(resident, resident.partitions)
+        chunks = self._pass(resident, resident.partitions, where=where)
+        assert [(lo, hi) for lo, hi, _, _ in chunks] == [
+            (lo, hi) for lo, hi, _, _ in every if where[lo:hi].any()
+        ]
+        assert len(chunks) == 2
+
+    def test_an_expired_deadline_stops_the_pass_at_a_partition(self, resident):
+        with deadline_scope(1e-9), pytest.raises(DeadlineExceeded) as excinfo:
+            self._pass(resident, resident.partitions)
+        assert excinfo.value.stage == "store.partition"
+
+
+# ----------------------------------------------------------------------
+# The passes of an action: a store against its in-memory twin
+# ----------------------------------------------------------------------
+
+
+def _twin_table(n=2000) -> Table:
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=n)
+    a[100:140] = np.nan
+    b = rng.uniform(0, 100, size=n)
+    c = a * 0.5 + rng.normal(scale=0.3, size=n)
+    codes = rng.integers(0, 3, size=n).astype(np.int32)
+    return Table(
+        "fan",
+        [
+            NumericColumn("a", a),
+            NumericColumn("b", b),
+            NumericColumn("c", c),
+            CategoricalColumn("d", codes, ("x", "y", "z")),
+        ],
+    )
+
+
+@pytest.fixture(scope="module")
+def twin():
+    return _twin_table()
+
+
+@pytest.fixture(scope="module")
+def store_root(tmp_path_factory, twin):
+    root = tmp_path_factory.mktemp("fan") / "s"
+    write_store(twin, root, chunk_rows=250, partition_rows=500)
+    return root
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize(
+        "predicate",
+        [
+            Comparison("a", ">", 0.5),
+            Between("b", 24.0, 26.0),
+            Or((Comparison("a", "<", -2.0), Comparison("d", "==", "y"))),
+        ],
+        ids=["comparison", "between", "or-categorical"],
+    )
+    def test_scan_mask(self, store_root, twin, predicate):
+        np.testing.assert_array_equal(
+            StoredTable(store_root).scan_mask(predicate), predicate.mask(twin)
+        )
+
+    def test_exact_map_counts(self, store_root, twin):
+        def counts(table):
+            data_map = MapBuilder().build(table, ("a", "b", "c", "d"), k=3)
+            assert data_map.counts_status == "exact"
+            return [region.n_rows for region in data_map.regions()]
+
+        assert counts(StoredTable(store_root)) == counts(twin)
+
+    def test_dependency_graph_weights(self, store_root, twin):
+        np.testing.assert_array_equal(
+            build_dependency_graph(StoredTable(store_root), seed=42).weights,
+            build_dependency_graph(twin, seed=42).weights,
+        )
+
+    def test_highlight(self, store_root, twin):
+        def highlight(table):
+            explorer = Explorer(table)
+            explorer.open_columns(("a", "b"))
+            return explorer.highlight("r0", columns=("c", "d"))
+
+        assert highlight(StoredTable(store_root)) == highlight(twin)
+
+    def test_pruned_scan_still_identical(self, store_root, twin):
+        predicate = Comparison("b", ">", 99.0)
+        table = StoredTable(store_root)
+        np.testing.assert_array_equal(table.scan_mask(predicate), predicate.mask(twin))
+
+
+class TestPassFailures:
+    def test_deadline_exceeded_propagates_with_stage(self, store_root):
+        table = StoredTable(store_root)
+        with deadline_scope(1e-9):
+            with pytest.raises(DeadlineExceeded) as excinfo:
+                table.scan_mask(Comparison("a", ">", 0.0))
+        assert excinfo.value.stage in ("store.chunk", "store.partition")
+        assert excinfo.value.budget == pytest.approx(1e-9)
+
+    def test_injected_fault_propagates(self, store_root, monkeypatch):
+        spec = json.dumps(
+            {"seed": 1, "faults": [{"site": "store.read", "mode": "error"}]}
+        )
+        monkeypatch.setenv("BLAEU_FAULTS", spec)
+        install_faults(parse_faults(spec))
+        try:
+            table = StoredTable(store_root)
+            with pytest.raises(InjectedFault):
+                table.scan_mask(Comparison("a", ">", 0.0))
+        finally:
+            clear_faults()

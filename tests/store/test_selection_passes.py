@@ -1,15 +1,16 @@
 """Store passes cost what the selection holds — and change no result.
 
-One differential property for the three passes a navigation action runs
-on a store (predicate scan, exact region counts, highlight), against the
-in-memory twin, serial and pooled; then the exact budgets the rule
-promises: a selection confined to one partition costs the count and
-highlight passes only that partition's chunks, a scan on an open table
-never loads the manifest again, and a zoom answered from the map cache
-reads nothing.
+One differential property for the passes a navigation action runs on a
+store (predicate scan, exact region counts, highlight, whole-table NMI)
+and for the zone pass behind its partitions, against the in-memory twin
+and a whole-column reference: however the rows are cut into partitions
+and chunks, each pass is one fold over them in order.  Then the exact
+budgets the rule promises: a selection confined to one partition costs
+the count and highlight passes only that partition's chunks, a scan on
+an open table never loads the manifest again, and a zoom answered from
+the map cache reads nothing.
 """
 
-import multiprocessing
 import os
 import tempfile
 from pathlib import Path
@@ -127,12 +128,12 @@ def _highlight(base, selection, n_selected):
     return explorer.highlight("r")
 
 
-def _check_against_memory(case, scan_jobs):
+def _check_against_memory(case, check_zones_and_nmi):
     table, partition_rows, chunk_rows, selection, tree = case
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp) / "s"
         write_store(table, root, chunk_rows=chunk_rows, partition_rows=partition_rows)
-        stored = StoredTable(root, scan_jobs=scan_jobs)
+        stored = StoredTable(root)
         expected = np.asarray(selection.mask(table), dtype=bool)
 
         mask = stored.scan_mask(selection)
@@ -148,6 +149,7 @@ def _check_against_memory(case, scan_jobs):
         assert _highlight(stored, selection, n_selected) == _highlight(
             table, selection, n_selected
         )
+        check_zones_and_nmi(stored, table, partition_rows)
 
 
 _relaxed = [HealthCheck.too_slow, HealthCheck.data_too_large]
@@ -155,14 +157,8 @@ _relaxed = [HealthCheck.too_slow, HealthCheck.data_too_large]
 
 @settings(max_examples=60, deadline=None, suppress_health_check=_relaxed)
 @given(case=_cases())
-def test_serial_passes_equal_the_memory_twin(case):
-    _check_against_memory(case, scan_jobs=None)
-
-
-@settings(max_examples=6, deadline=None, suppress_health_check=_relaxed)
-@given(case=_cases())
-def test_pooled_passes_equal_the_memory_twin(case):
-    _check_against_memory(case, scan_jobs=2)
+def test_serial_passes_equal_the_memory_twin(case, check_zones_and_nmi):
+    _check_against_memory(case, check_zones_and_nmi)
 
 
 # ----------------------------------------------------------------------
@@ -202,7 +198,7 @@ def _split_columns(tree):
 
 class TestReadBudgets:
     def test_count_pass_reads_one_partitions_chunks(self, store_root, table, tree):
-        stored = StoredTable(store_root, scan_jobs=None)
+        stored = StoredTable(store_root)
         mask = np.zeros(N_ROWS, dtype=bool)
         mask[200:300] = True  # exactly partition 2
         before = stored.data_reads
@@ -213,7 +209,7 @@ class TestReadBudgets:
         assert _counts(root) == _counts(_exact_regions(tree, table, mask, {}, {}))
 
     def test_count_pass_skips_chunks_inside_a_partition(self, store_root, tree):
-        stored = StoredTable(store_root, scan_jobs=None)
+        stored = StoredTable(store_root)
         mask = np.zeros(N_ROWS, dtype=bool)
         mask[205:215] = True  # one chunk of partition 2: rows [200, 230)
         before = stored.data_reads
@@ -222,14 +218,14 @@ class TestReadBudgets:
         assert root.n_rows == 10
 
     def test_empty_selection_reads_nothing(self, store_root, tree):
-        stored = StoredTable(store_root, scan_jobs=None)
+        stored = StoredTable(store_root)
         before = stored.data_reads
         root = _exact_regions(tree, stored, np.zeros(N_ROWS, dtype=bool), {}, {})
         assert stored.data_reads == before
         assert {r.n_rows for r in root.walk()} == {0}
 
     def test_highlight_reads_one_partitions_chunks(self, store_root, table):
-        stored = StoredTable(store_root, scan_jobs=None)
+        stored = StoredTable(store_root)
         selection = Between("row", 200.0, 299.0)  # zone maps keep partition 2
         before = stored.data_reads
         highlight = _highlight(stored, selection, 100)
@@ -280,37 +276,10 @@ class TestOneOpenTablePerScan:
         _highlight(stored, predicate, int(mask.sum()))
 
     def test_serial_scans_never_reopen(self, store_root, tree, opens):
-        stored = StoredTable(store_root, scan_jobs=None)
+        stored = StoredTable(store_root)
         assert sorted(event for _, event in opens()) == ["load", "validate"]
         self._all_passes(stored, tree)
         assert opens() == []
-
-    @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork",
-        reason="pool workers only inherit the counting patch when forked",
-    )
-    def test_pooled_scans_open_once_per_worker_process(self, store_root, tree, opens):
-        stored = StoredTable(store_root, scan_jobs=2)
-        opens()
-        serial = StoredTable(store_root, scan_jobs=None)
-        opens()
-        predicate = Comparison("x", ">", -10.0)
-        before = stored.data_reads
-        mask = stored.scan_mask(predicate)
-        events = opens()
-        # Four partition tasks over two workers: each worker process
-        # opened its store at most once, the parent not at all.
-        assert os.getpid() not in {pid for pid, _ in events}
-        per_worker = {}
-        for pid, event in events:
-            per_worker[pid, event] = per_worker.get((pid, event), 0) + 1
-        assert per_worker and set(per_worker.values()) == {1}
-        assert len({pid for pid, _ in events}) <= 2
-        # ... and the workers' reads are on the caller's budget.
-        reads = stored.data_reads - before
-        before = serial.data_reads
-        np.testing.assert_array_equal(mask, serial.scan_mask(predicate))
-        assert reads == serial.data_reads - before == 4 * CHUNKS_PER_PARTITION
 
 
 class TestZoomTrustsTheMap:
@@ -320,7 +289,7 @@ class TestZoomTrustsTheMap:
     def test_cached_zoom_performs_zero_data_reads(self, store_root):
         builder = MapBuilder(result_cache=LRUCache(max_size=64))
         first = Explorer(
-            StoredTable(store_root, scan_jobs=None),
+            StoredTable(store_root),
             config=self.CONFIG,
             map_builder=builder,
         )
@@ -331,7 +300,7 @@ class TestZoomTrustsTheMap:
 
         # Another session over a fresh handle of the same store: both
         # maps come from the cache, so no column is mapped or scanned.
-        revisit = StoredTable(store_root, scan_jobs=None)
+        revisit = StoredTable(store_root)
         second = Explorer(revisit, config=self.CONFIG, map_builder=builder)
         assert second.open_theme(self.THEME) is opened
         assert second.zoom(region.region_id) is zoomed
@@ -345,7 +314,7 @@ class TestZoomTrustsTheMap:
             count_mode="approximate",
             min_zoom_rows=N_ROWS + 1,
         )
-        stored = StoredTable(store_root, scan_jobs=None)
+        stored = StoredTable(store_root)
         explorer = Explorer(stored, config=config)
         opened = explorer.open_theme(self.THEME)
         assert opened.counts_status == "approximate"

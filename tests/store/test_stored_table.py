@@ -42,6 +42,14 @@ class TestIntrospection:
         assert stored.has_column("band")
         assert stored.residency == "store"
 
+    def test_scan_jobs_accepts_only_none(self, stored):
+        """Every pass runs serially; the keyword is kept for one caller
+        that still passes ``None``, and any width is a ``TypeError``."""
+        assert StoredTable(stored.root, scan_jobs=None).n_rows == stored.n_rows
+        assert not hasattr(stored, "scan_jobs")
+        with pytest.raises(TypeError, match="scan_jobs"):
+            StoredTable(stored.root, scan_jobs=2)
+
     def test_kind_without_io(self, stored):
         assert stored.kind("x") is ColumnKind.NUMERIC
         assert stored.kind("band") is ColumnKind.CATEGORICAL

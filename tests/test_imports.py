@@ -6,7 +6,7 @@ import names a declared dependency, no module-level import goes unused
 up into the serving layer.  The dynamic half runs fresh interpreters:
 ``import repro``, the CLI and the supervisor load no engine and no
 NumPy, importing every module loads no undeclared package, and a
-worker imports nothing new while it serves.
+worker imports nothing new while it serves and never a process pool.
 """
 
 from __future__ import annotations
@@ -284,7 +284,7 @@ class TestImportClosure:
 #: A worker's life in one interpreter: boot over the data as ``blaeu
 #: serve`` does, answer /healthz, then walk themes → open → zoom →
 #: project → highlight and print the ``repro`` modules first imported
-#: after boot.
+#: after boot, and the process-pool modules loaded at all.
 _WORKER = textwrap.dedent(
     """
     import asyncio, http.client, json, sys, threading
@@ -342,27 +342,41 @@ _WORKER = textwrap.dedent(
     state["loop"].call_soon_threadsafe(state["stop"].set)
     thread.join(30)
     new = set(sys.modules) - booted
-    print(json.dumps(sorted(name for name in new if name.startswith("repro"))))
+    pools = {"multiprocessing", "concurrent.futures.process"} & set(sys.modules)
+    print(json.dumps({
+        "new": sorted(name for name in new if name.startswith("repro")),
+        "pools": sorted(pools),
+    }))
     """
 )
 
 
-class TestRequestTimeImports:
-    @pytest.mark.parametrize("residency", ["store", "memory"])
-    def test_serving_imports_nothing_after_boot(self, tmp_path, residency):
-        from repro.datasets.synthetic import mixed_blobs
-        from repro.store.format import write_store
-        from repro.table.csv_io import write_csv
+@pytest.fixture(scope="module", params=["store", "memory"])
+def served(request, tmp_path_factory):
+    """What one worker's life over each residency reported."""
+    from repro.datasets.synthetic import mixed_blobs
+    from repro.store.format import write_store
+    from repro.table.csv_io import write_csv
 
-        table = mixed_blobs(n_rows=2_500, k=3, seed=61).table
-        if residency == "store":
-            data = tmp_path / "store"
-            write_store(table, data, chunk_rows=256, partition_rows=600)
-        else:
-            data = tmp_path / "mixed_blobs.csv"
-            write_csv(table, data)
-        new = _child("-c", _WORKER, str(data), table.name, timeout=180)
-        assert new == []
+    table = mixed_blobs(n_rows=2_500, k=3, seed=61).table
+    tmp_path = tmp_path_factory.mktemp(request.param)
+    if request.param == "store":
+        data = tmp_path / "store"
+        write_store(table, data, chunk_rows=256, partition_rows=600)
+    else:
+        data = tmp_path / "mixed_blobs.csv"
+        write_csv(table, data)
+    return _child("-c", _WORKER, str(data), table.name, timeout=180)
+
+
+class TestRequestTimeImports:
+    def test_serving_imports_nothing_after_boot(self, served):
+        assert served["new"] == []
+
+    def test_a_worker_never_loads_a_process_pool(self, served):
+        """Every partition pass is one serial fold in the serving
+        process: neither boot nor a walk may import a process pool."""
+        assert served["pools"] == []
 
 
 class TestLazyFacade:
