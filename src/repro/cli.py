@@ -137,7 +137,7 @@ def ingest_main(argv: list[str]) -> None:
         "--priority-seed",
         type=int,
         default=0,
-        help="seed of the persisted multi-scale sampling priorities "
+        help="seed of the persisted row-priority permutation "
         "(default %(default)s)",
     )
     parser.add_argument(

@@ -23,7 +23,6 @@ from repro.cluster.parallel import map_in_order, resolve_jobs
 from repro.cluster.silhouette import (
     SharedSilhouette,
     mean_silhouette,
-    monte_carlo_silhouette,
     silhouette_samples,
 )
 from repro.cluster.stages import (
@@ -33,11 +32,6 @@ from repro.cluster.stages import (
     leaf_silhouettes,
     shared_distance_matrix,
 )
-from repro.cluster.validation import (
-    adjusted_rand_index,
-    clustering_nmi,
-    purity,
-)
 
 __all__ = [
     "ClusterOutcome",
@@ -45,20 +39,16 @@ __all__ = [
     "Clustering",
     "KSelection",
     "SharedSilhouette",
-    "adjusted_rand_index",
     "clara",
     "cluster_features",
-    "clustering_nmi",
     "euclidean_distances",
     "gower_distances",
     "leaf_silhouettes",
     "manhattan_distances",
     "map_in_order",
     "mean_silhouette",
-    "monte_carlo_silhouette",
     "pairwise_distances",
     "pam",
-    "purity",
     "resolve_jobs",
     "select_k",
     "select_k_points",

@@ -5,7 +5,7 @@ region is, and it selects the number of clusters k.  Because the exact
 statistic is O(n²), the paper "computes the silhouette scores in a
 Monte-Carlo fashion: it extracts a few sub-samples from the user's
 selection, computes the clustering quality of those, and averages the
-results" (§3).  Both estimators live here, plus
+results" (§3).  Both estimators live here, in
 :class:`SharedSilhouette` — the structure k selection scores every
 candidate against: the distance matrices (full, or one per subsample)
 are computed **once per feature matrix** and reused across all k.
@@ -29,7 +29,6 @@ from repro.cluster.distance import pairwise_distances, validate_distance_matrix
 __all__ = [
     "silhouette_samples",
     "mean_silhouette",
-    "monte_carlo_silhouette",
     "SharedSilhouette",
 ]
 
@@ -67,48 +66,6 @@ def mean_silhouette(
     """The average silhouette width — the paper's model-selection score."""
     values = silhouette_samples(distances, labels, validate=validate)
     return float(values.mean()) if values.size else 0.0
-
-
-def cluster_silhouettes(
-    distances: np.ndarray, labels: np.ndarray
-) -> dict[int, float]:
-    """Mean silhouette per cluster (shown to users in the region panel)."""
-    values = silhouette_samples(distances, labels)
-    labels = np.asarray(labels)
-    return {
-        int(cluster): float(values[labels == cluster].mean())
-        for cluster in np.unique(labels)
-    }
-
-
-def monte_carlo_silhouette(
-    points: np.ndarray,
-    labels: np.ndarray,
-    n_subsamples: int = 8,
-    subsample_size: int = 200,
-    metric: str = "euclidean",
-    *,
-    rng: np.random.Generator,
-) -> float:
-    """Monte-Carlo estimate of the mean silhouette.
-
-    Draws ``n_subsamples`` random subsets of ``subsample_size`` points,
-    computes each subset's exact mean silhouette (over the subset's own
-    distance matrix), and averages.  Cost is
-    O(n_subsamples · subsample_size²) independent of n — this is the
-    estimator the paper uses at interaction time.
-
-    Subsamples whose points all share one label are skipped (their
-    silhouette is undefined); if every draw degenerates the result is 0.
-    """
-    shared = SharedSilhouette(
-        points,
-        n_subsamples=n_subsamples,
-        subsample_size=subsample_size,
-        metric=metric,
-        rng=rng,
-    )
-    return shared.score(labels)
 
 
 class SharedSilhouette:

@@ -43,7 +43,7 @@ class Blaeu:
     ) -> None:
         self._config = config or BlaeuConfig()
         self._config_digest = self._config.digest()
-        self._database = Database(seed=self._config.seed)
+        self._database = Database()
         #: Themes by table content and config, plus one lock per entry
         #: so concurrent first requests run a single extraction.
         self._themes: dict[tuple, ThemeSet] = {}
@@ -183,7 +183,6 @@ class Blaeu:
             table,
             config=self._config,
             themes=partial(self._resolve_themes, table),
-            map_cache=self._map_cache,
             graph_builder=self._graph_builder,
             map_builder=self._map_builder,
         )

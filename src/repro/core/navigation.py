@@ -205,11 +205,6 @@ class Explorer:
         access (the engine passes :meth:`Blaeu.themes`, so every session
         over a table shares one theme set).  Omitted, they are extracted
         on first access.
-    map_cache:
-        Optional shared result cache (``get(key)``/``put(key, value)``).
-        When set, maps for (table content, config, action path) triples
-        already built — by this session or any other sharing the cache —
-        are reused instead of re-clustered; the maps are the same.
     graph_builder:
         Optional shared :class:`~repro.graph.dependency.GraphBuilder`.
         When the engine passes its builder, theme extraction across all
@@ -221,8 +216,7 @@ class Explorer:
         the engine passes its builder, map construction across all
         sessions shares one staged pipeline (sample / feature-space /
         distance / clustering / description artifacts plus finished
-        maps); otherwise this session gets a private builder over
-        ``map_cache``.
+        maps); otherwise this session gets a private, uncached builder.
     """
 
     def __init__(
@@ -230,7 +224,6 @@ class Explorer:
         table: Table,
         config: BlaeuConfig | None = None,
         themes: ThemeSet | Callable[[], ThemeSet] | None = None,
-        map_cache: object | None = None,
         graph_builder: GraphBuilder | None = None,
         map_builder: MapBuilder | None = None,
     ) -> None:
@@ -245,29 +238,8 @@ class Explorer:
                 builder=self._graph_builder,
             )
         self._themes = themes
-        self._map_builder = map_builder or MapBuilder(result_cache=map_cache)
+        self._map_builder = map_builder or MapBuilder()
         self._stack: list[ExplorationState] = []
-        self._observers: list[object] = []
-
-    # ------------------------------------------------------------------
-    # Observers (navigation-trace recording)
-    # ------------------------------------------------------------------
-
-    def add_observer(self, observer) -> None:
-        """Register a ``(action, target)`` callback fired after each
-        completed navigation action (see :mod:`repro.guide.trace`)."""
-        self._observers.append(observer)
-
-    def remove_observer(self, observer) -> None:
-        """Detach a previously registered observer (no-op when absent)."""
-        try:
-            self._observers.remove(observer)
-        except ValueError:
-            pass
-
-    def _notify(self, action: str, target: str) -> None:
-        for observer in list(self._observers):
-            observer(action, target)
 
     # ------------------------------------------------------------------
     # Themes
@@ -354,25 +326,21 @@ class Explorer:
     def open_theme(self, theme: str | int | Theme) -> DataMap:
         """Select a theme and build the initial map over the whole table."""
         resolved = self._resolve_theme(theme)
-        data_map = self._push(
+        return self._push(
             selection=Everything(),
             columns=resolved.columns,
             action=f"open theme {resolved.name!r}",
         )
-        self._notify("open_theme", resolved.name)
-        return data_map
 
     def open_columns(self, columns: tuple[str, ...]) -> DataMap:
         """Build the initial map over an explicit column set."""
         for name in columns:
             self._table.column(name)
-        data_map = self._push(
+        return self._push(
             selection=Everything(),
             columns=tuple(columns),
             action=f"open columns {list(columns)}",
         )
-        self._notify("open_columns", ",".join(columns))
-        return data_map
 
     def zoom(self, region_id: str) -> DataMap:
         """Drill down into a region: re-cluster inside it (paper Fig. 1c).
@@ -394,38 +362,32 @@ class Explorer:
                 f"region {region_id!r} holds {n_rows} tuples; at least "
                 f"{self._config.min_zoom_rows} are needed to zoom"
             )
-        data_map = self._push(
+        return self._push(
             selection=new_selection,
             columns=state.columns,
             action=f"zoom into {region_id} ({region.label})",
         )
-        self._notify("zoom", region_id)
-        return data_map
 
     def project(self, theme: str | int | Theme) -> DataMap:
         """Re-map the current selection with another theme's columns (Fig. 1d)."""
         state = self.state
         resolved = self._resolve_theme(theme)
-        data_map = self._push(
+        return self._push(
             selection=state.selection,
             columns=resolved.columns,
             action=f"project onto theme {resolved.name!r}",
         )
-        self._notify("project", resolved.name)
-        return data_map
 
     def project_columns(self, columns: tuple[str, ...]) -> DataMap:
         """Re-map the current selection with an explicit column set."""
         state = self.state
         for name in columns:
             self._table.column(name)
-        data_map = self._push(
+        return self._push(
             selection=state.selection,
             columns=tuple(columns),
             action=f"project onto columns {list(columns)}",
         )
-        self._notify("project_columns", ",".join(columns))
-        return data_map
 
     def highlight(
         self,
@@ -464,7 +426,6 @@ class Explorer:
         if len(self._stack) < 2:
             raise RuntimeError("nothing to roll back to")
         self._stack.pop()
-        self._notify("rollback", "")
         return self.state.map
 
     # ------------------------------------------------------------------
@@ -515,7 +476,6 @@ class Explorer:
                 f"state {index} out of range [0, {len(self._stack)})"
             )
         del self._stack[index + 1 :]
-        self._notify("goto", str(index))
         return self.state.map
 
     def insights(self, region_id: str) -> "InsightReport":

@@ -65,7 +65,6 @@ from repro.core.config import BlaeuConfig
 from repro.core.datamap import DataMap, Region
 from repro.core.preprocess import FeatureSpace, preprocess
 from repro.obs.metrics import get_metrics
-from repro.obs.profile import profile_block
 from repro.obs.trace import get_tracer, note
 from repro.resilience.deadline import checkpoint
 from repro.resilience.faults import fault_point
@@ -264,8 +263,7 @@ class MapPipeline:
         """Run one stage through the per-run memo and the shared cache.
 
         Each cache-consulting or computing pass runs under a
-        ``stage.<name>`` span carrying the cache outcome, and the
-        computation itself sits inside the opt-in profiler hook.
+        ``stage.<name>`` span carrying the cache outcome.
         """
         if name in self._local:
             return self._local[name]
@@ -287,8 +285,7 @@ class MapPipeline:
                     if span.enabled:
                         span.set("cache_hit", True)
                     return hit
-            with profile_block("stage." + name):
-                value = compute()
+            value = compute()
             if self._cache is not None:
                 self._cache.put(key, value)
             seconds = time.perf_counter() - started
@@ -473,9 +470,7 @@ class MapPipeline:
             and sample_art.sample.n_rows < sample_art.n_selection
         )
         started = time.perf_counter()
-        with get_tracer().span("stage.count") as span, profile_block(
-            "stage.count"
-        ):
+        with get_tracer().span("stage.count") as span:
             if approximate:
                 root = _approximate_regions(
                     describe.tree,

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.datamap import DataMap
-from repro.table.predicates import And, Everything, Predicate
+from repro.table.predicates import And, Everything, Predicate, _quote_identifier
 from repro.table.table import Table
 
 __all__ = ["state_to_sql", "QuantizedQuery", "quantized_queries"]
@@ -26,12 +26,16 @@ def state_to_sql(
     selection: Predicate,
     columns: tuple[str, ...],
 ) -> str:
-    """Render an exploration state as the query it denotes."""
+    """Render an exploration state as the query it denotes.
+
+    This is the one place a Select–Project query becomes SQL text; its
+    identifiers are quoted exactly as the predicates quote theirs.
+    """
     if columns:
-        select_list = ", ".join(f'"{c}"' for c in columns)
+        select_list = ", ".join(_quote_identifier(c) for c in columns)
     else:
         select_list = "*"
-    sql = f'SELECT {select_list} FROM "{table_name}"'
+    sql = f"SELECT {select_list} FROM {_quote_identifier(table_name)}"
     where = selection.to_sql()
     if where != "TRUE":
         sql += f" WHERE {where}"

@@ -6,28 +6,17 @@ LOFAR radio-astronomy catalog (100,000s × dozens).  None of those files
 ship with the paper, so this package generates seeded synthetic tables
 matching their published shapes, mixed types, missing-value rates and —
 crucially for evaluation — with *planted* themes and clusters whose
-recovery ``tests/paper/`` scores.
+recovery ``tests/paper/`` scores.  (The generic generators with known
+ground truth that the tests build their tables from live under
+``tests/``.)
 """
 
 from repro.datasets.hollywood import hollywood
 from repro.datasets.lofar import lofar
-from repro.datasets.oecd import oecd, oecd_small
-from repro.datasets.synthetic import (
-    PlantedClusters,
-    PlantedThemes,
-    mixed_blobs,
-    numeric_blobs,
-    planted_themes,
-)
+from repro.datasets.oecd import oecd
 
 __all__ = [
-    "PlantedClusters",
-    "PlantedThemes",
     "hollywood",
     "lofar",
-    "mixed_blobs",
-    "numeric_blobs",
     "oecd",
-    "oecd_small",
-    "planted_themes",
 ]

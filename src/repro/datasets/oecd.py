@@ -32,7 +32,6 @@ from repro.table.table import Table
 
 __all__ = [
     "oecd",
-    "oecd_small",
     "COUNTRIES",
     "LONG_HOURS_COUNTRIES",
     "HIGH_INCOME_COUNTRIES",
@@ -245,23 +244,6 @@ def oecd(
         )
 
     return Table(name, columns)
-
-
-def oecd_small(
-    n_rows: int = 900,
-    seed: int = 1961,
-    name: str = "countries_small",
-) -> Table:
-    """A fast variant for tests: same planted structure, 42 columns."""
-    return oecd(
-        n_rows=n_rows,
-        n_regions=220,
-        n_extra_groups=3,
-        extra_group_width=8,
-        n_misc=3,
-        seed=seed,
-        name=name,
-    )
 
 
 def _holes(

@@ -9,17 +9,12 @@ partitions it with PAM over the induced dissimilarity.
 """
 
 from repro.graph.codes import CodeCache
-from repro.graph.dependency import (
-    DependencyGraph,
-    GraphBuilder,
-    build_dependency_graph,
-)
+from repro.graph.dependency import DependencyGraph, GraphBuilder
 from repro.graph.partition import pam_partition
 
 __all__ = [
     "CodeCache",
     "DependencyGraph",
     "GraphBuilder",
-    "build_dependency_graph",
     "pam_partition",
 ]

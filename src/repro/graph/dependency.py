@@ -49,7 +49,6 @@ from repro.table.table import Table
 __all__ = [
     "DependencyGraph",
     "GraphBuilder",
-    "build_dependency_graph",
     "DEFAULT_GRAPH_SEED",
     "DEFAULT_BIN_SAMPLE_SIZE",
 ]
@@ -199,10 +198,39 @@ class GraphBuilder:
     ) -> DependencyGraph:
         """Compute (or recall) the dependency graph of (part of) a table.
 
-        Parameters mirror :func:`build_dependency_graph`;
-        ``row_indices`` restricts the build to those base-table rows —
-        the navigation path, where a zoomed selection's graph reuses
-        the base table's cached codes.
+        Parameters
+        ----------
+        table:
+            Source table — in-memory or store-backed.
+        columns:
+            Vertices; defaults to every column.  Key columns should
+            already be excluded by the caller (the engine drops them
+            before calling).
+        measure:
+            ``nmi`` (paper's choice — handles mixed types and non-linear
+            relationships), or ``pearson`` / ``spearman`` (numeric
+            columns only; categorical pairs get weight 0).
+        n_bins:
+            Discretization override for the NMI estimator.
+        sample:
+            Estimate from a uniform sample of this many rows (the
+            engine's interaction-time path for large tables).  The
+            sample is drawn from a generator seeded by the graph's
+            content key, so repeated builds agree.
+        seed:
+            Root seed: part of the content key, and the seed of the
+            deterministic bin-cut sample; defaults to the engine-wide
+            root (:data:`DEFAULT_GRAPH_SEED`).
+        row_indices:
+            Restrict the build to these base-table rows — the navigation
+            path, where a zoomed selection's graph reuses the base
+            table's cached codes; sampling applies within them.
+        n_jobs:
+            Thread fan-out of the batched NMI kernel, which sampled and
+            row-restricted builds run (``None``/1 serial, 0 all cores);
+            results are identical at any setting.
+        bin_sample_size:
+            Rows in the deterministic bin-cut sample.
         """
         names = (
             tuple(columns) if columns is not None else tuple(table.column_names)
@@ -401,74 +429,6 @@ class GraphBuilder:
         grid = np.ix_(numeric, numeric)
         weights[grid] = correlation
         return weights
-
-def build_dependency_graph(
-    table: Table,
-    columns: Sequence[str] | None = None,
-    measure: Measure = "nmi",
-    n_bins: int | None = None,
-    sample: int | None = None,
-    seed: int = DEFAULT_GRAPH_SEED,
-    row_indices: np.ndarray | None = None,
-    n_jobs: int | None = None,
-    bin_sample_size: int = DEFAULT_BIN_SAMPLE_SIZE,
-    code_cache: CodeCache | None = None,
-    cache: object | None = None,
-) -> DependencyGraph:
-    """Compute the dependency graph of (a sample of) a table.
-
-    A convenience front over :class:`GraphBuilder` for one-shot builds;
-    long-lived callers (the engine, the service) hold a builder instead
-    so codes and finished graphs are reused across calls.
-
-    Parameters
-    ----------
-    table:
-        Source table — in-memory or store-backed.
-    columns:
-        Vertices; defaults to every column.  Key columns should already be
-        excluded by the caller (the engine drops them before calling).
-    measure:
-        ``nmi`` (paper's choice — handles mixed types and non-linear
-        relationships), or ``pearson`` / ``spearman`` (numeric columns
-        only; categorical pairs get weight 0).
-    n_bins:
-        Discretization override for the NMI estimator.
-    sample:
-        Estimate from a uniform sample of this many rows (the engine's
-        interaction-time path for large tables).  The sample is drawn
-        from a generator seeded by the graph's content key (see
-        :class:`GraphBuilder`), so repeated builds agree.
-    seed:
-        Root seed: part of the content key, and the seed of the
-        deterministic bin-cut sample; defaults to the engine-wide root
-        (:data:`DEFAULT_GRAPH_SEED`).
-    row_indices:
-        Restrict the build to these base-table rows (a navigation
-        selection); sampling applies within them.
-    n_jobs:
-        Thread fan-out of the batched NMI kernel, which sampled and
-        row-restricted builds run (``None``/1 serial, 0 all cores);
-        results are identical at any setting.
-    bin_sample_size:
-        Rows in the deterministic bin-cut sample.
-    code_cache / cache:
-        Optional column-code cache and graph result cache (see
-        :class:`GraphBuilder`).
-    """
-    builder = GraphBuilder(result_cache=cache, code_cache=code_cache)
-    return builder.build(
-        table,
-        columns,
-        measure=measure,
-        n_bins=n_bins,
-        sample=sample,
-        seed=seed,
-        row_indices=row_indices,
-        n_jobs=n_jobs,
-        bin_sample_size=bin_sample_size,
-    )
-
 
 # ----------------------------------------------------------------------
 # Module internals

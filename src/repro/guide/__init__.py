@@ -3,8 +3,7 @@
 The guide layer closes the loop the paper leaves open: Blaeu *navigates*
 (zoom, project, rollback) but never *suggests*.  Here the system ranks
 the candidate next actions from signals it already computes
-(:mod:`repro.guide.recommend`), records and replays real navigation
-streams (:mod:`repro.guide.trace`), and — because the ranked list is
+(:mod:`repro.guide.recommend`), and — because the ranked list is
 deterministic — speculatively builds the top suggestions into the
 shared cache through idle pool slots (:mod:`repro.guide.prefetch`), so
 the user's likely next click is a warm hit.
@@ -25,26 +24,16 @@ from repro.guide.recommend import (
     suggest_actions,
     suggestion_request,
 )
-from repro.guide.trace import (
-    NavigationTrace,
-    TraceRecorder,
-    TraceStep,
-    replay_trace,
-)
 
 __all__ = [
     "MAX_INSIGHT_ROWS",
-    "NavigationTrace",
     "PrefetchAction",
     "PrefetchScheduler",
     "Suggestion",
-    "TraceRecorder",
-    "TraceStep",
     "initial_suggestions",
     "plan_session",
     "plan_table",
     "prefetch_actions",
-    "replay_trace",
     "score_state",
     "suggest_actions",
     "suggestion_request",

@@ -1,4 +1,4 @@
-"""repro.obs — tracing, unified metrics, and profiling hooks.
+"""repro.obs — tracing and unified metrics.
 
 The observability subsystem sits at the bottom of the layering
 (stdlib-only, no engine imports), so the service, pipeline, cluster,
@@ -9,9 +9,7 @@ graph and store layers can all record into it without cycles:
   and the structured-line helpers;
 * :mod:`repro.obs.metrics` — the process-global metric registry
   (counters, gauges, named and per-route histograms) rendered at
-  ``/metrics``;
-* :mod:`repro.obs.profile` — the opt-in sampling profiler hooked
-  around stage execution.
+  ``/metrics``.
 """
 
 from repro.obs.metrics import (
@@ -22,13 +20,6 @@ from repro.obs.metrics import (
     get_metrics,
     reset_metrics,
     set_global_metrics,
-)
-from repro.obs.profile import (
-    SamplingProfiler,
-    disable_profiling,
-    enable_profiling,
-    get_profiler,
-    profile_block,
 )
 from repro.obs.trace import (
     NULL_SPAN,
@@ -49,21 +40,16 @@ __all__ = [
     "Histogram",
     "Metrics",
     "NULL_SPAN",
-    "SamplingProfiler",
     "Span",
     "Tracer",
     "collect_notes",
     "configure_tracing",
     "current_span",
-    "disable_profiling",
-    "enable_profiling",
     "escape_label_value",
     "format_fields",
     "get_metrics",
-    "get_profiler",
     "get_tracer",
     "note",
-    "profile_block",
     "render_trace",
     "reset_metrics",
     "set_global_metrics",

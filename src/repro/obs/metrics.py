@@ -94,8 +94,10 @@ def escape_label_value(value: str) -> str:
     """Make an untrusted string safe to use as a label value.
 
     Escapes backslashes, double quotes and newlines per the exposition
-    format — the serving layer runs raw request paths through this
-    before using them as route labels.
+    format.  Every label the serving layer records today is a fixed
+    string (an unmatched request path becomes
+    :func:`repro.service.routes.unknown_label`), so nothing calls this
+    yet; a label built from request input must go through it first.
     """
     return (
         str(value)

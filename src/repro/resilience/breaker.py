@@ -22,7 +22,7 @@ from typing import Callable
 
 from repro.obs.metrics import get_metrics
 
-__all__ = ["BreakerOpenError", "BreakerStats", "CircuitBreaker"]
+__all__ = ["BreakerStats", "CircuitBreaker"]
 
 CLOSED = "closed"
 OPEN = "open"
@@ -30,10 +30,6 @@ HALF_OPEN = "half_open"
 
 #: Gauge encoding used by /metrics: closed=0, half_open=1, open=2.
 STATE_CODES = {CLOSED: 0, HALF_OPEN: 1, OPEN: 2}
-
-
-class BreakerOpenError(RuntimeError):
-    """Raised by :meth:`CircuitBreaker.acquire` while the breaker is open."""
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,6 @@ __all__ = [
     "FaultInjector",
     "FaultSpec",
     "InjectedFault",
-    "clear_faults",
     "corrupt_bytes",
     "fault_point",
     "faults_from_env",
@@ -165,19 +164,18 @@ def faults_from_env() -> FaultInjector | None:
     return parse_faults(payload)
 
 
-def install_faults(injector: FaultInjector) -> FaultInjector:
+def install_faults(injector: FaultInjector | None) -> FaultInjector | None:
+    """Install ``injector`` in this process (``None`` uninstalls it).
+
+    The in-process twin of ``BLAEU_FAULTS``, which a process reads once:
+    a chaos test arms (and disarms) the serving process's own fault
+    points here, overriding the environment from then on.
+    """
     global _INJECTOR, _ENV_CHECKED
     with _INSTALL_LOCK:
         _INJECTOR = injector
         _ENV_CHECKED = True
     return injector
-
-
-def clear_faults() -> None:
-    global _INJECTOR, _ENV_CHECKED
-    with _INSTALL_LOCK:
-        _INJECTOR = None
-        _ENV_CHECKED = True
 
 
 def active_injector() -> FaultInjector | None:

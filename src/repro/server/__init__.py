@@ -10,6 +10,6 @@ sockets are opened — the protocol is exercised in process, which is how
 the Figure 4 stack end to end.
 
 The entry points live in the submodules (:mod:`repro.server.protocol`,
-:mod:`repro.server.session`, :mod:`repro.server.persistence`);
+:mod:`repro.server.session`);
 :mod:`repro.service` re-exports them next to the HTTP tier.
 """

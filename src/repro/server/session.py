@@ -63,12 +63,6 @@ class SessionManager:
         self._counter = 0
         self._lock = threading.RLock()
         self._reserved: set[str] = set()
-        self._trace_recorder = None
-
-    def set_trace_recorder(self, recorder) -> None:
-        """Attach a :class:`~repro.guide.trace.TraceRecorder` to every
-        session opened from now on (``None`` stops recording)."""
-        self._trace_recorder = recorder
 
     @property
     def engine(self) -> Blaeu:
@@ -164,8 +158,6 @@ class SessionManager:
             self._reserved.add(session_id)
         try:
             explorer = self._engine.explore(table)
-            if self._trace_recorder is not None:
-                self._trace_recorder.attach(explorer, session_id)
             theme = request.arg("theme")
             if isinstance(theme, int):
                 data_map = explorer.open_theme(theme)

@@ -3,47 +3,28 @@
 The paper builds its dependency graph from pairwise column dependencies
 and picks mutual information "because it is very flexible: it copes with
 mixed values and it is sensitive to non-linear relationships" (§3).  This
-package implements that estimator (via discretization) together with the
-alternatives the paper mentions (correlation coefficients) and the
-normalization utilities the preprocessing stage needs.
+package implements that estimator (via discretization, all pairs at once
+in :mod:`repro.stats.batched`) together with the alternative the paper
+mentions (correlation coefficients, all pairs at once) and the
+normalization the preprocessing stage needs.  The one-pair-at-a-time
+scalar estimators the batched kernels are checked against are test
+oracles, kept under ``tests/``.
 """
 
 from repro.stats.batched import (
     ColumnCodes,
     StreamingPairwiseNMI,
-    encode_table,
     pairwise_nmi_matrix,
 )
-from repro.stats.correlation import pearson, spearman
+from repro.stats.correlation import pairwise_correlation_matrix
 from repro.stats.discretize import (
     BinningRule,
     apply_bin_cuts,
-    discretize_column,
-    equal_frequency_bins,
     equal_frequency_cuts,
-    equal_width_bins,
-    equal_width_cuts,
     suggest_bin_count,
 )
-from repro.stats.entropy import (
-    c_log_c,
-    conditional_entropy,
-    entropies_from_sums,
-    entropy_from_counts,
-    joint_entropy,
-    shannon_entropy,
-)
-from repro.stats.mutual_info import (
-    column_dependency,
-    mutual_information,
-    normalized_mutual_information,
-    pairwise_dependencies,
-)
-from repro.stats.normalize import (
-    minmax_scale,
-    robust_scale,
-    zscore,
-)
+from repro.stats.entropy import c_log_c, entropies_from_sums
+from repro.stats.normalize import zscore
 
 __all__ = [
     "BinningRule",
@@ -51,26 +32,10 @@ __all__ = [
     "StreamingPairwiseNMI",
     "apply_bin_cuts",
     "c_log_c",
-    "column_dependency",
-    "conditional_entropy",
-    "discretize_column",
-    "encode_table",
     "entropies_from_sums",
-    "entropy_from_counts",
-    "equal_frequency_bins",
     "equal_frequency_cuts",
-    "equal_width_bins",
-    "equal_width_cuts",
-    "joint_entropy",
-    "minmax_scale",
-    "mutual_information",
-    "normalized_mutual_information",
-    "pairwise_dependencies",
+    "pairwise_correlation_matrix",
     "pairwise_nmi_matrix",
-    "pearson",
-    "robust_scale",
-    "shannon_entropy",
-    "spearman",
     "suggest_bin_count",
     "zscore",
 ]

@@ -1,7 +1,7 @@
 """Batched all-pairs NMI via fused-code contingency counting.
 
-The scalar path (:mod:`repro.stats.mutual_info`) walks an O(m²) Python
-pair loop, paying several full-column passes per pair.  This module
+A scalar estimator walks an O(m²) Python pair loop, paying several
+full-column passes per pair.  This module
 computes the same normalized-mutual-information weights as a *batched
 kernel* built on one trick: the joint distribution of two code vectors
 ``(x, y)`` with cardinalities ``(n_x, n_y)`` is a single ``bincount`` of
@@ -18,10 +18,9 @@ reshape to a dense ``(pairs, n_x+1, n_y+1)`` array, and every entropy in
 the block is evaluated with vectorized reductions
 (:func:`repro.stats.entropy.entropies_from_sums`) — no per-pair Python.
 
-Three entry points:
+Two entry points, both over :class:`ColumnCodes` (every column
+factorized once into a dense int32 code matrix, missing = ``-1``):
 
-* :func:`encode_table` — factorize every column once into a dense int32
-  code matrix (missing = ``-1``);
 * :func:`pairwise_nmi_matrix` — the in-memory kernel, with an
   ``n_jobs`` thread fan-out over left columns (results are identical
   at any worker count);
@@ -29,8 +28,8 @@ Three entry points:
   contingencies accumulated chunk by chunk, so a store-backed table's
   graph never materializes full columns.
 
-All weights agree with the scalar reference
-(:func:`repro.stats.mutual_info.column_dependency`) to ``atol 1e-12``
+All weights agree with the scalar reference (the one-pair plug-in
+estimator the tests hold as their oracle) to ``atol 1e-12``
 on identical codes; the only divergence source is the
 ``ln N − (Σ c·ln c)/N`` entropy form, which differs from the scalar
 ``−Σ p·ln p`` by a few ulp.
@@ -44,18 +43,17 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.cluster.parallel import map_in_order
-from repro.stats.discretize import discretize_column
 from repro.stats.entropy import c_log_c, entropies_from_sums
-from repro.stats.mutual_info import MIN_COMPLETE_ROWS
-from repro.table.column import CategoricalColumn
-from repro.table.table import Table
 
 __all__ = [
     "ColumnCodes",
-    "encode_table",
     "pairwise_nmi_matrix",
     "StreamingPairwiseNMI",
 ]
+
+#: Below this many pairwise-complete rows an NMI estimate is unreliable
+#: and reported as 0 (no evidence of dependency).
+MIN_COMPLETE_ROWS = 8
 
 #: Upper bound on fused-array elements per block (per worker thread).
 _FUSED_BUDGET = 1 << 21
@@ -122,33 +120,6 @@ class ColumnCodes:
             codes=self.codes[:, indices],
             n_codes=self.n_codes,
         )
-
-
-def encode_table(
-    table: Table,
-    columns: Sequence[str] | None = None,
-    n_bins: int | None = None,
-) -> ColumnCodes:
-    """Factorize ``columns`` of ``table`` once into a code matrix.
-
-    Categorical columns pass their codes through (cardinality = the
-    category list); numeric columns are discretized exactly like the
-    scalar reference (:func:`repro.stats.discretize.discretize_column`).
-    """
-    names = tuple(columns) if columns is not None else table.column_names
-    matrix = np.empty((len(names), table.n_rows), dtype=np.int32)
-    cardinalities: list[int] = []
-    for row, name in enumerate(names):
-        column = table.column(name)
-        codes = discretize_column(column, n_bins=n_bins)
-        matrix[row] = codes
-        if isinstance(column, CategoricalColumn):
-            cardinalities.append(len(column.categories))
-        else:
-            cardinalities.append(int(codes.max(initial=-1)) + 1)
-    return ColumnCodes(
-        names=names, codes=matrix, n_codes=tuple(cardinalities)
-    )
 
 
 def pairwise_nmi_matrix(

@@ -2,8 +2,9 @@
 as alternatives to mutual information ("we could have used any function
 from the literature, such as the correlation coefficient", §3).
 
-Both estimators drop pairwise-incomplete rows and return 0 for degenerate
-inputs (constant vectors, too few rows), matching the MI module's "no
+Pearson's and Spearman's r are computed for all column pairs at once.
+Both drop pairwise-incomplete rows and return 0 for degenerate inputs
+(constant vectors, too few rows), matching the NMI kernel's "no
 evidence" convention so the dependency graph can swap measures freely.
 """
 
@@ -11,9 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.table.column import NumericColumn
-
-__all__ = ["pearson", "spearman", "pairwise_correlation_matrix"]
+__all__ = ["pairwise_correlation_matrix"]
 
 #: Below this many pairwise-complete rows a correlation is reported as 0.
 MIN_COMPLETE_ROWS = 3
@@ -30,11 +29,11 @@ def pairwise_correlation_matrix(
     matrix multiplications — the vectorized replacement for the
     dependency graph's per-pair Python loop.  Degenerate pairs (fewer
     than :data:`MIN_COMPLETE_ROWS` complete rows, or zero variance on
-    either side) get 0, matching :func:`pearson`.
+    either side) get 0, matching the one-pair Pearson r.
 
     With ``rank=True``, each column is mid-ranked once over its present
     rows before correlating (casewise ranks with pairwise deletion).
-    This differs from :func:`spearman` — which re-ranks each pair's
+    This differs from a one-pair Spearman r — which re-ranks each pair's
     complete rows from scratch — only when missing patterns differ
     between columns; on complete data the two agree.
     """
@@ -73,51 +72,6 @@ def pairwise_correlation_matrix(
         (n >= MIN_COMPLETE_ROWS) & (variance_x > 0.0) & (variance_x.T > 0.0)
     )
     return np.clip(np.where(ok, r, 0.0), -1.0, 1.0)
-
-
-def pearson(x: np.ndarray, y: np.ndarray) -> float:
-    """Pearson's r between two float vectors (NaN-aware, in ``[-1, 1]``)."""
-    x, y = _complete_pairs(x, y)
-    if x.size < MIN_COMPLETE_ROWS:
-        return 0.0
-    x_centered = x - x.mean()
-    y_centered = y - y.mean()
-    denominator = np.sqrt((x_centered**2).sum() * (y_centered**2).sum())
-    if denominator == 0.0:
-        return 0.0
-    r = float((x_centered * y_centered).sum() / denominator)
-    return float(np.clip(r, -1.0, 1.0))
-
-
-def spearman(x: np.ndarray, y: np.ndarray) -> float:
-    """Spearman's rank correlation (Pearson over mid-ranks)."""
-    x, y = _complete_pairs(x, y)
-    if x.size < MIN_COMPLETE_ROWS:
-        return 0.0
-    return pearson(_midranks(x), _midranks(y))
-
-
-def column_correlation(a: NumericColumn, b: NumericColumn, rank: bool = False) -> float:
-    """Absolute correlation between two numeric columns.
-
-    The dependency graph needs a symmetric non-negative weight, so the
-    sign is dropped; ``rank=True`` switches to Spearman.
-    """
-    if len(a) != len(b):
-        raise ValueError(
-            f"columns {a.name!r} and {b.name!r} have different lengths"
-        )
-    measure = spearman if rank else pearson
-    return abs(measure(a.values, b.values))
-
-
-def _complete_pairs(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ValueError(f"length mismatch: {x.shape[0]} vs {y.shape[0]}")
-    complete = ~(np.isnan(x) | np.isnan(y))
-    return x[complete], y[complete]
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:

@@ -1,11 +1,13 @@
 """Discretization of numeric columns for entropy-based estimators.
 
 Mutual information over mixed data requires a discrete representation of
-continuous columns.  We provide the two classic binning schemes plus the
-standard bin-count rules; the dependency graph uses equal-frequency bins
-by default because MI estimates from equal-frequency bins are far less
-sensitive to outliers and skew (heavy-tailed indicators are common in the
-paper's OECD data).
+continuous columns.  The dependency graph bins numeric columns into
+equal-frequency bins, because MI estimates from equal-frequency bins are
+far less sensitive to outliers and skew (heavy-tailed indicators are
+common in the paper's OECD data).  A binning is kept as its interior
+cut points (:func:`equal_frequency_cuts`, drawn from a sample) and
+applied to any rows later (:func:`apply_bin_cuts`); the bin count
+follows one of the standard rules (:func:`suggest_bin_count`).
 """
 
 from __future__ import annotations
@@ -15,17 +17,11 @@ from enum import Enum
 
 import numpy as np
 
-from repro.table.column import CategoricalColumn, Column, NumericColumn
-
 __all__ = [
     "BinningRule",
     "suggest_bin_count",
-    "equal_width_cuts",
     "equal_frequency_cuts",
     "apply_bin_cuts",
-    "equal_width_bins",
-    "equal_frequency_bins",
-    "discretize_column",
 ]
 
 #: Code assigned to missing cells in discretized output.
@@ -53,27 +49,6 @@ def suggest_bin_count(
     else:
         bins = int(math.ceil(math.sqrt(n)))
     return max(1, min(bins, max_bins))
-
-
-def equal_width_cuts(values: np.ndarray, n_bins: int) -> np.ndarray:
-    """Interior cut points of ``n_bins`` equal-width intervals over ``values``.
-
-    Cut points are the separable representation of a binning: a value's
-    code is ``searchsorted(cuts, value, side="right")`` (see
-    :func:`apply_bin_cuts`), which lets cuts derived from one row set —
-    a persisted sample, say — encode any other rows later, chunk by
-    chunk.  A constant (or empty) input yields no cuts: a single bin.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    _require_finite(values)
-    if n_bins < 1:
-        raise ValueError(f"n_bins must be >= 1, got {n_bins}")
-    if values.size == 0:
-        return np.empty(0, dtype=np.float64)
-    low, high = float(values.min()), float(values.max())
-    if low == high:
-        return np.empty(0, dtype=np.float64)
-    return np.linspace(low, high, n_bins + 1)[1:-1]
 
 
 def equal_frequency_cuts(values: np.ndarray, n_bins: int) -> np.ndarray:
@@ -105,66 +80,6 @@ def apply_bin_cuts(values: np.ndarray, cuts: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     cuts = np.asarray(cuts, dtype=np.float64)
     return np.searchsorted(cuts, values, side="right").astype(np.int32)
-
-
-def equal_width_bins(values: np.ndarray, n_bins: int) -> np.ndarray:
-    """Assign each value to one of ``n_bins`` equal-width intervals.
-
-    ``values`` must be free of NaN.  Returns int codes in ``[0, n_bins)``.
-    A constant column collapses to a single bin.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        if n_bins < 1:
-            raise ValueError(f"n_bins must be >= 1, got {n_bins}")
-        return np.empty(0, dtype=np.int32)
-    return apply_bin_cuts(values, equal_width_cuts(values, n_bins))
-
-
-def equal_frequency_bins(values: np.ndarray, n_bins: int) -> np.ndarray:
-    """Assign each value to one of ``n_bins`` (approximately) equal-count bins.
-
-    Ties at quantile boundaries go to the lower bin, so heavily repeated
-    values can make bins uneven; duplicate edges are merged.  Returns int
-    codes in ``[0, effective_bins)``.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        if n_bins < 1:
-            raise ValueError(f"n_bins must be >= 1, got {n_bins}")
-        return np.empty(0, dtype=np.int32)
-    return apply_bin_cuts(values, equal_frequency_cuts(values, n_bins))
-
-
-def discretize_column(
-    column: Column,
-    n_bins: int | None = None,
-    rule: BinningRule = BinningRule.STURGES,
-    equal_frequency: bool = True,
-) -> np.ndarray:
-    """Integer codes for any column; missing cells get :data:`MISSING_BIN`.
-
-    Categorical columns pass through their codes unchanged; numeric columns
-    are binned (equal-frequency by default).
-    """
-    if isinstance(column, CategoricalColumn):
-        return column.codes.astype(np.int32)
-    if not isinstance(column, NumericColumn):
-        raise TypeError(f"unsupported column type {type(column).__name__}")
-
-    codes = np.full(len(column), MISSING_BIN, dtype=np.int32)
-    present = column.present_mask
-    present_values = column.values[present]
-    if present_values.size == 0:
-        return codes
-    if n_bins is None:
-        n_bins = suggest_bin_count(present_values.size, rule)
-    if equal_frequency:
-        binned = equal_frequency_bins(present_values, n_bins)
-    else:
-        binned = equal_width_bins(present_values, n_bins)
-    codes[present] = binned
-    return codes
 
 
 def _require_finite(values: np.ndarray) -> None:

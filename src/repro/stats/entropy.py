@@ -1,59 +1,16 @@
-"""Shannon entropy estimators over discrete codes.
+"""Batched Shannon entropy over contingency segments.
 
-All estimators are plug-in (maximum likelihood) estimators in **nats**,
-computed from contingency counts.  They are the building blocks of the
-mutual-information measure that weights Blaeu's dependency graph.
+Plug-in (maximum likelihood) entropies in **nats**, computed from
+contingency counts many segments at a time.  They are the building
+blocks of the mutual-information measure that weights Blaeu's
+dependency graph (:mod:`repro.stats.batched`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "entropy_from_counts",
-    "shannon_entropy",
-    "joint_entropy",
-    "conditional_entropy",
-    "c_log_c",
-    "entropies_from_sums",
-]
-
-
-def entropy_from_counts(counts: np.ndarray) -> float:
-    """Entropy (nats) of the empirical distribution given by ``counts``."""
-    counts = np.asarray(counts, dtype=np.float64).ravel()
-    if np.any(counts < 0):
-        raise ValueError("counts must be non-negative")
-    total = counts.sum()
-    if total <= 0:
-        return 0.0
-    probabilities = counts[counts > 0] / total
-    return float(-(probabilities * np.log(probabilities)).sum())
-
-
-def shannon_entropy(codes: np.ndarray) -> float:
-    """Entropy (nats) of a vector of non-negative integer codes."""
-    codes = _validated(codes)
-    if codes.size == 0:
-        return 0.0
-    return entropy_from_counts(np.bincount(codes))
-
-
-def joint_entropy(x: np.ndarray, y: np.ndarray) -> float:
-    """Entropy (nats) of the joint distribution of two code vectors."""
-    x = _validated(x)
-    y = _validated(y)
-    if x.shape != y.shape:
-        raise ValueError(f"length mismatch: {x.shape[0]} vs {y.shape[0]}")
-    if x.size == 0:
-        return 0.0
-    joint = _joint_counts(x, y)
-    return entropy_from_counts(joint)
-
-
-def conditional_entropy(x: np.ndarray, given: np.ndarray) -> float:
-    """``H(X | Y)`` in nats: the residual uncertainty of ``x`` given ``given``."""
-    return joint_entropy(x, given) - shannon_entropy(given)
+__all__ = ["c_log_c", "entropies_from_sums"]
 
 
 def c_log_c(counts: np.ndarray) -> np.ndarray:
@@ -74,7 +31,7 @@ def entropies_from_sums(
     """Plug-in entropies (nats) from segment totals and ``Σ c·ln(c)`` sums.
 
     Uses the identity ``H = ln(N) − (Σ c·ln c) / N`` (with ``H = 0`` for
-    empty segments), which agrees with :func:`entropy_from_counts` to a
+    empty segments), which agrees with the ``−Σ p·ln p`` form to a
     few ulp — the batched kernel's tolerance contract is ``atol 1e-12``
     against the scalar estimators, not bit-equality.
 
@@ -92,22 +49,3 @@ def entropies_from_sums(
     return np.where(
         (totals > 0) & (entropies > 1e-12), entropies, 0.0
     )
-
-
-def _joint_counts(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Contingency counts of the paired codes, as a flat array."""
-    n_y = int(y.max()) + 1 if y.size else 1
-    paired = x.astype(np.int64) * n_y + y.astype(np.int64)
-    return np.bincount(paired)
-
-
-def _validated(codes: np.ndarray) -> np.ndarray:
-    codes = np.asarray(codes)
-    if codes.ndim != 1:
-        raise ValueError("codes must be one-dimensional")
-    if codes.size and codes.min() < 0:
-        raise ValueError(
-            "codes must be non-negative; drop missing cells before "
-            "computing entropies"
-        )
-    return codes.astype(np.int64)

@@ -2,7 +2,7 @@
 
 Blaeu "normalizes the continuous variables" before clustering (§3) so
 that no indicator dominates the distance computations by unit alone.
-All scalers are NaN-transparent: missing cells stay NaN and statistics
+The z-score is NaN-transparent: missing cells stay NaN and statistics
 are computed over present cells only.
 """
 
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["zscore", "minmax_scale", "robust_scale", "ScalerStats"]
+__all__ = ["zscore", "ScalerStats"]
 
 
 @dataclass(frozen=True)
@@ -47,33 +47,4 @@ def zscore(values: np.ndarray) -> tuple[np.ndarray, ScalerStats]:
         stats = ScalerStats(
             center=float(present.mean()), scale=float(present.std())
         )
-    return stats.apply(values), stats
-
-
-def minmax_scale(values: np.ndarray) -> tuple[np.ndarray, ScalerStats]:
-    """Map the present range onto ``[0, 1]``."""
-    values = np.asarray(values, dtype=np.float64)
-    present = values[~np.isnan(values)]
-    if present.size == 0:
-        stats = ScalerStats(center=0.0, scale=0.0)
-    else:
-        low = float(present.min())
-        high = float(present.max())
-        stats = ScalerStats(center=low, scale=high - low)
-    return stats.apply(values), stats
-
-
-def robust_scale(values: np.ndarray) -> tuple[np.ndarray, ScalerStats]:
-    """Center to the median, scale to the interquartile range.
-
-    Preferred when heavy-tailed indicators (income, astronomy fluxes)
-    would let outliers crush a z-score's resolution.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    present = values[~np.isnan(values)]
-    if present.size == 0:
-        stats = ScalerStats(center=0.0, scale=0.0)
-    else:
-        q1, median, q3 = np.quantile(present, [0.25, 0.5, 0.75])
-        stats = ScalerStats(center=float(median), scale=float(q3 - q1))
     return stats.apply(values), stats

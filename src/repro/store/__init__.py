@@ -15,8 +15,9 @@ binary file per column array::
     mystore/
       manifest.json             format/version, table name, n_rows,
                                 chunk_rows, content fingerprint,
-                                priority seed, column metadata
-      priority.bin              int64 per-row sampling priorities
+                                priority seed, column metadata,
+                                partitions + zone maps, checksum
+      priority.bin              int64 per-row priority permutation
       columns/c00000.values.bin float64 values of a numeric column
       columns/c00000.mask.bin   bool missing mask
       columns/c00001.codes.bin  int32 codes of a categorical column
@@ -38,12 +39,9 @@ Pushdown rules
 * **projection** — ``project``/``drop`` return store-backed *views*
   over a restricted column set, copying nothing;
 * **sample** — ``sample`` computes row indices first and gathers only
-  those rows, through memory maps closed when the gather returns, and
-  ``top_k_sample`` answers the multi-scale
-  :class:`~repro.table.sampling.SampleCascade` sample of the whole
-  table with one chunked scan over the *persisted* ``priority.bin``
-  column — nested zoom samples are stable across processes and never
-  require a priority redraw.
+  those rows, through memory maps closed when the gather returns.  The
+  *persisted* ``priority.bin`` column is read by one chunked scan in
+  ``top_k_sample`` (the ledger's top-k probe); no map samples from it.
 
 Materializing operations return plain in-memory
 :class:`~repro.table.table.Table` objects sized by their result, which

@@ -24,8 +24,8 @@ and no row-group framing.  The manifest carries everything else:
 ``chunk_rows``
     The ingestion chunk size, reused as the default scan granularity.
 ``priority_seed``
-    Seed of the persisted :class:`~repro.table.sampling.SampleCascade`
-    priorities, making nested zoom samples identical across processes.
+    Seed of the persisted per-row priority permutation (``priority.bin``),
+    read only by :meth:`~repro.store.stored.StoredTable.top_k_sample`.
 ``partitions``
     Contiguous row ranges over the column files, each carrying a *zone
     map* — per-column min/max over present values plus a null count —
@@ -40,6 +40,20 @@ and no row-group framing.  The manifest carries everything else:
     ``previous_fingerprint`` records the content hash the latest append
     extended, so cache owners can tell an append apart from unrelated
     data.
+``checksum``
+    SHA-256 of every other field, canonically encoded: a manifest whose
+    bytes changed after it was written fails to load instead of
+    steering scans by a corrupted zone or file path.  Manifests written
+    without one load unchecked.
+
+Loading validates the rest too.  Every integer field must be a JSON
+integer, and every zone must agree with its partition and column: ``0
+≤ null_count ≤ rows``; a numeric zone has ``min`` and ``max`` exactly
+when a value is present (``null_count < rows``), with ``min ≤ max`` and
+neither NaN; a categorical zone has neither; and a zone names a
+manifest column.  A zone that lies makes a scan skip rows that match,
+so a lying manifest raises :class:`ValueError` rather than returning a
+wrong count.
 """
 
 from __future__ import annotations
@@ -154,6 +168,17 @@ class ColumnZone:
     min: float | None = None
     max: float | None = None
 
+    def __post_init__(self) -> None:
+        if self.null_count < 0:
+            raise ValueError(f"zone null_count {self.null_count} is negative")
+        if (self.min is None) != (self.max is None):
+            raise ValueError(
+                f"zone has min {self.min!r} but max {self.max!r}: a zone "
+                "spans present values with both bounds or with neither"
+            )
+        if self.min is not None and not self.min <= self.max:  # NaN fails too
+            raise ValueError(f"zone min {self.min!r} > max {self.max!r}")
+
     def to_dict(self) -> dict[str, object]:
         payload: dict[str, object] = {"null_count": self.null_count}
         if self.min is not None:
@@ -163,12 +188,19 @@ class ColumnZone:
 
     @classmethod
     def from_dict(cls, payload: dict[str, object]) -> "ColumnZone":
-        minimum = payload.get("min")
-        maximum = payload.get("max")
+        bounds = [payload.get("min"), payload.get("max")]
+        for bound in bounds:
+            if bound is not None and (
+                isinstance(bound, bool) or not isinstance(bound, (int, float))
+            ):
+                raise ValueError(f"zone bound {bound!r} is not a number")
+        minimum, maximum = (
+            None if bound is None else float(bound) for bound in bounds
+        )
         return cls(
-            null_count=int(payload["null_count"]),  # type: ignore[arg-type]
-            min=None if minimum is None else float(minimum),  # type: ignore[arg-type]
-            max=None if maximum is None else float(maximum),  # type: ignore[arg-type]
+            null_count=_json_int(payload, "null_count"),
+            min=minimum,
+            max=maximum,
         )
 
 
@@ -192,6 +224,12 @@ class PartitionMeta:
             raise ValueError(
                 f"invalid partition range [{self.start}, {self.stop})"
             )
+        for name, zone in self.zones.items():
+            if zone.null_count > self.rows:
+                raise ValueError(
+                    f"zone of {name!r} counts {zone.null_count} nulls in a "
+                    f"partition of {self.rows} rows"
+                )
 
     @property
     def rows(self) -> int:
@@ -209,12 +247,16 @@ class PartitionMeta:
     @classmethod
     def from_dict(cls, payload: dict[str, object]) -> "PartitionMeta":
         zones = payload.get("zones") or {}
+        if not isinstance(zones, dict) or not all(
+            isinstance(zone, dict) for zone in zones.values()
+        ):
+            raise ValueError(f"partition zones {zones!r} are not a mapping")
         return cls(
-            start=int(payload["start"]),  # type: ignore[arg-type]
-            stop=int(payload["stop"]),  # type: ignore[arg-type]
+            start=_json_int(payload, "start"),
+            stop=_json_int(payload, "stop"),
             zones={
                 str(name): ColumnZone.from_dict(zone)
-                for name, zone in zones.items()  # type: ignore[union-attr]
+                for name, zone in zones.items()
             },
         )
 
@@ -294,6 +336,10 @@ class StoreManifest:
                 raise ValueError(
                     f"partitions cover {cursor} rows of {self.n_rows}"
                 )
+        kinds = {meta.name: meta.kind for meta in self.columns}
+        for partition in self.partitions:
+            for name, zone in partition.zones.items():
+                _check_zone(name, zone, kinds.get(name), partition.rows)
 
     def effective_partitions(self) -> tuple[PartitionMeta, ...]:
         """The partition list, or the implicit whole-table partition.
@@ -341,15 +387,22 @@ class StoreManifest:
         return payload
 
     def save(self, root: str | Path) -> Path:
-        """Write ``manifest.json`` atomically (tmp file + rename)."""
+        """Write ``manifest.json`` atomically (tmp file + rename), with
+        its checksum; a failed write leaves no tmp file behind."""
         root = Path(root)
         path = root / MANIFEST_NAME
         tmp = root / (MANIFEST_NAME + ".tmp")
-        tmp.write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        os.replace(tmp, path)
+        payload = self.to_dict()
+        payload["checksum"] = _checksum(payload)
+        try:
+            tmp.write_text(
+                json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                encoding="utf-8",
+            )
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
         return path
 
     @classmethod
@@ -362,38 +415,88 @@ class StoreManifest:
             raise FileNotFoundError(
                 f"{path} does not exist; is {root!r} a blaeu store directory?"
             ) from None
-        if payload.get("format") != FORMAT_NAME:
+        if not isinstance(payload, dict) or payload.get("format") != FORMAT_NAME:
+            found = payload.get("format") if isinstance(payload, dict) else None
             raise ValueError(
-                f"{path} is not a {FORMAT_NAME} manifest "
-                f"(format={payload.get('format')!r})"
+                f"{path} is not a {FORMAT_NAME} manifest (format={found!r})"
             )
-        version = int(payload.get("format_version", 0))
+        version = _json_int(payload, "format_version", 0)
         if version != FORMAT_VERSION:
             raise ValueError(
                 f"unsupported store format_version {version} "
                 f"(this build reads {FORMAT_VERSION})"
             )
-        return cls(
-            table=str(payload["table"]),
-            n_rows=int(payload["n_rows"]),
-            chunk_rows=int(payload["chunk_rows"]),
-            fingerprint=str(payload["fingerprint"]),
-            columns=tuple(
-                ColumnMeta.from_dict(entry) for entry in payload["columns"]
-            ),
-            priority_seed=int(payload.get("priority_seed", 0)),
-            priority_file=str(payload.get("priority_file", PRIORITY_FILE)),
-            format_version=version,
-            partitions=tuple(
-                PartitionMeta.from_dict(entry)
-                for entry in payload.get("partitions", ())
-            ),
-            version=int(payload.get("version", 1)),
-            previous_fingerprint=(
-                str(payload["previous_fingerprint"])
-                if payload.get("previous_fingerprint") is not None
-                else None
-            ),
+        if "checksum" in payload:
+            recorded = payload.pop("checksum")
+            if recorded != _checksum(payload):
+                raise ValueError(
+                    f"{path} does not match its checksum: the manifest "
+                    "changed after it was written"
+                )
+        try:
+            return cls(
+                table=str(payload["table"]),
+                n_rows=_json_int(payload, "n_rows"),
+                chunk_rows=_json_int(payload, "chunk_rows"),
+                fingerprint=str(payload["fingerprint"]),
+                columns=tuple(
+                    ColumnMeta.from_dict(entry) for entry in payload["columns"]
+                ),
+                priority_seed=_json_int(payload, "priority_seed", 0),
+                priority_file=str(payload.get("priority_file", PRIORITY_FILE)),
+                format_version=version,
+                partitions=tuple(
+                    PartitionMeta.from_dict(entry)
+                    for entry in payload.get("partitions", ())
+                ),
+                version=_json_int(payload, "version", 1),
+                previous_fingerprint=(
+                    str(payload["previous_fingerprint"])
+                    if payload.get("previous_fingerprint") is not None
+                    else None
+                ),
+            )
+        except (AttributeError, TypeError) as error:
+            # A field of the wrong JSON shape (a list for a mapping,
+            # a number for a list) is as malformed as a wrong type.
+            raise ValueError(f"{path} is malformed: {error}") from error
+
+
+def _json_int(
+    payload: dict[str, object], key: str, default: int | None = None
+) -> int:
+    """The integer field ``key`` of a manifest document (``default``
+    when absent and optional); a float, string or bool is refused."""
+    if key not in payload and default is not None:
+        return default
+    value = payload[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"manifest field {key!r} is {value!r}, not an integer")
+    return value
+
+
+def _checksum(payload: dict[str, object]) -> str:
+    """SHA-256 of a manifest document, canonically encoded."""
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _check_zone(
+    name: str, zone: ColumnZone, kind: str | None, rows: int
+) -> None:
+    """Refuse a zone that contradicts its column or its partition."""
+    if kind is None:
+        raise ValueError(f"a partition zone names no manifest column: {name!r}")
+    if kind == KIND_CATEGORICAL and zone.min is not None:
+        raise ValueError(
+            f"categorical column {name!r} has a zone with min/max: "
+            "codes carry no order"
+        )
+    if kind == KIND_NUMERIC and (zone.min is None) != (zone.null_count == rows):
+        raise ValueError(
+            f"numeric zone of {name!r} has min {zone.min!r} with "
+            f"{zone.null_count} of {rows} rows null: bounds exist exactly "
+            "when a value is present"
         )
 
 

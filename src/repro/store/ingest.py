@@ -283,7 +283,7 @@ def ingest_csv(
     chunk_rows:
         Records per ingestion chunk — the peak-memory bound.
     priority_seed:
-        Seed of the persisted multi-scale sampling priorities.
+        Seed of the persisted row-priority permutation (``priority.bin``).
     kinds:
         Optional per-column kind overrides (skips inference, and the
         spill that inference needs).

@@ -12,10 +12,9 @@ against the on-disk column files:
   view over the restricted column set, copying nothing;
 * **sample pushdown** — ``sample`` computes the row indices first and
   gathers only those rows (a few thousand page touches, not a table
-  scan), and :meth:`top_k_sample` turns the *persisted* priority column
-  into a chunked scan — the multi-scale
-  :class:`~repro.table.sampling.SampleCascade` sample without ever
-  materializing or redrawing priorities.
+  scan), and :meth:`top_k_sample` reads the ``k`` lowest rows of the
+  *persisted* priority column in one chunked scan, without ever
+  materializing it.
 
 Materializing operations (``take``, ``select``, ``sample``, ``head``)
 return plain in-memory ``Table`` objects sized by their result.
@@ -89,7 +88,6 @@ from repro.table.column import (
     NumericColumn,
 )
 from repro.table.predicates import Predicate
-from repro.table.sampling import SampleCascade
 from repro.table.table import Table
 
 __all__ = ["StoredTable"]
@@ -455,30 +453,17 @@ class StoredTable:
         return self.take(np.asarray([index])).row(0)
 
     # ------------------------------------------------------------------
-    # Persisted multi-scale sampling
+    # Persisted sampling priorities
     # ------------------------------------------------------------------
-
-    @property
-    def priorities(self) -> np.ndarray:
-        """The persisted per-row sampling priorities (a read-only map,
-        made afresh on each access)."""
-        return self._mmap(self._manifest.priority_file, PRIORITY_DTYPE)
-
-    def cascade(self) -> SampleCascade:
-        """The table's :class:`SampleCascade` over the persisted priorities.
-
-        Identical in every process that opens the store — zoom samples
-        are stable across restarts and across the service's workers.
-        """
-        return SampleCascade.from_priorities(self.priorities)
 
     def top_k_sample(
         self, k: int, chunk_rows: int | None = None
     ) -> np.ndarray:
         """Indices of the ``k`` lowest-priority rows, by one chunked scan.
 
-        Equals ``cascade().sample(k)`` without holding the priority
-        column: the persisted priorities are a permutation of
+        No map draws its sample here (see :mod:`repro.table.sampling`);
+        the scan is kept for the ledger's top-k probe.  It never holds
+        the priority column: the persisted priorities are a permutation of
         ``range(n_rows)`` (:func:`~repro.store.format.write_priorities`),
         so the ``k`` lowest are exactly the rows whose priority is below
         ``k``, collected in row order.  Any other count means the file

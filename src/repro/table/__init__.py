@@ -5,8 +5,9 @@ interaction time.  This package provides the equivalent laptop-scale
 substrate: typed columns with missing-value masks, an immutable
 :class:`~repro.table.table.Table` supporting select / project / sample,
 a predicate algebra that renders to SQL, CSV ingestion with schema
-inference, multi-scale sampling, and a :class:`~repro.table.database.Database`
-catalog that plays the role of the DBMS endpoint.
+inference, content-keyed sampling, and a
+:class:`~repro.table.database.Database` catalog that plays the role of
+the DBMS endpoint.
 """
 
 from repro.table.aggregate import Aggregate, AggregateResult, aggregate
@@ -17,7 +18,7 @@ from repro.table.column import (
     NumericColumn,
 )
 from repro.table.csv_io import read_csv, write_csv
-from repro.table.database import Database, SelectProject
+from repro.table.database import Database
 from repro.table.predicates import (
     And,
     Between,
@@ -29,13 +30,8 @@ from repro.table.predicates import (
     Or,
     Predicate,
 )
-from repro.table.sampling import (
-    SampleCascade,
-    reservoir_sample,
-    stratified_sample,
-    uniform_sample,
-)
-from repro.table.schema import Schema, infer_column, infer_schema
+from repro.table.sampling import uniform_sample
+from repro.table.schema import infer_column
 from repro.table.table import Table
 
 __all__ = [
@@ -56,15 +52,9 @@ __all__ = [
     "NumericColumn",
     "Or",
     "Predicate",
-    "SampleCascade",
-    "Schema",
-    "SelectProject",
     "Table",
     "infer_column",
-    "infer_schema",
     "read_csv",
-    "reservoir_sample",
-    "stratified_sample",
     "uniform_sample",
     "write_csv",
 ]

@@ -17,7 +17,6 @@ text file-like objects.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from pathlib import Path
 from typing import IO, Iterator, Mapping
@@ -29,9 +28,7 @@ from repro.table.table import Table
 __all__ = [
     "CsvChunkReader",
     "read_csv",
-    "read_csv_text",
     "write_csv",
-    "write_csv_text",
 ]
 
 
@@ -130,17 +127,6 @@ def read_csv(
         return _read(handle, name or path.stem, delimiter, kinds, chunk_rows)
 
 
-def read_csv_text(
-    text: str,
-    name: str = "table",
-    delimiter: str = ",",
-    kinds: Mapping[str, ColumnKind] | None = None,
-    chunk_rows: int | None = None,
-) -> Table:
-    """Like :func:`read_csv` but from an in-memory string (tests, demos)."""
-    return _read(io.StringIO(text), name, delimiter, kinds, chunk_rows)
-
-
 def _read(
     handle: IO[str],
     name: str,
@@ -168,13 +154,6 @@ def write_csv(table: Table, path: str | Path, delimiter: str = ",") -> None:
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as handle:
         _write(table, handle, delimiter)
-
-
-def write_csv_text(table: Table, delimiter: str = ",") -> str:
-    """Render ``table`` as CSV text."""
-    buffer = io.StringIO()
-    _write(table, buffer, delimiter)
-    return buffer.getvalue()
 
 
 def _write(table: Table, handle: IO[str], delimiter: str) -> None:

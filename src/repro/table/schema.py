@@ -9,7 +9,6 @@ like keys and should be excluded from clustering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -24,7 +23,7 @@ from repro.table.column import (
 )
 from repro.table.table import Table
 
-__all__ = ["Schema", "infer_column", "infer_schema", "detect_keys", "KeyScan"]
+__all__ = ["infer_column", "detect_keys", "KeyScan"]
 
 #: Numeric-looking columns whose present values all fall in this set are
 #: kept categorical (0/1 flags read from CSV are flags, not measurements).
@@ -32,34 +31,6 @@ FLAG_VALUES = frozenset({0.0, 1.0})
 
 #: Common name fragments that mark identifier columns.
 KEY_NAME_HINTS = ("id", "key", "uuid", "code")
-
-
-@dataclass(frozen=True)
-class Schema:
-    """Column kinds plus detected key columns for one table."""
-
-    kinds: dict[str, ColumnKind]
-    keys: tuple[str, ...] = field(default=())
-
-    @property
-    def numeric(self) -> tuple[str, ...]:
-        """Names of numeric columns, in schema order."""
-        return tuple(
-            n for n, k in self.kinds.items() if k is ColumnKind.NUMERIC
-        )
-
-    @property
-    def categorical(self) -> tuple[str, ...]:
-        """Names of categorical columns, in schema order."""
-        return tuple(
-            n for n, k in self.kinds.items() if k is ColumnKind.CATEGORICAL
-        )
-
-    @property
-    def non_key_columns(self) -> tuple[str, ...]:
-        """All columns except the detected keys."""
-        keys = set(self.keys)
-        return tuple(n for n in self.kinds if n not in keys)
 
 
 def infer_column(
@@ -101,12 +72,6 @@ def infer_column(
     return CategoricalColumn.from_labels(
         name, [None if c is None else str(c) for c in cells]
     )
-
-
-def infer_schema(table: Table) -> Schema:
-    """The schema of an existing table, including detected keys."""
-    kinds = {column.name: column.kind for column in table.columns}
-    return Schema(kinds=kinds, keys=detect_keys(table))
 
 
 def detect_keys(

@@ -8,16 +8,16 @@ human-readable region boundaries on the map ("Hours Worked >= 20").
 
 This package implements classification CART (Breiman et al. 1984) with
 Gini impurity, numeric threshold splits and categorical equality splits,
-and cost-complexity pruning.
+and the weakest-link pruning that keeps a map legible.
 """
 
 from repro.tree.cart import CartParams, DecisionTree, TreeNode, fit_tree
-from repro.tree.prune import cost_complexity_prune
+from repro.tree.prune import prune_for_legibility
 
 __all__ = [
     "CartParams",
     "DecisionTree",
     "TreeNode",
-    "cost_complexity_prune",
     "fit_tree",
+    "prune_for_legibility",
 ]

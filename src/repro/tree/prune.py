@@ -1,10 +1,10 @@
-"""Cost-complexity (weakest-link) pruning, CART book §3.
+"""Weakest-link pruning for legible maps (cost-complexity, CART book §3).
 
 Maps must stay legible: a tree that sprouts dozens of leaves to chase a
 few misassigned tuples makes a worse map, not a better one.  Weakest-link
-pruning trades training error against leaf count with a single complexity
-price ``alpha``: collapse every subtree whose error reduction per saved
-leaf is below ``alpha``.
+pruning ranks internal nodes by the training error their subtree saves
+per extra leaf and collapses the cheapest first; the map's description
+stage prunes to a leaf budget this way without ever hiding a cluster.
 """
 
 from __future__ import annotations
@@ -15,41 +15,7 @@ import numpy as np
 
 from repro.tree.cart import DecisionTree, TreeNode
 
-__all__ = ["cost_complexity_prune", "prune_for_legibility", "pruning_path"]
-
-
-def cost_complexity_prune(tree: DecisionTree, alpha: float) -> DecisionTree:
-    """A pruned copy of ``tree`` under complexity price ``alpha`` ≥ 0.
-
-    Repeatedly collapses the weakest link — the internal node with the
-    smallest per-leaf error improvement — while that improvement rate is
-    below ``alpha``.  ``alpha = 0`` returns an equivalent copy.
-    """
-    if alpha < 0:
-        raise ValueError(f"alpha must be non-negative, got {alpha}")
-    pruned = copy.deepcopy(tree)
-    while True:
-        weakest, rate = _weakest_link(pruned.root)
-        if weakest is None or rate > alpha:
-            return pruned
-        _collapse(weakest)
-
-
-def pruning_path(tree: DecisionTree) -> list[tuple[float, int]]:
-    """The sequence of (alpha, n_leaves) along the full pruning path.
-
-    Useful for picking alpha by inspection: the first entry is
-    ``(0.0, n_leaves)`` of the unpruned tree, the last is ``(inf-most
-    alpha, 1)`` for the root-only tree.
-    """
-    work = copy.deepcopy(tree)
-    path = [(0.0, work.n_leaves())]
-    while True:
-        weakest, rate = _weakest_link(work.root)
-        if weakest is None:
-            return path
-        _collapse(weakest)
-        path.append((rate, work.n_leaves()))
+__all__ = ["prune_for_legibility"]
 
 
 def prune_for_legibility(
@@ -81,14 +47,14 @@ def prune_for_legibility(
 
     # Phase 1: enforce the leaf cap.
     while work.n_leaves() > target_leaves:
-        candidate = _collapsible(work.root, require_class_safety=True)
+        candidate = _collapsible(work.root)
         if candidate is None:
             break
         _collapse(candidate)
 
     # Phase 2: opportunistic cleanup under the accuracy floor.
     while work.n_leaves() > 2:
-        candidate = _collapsible(work.root, require_class_safety=True)
+        candidate = _collapsible(work.root)
         if candidate is None:
             break
         current_error, _ = _subtree_stats(work.root)
@@ -100,7 +66,7 @@ def prune_for_legibility(
     return work
 
 
-def _collapsible(root: TreeNode, require_class_safety: bool) -> TreeNode | None:
+def _collapsible(root: TreeNode) -> TreeNode | None:
     """The weakest internal node whose collapse keeps every class visible.
 
     A collapse replaces a subtree by one leaf predicting the subtree's
@@ -126,8 +92,6 @@ def _collapsible(root: TreeNode, require_class_safety: bool) -> TreeNode | None:
     candidates.sort(key=lambda pair: pair[0])
 
     for _, node in candidates:
-        if not require_class_safety:
-            return node
         majority = int(np.argmax(node.class_counts))
         inside: dict[int, int] = {}
         for leaf in node.walk():
@@ -155,28 +119,6 @@ def _subtree_stats(node: TreeNode) -> tuple[float, int]:
     left_error, left_leaves = _subtree_stats(node.left)
     right_error, right_leaves = _subtree_stats(node.right)
     return left_error + right_error, left_leaves + right_leaves
-
-
-def _weakest_link(root: TreeNode) -> tuple[TreeNode | None, float]:
-    """The internal node with the lowest error-per-leaf improvement rate.
-
-    The rate of node t is ``(R(t) − R(T_t)) / (|T_t| − 1)`` where ``R(t)``
-    is the node's own error as a leaf and ``R(T_t)``, ``|T_t|`` are its
-    subtree's error and leaf count.
-    """
-    weakest: TreeNode | None = None
-    weakest_rate = np.inf
-    for node in root.walk():
-        if node.is_leaf:
-            continue
-        subtree_error, subtree_leaves = _subtree_stats(node)
-        if subtree_leaves <= 1:
-            continue
-        rate = (_node_error(node) - subtree_error) / (subtree_leaves - 1)
-        if rate < weakest_rate - 1e-12:
-            weakest = node
-            weakest_rate = rate
-    return weakest, float(weakest_rate)
 
 
 def _collapse(node: TreeNode) -> None:

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from oracles import adjusted_rand_index
 from repro.cluster.clara import clara, default_sample_size
 from repro.cluster.distance import euclidean_distances
 from repro.cluster.pam import pam
-from repro.cluster.validation import adjusted_rand_index
 
 
 def _blobs(rng, n_per=400, centers=((-6, 0), (6, 0), (0, 8))):

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from oracles import adjusted_rand_index
 from repro.cluster.clara import clara
 from repro.cluster.distance import manhattan_distances, pairwise_distances
 from repro.cluster.pam import pam
 from repro.cluster.silhouette import mean_silhouette
-from repro.cluster.validation import adjusted_rand_index
 
 
 class TestManhattanMetricPath:

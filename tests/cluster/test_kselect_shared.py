@@ -3,14 +3,11 @@
 import numpy as np
 import pytest
 
+from oracles import monte_carlo_silhouette
 from repro.cluster.distance import pairwise_distances
 from repro.cluster.kselect import select_k_points
 from repro.cluster.pam import pam
-from repro.cluster.silhouette import (
-    SharedSilhouette,
-    mean_silhouette,
-    monte_carlo_silhouette,
-)
+from repro.cluster.silhouette import SharedSilhouette, mean_silhouette
 
 
 def _blobs(rng, k, n_per=60, gap=12.0):

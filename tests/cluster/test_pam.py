@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import adjusted_rand_index
 from repro.cluster.distance import euclidean_distances
 from repro.cluster.pam import pam
-from repro.cluster.validation import adjusted_rand_index
 
 
 def _blob_points(rng, n_per=30, centers=((-5, -5), (5, 5), (5, -5))):

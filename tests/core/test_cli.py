@@ -7,8 +7,8 @@ import pytest
 from repro.cli import build_engine
 from repro.core.config import BlaeuConfig
 from repro.core.engine import Blaeu
-from repro.datasets.synthetic import mixed_blobs
 from repro.shell import BlaeuShell
+from synthetic import mixed_blobs
 
 
 @pytest.fixture

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.config import BlaeuConfig
 from repro.core.engine import Blaeu
-from repro.datasets.synthetic import mixed_blobs
+from synthetic import mixed_blobs
 
 CONFIG = BlaeuConfig(map_k_values=(2, 3))
 

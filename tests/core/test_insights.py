@@ -152,7 +152,7 @@ class TestExplorerIntegration:
     def test_insights_through_explorer(self):
         from repro.core.config import BlaeuConfig
         from repro.core.navigation import Explorer
-        from repro.datasets.synthetic import mixed_blobs
+        from synthetic import mixed_blobs
 
         planted = mixed_blobs(n_rows=300, k=2, seed=77)
         explorer = Explorer(

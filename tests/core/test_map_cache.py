@@ -7,9 +7,9 @@ from repro.core.config import BlaeuConfig
 from repro.core.engine import Blaeu
 from repro.core.pipeline import MapPipeline, build_map, map_cache_key
 from repro.datasets.oecd import oecd
-from repro.datasets.synthetic import mixed_blobs
 from repro.service.cache import LRUCache
 from repro.viz.export import export_map_json
+from synthetic import mixed_blobs
 
 CONFIG = BlaeuConfig(map_k_values=(2, 3), seed=5)
 

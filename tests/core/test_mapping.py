@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.cluster.validation import adjusted_rand_index
+from oracles import adjusted_rand_index
 from repro.core.config import BlaeuConfig
 from repro.core.pipeline import build_map
-from repro.datasets.synthetic import mixed_blobs, numeric_blobs
 from repro.table.predicates import Everything
+from synthetic import mixed_blobs, numeric_blobs
 
 
 @pytest.fixture(scope="module")

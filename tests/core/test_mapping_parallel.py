@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.config import BlaeuConfig
 from repro.core.pipeline import build_map
-from repro.datasets.synthetic import numeric_blobs
+from synthetic import numeric_blobs
 
 
 @pytest.fixture(scope="module")

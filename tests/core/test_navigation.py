@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.config import BlaeuConfig
 from repro.core.navigation import Explorer
-from repro.datasets.synthetic import mixed_blobs
+from synthetic import mixed_blobs
 
 CONFIG = BlaeuConfig(map_k_values=(2, 3), min_zoom_rows=10)
 

@@ -22,7 +22,6 @@ SCANNED = ("core", "graph", "table", "shell.py")
 #: What both table classes define: probing for any of it is a residency
 #: test, whatever the object is called.
 SURFACE = {
-    "cascade",
     "chunk_reader",
     "chunk_rows",
     "iter_chunks",
@@ -37,13 +36,9 @@ SURFACE = {
     "take_columns",
 }
 
-ALLOWED = {
-    ("table/database.py", "Database.register", "getattr cascade"): (
-        "an in-memory table's sample cascade is drawn from the catalog "
-        "seed, a store's is persisted with it: the catalog owns the one "
-        "and the store the other"
-    ),
-}
+#: ``(file, enclosing def, probe)`` → why the probe stays.  Empty: no
+#: layer asks.
+ALLOWED: dict[tuple[str, str, str], str] = {}
 
 
 def _probes(sources: dict[str, str]) -> set[tuple[str, str, str]]:

@@ -33,7 +33,6 @@ from repro.core.pipeline import (
     build_map,
 )
 from repro.core.preprocess import preprocess
-from repro.datasets.synthetic import mixed_blobs
 from repro.service.cache import LRUCache
 from repro.store import StoredTable, write_store
 from repro.table.predicates import Comparison, Everything
@@ -41,6 +40,7 @@ from repro.table.sampling import seed_for
 from repro.tree.cart import fit_tree
 from repro.tree.prune import prune_for_legibility
 from repro.viz.export import export_map_json
+from synthetic import mixed_blobs
 
 CONFIG = BlaeuConfig(
     map_k_values=(2, 3, 4),

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.core.pipeline import build_map
-from repro.core.queries import quantized_queries, state_to_sql
-from repro.datasets.synthetic import numeric_blobs
+from repro.core.queries import QuantizedQuery, quantized_queries, state_to_sql
 from repro.table.predicates import Comparison, Everything
+from synthetic import numeric_blobs
 
 
 @pytest.fixture(scope="module")
@@ -30,12 +30,24 @@ class TestStateToSql:
         sql = state_to_sql("t", Comparison("a", "<", 1), ("a",))
         assert sql == 'SELECT "a" FROM "t" WHERE "a" < 1'
 
+    def test_quoted_select_list_with_where(self):
+        sql = state_to_sql("t", Comparison("a", "<", 3), ("a", "b"))
+        assert sql == 'SELECT "a", "b" FROM "t" WHERE "a" < 3'
+
+    def test_identifiers_are_escaped_like_the_predicates(self):
+        predicate = Comparison('a"b', "<", 3)
+        sql = state_to_sql('my"table', predicate, ('a"b', "c"))
+        assert sql == (
+            'SELECT "a""b", "c" FROM "my""table" WHERE "a""b" < 3'
+        )
+
 
 class TestQuantizedQueries:
     def test_one_query_per_region(self, mapped):
         table, data_map = mapped
         queries = quantized_queries(table, data_map)
         assert len(queries) == len(data_map.regions())
+        assert all(isinstance(query, QuantizedQuery) for query in queries)
 
     def test_queries_select_exactly_region_rows(self, mapped):
         # The core expressivity check: each quantized query, evaluated

@@ -27,7 +27,6 @@ ALLOWED = {
         "post-sample state of the key-seeded chain"
     ),
     ("graph/dependency.py", "GraphBuilder._build"): "seed_for(graph key)",
-    ("table/database.py", "Database.register"): "seed_for(cascade, seed, name)",
     # Persisted formats: stored and served bytes depend on these seeds.
     ("graph/codes.py", "_cut_sample_rows"): "bin cuts, shared across processes",
     ("store/format.py", "write_priorities"): "priority.bin, written once",
@@ -35,9 +34,6 @@ ALLOWED = {
     ("datasets/hollywood.py", "hollywood"): "dataset generator",
     ("datasets/lofar.py", "lofar"): "dataset generator",
     ("datasets/oecd.py", "oecd"): "dataset generator",
-    ("datasets/synthetic.py", "mixed_blobs"): "dataset generator",
-    ("datasets/synthetic.py", "numeric_blobs"): "dataset generator",
-    ("datasets/synthetic.py", "planted_themes"): "dataset generator",
     # Timing, not results.
     ("service/supervisor.py", "Supervisor.__init__"): "retry back-off jitter",
 }

@@ -4,9 +4,9 @@ import pytest
 
 from repro.core.config import BlaeuConfig
 from repro.core.themes import default_theme_k_grid, extract_themes
-from repro.datasets.synthetic import planted_themes
 from repro.table.column import CategoricalColumn, NumericColumn
 from repro.table.table import Table
+from synthetic import planted_themes
 
 
 @pytest.fixture(scope="module")

@@ -11,9 +11,9 @@ from repro.datasets.oecd import (
     LABOR_THEME,
     LONG_HOURS_COUNTRIES,
     oecd,
-    oecd_small,
 )
 from repro.table.column import CategoricalColumn, NumericColumn
+from synthetic import oecd_small
 
 
 class TestHollywood:

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.datasets.synthetic import mixed_blobs, numeric_blobs, planted_themes
-from repro.stats.mutual_info import column_dependency
+from oracles import column_dependency
+
+from synthetic import mixed_blobs, numeric_blobs, planted_themes
+
 
 
 class TestNumericBlobs:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import encode_table
 from repro.graph.codes import (
     CodeCache,
     CodeEntry,
@@ -58,6 +59,17 @@ class TestCodeCache:
 
 
 class TestGatherCodes:
+    def test_a_whole_cut_sample_encodes_like_the_oracle(self, tmp_path):
+        """With every row in the cut sample, the codes are the
+        whole-column discretization the NMI kernels are checked
+        against (``tests/oracles.py``)."""
+        table, _ = twin_tables(tmp_path)
+        names = table.column_names
+        gathered = gather_codes(table, names, bin_sample_size=table.n_rows)
+        reference = encode_table(table)
+        assert np.array_equal(gathered.codes, reference.codes)
+        assert gathered.n_codes == reference.n_codes
+
     def test_full_equals_rows_arange(self, tmp_path):
         table, _ = twin_tables(tmp_path)
         names = table.column_names

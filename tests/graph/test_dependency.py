@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.datasets.synthetic import planted_themes
-from repro.graph.dependency import GraphBuilder, build_dependency_graph
+from oracles import pearson, spearman
+from repro.graph.dependency import GraphBuilder
 from repro.service.cache import LRUCache
-from repro.stats.correlation import pearson, spearman
 from repro.table.column import CategoricalColumn, NumericColumn
 from repro.table.table import Table
+from synthetic import planted_themes
 
 
 @pytest.fixture
@@ -23,51 +23,51 @@ def themed():
 
 class TestBuildGraph:
     def test_shape_and_diagonal(self, themed):
-        graph = build_dependency_graph(themed.table)
+        graph = GraphBuilder().build(themed.table)
         n = themed.table.n_columns
         assert graph.weights.shape == (n, n)
         assert np.allclose(np.diag(graph.weights), 1.0)
         assert np.allclose(graph.weights, graph.weights.T)
 
     def test_within_group_beats_across_group(self, themed):
-        graph = build_dependency_graph(themed.table)
+        graph = GraphBuilder().build(themed.table)
         within = graph.weight("eco_0", "eco_1")
         across = graph.weight("eco_0", "health_0")
         assert within > 2 * across
 
     def test_dissimilarity_properties(self, themed):
-        graph = build_dependency_graph(themed.table)
+        graph = GraphBuilder().build(themed.table)
         dissimilarity = graph.dissimilarity()
         assert np.allclose(np.diag(dissimilarity), 0.0)
         assert dissimilarity.min() >= 0.0
         assert dissimilarity.max() <= 1.0
 
     def test_edges_sorted_strongest_first(self, themed):
-        graph = build_dependency_graph(themed.table)
+        graph = GraphBuilder().build(themed.table)
         edges = graph.edges()
         weights = [w for _, _, w in edges]
         assert weights == sorted(weights, reverse=True)
 
     def test_edge_threshold(self, themed):
-        graph = build_dependency_graph(themed.table)
+        graph = GraphBuilder().build(themed.table)
         assert all(w >= 0.5 for _, _, w in graph.edges(min_weight=0.5))
 
     def test_column_subset(self, themed):
-        graph = build_dependency_graph(
+        graph = GraphBuilder().build(
             themed.table, columns=("eco_0", "eco_1")
         )
         assert graph.columns == ("eco_0", "eco_1")
 
     def test_sampled_estimation_close_to_full(self, themed):
-        full = build_dependency_graph(themed.table)
-        sampled = build_dependency_graph(themed.table, sample=200)
+        full = GraphBuilder().build(themed.table)
+        sampled = GraphBuilder().build(themed.table, sample=200)
         # Sampled weights track the full-data weights.
         delta = np.abs(full.weights - sampled.weights).max()
         assert delta < 0.25
 
     def test_correlation_measures(self, themed):
         for measure in ("pearson", "spearman"):
-            graph = build_dependency_graph(themed.table, measure=measure)
+            graph = GraphBuilder().build(themed.table, measure=measure)
             within = graph.weight("eco_0", "eco_1")
             across = graph.weight("eco_0", "health_0")
             assert within > across
@@ -82,35 +82,35 @@ class TestBuildGraph:
                 ),
             ],
         )
-        graph = build_dependency_graph(table, measure="pearson")
+        graph = GraphBuilder().build(table, measure="pearson")
         assert graph.weight("x", "c") == 0.0
 
     def test_unknown_measure_rejected(self, themed):
         with pytest.raises(ValueError):
-            build_dependency_graph(themed.table, measure="cosine")
+            GraphBuilder().build(themed.table, measure="cosine")
 
 
 class TestDeterminism:
     def test_sampled_builds_agree_without_rng(self, themed):
         """A sampled build draws from its content key: repeats agree."""
-        first = build_dependency_graph(themed.table, sample=150)
-        second = build_dependency_graph(themed.table, sample=150)
+        first = GraphBuilder().build(themed.table, sample=150)
+        second = GraphBuilder().build(themed.table, sample=150)
         assert np.array_equal(first.weights, second.weights)
 
     def test_seed_changes_the_sample(self, themed):
-        first = build_dependency_graph(themed.table, sample=50, seed=1)
-        second = build_dependency_graph(themed.table, sample=50, seed=2)
+        first = GraphBuilder().build(themed.table, sample=50, seed=1)
+        second = GraphBuilder().build(themed.table, sample=50, seed=2)
         assert not np.array_equal(first.weights, second.weights)
 
     def test_thread_fanout_identical(self, themed):
-        serial = build_dependency_graph(themed.table, n_jobs=None)
+        serial = GraphBuilder().build(themed.table, n_jobs=None)
         for n_jobs in (1, 2, 0):
-            parallel = build_dependency_graph(themed.table, n_jobs=n_jobs)
+            parallel = GraphBuilder().build(themed.table, n_jobs=n_jobs)
             assert np.array_equal(serial.weights, parallel.weights)
 
     def test_row_indices_arange_equals_full(self, themed):
-        full = build_dependency_graph(themed.table)
-        explicit = build_dependency_graph(
+        full = GraphBuilder().build(themed.table)
+        explicit = GraphBuilder().build(
             themed.table,
             row_indices=np.arange(themed.table.n_rows, dtype=np.intp),
         )
@@ -138,7 +138,7 @@ class TestVectorizedCorrelation:
         return Table("noisy", columns)
 
     def test_pearson_matches_scalar_pairwise(self, noisy):
-        graph = build_dependency_graph(noisy, measure="pearson")
+        graph = GraphBuilder().build(noisy, measure="pearson")
         for i, a in enumerate(noisy.column_names):
             for b in noisy.column_names[i + 1 :]:
                 col_a, col_b = noisy.column(a), noisy.column(b)
@@ -158,7 +158,7 @@ class TestVectorizedCorrelation:
             "complete",
             [NumericColumn(f"d{i}", rng.normal(0, 1, 200)) for i in range(5)],
         )
-        graph = build_dependency_graph(table, measure="spearman")
+        graph = GraphBuilder().build(table, measure="spearman")
         for i, a in enumerate(table.column_names):
             for b in table.column_names[i + 1 :]:
                 expected = abs(

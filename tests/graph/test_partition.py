@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.cluster.validation import clustering_nmi
-from repro.datasets.synthetic import planted_themes
-from repro.graph.dependency import build_dependency_graph
+from oracles import clustering_nmi
+from repro.graph.dependency import GraphBuilder
 from repro.graph.partition import pam_partition
+from synthetic import planted_themes
 
 
 @pytest.fixture
@@ -17,7 +17,7 @@ def graph():
         noise=0.3,
         seed=9,
     )
-    return themed, build_dependency_graph(themed.table)
+    return themed, GraphBuilder().build(themed.table)
 
 
 def _labels(groups, columns):

@@ -8,13 +8,13 @@ import pytest
 
 from repro.core.config import BlaeuConfig
 from repro.core.engine import Blaeu
-from repro.datasets.synthetic import mixed_blobs
 from repro.guide.prefetch import (
     PrefetchAction,
     PrefetchScheduler,
     prefetch_actions,
 )
 from repro.service.pool import WorkerPool
+from synthetic import mixed_blobs
 
 
 def run(coroutine):

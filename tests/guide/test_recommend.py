@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.config import BlaeuConfig
 from repro.core.engine import Blaeu
-from repro.datasets.synthetic import mixed_blobs
 from repro.guide.recommend import (
     Suggestion,
     initial_suggestions,
@@ -13,6 +12,7 @@ from repro.guide.recommend import (
     suggestion_request,
 )
 from repro.table.predicates import And, Everything
+from synthetic import mixed_blobs
 
 
 @pytest.fixture

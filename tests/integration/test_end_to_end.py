@@ -8,10 +8,11 @@ from repro.core.config import BlaeuConfig
 from repro.core.engine import Blaeu
 from repro.datasets.hollywood import hollywood
 from repro.datasets.lofar import lofar
-from repro.datasets.oecd import LABOR_THEME, UNEMPLOYMENT_THEME, oecd_small
+from repro.datasets.oecd import LABOR_THEME, UNEMPLOYMENT_THEME
 from repro.server.session import SessionManager
 from repro.viz.export import export_map_json
 from repro.viz.render import render_theme_view
+from synthetic import oecd_small
 
 
 @pytest.fixture(scope="module")

@@ -8,8 +8,8 @@ from repro.core.config import BlaeuConfig
 from repro.core.pipeline import build_map
 from repro.core.navigation import Explorer
 from repro.core.queries import quantized_queries
-from repro.datasets.synthetic import mixed_blobs
 from repro.viz.treemap import treemap_layout
+from synthetic import mixed_blobs
 
 _settings = settings(
     max_examples=12,

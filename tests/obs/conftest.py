@@ -1,11 +1,10 @@
-"""Keep the process-global tracer/metrics/profiler out of other tests."""
+"""Keep the process-global tracer and metrics out of other tests."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.obs.metrics import get_metrics, set_global_metrics
-from repro.obs.profile import disable_profiling
 from repro.obs.trace import get_tracer, set_tracer
 
 
@@ -17,4 +16,3 @@ def restore_obs_globals():
     yield
     set_tracer(tracer)
     set_global_metrics(metrics)
-    disable_profiling()

@@ -14,18 +14,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import discretize_column, normalized_mutual_information, shannon_entropy
 from repro.cluster.distance import pairwise_distances
 from repro.cluster.pam import pam
 from repro.core.preprocess import preprocess
 from repro.datasets.lofar import lofar
-from repro.datasets.synthetic import planted_themes
-from repro.stats.discretize import discretize_column
-from repro.stats.entropy import shannon_entropy
-from repro.stats.mutual_info import MISSING_BIN, normalized_mutual_information
+from repro.stats.discretize import MISSING_BIN
 from repro.table.column import NumericColumn
 from repro.table.table import Table
 from repro.tree.cart import CartParams, fit_tree
 from repro.tree.prune import prune_for_legibility
+from synthetic import planted_themes
 
 COLUMNS = ("Flux150MHz", "SpectralIndex", "AngularSize", "Variability")
 

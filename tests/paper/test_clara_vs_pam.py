@@ -15,7 +15,7 @@ import pytest
 from repro.cluster.clara import clara
 from repro.cluster.distance import pairwise_distances
 from repro.cluster.pam import pam
-from repro.datasets.synthetic import numeric_blobs
+from synthetic import numeric_blobs
 
 K = 4
 

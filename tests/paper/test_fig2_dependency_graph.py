@@ -12,13 +12,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.datasets.oecd import HEALTH_THEME, UNEMPLOYMENT_THEME, oecd
-from repro.graph.dependency import build_dependency_graph
+from repro.graph.dependency import GraphBuilder
 
 FIGURE_COLUMNS = UNEMPLOYMENT_THEME + HEALTH_THEME
 
 
 def test_fig2_two_communities_are_visible_in_the_weights():
-    graph = build_dependency_graph(oecd(), columns=FIGURE_COLUMNS, sample=1000)
+    graph = GraphBuilder().build(oecd(), columns=FIGURE_COLUMNS, sample=1000)
     intra, inter = [], []
     for i, a in enumerate(FIGURE_COLUMNS):
         for b in FIGURE_COLUMNS[i + 1 :]:

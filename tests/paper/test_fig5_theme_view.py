@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cluster.validation import clustering_nmi
+from oracles import clustering_nmi
 from repro.datasets.oecd import HEALTH_THEME, LABOR_THEME, UNEMPLOYMENT_THEME, oecd
-from repro.graph.dependency import build_dependency_graph
+from repro.graph.dependency import GraphBuilder
 from repro.graph.partition import pam_partition
 
 NAMED_THEMES = {
@@ -37,7 +37,7 @@ def test_fig5_pam_on_the_dependency_graph_recovers_the_planted_themes():
     columns = tuple(
         c for c in table.column_names if c not in ("RegionName", "CountryName")
     )
-    graph = build_dependency_graph(table, columns=columns, sample=1000)
+    graph = GraphBuilder().build(table, columns=columns, sample=1000)
     groups, _ = pam_partition(graph, k_values=(30, 40, 45, 50))
 
     found = {column: g for g, group in enumerate(groups) for column in group}

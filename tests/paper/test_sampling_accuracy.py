@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cluster.validation import adjusted_rand_index
+from oracles import adjusted_rand_index
 from repro.core.config import BlaeuConfig
 from repro.core.pipeline import build_map
 from repro.datasets.lofar import lofar

@@ -12,11 +12,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import monte_carlo_silhouette
 from repro.cluster import silhouette
 from repro.cluster.clara import clara
 from repro.cluster.distance import pairwise_distances
-from repro.cluster.silhouette import mean_silhouette, monte_carlo_silhouette
-from repro.datasets.synthetic import numeric_blobs
+from repro.cluster.silhouette import mean_silhouette
+from synthetic import numeric_blobs
 
 N = 3_000
 BUDGETS = [(4, 100), (8, 200), (16, 200), (8, 400)]

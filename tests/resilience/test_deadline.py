@@ -142,7 +142,7 @@ class TestPipelineIntegration:
     def engine(self):
         from repro.core.config import BlaeuConfig
         from repro.core.engine import Blaeu
-        from repro.datasets.synthetic import mixed_blobs
+        from synthetic import mixed_blobs
 
         engine = Blaeu(BlaeuConfig(map_k_values=(2, 3), seed=5))
         engine.register(mixed_blobs(n_rows=300, k=2, seed=61).table)

@@ -10,7 +10,7 @@ from repro.resilience.faults import (
     FaultInjector,
     FaultSpec,
     InjectedFault,
-    clear_faults,
+    active_injector,
     corrupt_bytes,
     fault_point,
     faults_from_env,
@@ -22,9 +22,9 @@ from repro.resilience.faults import (
 @pytest.fixture(autouse=True)
 def _pristine_injector():
     """Every test leaves the process-global injector uninstalled."""
-    clear_faults()
+    install_faults(None)
     yield
-    clear_faults()
+    install_faults(None)
 
 
 class TestParsing:
@@ -128,6 +128,15 @@ class TestFaultPoints:
         fault_point("anything")  # must not raise
         assert corrupt_bytes("anything", b"abcd") == b"abcd"
 
+    def test_installing_none_disarms_over_the_environment(self, monkeypatch):
+        install_faults(FaultInjector([FaultSpec(site="s", mode="error")]))
+        monkeypatch.setenv(
+            "BLAEU_FAULTS", '{"faults": [{"site": "s", "mode": "error"}]}'
+        )
+        install_faults(None)
+        fault_point("s")  # neither the old injector nor the variable fires
+        assert active_injector() is None
+
     def test_error_mode_raises_an_oserror(self):
         install_faults(
             FaultInjector([FaultSpec(site="s", mode="error")], seed=0)
@@ -206,7 +215,7 @@ class TestStoreIntegration:
         # Over budget: a torn write still publishes (half) its bytes and
         # evicts "a"; a failed one publishes nothing and evicts nothing.
         assert cache.put("c", self._payload(3)) is (mode == "torn")
-        clear_faults()
+        install_faults(None)
         survivors = {key for key in "abc" if cache.get(key) is not None}
         if mode == "torn":
             assert survivors == {"b"}

@@ -6,8 +6,8 @@ import pytest
 
 from repro.core.config import BlaeuConfig
 from repro.core.engine import Blaeu
-from repro.datasets.synthetic import mixed_blobs
 from repro.server.session import SessionManager
+from synthetic import mixed_blobs
 
 
 @pytest.fixture

@@ -21,8 +21,8 @@ import pytest
 
 from repro.core.config import BlaeuConfig
 from repro.core.engine import Blaeu
-from repro.datasets.synthetic import mixed_blobs
 from repro.service.app import BlaeuService, PoolConfig, ServiceConfig
+from synthetic import mixed_blobs
 
 
 class RunningService:

@@ -9,8 +9,8 @@ import pytest
 
 from repro.core.config import BlaeuConfig
 from repro.core.engine import Blaeu
-from repro.datasets.synthetic import mixed_blobs
 from repro.service.app import GuideConfig, PoolConfig, ServiceConfig
+from synthetic import mixed_blobs
 
 
 def fresh_engine():

@@ -18,8 +18,8 @@ import pytest
 
 from repro.core.config import BlaeuConfig
 from repro.core.engine import Blaeu
-from repro.datasets.synthetic import mixed_blobs
 from repro.service.app import PoolConfig, ServiceConfig, TraceConfig
+from synthetic import mixed_blobs
 
 
 def _request(running, method, path, body=None):

@@ -23,10 +23,10 @@ from repro.core.config import BlaeuConfig
 from repro.core.engine import Blaeu
 from repro.core.navigation import Explorer
 from repro.core.pipeline import MapBuildError
-from repro.datasets.synthetic import mixed_blobs
 from repro.server.protocol import parse_request
 from repro.server.session import SessionManager
 from repro.service.app import BlaeuService, PoolConfig, ServiceConfig
+from synthetic import mixed_blobs
 
 APPROX_CONFIG = BlaeuConfig(
     map_k_values=(2, 3),

@@ -12,8 +12,8 @@ import pytest
 
 from repro.core.config import BlaeuConfig
 from repro.core.engine import Blaeu
-from repro.datasets.synthetic import mixed_blobs
 from repro.service.app import PoolConfig, ResilienceConfig, ServiceConfig
+from synthetic import mixed_blobs
 
 
 def _get(port: int, path: str, headers: dict[str, str] | None = None):

@@ -155,6 +155,9 @@ class TestWorkerAnswersEveryRow:
             ("GET", "/v1/tables/mixed_blobs/nope", 404, "/v1/tables/<unknown>"),
             ("GET", "/v1/tables/mixed_blobs", 404, "/v1/tables/<unknown>"),
             ("POST", "/v1/commands/nope", 404, "/v1/commands/<unknown>"),
+            # Quotes and backslashes of a hostile path never reach a
+            # label: the exposition escapes nothing it did not write.
+            ("GET", '/v1/tables/a"b\\c/nope', 404, "/v1/tables/<unknown>"),
             # A request its route refuses is counted with the route's
             # other statuses, not once per spelling of the path.
             ("GET", "/v1/tables/mixed_blobs/map?k=bad", 400, "/v1/tables/<table>/map"),

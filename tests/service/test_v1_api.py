@@ -196,8 +196,6 @@ class TestCuratedImports:
             "HashRing": "repro.service.routing",
             "Supervisor": "repro.service.supervisor",
             "parse_request": "repro.server.protocol",
-            "save_session": "repro.server.persistence",
-            "replay_session": "repro.server.persistence",
         }
         for name, home in homes.items():
             assert getattr(importlib.import_module(home), name) is not None

@@ -12,13 +12,13 @@ bit.
 import numpy as np
 import pytest
 
+from oracles import column_dependency, encode_table
 from repro.stats.batched import (
+    MIN_COMPLETE_ROWS,
     ColumnCodes,
     StreamingPairwiseNMI,
-    encode_table,
     pairwise_nmi_matrix,
 )
-from repro.stats.mutual_info import MIN_COMPLETE_ROWS, column_dependency
 from repro.table.column import CategoricalColumn, NumericColumn
 from repro.table.table import Table
 

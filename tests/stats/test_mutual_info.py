@@ -5,14 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.stats.mutual_info import (
-    column_dependency,
-    mutual_information,
-    normalized_mutual_information,
-    pairwise_dependencies,
-)
+from oracles import column_dependency, mutual_information, normalized_mutual_information
 from repro.table.column import CategoricalColumn, NumericColumn
-from repro.table.table import Table
 
 
 class TestMutualInformation:
@@ -83,45 +77,6 @@ class TestColumnDependency:
         b = NumericColumn("b", base + rng.normal(0, 0.01, 300))
         raw = column_dependency(a, b, normalized=False)
         assert raw > 1.0  # nats, unbounded above 1
-
-
-class TestPairwiseDependencies:
-    def test_keys_cover_all_pairs_in_order(self, rng):
-        table = Table(
-            "t",
-            [
-                NumericColumn("a", rng.normal(0, 1, 50)),
-                NumericColumn("b", rng.normal(0, 1, 50)),
-                NumericColumn("c", rng.normal(0, 1, 50)),
-            ],
-        )
-        pairs = pairwise_dependencies(table)
-        assert set(pairs) == {("a", "b"), ("a", "c"), ("b", "c")}
-
-    def test_matches_single_pair_estimates(self, rng):
-        base = rng.normal(0, 1, 300)
-        table = Table(
-            "t",
-            [
-                NumericColumn("a", base),
-                NumericColumn("b", base + rng.normal(0, 0.1, 300)),
-            ],
-        )
-        pairs = pairwise_dependencies(table)
-        direct = column_dependency(table.column("a"), table.column("b"))
-        assert pairs[("a", "b")] == pytest.approx(direct)
-
-    def test_column_subset(self, rng):
-        table = Table(
-            "t",
-            [
-                NumericColumn("a", rng.normal(0, 1, 40)),
-                NumericColumn("b", rng.normal(0, 1, 40)),
-                NumericColumn("c", rng.normal(0, 1, 40)),
-            ],
-        )
-        pairs = pairwise_dependencies(table, columns=["a", "c"])
-        assert set(pairs) == {("a", "c")}
 
 
 # ----------------------------------------------------------------------

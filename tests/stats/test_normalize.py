@@ -1,11 +1,11 @@
-"""Unit and property tests for scaling utilities."""
+"""Unit and property tests for the z-score scaler."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.stats.normalize import minmax_scale, robust_scale, zscore
+from repro.stats.normalize import zscore
 
 
 class TestZScore:
@@ -32,32 +32,6 @@ class TestZScore:
         assert np.isnan(scaled).all()
 
 
-class TestMinMax:
-    def test_unit_interval(self):
-        scaled, _ = minmax_scale(np.asarray([2.0, 4.0, 6.0]))
-        assert scaled.tolist() == [0.0, 0.5, 1.0]
-
-    def test_constant(self):
-        scaled, _ = minmax_scale(np.asarray([3.0, 3.0]))
-        assert scaled.tolist() == [0.0, 0.0]
-
-
-class TestRobust:
-    def test_median_centered(self):
-        values = np.asarray([1.0, 2.0, 3.0, 4.0, 100.0])
-        scaled, stats = robust_scale(values)
-        assert stats.center == 3.0
-        # The outlier barely affects the IQR-based scale.
-        assert abs(scaled[2]) < 1e-12
-
-    def test_less_outlier_sensitive_than_zscore(self, rng):
-        values = np.concatenate([rng.normal(0, 1, 200), [1000.0]])
-        z, _ = zscore(values)
-        r, _ = robust_scale(values)
-        # Typical points keep more resolution under robust scaling.
-        assert np.median(np.abs(r[:-1])) > np.median(np.abs(z[:-1]))
-
-
 _vectors = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
     min_size=1,
@@ -69,12 +43,11 @@ _vectors = st.lists(
 @given(values=_vectors)
 def test_scalers_roundtrip(values):
     array = np.asarray(values)
-    for scaler in (zscore, minmax_scale, robust_scale):
-        scaled, stats = scaler(array)
-        if stats.scale == 0.0:
-            continue  # constant columns are deliberately not invertible
-        back = stats.invert(scaled)
-        np.testing.assert_allclose(back, array, rtol=1e-9, atol=1e-6)
+    scaled, stats = zscore(array)
+    if stats.scale == 0.0:
+        return  # constant columns are deliberately not invertible
+    back = stats.invert(scaled)
+    np.testing.assert_allclose(back, array, rtol=1e-9, atol=1e-6)
 
 
 @settings(max_examples=100, deadline=None)
@@ -82,7 +55,6 @@ def test_scalers_roundtrip(values):
 def test_scalers_preserve_shape_and_missingness(values):
     array = np.asarray(values)
     array = np.where(np.arange(array.size) % 5 == 0, np.nan, array)
-    for scaler in (zscore, minmax_scale, robust_scale):
-        scaled, _ = scaler(array)
-        assert scaled.shape == array.shape
-        assert (np.isnan(scaled) == np.isnan(array)).all()
+    scaled, _ = zscore(array)
+    assert scaled.shape == array.shape
+    assert (np.isnan(scaled) == np.isnan(array)).all()

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.graph.dependency import build_dependency_graph
+from repro.graph.dependency import GraphBuilder
 from repro.store.format import ColumnZone, PartitionMeta
 from repro.store.partitions import build_partitions
 from repro.table.column import CategoricalColumn
@@ -56,8 +56,8 @@ def _check_zones_and_nmi(stored, table, partition_rows):
         or np.isfinite(column.values[~column.missing_mask]).all()
     ]
     np.testing.assert_array_equal(
-        build_dependency_graph(stored, binnable, seed=3).weights,
-        build_dependency_graph(table, binnable, seed=3).weights,
+        GraphBuilder().build(stored, binnable, seed=3).weights,
+        GraphBuilder().build(table, binnable, seed=3).weights,
     )
 
 

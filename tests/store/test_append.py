@@ -3,14 +3,17 @@
 The contract is byte-level — same column files, same category order,
 same content fingerprint — plus crash-safety: the manifest is the
 commit point, and any failure before it leaves the store exactly as it
-was (file sizes, categories, priorities).
+was (every file of the store, byte for byte).
 """
 
 import io
+import os
+import pathlib
 
 import numpy as np
 import pytest
 
+import repro.store.ingest as ingest
 from repro.store import StoredTable
 from repro.store.format import StoreManifest
 from repro.store.ingest import append_csv, ingest_csv
@@ -27,6 +30,69 @@ def _rows(start, count, cats="ab"):
 
 def _csv(rows):
     return io.StringIO("\n".join([HEADER, *rows]))
+
+
+def _snapshot(root):
+    """Every file under ``root``, by relative path, with its bytes."""
+    return {
+        path.relative_to(root).as_posix(): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+def _fail_at(site, monkeypatch):
+    """Make one write site of an append fail with "disk full" — after
+    its write landed, where a write happens, so a rollback has
+    something to undo."""
+
+    def full():
+        raise OSError(f"disk full at the {site}")
+
+    if site == "column file append":
+        original, calls = ingest._append_file, []
+
+        def append_then_fail(tmp, target):
+            original(tmp, target)
+            calls.append(target)
+            if len(calls) == 3:  # x values and mask, then y's values
+                full()
+
+        monkeypatch.setattr(ingest, "_append_file", append_then_fail)
+    elif site == "categories rewrite":
+        write_text = pathlib.Path.write_text
+
+        def write_then_fail(path, text, *args, **kwargs):
+            written = write_text(path, text, *args, **kwargs)
+            if path.name.endswith(".categories.json"):
+                monkeypatch.setattr(pathlib.Path, "write_text", write_text)
+                full()
+            return written
+
+        monkeypatch.setattr(pathlib.Path, "write_text", write_then_fail)
+    elif site == "priority rewrite":
+        write_priorities = ingest.write_priorities
+
+        def write_then_fail(root, n_rows, seed):
+            write_priorities(root, n_rows, seed)
+            monkeypatch.setattr(ingest, "write_priorities", write_priorities)
+            full()
+
+        monkeypatch.setattr(ingest, "write_priorities", write_then_fail)
+    elif site == "zone build":
+        monkeypatch.setattr(
+            "repro.store.partitions.build_partitions",
+            lambda *args, **kwargs: full(),
+        )
+    else:
+        replace = os.replace
+
+        def fail_on_manifest(src, dst):
+            if str(dst).endswith("manifest.json"):
+                full()
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", fail_on_manifest)
 
 
 @pytest.fixture
@@ -139,29 +205,25 @@ class TestAppend:
         for name, size in sizes.items():
             assert (seeded / name).stat().st_size == size
 
-    def test_failure_rolls_back_files(self, seeded, monkeypatch):
-        before = StoreManifest.load(seeded)
-        snapshot = {
-            path.name: path.read_bytes()
-            for path in sorted((seeded / "columns").iterdir())
-        }
-        priorities = (seeded / "priority.bin").read_bytes()
-
-        def boom(root, columns, n_rows, chunk_rows, partition_rows, **kwargs):
-            raise OSError("disk full while building zones")
-
-        monkeypatch.setattr(
-            "repro.store.partitions.build_partitions", boom
-        )
+    @pytest.mark.parametrize(
+        "site",
+        [
+            "column file append",
+            "categories rewrite",
+            "priority rewrite",
+            "zone build",
+            "manifest write",
+        ],
+    )
+    def test_failure_rolls_back_files(self, seeded, monkeypatch, site):
+        """A failure at any write site of an append leaves every file of
+        the store byte for byte as it was, and the store still opens."""
+        before = _snapshot(seeded)
+        _fail_at(site, monkeypatch)
         with pytest.raises(OSError, match="disk full"):
-            append_csv(_csv(_rows(1000, 100)), seeded)
-        # Everything is back: manifest untouched, data files truncated
-        # to their original bytes, priorities regenerated for old length.
-        assert StoreManifest.load(seeded) == before
-        for path in sorted((seeded / "columns").iterdir()):
-            assert path.read_bytes() == snapshot[path.name]
-        assert (seeded / "priority.bin").read_bytes() == priorities
-        # and the store still opens and scans cleanly
+            append_csv(_csv(_rows(1000, 100, cats="abc")), seeded)
+        monkeypatch.undo()
+        assert _snapshot(seeded) == before
         from repro.table.predicates import Everything
 
         table = StoredTable(seeded)

@@ -21,7 +21,9 @@ from repro.store.artifacts import ArtifactCache, _key_hash
 from repro.store.codec import encode
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
-ENV = {**os.environ, "PYTHONPATH": SRC}
+TESTS = str(Path(__file__).resolve().parents[1])
+#: The child processes import ``repro`` and the tests' synthetic tables.
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, TESTS])}
 
 
 def _payload(seed: int, n: int = 512) -> dict[str, object]:
@@ -476,7 +478,7 @@ print(repr((stamp, time.time())))
 import json, sys
 from repro.core.config import BlaeuConfig
 from repro.core.pipeline import MapBuilder
-from repro.datasets.synthetic import mixed_blobs
+from synthetic import mixed_blobs
 from repro.service.cache import LRUCache, TieredCache
 from repro.store.artifacts import ArtifactCache
 

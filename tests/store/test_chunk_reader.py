@@ -29,17 +29,12 @@ from repro.core.datamap import DataMap, Region
 from repro.core.navigation import ExplorationState, Explorer
 from repro.core.pipeline import _node_counts
 from repro.resilience.deadline import DeadlineExceeded, deadline_scope
-from repro.resilience.faults import (
-    InjectedFault,
-    clear_faults,
-    install_faults,
-    parse_faults,
-)
+from repro.resilience.faults import InjectedFault, install_faults, parse_faults
 from repro.store import StoredTable, write_store
 from repro.store.format import ChunkReader, StoreManifest, StoreReadError
 from repro.store.ingest import append_csv
 from repro.table.column import CategoricalColumn, NumericColumn
-from repro.table.csv_io import write_csv_text
+from repro.table.csv_io import write_csv
 from repro.table.predicates import (
     And,
     Comparison,
@@ -57,6 +52,14 @@ LABELS = ("a", "b", "c", "never", "seen")
 
 #: Summaries of columns holding both infinities are NaN, loudly.
 pytestmark = pytest.mark.filterwarnings("ignore:invalid value encountered")
+
+
+def _csv_text(table: Table, delimiter: str = ",") -> str:
+    """``table`` as the CSV text :func:`write_csv` writes to a file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        write_csv(table, path, delimiter=delimiter)
+        return path.read_bytes().decode("utf-8")
 
 
 def _mixed_table(n: int, void: tuple[int, int], late_from: int, rng) -> Table:
@@ -182,7 +185,7 @@ def _check_against_memory(case, check_zones_and_nmi):
             # ``late`` was null-free; the appended rows bring its first
             # nulls.  The table opened before still serves its own rows.
             tail = table.take(np.arange(n_head, table.n_rows))
-            append_csv(io.StringIO(write_csv_text(tail)), root, chunk_rows=chunk_rows)
+            append_csv(io.StringIO(_csv_text(tail)), root, chunk_rows=chunk_rows)
             _assert_equals_twin(stored, head, predicate, tree)
             stored = StoredTable(root)
             assert stored.n_rows == table.n_rows
@@ -299,7 +302,7 @@ class TestNoDescriptorLeaks:
             install_faults(parse_faults(spec))
 
         yield arm
-        clear_faults()
+        install_faults(None)
 
     def test_faulted_and_expired_scans_close_their_files(self, store_root, arm):
         stored = StoredTable(store_root)

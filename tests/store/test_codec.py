@@ -8,7 +8,6 @@ import pytest
 from repro.core.config import BlaeuConfig
 from repro.core.engine import Blaeu
 from repro.core.pipeline import MapBuilder, MapPipeline
-from repro.datasets.synthetic import mixed_blobs
 from repro.store.codec import (
     MAGIC,
     ArtifactCorruptError,
@@ -18,6 +17,7 @@ from repro.store.codec import (
     encode,
 )
 from repro.table.predicates import And, Between, Comparison, In, Not
+from synthetic import mixed_blobs
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,7 @@ import pytest
 
 from repro.store import ingest_csv
 from repro.table.column import CategoricalColumn, ColumnKind, NumericColumn
-from repro.table.csv_io import read_csv_text
+from repro.table.csv_io import read_csv
 
 
 def assert_same_table(stored, memory):
@@ -54,7 +54,7 @@ class TestIngestMatchesReadCsv:
             name="t",
             chunk_rows=chunk_rows,
         )
-        memory = read_csv_text(MIXED_CSV, name="t")
+        memory = read_csv(io.StringIO(MIXED_CSV), name="t")
         assert_same_table(stored, memory)
 
     def test_promotion_in_a_late_chunk(self, tmp_path):
@@ -65,7 +65,7 @@ class TestIngestMatchesReadCsv:
         stored = ingest_csv(
             io.StringIO(text), tmp_path / "s", name="t", chunk_rows=3
         )
-        memory = read_csv_text(text, name="t")
+        memory = read_csv(io.StringIO(text), name="t")
         assert memory.column("v").kind is ColumnKind.CATEGORICAL
         assert_same_table(stored, memory)
 
@@ -73,14 +73,14 @@ class TestIngestMatchesReadCsv:
         text = "f\n1\n0\n1\n1\n0\n"
         stored = ingest_csv(io.StringIO(text), tmp_path / "s", name="t")
         assert stored.kind("f") is ColumnKind.CATEGORICAL
-        assert_same_table(stored, read_csv_text(text, name="t"))
+        assert_same_table(stored, read_csv(io.StringIO(text), name="t"))
 
     def test_all_missing_column_is_categorical(self, tmp_path):
         text = "a,b\n1,\n2,na\n3,?\n"
         stored = ingest_csv(io.StringIO(text), tmp_path / "s", name="t")
         assert stored.kind("a") is ColumnKind.NUMERIC
         assert stored.kind("b") is ColumnKind.CATEGORICAL
-        assert_same_table(stored, read_csv_text(text, name="t"))
+        assert_same_table(stored, read_csv(io.StringIO(text), name="t"))
 
     def test_forced_kinds(self, tmp_path):
         text = "n,c\n1,1\nx,2\n3,3\n"
@@ -88,7 +88,7 @@ class TestIngestMatchesReadCsv:
         stored = ingest_csv(
             io.StringIO(text), tmp_path / "s", name="t", kinds=kinds
         )
-        memory = read_csv_text(text, name="t", kinds=kinds)
+        memory = read_csv(io.StringIO(text), name="t", kinds=kinds)
         assert stored.kind("n") is ColumnKind.NUMERIC
         assert stored.column("n").n_missing == 1  # "x" forced to missing
         assert_same_table(stored, memory)
@@ -96,7 +96,7 @@ class TestIngestMatchesReadCsv:
     def test_header_only_csv(self, tmp_path):
         stored = ingest_csv(io.StringIO("a,b\n"), tmp_path / "s", name="t")
         assert stored.n_rows == 0
-        assert_same_table(stored, read_csv_text("a,b\n", name="t"))
+        assert_same_table(stored, read_csv(io.StringIO("a,b\n"), name="t"))
 
 
 class TestIngestSources:
@@ -130,8 +130,9 @@ class TestIngestSources:
         b = ingest_csv(
             io.StringIO(MIXED_CSV), tmp_path / "b", name="t", priority_seed=9
         )
+        priorities = np.fromfile(a.root / "priority.bin", "<i8")
         np.testing.assert_array_equal(
-            np.asarray(a.priorities), np.asarray(b.priorities)
+            priorities, np.fromfile(b.root / "priority.bin", "<i8")
         )
         expected = np.random.default_rng(9).permutation(a.n_rows)
-        np.testing.assert_array_equal(np.asarray(a.priorities), expected)
+        np.testing.assert_array_equal(priorities, expected)

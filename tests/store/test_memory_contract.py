@@ -1,6 +1,6 @@
 """A served process holds what it computes, not what it has read.
 
-Two contracts of the store-backed read paths: no column file stays
+Two contracts of the store-backed read paths: no store file stays
 mapped once the call that mapped it returns (a kept map keeps every
 page it ever faulted resident), and a highlight holds each matched
 present cell of its numeric columns once — never the selection's
@@ -48,11 +48,9 @@ def _grouped_table(n: int, seed: int) -> Table:
 
 
 def _mapped_store_files(root: Path) -> list[str]:
-    """The column files (values, masks, codes) of the store at ``root``
-    this process has memory-mapped now.  (The catalog's sample cascade
-    maps the priority file for the table's life; no navigation action
-    reads it.)"""
-    prefix = str((root / "columns").resolve()) + "/"
+    """The files of the store at ``root`` — column files, priority
+    file, anything under it — this process has memory-mapped now."""
+    prefix = str(root.resolve()) + "/"
     lines = Path("/proc/self/maps").read_text().splitlines()
     return sorted({line.split()[-1] for line in lines if prefix in line})
 
@@ -88,6 +86,16 @@ def test_column_maps_live_as_long_as_the_caller_holds_them(tmp_path):
     assert len(_mapped_store_files(root)) == 2  # values + mask
     assert float(column.values[0]) == float(stored.take([0]).column("a").values[0])
     del column
+    assert _mapped_store_files(root) == []
+
+
+def test_a_top_k_scan_leaves_no_file_mapped(tmp_path):
+    if not sys.platform.startswith("linux"):
+        pytest.skip("reads /proc/self/maps")
+    root = tmp_path / "store"
+    write_store(_grouped_table(2_000, seed=6), root, chunk_rows=256)
+    stored = StoredTable(root)
+    assert stored.top_k_sample(100).size == 100
     assert _mapped_store_files(root) == []
 
 

@@ -201,6 +201,39 @@ class TestZoneProvesEmpty:
         assert not zone_proves_empty(Comparison("x", ">", 1e9), part, self.KINDS)
 
 
+    def test_signed_zero_bounds_equal_zero(self):
+        # -0.0 == 0.0: a zone of negative zeros can hold a match for 0.0,
+        # and no row of it differs from 0.0.
+        part = self.part(x=ColumnZone(0, -0.0, -0.0))
+        assert not zone_proves_empty(Comparison("x", "==", 0.0), part, self.KINDS)
+        assert not zone_proves_empty(Comparison("x", "<=", 0.0), part, self.KINDS)
+        assert zone_proves_empty(Comparison("x", "!=", 0.0), part, self.KINDS)
+        assert zone_proves_empty(Comparison("x", "<", 0.0), part, self.KINDS)
+
+    def test_infinite_bounds_are_values(self):
+        part = self.part(x=ColumnZone(0, -np.inf, np.inf))
+        assert zone_proves_empty(Comparison("x", "<", -np.inf), part, self.KINDS)
+        assert not zone_proves_empty(
+            Comparison("x", "<=", -np.inf), part, self.KINDS
+        )
+        assert not zone_proves_empty(Comparison("x", "==", np.inf), part, self.KINDS)
+        # Between is half-open: [low, inf) never holds inf itself.
+        assert not zone_proves_empty(Between("x", 1.0, np.inf), part, self.KINDS)
+
+    def test_half_open_between_at_the_zone_edges(self):
+        part = self.part(x=ColumnZone(0, 10.0, 20.0))
+        assert zone_proves_empty(Between("x", 0.0, 10.0), part, self.KINDS)
+        assert not zone_proves_empty(Between("x", 0.0, 10.5), part, self.KINDS)
+        assert not zone_proves_empty(Between("x", 20.0, 30.0), part, self.KINDS)
+
+    def test_a_constant_zone_prunes_only_what_differs_from_it(self):
+        part = self.part(x=ColumnZone(0, 5.0, 5.0))
+        assert zone_proves_empty(Comparison("x", "!=", 5.0), part, self.KINDS)
+        assert not zone_proves_empty(Comparison("x", "!=", 4.0), part, self.KINDS)
+        assert not zone_proves_empty(Comparison("x", "==", 5.0), part, self.KINDS)
+        assert zone_proves_empty(Comparison("x", ">", 5.0), part, self.KINDS)
+
+
 class TestPruning:
     """Each case asserts the read budget AND bit-identity."""
 
@@ -252,11 +285,13 @@ class TestPruning:
 
 class TestBackwardCompat:
     def strip(self, root):
-        """Rewrite the manifest as a pre-partitioning store would have it."""
+        """Rewrite the manifest as a pre-partitioning store would have it
+        (which predates the manifest checksum too)."""
         path = root / "manifest.json"
         doc = json.loads(path.read_text())
         doc.pop("partitions", None)
         doc.pop("version", None)
+        doc.pop("checksum", None)
         path.write_text(json.dumps(doc))
 
     def test_old_manifest_loads_as_implicit_partition(self, table, tmp_path):

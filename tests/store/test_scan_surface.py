@@ -19,14 +19,9 @@ import pytest
 
 from repro.core.navigation import Explorer
 from repro.core.pipeline import MapBuilder
-from repro.graph.dependency import build_dependency_graph
+from repro.graph.dependency import GraphBuilder
 from repro.resilience.deadline import DeadlineExceeded, deadline_scope
-from repro.resilience.faults import (
-    InjectedFault,
-    clear_faults,
-    install_faults,
-    parse_faults,
-)
+from repro.resilience.faults import InjectedFault, install_faults, parse_faults
 from repro.store import StoredTable, write_store
 from repro.table.column import CategoricalColumn, NumericColumn
 from repro.table.predicates import (
@@ -320,8 +315,8 @@ class TestBitIdentity:
 
     def test_dependency_graph_weights(self, store_root, twin):
         np.testing.assert_array_equal(
-            build_dependency_graph(StoredTable(store_root), seed=42).weights,
-            build_dependency_graph(twin, seed=42).weights,
+            GraphBuilder().build(StoredTable(store_root), seed=42).weights,
+            GraphBuilder().build(twin, seed=42).weights,
         )
 
     def test_highlight(self, store_root, twin):
@@ -358,4 +353,4 @@ class TestPassFailures:
             with pytest.raises(InjectedFault):
                 table.scan_mask(Comparison("a", ">", 0.0))
         finally:
-            clear_faults()
+            install_faults(None)

@@ -1,14 +1,13 @@
-"""Database integration: registration, catalog residency, and the
-multi-scale sampling nesting invariants on both residencies."""
+"""Database integration: registration and catalog residency."""
 
-import numpy as np
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.store import write_store
 from repro.table.column import CategoricalColumn, NumericColumn
-from repro.table.database import Database, SelectProject
-from repro.table.predicates import Comparison
-from repro.table.sampling import SampleCascade
+from repro.table.database import Database
 from repro.table.table import Table
 
 
@@ -28,7 +27,7 @@ def table(rng) -> Table:
 
 @pytest.fixture
 def db(table, tmp_path) -> Database:
-    database = Database(seed=3)
+    database = Database()
     database.register(table)
     write_store(table.rename("pop_store"), tmp_path / "s", chunk_rows=64)
     database.load_store(tmp_path / "s")
@@ -60,76 +59,16 @@ class TestRegistration:
         assert "pop_store" not in db
 
 
-class TestQueries:
-    def test_execute_select_project_sample(self, db, table):
-        query = SelectProject(
-            table="pop_store",
-            columns=("v",),
-            predicate=Comparison("g", "==", "a"),
-            sample=25,
-        )
-        result = db.execute(query)
-        assert result.n_rows == 25
-        assert result.column_names == ("v",)
-        assert "SAMPLE 25" in db.query_log[-1]
-
-    def test_store_samples_are_process_independent(self, db, tmp_path):
-        # The store-backed cascade comes from priority.bin, so a second
-        # Database (different seed!) produces the same sample.
-        other = Database(seed=999)
-        other.load_store(tmp_path / "s")
-        np.testing.assert_array_equal(
-            db.sample_indices("pop_store", 31),
-            other.sample_indices("pop_store", 31),
-        )
-
-
-class TestNestingInvariants:
-    """Zoom sample ⊆ parent sample at equal priorities (paper §3)."""
-
-    @pytest.mark.parametrize("name", ["pop", "pop_store"])
-    def test_growing_k_is_nested(self, db, name):
-        for k_small, k_large in ((5, 20), (20, 100), (1, 400)):
-            small = set(db.sample_indices(name, k_small).tolist())
-            large = set(db.sample_indices(name, k_large).tolist())
-            assert small <= large
-
-    @pytest.mark.parametrize("name", ["pop", "pop_store"])
-    def test_zoom_refines_parent_sample(self, db, table, name):
-        """The zoom sample keeps every parent-sample row that survives
-        the zoom predicate — maps stay visually stable across zooms."""
-        parent_pred = Comparison("v", ">", -0.5)
-        zoom_pred = Comparison("v", ">", 0.5)  # strictly narrower
-        k = 40
-        parent = db.sample_indices(name, k, parent_pred)
-        zoomed = db.sample_indices(name, k, zoom_pred)
-        zoom_mask = zoom_pred.mask(table)
-        survivors = {i for i in parent.tolist() if zoom_mask[i]}
-        assert survivors <= set(zoomed.tolist())
-        # And the zoom tops the sample back up to k where possible.
-        assert zoomed.size == min(k, int(zoom_mask.sum()))
-
-    @pytest.mark.parametrize("name", ["pop", "pop_store"])
-    def test_selection_sample_subset_of_selection(self, db, table, name):
-        predicate = Comparison("g", "==", "b")
-        chosen = db.sample_indices(name, 30, predicate)
-        mask = predicate.mask(table)
-        assert mask[chosen].all()
-
-
-class TestFromPriorities:
-    def test_matches_fresh_cascade_with_same_priorities(self, rng):
-        base = SampleCascade(200, rng)
-        clone = SampleCascade.from_priorities(base._priority)
-        for k in (0, 7, 200):
-            np.testing.assert_array_equal(base.sample(k), clone.sample(k))
-        assert clone.n_rows == 200
-
-    def test_rejects_matrix_priorities(self):
-        with pytest.raises(ValueError, match="one-dimensional"):
-            SampleCascade.from_priorities(np.zeros((2, 2), dtype=np.int64))
-
-    def test_is_nested_over_loaded_priorities(self):
-        priorities = np.random.default_rng(0).permutation(50)
-        cascade = SampleCascade.from_priorities(priorities)
-        assert cascade.is_nested(5, 25)
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="reads /proc/self/maps"
+)
+def test_registering_a_store_maps_none_of_its_files(table, tmp_path):
+    """The catalog holds a name, not a read: opening and registering a
+    store leaves no file of it memory-mapped."""
+    root = (tmp_path / "s").resolve()
+    write_store(table, root, chunk_rows=64)
+    database = Database()
+    database.load_store(root)
+    assert database.catalog()[0]["residency"] == "store"
+    maps = Path("/proc/self/maps").read_text()
+    assert str(root) + "/" not in maps

@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.config import BlaeuConfig
 from repro.core.themes import extract_themes
-from repro.graph.dependency import GraphBuilder, build_dependency_graph
+from repro.graph.dependency import GraphBuilder
 from repro.store import StoredTable, write_store
 from repro.table.column import CategoricalColumn, NumericColumn
 from repro.table.table import Table
@@ -46,8 +46,8 @@ def twins(tmp_path_factory):
 class TestResidencyBitIdentity:
     def test_sampled_build_identical(self, twins):
         memory, stored = twins
-        from_memory = build_dependency_graph(memory, sample=200)
-        from_store = build_dependency_graph(stored, sample=200)
+        from_memory = GraphBuilder().build(memory, sample=200)
+        from_store = GraphBuilder().build(stored, sample=200)
         assert from_memory.columns == from_store.columns
         assert np.array_equal(from_memory.weights, from_store.weights)
 
@@ -55,8 +55,8 @@ class TestResidencyBitIdentity:
         """Full-coverage store builds stream chunked scans; the result
         must still match the in-memory gather path exactly."""
         memory, stored = twins
-        from_memory = build_dependency_graph(memory)
-        from_store = build_dependency_graph(stored)
+        from_memory = GraphBuilder().build(memory)
+        from_store = GraphBuilder().build(stored)
         assert np.array_equal(from_memory.weights, from_store.weights)
 
     def test_row_restricted_build_identical(self, twins):
@@ -64,8 +64,8 @@ class TestResidencyBitIdentity:
         rows = np.sort(
             np.random.default_rng(5).choice(memory.n_rows, 300, replace=False)
         ).astype(np.intp)
-        from_memory = build_dependency_graph(memory, row_indices=rows)
-        from_store = build_dependency_graph(stored, row_indices=rows)
+        from_memory = GraphBuilder().build(memory, row_indices=rows)
+        from_store = GraphBuilder().build(stored, row_indices=rows)
         assert np.array_equal(from_memory.weights, from_store.weights)
 
     def test_extract_themes_identical(self, twins):
@@ -134,7 +134,7 @@ class TestPushdown:
         write_store(table, root, chunk_rows=64)
         stored = StoredTable(root)
         before = stored.data_reads
-        build_dependency_graph(stored, columns=("c0", "c1"), sample=100)
+        GraphBuilder().build(stored, columns=("c0", "c1"), sample=100)
         reads = stored.data_reads - before
         # Cut-sample gather + sampled-row gather over 2 columns: the
         # exact count is an implementation detail, but 3 unread columns

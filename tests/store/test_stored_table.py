@@ -194,12 +194,22 @@ class TestProjectionViews:
 
 
 class TestPersistedSampling:
-    def test_top_k_equals_cascade_sample(self, stored):
+    def test_top_k_equals_the_rows_of_the_k_lowest_priorities(
+        self, stored, tmp_path
+    ):
+        """The oracle reads ``priority.bin`` whole and sorts it."""
+        priorities = np.fromfile(tmp_path / "s" / "priority.bin", "<i8")
         for k in (0, 1, 10, 99, 100, 500):
             np.testing.assert_array_equal(
                 stored.top_k_sample(k, chunk_rows=17),
-                stored.cascade().sample(k),
+                np.sort(np.argsort(priorities)[:k]),
             )
+
+    def test_top_k_of_every_row_reads_nothing(self, stored):
+        before = stored.data_reads
+        everything = stored.top_k_sample(stored.n_rows + 5)
+        assert everything.tolist() == list(range(stored.n_rows))
+        assert stored.data_reads == before
 
     def test_top_k_rejects_negative(self, stored):
         with pytest.raises(ValueError):
@@ -219,10 +229,10 @@ class TestPersistedSampling:
         with pytest.raises(StoreReadError, match="permutation"):
             stored.top_k_sample(10)
 
-    def test_cascade_is_stable_across_opens(self, stored, tmp_path):
+    def test_top_k_is_stable_across_opens(self, stored, tmp_path):
         reopened = StoredTable(tmp_path / "s")
         np.testing.assert_array_equal(
-            stored.cascade().sample(20), reopened.cascade().sample(20)
+            stored.top_k_sample(20), reopened.top_k_sample(20)
         )
 
 

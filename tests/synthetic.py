@@ -1,6 +1,7 @@
-"""Generic synthetic generators with known ground truth.
+"""Synthetic test tables with known ground truth.
 
-Two families cover the engine's two clustering axes:
+The engine never generates these: the tests build their tables from
+them.  Two families cover the engine's two clustering axes:
 
 * :func:`numeric_blobs` / :func:`mixed_blobs` — *horizontal* ground
   truth: Gaussian blobs (optionally with cluster-correlated categorical
@@ -10,7 +11,8 @@ Two families cover the engine's two clustering axes:
   evaluating theme recovery.
 
 Every generator takes a seed and returns plain tables plus the planted
-labels, so experiments are reproducible bit for bit.
+labels, so experiments are reproducible bit for bit.  :func:`oecd_small`
+is a fast, narrow variant of the OECD demo table.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.datasets.oecd import oecd
 from repro.table.column import CategoricalColumn, NumericColumn
 from repro.table.table import Table
 
@@ -29,6 +32,7 @@ __all__ = [
     "numeric_blobs",
     "mixed_blobs",
     "planted_themes",
+    "oecd_small",
 ]
 
 
@@ -226,3 +230,21 @@ def planted_themes(
             columns.append(NumericColumn(column_name, values))
         groups[group_name] = tuple(names)
     return PlantedThemes(table=Table(name, columns), groups=groups)
+
+
+def oecd_small(
+    n_rows: int = 900,
+    seed: int = 1961,
+    name: str = "countries_small",
+) -> Table:
+    """A fast variant of :func:`~repro.datasets.oecd.oecd` for tests:
+    same planted structure, 42 columns."""
+    return oecd(
+        n_rows=n_rows,
+        n_regions=220,
+        n_extra_groups=3,
+        extra_group_width=8,
+        n_misc=3,
+        seed=seed,
+        name=name,
+    )

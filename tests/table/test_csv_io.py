@@ -1,12 +1,16 @@
 """Unit and round-trip tests for CSV ingestion/export."""
 
+import io
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.table.column import CategoricalColumn, ColumnKind, NumericColumn
-from repro.table.csv_io import read_csv, read_csv_text, write_csv, write_csv_text
+from repro.table.csv_io import read_csv, write_csv
 from repro.table.table import Table
 
 SAMPLE = """name,age,city
@@ -16,9 +20,17 @@ cho,,ams
 """
 
 
+def _csv_text(table: Table, delimiter: str = ",") -> str:
+    """``table`` as the CSV text :func:`write_csv` writes to a file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        write_csv(table, path, delimiter=delimiter)
+        return path.read_bytes().decode("utf-8")
+
+
 class TestReadCsv:
     def test_read_text(self):
-        table = read_csv_text(SAMPLE, name="people")
+        table = read_csv(io.StringIO(SAMPLE), name="people")
         assert table.name == "people"
         assert table.n_rows == 3
         assert table.column("age").kind is ColumnKind.NUMERIC
@@ -32,33 +44,33 @@ class TestReadCsv:
         assert table.name == "movies"
 
     def test_blank_lines_skipped(self):
-        table = read_csv_text("a,b\n1,2\n\n3,4\n")
+        table = read_csv(io.StringIO("a,b\n1,2\n\n3,4\n"))
         assert table.n_rows == 2
 
     def test_ragged_row_rejected_with_line_number(self):
         with pytest.raises(ValueError, match="line 3"):
-            read_csv_text("a,b\n1,2\n1\n")
+            read_csv(io.StringIO("a,b\n1,2\n1\n"))
 
     def test_empty_source_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            read_csv_text("")
+            read_csv(io.StringIO(""))
 
     def test_empty_header_cell_rejected(self):
         with pytest.raises(ValueError, match="empty column names"):
-            read_csv_text("a,,c\n1,2,3\n")
+            read_csv(io.StringIO("a,,c\n1,2,3\n"))
 
     def test_kind_override(self):
-        table = read_csv_text(
-            "n\n1\n2\n3\n", kinds={"n": ColumnKind.CATEGORICAL}
+        table = read_csv(
+            io.StringIO("n\n1\n2\n3\n"), kinds={"n": ColumnKind.CATEGORICAL}
         )
         assert table.column("n").kind is ColumnKind.CATEGORICAL
 
     def test_alternative_delimiter(self):
-        table = read_csv_text("a;b\n1;x\n", delimiter=";")
+        table = read_csv(io.StringIO("a;b\n1;x\n"), delimiter=";")
         assert table.column_names == ("a", "b")
 
     def test_quoted_fields_with_commas(self):
-        table = read_csv_text('a,b\n"x,y",2\n')
+        table = read_csv(io.StringIO('a,b\n"x,y",2\n'))
         assert table.column("a").value_at(0) == "x,y"
 
 
@@ -72,7 +84,7 @@ class TestWriteCsv:
         assert back.column("age").n_missing == 1
 
     def test_missing_cells_written_empty(self, people):
-        text = write_csv_text(people)
+        text = _csv_text(people)
         lines = text.strip().splitlines()
         # Row for "cho" has a missing age.
         cho = next(line for line in lines if line.startswith("cho"))
@@ -80,7 +92,7 @@ class TestWriteCsv:
 
     def test_integral_floats_written_without_point(self):
         table = Table("t", [NumericColumn("x", [1.0, 2.0])])
-        assert write_csv_text(table).splitlines()[1] == "1"
+        assert _csv_text(table).splitlines()[1] == "1"
 
 
 # ----------------------------------------------------------------------
@@ -113,7 +125,7 @@ def test_csv_roundtrip_property(values, labels):
             CategoricalColumn.from_labels("c", labels[:n]),
         ],
     )
-    back = read_csv_text(write_csv_text(table), name="t")
+    back = read_csv(io.StringIO(_csv_text(table)), name="t")
     x_before = table.column("x")
     x_after = back.column("x")
     assert (x_before.missing_mask == x_after.missing_mask).all()

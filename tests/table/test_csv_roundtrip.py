@@ -7,7 +7,10 @@ pin the fixes those cases exposed (blank-line row loss, ``inf``
 formatting crash).
 """
 
+import io
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
@@ -19,7 +22,7 @@ from repro.table.column import (
     ColumnKind,
     NumericColumn,
 )
-from repro.table.csv_io import read_csv_text, write_csv_text
+from repro.table.csv_io import read_csv, write_csv
 from repro.table.table import Table
 
 # Labels drawn from an alphabet rich in CSV metacharacters.  Stripped
@@ -40,6 +43,14 @@ _floats = st.one_of(
 _KINDS = {"c": ColumnKind.CATEGORICAL, "x": ColumnKind.NUMERIC}
 
 
+def _csv_text(table: Table, delimiter: str = ",") -> str:
+    """``table`` as the CSV text :func:`write_csv` writes to a file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        write_csv(table, path, delimiter=delimiter)
+        return path.read_bytes().decode("utf-8")
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     labels=st.lists(_cells, min_size=1, max_size=20),
@@ -55,8 +66,10 @@ def test_mixed_table_roundtrip(labels, values, delimiter):
             NumericColumn("x", values[:n]),
         ],
     )
-    text = write_csv_text(table, delimiter=delimiter)
-    back = read_csv_text(text, name="t", delimiter=delimiter, kinds=_KINDS)
+    text = _csv_text(table, delimiter=delimiter)
+    back = read_csv(
+        io.StringIO(text), name="t", delimiter=delimiter, kinds=_KINDS
+    )
     assert back.n_rows == table.n_rows
     assert back.column("c").labels() == table.column("c").labels()
     before = table.column("x")
@@ -73,8 +86,10 @@ def test_single_column_roundtrip_keeps_missing_rows(labels):
     # The historical bug: a single missing cell wrote a blank line,
     # which the reader skipped — silently losing the row.
     table = Table("t", [CategoricalColumn.from_labels("c", labels)])
-    back = read_csv_text(
-        write_csv_text(table), name="t", kinds={"c": ColumnKind.CATEGORICAL}
+    back = read_csv(
+        io.StringIO(_csv_text(table)),
+        name="t",
+        kinds={"c": ColumnKind.CATEGORICAL},
     )
     assert back.n_rows == table.n_rows
     assert back.column("c").labels() == table.column("c").labels()
@@ -82,8 +97,10 @@ def test_single_column_roundtrip_keeps_missing_rows(labels):
 
 def test_all_missing_single_column():
     table = Table("t", [CategoricalColumn.from_labels("c", [None, None, None])])
-    back = read_csv_text(
-        write_csv_text(table), name="t", kinds={"c": ColumnKind.CATEGORICAL}
+    back = read_csv(
+        io.StringIO(_csv_text(table)),
+        name="t",
+        kinds={"c": ColumnKind.CATEGORICAL},
     )
     assert back.n_rows == 3
     assert back.column("c").n_missing == 3
@@ -93,7 +110,7 @@ def test_infinities_roundtrip():
     table = Table(
         "t", [NumericColumn("x", [math.inf, -math.inf, 1.25, math.nan])]
     )
-    back = read_csv_text(write_csv_text(table), name="t")
+    back = read_csv(io.StringIO(_csv_text(table)), name="t")
     np.testing.assert_array_equal(
         back.column("x").missing_mask, [False, False, False, True]
     )
@@ -103,5 +120,5 @@ def test_infinities_roundtrip():
 
 
 def test_trailing_blank_lines_still_skipped():
-    back = read_csv_text('"c"\n"a"\n\n\n', name="t")
+    back = read_csv(io.StringIO('"c"\n"a"\n\n\n'), name="t")
     assert back.n_rows == 1

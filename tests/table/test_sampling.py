@@ -1,16 +1,14 @@
-"""Unit and property tests for sampling, including multi-scale nesting."""
+"""Unit tests for the one sampling law: content-keyed uniform samples."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.table.sampling import (
-    SampleCascade,
-    reservoir_sample,
-    stratified_sample,
-    uniform_sample,
-)
+from repro.table.sampling import seed_for, uniform_sample
 
 
 class TestUniformSample:
@@ -40,112 +38,44 @@ class TestUniformSample:
         assert counts.min() > 90 and counts.max() < 220
 
 
-class TestReservoirSample:
-    def test_small_stream_returned_whole(self, rng):
-        assert reservoir_sample(iter(range(3)), 10, rng) == [0, 1, 2]
-
-    def test_size(self, rng):
-        out = reservoir_sample(iter(range(1000)), 10, rng)
-        assert len(out) == 10
-        assert len(set(out)) == 10
-
-    def test_uniformity(self):
-        rng = np.random.default_rng(0)
-        counts = np.zeros(30)
-        for _ in range(900):
-            for item in reservoir_sample(iter(range(30)), 6, rng):
-                counts[item] += 1
-        assert counts.min() > 110 and counts.max() < 260
-
-    def test_negative_rejected(self, rng):
-        with pytest.raises(ValueError):
-            reservoir_sample(iter([]), -1, rng)
-
-
-class TestStratifiedSample:
-    def test_small_strata_kept(self, rng):
-        labels = np.asarray([0] * 96 + [1] * 4)
-        chosen = stratified_sample(labels, 10, rng)
-        # A rare stratum (4%) must still appear in the sample.
-        assert (labels[chosen] == 1).sum() >= 2
-
-    def test_oversampling_returns_all(self, rng):
-        labels = np.asarray([0, 1, 1])
-        assert stratified_sample(labels, 10, rng).tolist() == [0, 1, 2]
-
-    def test_total_size(self, rng):
-        labels = np.repeat(np.arange(5), 40)
-        assert stratified_sample(labels, 25, rng).size == 25
-
-    def test_multidimensional_rejected(self, rng):
-        with pytest.raises(ValueError):
-            stratified_sample(np.zeros((3, 3)), 2, rng)
+def test_seed_for_is_the_same_in_every_interpreter():
+    """``str`` hashes are salted per process; a content key is hashed by
+    ``repr``, so two interpreters with different hash seeds derive the
+    same seed — and so the same sample — from the same key."""
+    script = (
+        "from repro.table.sampling import seed_for\n"
+        "print(seed_for('pipeline', 'fingerprint', ('a', 'b'), 2.5, None))\n"
+    )
+    outputs = {
+        subprocess.run(
+            [sys.executable, "-c", script],
+            env={
+                **os.environ,
+                "PYTHONPATH": str(Path(__file__).resolve().parents[2] / "src"),
+                "PYTHONHASHSEED": hash_seed,
+            },
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+        ).stdout
+        for hash_seed in ("1", "2")
+    }
+    assert outputs == {
+        f"{seed_for('pipeline', 'fingerprint', ('a', 'b'), 2.5, None)}\n"
+    }
 
 
-class TestSampleCascade:
-    def test_sample_size_and_order(self, rng):
-        cascade = SampleCascade(50, rng)
-        out = cascade.sample(10)
-        assert out.shape == (10,)
-        assert (np.diff(out) > 0).all()
-
-    def test_nesting_over_growing_k(self, rng):
-        cascade = SampleCascade(200, rng)
-        assert cascade.is_nested(10, 50)
-        assert cascade.is_nested(50, 120)
-
-    def test_nesting_across_selections(self, rng):
-        # The crucial multi-scale property: zooming keeps surviving
-        # sample members.
-        cascade = SampleCascade(300, rng)
-        parent_sample = set(cascade.sample(40).tolist())
-        selection = np.arange(0, 300, 2)  # zoom: keep even rows
-        child_sample = set(cascade.sample(40, selection).tolist())
-        survivors = parent_sample & set(selection.tolist())
-        assert survivors.issubset(child_sample)
-
-    def test_boolean_mask_selection(self, rng):
-        cascade = SampleCascade(100, rng)
-        mask = np.zeros(100, dtype=bool)
-        mask[:30] = True
-        out = cascade.sample(10, mask)
-        assert out.size == 10
-        assert out.max() < 30
-
-    def test_mask_length_checked(self, rng):
-        cascade = SampleCascade(10, rng)
-        with pytest.raises(ValueError):
-            cascade.sample(2, np.zeros(5, dtype=bool))
-
-    def test_duplicate_indices_rejected(self, rng):
-        cascade = SampleCascade(10, rng)
-        with pytest.raises(ValueError):
-            cascade.sample(2, np.asarray([1, 1]))
-
-    def test_out_of_range_indices_rejected(self, rng):
-        cascade = SampleCascade(10, rng)
-        with pytest.raises(IndexError):
-            cascade.sample(2, np.asarray([5, 99]))
-
-    def test_oversampling_selection_returns_selection(self, rng):
-        cascade = SampleCascade(10, rng)
-        out = cascade.sample(99, np.asarray([3, 1, 7]))
-        assert out.tolist() == [1, 3, 7]
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    n=st.integers(min_value=1, max_value=200),
-    k_small=st.integers(min_value=0, max_value=200),
-    k_large=st.integers(min_value=0, max_value=200),
-    seed=st.integers(min_value=0, max_value=2**16),
-)
-def test_cascade_nesting_property(n, k_small, k_large, seed):
-    """For any selection sizes, the smaller sample nests in the larger."""
-    if k_small > k_large:
-        k_small, k_large = k_large, k_small
-    cascade = SampleCascade(n, np.random.default_rng(seed))
-    small = set(cascade.sample(k_small).tolist())
-    large = set(cascade.sample(k_large).tolist())
-    assert small.issubset(large)
-    assert len(small) == min(k_small, n)
+def test_seed_for_tells_apart_keys_that_print_differently():
+    """Key parts are hashed by ``repr``: a string and a number that read
+    alike, and the same parts in another order, are other keys."""
+    seeds = {
+        seed_for("map", 1),
+        seed_for("map", "1"),
+        seed_for(1, "map"),
+        seed_for("map", 1.0),
+        seed_for(("map", 1)),
+    }
+    assert len(seeds) == 5
+    assert seed_for("map", 1) == seed_for("map", 1)
+    assert all(0 <= seed < 2**64 for seed in seeds)

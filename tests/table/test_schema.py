@@ -3,7 +3,7 @@
 import numpy as np
 
 from repro.table.column import CategoricalColumn, ColumnKind, NumericColumn
-from repro.table.schema import detect_keys, infer_column, infer_schema
+from repro.table.schema import detect_keys, infer_column
 from repro.table.table import Table
 
 
@@ -86,14 +86,3 @@ class TestDetectKeys:
             ],
         )
         assert "c" not in detect_keys(table)
-
-
-class TestInferSchema:
-    def test_schema_summary(self, people):
-        schema = infer_schema(people)
-        assert schema.kinds["age"] is ColumnKind.NUMERIC
-        assert schema.kinds["city"] is ColumnKind.CATEGORICAL
-        assert "name" in schema.keys  # all distinct
-        assert "name" not in schema.non_key_columns
-        assert set(schema.numeric) == {"age", "income"}
-        assert "city" in schema.categorical

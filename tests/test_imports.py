@@ -30,8 +30,15 @@ SRC = ROOT / "src"
 #: Third-party packages ``src/`` may import: the one declared dependency.
 SRC_ALLOWED = {"numpy", "repro"}
 #: What tests, the benchmark harness and the examples may add to that:
-#: the test runners and the harness's own package.
-HARNESS_ALLOWED = SRC_ALLOWED | {"pytest", "hypothesis", "ledger"}
+#: the test runners, the harness's own package and the tests' oracle and
+#: synthetic-table modules (``tests/oracles.py``, ``tests/synthetic.py``).
+HARNESS_ALLOWED = SRC_ALLOWED | {
+    "pytest",
+    "hypothesis",
+    "ledger",
+    "oracles",
+    "synthetic",
+}
 
 #: The engine's packages, which no thin entry point may load.
 ENGINE_PACKAGES = ("core", "graph", "cluster", "tree", "table", "store")
@@ -354,9 +361,9 @@ _WORKER = textwrap.dedent(
 @pytest.fixture(scope="module", params=["store", "memory"])
 def served(request, tmp_path_factory):
     """What one worker's life over each residency reported."""
-    from repro.datasets.synthetic import mixed_blobs
     from repro.store.format import write_store
     from repro.table.csv_io import write_csv
+    from synthetic import mixed_blobs
 
     table = mixed_blobs(n_rows=2_500, k=3, seed=61).table
     tmp_path = tmp_path_factory.mktemp(request.param)

@@ -1,4 +1,4 @@
-"""Unit tests for cost-complexity and legibility pruning."""
+"""Unit tests for legibility pruning."""
 
 import numpy as np
 import pytest
@@ -6,11 +6,7 @@ import pytest
 from repro.table.column import NumericColumn
 from repro.table.table import Table
 from repro.tree.cart import CartParams, fit_tree
-from repro.tree.prune import (
-    cost_complexity_prune,
-    prune_for_legibility,
-    pruning_path,
-)
+from repro.tree.prune import prune_for_legibility
 
 
 @pytest.fixture
@@ -30,48 +26,23 @@ def noisy_tree(rng):
     return table, labels, tree
 
 
-class TestCostComplexity:
-    def test_alpha_zero_keeps_tree(self, noisy_tree):
+class TestLegibility:
+    def test_a_smaller_leaf_budget_never_keeps_more_leaves(self, noisy_tree):
         _, _, tree = noisy_tree
-        pruned = cost_complexity_prune(tree, 0.0)
-        assert pruned.n_leaves() <= tree.n_leaves()
-
-    def test_large_alpha_collapses_to_stump_or_root(self, noisy_tree):
-        _, _, tree = noisy_tree
-        pruned = cost_complexity_prune(tree, 1e9)
-        assert pruned.n_leaves() == 1
-
-    def test_monotone_in_alpha(self, noisy_tree):
-        _, _, tree = noisy_tree
+        budgets = (12, 8, 5, 3, 2, 1)
         sizes = [
-            cost_complexity_prune(tree, alpha).n_leaves()
-            for alpha in (0.0, 0.5, 2.0, 10.0, 1e9)
+            prune_for_legibility(tree, target_leaves=t, min_accuracy=0.0).n_leaves()
+            for t in budgets
         ]
         assert sizes == sorted(sizes, reverse=True)
-
-    def test_negative_alpha_rejected(self, noisy_tree):
-        _, _, tree = noisy_tree
-        with pytest.raises(ValueError):
-            cost_complexity_prune(tree, -1.0)
+        assert all(size <= max(t, 2) for size, t in zip(sizes, budgets))
 
     def test_original_untouched(self, noisy_tree):
         _, _, tree = noisy_tree
         before = tree.n_leaves()
-        cost_complexity_prune(tree, 1e9)
+        prune_for_legibility(tree, target_leaves=1, min_accuracy=0.0)
         assert tree.n_leaves() == before
 
-
-class TestPruningPath:
-    def test_path_ends_at_root(self, noisy_tree):
-        _, _, tree = noisy_tree
-        path = pruning_path(tree)
-        assert path[0] == (0.0, tree.n_leaves())
-        assert path[-1][1] == 1
-        leaf_counts = [leaves for _, leaves in path]
-        assert leaf_counts == sorted(leaf_counts, reverse=True)
-
-
-class TestLegibility:
     def test_leaf_cap_enforced(self, noisy_tree):
         _, _, tree = noisy_tree
         pruned = prune_for_legibility(tree, target_leaves=4, min_accuracy=0.0)

@@ -7,8 +7,8 @@ import pytest
 from repro.core.config import BlaeuConfig
 from repro.core.pipeline import build_map
 from repro.core.themes import extract_themes
-from repro.datasets.synthetic import numeric_blobs, planted_themes
 from repro.viz.export import export_map_json, export_themes_json
+from synthetic import numeric_blobs, planted_themes
 
 
 @pytest.fixture(scope="module")

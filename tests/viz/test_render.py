@@ -5,8 +5,8 @@ import pytest
 from repro.core.config import BlaeuConfig
 from repro.core.navigation import Explorer
 from repro.core.themes import extract_themes
-from repro.datasets.synthetic import mixed_blobs, planted_themes
 from repro.viz.render import render_map, render_region_panel, render_theme_view
+from synthetic import mixed_blobs, planted_themes
 
 
 @pytest.fixture(scope="module")

@@ -4,9 +4,9 @@ import pytest
 
 from repro.core.datamap import DataMap, Region
 from repro.core.pipeline import build_map
-from repro.datasets.synthetic import numeric_blobs
 from repro.table.predicates import Everything
 from repro.viz.treemap import Rect, treemap_layout
+from synthetic import numeric_blobs
 
 
 @pytest.fixture(scope="module")
