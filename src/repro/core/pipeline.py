@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import copy
 import math
-import threading
 import time
 from dataclasses import dataclass
 
@@ -75,10 +74,12 @@ from repro.tree.cart import DecisionTree, TreeNode, count_reaching, fit_tree
 from repro.tree.prune import prune_for_legibility
 
 __all__ = [
+    "BuildRecord",
     "MapBuildError",
     "MapBuilder",
     "MapPipeline",
     "STAGES",
+    "StageRecord",
     "build_map",
     "map_cache_key",
     "refine_exact",
@@ -171,18 +172,34 @@ class DescribeArtifact:
     exemplars: dict[int, dict[str, object]]
 
 
-class _StageRecorder:
-    """Per-run stage bookkeeping the builder folds into its totals."""
+@dataclass(frozen=True)
+class StageRecord:
+    """One stage's outcome in one build: answered from the cache or
+    computed, and the seconds it took (lookup, or compute and store)."""
 
-    def __init__(self) -> None:
-        self.hits: dict[str, int] = {}
-        self.misses: dict[str, int] = {}
-        self.seconds: dict[str, float] = {}
+    name: str
+    hit: bool
+    seconds: float
 
-    def record(self, stage: str, hit: bool, seconds: float) -> None:
-        bucket = self.hits if hit else self.misses
-        bucket[stage] = bucket.get(stage, 0) + 1
-        self.seconds[stage] = seconds
+
+@dataclass(frozen=True)
+class BuildRecord:
+    """One map request's outcome — the builder's single telemetry record.
+
+    ``outcome`` is ``"hit"`` (the finished map came from the cache),
+    ``"miss"`` (built after a map-cache miss), ``"uncached"`` (built with
+    no cache installed), ``"refine"`` (an approximate map upgraded to
+    exact counts by :meth:`MapBuilder.refine`) or ``"upgrade"`` (an exact
+    request that hit a cached approximate map and upgraded it).
+    ``stages`` holds the pipeline stages the request ran, in order; it is
+    empty when no pipeline ran.  Counters, histograms, the access-log
+    note and :attr:`MapBuilder.last` all derive from this record
+    (:meth:`MapBuilder._publish`).
+    """
+
+    outcome: str
+    seconds: float
+    stages: tuple[StageRecord, ...] = ()
 
 
 # ----------------------------------------------------------------------
@@ -211,8 +228,9 @@ class MapPipeline:
         Stage-artifact memo (any ``get``/``put`` mapping; the service's
         shared cache).  ``None`` disables stage reuse; the map is the
         same either way.
-    recorder:
-        Stage hit/miss/timing sink (the builder's).
+
+    Each stage the pipeline runs appends one :class:`StageRecord` to
+    :attr:`stages`, in execution order.
     """
 
     def __init__(
@@ -223,7 +241,6 @@ class MapPipeline:
         selection: Predicate | None = None,
         k: int | None = None,
         cache: object | None = None,
-        recorder: _StageRecorder | None = None,
     ) -> None:
         if not columns:
             raise MapBuildError("build_map needs at least one active column")
@@ -234,7 +251,7 @@ class MapPipeline:
         self._selection_sql = _selection_sql(selection)
         self._k = k
         self._cache = cache
-        self._recorder = recorder or _StageRecorder()
+        self.stages: list[StageRecord] = []
         self._local: dict[str, object] = {}
         self._base_key: tuple | None = None
 
@@ -275,24 +292,18 @@ class MapPipeline:
         fault_point("stage." + name)
         with get_tracer().span("stage." + name) as span:
             started = time.perf_counter()
-            if self._cache is not None:
-                hit = self._cache.get(key)
-                if hit is not None:
-                    self._recorder.record(
-                        name, hit=True, seconds=time.perf_counter() - started
-                    )
-                    self._local[name] = hit
-                    if span.enabled:
-                        span.set("cache_hit", True)
-                    return hit
-            value = compute()
-            if self._cache is not None:
-                self._cache.put(key, value)
-            seconds = time.perf_counter() - started
-            self._recorder.record(name, hit=False, seconds=seconds)
+            value = self._cache.get(key) if self._cache is not None else None
+            hit = value is not None
+            if not hit:
+                value = compute()
+                if self._cache is not None:
+                    self._cache.put(key, value)
+            self.stages.append(
+                StageRecord(name, hit, time.perf_counter() - started)
+            )
             self._local[name] = value
             if span.enabled:
-                span.set("cache_hit", False)
+                span.set("cache_hit", hit)
             return value
 
     def _params(self) -> ClusterParams:
@@ -492,8 +503,8 @@ class MapPipeline:
                 status, refinement = "exact", None
             if span.enabled:
                 span.set("mode", status)
-        self._recorder.record(
-            "count", hit=False, seconds=time.perf_counter() - started
+        self.stages.append(
+            StageRecord("count", False, time.perf_counter() - started)
         )
         return DataMap(
             root=root,
@@ -522,24 +533,17 @@ class MapBuilder:
     pipeline mid-way instead of rebuilding from the table.  The cache
     changes what a build costs, never what it returns (see the module
     docstring's RNG discipline).
+
+    Every map-cache hit, build, refinement and exact upgrade becomes one
+    :class:`BuildRecord`; :meth:`_publish` derives the
+    ``blaeu_pipeline_*`` counters and histograms of the process-global
+    registry, the ``map_cache`` access-log note and :attr:`last` from it.
     """
 
-    def __init__(
-        self,
-        result_cache: object | None = None,
-        metrics: object | None = None,
-    ) -> None:
+    def __init__(self, result_cache: object | None = None) -> None:
         self._result_cache = result_cache
-        self._metrics = metrics
-        self._lock = threading.Lock()
-        self._builds = 0
-        self._refinements = 0
-        self._map_hits = 0
-        self._map_misses = 0
-        self._stage_hits = {stage: 0 for stage in STAGES}
-        self._stage_misses = {stage: 0 for stage in STAGES}
-        self._last_stage_seconds: dict[str, float] = {}
-        self._last_build_seconds = 0.0
+        #: The most recent request's record (``None`` before the first).
+        self.last: BuildRecord | None = None
 
     @property
     def result_cache(self) -> object | None:
@@ -549,30 +553,6 @@ class MapBuilder:
     def set_result_cache(self, cache: object | None) -> None:
         """Install (or remove) the shared result cache."""
         self._result_cache = cache
-
-    def set_metrics(self, metrics: object | None) -> None:
-        """Override the metric sink (tests isolating their counters).
-
-        By default builds, refinements and per-stage cache hits/misses
-        report into the process-global :func:`repro.obs.get_metrics`
-        registry — the service and the CLI no longer wire anything.
-        ``None`` restores the global default.
-        """
-        self._metrics = metrics
-
-    def stats(self) -> dict[str, object]:
-        """Build, refinement and per-stage cache counters."""
-        with self._lock:
-            return {
-                "builds": self._builds,
-                "refinements": self._refinements,
-                "map_cache_hits": self._map_hits,
-                "map_cache_misses": self._map_misses,
-                "stage_hits": dict(self._stage_hits),
-                "stage_misses": dict(self._stage_misses),
-                "last_stage_seconds": dict(self._last_stage_seconds),
-                "last_build_seconds": self._last_build_seconds,
-            }
 
     # ------------------------------------------------------------------
     # Building
@@ -607,43 +587,43 @@ class MapBuilder:
                 )
                 hit = cache.get(key)
                 if hit is not None:
-                    with self._lock:
-                        self._map_hits += 1
-                        # A hit is the whole build: the telemetry must
-                        # show the lookup, not the previous cold build's
-                        # timings.
-                        self._last_build_seconds = time.perf_counter() - started
-                    self._count("blaeu_pipeline_map_hits_total")
-                    note("map_cache", "hit")
                     if span.enabled:
                         span.set("cache_hit", True)
                     if hit.counts_status == "exact" or mode == "approximate":
+                        # A hit is the whole request: its record holds
+                        # the lookup, not the previous cold build.
+                        self._publish(
+                            BuildRecord("hit", time.perf_counter() - started)
+                        )
                         return hit
                     return self._upgrade(
-                        hit, table, columns, config, selection, k, key
+                        hit,
+                        table,
+                        columns,
+                        config,
+                        selection,
+                        k,
+                        key,
+                        "upgrade",
+                        started,
                     )
-                with self._lock:
-                    self._map_misses += 1
-                self._count("blaeu_pipeline_map_misses_total")
-            note("map_cache", "miss")
             if span.enabled:
                 span.set("cache_hit", False)
                 span.set("table", table.name)
                 span.set("mode", mode)
-            recorder = _StageRecorder()
             pipeline = MapPipeline(
-                table,
-                columns,
-                config,
-                selection=selection,
-                k=k,
-                cache=cache,
-                recorder=recorder,
+                table, columns, config, selection=selection, k=k, cache=cache
             )
             data_map = pipeline.build(mode)
-            if cache is not None and key is not None:
+            if key is not None:
                 cache.put(key, data_map)
-            self._absorb(recorder, time.perf_counter() - started)
+            self._publish(
+                BuildRecord(
+                    "miss" if cache is not None else "uncached",
+                    time.perf_counter() - started,
+                    tuple(pipeline.stages),
+                )
+            )
             return data_map
 
     def refine(
@@ -665,6 +645,7 @@ class MapBuilder:
         """
         config = config or BlaeuConfig()
         columns = tuple(columns)
+        started = time.perf_counter()
         with get_tracer().span("map.refine") as span:
             cache = self._result_cache
             key = None
@@ -691,7 +672,15 @@ class MapBuilder:
             if current_map.counts_status == "exact":
                 return current_map
             return self._upgrade(
-                current_map, table, columns, config, selection, k, key
+                current_map,
+                table,
+                columns,
+                config,
+                selection,
+                k,
+                key,
+                "refine",
+                started,
             )
 
     # ------------------------------------------------------------------
@@ -707,8 +696,10 @@ class MapBuilder:
         selection: Predicate | None,
         k: int | None,
         key: tuple | None,
+        outcome: str,
+        started: float,
     ) -> DataMap:
-        started = time.perf_counter()
+        stages: tuple[StageRecord, ...] = ()
         if approximate.refinement is not None:
             with get_tracer().span("map.upgrade") as span:
                 exact = refine_exact(approximate, table, selection)
@@ -717,57 +708,57 @@ class MapBuilder:
         else:
             # No refinement context (e.g. a foreign cache entry): rerun
             # the pipeline exactly; cached stage artifacts keep it cheap.
-            recorder = _StageRecorder()
-            exact = MapPipeline(
+            pipeline = MapPipeline(
                 table,
                 columns,
                 config,
                 selection=selection,
                 k=k,
                 cache=self._result_cache,
-                recorder=recorder,
-            ).build("exact")
-            self._absorb(recorder, time.perf_counter() - started)
+            )
+            exact = pipeline.build("exact")
+            stages = tuple(pipeline.stages)
         if self._result_cache is not None and key is not None:
             self._result_cache.put(key, exact)
-        with self._lock:
-            self._refinements += 1
-            self._last_stage_seconds["count"] = time.perf_counter() - started
-        self._count("blaeu_pipeline_refinements_total")
+        self._publish(
+            BuildRecord(outcome, time.perf_counter() - started, stages)
+        )
         return exact
 
-    def _absorb(self, recorder: _StageRecorder, seconds: float) -> None:
-        with self._lock:
-            self._builds += 1
-            self._last_build_seconds = seconds
-            for stage, count in recorder.hits.items():
-                self._stage_hits[stage] = self._stage_hits.get(stage, 0) + count
-            for stage, count in recorder.misses.items():
-                self._stage_misses[stage] = (
-                    self._stage_misses.get(stage, 0) + count
-                )
-            self._last_stage_seconds.update(recorder.seconds)
-        self._count("blaeu_pipeline_builds_total")
-        metrics = self._registry()
-        metrics.observe("blaeu_pipeline_build_seconds", seconds)
-        for stage, count in recorder.hits.items():
-            self._count(f"blaeu_pipeline_{stage}_hits_total", count)
-        for stage, count in recorder.misses.items():
-            self._count(f"blaeu_pipeline_{stage}_misses_total", count)
-            # Per-stage latency histograms cover computed stages only;
-            # a cache hit's lookup time would drown the signal.
+    def _publish(self, record: BuildRecord) -> None:
+        """Derive every counter, histogram and note from one record.
+
+        A map-cache hit (``hit``, ``upgrade``) or miss (``miss``, and
+        ``uncached``, which counts no miss) is noted for the access log;
+        an upgrade to exact counts (``refine``, ``upgrade``) counts a
+        refinement; a record that ran the pipeline counts a build and
+        each stage's hit or miss.  Per-stage latency histograms cover
+        computed stages only: a cache hit's lookup time would drown the
+        signal.
+        """
+        metrics = get_metrics()
+        outcome = record.outcome
+        if outcome in ("hit", "upgrade"):
+            metrics.increment("blaeu_pipeline_map_hits_total")
+            note("map_cache", "hit")
+        elif outcome in ("miss", "uncached"):
+            if outcome == "miss":
+                metrics.increment("blaeu_pipeline_map_misses_total")
+            note("map_cache", "miss")
+        if outcome in ("refine", "upgrade"):
+            metrics.increment("blaeu_pipeline_refinements_total")
+        if record.stages:
+            metrics.increment("blaeu_pipeline_builds_total")
+            metrics.observe("blaeu_pipeline_build_seconds", record.seconds)
+        for stage in record.stages:
+            if stage.hit:
+                metrics.increment(f"blaeu_pipeline_{stage.name}_hits_total")
+                continue
+            metrics.increment(f"blaeu_pipeline_{stage.name}_misses_total")
             metrics.observe(
-                f"blaeu_pipeline_stage_seconds_{stage}",
-                recorder.seconds.get(stage, 0.0),
+                f"blaeu_pipeline_stage_seconds_{stage.name}", stage.seconds
             )
-
-    def _registry(self):
-        """The metric sink: the explicit override or the global registry."""
-        return self._metrics if self._metrics is not None else get_metrics()
-
-    def _count(self, name: str, by: int = 1) -> None:
-        if by:
-            self._registry().increment(name, by)
+        self.last = record
 
 
 def build_map(
@@ -783,7 +774,7 @@ def build_map(
     ``k`` forces a cluster count instead of silhouette selection;
     ``count_mode`` overrides ``config.count_mode``.  Long-lived callers
     hold a :class:`MapBuilder`, which adds the result cache and the
-    counters; the map is the same.
+    build records; the map is the same.
     """
     pipeline = MapPipeline(selection, tuple(columns), config or BlaeuConfig(), k=k)
     return pipeline.build(count_mode)

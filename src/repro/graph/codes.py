@@ -34,6 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.obs.metrics import get_metrics
 from repro.stats.batched import ColumnCodes
 from repro.stats.discretize import (
     MISSING_BIN,
@@ -84,7 +85,9 @@ class CodeCache:
 
     Keys are ``(table fingerprint, column name, binning signature)``
     tuples — content-addressed, never session-scoped, so every explorer
-    sharing the cache reuses each other's discretization work.
+    sharing the cache reuses each other's discretization work.  Each
+    lookup is counted once, in the process-global registry
+    (``blaeu_graph_code_cache_{hits,misses}_total``).
     """
 
     def __init__(self, max_entries: int = 1024) -> None:
@@ -93,19 +96,16 @@ class CodeCache:
         self._max_entries = max_entries
         self._entries: OrderedDict[tuple, CodeEntry] = OrderedDict()
         self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
 
     def get(self, key: tuple) -> CodeEntry | None:
         """The cached entry, or ``None`` on miss (moves hits to MRU)."""
         with self._lock:
             entry = self._entries.get(key)
-            if entry is None:
-                self._misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self._hits += 1
-            return entry
+            if entry is not None:
+                self._entries.move_to_end(key)
+        outcome = "misses" if entry is None else "hits"
+        get_metrics().increment(f"blaeu_graph_code_cache_{outcome}_total")
+        return entry
 
     def put(self, key: tuple, entry: CodeEntry) -> None:
         """Insert (or refresh) an entry, evicting the LRU one if full."""
@@ -117,23 +117,13 @@ class CodeCache:
                 self._entries.popitem(last=False)
 
     def clear(self) -> None:
-        """Drop every entry (statistics are kept)."""
+        """Drop every entry."""
         with self._lock:
             self._entries.clear()
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-    def stats(self) -> dict[str, int]:
-        """Hit/miss/size counters, snapshot under the lock."""
-        with self._lock:
-            return {
-                "hits": self._hits,
-                "misses": self._misses,
-                "size": len(self._entries),
-                "max_entries": self._max_entries,
-            }
 
 
 def gather_codes(

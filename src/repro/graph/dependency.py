@@ -29,7 +29,6 @@ of reuse over the batched NMI kernel (:mod:`repro.stats.batched`):
 from __future__ import annotations
 
 import hashlib
-import threading
 import time
 from dataclasses import dataclass
 from typing import Literal, Sequence
@@ -123,7 +122,9 @@ class GraphBuilder:
     discretization across every explorer and navigation step, and an
     optional ``result_cache`` (any ``get(key)``/``put(key, value)``
     mapping — the service installs its shared map cache) memoizes
-    finished graphs across sessions.
+    finished graphs across sessions.  Builds, memo hits and misses are
+    counted in the process-global registry (``blaeu_graph_*``; the code
+    cache counts its own lookups there).
 
     Every build draws its row sample from a generator seeded by
     :func:`~repro.table.sampling.seed_for` of the graph's content key —
@@ -135,16 +136,11 @@ class GraphBuilder:
         self,
         result_cache: object | None = None,
         code_cache: CodeCache | None = None,
-        metrics: object | None = None,
     ) -> None:
         self._result_cache = result_cache
-        self._code_cache = code_cache or CodeCache()
-        self._metrics = metrics
-        self._lock = threading.Lock()
-        self._builds = 0
-        self._result_hits = 0
-        self._result_misses = 0
-        self._last_build_seconds = 0.0
+        self._code_cache = code_cache if code_cache is not None else CodeCache()
+        #: Wall seconds of the most recent computed build (0 before one).
+        self.last_build_seconds = 0.0
 
     @property
     def code_cache(self) -> CodeCache:
@@ -159,29 +155,6 @@ class GraphBuilder:
     def set_result_cache(self, cache: object | None) -> None:
         """Install (or remove) the shared graph result cache."""
         self._result_cache = cache
-
-    def set_metrics(self, metrics: object | None) -> None:
-        """Override the metric sink (tests isolating their counters).
-
-        By default graph builds, memo hits/misses and code-cache
-        hits/misses report into the process-global
-        :func:`repro.obs.get_metrics` registry — the service and the
-        CLI no longer wire anything.  ``None`` restores the default.
-        """
-        self._metrics = metrics
-
-    def stats(self) -> dict[str, float]:
-        """Build and cache counters (code-cache counters folded in)."""
-        code = self._code_cache.stats()
-        with self._lock:
-            return {
-                "builds": self._builds,
-                "graph_cache_hits": self._result_hits,
-                "graph_cache_misses": self._result_misses,
-                "code_cache_hits": code["hits"],
-                "code_cache_misses": code["misses"],
-                "last_build_seconds": self._last_build_seconds,
-            }
 
     def build(
         self,
@@ -253,24 +226,20 @@ class GraphBuilder:
                 bin_sample_size,
                 row_indices,
             )
+            metrics = get_metrics()
             if cache is not None:
                 hit = cache.get(key)
                 if hit is not None:
-                    with self._lock:
-                        self._result_hits += 1
-                    self._count("blaeu_graph_cache_hits_total")
+                    metrics.increment("blaeu_graph_cache_hits_total")
                     if span.enabled:
                         span.set("cache_hit", True)
                     return hit  # type: ignore[return-value]
-                with self._lock:
-                    self._result_misses += 1
-                self._count("blaeu_graph_cache_misses_total")
+                metrics.increment("blaeu_graph_cache_misses_total")
 
             if span.enabled:
                 span.set("cache_hit", False)
                 span.set("measure", measure)
                 span.set("n_columns", len(names))
-            code_before = self._code_cache.stats()
             graph = self._build(
                 table,
                 names,
@@ -286,33 +255,14 @@ class GraphBuilder:
             if cache is not None:
                 cache.put(key, graph)
             seconds = time.perf_counter() - started
-            with self._lock:
-                self._builds += 1
-                self._last_build_seconds = seconds
-            code_after = self._code_cache.stats()
-            self._count("blaeu_graph_builds_total")
-            self._registry().observe("blaeu_graph_build_seconds", seconds)
-            self._count(
-                "blaeu_graph_code_cache_hits_total",
-                code_after["hits"] - code_before["hits"],
-            )
-            self._count(
-                "blaeu_graph_code_cache_misses_total",
-                code_after["misses"] - code_before["misses"],
-            )
+            self.last_build_seconds = seconds
+            metrics.increment("blaeu_graph_builds_total")
+            metrics.observe("blaeu_graph_build_seconds", seconds)
             return graph
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-
-    def _registry(self):
-        """The metric sink: the explicit override or the global registry."""
-        return self._metrics if self._metrics is not None else get_metrics()
-
-    def _count(self, name: str, by: int = 1) -> None:
-        if by:
-            self._registry().increment(name, by)
 
     def _build(
         self,

@@ -714,10 +714,10 @@ class BlaeuService:
     async def _serve_metrics(self, request: HttpRequest) -> HttpResponse:
         cache = self.cache_stats()
         pool = self._pool.stats()
-        tier_stats = getattr(self._engine.map_cache, "tier_stats", None)
+        tiered = isinstance(self._engine.map_cache, TieredCache)
         if cache is not None:
             self._metrics.set_gauge("blaeu_cache_entries", cache.size)
-            if not callable(tier_stats):
+            if not tiered:
                 # A tiered cache reports hits/misses as per-tier labeled
                 # counters (blaeu_cache_hits_total{tier="l1"|"l2"});
                 # emitting the legacy unlabeled gauges under the same
@@ -729,12 +729,12 @@ class BlaeuService:
             self._metrics.set_gauge(
                 "blaeu_cache_evictions_total", cache.evictions
             )
-        if callable(tier_stats):
-            tiers = tier_stats()
+        if tiered:
             self._metrics.set_gauge(
-                "blaeu_artifact_cache_promotions", tiers.promotions
+                "blaeu_artifact_cache_promotions",
+                self._metrics.counter("blaeu_cache_promotions_total"),
             )
-            disk = getattr(self._engine.map_cache, "disk", None)
+            disk = self._engine.map_cache.disk
             if disk is not None:
                 disk_stats = disk.stats()
                 self._metrics.set_gauge(
@@ -766,18 +766,18 @@ class BlaeuService:
         self._metrics.set_gauge(
             "blaeu_sessions_active", len(self._manager.session_ids())
         )
-        graph = self._engine.graph_builder.stats()
         self._metrics.set_gauge(
-            "blaeu_graph_last_build_seconds", graph["last_build_seconds"]
+            "blaeu_graph_last_build_seconds",
+            self._engine.graph_builder.last_build_seconds,
         )
         self._metrics.set_gauge(
             "blaeu_graph_code_cache_entries",
             len(self._engine.graph_builder.code_cache),
         )
-        pipeline = self._engine.map_builder.stats()
+        last_map = self._engine.map_builder.last
         self._metrics.set_gauge(
             "blaeu_pipeline_last_build_seconds",
-            pipeline["last_build_seconds"],
+            last_map.seconds if last_map is not None else 0.0,
         )
         self._metrics.set_gauge(
             "blaeu_pipeline_refining_sessions", len(self._refining)

@@ -33,7 +33,7 @@ from repro.obs.metrics import get_metrics
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.store.artifacts import ArtifactCache
 
-__all__ = ["CacheStats", "LRUCache", "TieredCache", "TieredCacheStats"]
+__all__ = ["CacheStats", "LRUCache", "TieredCache"]
 
 
 @dataclass(frozen=True)
@@ -187,18 +187,6 @@ class LRUCache:
             )
 
 
-@dataclass(frozen=True)
-class TieredCacheStats:
-    """Per-tier effectiveness of one :class:`TieredCache`."""
-
-    memory: CacheStats
-    memory_hits: int
-    disk_hits: int
-    misses: int
-    promotions: int
-    disk_skipped: int
-
-
 class TieredCache:
     """An L1 (memory) / L2 (disk) cache behind the ``get``/``put`` surface.
 
@@ -215,20 +203,15 @@ class TieredCache:
     the per-key decode cost is paid once per process.  Writes always
     land in memory; disk persistence is best-effort — values outside
     the codec's type registry simply stay memory-only, which keeps the
-    tier transparent to the pipeline.  Counters additionally feed the
-    process-global metrics registry (``blaeu_artifact_cache_*``), so
-    ``/metrics`` shows the disk tier's effectiveness per worker.
+    tier transparent to the pipeline.  Its counters live in the
+    process-global metrics registry alone (``blaeu_cache_*`` per tier,
+    ``blaeu_artifact_cache_*`` for the disk), so ``/metrics`` shows each
+    tier's effectiveness per worker.
     """
 
     def __init__(self, memory: LRUCache, disk: "ArtifactCache | None" = None) -> None:
         self._memory = memory
         self._disk = disk
-        self._lock = threading.Lock()
-        self._memory_hits = 0
-        self._disk_hits = 0
-        self._misses = 0
-        self._promotions = 0
-        self._disk_skipped = 0
 
     @property
     def memory(self) -> LRUCache:
@@ -252,8 +235,6 @@ class TieredCache:
         metrics = get_metrics()
         value = self._memory.get(key)
         if value is not None:
-            with self._lock:
-                self._memory_hits += 1
             metrics.increment_labeled(
                 "blaeu_cache_hits_total", {"tier": "l1"}
             )
@@ -263,9 +244,6 @@ class TieredCache:
             value = self._disk.get(key)
             if value is not None:
                 self._memory.put(key, value)
-                with self._lock:
-                    self._disk_hits += 1
-                    self._promotions += 1
                 metrics.increment_labeled(
                     "blaeu_cache_hits_total", {"tier": "l2"}
                 )
@@ -276,8 +254,6 @@ class TieredCache:
                 "blaeu_cache_misses_total", {"tier": "l2"}
             )
             metrics.increment("blaeu_artifact_cache_misses_total")
-        with self._lock:
-            self._misses += 1
         return None
 
     def put(self, key: Hashable, value: object) -> None:
@@ -288,8 +264,6 @@ class TieredCache:
         if self._disk.put(key, value):
             get_metrics().increment("blaeu_artifact_cache_writes_total")
         else:
-            with self._lock:
-                self._disk_skipped += 1
             get_metrics().increment("blaeu_artifact_cache_write_skips_total")
 
     def invalidate(self, key: Hashable) -> bool:
@@ -310,19 +284,7 @@ class TieredCache:
 
         The serving layer's health endpoint reads ``stats()`` off
         whatever cache the engine carries; keeping the L1 shape here
-        means tiering never changes that surface.  Tier-aware callers
-        use :meth:`tier_stats`.
+        means tiering never changes that surface.  Per-tier counters are
+        in the metrics registry.
         """
         return self._memory.stats()
-
-    def tier_stats(self) -> TieredCacheStats:
-        """Per-tier counters (memory/disk hits, promotions, skips)."""
-        with self._lock:
-            return TieredCacheStats(
-                memory=self._memory.stats(),
-                memory_hits=self._memory_hits,
-                disk_hits=self._disk_hits,
-                misses=self._misses,
-                promotions=self._promotions,
-                disk_skipped=self._disk_skipped,
-            )

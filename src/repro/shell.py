@@ -248,10 +248,10 @@ class BlaeuShell:
         into the shared metrics registry, so warm navigations visibly
         skip the build (cache hits go up, build time stays put).
         """
-        stats = self._engine.graph_builder.stats()
+        seconds = self._engine.graph_builder.last_build_seconds
         counter = self._metrics.counter
         return (
-            f"graph: last build {stats['last_build_seconds'] * 1000.0:.0f} ms"
+            f"graph: last build {seconds * 1000.0:.0f} ms"
             f" | builds {counter('blaeu_graph_builds_total')}"
             f" | graph cache {counter('blaeu_graph_cache_hits_total')} hit /"
             f" {counter('blaeu_graph_cache_misses_total')} miss"
@@ -263,24 +263,26 @@ class BlaeuShell:
         """One line of map-pipeline telemetry shown after each map.
 
         Reads the ``blaeu_pipeline_*`` counters the builder pushes into
-        the shared metrics registry plus the builder's per-stage
-        timings, so warm navigations visibly re-enter the pipeline
-        mid-way (stage hits go up, the skipped stages report no time).
+        the shared metrics registry plus the stage timings of its last
+        :class:`~repro.core.pipeline.BuildRecord`, so warm navigations
+        visibly re-enter the pipeline mid-way (stage hits go up, the
+        skipped stages report no time).
         """
         from repro.core.pipeline import STAGES
 
-        stats = self._engine.map_builder.stats()
-        hits, misses = stats["stage_hits"], stats["stage_misses"]
-        seconds = stats["last_stage_seconds"]
+        last = self._engine.map_builder.last
+        stages = last.stages if last is not None else ()
+        seconds = {stage.name: stage.seconds for stage in stages}
+        counter = self._metrics.counter
         per_stage = " ".join(
-            f"{stage}={hits.get(stage, 0)}h/{misses.get(stage, 0)}m"
+            f"{stage}={counter(f'blaeu_pipeline_{stage}_hits_total')}h/"
+            f"{counter(f'blaeu_pipeline_{stage}_misses_total')}m"
             f"({seconds.get(stage, 0.0) * 1000.0:.0f}ms)"
             for stage in STAGES
         )
-        counter = self._metrics.counter
+        build_seconds = last.seconds if last is not None else 0.0
         return (
-            f"pipeline: last build "
-            f"{stats['last_build_seconds'] * 1000.0:.0f} ms"
+            f"pipeline: last build {build_seconds * 1000.0:.0f} ms"
             f" | builds {counter('blaeu_pipeline_builds_total')}"
             f" | map cache {counter('blaeu_pipeline_map_hits_total')} hit /"
             f" {counter('blaeu_pipeline_map_misses_total')} miss"

@@ -187,6 +187,8 @@ def _format_cell(value: float) -> str:
         # repr gives 'inf' / '-inf', which _parse_float reads back
         # exactly (missing cells never reach here: they render as "").
         return repr(value)
+    if value == 0.0 and math.copysign(1.0, value) < 0.0:
+        return "-0.0"  # str(int(-0.0)) would drop the sign
     if value == int(value) and abs(value) < 1e15:
         return str(int(value))
     return repr(value)

@@ -5,8 +5,22 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.obs.metrics import get_metrics, set_global_metrics
+from repro.obs.trace import get_tracer, set_tracer
 from repro.table.column import CategoricalColumn, NumericColumn
 from repro.table.table import Table
+
+
+@pytest.fixture(autouse=True)
+def restore_obs_globals():
+    """Snapshot and restore the process-global tracer and metric registry
+    around every test, so a test may install its own (``reset_metrics()``,
+    ``set_tracer``) without leaking it into the next."""
+    tracer = get_tracer()
+    metrics = get_metrics()
+    yield
+    set_tracer(tracer)
+    set_global_metrics(metrics)
 
 
 @pytest.fixture

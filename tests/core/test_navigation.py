@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.config import BlaeuConfig
 from repro.core.navigation import Explorer
+from repro.obs.metrics import reset_metrics
 from synthetic import mixed_blobs
 
 CONFIG = BlaeuConfig(map_k_values=(2, 3), min_zoom_rows=10)
@@ -226,12 +227,11 @@ class TestLocalThemes:
     def test_local_themes_reuse_cached_codes(self, explorer):
         explorer.open_columns(("x0", "x1"))
         explorer.themes()  # primes the code cache for the base table
-        before = explorer.graph_builder.stats()
+        metrics = reset_metrics()
         explorer.local_themes()
-        after = explorer.graph_builder.stats()
-        assert after["builds"] == before["builds"] + 1
-        assert after["code_cache_misses"] == before["code_cache_misses"]
-        assert after["code_cache_hits"] > before["code_cache_hits"]
+        assert metrics.counter("blaeu_graph_builds_total") == 1
+        assert metrics.counter("blaeu_graph_code_cache_misses_total") == 0
+        assert metrics.counter("blaeu_graph_code_cache_hits_total") > 0
 
     def test_local_themes_deterministic_and_session_neutral(self, explorer):
         """Deep-diving a selection is read-only: its randomness derives

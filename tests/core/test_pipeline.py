@@ -33,6 +33,7 @@ from repro.core.pipeline import (
     build_map,
 )
 from repro.core.preprocess import preprocess
+from repro.obs.metrics import reset_metrics
 from repro.service.cache import LRUCache
 from repro.store import StoredTable, write_store
 from repro.table.predicates import Comparison, Everything
@@ -237,19 +238,14 @@ class TestBitIdentity:
         base = table if residency == "memory" else stored
         builder = MapBuilder(result_cache=LRUCache(max_size=64))
         builder.build(base, COLUMNS, config=CONFIG)  # warms sample..distances
-        before = builder.stats()
         warm = builder.build(base, COLUMNS, config=CONFIG, k=4)
-        after = builder.stats()
+        hits = {stage.name: stage.hit for stage in builder.last.stages}
         # The re-entry consumed the cached early stages and recomputed
         # only Cluster and Describe.
         for stage in ("sample", "preprocess", "distances"):
-            assert after["stage_hits"][stage] == before["stage_hits"][stage] + 1
-            assert after["stage_misses"][stage] == before["stage_misses"][stage]
+            assert hits[stage] is True
         for stage in ("cluster", "describe"):
-            assert (
-                after["stage_misses"][stage]
-                == before["stage_misses"][stage] + 1
-            )
+            assert hits[stage] is False
 
         cold = MapBuilder(result_cache=LRUCache(max_size=64)).build(
             base, COLUMNS, config=CONFIG, k=4
@@ -263,15 +259,10 @@ class TestBitIdentity:
     def test_project_reuses_the_sample_artifact(self, table):
         builder = MapBuilder(result_cache=LRUCache(max_size=64))
         builder.build(table, ("x0", "x1"), config=CONFIG)
-        before = builder.stats()
         builder.build(table, ("x1", "x2"), config=CONFIG)
-        after = builder.stats()
-        assert after["stage_hits"]["sample"] == before["stage_hits"]["sample"] + 1
-        assert after["stage_misses"]["sample"] == before["stage_misses"]["sample"]
-        assert (
-            after["stage_misses"]["preprocess"]
-            == before["stage_misses"]["preprocess"] + 1
-        )
+        hits = {stage.name: stage.hit for stage in builder.last.stages}
+        assert hits["sample"] is True
+        assert hits["preprocess"] is False
 
     def test_selection_predicate_matches_legacy_subset_build(self, table):
         predicate = Comparison("x0", ">", 0.0)
@@ -358,6 +349,7 @@ class TestApproximateCounts:
         assert export_map_json(refined) == export_map_json(legacy)
 
     def test_refinement_patches_the_shared_cache(self, table):
+        metrics = reset_metrics()
         cache = LRUCache(max_size=64)
         builder = MapBuilder(result_cache=cache)
         approx = builder.build(table, COLUMNS, config=APPROX_CONFIG)
@@ -366,16 +358,17 @@ class TestApproximateCounts:
         # Every later session sees the exact map straight from cache.
         served = builder.build(table, COLUMNS, config=APPROX_CONFIG)
         assert served.counts_status == "exact"
-        assert builder.stats()["refinements"] == 1
+        assert metrics.counter("blaeu_pipeline_refinements_total") == 1
 
     def test_exact_request_upgrades_a_cached_approximate_map(self, table):
+        metrics = reset_metrics()
         builder = MapBuilder(result_cache=LRUCache(max_size=64))
         builder.build(table, COLUMNS, config=APPROX_CONFIG)
         exact = builder.build(
             table, COLUMNS, config=APPROX_CONFIG, count_mode="exact"
         )
         assert exact.counts_status == "exact"
-        assert builder.stats()["refinements"] == 1
+        assert metrics.counter("blaeu_pipeline_refinements_total") == 1
 
     def test_count_mode_configs_share_results(self, table):
         """count_mode is result-neutral: an exact-mode config produces
@@ -395,10 +388,10 @@ class TestApproximateCounts:
         )
         # A session running the exact-mode twin config is served the
         # refined map straight from cache — no rebuild.
-        before = builder.stats()["builds"]
+        metrics = reset_metrics()
         served = builder.build(table, COLUMNS, config=exact_config)
         assert served is refined
-        assert builder.stats()["builds"] == before
+        assert metrics.counter("blaeu_pipeline_builds_total") == 0
 
     def test_small_selections_are_exact_immediately(self, table):
         config = BlaeuConfig(
@@ -479,12 +472,8 @@ class TestPipelineMechanics:
         assert export_map_json(a) == export_map_json(b)
 
     def test_builder_metrics_counters(self, table):
-        from repro.obs.metrics import Metrics
-
-        metrics = Metrics()
-        builder = MapBuilder(
-            result_cache=LRUCache(max_size=64), metrics=metrics
-        )
+        metrics = reset_metrics()
+        builder = MapBuilder(result_cache=LRUCache(max_size=64))
         builder.build(table, COLUMNS, config=CONFIG)
         builder.build(table, COLUMNS, config=CONFIG)
         builder.build(table, COLUMNS, config=CONFIG, k=4)

@@ -26,6 +26,7 @@ from repro.core.engine import Blaeu
 from repro.core.themes import Theme, ThemeSet, _cohesion, extract_themes
 from repro.graph.dependency import GraphBuilder
 from repro.graph.partition import pam_partition
+from repro.obs.metrics import reset_metrics
 from repro.obs.trace import Tracer, get_tracer, set_tracer
 from repro.server.protocol import Request
 from repro.server.session import SessionManager
@@ -440,10 +441,11 @@ def test_a_second_engine_is_served_themes_from_the_shared_cache_dir(
     computed = first.themes("measurements")
     assert first.themes("measurements") is computed
 
+    metrics = reset_metrics()
     second = _fleet_engine(tmp_path / "m", tmp_path / "cache")
     served = second.themes("measurements")
     assert_same_themes(served, computed)
-    assert second.graph_builder.stats()["builds"] == 0
+    assert metrics.counter("blaeu_graph_builds_total") == 0
 
     # A third engine over the second's cache object shares its L1.
     third = Blaeu(CONFIG, map_cache=second.map_cache)

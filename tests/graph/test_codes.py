@@ -11,6 +11,7 @@ from repro.graph.codes import (
     gather_codes,
     resolve_entries,
 )
+from repro.obs.metrics import reset_metrics
 from repro.store import StoredTable, write_store
 from repro.table.column import CategoricalColumn, NumericColumn
 from repro.table.table import Table
@@ -39,6 +40,7 @@ def twin_tables(tmp_path, n=500, seed=11):
 
 class TestCodeCache:
     def test_hit_miss_and_eviction(self):
+        metrics = reset_metrics()
         cache = CodeCache(max_entries=2)
         entry = CodeEntry(n_codes=3, codes=np.zeros(4, dtype=np.int32))
         assert cache.get(("f", "a", ())) is None
@@ -47,8 +49,8 @@ class TestCodeCache:
         assert cache.get(("f", "a", ())) is entry
         cache.put(("f", "c", ()), entry)  # evicts LRU ("b")
         assert cache.get(("f", "b", ())) is None
-        stats = cache.stats()
-        assert stats["hits"] == 1 and stats["misses"] == 2
+        assert metrics.counter("blaeu_graph_code_cache_hits_total") == 1
+        assert metrics.counter("blaeu_graph_code_cache_misses_total") == 2
         assert len(cache) == 2
         cache.clear()
         assert len(cache) == 0
@@ -95,13 +97,15 @@ class TestGatherCodes:
         table, _ = twin_tables(tmp_path)
         cache = CodeCache()
         names = table.column_names
+        metrics = reset_metrics()
+        hits = "blaeu_graph_code_cache_hits_total"
+        misses = "blaeu_graph_code_cache_misses_total"
         gather_codes(table, names, cache=cache, rows=np.arange(50))
-        first = cache.stats()
-        assert first["misses"] == len(names) and first["hits"] == 0
+        assert metrics.counter(misses) == len(names)
+        assert metrics.counter(hits) == 0
         gather_codes(table, names, cache=cache, rows=np.arange(50, 100))
-        second = cache.stats()
-        assert second["misses"] == first["misses"]
-        assert second["hits"] == len(names)
+        assert metrics.counter(misses) == len(names)
+        assert metrics.counter(hits) == len(names)
 
     def test_bin_sample_is_deterministic(self, tmp_path):
         table, _ = twin_tables(tmp_path)

@@ -5,6 +5,7 @@ import pytest
 
 from oracles import pearson, spearman
 from repro.graph.dependency import GraphBuilder
+from repro.obs.metrics import reset_metrics
 from repro.service.cache import LRUCache
 from repro.table.column import CategoricalColumn, NumericColumn
 from repro.table.table import Table
@@ -171,15 +172,15 @@ class TestVectorizedCorrelation:
 
 class TestGraphBuilder:
     def test_result_cache_memoizes(self, themed):
+        metrics = reset_metrics()
         cache = LRUCache(max_size=8)
         builder = GraphBuilder(result_cache=cache)
         first = builder.build(themed.table, sample=100)
         second = builder.build(themed.table, sample=100)
         assert second is first
-        stats = builder.stats()
-        assert stats["builds"] == 1
-        assert stats["graph_cache_hits"] == 1
-        assert stats["graph_cache_misses"] == 1
+        assert metrics.counter("blaeu_graph_builds_total") == 1
+        assert metrics.counter("blaeu_graph_cache_hits_total") == 1
+        assert metrics.counter("blaeu_graph_cache_misses_total") == 1
 
     def test_cache_warmth_does_not_change_results(self, themed):
         cold = GraphBuilder(result_cache=LRUCache(max_size=8))
@@ -193,18 +194,17 @@ class TestGraphBuilder:
         builder = GraphBuilder()
         n = themed.table.n_rows
         builder.build(themed.table, row_indices=np.arange(0, n, 2))
-        misses = builder.stats()["code_cache_misses"]
+        metrics = reset_metrics()
         builder.build(themed.table, row_indices=np.arange(1, n, 2))
-        stats = builder.stats()
-        assert stats["code_cache_misses"] == misses
-        assert stats["code_cache_hits"] >= themed.table.n_columns
+        assert metrics.counter("blaeu_graph_code_cache_misses_total") == 0
+        assert (
+            metrics.counter("blaeu_graph_code_cache_hits_total")
+            >= themed.table.n_columns
+        )
 
     def test_metrics_sink_receives_counters(self, themed):
-        from repro.obs.metrics import Metrics
-
-        metrics = Metrics()
+        metrics = reset_metrics()
         builder = GraphBuilder(result_cache=LRUCache(max_size=4))
-        builder.set_metrics(metrics)
         builder.build(themed.table, sample=100)
         builder.build(themed.table, sample=100)
         assert metrics.counter("blaeu_graph_builds_total") == 1
@@ -212,3 +212,58 @@ class TestGraphBuilder:
         assert metrics.counter("blaeu_graph_cache_misses_total") == 1
         assert metrics.counter("blaeu_graph_code_cache_misses_total") > 0
         assert "blaeu_graph_builds_total 1" in metrics.render()
+
+    def test_overlapping_builds_count_each_code_lookup_once(self):
+        """Concurrent builds on one warm builder: the registry's code-cache
+        hits plus misses equal the lookups the shared cache served."""
+        import threading
+
+        from repro.graph.codes import CodeCache, gather_codes
+        from synthetic import mixed_blobs
+
+        class CountingCodeCache(CodeCache):
+            def __init__(self) -> None:
+                super().__init__()
+                self.lookups = 0
+                self._lookup_lock = threading.Lock()
+
+            def get(self, key):
+                with self._lookup_lock:
+                    self.lookups += 1
+                return super().get(key)
+
+        tables = [
+            mixed_blobs(n_rows=2_000, k=3, seed=seed, name=f"t{seed}").table
+            for seed in range(4)
+        ]
+        cache = CountingCodeCache()
+        for table in tables:  # warm: every column's cuts are cached
+            gather_codes(table, table.column_names, cache=cache, rows=np.arange(9))
+        builder = GraphBuilder(code_cache=cache)
+        metrics = reset_metrics()
+        cache.lookups = 0
+        start = threading.Barrier(4)
+        errors: list[BaseException] = []
+
+        def navigate(offset: int) -> None:
+            try:
+                start.wait(timeout=30)
+                for step in range(3):
+                    rows = np.arange(offset + step, 2_000, 5)
+                    builder.build(tables[(offset + step) % 4], row_indices=rows)
+            except BaseException as error:  # pragma: no cover - surfaced below
+                errors.append(error)
+
+        threads = [
+            threading.Thread(target=navigate, args=(offset,))
+            for offset in range(4)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not errors
+        hits = metrics.counter("blaeu_graph_code_cache_hits_total")
+        misses = metrics.counter("blaeu_graph_code_cache_misses_total")
+        assert cache.lookups == 4 * 3 * tables[0].n_columns
+        assert hits + misses == cache.lookups

@@ -13,6 +13,7 @@ from repro.guide.prefetch import (
     PrefetchScheduler,
     prefetch_actions,
 )
+from repro.obs.metrics import reset_metrics
 from repro.service.pool import WorkerPool
 from synthetic import mixed_blobs
 
@@ -50,8 +51,7 @@ class TestResolveActions:
         actions = prefetch_actions(explorer, explorer.suggest(limit=3))
         assert actions
 
-        builder = engine.map_builder
-        before = builder.stats()["map_cache_hits"]
+        metrics = reset_metrics()
         for action in actions:
             action.build()
         # Re-taking the suggested zoom in the foreground must now hit.
@@ -59,8 +59,7 @@ class TestResolveActions:
             s.target for s in explorer.suggest(limit=3) if s.action == "zoom"
         )
         explorer.zoom(zoom_target)
-        after = builder.stats()["map_cache_hits"]
-        assert after > before
+        assert metrics.counter("blaeu_pipeline_map_hits_total") > 0
 
     def test_initial_state_resolves_open_theme_builds(self, engine):
         explorer = engine.explore("mixed_blobs")
@@ -269,10 +268,9 @@ class TestSchedulerWarmsSharedCache:
         pool.shutdown()
         assert stats["completed"] == 1
 
-        builder = engine.map_builder
-        before = builder.stats()["map_cache_hits"]
+        metrics = reset_metrics()
         explorer.zoom(suggestions[0].target)
-        assert builder.stats()["map_cache_hits"] == before + 1
+        assert metrics.counter("blaeu_pipeline_map_hits_total") == 1
 
 
 class TestSchedulerDeadline:

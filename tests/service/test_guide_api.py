@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.config import BlaeuConfig
 from repro.core.engine import Blaeu
+from repro.obs.metrics import get_metrics
 from repro.service.app import GuideConfig, PoolConfig, ServiceConfig
 from synthetic import mixed_blobs
 
@@ -175,8 +176,8 @@ class TestSpeculativePrefetch:
         top = suggested["suggestions"][0]
         assert top["action"] == "zoom"
 
-        builder = prefetching.service.engine.map_builder
-        before = builder.stats()["map_cache_hits"]
+        hits = "blaeu_pipeline_map_hits_total"
+        before = get_metrics().counter(hits)
         prefetching.post(
             "/v1/commands/open",
             {"session": "warm-s1", "table": "mixed_blobs", "theme": 0},
@@ -186,8 +187,7 @@ class TestSpeculativePrefetch:
             {"session": "warm-s1", "region": top["target"]},
         )
         assert status == 200
-        after = builder.stats()["map_cache_hits"]
-        assert after > before
+        assert get_metrics().counter(hits) > before
         prefetching.post("/v1/commands/close", {"session": "warm-s1"})
 
     def test_session_commands_trigger_session_speculation(self, prefetching):

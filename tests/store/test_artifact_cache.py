@@ -477,7 +477,8 @@ print(repr((stamp, time.time())))
         script = r"""
 import json, sys
 from repro.core.config import BlaeuConfig
-from repro.core.pipeline import MapBuilder
+from repro.core.pipeline import STAGES, MapBuilder
+from repro.obs.metrics import get_metrics
 from synthetic import mixed_blobs
 from repro.service.cache import LRUCache, TieredCache
 from repro.store.artifacts import ArtifactCache
@@ -489,11 +490,14 @@ cache = TieredCache(LRUCache(max_size=64), ArtifactCache(root))
 builder = MapBuilder(result_cache=cache)
 columns = tuple(table.column_names[:4])
 data_map = builder.build(table, columns, config=config)
-stats = builder.stats()
+metrics = get_metrics()
 print(json.dumps({
     "map": data_map.to_dict(),
-    "map_hits": stats["map_cache_hits"],
-    "stage_misses": sum(stats["stage_misses"].values()),
+    "map_hits": metrics.counter("blaeu_pipeline_map_hits_total"),
+    "stage_misses": sum(
+        metrics.counter(f"blaeu_pipeline_{stage}_misses_total")
+        for stage in STAGES
+    ),
 }))
 """
         root = str(tmp_path / "shared")

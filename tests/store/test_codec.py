@@ -8,6 +8,7 @@ import pytest
 from repro.core.config import BlaeuConfig
 from repro.core.engine import Blaeu
 from repro.core.pipeline import MapBuilder, MapPipeline
+from repro.obs.metrics import reset_metrics
 from repro.store.codec import (
     MAGIC,
     ArtifactCorruptError,
@@ -191,10 +192,11 @@ class TestPipelineEquivalence:
         reference = plain.build(table, columns, config=config)
         # Build twice: the second run re-reads every artifact through
         # decode(), so any codec lossiness would show up as a diff.
+        metrics = reset_metrics()
         coded.build(table, columns, config=config)
         again = coded.build(table, columns, config=config)
         assert again.to_dict() == reference.to_dict()
-        assert coded.stats()["map_cache_hits"] == 1
+        assert metrics.counter("blaeu_pipeline_map_hits_total") == 1
 
 
 def test_map_pipeline_symbol_still_exported():

@@ -2,9 +2,9 @@
 
 These target the escaping corners — delimiters, quotes, and newlines
 inside categorical labels, single-column tables whose missing cells
-would otherwise render as blank lines, and non-finite floats — and
-pin the fixes those cases exposed (blank-line row loss, ``inf``
-formatting crash).
+would otherwise render as blank lines, non-finite floats and signed
+zeros — and pin the fixes those cases exposed (blank-line row loss,
+``inf`` formatting crash, ``-0.0`` written as ``0``).
 """
 
 import io
@@ -38,6 +38,8 @@ _floats = st.one_of(
     st.just(float("inf")),
     st.just(float("-inf")),
     st.just(float("nan")),
+    st.just(0.0),
+    st.just(-0.0),
 )
 
 _KINDS = {"c": ColumnKind.CATEGORICAL, "x": ColumnKind.NUMERIC}
@@ -77,6 +79,10 @@ def test_mixed_table_roundtrip(labels, values, delimiter):
     np.testing.assert_array_equal(after.missing_mask, before.missing_mask)
     np.testing.assert_array_equal(
         after.present_values(), before.present_values()
+    )
+    # Equality cannot tell 0.0 from -0.0; the sign bits can.
+    np.testing.assert_array_equal(
+        np.signbit(after.present_values()), np.signbit(before.present_values())
     )
 
 
@@ -122,3 +128,13 @@ def test_infinities_roundtrip():
 def test_trailing_blank_lines_still_skipped():
     back = read_csv(io.StringIO('"c"\n"a"\n\n\n'), name="t")
     assert back.n_rows == 1
+
+
+def test_signed_zeros_roundtrip():
+    table = Table("t", [NumericColumn("x", [-0.0, 0.0, -2.0])])
+    text = _csv_text(table)
+    assert text.splitlines()[1:] == ["-0.0", "0", "-2"]
+    back = read_csv(io.StringIO(text), name="t")
+    np.testing.assert_array_equal(
+        np.signbit(back.column("x").present_values()), [True, False, True]
+    )
