@@ -37,6 +37,8 @@ import sys
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
+    import argparse
+
     from repro.core.engine import Blaeu
 
 __all__ = [
@@ -102,6 +104,31 @@ def build_engine(argv: list[str]) -> Blaeu:
         else:
             engine.load_csv(path)
     return engine
+
+
+def _add_data_arguments(parser: argparse.ArgumentParser) -> None:
+    """Declare the data a subcommand builds its engine from: paths, or
+    ``--demo`` (checked by :func:`_engine_argv`)."""
+    parser.add_argument(
+        "data", nargs="*", help="CSV files or store directories to register"
+    )
+    parser.add_argument(
+        "--demo", choices=_DEMOS, help="use a bundled demo dataset"
+    )
+
+
+def _engine_argv(
+    parser: argparse.ArgumentParser, args: argparse.Namespace
+) -> list[str]:
+    """The :func:`build_engine` argv of the arguments that
+    :func:`_add_data_arguments` declared: either paths or one demo."""
+    if args.demo and args.data:
+        parser.error("give either CSV files or --demo, not both")
+    if args.demo:
+        return ["--demo", args.demo]
+    if not args.data:
+        parser.error("provide CSV files or --demo <name>")
+    return list(args.data)
 
 
 def ingest_main(argv: list[str]) -> None:
@@ -249,12 +276,7 @@ def guide_main(argv: list[str]) -> None:
             "(guided exploration, see repro.guide)."
         ),
     )
-    parser.add_argument(
-        "data", nargs="*", help="CSV files or store directories to register"
-    )
-    parser.add_argument(
-        "--demo", choices=_DEMOS, help="use a bundled demo dataset"
-    )
+    _add_data_arguments(parser)
     parser.add_argument(
         "--table",
         default=None,
@@ -278,15 +300,11 @@ def guide_main(argv: list[str]) -> None:
         help="suggestions to show (default %(default)s)",
     )
     args = parser.parse_args(argv)
-    if args.demo and args.data:
-        parser.error("give either data files or --demo, not both")
+    engine_argv = _engine_argv(parser, args)
     if args.theme and args.columns:
         parser.error("give either --theme or --columns, not both")
     if args.limit < 1:
         parser.error("--limit must be at least 1")
-    engine_argv = ["--demo", args.demo] if args.demo else list(args.data)
-    if not engine_argv:
-        parser.error("provide data files or --demo <name>")
     engine = build_engine(engine_argv)
     tables = engine.tables()
     table = args.table or (tables[0] if len(tables) == 1 else None)
@@ -329,10 +347,7 @@ def serve_main(argv: list[str]) -> None:
         prog="blaeu serve",
         description="Serve Blaeu's protocol commands over HTTP.",
     )
-    parser.add_argument("data", nargs="*", help="CSV files to register")
-    parser.add_argument(
-        "--demo", choices=_DEMOS, help="serve a bundled demo dataset"
-    )
+    _add_data_arguments(parser)
     options.add_flags(parser)
     parser.add_argument(
         "--port-file",
@@ -347,14 +362,7 @@ def serve_main(argv: list[str]) -> None:
         "exported as BLAEU_FAULTS to every worker — chaos testing only",
     )
     args = parser.parse_args(argv)
-    if args.demo and args.data:
-        parser.error("give either CSV files or --demo, not both")
-    if args.demo:
-        sources = ["--demo", args.demo]
-    elif args.data:
-        sources = list(args.data)
-    else:
-        parser.error("provide CSV files or --demo <name>")
+    sources = _engine_argv(parser, args)
     try:
         config = options.resolve(vars(args))
     except ValueError as error:
@@ -385,39 +393,12 @@ def serve_main(argv: list[str]) -> None:
     BlaeuService(build_engine(sources), config).run(port_file=args.port_file)
 
 
-def _group_span_dicts(
-    spans: list[dict], limit: int
-) -> list[dict[str, object]]:
-    """Group exported span dicts into traces, newest first.
-
-    Mirrors :meth:`repro.obs.trace.Tracer.traces` for spans re-read
-    from a JSONL export (where only the dict form survives).
-    """
-    grouped: dict[str, list[dict]] = {}
-    order: list[str] = []
-    for span in spans:
-        trace_id = str(span.get("trace_id", "?"))
-        if trace_id not in grouped:
-            grouped[trace_id] = []
-            order.append(trace_id)
-        grouped[trace_id].append(span)
-    return [
-        {
-            "trace_id": trace_id,
-            "spans": sorted(
-                grouped[trace_id], key=lambda s: s.get("offset", 0.0)
-            ),
-        }
-        for trace_id in reversed(order[-limit:])
-    ]
-
-
 def trace_main(argv: list[str]) -> None:
     """The ``trace`` subcommand: render recent traces as text trees."""
     import argparse
     import json
 
-    from repro.obs.trace import render_trace
+    from repro.obs.trace import group_traces, render_trace
 
     parser = argparse.ArgumentParser(
         prog="blaeu trace",
@@ -472,7 +453,7 @@ def trace_main(argv: list[str]) -> None:
                 ]
         except (OSError, ValueError) as error:
             raise SystemExit(f"could not read spans: {error}") from None
-        traces = _group_span_dicts(spans, args.limit)
+        traces = group_traces(spans, args.limit)
     if args.export:
         with open(args.export, "w", encoding="utf-8") as handle:
             for trace in traces:

@@ -166,13 +166,6 @@ class DataMap:
             f"{[r.region_id for r in self.root.walk()]}"
         )
 
-    def region_of_cluster(self, cluster: int) -> Region:
-        """The leaf region of cluster ``cluster``."""
-        for leaf in self.leaves():
-            if leaf.cluster == cluster:
-                return leaf
-        raise KeyError(f"no leaf region for cluster {cluster}")
-
     def to_dict(self) -> dict[str, object]:
         """JSON-ready payload (what the web tier would ship to D3)."""
         return {

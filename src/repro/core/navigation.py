@@ -293,10 +293,6 @@ class Explorer:
             row_indices=indices,
         )
 
-    def set_themes(self, themes: ThemeSet) -> None:
-        """Replace the theme set (after user edits in the theme view)."""
-        self._themes = themes
-
     # ------------------------------------------------------------------
     # State
     # ------------------------------------------------------------------

@@ -69,17 +69,6 @@ class FeatureSpace:
         return int(self.matrix.shape[0])
 
     @property
-    def n_features(self) -> int:
-        """Dimensionality of the vectors."""
-        return int(self.matrix.shape[1])
-
-    def features_of(self, column: str) -> list[int]:
-        """Indices of the matrix columns derived from ``column``."""
-        return [
-            i for i, source in enumerate(self.source_columns) if source == column
-        ]
-
-    @property
     def used_columns(self) -> tuple[str, ...]:
         """Table columns that contributed at least one feature."""
         seen: list[str] = []

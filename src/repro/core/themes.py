@@ -10,7 +10,7 @@ so :class:`ThemeSet` supports moving columns and renaming.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -117,54 +117,6 @@ class ThemeSet:
     def names(self) -> tuple[str, ...]:
         """All theme names, largest theme first."""
         return tuple(theme.name for theme in self.themes)
-
-    # ------------------------------------------------------------------
-    # Editing (Figure 5: "users can browse and edit the themes")
-    # ------------------------------------------------------------------
-
-    def move_column(self, column: str, target_theme: str) -> "ThemeSet":
-        """A new ThemeSet with ``column`` moved into ``target_theme``.
-
-        Empty source themes disappear.  Cohesion values are recomputed
-        from the dependency graph.
-        """
-        source = self.theme_of(column)
-        target = self.theme(target_theme)
-        if source.name == target.name:
-            return self
-        updated: list[Theme] = []
-        for theme in self.themes:
-            if theme.name == source.name:
-                remaining = tuple(c for c in theme.columns if c != column)
-                if not remaining:
-                    continue
-                updated.append(
-                    Theme(
-                        name=remaining[0],
-                        columns=remaining,
-                        cohesion=_cohesion(self.graph, remaining),
-                    )
-                )
-            elif theme.name == target.name:
-                extended = theme.columns + (column,)
-                updated.append(replace(
-                    theme,
-                    columns=extended,
-                    cohesion=_cohesion(self.graph, extended),
-                ))
-            else:
-                updated.append(theme)
-        return replace(self, themes=tuple(updated))
-
-    def rename_theme(self, old: str, new: str) -> "ThemeSet":
-        """A new ThemeSet with one theme renamed (columns unchanged)."""
-        if any(t.name == new for t in self.themes):
-            raise ValueError(f"a theme named {new!r} already exists")
-        self.theme(old)  # raise KeyError when absent
-        updated = tuple(
-            replace(t, name=new) if t.name == old else t for t in self.themes
-        )
-        return replace(self, themes=updated)
 
 
 def extract_themes(

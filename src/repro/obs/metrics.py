@@ -239,12 +239,6 @@ class Metrics:
             series = self._labeled.setdefault(name, {})
             series[key] = series.get(key, 0) + by
 
-    def labeled_counter(self, name: str, labels: dict[str, str]) -> int:
-        """Current value of one labeled series (0 before first increment)."""
-        key = tuple(sorted(labels.items()))
-        with self._lock:
-            return self._labeled.get(name, {}).get(key, 0)
-
     def observe(self, name: str, value: float) -> None:
         """Record one observation into the named histogram.
 
@@ -259,23 +253,9 @@ class Metrics:
                 histogram = self._histograms[name] = Histogram()
         histogram.observe(value)
 
-    def named_histogram(self, name: str) -> Histogram | None:
-        """The named histogram (``None`` before its first observation)."""
-        with self._lock:
-            return self._histograms.get(name)
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-
-    def request_count(self, route: str | None = None) -> int:
-        """Total requests (optionally restricted to one route)."""
-        with self._lock:
-            return sum(
-                count
-                for (r, _), count in self._requests.items()
-                if route is None or r == route
-            )
 
     def histogram(self, route: str) -> Histogram | None:
         """The latency histogram of ``route`` (``None`` before traffic)."""

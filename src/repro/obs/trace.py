@@ -14,14 +14,13 @@ cost nothing: :meth:`Tracer.span` returns the module-level
 :data:`NULL_SPAN` singleton — no allocation, no clock reads — and every
 attribute write at an instrumentation site is guarded by
 ``span.enabled``.  Finished spans land in a bounded ring buffer
-(:func:`Tracer.traces` groups them for ``/trace`` and the CLI), can be
-exported as JSONL for offline analysis, and optionally feed a
-threshold-configurable slow-op log.
+(:func:`group_traces` groups them for ``/trace`` and the CLI, whose
+``blaeu trace --export`` writes them as JSONL for offline analysis),
+and optionally feed a threshold-configurable slow-op log.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import threading
@@ -29,7 +28,7 @@ import time
 from collections import deque
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Callable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator
 
 __all__ = [
     "NULL_SPAN",
@@ -40,6 +39,7 @@ __all__ = [
     "current_span",
     "format_fields",
     "get_tracer",
+    "group_traces",
     "note",
     "render_trace",
     "set_tracer",
@@ -245,49 +245,37 @@ class Tracer:
         with self._lock:
             self._spans.clear()
 
-    def trace_spans(self, trace_id: str) -> list[dict[str, object]]:
-        """All retained spans of one trace, in start order."""
-        spans = [s.to_dict() for s in self.spans() if s.trace_id == trace_id]
-        spans.sort(key=lambda s: s["offset"])
-        return spans
-
     def traces(self, limit: int = 10) -> list[dict[str, object]]:
-        """The most recent ``limit`` traces, newest first.
+        """The most recent ``limit`` traces, newest first (the
+        ``/trace`` endpoint's payload; see :func:`group_traces`)."""
+        return group_traces([span.to_dict() for span in self.spans()], limit)
 
-        Each entry is ``{"trace_id", "spans"}`` with the spans in start
-        order — the ``/trace`` endpoint's payload and the CLI's input.
-        """
-        if limit < 1:
-            raise ValueError("limit must be at least 1")
-        grouped: dict[str, list[Span]] = {}
-        order: list[str] = []
-        for span in self.spans():
-            if span.trace_id not in grouped:
-                grouped[span.trace_id] = []
-                order.append(span.trace_id)
-            grouped[span.trace_id].append(span)
-        out = []
-        for trace_id in reversed(order[-limit:]):
-            spans = sorted(grouped[trace_id], key=lambda s: s.start)
-            out.append(
-                {
-                    "trace_id": trace_id,
-                    "spans": [s.to_dict() for s in spans],
-                }
-            )
-        return out
 
-    def export_jsonl(self, target: "str | os.PathLike | TextIO") -> int:
-        """Write every retained span as one JSON line; returns the count."""
-        spans = self.spans()
-        if hasattr(target, "write"):
-            for span in spans:
-                target.write(json.dumps(span.to_dict()) + "\n")
-        else:
-            with open(target, "w", encoding="utf-8") as handle:
-                for span in spans:
-                    handle.write(json.dumps(span.to_dict()) + "\n")
-        return len(spans)
+def group_traces(
+    spans: Iterable[dict[str, object]], limit: int
+) -> list[dict[str, object]]:
+    """Group span records (:meth:`Span.to_dict`) into the most recent
+    ``limit`` traces, newest first.
+
+    Each entry is ``{"trace_id", "spans"}`` with the spans in start
+    order.  A record re-read from a JSONL export may lack fields: one
+    without a ``trace_id`` groups under ``"?"``, one without an
+    ``offset`` sorts first.
+    """
+    if limit < 1:
+        raise ValueError("limit must be at least 1")
+    grouped: dict[str, list[dict[str, object]]] = {}
+    for span in spans:
+        grouped.setdefault(str(span.get("trace_id", "?")), []).append(span)
+    return [
+        {
+            "trace_id": trace_id,
+            "spans": sorted(
+                grouped[trace_id], key=lambda s: s.get("offset", 0.0)
+            ),
+        }
+        for trace_id in reversed(list(grouped)[-limit:])
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -129,16 +129,6 @@ class FaultInjector:
             return spec
         return None
 
-    def fired(self, site_glob: str = "*") -> int:
-        """Total fires across specs whose site pattern matches the glob."""
-        with self._lock:
-            return sum(
-                fired
-                for index, fired in self._fired.items()
-                if fnmatch.fnmatchcase(self._specs[index].site, site_glob)
-                or fnmatch.fnmatchcase(site_glob, self._specs[index].site)
-            )
-
 
 _INJECTOR: FaultInjector | None = None
 _ENV_CHECKED = False

@@ -41,11 +41,6 @@ class RetryBudget:
                 return True
             return False
 
-    @property
-    def tokens(self) -> float:
-        with self._lock:
-            return self._tokens
-
 
 def jittered_backoff(
     attempt: int,

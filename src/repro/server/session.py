@@ -60,7 +60,6 @@ class SessionManager:
     def __init__(self, engine: Blaeu) -> None:
         self._engine = engine
         self._sessions: dict[str, Session] = {}
-        self._counter = 0
         self._lock = threading.RLock()
         self._reserved: set[str] = set()
 
@@ -73,12 +72,6 @@ class SessionManager:
         """Active session ids."""
         with self._lock:
             return tuple(self._sessions)
-
-    def new_session_id(self) -> str:
-        """A fresh session id (``s1``, ``s2``, …)."""
-        with self._lock:
-            self._counter += 1
-            return f"s{self._counter}"
 
     # ------------------------------------------------------------------
     # Dispatch

@@ -228,11 +228,6 @@ class BlaeuService:
         return self._pool
 
     @property
-    def prefetcher(self) -> PrefetchScheduler | None:
-        """The speculative-prefetch scheduler (``None`` when disabled)."""
-        return self._prefetcher
-
-    @property
     def port(self) -> int:
         """The bound port (after :meth:`start`)."""
         return self._http.port

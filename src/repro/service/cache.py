@@ -121,31 +121,10 @@ class LRUCache:
                 self._entries.popitem(last=False)
                 self._evictions += 1
 
-    def invalidate(self, key: Hashable) -> bool:
-        """Drop one entry; returns whether it was present."""
-        with self._lock:
-            return self._entries.pop(key, None) is not None
-
     def clear(self) -> None:
         """Drop every entry (statistics are kept)."""
         with self._lock:
             self._entries.clear()
-
-    def purge_expired(self) -> int:
-        """Eagerly drop expired entries; returns how many were removed."""
-        if self._ttl is None:
-            return 0
-        with self._lock:
-            now = self._clock()
-            stale = [
-                key
-                for key, (_, stored_at) in self._entries.items()
-                if now - stored_at > self._ttl
-            ]
-            for key in stale:
-                del self._entries[key]
-            self._expirations += len(stale)
-            return len(stale)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -265,13 +244,6 @@ class TieredCache:
             get_metrics().increment("blaeu_artifact_cache_writes_total")
         else:
             get_metrics().increment("blaeu_artifact_cache_write_skips_total")
-
-    def invalidate(self, key: Hashable) -> bool:
-        """Drop one entry from both tiers."""
-        present = self._memory.invalidate(key)
-        if self._disk is not None:
-            self._disk.invalidate(key)
-        return present
 
     def clear(self) -> None:
         """Drop every entry from both tiers."""

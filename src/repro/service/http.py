@@ -269,11 +269,6 @@ class HttpServer:
             raise RuntimeError("server not started")
         await self._server.serve_forever()
 
-    @property
-    def active_requests(self) -> int:
-        """Requests currently inside the handler (not idle keep-alives)."""
-        return self._active_requests
-
     async def drain(self, timeout: float) -> bool:
         """Stop accepting and wait for in-flight *requests* to finish.
 

@@ -31,11 +31,6 @@ class ScalerStats:
             return out
         return (values - self.center) / self.scale
 
-    def invert(self, scaled: np.ndarray) -> np.ndarray:
-        """Undo :meth:`apply` (identity-center when scale was 0)."""
-        scaled = np.asarray(scaled, dtype=np.float64)
-        return scaled * self.scale + self.center
-
 
 def zscore(values: np.ndarray) -> tuple[np.ndarray, ScalerStats]:
     """Center to mean 0, scale to (population) standard deviation 1."""

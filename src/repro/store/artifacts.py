@@ -128,7 +128,7 @@ class ArtifactCache:
         self._max_bytes = int(max_bytes)
         self._clock = clock
         self._breaker = breaker
-        self._mutex = threading.Lock()  # guards the counters only
+        self._mutex = threading.Lock()  # guards the counters and the budget
         self._hits = 0
         self._misses = 0
         self._writes = 0
@@ -201,7 +201,7 @@ class ArtifactCache:
         self._record_breaker(ok=True, started=started)
         try:
             value = decode(blob)
-        except (ArtifactCorruptError, CodecError, ValueError) as error:
+        except ArtifactCorruptError as error:
             self._quarantine(name, path, error)
             self._bump("_misses")
             return None
@@ -253,11 +253,6 @@ class ArtifactCache:
         self._stamp(path)
         self._evict(len(blob))
         return True
-
-    def invalidate(self, key: object) -> None:
-        """Drop one entry (missing is fine)."""
-        with contextlib.suppress(OSError):
-            self._object_path(_key_hash(key)).unlink()
 
     def clear(self) -> None:
         """Drop every entry."""

@@ -445,11 +445,15 @@ def encode(value: object) -> bytes:
 
 
 def decode(blob: bytes | bytearray | memoryview) -> object:
-    """Deserialize an artifact blob; raises on corruption.
+    """Deserialize an artifact blob; raises :class:`ArtifactCorruptError`
+    on any corruption.
 
     The returned arrays are zero-copy read-only views into ``blob``
     (artifacts are immutable by contract), so large payloads — distance
-    matrices, column values — are never duplicated on load.
+    matrices, column values — are never duplicated on load.  A blob
+    whose checksum holds can still carry a malformed header (a writer
+    bug, a hand-edited file): whatever a malformed header or structure
+    tree makes the rebuild raise is reported as corruption here.
     """
     view = memoryview(blob)
     if len(view) < _HEADER_OFFSET or bytes(view[: len(MAGIC)]) != MAGIC:
@@ -463,6 +467,25 @@ def decode(blob: bytes | bytearray | memoryview) -> object:
     if digest != stored:
         raise ArtifactCorruptError("artifact checksum mismatch")
     try:
+        return _unpack(body, header_len)
+    except ArtifactCorruptError:
+        raise
+    except (
+        ArithmeticError,
+        AttributeError,
+        LookupError,
+        RecursionError,
+        TypeError,
+        ValueError,
+    ) as error:
+        raise ArtifactCorruptError(
+            f"malformed artifact: {type(error).__name__}: {error}"
+        ) from error
+
+
+def _unpack(body: memoryview, header_len: int) -> object:
+    """The value of a checksummed header + payload."""
+    try:
         header = json.loads(bytes(body[:header_len]).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as error:
         raise ArtifactCorruptError(f"unreadable artifact header: {error}") from error
@@ -473,7 +496,7 @@ def decode(blob: bytes | bytearray | memoryview) -> object:
     for descriptor in header.get("arrays", []):
         offset = int(descriptor["offset"])
         nbytes = int(descriptor["nbytes"])
-        if offset < 0 or offset + nbytes > len(payload):
+        if offset < 0 or nbytes < 0 or offset + nbytes > len(payload):
             raise ArtifactCorruptError("array descriptor out of bounds")
         dtype = np.dtype(descriptor["dtype"])
         array = np.frombuffer(

@@ -325,15 +325,6 @@ class StoredTable:
     scan_partitions = Table.scan_partitions
     select = Table.select
 
-    def rename(self, name: str) -> "StoredTable":
-        """The same store-backed view under a different name."""
-        return StoredTable(
-            self._root,
-            manifest=self._manifest,
-            columns=self._order if self.is_projection() else None,
-            name=name,
-        )
-
     def project(self, names: Sequence[str], name: str | None = None) -> "StoredTable":
         """A store-backed view of the columns called ``names`` (no copy)."""
         return StoredTable(

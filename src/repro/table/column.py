@@ -111,16 +111,6 @@ class Column(ABC):
     def n_distinct(self) -> int:
         """Number of distinct present values."""
 
-    def is_unique_key(self) -> bool:
-        """``True`` when every present value occurs exactly once and none miss.
-
-        Blaeu's preprocessing removes primary keys before clustering; this
-        is the detection predicate it uses.
-        """
-        if len(self) == 0 or self.n_missing:
-            return False
-        return self.n_distinct() == len(self)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<{type(self).__name__} {self._name!r} len={len(self)} "

@@ -97,8 +97,9 @@ def detect_keys(
 class KeyScan:
     """Exact key tests that read no more of a table than the answer needs.
 
-    The verdicts are those of a full pass (``is_unique_key`` and
-    ``n_distinct`` over whole columns); what changes is the reading.
+    The verdicts are those of a full pass (every present value distinct
+    and none missing, and ``n_distinct`` over whole columns); what
+    changes is the reading.
     A dictionary bounds a categorical column's distinct count, so a
     small one settles every test without touching a code.  A numeric
     column is tested for integrality chunk by chunk and dropped at its

@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import time
 from contextlib import AbstractContextManager, nullcontext
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -94,38 +94,6 @@ class Table:
         self._order = tuple(names)
         self._n_rows = lengths.pop()
         self._fingerprint: str | None = None
-
-    # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def from_rows(
-        cls,
-        name: str,
-        column_names: Sequence[str],
-        rows: Iterable[Sequence[object]],
-        kinds: Mapping[str, ColumnKind] | None = None,
-    ) -> "Table":
-        """Build a table from row tuples, inferring column kinds.
-
-        ``kinds`` may force specific columns to a kind; otherwise a column
-        becomes numeric when every present cell parses as a number.
-        """
-        from repro.table.schema import infer_column
-
-        materialized = [tuple(row) for row in rows]
-        for row in materialized:
-            if len(row) != len(column_names):
-                raise ValueError(
-                    f"row width {len(row)} != header width {len(column_names)}"
-                )
-        columns = []
-        for position, column_name in enumerate(column_names):
-            cells = [row[position] for row in materialized]
-            forced = kinds.get(column_name) if kinds else None
-            columns.append(infer_column(column_name, cells, forced))
-        return cls(name, columns)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -224,18 +192,6 @@ class Table:
             self._fingerprint = digest.hexdigest()
         return self._fingerprint
 
-    def numeric_columns(self) -> tuple[NumericColumn, ...]:
-        """All numeric columns, in table order."""
-        return tuple(
-            c for c in self.columns if isinstance(c, NumericColumn)
-        )
-
-    def categorical_columns(self) -> tuple[CategoricalColumn, ...]:
-        """All categorical columns, in table order."""
-        return tuple(
-            c for c in self.columns if isinstance(c, CategoricalColumn)
-        )
-
     def __len__(self) -> int:
         return self._n_rows
 
@@ -251,10 +207,6 @@ class Table:
     # ------------------------------------------------------------------
     # Relational operations
     # ------------------------------------------------------------------
-
-    def rename(self, name: str) -> "Table":
-        """The same table under a different name."""
-        return Table(name, self.columns)
 
     def select(self, predicate: Predicate, name: str | None = None) -> "Table":
         """Rows matching ``predicate`` (order preserved): the
@@ -297,16 +249,6 @@ class Table:
         dropped = set(names)
         kept = [n for n in self.column_names if n not in dropped]
         return self.project(kept, name=name)
-
-    def with_column(self, column: Column) -> "Table":
-        """A copy with ``column`` appended (or replaced when the name exists)."""
-        if len(column) != self._n_rows:
-            raise ValueError(
-                f"column length {len(column)} != table rows {self._n_rows}"
-            )
-        columns = [c for c in self.columns if c.name != column.name]
-        columns.append(column)
-        return Table(self._name, columns)
 
     def sample(self, n: int, rng: np.random.Generator) -> "Table":
         """A uniform sample of ``min(n, n_rows)`` distinct rows.

@@ -65,14 +65,6 @@ class TreeNode:
         """Whether this node has no split."""
         return self.left is None
 
-    def split_description(self) -> str:
-        """Human-readable split condition of the *left* branch."""
-        if self.is_leaf:
-            raise ValueError("leaf nodes have no split")
-        if self.threshold is not None:
-            return f"{self.column} < {self.threshold:g}"
-        return f"{self.column} == {self.category}"
-
     def walk(self) -> Iterator["TreeNode"]:
         """Pre-order traversal of the subtree."""
         yield self

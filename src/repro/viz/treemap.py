@@ -26,18 +26,6 @@ class Rect:
     width: float
     height: float
 
-    @property
-    def area(self) -> float:
-        """Width × height."""
-        return self.width * self.height
-
-    def contains(self, x: float, y: float) -> bool:
-        """Whether the point lies inside (half-open on the far edges)."""
-        return (
-            self.x <= x < self.x + self.width
-            and self.y <= y < self.y + self.height
-        )
-
 
 def treemap_layout(
     data_map: DataMap,

@@ -82,12 +82,6 @@ class TestDataMap:
         with pytest.raises(KeyError, match="available"):
             data_map.region("r9")
 
-    def test_region_of_cluster(self):
-        data_map = _toy_map()
-        assert data_map.region_of_cluster(1).region_id == "r1"
-        with pytest.raises(KeyError):
-            data_map.region_of_cluster(5)
-
     def test_n_rows_delegates_to_root(self):
         assert _toy_map().n_rows == 100
 

@@ -311,10 +311,7 @@ class TestThemesOnExplorer:
         first = explorer.themes()
         assert explorer.themes() is first
 
-    def test_set_themes_overrides(self, explorer):
-        themes = explorer.themes()
-        edited = themes.rename_theme(themes.names()[0], "My Theme")
-        explorer.set_themes(edited)
-        assert "My Theme" in explorer.themes().names()
-        explorer.open_theme("My Theme")
+    def test_open_theme_by_name(self, explorer):
+        name = explorer.themes().names()[0]
+        explorer.open_theme(name)
         assert explorer.depth == 1

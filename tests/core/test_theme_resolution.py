@@ -21,6 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.core.engine as engine_module
+from oracles import is_unique_key
 from repro.core.config import BlaeuConfig
 from repro.core.engine import Blaeu
 from repro.core.themes import Theme, ThemeSet, _cohesion, extract_themes
@@ -62,7 +63,7 @@ def _reference_detect_keys(table: Table) -> tuple[str, ...]:
                 (present == present.astype(np.int64)).all()
             ):
                 continue
-        if column.is_unique_key():
+        if is_unique_key(column):
             keys.append(column.name)
             continue
         lowered = column.name.lower()
@@ -417,7 +418,7 @@ def test_themes_follow_content_not_the_table_name():
     table = _measurements(300)
     engine.register(table)
     first = engine.themes("measurements")
-    engine.register(table.rename("again"))
+    engine.register(Table("again", table.columns))
     assert engine.themes("again") is first
     engine.register(_measurements(301))
     assert engine.themes("measurements") is not first

@@ -54,11 +54,10 @@ class TestExtractThemes:
 
     def test_keys_excluded(self):
         planted = planted_themes(n_rows=200, seed=3)
-        table = planted.table.with_column(
-            CategoricalColumn.from_labels(
-                "row_id", [f"r{i}" for i in range(200)]
-            )
+        row_id = CategoricalColumn.from_labels(
+            "row_id", [f"r{i}" for i in range(200)]
         )
+        table = Table(planted.table.name, [*planted.table.columns, row_id])
         themes = extract_themes(table)
         assert "row_id" in themes.excluded_keys
         with pytest.raises(KeyError):
@@ -67,9 +66,8 @@ class TestExtractThemes:
     def test_wide_categoricals_excluded(self):
         planted = planted_themes(n_rows=300, seed=4)
         labels = [f"region{i % 200}" for i in range(300)]
-        table = planted.table.with_column(
-            CategoricalColumn.from_labels("region", labels)
-        )
+        region = CategoricalColumn.from_labels("region", labels)
+        table = Table(planted.table.name, [*planted.table.columns, region])
         themes = extract_themes(table)
         assert "region" in themes.excluded_keys
 
@@ -87,46 +85,6 @@ class TestExtractThemes:
             themes.theme("nope")
         with pytest.raises(KeyError):
             themes.theme_of("nope")
-
-
-class TestThemeEditing:
-    def test_move_column(self, themed_set):
-        _, themes = themed_set
-        source = themes[0]
-        target = themes[1]
-        column = source.columns[-1]
-        edited = themes.move_column(column, target.name)
-        assert column in edited.theme(target.name).columns
-        assert column not in edited.theme_of(source.columns[0]).columns
-        # The original is untouched (ThemeSets are immutable values).
-        assert column in themes.theme_of(column).columns
-
-    def test_move_last_column_dissolves_theme(self):
-        planted = planted_themes(
-            n_rows=200, group_sizes={"a": 2, "b": 1}, seed=8
-        )
-        themes = extract_themes(
-            planted.table,
-            config=BlaeuConfig(theme_k_values=(2,)),
-        )
-        solo = next(t for t in themes if t.size == 1)
-        other = next(t for t in themes if t.size != 1)
-        edited = themes.move_column(solo.columns[0], other.name)
-        assert len(edited) == len(themes) - 1
-
-    def test_move_to_same_theme_is_noop(self, themed_set):
-        _, themes = themed_set
-        theme = themes[0]
-        assert themes.move_column(theme.columns[1], theme.name) is themes
-
-    def test_rename(self, themed_set):
-        _, themes = themed_set
-        renamed = themes.rename_theme(themes[0].name, "Economy")
-        assert "Economy" in renamed.names()
-        with pytest.raises(KeyError):
-            renamed.rename_theme("nope", "x")
-        with pytest.raises(ValueError):
-            renamed.rename_theme(renamed.names()[1], "Economy")
 
 
 class TestDefaultKGrid:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import column_dependency
-
+from repro.table.column import ColumnKind
 from synthetic import mixed_blobs, numeric_blobs, planted_themes
 
 
@@ -55,7 +55,8 @@ class TestMixedBlobs:
     def test_shape_and_kinds(self):
         planted = mixed_blobs(n_rows=150, k=2, n_numeric=3, n_categorical=2)
         assert planted.table.n_columns == 5
-        assert len(planted.table.categorical_columns()) == 2
+        kinds = [c.kind for c in planted.table.columns]
+        assert kinds.count(ColumnKind.CATEGORICAL) == 2
 
     def test_categoricals_track_clusters(self):
         planted = mixed_blobs(n_rows=500, k=2, category_fidelity=0.95, seed=6)

@@ -73,7 +73,8 @@ def test_treemap_mass_conservation(scenario):
     )
     rectangles = treemap_layout(data_map, width=4.0, height=2.5)
     leaf_area = sum(
-        rectangles[leaf.region_id].area for leaf in data_map.leaves()
+        rectangles[leaf.region_id].width * rectangles[leaf.region_id].height
+        for leaf in data_map.leaves()
     )
     assert leaf_area == pytest.approx(10.0, rel=1e-9)
 

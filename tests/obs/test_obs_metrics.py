@@ -10,6 +10,7 @@ from repro.obs.metrics import (
     get_metrics,
     reset_metrics,
 )
+from scrape import scraped
 
 
 class TestValidation:
@@ -38,7 +39,7 @@ class TestValidation:
         assert '"' not in escaped.replace('\\"', "")
         metrics = Metrics()
         metrics.observe_request(escaped, 200, 0.01)  # now accepted
-        assert metrics.request_count(escaped) == 1
+        assert scraped(metrics, "blaeu_requests_total", route=escaped) == 1
         assert escape_label_value("a\\b") == "a\\\\b"
 
 
@@ -47,11 +48,6 @@ class TestNamedInstruments:
         metrics = Metrics()
         metrics.observe("blaeu_pipeline_stage_seconds_sample", 0.004)
         metrics.observe("blaeu_pipeline_stage_seconds_sample", 0.2)
-        histogram = metrics.named_histogram(
-            "blaeu_pipeline_stage_seconds_sample"
-        )
-        assert histogram is not None and histogram.count == 2
-        assert metrics.named_histogram("missing") is None
         text = metrics.render()
         assert "# TYPE blaeu_pipeline_stage_seconds_sample histogram" in text
         assert 'blaeu_pipeline_stage_seconds_sample_bucket{le="+Inf"} 2' in text
@@ -69,18 +65,10 @@ class TestNamedInstruments:
         metrics = Metrics()
         metrics.increment_labeled("blaeu_cache_hits_total", {"tier": "l1"}, 2)
         metrics.increment_labeled("blaeu_cache_hits_total", {"tier": "l2"})
-        assert (
-            metrics.labeled_counter("blaeu_cache_hits_total", {"tier": "l1"})
-            == 2
-        )
-        assert (
-            metrics.labeled_counter("blaeu_cache_hits_total", {"tier": "l2"})
-            == 1
-        )
-        assert (
-            metrics.labeled_counter("blaeu_cache_hits_total", {"tier": "l3"})
-            == 0
-        )
+        assert scraped(metrics, "blaeu_cache_hits_total", tier="l1") == 2
+        assert scraped(metrics, "blaeu_cache_hits_total", tier="l2") == 1
+        assert scraped(metrics, "blaeu_cache_hits_total", tier="l3") == 0
+        assert scraped(metrics, "blaeu_cache_hits_total") == 3
         text = metrics.render()
         assert text.count("# TYPE blaeu_cache_hits_total counter") == 1
         assert 'blaeu_cache_hits_total{tier="l1"} 2' in text

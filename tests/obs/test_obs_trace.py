@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import asyncio
-import io
 import json
 import tracemalloc
 
@@ -11,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.clara import clara
+from repro.cli import main as cli_main
 from repro.cluster.parallel import map_in_order
 from repro.obs.trace import (
     NULL_SPAN,
@@ -20,6 +20,7 @@ from repro.obs.trace import (
     current_span,
     format_fields,
     get_tracer,
+    group_traces,
     note,
     render_trace,
 )
@@ -202,18 +203,41 @@ class TestBufferAndExport:
         ]
         assert len(tracer.traces(limit=1)) == 1
 
-    def test_export_jsonl_round_trips(self, tmp_path):
+    def test_trace_cli_reads_and_exports_the_same_trees(self, tmp_path, capsys):
         tracer = Tracer(enabled=True)
-        with tracer.span("a") as a:
-            a.set("rows", 10)
-        path = tmp_path / "spans.jsonl"
-        assert tracer.export_jsonl(path) == 1
-        record = json.loads(path.read_text(encoding="utf-8"))
-        assert record["name"] == "a"
-        assert record["attributes"] == {"rows": 10}
-        buffer = io.StringIO()
-        assert tracer.export_jsonl(buffer) == 1
-        assert json.loads(buffer.getvalue())["trace_id"] == a.trace_id
+        for name in ("first", "second", "third"):
+            with tracer.span(name) as root:
+                root.set("rows", 10)
+                with tracer.span(f"{name}.child"):
+                    pass
+        spans = tmp_path / "spans.jsonl"
+        spans.write_text(
+            "".join(json.dumps(s.to_dict()) + "\n" for s in tracer.spans()),
+            encoding="utf-8",
+        )
+        export = tmp_path / "export.jsonl"
+        cli_main(["trace", str(spans), "--limit", "2", "--export", str(export)])
+        shown = tracer.traces(limit=2)
+        lines = export.read_text(encoding="utf-8").splitlines()
+        reread = group_traces([json.loads(line) for line in lines], limit=10)
+        # The export lists the shown traces newest first, so re-reading
+        # it reverses their order but not one tree.
+        assert reread == shown[::-1]
+        printed = capsys.readouterr().out
+        assert printed == "".join(render_trace(t) + "\n\n" for t in shown)
+        assert "first" not in printed and "third.child" in printed
+
+    def test_group_traces_tolerates_records_missing_fields(self):
+        records = [
+            {"trace_id": "t1", "offset": 2.0, "name": "late"},
+            {"name": "orphan"},
+            {"trace_id": "t1", "name": "early"},
+        ]
+        traces = group_traces(records, limit=5)
+        assert [t["trace_id"] for t in traces] == ["?", "t1"]
+        assert [s["name"] for s in traces[1]["spans"]] == ["early", "late"]
+        with pytest.raises(ValueError):
+            group_traces(records, limit=0)
 
     def test_slow_op_log_fires_only_past_the_threshold(self):
         lines: list[str] = []

@@ -12,6 +12,8 @@ paper's claims are measured with:
   :func:`repro.stats.correlation.pairwise_correlation_matrix`;
 * :func:`encode_table`, which factorizes a whole table into the code
   matrix the batched kernel consumes;
+* :func:`is_unique_key`, the whole-column key test
+  :class:`~repro.table.schema.KeyScan` must agree with;
 * external clustering indices (ARI, max-normalized NMI, purity) —
   ``tests/paper/`` scores sampled maps and planted-structure recovery
   with them; the engine never sees ground truth;
@@ -304,6 +306,23 @@ def encode_table(
     return ColumnCodes(
         names=names, codes=matrix, n_codes=tuple(cardinalities)
     )
+
+
+# ----------------------------------------------------------------------
+# Key detection
+# ----------------------------------------------------------------------
+
+
+def is_unique_key(column: Column) -> bool:
+    """``True`` when every present value occurs exactly once and none miss.
+
+    Blaeu's preprocessing removes primary keys before clustering; this
+    is the whole-column detection predicate whose verdicts
+    :class:`~repro.table.schema.KeyScan` reproduces with less reading.
+    """
+    if len(column) == 0 or column.n_missing:
+        return False
+    return column.n_distinct() == len(column)
 
 
 # ----------------------------------------------------------------------

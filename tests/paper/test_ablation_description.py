@@ -24,7 +24,7 @@ from repro.table.column import NumericColumn
 from repro.table.table import Table
 from repro.tree.cart import CartParams, fit_tree
 from repro.tree.prune import prune_for_legibility
-from synthetic import planted_themes
+from synthetic import numeric_columns, planted_themes
 
 COLUMNS = ("Flux150MHz", "SpectralIndex", "AngularSize", "Variability")
 
@@ -65,7 +65,7 @@ def test_equal_frequency_bins_keep_the_signal_under_skew():
         "skewed",
         [
             NumericColumn(c.name, np.exp(2.5 * c.values))
-            for c in planted.table.numeric_columns()
+            for c in numeric_columns(planted.table)
         ],
     )
 

@@ -15,7 +15,7 @@ import pytest
 from repro.cluster.clara import clara
 from repro.cluster.distance import pairwise_distances
 from repro.cluster.pam import pam
-from synthetic import numeric_blobs
+from synthetic import numeric_blobs, numeric_columns
 
 K = 4
 
@@ -23,7 +23,7 @@ K = 4
 @pytest.mark.parametrize("n", [500, 1000, 2000])
 def test_clara_cost_stays_close_to_pam(n):
     blobs = numeric_blobs(n_rows=n, k=K, n_features=6, spread=0.8, seed=n)
-    matrix = np.column_stack([c.values for c in blobs.table.numeric_columns()])
+    matrix = np.column_stack([c.values for c in numeric_columns(blobs.table)])
     exact = pam(pairwise_distances(matrix), K)
     approx = clara(matrix, K, rng=np.random.default_rng(0))
     assert approx.cost / exact.cost < 1.25

@@ -24,4 +24,5 @@ def test_fig6_treemap_area_is_proportional_to_tuple_count():
     assert len(rectangles) > 1
     for region in data_map.regions():
         expected = region.n_rows / data_map.n_rows * WIDTH * HEIGHT
-        assert abs(rectangles[region.region_id].area - expected) < 1e-6
+        rect = rectangles[region.region_id]
+        assert abs(rect.width * rect.height - expected) < 1e-6

@@ -17,7 +17,7 @@ from repro.cluster import silhouette
 from repro.cluster.clara import clara
 from repro.cluster.distance import pairwise_distances
 from repro.cluster.silhouette import mean_silhouette
-from synthetic import numeric_blobs
+from synthetic import numeric_blobs, numeric_columns
 
 N = 3_000
 BUDGETS = [(4, 100), (8, 200), (16, 200), (8, 400)]
@@ -26,7 +26,7 @@ BUDGETS = [(4, 100), (8, 200), (16, 200), (8, 400)]
 @pytest.fixture(scope="module")
 def workload():
     blobs = numeric_blobs(n_rows=N, k=3, n_features=5, spread=0.9, seed=77)
-    matrix = np.column_stack([c.values for c in blobs.table.numeric_columns()])
+    matrix = np.column_stack([c.values for c in numeric_columns(blobs.table)])
     labels = clara(matrix, 3, rng=np.random.default_rng(0)).labels
     return matrix, labels
 

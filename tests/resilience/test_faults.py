@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.obs.metrics import reset_metrics
 from repro.resilience.breaker import CircuitBreaker, OPEN
 from repro.resilience.faults import (
     FaultInjector,
@@ -17,6 +18,7 @@ from repro.resilience.faults import (
     install_faults,
     parse_faults,
 )
+from scrape import scraped
 
 
 @pytest.fixture(autouse=True)
@@ -93,12 +95,13 @@ class TestWindows:
         assert injector.fire("s") is not None
 
     def test_count_bounds_total_fires(self):
+        metrics = reset_metrics()
         injector = FaultInjector(
             [FaultSpec(site="s", mode="error", count=1)], seed=0
         )
         assert injector.fire("s") is not None
         assert injector.fire("s") is None
-        assert injector.fired("s") == 1
+        assert scraped(metrics, "blaeu_faults_injected_total", site="s") == 1
 
     def test_site_globs_match(self):
         injector = FaultInjector(

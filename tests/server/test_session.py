@@ -68,10 +68,6 @@ class TestLifecycle:
         assert response == {"ok": True, "closed": "s1"}
         assert manager.session_ids() == ()
 
-    def test_new_session_id_monotonic(self, manager):
-        assert manager.new_session_id() == "s1"
-        assert manager.new_session_id() == "s2"
-
 
 class TestNavigationCommands:
     def test_zoom_and_rollback(self, manager):

@@ -37,13 +37,11 @@ class TestBasics:
         assert cache.get("k") == "new"
         assert len(cache) == 1
 
-    def test_contains_and_invalidate(self):
+    def test_contains(self):
         cache = LRUCache(max_size=4)
         cache.put("k", "v")
         assert "k" in cache
-        assert cache.invalidate("k") is True
-        assert cache.invalidate("k") is False
-        assert "k" not in cache
+        assert "other" not in cache
 
     def test_clear_keeps_statistics(self):
         cache = LRUCache(max_size=4)
@@ -117,23 +115,6 @@ class TestTTL:
         assert "k" in cache
         clock.advance(1.5)
         assert "k" not in cache
-
-    def test_purge_expired_drops_only_stale_entries(self):
-        clock = FakeClock()
-        cache = LRUCache(max_size=8, ttl=10.0, clock=clock)
-        cache.put("old", 1)
-        clock.advance(8.0)
-        cache.put("fresh", 2)
-        clock.advance(4.0)  # "old" is 12s old, "fresh" 4s
-        assert cache.purge_expired() == 1
-        assert "old" not in cache
-        assert cache.get("fresh") == 2
-
-    def test_purge_is_noop_without_ttl(self):
-        cache = LRUCache(max_size=4)
-        cache.put("k", "v")
-        assert cache.purge_expired() == 0
-        assert cache.get("k") == "v"
 
     def test_put_resets_entry_age(self):
         clock = FakeClock()

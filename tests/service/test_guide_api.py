@@ -11,6 +11,7 @@ from repro.core.config import BlaeuConfig
 from repro.core.engine import Blaeu
 from repro.obs.metrics import get_metrics
 from repro.service.app import GuideConfig, PoolConfig, ServiceConfig
+from scrape import scraped
 from synthetic import mixed_blobs
 
 
@@ -143,23 +144,27 @@ class TestSpeculativePrefetch:
         running.stop()
 
     def _wait_for_completed(self, running, minimum, timeout=10.0):
+        """The ``/metrics`` text once the prefetcher has completed
+        ``minimum`` builds and has none in flight."""
         deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            stats = running.service.prefetcher.stats()
-            if stats["completed"] >= minimum and stats["in_flight"] == 0:
-                return stats
+        while True:
+            _, body = running.get("/metrics")
+            text = body.decode()
+            completed = scraped(text, "blaeu_guide_prefetch_completed_total")
+            in_flight = scraped(text, "blaeu_guide_prefetch_in_flight")
+            if completed >= minimum and in_flight == 0:
+                return text
+            if time.monotonic() >= deadline:
+                raise AssertionError(
+                    f"prefetcher never completed {minimum} builds:\n{text}"
+                )
             time.sleep(0.05)
-        raise AssertionError(
-            f"prefetcher never completed {minimum} builds: "
-            f"{running.service.prefetcher.stats()}"
-        )
 
     def test_map_request_triggers_table_speculation(self, prefetching):
-        assert prefetching.service.prefetcher is not None
         status, _ = prefetching.get_json("/v1/tables/mixed_blobs/map?theme=0")
         assert status == 200
-        stats = self._wait_for_completed(prefetching, minimum=1)
-        assert stats["errors"] == 0
+        text = self._wait_for_completed(prefetching, minimum=1)
+        assert scraped(text, "blaeu_guide_prefetch_errors_total") == 0
 
     def test_speculation_warms_the_shared_cache(self, prefetching):
         status, payload = prefetching.get_json(
@@ -195,8 +200,8 @@ class TestSpeculativePrefetch:
             "/v1/commands/open",
             {"session": "spec-s1", "table": "mixed_blobs", "theme": 0},
         )
-        stats = self._wait_for_completed(prefetching, minimum=1)
-        assert stats["scheduled"] >= 1
+        text = self._wait_for_completed(prefetching, minimum=1)
+        assert scraped(text, "blaeu_guide_prefetch_scheduled_total") >= 1
         prefetching.post("/v1/commands/close", {"session": "spec-s1"})
 
     def test_metrics_expose_guide_counters(self, prefetching):
@@ -210,4 +215,6 @@ class TestSpeculativePrefetch:
         assert "blaeu_guide_prefetch_in_flight" in text
 
     def test_prefetch_off_by_default(self, service):
-        assert service.service.prefetcher is None
+        status, body = service.get("/metrics")
+        assert status == 200
+        assert "blaeu_guide_prefetch_in_flight" not in body.decode()

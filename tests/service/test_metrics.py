@@ -3,6 +3,7 @@
 import pytest
 
 from repro.obs.metrics import Histogram, Metrics
+from scrape import scraped
 
 
 class TestHistogram:
@@ -47,8 +48,8 @@ class TestMetrics:
         metrics.observe_request("/api/zoom", 200, 0.07)
         metrics.observe_request("/api/zoom", 404, 0.001)
         metrics.observe_request("/healthz", 200, 0.001)
-        assert metrics.request_count() == 4
-        assert metrics.request_count("/api/zoom") == 3
+        assert scraped(metrics, "blaeu_requests_total") == 4
+        assert scraped(metrics, "blaeu_requests_total", route="/api/zoom") == 3
         assert metrics.histogram("/api/zoom").count == 3
         assert metrics.histogram("/missing") is None
 

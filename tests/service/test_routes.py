@@ -23,6 +23,7 @@ from repro.service.config import CacheConfig, PoolConfig, ServiceConfig
 from repro.service.http import HttpRequest
 from repro.service.routes import ROUTES, match, unknown_label
 from repro.service.supervisor import Supervisor
+from scrape import scraped
 
 ROOT = Path(__file__).resolve().parents[2]
 
@@ -58,11 +59,11 @@ def exchange(service, method, path, body=None, headers=None):
 def recorded_under(service, label, method, path):
     """Drive one request; was it counted under ``label``?"""
     metrics = service.service.metrics
-    before = metrics.request_count(label)
+    before = scraped(metrics, "blaeu_requests_total", route=label)
     status, body = exchange(
         service, method, path, body=b"{}" if method == "POST" else None
     )
-    return status, body, metrics.request_count(label) - before
+    return status, body, scraped(metrics, "blaeu_requests_total", route=label) - before
 
 
 class TestTheTable:

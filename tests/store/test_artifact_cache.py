@@ -93,14 +93,13 @@ class TestBasics:
         assert cache.stats().write_errors == 1
         assert cache.get("k") is None
 
-    def test_invalidate_and_clear(self, tmp_path):
+    def test_clear(self, tmp_path):
         cache = ArtifactCache(tmp_path / "c")
         cache.put("a", _payload(1))
         cache.put("b", _payload(2))
-        cache.invalidate("a")
-        assert cache.get("a") is None
-        assert cache.get("b") is not None
+        assert len(cache) == 2
         cache.clear()
+        assert cache.get("a") is None
         assert cache.get("b") is None
         assert len(cache) == 0
 

@@ -101,7 +101,7 @@ class TestServiceCatalogResidency:
 
         engine = Blaeu(BlaeuConfig())
         engine.register(table)
-        engine.register(stored.rename("blobs_store"))
+        engine.register(stored.project(stored.column_names, name="blobs_store"))
         manager = SessionManager(engine)
         import json
 

@@ -29,7 +29,7 @@ def table(rng) -> Table:
 def db(table, tmp_path) -> Database:
     database = Database()
     database.register(table)
-    write_store(table.rename("pop_store"), tmp_path / "s", chunk_rows=64)
+    write_store(Table("pop_store", table.columns), tmp_path / "s", chunk_rows=64)
     database.load_store(tmp_path / "s")
     return database
 

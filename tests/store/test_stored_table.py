@@ -120,8 +120,8 @@ class TestRelationalOps:
     def test_head(self, stored, table):
         assert stored.head(5).fingerprint() == table.head(5).fingerprint()
 
-    def test_rename(self, stored):
-        renamed = stored.rename("other")
+    def test_named_view_keeps_the_fingerprint(self, stored):
+        renamed = stored.project(stored.column_names, name="other")
         assert renamed.name == "other"
         assert renamed.fingerprint() == stored.fingerprint()
 

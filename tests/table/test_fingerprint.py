@@ -33,7 +33,7 @@ class TestFingerprint:
             == make_table("beta").fingerprint()
         )
         table = make_table()
-        assert table.rename("other").fingerprint() == table.fingerprint()
+        assert Table("other", table.columns).fingerprint() == table.fingerprint()
 
     def test_value_change_changes_fingerprint(self):
         assert (

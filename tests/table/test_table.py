@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.table.column import ColumnKind, NumericColumn
+from repro.table.column import NumericColumn
 from repro.table.predicates import Comparison
 from repro.table.table import DEFAULT_CHUNK_ROWS, Table
 
@@ -29,28 +29,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Table("t", [])
 
-    def test_from_rows_infers_kinds(self):
-        table = Table.from_rows(
-            "t",
-            ["n", "s"],
-            [("1", "x"), ("2.5", "y"), ("3", "x")],
-        )
-        assert table.column("n").kind is ColumnKind.NUMERIC
-        assert table.column("s").kind is ColumnKind.CATEGORICAL
-
-    def test_from_rows_respects_forced_kinds(self):
-        table = Table.from_rows(
-            "t",
-            ["n"],
-            [("1",), ("2",), ("3",)],
-            kinds={"n": ColumnKind.CATEGORICAL},
-        )
-        assert table.column("n").kind is ColumnKind.CATEGORICAL
-
-    def test_from_rows_width_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="row width"):
-            Table.from_rows("t", ["a", "b"], [(1, 2), (3,)])
-
 
 class TestAccess:
     def test_column_lookup_error_lists_available(self, people):
@@ -75,10 +53,6 @@ class TestAccess:
 
     def test_rows_iterates_all(self, people):
         assert len(list(people.rows())) == 6
-
-    def test_kind_partitions(self, people):
-        assert [c.name for c in people.numeric_columns()] == ["age", "income"]
-        assert [c.name for c in people.categorical_columns()] == ["name", "city"]
 
 
 class TestRelationalOps:
@@ -116,17 +90,6 @@ class TestRelationalOps:
         with pytest.raises(ValueError):
             people.filter(np.asarray([True]))
 
-    def test_with_column_appends_and_replaces(self, people):
-        extended = people.with_column(NumericColumn("zeros", [0.0] * 6))
-        assert "zeros" in extended
-        replaced = extended.with_column(NumericColumn("zeros", [1.0] * 6))
-        values = replaced.column("zeros").values
-        assert values.tolist() == [1.0] * 6  # type: ignore[union-attr]
-
-    def test_with_column_length_checked(self, people):
-        with pytest.raises(ValueError):
-            people.with_column(NumericColumn("bad", [0.0]))
-
     def test_sample_bounds_and_distinctness(self, people, rng):
         sample = people.sample(3, rng=rng)
         assert sample.n_rows == 3
@@ -142,9 +105,6 @@ class TestRelationalOps:
     def test_head(self, people):
         assert people.head(2).n_rows == 2
         assert people.head(99).n_rows == 6
-
-    def test_rename(self, people):
-        assert people.rename("folks").name == "folks"
 
     def test_immutability_of_source(self, people):
         before = people.n_rows

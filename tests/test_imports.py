@@ -30,13 +30,15 @@ SRC = ROOT / "src"
 #: Third-party packages ``src/`` may import: the one declared dependency.
 SRC_ALLOWED = {"numpy", "repro"}
 #: What tests, the benchmark harness and the examples may add to that:
-#: the test runners, the harness's own package and the tests' oracle and
-#: synthetic-table modules (``tests/oracles.py``, ``tests/synthetic.py``).
+#: the test runners, the harness's own package and the tests' oracle,
+#: metrics-scrape and synthetic-table modules (``tests/oracles.py``,
+#: ``tests/scrape.py``, ``tests/synthetic.py``).
 HARNESS_ALLOWED = SRC_ALLOWED | {
     "pytest",
     "hypothesis",
     "ledger",
     "oracles",
+    "scrape",
     "synthetic",
 }
 

@@ -1,26 +1,38 @@
-"""Reachability: every public def in ``src/`` is reached from an entry point.
+"""Reachability: every public def and method in ``src/`` is reached from
+an entry point.
 
-A public top-level ``def`` or ``class`` of a ``src/repro`` module that
-no program path calls is code the tests keep alive on their own: it
-costs reading, it can drift from the code that serves, and it can hold
-resources nobody asked for.  This walk reads the source with the stdlib
-``ast`` module and fails on any such def that is not allow-listed with
-a reason.
+A public top-level ``def`` or ``class`` of a ``src/repro`` module, or a
+public method of one of its top-level classes, that no program path
+calls is code the tests keep alive on their own: it costs reading, it
+can drift from the code that serves, and it can hold resources nobody
+asked for.  This walk reads the source with the stdlib ``ast`` module
+and fails on any such def or method that is not allow-listed with a
+reason.
 
-The rule: a def is *reached* when it is in ``repro.__all__`` (the
-curated library surface), or when its name is referenced — as a
-``Name``, an ``Attribute`` or an ``ImportFrom`` alias — from live code
-of a non-test file.  Every line of ``examples/`` and of ``benchmarks/``
-(but its tests) is live, and so is the module-level code of every
-``src/`` module; the body of a top-level def is live only once the def
-is reached.  The walk iterates to a fixed point, so a def reached only
-from unreached defs is itself unreached.  References from the package
-facades (``__init__.py``), from a module's ``__all__`` strings and from
-a def's own body never count.  Matching is by name, so a def shares its
-reach with every method or attribute of the same name: the guard can
-miss dead code (methods are not checked at all), never flag live code.
-An allow-list entry needs a reason, must still be unreached, and must be
-named by some test: it is kept for what that test checks.
+The rule: a top-level def is *reached* when it is in ``repro.__all__``
+(the curated library surface), or when its name is referenced — as a
+``Name``, an ``Attribute``, an ``ImportFrom`` alias or a string literal
+passed to ``getattr``/``hasattr`` — from live code of a non-test file.
+Every line of ``examples/`` and of ``benchmarks/`` (but its tests) is
+live, and so is the module-level code of every ``src/`` module; the
+body of a top-level function is live only once it is reached.  A
+reached class makes live only its shell: bases, keywords, decorators,
+class-level statements, and each method's decorators and signature.
+Its methods are reached one by one: a dunder or private method with the
+class (the interpreter, the class itself or an f-string ``getattr``
+dispatch such as ``_cmd_*`` calls it), a public one when live code names
+it; only a reached method's body is live.  The public methods of a
+class in ``repro.__all__`` are no roots of their own.  The walk
+iterates to a fixed point, so a def or method reached only from
+unreached ones is itself unreached, and the methods of an unreached
+class are reported with it, not one by one.  References from the
+package facades (``__init__.py``), from a module's ``__all__`` strings
+and from a def's own body never count.  Matching is by name, so a def
+shares its reach with every method or attribute of the same name: the
+guard can miss dead code (and cannot see a dead field at all), never
+flag live code.  An allow-list entry (``name`` or ``"Class.method"``)
+needs a reason, must still be unreached, and must be named by some
+test: it is kept for what that test checks.
 """
 
 from __future__ import annotations
@@ -34,7 +46,8 @@ import repro
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
 
-#: ``(module, name)`` → why a def no entry point reaches stays in ``src/``.
+#: ``(module, name)`` or ``(module, "Class.method")`` → why a def or
+#: method no entry point reaches stays in ``src/``.
 ALLOWED = {
     ("repro.core.queries", "quantized_queries"): (
         "the paper's expressivity claim (§2): the finite query space one "
@@ -51,6 +64,15 @@ ALLOWED = {
         "the in-process twin of BLAEU_FAULTS, which a process reads "
         "once: how a chaos test arms and disarms its own fault points"
     ),
+    ("repro.core.navigation", "Explorer.project_columns"): (
+        "the paper's Fig. 1d projection onto an explicit column set, "
+        "which tests/paper/test_fig1_navigation.py asserts"
+    ),
+    ("repro.core.navigation", "Explorer.local_themes"): (
+        "the one entry into the row-restricted theme and graph builds "
+        "(extract_themes(row_indices=), GraphBuilder's row gather) that "
+        "the README's selection deep-dive describes"
+    ),
 }
 
 
@@ -66,6 +88,9 @@ def _module_name(path: Path) -> str:
     return ".".join(path.relative_to(SRC.parent).with_suffix("").parts)
 
 
+_GETATTR_CALLS = frozenset({"getattr", "hasattr"})
+
+
 def _referenced(node: ast.AST) -> set[str]:
     """Every name ``node`` references, its nested defs included."""
     names: set[str] = set()
@@ -76,7 +101,45 @@ def _referenced(node: ast.AST) -> set[str]:
             names.add(child.attr)
         elif isinstance(child, ast.ImportFrom):
             names.update(alias.name for alias in child.names)
+        elif (
+            isinstance(child, ast.Call)
+            and isinstance(child.func, ast.Name)
+            and child.func.id in _GETATTR_CALLS
+            and len(child.args) >= 2
+            and isinstance(child.args[1], ast.Constant)
+            and isinstance(child.args[1].value, str)
+        ):
+            names.add(child.args[1].value)
     return names
+
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _shell(node: ast.ClassDef) -> set[str]:
+    """What a reached class makes live: its bases, keywords, decorators
+    and class-level statements, and each method's decorators and
+    signature, but no method body."""
+    names: set[str] = set()
+    for part in (*node.bases, *node.keywords, *node.decorator_list):
+        names |= _referenced(part)
+    for statement in node.body:
+        if isinstance(statement, _FUNCTIONS):
+            for part in (*statement.decorator_list, statement.args):
+                names |= _referenced(part)
+            if statement.returns is not None:
+                names |= _referenced(statement.returns)
+        else:
+            names |= _referenced(statement)
+    return names
+
+
+def _always_reached(method: str) -> bool:
+    """A dunder or private method runs whenever its class is used: the
+    interpreter, the class itself or an f-string ``getattr`` dispatch
+    (``_cmd_*``, ``_handle_*``, ``_serve_*``) calls it by a name no
+    source spells out."""
+    return method.startswith("_")
 
 
 def unreached(
@@ -85,34 +148,60 @@ def unreached(
     """``(module, name)`` of every public top-level def of ``modules``
     (module name → source) that no live code of ``modules`` or
     ``entry_points`` (path → source, all of it live) reaches, where the
-    names in ``roots`` are reached by definition."""
+    names in ``roots`` are reached by definition, and ``(module,
+    "Class.method")`` of every public method of a reached top-level
+    class that nothing live names."""
     live: set[str] = set(roots)
     for text in entry_points.values():
         live |= _referenced(ast.parse(text))
-    # Each top-level def's body, keyed by (module, name), live once reached.
-    bodies: dict[tuple[str, str], ast.AST] = {}
+    # Each top-level def, keyed by (module, name), and each method of a
+    # top-level class, keyed by (module, "Class.method").
+    defs: dict[tuple[str, str], ast.AST] = {}
+    methods: dict[tuple[str, str], tuple[tuple[str, str], str, ast.AST]] = {}
     for module, text in modules.items():
         for node in ast.parse(text).body:
-            if isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                bodies[(module, node.name)] = node
+            if isinstance(node, (*_FUNCTIONS, ast.ClassDef)):
+                defs[(module, node.name)] = node
             else:
                 live |= _referenced(node)
+            if isinstance(node, ast.ClassDef):
+                for statement in node.body:
+                    if isinstance(statement, _FUNCTIONS):
+                        key = (module, f"{node.name}.{statement.name}")
+                        methods[key] = (
+                            (module, node.name), statement.name, statement
+                        )
     reached: set[tuple[str, str]] = set()
     while True:
         grown = {
-            key for key in bodies if key[1] in live and key not in reached
+            key for key in defs if key[1] in live and key not in reached
+        }
+        grown |= {
+            key
+            for key, (owner, name, _) in methods.items()
+            if owner in reached
+            and key not in reached
+            and (_always_reached(name) or name in live)
         }
         if not grown:
             break
         reached |= grown
         for key in grown:
-            live |= _referenced(bodies[key])
-    return {
+            if key in methods:
+                live |= _referenced(methods[key][2])
+            elif isinstance(defs[key], ast.ClassDef):
+                live |= _shell(defs[key])
+            else:
+                live |= _referenced(defs[key])
+    unreached_defs = {
         key
-        for key in bodies
+        for key in defs
         if key not in reached and not key[1].startswith("_")
+    }
+    return unreached_defs | {
+        key
+        for key, (owner, _, _) in methods.items()
+        if key not in reached and owner in reached
     }
 
 
@@ -143,14 +232,21 @@ def test_no_allow_list_entry_is_stale():
     assert all(reason.strip() for reason in ALLOWED.values())
 
 
+def _unexercised(allowed, named: set[str]) -> list[str]:
+    """The allow-listed names no test names (a method by its own name)."""
+    return sorted(
+        name for _, name in allowed if name.rpartition(".")[2] not in named
+    )
+
+
 def test_every_allow_listed_def_is_exercised_by_a_test():
-    """An allow-listed def is kept for what a test checks of it; one no
-    test names is kept for nothing."""
+    """An allow-listed def or method is kept for what a test checks of
+    it; one no test names is kept for nothing."""
     named: set[str] = set()
     for path in sorted((ROOT / "tests").rglob("test_*.py")):
         if path.name != Path(__file__).name:
             named |= _referenced(ast.parse(path.read_text(encoding="utf-8")))
-    assert sorted(name for _, name in ALLOWED if name not in named) == []
+    assert _unexercised(ALLOWED, named) == []
 
 
 def test_the_entry_points_are_examples_and_benchmarks_but_their_tests():
@@ -275,3 +371,179 @@ def test_private_defs_are_never_reported_and_reach_only_when_reached():
             pass
     """
     assert _walk(engine) == {"public_only_from_private"}
+
+
+# ----------------------------------------------------------------------
+# The method walk, on planted sources
+# ----------------------------------------------------------------------
+
+
+def test_a_method_nothing_names_is_unreached():
+    engine = """
+        class Engine:
+            def used(self):
+                pass
+
+            def unused(self):
+                pass
+    """
+    assert _walk(engine, "Engine().used()") == {"Engine.unused"}
+
+
+def test_an_entry_point_reaches_a_method_by_attribute_or_getattr():
+    engine = """
+        class Engine:
+            def attribute(self):
+                pass
+
+            def dispatched(self):
+                pass
+
+            def probed(self):
+                pass
+    """
+    script = """
+        engine = Engine()
+        engine.attribute()
+        getattr(engine, "dispatched")()
+        hasattr(engine, "probed")
+    """
+    assert _walk(engine, script) == set()
+
+
+def test_other_strings_do_not_reach_a_method():
+    engine = """
+        class Engine:
+            def named(self):
+                pass
+    """
+    script = """
+        engine = Engine()
+        print("named")
+    """
+    assert _walk(engine, script) == {"Engine.named"}
+
+
+def test_private_and_dunder_methods_are_reached_with_their_class():
+    engine = """
+        class Engine:
+            def __init__(self):
+                self._helper()
+
+            def _helper(self):
+                return public_from_private()
+
+            def _cmd_open(self):
+                return public_from_dispatch()
+
+            def __len__(self):
+                return 0
+
+
+        def public_from_private():
+            pass
+
+
+        def public_from_dispatch():
+            pass
+    """
+    assert _walk(engine, "Engine()") == set()
+    # Unreached class: its private methods' bodies stay dead too.
+    assert _walk(engine) == {
+        "Engine",
+        "public_from_private",
+        "public_from_dispatch",
+    }
+
+
+def test_a_def_called_only_from_an_unreached_method_is_unreached():
+    engine = """
+        class Engine:
+            def run(self):
+                return step()
+
+            def dead(self):
+                return dead_helper()
+
+
+        def step():
+            pass
+
+
+        def dead_helper():
+            pass
+    """
+    assert _walk(engine, "Engine().run()") == {"Engine.dead", "dead_helper"}
+
+
+def test_a_method_reached_only_from_an_unreached_method_is_unreached():
+    engine = """
+        class Engine:
+            def run(self):
+                return self.step()
+
+            def step(self):
+                pass
+
+            def dead(self):
+                return self.dead_step()
+
+            def dead_step(self):
+                pass
+    """
+    assert _walk(engine, "Engine().run()") == {"Engine.dead", "Engine.dead_step"}
+
+
+def test_the_methods_of_an_unreached_class_are_not_reported_separately():
+    engine = """
+        class Engine:
+            def method(self):
+                pass
+    """
+    assert _walk(engine) == {"Engine"}
+
+
+def test_the_curated_surface_reaches_a_class_not_its_public_methods():
+    engine = """
+        class Engine:
+            def unused(self):
+                pass
+    """
+    assert _walk(engine, roots={"Engine"}) == {"Engine.unused"}
+
+
+def test_a_reached_class_makes_only_its_shell_live():
+    engine = """
+        class Engine(Base, metaclass=Meta):
+            LIMIT = limit()
+
+            @decorated
+            def method(self, value: Annotated = default()) -> Returned:
+                return body_only()
+
+
+        class Base: pass
+        class Meta(type): pass
+        class Annotated: pass
+        class Returned: pass
+        def limit(): pass
+        def decorated(fn): return fn
+        def default(): pass
+        def body_only(): pass
+    """
+    assert _walk(engine, "Engine") == {"Engine.method", "body_only"}
+
+
+def test_a_method_allow_list_key_must_be_unreached_and_named_by_a_test():
+    engine = """
+        class Explorer:
+            def project_columns(self):
+                pass
+    """
+    key = ("repro.engine", "Explorer.project_columns")
+    modules = {"repro.engine": textwrap.dedent(engine)}
+    assert key in unreached(modules, {"script.py": "Explorer()"}, set())
+    called = {"script.py": "Explorer().project_columns()"}
+    assert key not in unreached(modules, called, set())  # the entry is stale
+    assert _unexercised({key: ""}, {"project_columns"}) == []
+    assert _unexercised({key: ""}, {"Explorer"}) == ["Explorer.project_columns"]

@@ -126,14 +126,6 @@ class TestFitPredict:
                 )
                 assert (child_total == node.class_counts).all()
 
-    def test_split_description(self, rng):
-        table, labels = _threshold_data(rng)
-        tree = fit_tree(table, labels)
-        assert "x <" in tree.root.split_description()
-        leaf = next(n for n in tree.root.walk() if n.is_leaf)
-        with pytest.raises(ValueError):
-            leaf.split_description()
-
 
 class TestLeafCount:
     def test_n_leaves_and_depth(self, rng):
