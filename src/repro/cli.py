@@ -455,8 +455,10 @@ def trace_main(argv: list[str]) -> None:
             raise SystemExit(f"could not read spans: {error}") from None
         traces = group_traces(spans, args.limit)
     if args.export:
+        # Oldest first, as a span log runs: re-read, the export lists
+        # its traces in the order shown here.
         with open(args.export, "w", encoding="utf-8") as handle:
-            for trace in traces:
+            for trace in reversed(traces):
                 for span in trace.get("spans", []):
                     handle.write(json.dumps(span) + "\n")
     if not traces:

@@ -6,20 +6,15 @@ Kaufman & Rousseeuw 1990) "because it is accurate, well established and
 fast enough" (§3), switching to the sampling-based **CLARA** when the
 data is too large, and choosing the number of clusters with the
 **silhouette coefficient**, estimated "in a Monte-Carlo fashion".
-Everything here is implemented from the original references on top of
-NumPy.
+Every map clusters one way: Euclidean distances, in float64, over the
+normalised features.  Everything here is implemented from the original
+references on top of NumPy.
 """
 
 from repro.cluster.clara import clara
-from repro.cluster.distance import (
-    euclidean_distances,
-    gower_distances,
-    manhattan_distances,
-    pairwise_distances,
-)
+from repro.cluster.distance import pairwise_distances
 from repro.cluster.kselect import KSelection, select_k, select_k_points
 from repro.cluster.pam import Clustering, pam
-from repro.cluster.parallel import map_in_order, resolve_jobs
 from repro.cluster.silhouette import (
     SharedSilhouette,
     mean_silhouette,
@@ -41,15 +36,10 @@ __all__ = [
     "SharedSilhouette",
     "clara",
     "cluster_features",
-    "euclidean_distances",
-    "gower_distances",
     "leaf_silhouettes",
-    "manhattan_distances",
-    "map_in_order",
     "mean_silhouette",
     "pairwise_distances",
     "pam",
-    "resolve_jobs",
     "select_k",
     "select_k_points",
     "shared_distance_matrix",

@@ -38,10 +38,8 @@ def clara(
     k: int,
     n_draws: int = 5,
     sample_size: int | None = None,
-    metric: str = "euclidean",
     *,
     rng: np.random.Generator,
-    dtype: object = None,
 ) -> Clustering:
     """Cluster a large point matrix around ``k`` medoids via sampling.
 
@@ -56,14 +54,9 @@ def clara(
         Kaufman & Rousseeuw recommend 5.
     sample_size:
         Rows per draw; defaults to ``40 + 2k``.  Clamped to n.
-    metric:
-        ``euclidean`` or ``manhattan`` (must support point-to-medoid
-        distances for the assignment step).
     rng:
         Source of sampling randomness.  Each draw gets its own child
         generator spawned from it.
-    dtype:
-        Distance-kernel dtype (``float32`` opt-in; default float64).
 
     Returns
     -------
@@ -86,7 +79,7 @@ def clara(
 
     if sample_size >= n:
         # Sampling would be the identity; fall through to plain PAM.
-        return pam(pairwise_distances(points, metric, dtype=dtype), k, validate=False)
+        return pam(pairwise_distances(points), k, validate=False)
 
     # Deadline checkpoint: an expired request aborts between CLARA runs.
     checkpoint("clara")
@@ -100,13 +93,11 @@ def clara(
             medoid_rows = rows
             n_swaps = np.zeros(n_draws, dtype=np.intp)
         else:
-            samples = pairwise_distances(points[rows], metric, dtype=dtype)
+            samples = pairwise_distances(points[rows])
             sample_medoids, _, _, n_swaps = pam_batch(samples, k)
             medoid_rows = np.take_along_axis(rows, sample_medoids, axis=1)
 
-        to_medoids = distances_to_points(
-            points, points[medoid_rows], metric, dtype=dtype
-        )
+        to_medoids = distances_to_points(points, points[medoid_rows])
         # A draw's cost sums each point's distance to its nearest medoid;
         # only the winner needs to know which medoid that is.
         nearest = np.minimum.reduce(to_medoids.swapaxes(1, 2), axis=1)

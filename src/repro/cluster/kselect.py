@@ -105,8 +105,6 @@ def select_k_points(
     *,
     rng: np.random.Generator,
     exact_threshold: int | None = None,
-    metric: str = "euclidean",
-    dtype: object = None,
     shared: SharedSilhouette | None = None,
 ) -> KSelection:
     """Pick k for a point matrix, sharing distance work across the sweep.
@@ -122,8 +120,8 @@ def select_k_points(
     Callers that already hold distance structures (e.g. the mapping
     engine) pass their own ``shared`` scorer; it then *replaces* the
     scoring configuration entirely — ``n_subsamples``,
-    ``subsample_size``, ``exact_threshold``, ``metric`` and ``dtype``
-    are read only when this function builds the scorer itself.
+    ``subsample_size`` and ``exact_threshold`` are read only when this
+    function builds the scorer itself.
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
@@ -141,10 +139,8 @@ def select_k_points(
             points,
             n_subsamples=n_subsamples,
             subsample_size=subsample_size,
-            metric=metric,
             exact_threshold=exact_threshold,
             rng=rng,
-            dtype=dtype,
         )
     tracer = get_tracer()
     candidates: list[KCandidate] = []

@@ -95,11 +95,9 @@ class SharedSilhouette:
         points: np.ndarray,
         n_subsamples: int = 8,
         subsample_size: int = 200,
-        metric: str = "euclidean",
         exact_threshold: int | None = None,
         *,
         rng: np.random.Generator,
-        dtype: object = None,
         distances: np.ndarray | None = None,
     ) -> None:
         points = np.asarray(points, dtype=np.float64)
@@ -126,7 +124,7 @@ class SharedSilhouette:
                 )
             self._full = distances
         elif n <= threshold:
-            self._full = pairwise_distances(points, metric, dtype=dtype)
+            self._full = pairwise_distances(points)
         if self._full is not None:
             self._columns = [_member_major(self._full)]
         else:
@@ -135,7 +133,7 @@ class SharedSilhouette:
                 for _ in range(n_subsamples)
             ])
             self._columns = [
-                _member_major(pairwise_distances(points[chosen], metric, dtype=dtype))
+                _member_major(pairwise_distances(points[chosen]))
                 for chosen in self._chosen
             ]
 

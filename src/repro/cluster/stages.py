@@ -62,7 +62,6 @@ class ClusterParams:
     silhouette_subsamples: int = 8
     silhouette_subsample_size: int = 200
     silhouette_exact_threshold: int = 600
-    dtype: str = "float64"
 
 
 @dataclass(frozen=True)
@@ -86,7 +85,7 @@ def shared_distance_matrix(
     matrix — the stage then has nothing to share and returns ``None``.
     """
     if matrix.shape[0] <= params.clara_threshold:
-        return pairwise_distances(matrix, dtype=params.dtype)
+        return pairwise_distances(matrix)
     return None
 
 
@@ -117,7 +116,6 @@ def cluster_features(
             n_draws=params.clara_draws,
             sample_size=params.clara_sample_size,
             rng=rng,
-            dtype=params.dtype,
         )
 
     shared = SharedSilhouette(
@@ -126,7 +124,6 @@ def cluster_features(
         subsample_size=params.silhouette_subsample_size,
         exact_threshold=params.silhouette_exact_threshold,
         rng=rng,
-        dtype=params.dtype,
         distances=distances,
     )
 
@@ -177,7 +174,7 @@ def leaf_silhouettes(
     if np.unique(labels).size < 2:
         return {int(c): 0.0 for c in np.unique(clustering.labels)}
     if distances is None:
-        distances = pairwise_distances(matrix[chosen], dtype=params.dtype)
+        distances = pairwise_distances(matrix[chosen])
     values = silhouette_samples(distances, labels, validate=False)
     return {
         int(cluster): float(values[labels == cluster].mean())

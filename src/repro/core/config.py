@@ -29,11 +29,6 @@ class BlaeuConfig:
         (paper: "a few thousand").
     dependency_sample_size:
         Rows sampled for dependency-graph estimation.
-    graph_jobs:
-        Thread-level parallelism of the batched NMI kernel behind the
-        dependency graph: ``None`` or 1 runs serially, 0 uses every
-        core, any other value that many workers.  Results are identical
-        across settings.
     graph_bin_sample_size:
         Rows in the deterministic sample the graph stage derives its
         numeric bin cuts from.  The sample is seeded by ``seed``
@@ -59,10 +54,6 @@ class BlaeuConfig:
         over one shared distance matrix; larger samples fall back to the
         Monte-Carlo estimator (whose subsample matrices are likewise
         computed once and shared across every candidate k).
-    distance_dtype:
-        Floating dtype of the distance kernels: ``"float64"`` (default)
-        or ``"float32"`` — half the memory traffic on the O(n²)
-        matrices, at a bounded accuracy cost.
     tree_params:
         CART growth controls for the description stage.
     max_categorical_cardinality:
@@ -94,7 +85,6 @@ class BlaeuConfig:
 
     map_sample_size: int = 2000
     dependency_sample_size: int = 1000
-    graph_jobs: int | None = None
     graph_bin_sample_size: int = 4096
     clara_threshold: int = 1200
     clara_draws: int = 5
@@ -104,7 +94,6 @@ class BlaeuConfig:
     silhouette_subsamples: int = 8
     silhouette_subsample_size: int = 200
     silhouette_exact_threshold: int = 600
-    distance_dtype: str = "float64"
     tree_params: CartParams = field(default_factory=CartParams)
     max_categorical_cardinality: int = 50
     min_zoom_rows: int = 20
@@ -125,14 +114,10 @@ class BlaeuConfig:
             not self.theme_k_values or min(self.theme_k_values) < 2
         ):
             raise ValueError("theme_k_values must contain integers >= 2")
-        if self.graph_jobs is not None and self.graph_jobs < 0:
-            raise ValueError("graph_jobs must be None, 0 (all cores) or >= 1")
         if self.graph_bin_sample_size < 2:
             raise ValueError("graph_bin_sample_size must be at least 2")
         if self.silhouette_exact_threshold < 0:
             raise ValueError("silhouette_exact_threshold must be >= 0")
-        if self.distance_dtype not in ("float32", "float64"):
-            raise ValueError("distance_dtype must be 'float32' or 'float64'")
         if self.min_zoom_rows < 2:
             raise ValueError("min_zoom_rows must be at least 2")
         if self.prune_leaf_factor < 1:
@@ -148,19 +133,20 @@ class BlaeuConfig:
     #: "results are identical either way" contracts depend on this).
     _RESULT_NEUTRAL_KNOBS = ("count_mode",)
 
-    #: Parallelism widths: results are bit-identical at any value, so
-    #: :meth:`digest` hashes them as ``None``.  They stay *in* the
-    #: payload (not popped) because the default digest — and every
-    #: golden digest derived from it — names them.
-    _WIDTH_KNOBS = ("graph_jobs",)
-
     #: Payload entries of knobs that no longer exist, frozen at the value
     #: they were hashed with, so the default digest (and every key-derived
     #: seed and golden digest) does not move: the CLARA draw width, gone
-    #: since the draws became one array program, and the store-scan
-    #: process width, gone since every partition pass became one serial
-    #: fold.
-    _RETIRED_KNOBS = {"clara_jobs": None, "scan_jobs": None}
+    #: since the draws became one array program; the store-scan process
+    #: width, gone since every partition pass became one serial fold;
+    #: the distance dtype, gone since every distance is float64; and the
+    #: NMI-kernel thread width, gone since the graph kernel runs one
+    #: serial loop.
+    _RETIRED_KNOBS = {
+        "clara_jobs": None,
+        "scan_jobs": None,
+        "distance_dtype": "float64",
+        "graph_jobs": None,
+    }
 
     def digest(self) -> str:
         """A stable hash of every result-affecting knob.
@@ -172,16 +158,11 @@ class BlaeuConfig:
         are never served — or perturbed — by another.  The
         result-neutral knob ``count_mode`` is excluded: two-phase
         counting never changes the final exact map, so sessions
-        differing only there share cache entries and refinements.  So
-        is the ``graph_jobs`` width:
-        a cached engine at ``graph_jobs=2`` draws the same key-derived
-        seeds, and shares artifacts with, one at ``graph_jobs=None``.
+        differing only there share cache entries and refinements.
         """
         payload = dataclasses.asdict(self)
         for knob in self._RESULT_NEUTRAL_KNOBS:
             payload.pop(knob)
-        for knob in self._WIDTH_KNOBS:
-            payload[knob] = None
         payload.update(self._RETIRED_KNOBS)
         text = json.dumps(payload, sort_keys=True, default=repr)
         return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]

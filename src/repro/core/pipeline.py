@@ -316,7 +316,6 @@ class MapPipeline:
             silhouette_subsamples=config.silhouette_subsamples,
             silhouette_subsample_size=config.silhouette_subsample_size,
             silhouette_exact_threshold=config.silhouette_exact_threshold,
-            dtype=config.distance_dtype,
         )
 
     def _chain_rng(self) -> np.random.Generator:

@@ -175,11 +175,9 @@ def extract_themes(
     graph = builder.build(
         table,
         columns=kept,
-        measure="nmi",
         sample=config.dependency_sample_size,
         seed=config.seed,
         row_indices=row_indices,
-        n_jobs=config.graph_jobs,
         bin_sample_size=config.graph_bin_sample_size,
     )
     k_values = config.theme_k_values

@@ -129,7 +129,6 @@ class CodeCache:
 def gather_codes(
     table,
     names: Sequence[str],
-    n_bins: int | None = None,
     bin_sample_size: int = 4096,
     seed: int = 42,
     cache: CodeCache | None = None,
@@ -147,7 +146,6 @@ def gather_codes(
     entries = resolve_entries(
         table,
         names,
-        n_bins=n_bins,
         bin_sample_size=bin_sample_size,
         seed=seed,
         cache=cache,
@@ -191,14 +189,13 @@ def code_matrix(
 def resolve_entries(
     table,
     names: Sequence[str],
-    n_bins: int | None,
     bin_sample_size: int,
     seed: int,
     cache: CodeCache | None,
 ) -> dict[str, CodeEntry]:
     """Look up or derive the :class:`CodeEntry` of every named column."""
     fingerprint = table.fingerprint()
-    signature = (n_bins, bin_sample_size, seed)
+    signature = (bin_sample_size, seed)
     entries: dict[str, CodeEntry] = {}
     missing: list[str] = []
     for name in names:
@@ -221,7 +218,7 @@ def resolve_entries(
         table.residency == "memory" and table.n_rows <= _MAX_CACHED_CODE_ROWS
     )
     for name in missing:
-        entry = _derive_entry(table, name, n_bins, sample, keep_codes)
+        entry = _derive_entry(table, name, sample, keep_codes)
         entries[name] = entry
         if cache is not None:
             cache.put((fingerprint, name, signature), entry)
@@ -248,7 +245,6 @@ def _cut_sample_rows(n_rows: int, bin_sample_size: int, seed: int) -> np.ndarray
 def _derive_entry(
     table,
     name: str,
-    n_bins: int | None,
     sample,
     keep_codes: bool,
 ) -> CodeEntry:
@@ -260,7 +256,7 @@ def _derive_entry(
         if not keep_codes:
             return CodeEntry(n_codes=n_codes)
         return CodeEntry(n_codes=n_codes, codes=table.column(name).codes)
-    cuts = _numeric_cuts(sample.column(name), n_bins)
+    cuts = _numeric_cuts(sample.column(name))
     if not keep_codes:
         return CodeEntry(n_codes=len(cuts) + 1, cuts=cuts)
     return CodeEntry(
@@ -270,14 +266,14 @@ def _derive_entry(
     )
 
 
-def _numeric_cuts(column: NumericColumn, n_bins: int | None) -> np.ndarray:
-    """Equal-frequency cuts of a numeric column's present sample values."""
+def _numeric_cuts(column: NumericColumn) -> np.ndarray:
+    """Equal-frequency cuts of a numeric column's present sample values,
+    as many bins as :func:`~repro.stats.discretize.suggest_bin_count`
+    suggests for them."""
     present = column.present_values()
     if present.size == 0:
         return np.empty(0, dtype=np.float64)
-    if n_bins is None:
-        n_bins = suggest_bin_count(present.size)
-    return equal_frequency_cuts(present, n_bins)
+    return equal_frequency_cuts(present, suggest_bin_count(present.size))
 
 
 def _numeric_apply(column: NumericColumn, cuts: np.ndarray) -> np.ndarray:

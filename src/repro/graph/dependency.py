@@ -1,9 +1,9 @@
 """Building the column dependency graph (paper §3, Figure 2).
 
 Vertices are columns, edge weights are pairwise dependencies in
-``[0, 1]`` (normalized mutual information by default; absolute Pearson/
-Spearman correlation as the alternatives the paper mentions).  The graph
-also exposes the *dissimilarity* view (``1 − weight``) that PAM needs.
+``[0, 1]``: normalized mutual information, the paper's measure, which
+copes with mixed types and non-linear relationships.  The graph also
+exposes the *dissimilarity* view (``1 − weight``) that PAM needs.
 
 Graphs are produced by a :class:`GraphBuilder`, which layers three kinds
 of reuse over the batched NMI kernel (:mod:`repro.stats.batched`):
@@ -14,16 +14,13 @@ of reuse over the batched NMI kernel (:mod:`repro.stats.batched`):
   re-discretizing;
 * **finished graphs** are memoized in an optional shared result cache
   (the service's map cache) keyed by (fingerprint, columns digest,
-  measure, bins, sample, seed, selection rows) — a rollback or a second
+  bin-cut sample, sample, seed, selection rows) — a rollback or a second
   session landing on the same graph pays one dictionary lookup;
 * **a build reads what it needs**, one code path on either residency:
   sampled and selection-restricted builds gather just their rows, and
   whole-table NMI builds stream the table's partitions, chunk by chunk,
   through one accumulating kernel
-  (:class:`~repro.stats.batched.StreamingPairwiseNMI`).  (The
-  correlation measures are the one exception: a whole-table
-  pearson/spearman build gathers the numeric block — rank transforms
-  do not stream — so pass ``sample`` on huge stores.)
+  (:class:`~repro.stats.batched.StreamingPairwiseNMI`).
 """
 
 from __future__ import annotations
@@ -31,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,8 +37,6 @@ from repro.obs.metrics import get_metrics
 from repro.obs.trace import get_tracer
 from repro.resilience.deadline import checkpoint
 from repro.stats.batched import StreamingPairwiseNMI, pairwise_nmi_matrix
-from repro.stats.correlation import pairwise_correlation_matrix
-from repro.table.column import ColumnKind
 from repro.table.sampling import seed_for, uniform_sample
 from repro.table.table import Table
 
@@ -51,8 +46,6 @@ __all__ = [
     "DEFAULT_GRAPH_SEED",
     "DEFAULT_BIN_SAMPLE_SIZE",
 ]
-
-Measure = Literal["nmi", "pearson", "spearman"]
 
 #: Fallback ``seed`` — the same root every other stage defaults to
 #: (``BlaeuConfig.seed``), so repeated builds (and the keys derived from
@@ -76,12 +69,13 @@ class DependencyGraph:
     weights:
         Symmetric dependency matrix in ``[0, 1]``, unit diagonal.
     measure:
-        Which dependency measure produced the weights.
+        The dependency measure that produced the weights: always
+        ``"nmi"``, named in ``/graph`` responses and stored artifacts.
     """
 
     columns: tuple[str, ...]
     weights: np.ndarray
-    measure: Measure = "nmi"
+    measure: str = "nmi"
 
     @property
     def n_columns(self) -> int:
@@ -161,12 +155,9 @@ class GraphBuilder:
         table: Table,
         columns: Sequence[str] | None = None,
         *,
-        measure: Measure = "nmi",
-        n_bins: int | None = None,
         sample: int | None = None,
         seed: int = DEFAULT_GRAPH_SEED,
         row_indices: np.ndarray | None = None,
-        n_jobs: int | None = None,
         bin_sample_size: int = DEFAULT_BIN_SAMPLE_SIZE,
     ) -> DependencyGraph:
         """Compute (or recall) the dependency graph of (part of) a table.
@@ -179,12 +170,6 @@ class GraphBuilder:
             Vertices; defaults to every column.  Key columns should
             already be excluded by the caller (the engine drops them
             before calling).
-        measure:
-            ``nmi`` (paper's choice — handles mixed types and non-linear
-            relationships), or ``pearson`` / ``spearman`` (numeric
-            columns only; categorical pairs get weight 0).
-        n_bins:
-            Discretization override for the NMI estimator.
         sample:
             Estimate from a uniform sample of this many rows (the
             engine's interaction-time path for large tables).  The
@@ -198,10 +183,6 @@ class GraphBuilder:
             Restrict the build to these base-table rows — the navigation
             path, where a zoomed selection's graph reuses the base
             table's cached codes; sampling applies within them.
-        n_jobs:
-            Thread fan-out of the batched NMI kernel, which sampled and
-            row-restricted builds run (``None``/1 serial, 0 all cores);
-            results are identical at any setting.
         bin_sample_size:
             Rows in the deterministic bin-cut sample.
         """
@@ -210,21 +191,12 @@ class GraphBuilder:
         )
         if len(names) < 1:
             raise ValueError("dependency graph needs at least one column")
-        if measure not in ("nmi", "pearson", "spearman"):
-            raise ValueError(f"unknown dependency measure {measure!r}")
 
         started = time.perf_counter()
         with get_tracer().span("graph.build") as span:
             cache = self._result_cache
             key = _graph_cache_key(
-                table,
-                names,
-                measure,
-                n_bins,
-                sample,
-                seed,
-                bin_sample_size,
-                row_indices,
+                table, names, sample, seed, bin_sample_size, row_indices
             )
             metrics = get_metrics()
             if cache is not None:
@@ -238,19 +210,10 @@ class GraphBuilder:
 
             if span.enabled:
                 span.set("cache_hit", False)
-                span.set("measure", measure)
+                span.set("measure", "nmi")
                 span.set("n_columns", len(names))
             graph = self._build(
-                table,
-                names,
-                measure,
-                n_bins,
-                sample,
-                key,
-                seed,
-                row_indices,
-                n_jobs,
-                bin_sample_size,
+                table, names, sample, key, seed, row_indices, bin_sample_size
             )
             if cache is not None:
                 cache.put(key, graph)
@@ -268,13 +231,10 @@ class GraphBuilder:
         self,
         table: Table,
         names: tuple[str, ...],
-        measure: Measure,
-        n_bins: int | None,
         sample: int | None,
         key: tuple,
         seed: int,
         row_indices: np.ndarray | None,
-        n_jobs: int | None,
         bin_sample_size: int,
     ) -> DependencyGraph:
         base = None
@@ -287,21 +247,14 @@ class GraphBuilder:
             picked = uniform_sample(universe, sample, rng)
             rows = base[picked] if base is not None else picked
 
-        if measure == "nmi":
-            weights = self._nmi_weights(
-                table, names, n_bins, rows, n_jobs, bin_sample_size, seed
-            )
-        else:
-            weights = self._correlation_weights(table, names, rows, measure)
-        return DependencyGraph(columns=names, weights=weights, measure=measure)
+        weights = self._nmi_weights(table, names, rows, bin_sample_size, seed)
+        return DependencyGraph(columns=names, weights=weights)
 
     def _nmi_weights(
         self,
         table: Table,
         names: tuple[str, ...],
-        n_bins: int | None,
         rows: np.ndarray | None,
-        n_jobs: int | None,
         bin_sample_size: int,
         seed: int,
     ) -> np.ndarray:
@@ -314,7 +267,6 @@ class GraphBuilder:
                 entries = resolve_entries(
                     table,
                     names,
-                    n_bins=n_bins,
                     bin_sample_size=bin_sample_size,
                     seed=seed,
                     cache=self._code_cache,
@@ -337,7 +289,6 @@ class GraphBuilder:
             codes = gather_codes(
                 table,
                 names,
-                n_bins=n_bins,
                 bin_sample_size=bin_sample_size,
                 seed=seed,
                 cache=self._code_cache,
@@ -347,68 +298,17 @@ class GraphBuilder:
             if span.enabled:
                 span.set("streaming", False)
                 span.set("rows", int(codes.codes.shape[1]))
-            return pairwise_nmi_matrix(codes, n_jobs=n_jobs)
+            return pairwise_nmi_matrix(codes)
 
-    def _correlation_weights(
-        self,
-        table: Table,
-        names: tuple[str, ...],
-        rows: np.ndarray | None,
-        measure: Measure,
-    ) -> np.ndarray:
-        """Vectorized pearson/spearman weights over the numeric block.
-
-        One masked-product correlation over the stacked numeric columns
-        replaces the per-pair Python loop; categorical pairs keep
-        weight 0, as before.
-        """
-        weights = np.eye(len(names), dtype=np.float64)
-        numeric = [
-            index
-            for index, name in enumerate(names)
-            if table.kind(name) is ColumnKind.NUMERIC
-        ]
-        if len(numeric) < 2:
-            return weights
-        numeric_names = [names[index] for index in numeric]
-        block = _numeric_block(table, numeric_names, rows)
-        correlation = np.abs(
-            pairwise_correlation_matrix(block, rank=measure == "spearman")
-        )
-        np.fill_diagonal(correlation, 1.0)
-        grid = np.ix_(numeric, numeric)
-        weights[grid] = correlation
-        return weights
 
 # ----------------------------------------------------------------------
 # Module internals
 # ----------------------------------------------------------------------
 
 
-def _numeric_block(
-    table, names: list[str], rows: np.ndarray | None
-) -> np.ndarray:
-    """The named numeric columns stacked as ``(rows, columns)`` float64.
-
-    Missing cells are NaN.  Only the requested rows of the named
-    columns are gathered (one ``take_columns`` read).  With
-    ``rows=None`` this materializes the whole numeric block — fine for
-    the correlation measures' sampled path, deliberate for whole-table
-    builds (Spearman's rank transform needs every row resident); the
-    NMI path never comes through here.
-    """
-    gather_at = (
-        rows if rows is not None else np.arange(table.n_rows, dtype=np.intp)
-    )
-    sub = table.take_columns(names, gather_at)
-    return np.column_stack([sub.column(name).values for name in names])
-
-
 def _graph_cache_key(
     table,
     names: tuple[str, ...],
-    measure: Measure,
-    n_bins: int | None,
     sample: int | None,
     seed: int,
     bin_sample_size: int,
@@ -419,7 +319,10 @@ def _graph_cache_key(
 
     Content-addressed like the map cache: the table's fingerprint, a
     digest of the vertex set, every estimator knob, and (for
-    selection-restricted builds) a digest of the row indices.
+    selection-restricted builds) a digest of the row indices.  The
+    ``"nmi"`` and ``None`` entries stand where the dependency measure and
+    the bin-count override once did, so keys — and the theme seeds
+    derived from them — do not move.
     """
     columns_digest = hashlib.sha256(
         "\x00".join(names).encode("utf-8")
@@ -433,8 +336,8 @@ def _graph_cache_key(
         "graph",
         table.fingerprint(),
         columns_digest,
-        measure,
-        n_bins,
+        "nmi",
+        None,
         bin_sample_size,
         sample,
         seed,

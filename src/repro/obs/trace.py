@@ -4,10 +4,8 @@ One request produces one *trace*: a tree of spans, each with a name,
 monotonic start/duration, structured attributes, and ``trace_id`` /
 ``span_id`` / ``parent_id`` links.  The current span lives in a
 :mod:`contextvars` variable, so parenting follows the flow of control —
-across ``await`` points, into :class:`~repro.service.pool.WorkerPool`
-threads, and through the :func:`~repro.cluster.parallel.map_in_order`
-fan-out of the batched NMI kernel — without any explicit plumbing at
-the call sites.
+across ``await`` points and into :class:`~repro.service.pool.WorkerPool`
+threads — without any explicit plumbing at the call sites.
 
 The tracer is **off by default** and the disabled path is engineered to
 cost nothing: :meth:`Tracer.span` returns the module-level

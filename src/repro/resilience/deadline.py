@@ -4,12 +4,12 @@ A :class:`Deadline` is an absolute expiry on the monotonic clock plus
 the budget it was minted with.  The service sets one per request (from
 the ``X-Blaeu-Deadline`` header or ``ServiceConfig.resilience``) and it
 rides into worker threads for free: :meth:`WorkerPool.run` submits jobs
-under ``contextvars.copy_context()`` and ``cluster.parallel.map_in_order``
-copies the context per item, so a deadline set in the request coroutine
-is visible at every cooperative :func:`checkpoint` below it.
+under ``contextvars.copy_context()``, so a deadline set in the request
+coroutine is visible at every cooperative :func:`checkpoint` below it.
 
 Checkpoints are placed at stage boundaries and inside chunked loops
-(store scans, streaming NMI, each CLARA run).  When no deadline is set the
+(store scans, the NMI kernel's rows and streamed chunks, each CLARA
+run).  When no deadline is set the
 checkpoint is a single contextvar read — cheap enough for per-chunk use.
 
 Background work (count refinement, speculative prefetch) must *not*

@@ -4,9 +4,8 @@ The paper builds its dependency graph from pairwise column dependencies
 and picks mutual information "because it is very flexible: it copes with
 mixed values and it is sensitive to non-linear relationships" (§3).  This
 package implements that estimator (via discretization, all pairs at once
-in :mod:`repro.stats.batched`) together with the alternative the paper
-mentions (correlation coefficients, all pairs at once) and the
-normalization the preprocessing stage needs.  The one-pair-at-a-time
+in :mod:`repro.stats.batched`) and the normalization the preprocessing
+stage needs; it is the one dependency measure Blaeu uses.  The one-pair-at-a-time
 scalar estimators the batched kernels are checked against are test
 oracles, kept under ``tests/``.
 """
@@ -16,7 +15,6 @@ from repro.stats.batched import (
     StreamingPairwiseNMI,
     pairwise_nmi_matrix,
 )
-from repro.stats.correlation import pairwise_correlation_matrix
 from repro.stats.discretize import (
     BinningRule,
     apply_bin_cuts,
@@ -34,7 +32,6 @@ __all__ = [
     "c_log_c",
     "entropies_from_sums",
     "equal_frequency_cuts",
-    "pairwise_correlation_matrix",
     "pairwise_nmi_matrix",
     "suggest_bin_count",
     "zscore",

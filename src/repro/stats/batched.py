@@ -21,9 +21,8 @@ the block is evaluated with vectorized reductions
 Two entry points, both over :class:`ColumnCodes` (every column
 factorized once into a dense int32 code matrix, missing = ``-1``):
 
-* :func:`pairwise_nmi_matrix` — the in-memory kernel, with an
-  ``n_jobs`` thread fan-out over left columns (results are identical
-  at any worker count);
+* :func:`pairwise_nmi_matrix` — the in-memory kernel, one serial loop
+  over left columns with a deadline checkpoint before each;
 * :class:`StreamingPairwiseNMI` — the out-of-core twin: the same fused
   contingencies accumulated chunk by chunk, so a store-backed table's
   graph never materializes full columns.
@@ -42,7 +41,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.cluster.parallel import map_in_order
+from repro.resilience.deadline import checkpoint
 from repro.stats.entropy import c_log_c, entropies_from_sums
 
 __all__ = [
@@ -55,7 +54,7 @@ __all__ = [
 #: and reported as 0 (no evidence of dependency).
 MIN_COMPLETE_ROWS = 8
 
-#: Upper bound on fused-array elements per block (per worker thread).
+#: Upper bound on fused-array elements per block.
 _FUSED_BUDGET = 1 << 21
 
 #: Upper bound on contingency cells per block.
@@ -124,15 +123,14 @@ class ColumnCodes:
 
 def pairwise_nmi_matrix(
     codes: ColumnCodes,
-    n_jobs: int | None = None,
     min_complete_rows: int = MIN_COMPLETE_ROWS,
 ) -> np.ndarray:
     """The symmetric all-pairs NMI matrix of an encoded table.
 
     Unit diagonal; pairs with fewer than ``min_complete_rows`` complete
     rows (or a constant/empty side) get weight 0, matching the scalar
-    reference.  ``n_jobs`` fans left columns out over threads (``None``
-    or 1 serial, 0 every core) with results identical at any setting.
+    reference.  An expired deadline aborts between left columns
+    (``graph.nmi.row``), never mid-kernel.
     """
     m = codes.n_columns
     weights = np.eye(m, dtype=np.float64)
@@ -142,11 +140,9 @@ def pairwise_nmi_matrix(
     shifted = (codes.codes + 1).astype(np.int64)
     cards = np.asarray(codes.n_codes, dtype=np.int64)
 
-    def row_task(i: int) -> np.ndarray:
-        return _left_row_weights(i, shifted, cards, min_complete_rows)
-
-    rows = map_in_order(row_task, list(range(m - 1)), n_jobs=n_jobs)
-    for i, row in enumerate(rows):
+    for i in range(m - 1):
+        checkpoint("graph.nmi.row")
+        row = _left_row_weights(i, shifted, cards, min_complete_rows)
         weights[i, i + 1 :] = row
         weights[i + 1 :, i] = row
     return weights

@@ -27,6 +27,11 @@ Design constraints, and how each is met:
   validation is moved into ``quarantine/`` (for post-mortems) and
   reported as a miss, so the caller transparently recomputes.
 
+Evictions and quarantines are counted in the process-global registry
+(``blaeu_artifact_cache_{evictions,quarantined}_total``); hits, misses
+and writes are counted there by the tiered cache that reads and writes
+through this one (:class:`~repro.service.cache.TieredCache`).
+
 Layout of a cache directory::
 
     root/
@@ -52,6 +57,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator
 
+from repro.obs.metrics import get_metrics
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.faults import corrupt_bytes, fault_point
 from repro.store.codec import ArtifactCorruptError, CodecError, decode, encode
@@ -71,16 +77,9 @@ _SUFFIX = ".art"
 
 @dataclass(frozen=True)
 class ArtifactCacheStats:
-    """Counters of one :class:`ArtifactCache` instance (this process),
-    plus the census of the directory it shares (``entries``,
-    ``total_bytes``)."""
+    """The census of a cache directory, which every process sharing it
+    sees alike."""
 
-    hits: int
-    misses: int
-    writes: int
-    write_errors: int
-    evictions: int
-    quarantined: int
     entries: int
     total_bytes: int
 
@@ -128,13 +127,7 @@ class ArtifactCache:
         self._max_bytes = int(max_bytes)
         self._clock = clock
         self._breaker = breaker
-        self._mutex = threading.Lock()  # guards the counters and the budget
-        self._hits = 0
-        self._misses = 0
-        self._writes = 0
-        self._write_errors = 0
-        self._evictions = 0
-        self._quarantined = 0
+        self._mutex = threading.Lock()  # guards the budget
         # Room under the budget at this process's last census, and the
         # bytes it has written since (see _evict).
         self._headroom = 0
@@ -157,19 +150,12 @@ class ArtifactCache:
         return self._max_bytes
 
     def stats(self) -> ArtifactCacheStats:
-        """Process-local counters plus the on-disk entry census."""
+        """The on-disk entry census."""
         census = self._census()
-        with self._mutex:
-            return ArtifactCacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                writes=self._writes,
-                write_errors=self._write_errors,
-                evictions=self._evictions,
-                quarantined=self._quarantined,
-                entries=len(census),
-                total_bytes=sum(nbytes for _, _, nbytes, _ in census),
-            )
+        return ArtifactCacheStats(
+            entries=len(census),
+            total_bytes=sum(nbytes for _, _, nbytes, _ in census),
+        )
 
     def __len__(self) -> int:
         return len(self._census())
@@ -181,7 +167,6 @@ class ArtifactCache:
     def get(self, key: object) -> object | None:
         """The decoded artifact, or ``None`` (absent or quarantined)."""
         if self._breaker is not None and not self._breaker.allow():
-            self._bump("_misses")
             return None
         name = _key_hash(key)
         path = self._object_path(name)
@@ -192,21 +177,17 @@ class ArtifactCache:
         except FileNotFoundError:
             # Absence is a normal miss, not a disk fault.
             self._record_breaker(ok=True, started=started)
-            self._bump("_misses")
             return None
         except OSError:
             self._record_breaker(ok=False, started=started)
-            self._bump("_misses")
             return None
         self._record_breaker(ok=True, started=started)
         try:
             value = decode(blob)
         except ArtifactCorruptError as error:
             self._quarantine(name, path, error)
-            self._bump("_misses")
             return None
         self._stamp(path)
-        self._bump("_hits")
         return value
 
     def put(self, key: object, value: object) -> bool:
@@ -217,12 +198,10 @@ class ArtifactCache:
         cache) treats ``False`` as "memory-only entry".
         """
         if self._breaker is not None and not self._breaker.allow():
-            self._bump("_write_errors")
             return False
         try:
             blob = encode(value)
         except CodecError:
-            self._bump("_write_errors")
             return False
         # A "torn" fault truncates the published bytes: the atomic
         # rename still happens, but the payload fails its checksum on
@@ -244,12 +223,10 @@ class ArtifactCache:
                 os.replace(tmp, path)
         except OSError:
             self._record_breaker(ok=False, started=started)
-            self._bump("_write_errors")
             with contextlib.suppress(OSError):
                 tmp.unlink()
             return False
         self._record_breaker(ok=True, started=started)
-        self._bump("_writes")
         self._stamp(path)
         self._evict(len(blob))
         return True
@@ -286,10 +263,6 @@ class ArtifactCache:
             self._breaker.record_success(time.monotonic() - started)
         else:
             self._breaker.record_failure()
-
-    def _bump(self, counter: str) -> None:
-        with self._mutex:
-            setattr(self, counter, getattr(self, counter) + 1)
 
     @contextlib.contextmanager
     def _flock(self, path: Path) -> Iterator[None]:
@@ -364,11 +337,12 @@ class ArtifactCache:
                         evicted += 1
         with self._mutex:
             self._headroom = max(self._max_bytes - total, 0)
-            self._evictions += evicted
+        if evicted:
+            get_metrics().increment("blaeu_artifact_cache_evictions_total", evicted)
 
     def _quarantine(self, name: str, path: Path, error: Exception) -> None:
         """Move a failed entry aside; the caller recomputes."""
         target = self._root / "quarantine" / f"{name}{_SUFFIX}"
         with contextlib.suppress(OSError):
             os.replace(path, target)
-        self._bump("_quarantined")
+        get_metrics().increment("blaeu_artifact_cache_quarantined_total")

@@ -192,17 +192,34 @@ def _fields(*names: str) -> Callable:
     return to_fields
 
 
+def _typed(array: object, kinds: str) -> np.ndarray:
+    """A column array whose dtype kind is one of ``kinds``.
+
+    The column constructors cast what they are given (float codes to
+    int32, integer values to float64), so a header that declares another
+    dtype would decode to other cells without an error: it is corrupt.
+    """
+    if not isinstance(array, np.ndarray) or array.dtype.kind not in kinds:
+        found = array.dtype.str if isinstance(array, np.ndarray) else type(array)
+        raise ArtifactCorruptError(
+            f"column array of dtype kind {kinds!r} expected, got {found}"
+        )
+    return array
+
+
 _register(
     "numcol",
     NumericColumn,
     lambda c: {"name": c.name, "values": c.values, "mask": c.missing_mask},
-    lambda f: NumericColumn(f["name"], f["values"], missing=f["mask"]),
+    lambda f: NumericColumn(
+        f["name"], _typed(f["values"], "f"), missing=_typed(f["mask"], "b")
+    ),
 )
 _register(
     "catcol",
     CategoricalColumn,
     lambda c: {"name": c.name, "codes": c.codes, "categories": c.categories},
-    lambda f: CategoricalColumn(f["name"], f["codes"], f["categories"]),
+    lambda f: CategoricalColumn(f["name"], _typed(f["codes"], "iu"), f["categories"]),
 )
 _register(
     "table",

@@ -8,9 +8,10 @@ they replaced — a PAM per matrix, a loop over CLARA's draws, a
 silhouette per subsample with one column gather per cluster — is kept
 here, verbatim, as the reference.  Results must be *equal*: labels,
 medoids, cost, SWAP count and silhouette, bit for bit.  The cases are
-built to tie (duplicate rows, integer grids), to hit the edges (k = 1,
-k at the sample size, n just past the CLARA threshold), and to run both
-dtypes and both point metrics.
+built to tie (duplicate rows, integer grids) and to hit the edges (k = 1,
+k at the sample size, n just past the CLARA threshold).  The distance
+kernels run Euclidean in float64; PAM and the silhouette also score
+float32 matrices, which they accept as input.
 """
 
 import numpy as np
@@ -51,45 +52,18 @@ def _reference_euclidean(points, dtype=None):
     return squared
 
 
-def _reference_manhattan(points, dtype=None):
-    points = _as_matrix(points, dtype)
-    n, d = points.shape
-    out = np.zeros((n, n), dtype=points.dtype)
-    scratch = np.empty((n, n), dtype=points.dtype)
-    for j in range(d):
-        column = points[:, j]
-        np.subtract(column[:, None], column[None, :], out=scratch)
-        np.abs(scratch, out=scratch)
-        out += scratch
-    return out
-
-
-def _reference_pairwise(points, metric="euclidean", dtype=None):
-    if metric == "euclidean":
-        return _reference_euclidean(points, dtype=dtype)
-    return _reference_manhattan(points, dtype=dtype)
-
-
-def _reference_to_points(points, references, metric="euclidean", dtype=None):
-    points = _as_matrix(points, dtype)
-    references = _as_matrix(references, dtype)
-    if metric == "euclidean":
-        point_norms = (points**2).sum(axis=1)
-        reference_norms = (references**2).sum(axis=1)
-        squared = (
-            point_norms[:, None]
-            + reference_norms[None, :]
-            - 2.0 * points @ references.T
-        )
-        np.maximum(squared, 0.0, out=squared)
-        return np.sqrt(squared)
-    out = np.zeros((points.shape[0], references.shape[0]), dtype=points.dtype)
-    scratch = np.empty_like(out)
-    for j in range(points.shape[1]):
-        np.subtract(points[:, j][:, None], references[:, j][None, :], out=scratch)
-        np.abs(scratch, out=scratch)
-        out += scratch
-    return out
+def _reference_to_points(points, references):
+    points = _as_matrix(points)
+    references = _as_matrix(references)
+    point_norms = (points**2).sum(axis=1)
+    reference_norms = (references**2).sum(axis=1)
+    squared = (
+        point_norms[:, None]
+        + reference_norms[None, :]
+        - 2.0 * points @ references.T
+    )
+    np.maximum(squared, 0.0, out=squared)
+    return np.sqrt(squared)
 
 
 def _reference_pam(distances, k, max_iter=200):
@@ -185,28 +159,22 @@ def _reference_canonical_order(medoids, labels):
     return order
 
 
-def _reference_clara(
-    points, k, n_draws=5, sample_size=None, metric="euclidean", rng=None, dtype=None
-):
+def _reference_clara(points, k, n_draws=5, sample_size=None, rng=None):
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
     if sample_size is None:
         sample_size = 40 + 2 * k
     sample_size = min(max(sample_size, k), n)
     if sample_size >= n:
-        return _reference_pam(_reference_pairwise(points, metric, dtype=dtype), k)
+        return _reference_pam(_reference_euclidean(points), k)
 
     def run_draw(draw_rng):
         sample_indices = draw_rng.choice(n, size=sample_size, replace=False)
         sample_indices.sort()
         sample = points[sample_indices]
-        sample_result = _reference_pam(
-            _reference_pairwise(sample, metric, dtype=dtype), k
-        )
+        sample_result = _reference_pam(_reference_euclidean(sample), k)
         medoid_rows = sample_indices[sample_result.medoids]
-        to_medoids = _reference_to_points(
-            points, points[medoid_rows], metric, dtype=dtype
-        )
+        to_medoids = _reference_to_points(points, points[medoid_rows])
         labels = np.argmin(to_medoids, axis=1).astype(np.intp)
         cost = float(to_medoids[np.arange(n), labels].sum())
         return Clustering(
@@ -270,14 +238,14 @@ def _reference_mean_silhouette(distances, labels):
     return float(values.mean()) if values.size else 0.0
 
 
-def _reference_monte_carlo(points, labels, n_subsamples, subsample_size, rng, dtype):
+def _reference_monte_carlo(points, labels, n_subsamples, subsample_size, rng):
     """SharedSilhouette's sampled mode: draws once, then one score."""
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
     subsamples = []
     for _ in range(n_subsamples):
         chosen = rng.choice(n, size=subsample_size, replace=False)
-        subsamples.append((chosen, _reference_pairwise(points[chosen], dtype=dtype)))
+        subsamples.append((chosen, _reference_euclidean(points[chosen])))
     estimates = []
     for chosen, sub_distances in subsamples:
         sub_labels = labels[chosen]
@@ -305,7 +273,6 @@ def _points(rng, n, d, shape):
 
 
 _SHAPES = st.sampled_from(["normal", "grid", "duplicates"])
-_METRICS = st.sampled_from(["euclidean", "manhattan"])
 _DTYPES = st.sampled_from([None, "float32"])
 _RELAXED = [HealthCheck.too_slow, HealthCheck.data_too_large]
 
@@ -324,7 +291,7 @@ def _pam_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
     n = draw(st.integers(1, 60))
     points = _points(rng, n, draw(st.integers(1, 4)), draw(_SHAPES))
-    distances = _reference_pairwise(points, draw(_METRICS), dtype=draw(_DTYPES))
+    distances = _reference_euclidean(points, dtype=draw(_DTYPES))
     k = draw(st.sampled_from([1, 2, max(1, n - 1), n, draw(st.integers(1, n))]))
     return distances, min(k, n)
 
@@ -341,9 +308,9 @@ def _stacks(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
     n = draw(st.integers(2, 50))
     d = draw(st.integers(1, 4))
-    metric, dtype = draw(_METRICS), draw(_DTYPES)
+    dtype = draw(_DTYPES)
     stack = np.stack([
-        _reference_pairwise(_points(rng, n, d, draw(_SHAPES)), metric, dtype=dtype)
+        _reference_euclidean(_points(rng, n, d, draw(_SHAPES)), dtype=dtype)
         for _ in range(draw(st.integers(1, 6)))
     ])
     k = draw(st.sampled_from([1, n - 1, draw(st.integers(1, n - 1))]))
@@ -391,8 +358,6 @@ def _clara_cases(draw):
         k=k,
         n_draws=draw(st.integers(1, 6)),
         sample_size=sample_size,
-        metric=draw(_METRICS),
-        dtype=draw(_DTYPES),
         seed=draw(st.integers(0, 2**31 - 1)),
     )
 
@@ -414,7 +379,7 @@ def _reference_sets(draw):
     points = _points(rng, n, d, draw(_SHAPES))
     draws, k = draw(st.integers(1, 6)), draw(st.integers(1, 8))
     references = points[rng.integers(0, n, (draws, k))]
-    return points, references, draw(_METRICS), draw(_DTYPES)
+    return points, references
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=_RELAXED)
@@ -424,10 +389,10 @@ def test_one_assignment_call_matches_a_product_per_draw(case):
     draw (a single product over every draw's medoids is *not* equal —
     with one medoid per draw it even swaps a matrix-vector kernel for a
     matrix-matrix one)."""
-    points, references, metric, dtype = case
-    stacked = distances_to_points(points, references, metric, dtype=dtype)
+    points, references = case
+    stacked = distances_to_points(points, references)
     for run, medoids in enumerate(references):
-        expected = _reference_to_points(points, medoids, metric, dtype=dtype)
+        expected = _reference_to_points(points, medoids)
         assert stacked[run].tolist() == expected.tolist()
 
 
@@ -438,16 +403,15 @@ def _point_stacks(draw):
     stack = np.stack([
         _points(rng, n, d, draw(_SHAPES)) for _ in range(draw(st.integers(1, 6)))
     ])
-    return stack, draw(_METRICS), draw(_DTYPES)
+    return stack
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=_RELAXED)
-@given(case=_point_stacks())
-def test_a_stack_of_samples_gets_each_samples_own_matrix(case):
-    stack, metric, dtype = case
-    matrices = pairwise_distances(stack, metric, dtype=dtype)
+@given(stack=_point_stacks())
+def test_a_stack_of_samples_gets_each_samples_own_matrix(stack):
+    matrices = pairwise_distances(stack)
     for points, matrix in zip(stack, matrices):
-        expected = _reference_pairwise(points, metric, dtype=dtype)
+        expected = _reference_euclidean(points)
         assert matrix.dtype == expected.dtype
         assert matrix.tolist() == expected.tolist()
 
@@ -457,7 +421,7 @@ def _labelled_matrices(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
     n = draw(st.integers(1, 120))
     points = _points(rng, n, draw(st.integers(1, 4)), draw(_SHAPES))
-    distances = _reference_pairwise(points, draw(_METRICS), dtype=draw(_DTYPES))
+    distances = _reference_euclidean(points, dtype=draw(_DTYPES))
     n_clusters = draw(st.integers(1, 8))
     labels = rng.integers(0, n_clusters, n)
     relabel = draw(st.sampled_from(["codes", "gaps", "negative", "float"]))
@@ -504,7 +468,6 @@ def _scored_points(draw):
         labels=labels,
         n_subsamples=draw(st.integers(1, 8)),
         subsample_size=draw(st.integers(2, min(n, 200))),
-        dtype=draw(_DTYPES),
         seed=draw(st.integers(0, 2**31 - 1)),
     )
 
@@ -519,11 +482,10 @@ def test_monte_carlo_scores_match_the_per_subsample_reference(case):
         subsample_size=case["subsample_size"],
         exact_threshold=0,
         rng=np.random.default_rng(seed),
-        dtype=case["dtype"],
     )
     if shared.exact:  # n == subsample_size: one full matrix, no draws
         expected = _reference_mean_silhouette(
-            _reference_pairwise(case["points"], dtype=case["dtype"]), labels
+            _reference_euclidean(case["points"]), labels
         )
     else:
         expected = _reference_monte_carlo(

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import adjusted_rand_index
 from repro.cluster.clara import clara, default_sample_size
-from repro.cluster.distance import euclidean_distances
+from repro.cluster.distance import pairwise_distances
 from repro.cluster.pam import pam
 
 
@@ -39,14 +39,14 @@ class TestClara:
 
     def test_cost_close_to_pam(self, rng):
         points, _ = _blobs(rng, n_per=60)  # small enough for exact PAM
-        exact = pam(euclidean_distances(points), 3)
+        exact = pam(pairwise_distances(points), 3)
         approx = clara(points, 3, n_draws=5, rng=rng)
         assert approx.cost <= exact.cost * 1.1
 
     def test_small_input_falls_through_to_pam(self, rng):
         points = rng.normal(0, 1, (30, 2))
         result = clara(points, 3, sample_size=100, rng=rng)
-        exact = pam(euclidean_distances(points), 3)
+        exact = pam(pairwise_distances(points), 3)
         assert result.cost == pytest.approx(exact.cost)
 
     def test_more_draws_never_hurt_much(self, rng):

@@ -5,28 +5,9 @@ import pytest
 
 from oracles import adjusted_rand_index
 from repro.cluster.clara import clara
-from repro.cluster.distance import manhattan_distances, pairwise_distances
+from repro.cluster.distance import pairwise_distances
 from repro.cluster.pam import pam
 from repro.cluster.silhouette import mean_silhouette
-
-
-class TestManhattanMetricPath:
-    def test_clara_with_manhattan(self, rng):
-        points = np.vstack([
-            rng.normal(0, 0.4, (200, 3)),
-            rng.normal(7, 0.4, (200, 3)),
-        ])
-        truth = np.repeat([0, 1], 200)
-        result = clara(points, 2, metric="manhattan", rng=rng)
-        assert adjusted_rand_index(result.labels, truth) > 0.95
-
-    def test_pam_on_manhattan_matrix(self, rng):
-        points = np.vstack([
-            rng.normal(0, 0.4, (30, 2)),
-            rng.normal(6, 0.4, (30, 2)),
-        ])
-        result = pam(manhattan_distances(points), 2)
-        assert adjusted_rand_index(result.labels, np.repeat([0, 1], 30)) == 1.0
 
 
 class TestDuplicatePoints:

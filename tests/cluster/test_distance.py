@@ -8,9 +8,6 @@ from hypothesis.extra.numpy import arrays
 
 from repro.cluster.distance import (
     distances_to_points,
-    euclidean_distances,
-    gower_distances,
-    manhattan_distances,
     pairwise_distances,
     validate_distance_matrix,
 )
@@ -19,7 +16,7 @@ from repro.cluster.distance import (
 class TestEuclidean:
     def test_matches_direct_computation(self, rng):
         points = rng.normal(0, 1, (20, 3))
-        fast = euclidean_distances(points)
+        fast = pairwise_distances(points)
         for i in range(20):
             for j in range(20):
                 direct = np.linalg.norm(points[i] - points[j])
@@ -27,61 +24,17 @@ class TestEuclidean:
 
     def test_identical_points_zero(self):
         points = np.ones((3, 2))
-        assert euclidean_distances(points).max() == 0.0
+        assert pairwise_distances(points).max() == 0.0
 
     def test_one_dimensional_rejected(self):
         with pytest.raises(ValueError):
-            euclidean_distances(np.asarray([1.0, 2.0]))
-
-
-class TestManhattan:
-    def test_matches_direct(self, rng):
-        points = rng.normal(0, 1, (15, 4))
-        fast = manhattan_distances(points)
-        i, j = 3, 11
-        assert fast[i, j] == pytest.approx(np.abs(points[i] - points[j]).sum())
-
-    def test_dominates_euclidean(self, rng):
-        points = rng.normal(0, 1, (10, 3))
-        assert (
-            manhattan_distances(points) >= euclidean_distances(points) - 1e-9
-        ).all()
-
-
-class TestGower:
-    def test_plain_numeric_reduces_to_scaled_l1(self):
-        points = np.asarray([[0.0], [1.0], [2.0]])
-        distances = gower_distances(points)
-        assert distances[0, 2] == pytest.approx(1.0)  # full range
-        assert distances[0, 1] == pytest.approx(0.5)
-
-    def test_binary_features(self):
-        points = np.asarray([[0.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
-        distances = gower_distances(points, numeric_mask=np.asarray([False, False]))
-        assert distances[0, 1] == pytest.approx(0.5)  # differ in 1 of 2
-        assert distances[1, 2] == pytest.approx(1.0)
-
-    def test_missing_features_drop_out(self):
-        points = np.asarray([[0.0, np.nan], [1.0, 5.0]])
-        distances = gower_distances(points)
-        # Only the first feature is shared; range is 1 → distance 1.
-        assert distances[0, 1] == pytest.approx(1.0)
-
-    def test_no_shared_features_gives_max_distance(self):
-        points = np.asarray([[np.nan, 1.0], [2.0, np.nan]])
-        distances = gower_distances(points)
-        assert distances[0, 1] == 1.0
-
-    def test_constant_feature_contributes_zero(self):
-        points = np.asarray([[1.0, 0.0], [1.0, 1.0]])
-        distances = gower_distances(points)
-        assert distances[0, 1] == pytest.approx(0.5)  # only feature 2 counts
+            pairwise_distances(np.asarray([1.0, 2.0]))
 
 
 class TestDistancesToPoints:
     def test_euclidean_matches_full_matrix(self, rng):
         points = rng.normal(0, 1, (12, 3))
-        full = euclidean_distances(points)
+        full = pairwise_distances(points)
         partial = distances_to_points(points, points[[2, 7]])
         np.testing.assert_allclose(partial[:, 0], full[:, 2], atol=1e-9)
         np.testing.assert_allclose(partial[:, 1], full[:, 7], atol=1e-9)
@@ -90,16 +43,15 @@ class TestDistancesToPoints:
         with pytest.raises(ValueError):
             distances_to_points(rng.normal(0, 1, (5, 3)), rng.normal(0, 1, (2, 4)))
 
-    def test_unknown_metric_rejected(self, rng):
-        points = rng.normal(0, 1, (4, 2))
+    def test_a_one_dimensional_point_set_is_rejected(self, rng):
         with pytest.raises(ValueError):
-            distances_to_points(points, points, metric="cosine")
+            distances_to_points(np.asarray([1.0, 2.0]), rng.normal(0, 1, (2, 1)))
 
 
 class TestValidate:
     def test_accepts_valid(self, rng):
         points = rng.normal(0, 1, (6, 2))
-        validate_distance_matrix(euclidean_distances(points))
+        validate_distance_matrix(pairwise_distances(points))
 
     def test_rejects_asymmetric(self):
         bad = np.asarray([[0.0, 1.0], [2.0, 0.0]])
@@ -120,6 +72,55 @@ class TestValidate:
         with pytest.raises(ValueError, match="square"):
             validate_distance_matrix(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_float_matrix_keeps_its_dtype(self, dtype):
+        """PAM and the silhouette take any float matrix a caller hands
+        in, float32 included."""
+        matrix = np.asarray([[0.0, 1.5], [1.5, 0.0]], dtype=dtype)
+        assert validate_distance_matrix(matrix).dtype == dtype
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint8, bool])
+    def test_any_other_matrix_is_promoted_to_float64(self, dtype):
+        matrix = np.asarray([[0, 1], [1, 0]], dtype=dtype)
+        validated = validate_distance_matrix(matrix)
+        assert validated.dtype == np.float64
+        assert validated.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+
+#: Point dtypes a caller may hand the kernels; each computes in float64.
+_POINT_DTYPES = [np.float32, np.float64, np.int32, np.int64, bool]
+
+
+def _points_of(rng, dtype):
+    values = rng.normal(0, 3, (9, 4))
+    return (values > 0 if dtype is bool else values).astype(dtype)
+
+
+class TestOneDtype:
+    """Every distance is float64: a point set of another dtype is read
+    as float64, never computed in its own precision."""
+
+    @pytest.mark.parametrize("dtype", _POINT_DTYPES)
+    def test_pairwise_distances_compute_in_float64(self, rng, dtype):
+        points = _points_of(rng, dtype)
+        distances = pairwise_distances(points)
+        assert distances.dtype == np.float64
+        assert np.array_equal(
+            distances, pairwise_distances(points.astype(np.float64))
+        )
+
+    @pytest.mark.parametrize("dtype", _POINT_DTYPES)
+    def test_distances_to_points_compute_in_float64(self, rng, dtype):
+        points = _points_of(rng, dtype)
+        distances = distances_to_points(points, points[[1, 4]])
+        assert distances.dtype == np.float64
+        assert np.array_equal(
+            distances,
+            distances_to_points(
+                points.astype(np.float64), points[[1, 4]].astype(np.float64)
+            ),
+        )
+
 
 _matrices = arrays(
     np.float64,
@@ -131,19 +132,19 @@ _matrices = arrays(
 @settings(max_examples=60, deadline=None)
 @given(points=_matrices)
 def test_metric_axioms(points):
-    for metric in ("euclidean", "manhattan", "gower"):
-        distances = pairwise_distances(points, metric)
-        n = points.shape[0]
-        assert distances.shape == (n, n)
-        assert np.allclose(distances, distances.T, atol=1e-8)
-        assert np.allclose(np.diag(distances), 0.0, atol=1e-9)
-        assert distances.min() >= -1e-12
+    distances = pairwise_distances(points)
+    n = points.shape[0]
+    assert distances.shape == (n, n)
+    assert distances.dtype == np.float64
+    assert np.allclose(distances, distances.T, atol=1e-8)
+    assert np.allclose(np.diag(distances), 0.0, atol=1e-9)
+    assert distances.min() >= -1e-12
 
 
 @settings(max_examples=40, deadline=None)
 @given(points=_matrices)
 def test_triangle_inequality_euclidean(points):
-    distances = pairwise_distances(points, "euclidean")
+    distances = pairwise_distances(points)
     n = points.shape[0]
     for i in range(min(n, 5)):
         for j in range(min(n, 5)):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cluster.distance import euclidean_distances, pairwise_distances
+from repro.cluster.distance import pairwise_distances
 from repro.cluster.kselect import select_k, select_k_points
 from repro.cluster.pam import pam
 
@@ -21,12 +21,12 @@ class TestSelectK:
     @pytest.mark.parametrize("true_k", [2, 3, 4, 5])
     def test_recovers_planted_k(self, rng, true_k):
         points = _blobs(rng, true_k)
-        selection = select_k(euclidean_distances(points), k_values=(2, 3, 4, 5, 6))
+        selection = select_k(pairwise_distances(points), k_values=(2, 3, 4, 5, 6))
         assert selection.k == true_k
 
     def test_scores_recorded_for_all_candidates(self, rng):
         points = _blobs(rng, 3)
-        selection = select_k(euclidean_distances(points), k_values=(2, 3, 4))
+        selection = select_k(pairwise_distances(points), k_values=(2, 3, 4))
         assert set(selection.scores()) == {2, 3, 4}
         assert selection.best.silhouette == max(selection.scores().values())
 
@@ -35,13 +35,13 @@ class TestSelectK:
         # among (near-)ties is not guaranteed, but the winner must be a
         # candidate and the clustering consistent.
         points = rng.normal(0, 1, (60, 2))
-        selection = select_k(euclidean_distances(points), k_values=(2, 3))
+        selection = select_k(pairwise_distances(points), k_values=(2, 3))
         assert selection.k in (2, 3)
         assert selection.clustering.k == selection.k
 
     def test_too_few_points_gives_single_cluster(self, rng):
         points = rng.normal(0, 1, (2, 2))
-        selection = select_k(euclidean_distances(points), k_values=(2, 3))
+        selection = select_k(pairwise_distances(points), k_values=(2, 3))
         assert selection.k in (1, 2)
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import adjusted_rand_index
-from repro.cluster.distance import euclidean_distances
+from repro.cluster.distance import pairwise_distances
 from repro.cluster.pam import pam
 
 
@@ -22,18 +22,18 @@ def _blob_points(rng, n_per=30, centers=((-5, -5), (5, 5), (5, -5))):
 class TestPam:
     def test_recovers_separated_blobs(self, rng):
         points, truth = _blob_points(rng)
-        result = pam(euclidean_distances(points), 3)
+        result = pam(pairwise_distances(points), 3)
         assert adjusted_rand_index(result.labels, truth) == pytest.approx(1.0)
 
     def test_medoids_are_members_of_their_clusters(self, rng):
         points, _ = _blob_points(rng)
-        result = pam(euclidean_distances(points), 3)
+        result = pam(pairwise_distances(points), 3)
         for cluster, medoid in enumerate(result.medoids):
             assert result.labels[medoid] == cluster
 
     def test_cost_matches_assignment(self, rng):
         points, _ = _blob_points(rng)
-        distances = euclidean_distances(points)
+        distances = pairwise_distances(points)
         result = pam(distances, 3)
         manual = sum(
             distances[i, result.medoids[result.labels[i]]]
@@ -43,20 +43,20 @@ class TestPam:
 
     def test_k_equals_n_gives_zero_cost(self, rng):
         points = rng.normal(0, 1, (6, 2))
-        result = pam(euclidean_distances(points), 6)
+        result = pam(pairwise_distances(points), 6)
         assert result.cost == 0.0
         assert sorted(result.labels.tolist()) == list(range(6))
 
     def test_k_one(self, rng):
         points = rng.normal(0, 1, (10, 2))
-        result = pam(euclidean_distances(points), 1)
+        result = pam(pairwise_distances(points), 1)
         assert (result.labels == 0).all()
         # The single medoid is the 1-median of the dataset.
-        distances = euclidean_distances(points)
+        distances = pairwise_distances(points)
         assert result.medoids[0] == np.argmin(distances.sum(axis=1))
 
     def test_invalid_k_rejected(self, rng):
-        distances = euclidean_distances(rng.normal(0, 1, (5, 2)))
+        distances = pairwise_distances(rng.normal(0, 1, (5, 2)))
         with pytest.raises(ValueError):
             pam(distances, 0)
         with pytest.raises(ValueError):
@@ -67,13 +67,13 @@ class TestPam:
             rng.normal(0, 0.3, (50, 2)) + [5, 5],
             rng.normal(0, 0.3, (10, 2)) - [5, 5],
         ])
-        result = pam(euclidean_distances(points), 2)
+        result = pam(pairwise_distances(points), 2)
         sizes = result.sizes()
         assert sizes[0] >= sizes[1]
 
     def test_deterministic_given_matrix(self, rng):
         points, _ = _blob_points(rng)
-        distances = euclidean_distances(points)
+        distances = pairwise_distances(points)
         a = pam(distances, 3)
         b = pam(distances, 3)
         assert (a.labels == b.labels).all()
@@ -82,7 +82,7 @@ class TestPam:
     def test_swap_improves_on_build(self, rng):
         # On a hard instance SWAP should never make things worse.
         points = rng.normal(0, 1, (60, 4))
-        distances = euclidean_distances(points)
+        distances = pairwise_distances(points)
         result = pam(distances, 4)
         from repro.cluster.pam import _assign, _build
 
@@ -94,20 +94,20 @@ class TestPam:
 class TestClusteringHelpers:
     def test_members(self, rng):
         points, _ = _blob_points(rng)
-        result = pam(euclidean_distances(points), 3)
+        result = pam(pairwise_distances(points), 3)
         for cluster in range(3):
             members = result.members(cluster)
             assert (result.labels[members] == cluster).all()
 
     def test_members_out_of_range(self, rng):
         points, _ = _blob_points(rng)
-        result = pam(euclidean_distances(points), 3)
+        result = pam(pairwise_distances(points), 3)
         with pytest.raises(IndexError):
             result.members(3)
 
     def test_sizes_sum_to_n(self, rng):
         points, _ = _blob_points(rng)
-        result = pam(euclidean_distances(points), 3)
+        result = pam(pairwise_distances(points), 3)
         assert result.sizes().sum() == points.shape[0]
 
 
@@ -122,7 +122,7 @@ def test_pam_invariants(n, k, seed):
         k = n
     rng = np.random.default_rng(seed)
     points = rng.normal(0, 1, (n, 3))
-    result = pam(euclidean_distances(points), k)
+    result = pam(pairwise_distances(points), k)
     # Exactly k clusters, every point labeled, medoids self-assigned.
     assert result.k == k
     assert result.labels.shape == (n,)

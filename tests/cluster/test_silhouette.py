@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import monte_carlo_silhouette
-from repro.cluster.distance import euclidean_distances
+from repro.cluster.distance import pairwise_distances
 from repro.cluster.silhouette import mean_silhouette, silhouette_samples
 
 
@@ -22,7 +22,7 @@ def _two_blobs(rng, n_per=40, gap=10.0):
 class TestSilhouetteSamples:
     def test_well_separated_blobs_near_one(self, rng):
         points, labels = _two_blobs(rng)
-        values = silhouette_samples(euclidean_distances(points), labels)
+        values = silhouette_samples(pairwise_distances(points), labels)
         assert values.mean() > 0.9
 
     def test_bad_labeling_scores_negative(self, rng):
@@ -31,19 +31,19 @@ class TestSilhouetteSamples:
         # Swap half of each cluster: many points closer to the other side.
         shuffled[:20] = 1
         shuffled[40:60] = 0
-        values = silhouette_samples(euclidean_distances(points), shuffled)
+        values = silhouette_samples(pairwise_distances(points), shuffled)
         assert values.mean() < 0.1
 
     def test_values_in_range(self, rng):
         points = rng.normal(0, 1, (50, 3))
         labels = rng.integers(0, 3, 50)
-        values = silhouette_samples(euclidean_distances(points), labels)
+        values = silhouette_samples(pairwise_distances(points), labels)
         assert (values >= -1).all() and (values <= 1).all()
 
     def test_single_cluster_is_neutral_zero(self, rng):
         points = rng.normal(0, 1, (10, 2))
         values = silhouette_samples(
-            euclidean_distances(points), np.zeros(10, dtype=int)
+            pairwise_distances(points), np.zeros(10, dtype=int)
         )
         assert (values == 0).all()
 
@@ -51,19 +51,19 @@ class TestSilhouetteSamples:
         points, labels = _two_blobs(rng, n_per=5)
         labels = labels.copy()
         labels[0] = 2  # a singleton cluster
-        values = silhouette_samples(euclidean_distances(points), labels)
+        values = silhouette_samples(pairwise_distances(points), labels)
         assert values[0] == 0.0
 
     def test_label_shape_checked(self, rng):
         points = rng.normal(0, 1, (5, 2))
         with pytest.raises(ValueError):
-            silhouette_samples(euclidean_distances(points), np.zeros(4))
+            silhouette_samples(pairwise_distances(points), np.zeros(4))
 
     def test_matches_manual_computation(self):
         # Four points on a line: 0, 1 | 10, 11.
         points = np.asarray([[0.0], [1.0], [10.0], [11.0]])
         labels = np.asarray([0, 0, 1, 1])
-        values = silhouette_samples(euclidean_distances(points), labels)
+        values = silhouette_samples(pairwise_distances(points), labels)
         # For point 0: a = 1, b = (10 + 11)/2 = 10.5, s = 9.5/10.5.
         assert values[0] == pytest.approx(9.5 / 10.5)
 
@@ -71,7 +71,7 @@ class TestSilhouetteSamples:
 class TestClusterAndMean:
     def test_mean_is_average(self, rng):
         points, labels = _two_blobs(rng)
-        distances = euclidean_distances(points)
+        distances = pairwise_distances(points)
         assert mean_silhouette(distances, labels) == pytest.approx(
             silhouette_samples(distances, labels).mean()
         )
@@ -80,7 +80,7 @@ class TestClusterAndMean:
 class TestMonteCarlo:
     def test_close_to_exact_on_blobs(self, rng):
         points, labels = _two_blobs(rng, n_per=300)
-        exact = mean_silhouette(euclidean_distances(points), labels)
+        exact = mean_silhouette(pairwise_distances(points), labels)
         estimate = monte_carlo_silhouette(
             points, labels, n_subsamples=8, subsample_size=100, rng=rng
         )
@@ -88,7 +88,7 @@ class TestMonteCarlo:
 
     def test_small_input_falls_back_to_exact(self, rng):
         points, labels = _two_blobs(rng, n_per=20)
-        exact = mean_silhouette(euclidean_distances(points), labels)
+        exact = mean_silhouette(pairwise_distances(points), labels)
         estimate = monte_carlo_silhouette(
             points, labels, subsample_size=1000, rng=rng
         )
@@ -127,6 +127,6 @@ def test_silhouette_always_bounded(n, k, seed):
     rng = np.random.default_rng(seed)
     points = rng.normal(0, 1, (n, 2))
     labels = rng.integers(0, k, n)
-    values = silhouette_samples(euclidean_distances(points), labels)
+    values = silhouette_samples(pairwise_distances(points), labels)
     assert values.shape == (n,)
     assert (values >= -1.0).all() and (values <= 1.0).all()

@@ -43,35 +43,26 @@ class TestConfigDigest:
         key-derived RNG chain), so it may only move on purpose."""
         assert BlaeuConfig().digest() == "16a753f91cf0ec48"
 
-    @pytest.mark.parametrize("jobs", [None, 1, 2])
-    def test_parallel_widths_share_the_digest(self, jobs):
-        assert BlaeuConfig(graph_jobs=jobs).digest() == BlaeuConfig().digest()
-
     def test_the_retired_widths_stay_in_the_payload(self):
-        """CLARA's draws and store scans no longer fan out, so their
-        width knobs are gone — but the digest still hashes them as
-        ``None``: dropping the entries would move the default digest,
-        every key-derived seed, and so every map."""
+        """CLARA's draws, store scans and the NMI kernel no longer fan
+        out, and every distance is float64, so those knobs are gone —
+        but the digest still hashes them at the values it hashed them
+        with: dropping the entries would move the default digest, every
+        key-derived seed, and so every map."""
         with pytest.raises(TypeError):
             BlaeuConfig(clara_jobs=2)  # type: ignore[call-arg]
         with pytest.raises(TypeError):
             BlaeuConfig(scan_jobs=2)  # type: ignore[call-arg]
-        assert BlaeuConfig._RETIRED_KNOBS == {"clara_jobs": None, "scan_jobs": None}
-
-    def test_a_cached_engine_maps_the_same_at_any_graph_width(self):
-        """The seed of every draw derives from the content key, hence
-        from the digest: a width that moved the digest would move the
-        map."""
-        table = mixed_blobs(n_rows=6_000, k=3, seed=7).table
-        maps = []
-        for jobs in (None, 2):
-            blaeu = Blaeu(
-                BlaeuConfig(graph_jobs=jobs), map_cache=LRUCache(max_size=16)
-            )
-            blaeu.register(table)
-            data_map = blaeu.map(table.name, ("x0", "x1", "x2", "cat0"))
-            maps.append(data_map.to_dict())
-        assert maps[0] == maps[1]
+        with pytest.raises(TypeError):
+            BlaeuConfig(graph_jobs=2)  # type: ignore[call-arg]
+        with pytest.raises(TypeError):
+            BlaeuConfig(distance_dtype="float32")  # type: ignore[call-arg]
+        assert BlaeuConfig._RETIRED_KNOBS == {
+            "clara_jobs": None,
+            "scan_jobs": None,
+            "distance_dtype": "float64",
+            "graph_jobs": None,
+        }
 
 
 class TestMapCacheKey:

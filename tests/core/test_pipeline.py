@@ -59,10 +59,9 @@ COLUMNS = ("x0", "x1")
 
 def _legacy_cluster(matrix, config, rng, forced_k):
     n = matrix.shape[0]
-    dtype = config.distance_dtype
     shared_matrix = None
     if n <= config.clara_threshold:
-        shared_matrix = pairwise_distances(matrix, dtype=dtype)
+        shared_matrix = pairwise_distances(matrix)
 
     def cluster_fn(points, k):
         if shared_matrix is not None:
@@ -73,7 +72,6 @@ def _legacy_cluster(matrix, config, rng, forced_k):
             n_draws=config.clara_draws,
             sample_size=config.clara_sample_size,
             rng=rng,
-            dtype=dtype,
         )
 
     shared = SharedSilhouette(
@@ -82,7 +80,6 @@ def _legacy_cluster(matrix, config, rng, forced_k):
         subsample_size=config.silhouette_subsample_size,
         exact_threshold=config.silhouette_exact_threshold,
         rng=rng,
-        dtype=dtype,
         distances=shared_matrix,
     )
     if forced_k is not None:
@@ -114,9 +111,7 @@ def _legacy_leaf_silhouettes(matrix, clustering, config, rng, shared_matrix):
     if np.unique(labels).size < 2:
         return {int(c): 0.0 for c in np.unique(clustering.labels)}
     if distances is None:
-        distances = pairwise_distances(
-            matrix[chosen], dtype=config.distance_dtype
-        )
+        distances = pairwise_distances(matrix[chosen])
     values = silhouette_samples(distances, labels, validate=False)
     return {
         int(cluster): float(values[labels == cluster].mean())

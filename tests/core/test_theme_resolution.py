@@ -37,6 +37,7 @@ from repro.store.artifacts import ArtifactCache, _key_hash
 from repro.table.column import CategoricalColumn, Column, NumericColumn
 from repro.table.schema import KEY_NAME_HINTS, KeyScan, detect_keys
 from repro.table.table import Table
+from scrape import scraped
 
 CAP = 6
 CONFIG = BlaeuConfig(
@@ -95,10 +96,8 @@ def _reference_extract_themes(
     graph = GraphBuilder().build(
         table,
         columns=kept,
-        measure="nmi",
         sample=config.dependency_sample_size,
         seed=config.seed,
-        n_jobs=config.graph_jobs,
         bin_sample_size=config.graph_bin_sample_size,
     )
     groups, selection = pam_partition(graph, k_values=config.theme_k_values)
@@ -476,8 +475,9 @@ def test_a_corrupt_theme_artifact_is_a_miss_and_themes_are_recomputed(
     artifact.write_bytes(bytes(blob))
 
     second = _fleet_engine(tmp_path / "m", tmp_path / "cache")
+    metrics = reset_metrics()
     assert_same_themes(second.themes("measurements"), computed)
-    assert second.map_cache.disk.stats().quarantined == 1
+    assert scraped(metrics, "blaeu_artifact_cache_quarantined_total") == 1
     assert [r["source"] for r in _resolutions(traced)] == ["computed", "computed"]
     # The recomputed set was published again: the next boot is served.
     third = _fleet_engine(tmp_path / "m", tmp_path / "cache")

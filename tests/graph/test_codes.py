@@ -113,13 +113,6 @@ class TestGatherCodes:
         b = gather_codes(table, table.column_names, bin_sample_size=64)
         assert np.array_equal(a.codes, b.codes)
 
-    def test_n_bins_override_changes_granularity(self, tmp_path):
-        table, _ = twin_tables(tmp_path)
-        coarse = gather_codes(table, ("x",), n_bins=2)
-        fine = gather_codes(table, ("x",), n_bins=16)
-        assert coarse.n_codes[0] == 2
-        assert fine.n_codes[0] > coarse.n_codes[0]
-
 
 class TestStoredStreaming:
     def test_chunks_concatenate_to_gathered_codes(self, tmp_path):
@@ -128,7 +121,6 @@ class TestStoredStreaming:
         entries = resolve_entries(
             stored,
             names,
-            n_bins=None,
             bin_sample_size=4096,
             seed=42,
             cache=None,
@@ -150,7 +142,6 @@ class TestStoredStreaming:
         entries = resolve_entries(
             stored,
             stored.column_names,
-            n_bins=None,
             bin_sample_size=4096,
             seed=42,
             cache=None,

@@ -11,7 +11,6 @@ import pytest
 
 from repro.cluster.clara import clara
 from repro.cli import main as cli_main
-from repro.cluster.parallel import map_in_order
 from repro.obs.trace import (
     NULL_SPAN,
     Tracer,
@@ -114,19 +113,6 @@ class TestDisabledTracer:
 
 
 class TestPropagation:
-    def test_map_in_order_children_parent_to_the_caller_span(self):
-        tracer = configure_tracing(enabled=True, buffer_size=64)
-
-        def work(index: int) -> tuple[str, str | None]:
-            with get_tracer().span("child") as span:
-                return span.trace_id, span.parent_id
-
-        with tracer.span("root") as root:
-            results = map_in_order(work, [0, 1, 2, 3], n_jobs=2)
-        assert len(results) == 4
-        assert {trace_id for trace_id, _ in results} == {root.trace_id}
-        assert {parent for _, parent in results} == {root.span_id}
-
     def test_worker_pool_children_parent_to_the_request_span(self):
         tracer = configure_tracing(enabled=True, buffer_size=64)
 
@@ -220,12 +206,28 @@ class TestBufferAndExport:
         shown = tracer.traces(limit=2)
         lines = export.read_text(encoding="utf-8").splitlines()
         reread = group_traces([json.loads(line) for line in lines], limit=10)
-        # The export lists the shown traces newest first, so re-reading
-        # it reverses their order but not one tree.
-        assert reread == shown[::-1]
+        # The export lists the shown traces oldest first, as a span log
+        # does, so re-reading it shows the same trees in the same order.
+        assert reread == shown
         printed = capsys.readouterr().out
         assert printed == "".join(render_trace(t) + "\n\n" for t in shown)
         assert "first" not in printed and "third.child" in printed
+
+    def test_an_export_exported_again_is_the_same_file(self, tmp_path):
+        tracer = Tracer(enabled=True)
+        for name in ("first", "second", "third"):
+            with tracer.span(name):
+                with tracer.span(f"{name}.child"):
+                    pass
+        spans = tmp_path / "spans.jsonl"
+        spans.write_text(
+            "".join(json.dumps(s.to_dict()) + "\n" for s in tracer.spans()),
+            encoding="utf-8",
+        )
+        once, twice = tmp_path / "once.jsonl", tmp_path / "twice.jsonl"
+        cli_main(["trace", str(spans), "--export", str(once)])
+        cli_main(["trace", str(once), "--export", str(twice)])
+        assert twice.read_bytes() == once.read_bytes()
 
     def test_group_traces_tolerates_records_missing_fields(self):
         records = [

@@ -3,8 +3,9 @@
 One fixed sequence of requests — a cold map build, the same request as a
 map hit, a k-override that re-enters at Cluster, an approximate build
 refined in place, an exact request that upgrades a cached approximate
-map, a graph build, a graph hit, and a second worker's map hit served
-from the shared disk tier — must leave exactly these spans, access-log
+map, a graph build, a graph hit, a second worker's map hit served from
+the shared disk tier, and then a disk tier over its budget and a torn
+entry on disk — must leave exactly these spans, access-log
 notes and ``blaeu_pipeline_*`` / ``blaeu_graph_*`` / ``blaeu_cache_*`` /
 ``blaeu_artifact_cache_*`` counts.  Span durations, histogram sums and
 gauges are timings and are not pinned; everything else a dashboard or
@@ -21,7 +22,7 @@ from repro.graph.dependency import GraphBuilder
 from repro.obs.metrics import reset_metrics
 from repro.obs.trace import Tracer, collect_notes, set_tracer
 from repro.service.cache import LRUCache, TieredCache
-from repro.store.artifacts import ArtifactCache
+from repro.store.artifacts import ArtifactCache, _key_hash
 from repro.table.predicates import Comparison
 from synthetic import mixed_blobs
 
@@ -72,12 +73,16 @@ EXPECTED_STEPS = {
     ),
     "graph_hit": ([("graph.build", ("cache_hit",), True)], None),
     "other_worker": ([_HIT], "hit"),
+    "evict": ([], None),
+    "quarantine": ([], None),
 }
 
 #: Every pinned counter value and histogram count after the sequence.
 EXPECTED_COUNTS = {
+    "blaeu_artifact_cache_evictions_total": 1,
     "blaeu_artifact_cache_hits_total": 1,
     "blaeu_artifact_cache_misses_total": 22,
+    "blaeu_artifact_cache_quarantined_total": 1,
     "blaeu_artifact_cache_writes_total": 24,
     'blaeu_cache_hits_total{tier="l1"}': 7,
     'blaeu_cache_hits_total{tier="l2"}': 1,
@@ -131,6 +136,15 @@ def traced():
     return tracer, reset_metrics()
 
 
+def _read_torn(disk: ArtifactCache, value: object) -> object:
+    """Write ``value``, tear its file in half, and read it back."""
+    assert disk.put("torn", value)
+    name = _key_hash("torn")
+    path = disk.root / "objects" / name[:2] / f"{name}.art"
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+    return disk.get("torn")
+
+
 def _run_sequence(tmp_path):
     """Run the contract's requests; yield each step's name, result and
     ``map_cache`` note as it ends."""
@@ -143,6 +157,8 @@ def _run_sequence(tmp_path):
     other = MapBuilder(
         result_cache=TieredCache(LRUCache(max_size=256), cache.disk)
     )
+    # A disk tier with room for nothing: each write evicts itself.
+    cramped = ArtifactCache(tmp_path / "cramped", max_bytes=1)
     first = Comparison("x0", ">", 0.0)
     second = Comparison("x1", "<", 0.0)
 
@@ -173,6 +189,8 @@ def _run_sequence(tmp_path):
         ("graph_hit", lambda: graphs.build(table, sample=200)),
         # A second worker over the same disk tier: an L2 hit, promoted.
         ("other_worker", lambda: other.build(table, columns, config=config)),
+        ("evict", lambda: cramped.put("k", table)),
+        ("quarantine", lambda: _read_torn(cache.disk, table)),
     ]
     for name, request in steps:
         with collect_notes() as notes:

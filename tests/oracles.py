@@ -8,8 +8,6 @@ paper's claims are measured with:
   mutual-information estimators, one pair at a time — the scalar
   reference the batched NMI kernel
   (:mod:`repro.stats.batched`) must match to ``atol 1e-12``;
-* Pearson's and Spearman's r, one pair at a time — the reference of
-  :func:`repro.stats.correlation.pairwise_correlation_matrix`;
 * :func:`encode_table`, which factorizes a whole table into the code
   matrix the batched kernel consumes;
 * :func:`is_unique_key`, the whole-column key test
@@ -28,7 +26,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.cluster.silhouette import SharedSilhouette
-from repro.stats import correlation
 from repro.stats.batched import MIN_COMPLETE_ROWS, ColumnCodes
 from repro.stats.discretize import (
     MISSING_BIN,
@@ -241,42 +238,6 @@ def column_dependency(
 
 
 # ----------------------------------------------------------------------
-# Correlation coefficients
-# ----------------------------------------------------------------------
-
-
-def pearson(x: np.ndarray, y: np.ndarray) -> float:
-    """Pearson's r between two float vectors (NaN-aware, in ``[-1, 1]``)."""
-    x, y = _complete_pairs(x, y)
-    if x.size < correlation.MIN_COMPLETE_ROWS:
-        return 0.0
-    x_centered = x - x.mean()
-    y_centered = y - y.mean()
-    denominator = np.sqrt((x_centered**2).sum() * (y_centered**2).sum())
-    if denominator == 0.0:
-        return 0.0
-    r = float((x_centered * y_centered).sum() / denominator)
-    return float(np.clip(r, -1.0, 1.0))
-
-
-def spearman(x: np.ndarray, y: np.ndarray) -> float:
-    """Spearman's rank correlation (Pearson over mid-ranks)."""
-    x, y = _complete_pairs(x, y)
-    if x.size < correlation.MIN_COMPLETE_ROWS:
-        return 0.0
-    return pearson(correlation._midranks(x), correlation._midranks(y))
-
-
-def _complete_pairs(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ValueError(f"length mismatch: {x.shape[0]} vs {y.shape[0]}")
-    complete = ~(np.isnan(x) | np.isnan(y))
-    return x[complete], y[complete]
-
-
-# ----------------------------------------------------------------------
 # The batched kernel's input
 # ----------------------------------------------------------------------
 
@@ -414,7 +375,6 @@ def monte_carlo_silhouette(
     labels: np.ndarray,
     n_subsamples: int = 8,
     subsample_size: int = 200,
-    metric: str = "euclidean",
     *,
     rng: np.random.Generator,
 ) -> float:
@@ -433,7 +393,6 @@ def monte_carlo_silhouette(
         points,
         n_subsamples=n_subsamples,
         subsample_size=subsample_size,
-        metric=metric,
         rng=rng,
     )
     return shared.score(labels)

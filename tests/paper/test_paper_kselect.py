@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cluster.distance import euclidean_distances
+from repro.cluster.distance import pairwise_distances
 from repro.cluster.kselect import select_k
 
 PLANTED_KS = (2, 3, 4, 5, 6)
@@ -38,6 +38,6 @@ def test_silhouette_selection_recovers_the_planted_k():
     trials = [(true_k, seed) for true_k in PLANTED_KS for seed in SEEDS]
     hits = 0
     for true_k, seed in trials:
-        distances = euclidean_distances(_planted(true_k, seed))
+        distances = pairwise_distances(_planted(true_k, seed))
         hits += select_k(distances, k_values=(2, 3, 4, 5, 6, 7)).k == true_k
     assert hits >= 0.8 * len(trials), hits

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.obs.metrics import reset_metrics
 from repro.service.cache import CacheStats, LRUCache, TieredCache
-from repro.store.artifacts import ArtifactCache
+from repro.store.artifacts import ArtifactCache, _key_hash
 from scrape import scraped
 
 HITS = "blaeu_cache_hits_total"
@@ -15,10 +16,60 @@ L1 = {"tier": "l1"}
 L2 = {"tier": "l2"}
 
 
-def _tiered(tmp_path, max_size: int = 8) -> TieredCache:
+def _tiered(tmp_path, max_size: int = 8, max_bytes: int = 1 << 30) -> TieredCache:
     return TieredCache(
-        LRUCache(max_size=max_size), ArtifactCache(tmp_path / "disk")
+        LRUCache(max_size=max_size),
+        ArtifactCache(tmp_path / "disk", max_bytes=max_bytes),
     )
+
+
+# One disk-tier event each; what the registry must then hold.
+
+
+def _l1_hit(tmp_path):
+    cache = _tiered(tmp_path)
+    cache.put("k", {"v": 1})
+    cache.get("k")
+
+
+def _l2_hit(tmp_path):
+    cache = _tiered(tmp_path)
+    cache.put("k", {"v": 1})
+    cache.memory.clear()
+    cache.get("k")
+
+
+def _miss(tmp_path):
+    _tiered(tmp_path).get("absent")
+
+
+def _skip(tmp_path):
+    _tiered(tmp_path).put("k", object())
+
+
+def _evict(tmp_path):
+    _tiered(tmp_path, max_bytes=1).put("k", {"v": 1})
+
+
+def _quarantine(tmp_path):
+    cache = _tiered(tmp_path)
+    cache.put("k", {"v": 1})
+    name = _key_hash("k")
+    path = cache.disk.root / "objects" / name[:2] / f"{name}.art"
+    path.write_bytes(path.read_bytes()[:10])
+    cache.memory.clear()
+    cache.get("k")
+
+
+_DISK_SERIES = ("hits", "misses", "writes", "write_skips", "evictions", "quarantined")
+_DISK_EVENTS = [
+    (_l1_hit, {"writes": 1}),
+    (_l2_hit, {"writes": 1, "hits": 1}),
+    (_miss, {"misses": 1}),
+    (_skip, {"write_skips": 1}),
+    (_evict, {"writes": 1, "evictions": 1}),
+    (_quarantine, {"writes": 1, "misses": 1, "quarantined": 1}),
+]
 
 
 class TestReads:
@@ -26,10 +77,10 @@ class TestReads:
         metrics = reset_metrics()
         cache = _tiered(tmp_path)
         cache.put("k", {"v": 1})
-        disk_reads_before = cache.disk.stats().hits
         assert cache.get("k") == {"v": 1}
-        assert cache.disk.stats().hits == disk_reads_before
         assert scraped(metrics, HITS, **L1) == 1
+        assert scraped(metrics, "blaeu_artifact_cache_hits_total") == 0
+        assert scraped(metrics, MISSES, **L2) == 0
 
     def test_disk_fallthrough_promotes_into_memory(self, tmp_path):
         metrics = reset_metrics()
@@ -118,6 +169,25 @@ class TestTierMetrics:
         assert 'blaeu_cache_hits_total{tier="l1"} 1' in text
         assert 'blaeu_cache_hits_total{tier="l2"} 1' in text
         reset_metrics()
+
+
+class TestDiskEventsCountOnce:
+    @pytest.mark.parametrize(
+        "event, expected",
+        _DISK_EVENTS,
+        ids=[event.__name__.strip("_") for event, _ in _DISK_EVENTS],
+    )
+    def test_each_disk_event_is_one_registry_count(self, tmp_path, event, expected):
+        """The registry is the one copy of every disk-tier count: the
+        tiered cache counts what it reads and writes through the disk,
+        the disk counts what it evicts and quarantines."""
+        metrics = reset_metrics()
+        event(tmp_path)
+        counts = {
+            name: scraped(metrics, f"blaeu_artifact_cache_{name}_total")
+            for name in _DISK_SERIES
+        }
+        assert counts == {name: expected.get(name, 0) for name in _DISK_SERIES}
 
 
 class TestStatsShape:

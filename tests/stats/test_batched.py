@@ -4,15 +4,16 @@ The contract under test is the acceptance criterion of the graph-engine
 PR: on identical codes, :func:`pairwise_nmi_matrix` must agree with the
 scalar :func:`column_dependency` path to ``atol 1e-12`` across random
 mixed-type tables with missing values, constant columns, all-missing
-columns and sub-``MIN_COMPLETE_ROWS`` overlaps — and the streaming and
-thread-parallel variants must agree with the in-memory kernel bit for
-bit.
+columns and sub-``MIN_COMPLETE_ROWS`` overlaps — and the streaming
+variant must agree with the in-memory kernel bit for bit.
 """
 
 import numpy as np
 import pytest
 
 from oracles import column_dependency, encode_table
+from repro.resilience.deadline import DeadlineExceeded, deadline_scope
+from repro.stats import batched
 from repro.stats.batched import (
     MIN_COMPLETE_ROWS,
     ColumnCodes,
@@ -95,17 +96,26 @@ class TestKernelAgainstScalarReference:
         codes = encode_table(table, columns=("num0",))
         assert np.array_equal(pairwise_nmi_matrix(codes), np.eye(1))
 
+    def test_an_expired_deadline_aborts_before_a_row(self):
+        codes = encode_table(mixed_table(50, 0))
+        with deadline_scope(0.0):
+            with pytest.raises(DeadlineExceeded) as excinfo:
+                pairwise_nmi_matrix(codes)
+        assert excinfo.value.stage == "graph.nmi.row"
 
-class TestParallelAndStreamingAgreeBitwise:
-    @pytest.mark.parametrize("seed", range(3))
-    def test_thread_fanout_identical(self, seed):
-        codes = encode_table(mixed_table(250, seed))
-        serial = pairwise_nmi_matrix(codes, n_jobs=None)
-        for n_jobs in (1, 2, 0):
-            assert np.array_equal(
-                serial, pairwise_nmi_matrix(codes, n_jobs=n_jobs)
-            )
+    @pytest.mark.parametrize("n_columns", [1, 2, 7])
+    def test_one_checkpoint_per_left_column(self, monkeypatch, n_columns):
+        """An expired deadline aborts between rows of the matrix, never
+        inside one: one checkpoint before each left column."""
+        stages = []
+        monkeypatch.setattr(batched, "checkpoint", stages.append)
+        table = mixed_table(60, 4)
+        codes = encode_table(table, columns=table.column_names[:n_columns])
+        pairwise_nmi_matrix(codes)
+        assert stages == ["graph.nmi.row"] * (n_columns - 1)
 
+
+class TestStreamingAgreesBitwise:
     @pytest.mark.parametrize("chunk", [1, 17, 100, 1000])
     def test_streaming_identical(self, chunk):
         codes = encode_table(mixed_table(300, 4))

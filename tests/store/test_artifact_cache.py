@@ -17,12 +17,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.obs.metrics import reset_metrics
 from repro.store.artifacts import ArtifactCache, _key_hash
 from repro.store.codec import encode
+from scrape import scraped
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 TESTS = str(Path(__file__).resolve().parents[1])
-#: The child processes import ``repro`` and the tests' synthetic tables.
+#: The child processes import ``repro`` and the tests' helpers.
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, TESTS])}
 
 
@@ -76,9 +78,7 @@ class TestBasics:
         np.testing.assert_array_equal(
             again["values"], _payload(1)["values"]
         )
-        stats = cache.stats()
-        assert (stats.hits, stats.misses, stats.writes) == (1, 1, 1)
-        assert stats.entries == 1
+        assert cache.stats().entries == 1
 
     def test_survives_a_process_restart(self, tmp_path):
         root = tmp_path / "c"
@@ -90,8 +90,8 @@ class TestBasics:
     def test_unencodable_values_refuse_politely(self, tmp_path):
         cache = ArtifactCache(tmp_path / "c")
         assert cache.put("k", object()) is False
-        assert cache.stats().write_errors == 1
         assert cache.get("k") is None
+        assert len(cache) == 0
 
     def test_clear(self, tmp_path):
         cache = ArtifactCache(tmp_path / "c")
@@ -106,6 +106,7 @@ class TestBasics:
 
 class TestEviction:
     def test_lru_eviction_respects_the_byte_budget(self, tmp_path):
+        metrics = reset_metrics()
         one_entry = len(encode(_payload(0)))
         clock = iter(range(1000))
         cache = ArtifactCache(
@@ -115,9 +116,8 @@ class TestEviction:
         )
         for i in range(6):
             cache.put(f"k{i}", _payload(i))
-        stats = cache.stats()
-        assert stats.total_bytes <= cache.max_bytes
-        assert stats.evictions >= 3
+        assert cache.stats().total_bytes <= cache.max_bytes
+        assert scraped(metrics, "blaeu_artifact_cache_evictions_total") >= 3
         # The most recent keys survive, the oldest are gone.
         assert cache.get("k5") is not None
         assert cache.get("k0") is None
@@ -183,7 +183,9 @@ class TestEviction:
         script = r"""
 import sys
 import numpy as np
+from repro.obs.metrics import get_metrics
 from repro.store.artifacts import ArtifactCache
+from scrape import scraped
 
 root, budget, verb, key = sys.argv[1:5]
 cache = ArtifactCache(root, max_bytes=int(budget))
@@ -192,7 +194,7 @@ if verb == "get":
 else:
     value = {"seed": 9, "values": np.arange(512, dtype=np.float64) + 9}
     assert cache.put(key, value) is True
-print(cache.stats().evictions)
+print(int(scraped(get_metrics(), "blaeu_artifact_cache_evictions_total")))
 """
         one_entry = len(encode(_payload(0)))
         budget = one_entry * 3 + 16
@@ -223,6 +225,7 @@ print(cache.stats().evictions)
         """The layout the index-keeping version wrote — its objects plus
         an ``index.json`` that even lists an object no longer on disk —
         is served, counted and evicted from the objects alone."""
+        metrics = reset_metrics()
         root = tmp_path / "c"
         one_entry = len(encode(_payload(0)))
         index = {}
@@ -255,7 +258,7 @@ print(cache.stats().evictions)
         assert (stats.entries, stats.total_bytes) == (3, 3 * one_entry)
         assert cache.get("b")["seed"] == 1
         assert cache.put("d", _payload(3)) is True  # evicts "a", the oldest
-        assert cache.stats().evictions == 1
+        assert scraped(metrics, "blaeu_artifact_cache_evictions_total") == 1
         assert cache.get("a") is None
         assert all(cache.get(key) is not None for key in "bcd")
         assert len(cache) == 3
@@ -289,20 +292,23 @@ class TestAHitIsOneRead:
         assert not [event for event, _ in events if event != "open"]
 
 
+QUARANTINED = "blaeu_artifact_cache_quarantined_total"
+
+
 class TestCorruption:
     def _object_file(self, cache: ArtifactCache, key: object) -> Path:
         name = _key_hash(key)
         return cache.root / "objects" / name[:2] / f"{name}.art"
 
     def test_torn_write_is_quarantined_and_recomputed(self, tmp_path):
+        metrics = reset_metrics()
         cache = ArtifactCache(tmp_path / "c")
         cache.put("k", _payload(3))
         path = self._object_file(cache, "k")
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])  # simulate torn write
         assert cache.get("k") is None  # detected, reported as a miss
-        stats = cache.stats()
-        assert stats.quarantined == 1
+        assert scraped(metrics, QUARANTINED) == 1
         quarantined = list((cache.root / "quarantine").iterdir())
         assert len(quarantined) == 1
         # The caller recomputes and re-publishes; the entry heals.
@@ -310,6 +316,7 @@ class TestCorruption:
         assert cache.get("k") is not None
 
     def test_flipped_byte_fails_checksum_and_quarantines(self, tmp_path):
+        metrics = reset_metrics()
         cache = ArtifactCache(tmp_path / "c")
         cache.put("k", _payload(4))
         path = self._object_file(cache, "k")
@@ -317,9 +324,10 @@ class TestCorruption:
         blob[-1] ^= 0xFF
         path.write_bytes(bytes(blob))
         assert cache.get("k") is None
-        assert cache.stats().quarantined == 1
+        assert scraped(metrics, QUARANTINED) == 1
 
     def test_the_census_after_a_quarantine_is_the_files_on_disk(self, tmp_path):
+        metrics = reset_metrics()
         cache = ArtifactCache(tmp_path / "c")
         for key in "abc":
             cache.put(key, _payload(1))
@@ -328,7 +336,7 @@ class TestCorruption:
         assert cache.get("b") is None
         on_disk = _objects_on_disk(cache)
         stats = cache.stats()
-        assert stats.quarantined == 1
+        assert scraped(metrics, QUARANTINED) == 1
         assert stats.entries == len(on_disk) == 2
         assert stats.total_bytes == sum(path.stat().st_size for path in on_disk)
 
@@ -357,7 +365,9 @@ print(wrote)
 
 _EVICTION_RACE_SCRIPT = r"""
 import sys
+from repro.obs.metrics import get_metrics
 from repro.store.artifacts import ArtifactCache
+from scrape import scraped
 import numpy as np
 
 root, budget, worker = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
@@ -369,12 +379,13 @@ for i in range(25):
         # An entry another writer evicted is a miss; a torn one would
         # be quarantined and counted.
         cache.get(("worker", worker, j))
-print(cache.stats().quarantined)
+print(int(scraped(get_metrics(), "blaeu_artifact_cache_quarantined_total")))
 """
 
 
 class TestCrossProcess:
     def test_two_processes_racing_one_key_never_tear(self, tmp_path):
+        metrics = reset_metrics()
         root = str(tmp_path / "shared")
         procs = [
             subprocess.Popen(
@@ -394,7 +405,7 @@ class TestCrossProcess:
         cache = ArtifactCache(root)
         final = cache.get(("contended", "key"))
         assert final is not None and final["seed"] in (1, 2)
-        assert cache.stats().quarantined == 0
+        assert scraped(metrics, QUARANTINED) == 0
         assert not list((cache.root / "quarantine").iterdir())
 
     def test_writers_evicting_together_never_tear_or_overshoot(self, tmp_path):

@@ -4,7 +4,8 @@ The SHA-256 of a BLAEUA1 blob catches torn writes and flipped bits, but
 a blob whose checksum holds can still carry a malformed header: a
 writer bug, or a file edited by hand.  Every case here mutates the
 header text or its structure tree (truncation, bit flips, splices,
-duplicates, inflated lengths, wrong types) and then *re-seals* the
+duplicates, inflated lengths, wrong types, an array descriptor retyped
+to a dtype of the same width) and then *re-seals* the
 checksum, so only the decoder's own validation stands between the blob
 and the rebuild.  Each case must raise ``ArtifactCorruptError`` or
 decode to a value the codec would write itself (the original, when the
@@ -150,7 +151,24 @@ def _inflate(rng: random.Random, tree: dict) -> None:
     container[key] = container[key] * factor + rng.choice((0, 1, 64))
 
 
-TREE_MUTATIONS = (_truncate, _retype, _splice, _duplicate, _inflate)
+#: Descriptor retypes that keep the item size, so the payload still
+#: fits and only the declared dtype is wrong.
+_SAME_WIDTH = {
+    "<i4": "<f4",
+    "<f4": "<i4",
+    "<f8": "<i8",
+    "<i8": "<f8",
+    "|b1": "|u1",
+    "|u1": "|b1",
+}
+
+
+def _retype_array(rng: random.Random, tree: dict) -> None:
+    descriptor = rng.choice(tree["arrays"])
+    descriptor["dtype"] = _SAME_WIDTH[descriptor["dtype"]]
+
+
+TREE_MUTATIONS = (_truncate, _retype, _splice, _duplicate, _inflate, _retype_array)
 
 
 def _mutated(rng: random.Random, blob: bytes) -> bytes:
@@ -229,6 +247,67 @@ def test_every_resealed_mutation_is_corrupt_or_a_writable_value():
     outcomes = [_outcome(blob) for blob in _fuzz_cases(400, seed=2016)]
     # The fuzzer bites: most mutations break the header.
     assert sum(outcome is None for outcome in outcomes) > len(outcomes) // 2
+
+
+def _column_array(header: dict, tag: str, field: str) -> int:
+    """The array index the ``field`` of the first ``tag`` node names."""
+    stack = [header["meta"]]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, dict):
+            if node.get("$t") == tag:
+                return node["v"][field]["i"]
+            stack.extend(node.values())
+        elif isinstance(node, list):
+            stack.extend(node)
+    raise AssertionError(f"no {tag} node")
+
+
+#: Per column array, dtypes of its item size but of a kind other than
+#: the one its tag needs.
+_WRONG_KINDS = {
+    ("catcol", "codes"): ["<f4", "|S4", "<U1", "|V4"],
+    ("numcol", "values"): [
+        "<i8",
+        "<u8",
+        "<c8",
+        "<M8[s]",
+        "<m8[s]",
+        "|S8",
+        "<U2",
+        "|V8",
+    ],
+    ("numcol", "mask"): ["|u1", "|i1", "|S1", "|V1"],
+}
+
+
+@pytest.mark.parametrize(
+    "tag, field, dtype",
+    [
+        (tag, field, dtype)
+        for (tag, field), dtypes in _WRONG_KINDS.items()
+        for dtype in dtypes
+    ],
+)
+def test_a_column_array_retyped_in_its_descriptor_is_corrupt(tag, field, dtype):
+    """The constructors would cast the retyped array (codes ``<f4`` to
+    int32 read labels ``a a a`` for ``a b a``), so the declared dtype
+    must be of the kind the tag needs."""
+    header, payload = _split(encode(ORIGINAL))
+    header["arrays"][_column_array(header, tag, field)]["dtype"] = dtype
+    with pytest.raises(ArtifactCorruptError, match="dtype kind"):
+        decode(_seal(json.dumps(header).encode("utf-8"), payload))
+
+
+def test_a_bare_array_retyped_in_its_descriptor_still_decodes():
+    """A bare array carries no type a tag could demand: it decodes as
+    declared."""
+    header, payload = _split(encode(ORIGINAL))
+    for descriptor in header["arrays"]:
+        descriptor["dtype"] = _SAME_WIDTH[descriptor["dtype"]]
+    header["meta"] = {"$t": "nd", "i": 0}
+    decoded = decode(_seal(json.dumps(header).encode("utf-8"), payload))
+    assert decoded.dtype == np.dtype(header["arrays"][0]["dtype"])
 
 
 def test_the_cache_quarantines_every_corrupt_resealed_blob(tmp_path):
