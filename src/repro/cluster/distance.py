@@ -8,10 +8,13 @@ in float64.
 
 The kernels also take a *stack* of point sets, ``(B, n, d)`` →
 ``(B, n, n)`` (and :func:`distances_to_points` a stack of reference
-sets), so CLARA's draws and the Monte-Carlo subsamples are one call
-each.  Slice b of a stacked result is bit-identical to the kernel run on
-slice b alone: every step is elementwise or reduces one row, and the
-products are one BLAS call per slice inside a single ``matmul``.
+sets), so CLARA assigns all its draws in one call.  Slice b of a
+stacked result is bit-identical to the kernel run on slice b alone:
+every step is elementwise or reduces one row, and the products are one
+BLAS call per slice inside a single ``matmul``.  The Monte-Carlo
+silhouette subsamples are *not* stacked: their ``n × n`` results are
+large enough that a stack runs slower than one call each (see
+:class:`~repro.cluster.silhouette.SharedSilhouette`).
 """
 
 from __future__ import annotations

@@ -100,28 +100,17 @@ def select_k_points(
     points: np.ndarray,
     cluster_fn: Callable[[np.ndarray, int], Clustering],
     k_values: Sequence[int] = (2, 3, 4, 5, 6),
-    n_subsamples: int = 8,
-    subsample_size: int = 200,
     *,
-    rng: np.random.Generator,
-    exact_threshold: int | None = None,
-    shared: SharedSilhouette | None = None,
+    shared: SharedSilhouette,
 ) -> KSelection:
     """Pick k for a point matrix, sharing distance work across the sweep.
 
     ``cluster_fn(points, k)`` supplies the clusterings (PAM on a sample or
-    CLARA, depending on scale — the engine decides).  Scoring goes through
-    one :class:`SharedSilhouette` built up front: below
-    ``exact_threshold`` rows the full matrix is computed once and every k
-    is scored exactly; above it the Monte-Carlo subsample matrices are
-    drawn once and shared by all candidates.  This is the
+    CLARA, depending on scale — the engine decides).  Every candidate is
+    scored by ``shared``, the caller's :class:`SharedSilhouette` over the
+    same points: its matrices (the full one, or the Monte-Carlo subsample
+    matrices) are built once and reused by every k.  This is the
     interaction-time path: scoring cost does not grow with the table.
-
-    Callers that already hold distance structures (e.g. the mapping
-    engine) pass their own ``shared`` scorer; it then *replaces* the
-    scoring configuration entirely — ``n_subsamples``,
-    ``subsample_size`` and ``exact_threshold`` are read only when this
-    function builds the scorer itself.
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
@@ -134,14 +123,6 @@ def select_k_points(
         only = KCandidate(k=1, clustering=clustering, silhouette=0.0)
         return KSelection(candidates=(only,), best=only)
 
-    if shared is None:
-        shared = SharedSilhouette(
-            points,
-            n_subsamples=n_subsamples,
-            subsample_size=subsample_size,
-            exact_threshold=exact_threshold,
-            rng=rng,
-        )
     tracer = get_tracer()
     candidates: list[KCandidate] = []
     for k in usable:

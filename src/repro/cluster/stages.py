@@ -139,7 +139,6 @@ def cluster_features(
         matrix,
         cluster_fn,
         k_values=params.k_values,
-        rng=rng,
         shared=shared,
     )
     return ClusterOutcome(

@@ -116,11 +116,6 @@ class CodeCache:
             while len(self._entries) > self._max_entries:
                 self._entries.popitem(last=False)
 
-    def clear(self) -> None:
-        """Drop every entry."""
-        with self._lock:
-            self._entries.clear()
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)

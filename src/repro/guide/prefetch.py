@@ -23,8 +23,9 @@ Three invariants keep speculation harmless:
   still lands in the shared cache, so even a "wasted" speculation warms
   something.
 
-Every speculation is observable: ``blaeu_guide_prefetch_*`` counters
-and ``guide.plan`` / ``guide.prefetch`` trace spans.
+Every speculation is observable: ``blaeu_guide_prefetch_*`` counters,
+kept in the process-global metrics registry alone, and ``guide.plan`` /
+``guide.prefetch`` trace spans.
 """
 
 from __future__ import annotations
@@ -246,12 +247,6 @@ class PrefetchScheduler:
         self._generations: dict[str, int] = {}
         self._tasks: set[asyncio.Task] = set()
         self._closed = False
-        self._scheduled = 0
-        self._completed = 0
-        self._cancelled = 0
-        self._rejected = 0
-        self._errors = 0
-        self._deadline_exceeded = 0
 
     # ------------------------------------------------------------------
     # Control surface
@@ -297,17 +292,10 @@ class PrefetchScheduler:
         if self._tasks:
             await asyncio.gather(*list(self._tasks), return_exceptions=True)
 
-    def stats(self) -> dict[str, int]:
-        """Point-in-time speculation counters (all monotonic)."""
-        return {
-            "scheduled": self._scheduled,
-            "completed": self._completed,
-            "cancelled": self._cancelled,
-            "rejected": self._rejected,
-            "errors": self._errors,
-            "deadline_exceeded": self._deadline_exceeded,
-            "in_flight": len(self._tasks),
-        }
+    @property
+    def in_flight(self) -> int:
+        """Speculations planned or building right now."""
+        return len(self._tasks)
 
     # ------------------------------------------------------------------
     # Internals (event-loop thread only, except the pool thunks)
@@ -340,7 +328,6 @@ class PrefetchScheduler:
             return
         for action in actions[: self._top_n]:
             if not self._fresh(scope, generation):
-                self._cancelled += 1
                 metrics.increment("blaeu_guide_prefetch_cancelled_total")
                 return
             await self._prefetch(scope, generation, action)
@@ -349,7 +336,6 @@ class PrefetchScheduler:
         self, scope: str, generation: int, action: PrefetchAction
     ) -> None:
         metrics = get_metrics()
-        self._scheduled += 1
         metrics.increment("blaeu_guide_prefetch_scheduled_total")
         async with self._semaphore:
             with get_tracer().span("guide.prefetch") as span:
@@ -359,7 +345,6 @@ class PrefetchScheduler:
                 result = await self._offer(scope, generation, action.build)
             if result is None:
                 return
-            self._completed += 1
             metrics.increment("blaeu_guide_prefetch_completed_total")
 
     async def _offer(
@@ -379,7 +364,6 @@ class PrefetchScheduler:
         metrics = get_metrics()
         for _ in range(_MAX_OFFERS):
             if not self._fresh(scope, generation):
-                self._cancelled += 1
                 metrics.increment("blaeu_guide_prefetch_cancelled_total")
                 return None
             try:
@@ -398,21 +382,17 @@ class PrefetchScheduler:
                 # A speculative build outliving its budget is a
                 # cancellation, not a failure: the pool thread was
                 # reclaimed, which is exactly the invariant we bought.
-                self._deadline_exceeded += 1
                 metrics.increment("blaeu_guide_prefetch_deadline_total")
                 return None
             except RuntimeError as error:
                 if "shut down" in str(error):
                     # Pool shut down underneath us: service is stopping.
                     return None
-                self._errors += 1
                 metrics.increment("blaeu_guide_prefetch_errors_total")
                 return None
             except Exception:
-                self._errors += 1
                 metrics.increment("blaeu_guide_prefetch_errors_total")
                 return None
             return result if result is not None else ()
-        self._rejected += 1
         metrics.increment("blaeu_guide_prefetch_rejected_total")
         return None

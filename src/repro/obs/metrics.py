@@ -208,8 +208,9 @@ class Metrics:
         the graph engine counts its builds and cache hits here, so the
         same numbers back both ``/metrics`` and the CLI's build report.
         """
-        _validate_name(name)
         with self._lock:
+            if name not in self._counters:
+                _validate_name(name)  # once, when the counter is registered
             self._counters[name] = self._counters.get(name, 0) + by
 
     def counter(self, name: str) -> int:
@@ -228,16 +229,26 @@ class Metrics:
         grammar; label values must already be exposition-safe
         (:func:`escape_label_value` untrusted input first).
         """
-        _validate_name(name)
-        key = tuple(
-            (_validate_name(label), _validate_label_value(value))
-            for label, value in sorted(labels.items())
-        )
-        if not key:
-            raise ValueError("labeled counters need at least one label")
+        key = tuple(sorted(labels.items()))
         with self._lock:
-            series = self._labeled.setdefault(name, {})
+            series = self._labeled.get(name)
+            if series is None or key not in series:
+                # Validated once, when the series is registered.
+                _validate_name(name)
+                if not key:
+                    raise ValueError("labeled counters need at least one label")
+                for label, value in key:
+                    _validate_name(label)
+                    _validate_label_value(value)
+                series = self._labeled.setdefault(name, {})
             series[key] = series.get(key, 0) + by
+
+    def labeled(self, name: str, labels: dict[str, str]) -> int:
+        """Current value of one labeled counter series (0 before its
+        first increment)."""
+        key = tuple(sorted(labels.items()))
+        with self._lock:
+            return self._labeled.get(name, {}).get(key, 0)
 
     def observe(self, name: str, value: float) -> None:
         """Record one observation into the named histogram.

@@ -9,20 +9,22 @@ any failure re-opens it.
 
 Thread-safe (the artifact cache is hit from pool threads) and clocked by
 an injectable ``clock`` so tests drive state transitions without
-sleeping.  State transitions are counted on the global metrics registry
-as ``blaeu_resilience_breaker_transitions_total{breaker,to}``.
+sleeping.  Its events are counted in the process-global metrics
+registry alone: state transitions as
+``blaeu_resilience_breaker_transitions_total{breaker,to}`` (an open is
+``to="open"``) and refused calls as
+``blaeu_resilience_breaker_short_circuits_total{breaker}``.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
 from typing import Callable
 
 from repro.obs.metrics import get_metrics
 
-__all__ = ["BreakerStats", "CircuitBreaker"]
+__all__ = ["CircuitBreaker"]
 
 CLOSED = "closed"
 OPEN = "open"
@@ -30,14 +32,6 @@ HALF_OPEN = "half_open"
 
 #: Gauge encoding used by /metrics: closed=0, half_open=1, open=2.
 STATE_CODES = {CLOSED: 0, HALF_OPEN: 1, OPEN: 2}
-
-
-@dataclass(frozen=True)
-class BreakerStats:
-    state: str
-    consecutive_failures: int
-    opens: int
-    short_circuits: int
 
 
 class CircuitBreaker:
@@ -67,8 +61,6 @@ class CircuitBreaker:
         self._opened_at = 0.0
         self._probes_in_flight = 0
         self._probe_successes = 0
-        self._opens = 0
-        self._short_circuits = 0
 
     @property
     def state(self) -> str:
@@ -104,7 +96,6 @@ class CircuitBreaker:
             if state == HALF_OPEN and self._probes_in_flight < self._half_open_probes:
                 self._probes_in_flight += 1
                 return True
-            self._short_circuits += 1
             get_metrics().increment_labeled(
                 "blaeu_resilience_breaker_short_circuits_total",
                 {"breaker": self.name},
@@ -142,14 +133,4 @@ class CircuitBreaker:
     def _open(self) -> None:
         self._transition(OPEN)
         self._opened_at = self._clock()
-        self._opens += 1
         self._consecutive_failures = 0
-
-    def stats(self) -> BreakerStats:
-        with self._lock:
-            return BreakerStats(
-                state=self._peek_state(),
-                consecutive_failures=self._consecutive_failures,
-                opens=self._opens,
-                short_circuits=self._short_circuits,
-            )

@@ -5,8 +5,9 @@ and the DBMS; this package is that tier, grown for the ROADMAP's
 "heavy traffic" north star:
 
 * :mod:`repro.service.cache` — the in-memory LRU+TTL result cache and
-  the memory/disk :class:`TieredCache` that stacks it over the shared
-  on-disk :class:`~repro.store.artifacts.ArtifactCache`.
+  the :class:`TieredCache` that stacks it over the shared on-disk
+  :class:`~repro.store.artifacts.ArtifactCache` (or over nothing): the
+  one cache shape the service installs.
 * :mod:`repro.service.pool` — a bounded worker pool that keeps slow
   map builds off the event loop.
 * :mod:`repro.service.http` — a stdlib-only ``asyncio`` HTTP/1.1

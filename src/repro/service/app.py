@@ -1,9 +1,11 @@
 """The serving application: engine + cache + pool behind HTTP routes.
 
 :class:`BlaeuService` is the composition root of the serving layer.  It
-installs a shared :class:`~repro.service.cache.LRUCache` on the engine
-(so every session's map builds go through it), wraps a thread-safe
-:class:`~repro.server.session.SessionManager`, and answers the routes
+installs one shared :class:`~repro.service.cache.TieredCache` on the
+engine (an LRU memory tier over the disk tier of ``cache.dir``, or over
+nothing), so every session's map builds go through it; it wraps a
+thread-safe :class:`~repro.server.session.SessionManager`, and answers
+the routes
 declared in :mod:`repro.service.routes` (``/healthz``, ``/metrics`` and
 the ``/v1`` API: table resources and ``POST /v1/commands/<command>``).
 Its options are declared in :mod:`repro.service.config`.
@@ -54,7 +56,7 @@ from repro.server.protocol import (
 )
 from repro.server.session import SessionManager
 from repro.service import routes
-from repro.service.cache import CacheStats, LRUCache, TieredCache
+from repro.service.cache import LRUCache, TieredCache
 from repro.service.config import (
     CacheConfig,
     GuideConfig,
@@ -97,7 +99,7 @@ class BlaeuService:
     ----------
     engine:
         The engine with tables already registered.  The service installs
-        its shared map cache on it (unless the engine already has one).
+        its shared map cache on it, in place of any it carried.
     config:
         Serving-layer knobs.
     """
@@ -107,39 +109,33 @@ class BlaeuService:
     ) -> None:
         self._config = config or ServiceConfig()
         self._engine = engine
+        # One composition root, one registry: every layer (graph builds,
+        # map pipeline, store scans, the pool and the cache tiers below)
+        # records into the process-global registry installed here, so
+        # /metrics shows all of it alongside the HTTP numbers.
+        self._metrics = reset_metrics()
+        cache_config = self._config.cache
+        resilience = self._config.resilience
         #: Circuit breaker guarding the L2 disk tier (None without one).
         self._breaker: CircuitBreaker | None = None
-        if engine.map_cache is None:
-            cache_config = self._config.cache
-            resilience = self._config.resilience
-            memory = LRUCache(
-                max_size=cache_config.size, ttl=cache_config.ttl
+        disk: ArtifactCache | None = None
+        if cache_config.dir:
+            self._breaker = CircuitBreaker(
+                name="l2",
+                failure_threshold=resilience.breaker_failures,
+                recovery_time=resilience.breaker_recovery,
+                latency_threshold=resilience.breaker_latency,
             )
-            if cache_config.dir:
-                self._breaker = CircuitBreaker(
-                    name="l2",
-                    failure_threshold=resilience.breaker_failures,
-                    recovery_time=resilience.breaker_recovery,
-                    latency_threshold=resilience.breaker_latency,
-                )
-                engine.set_map_cache(
-                    TieredCache(
-                        memory,
-                        ArtifactCache(
-                            cache_config.dir,
-                            max_bytes=cache_config.disk_bytes,
-                            breaker=self._breaker,
-                        ),
-                    )
-                )
-            else:
-                engine.set_map_cache(memory)
+            disk = ArtifactCache(
+                cache_config.dir,
+                max_bytes=cache_config.disk_bytes,
+                breaker=self._breaker,
+            )
+        self._cache = TieredCache(
+            LRUCache(max_size=cache_config.size, ttl=cache_config.ttl), disk
+        )
+        engine.set_map_cache(self._cache)
         self._manager = SessionManager(engine)
-        # One composition root, one registry: every layer (graph builds,
-        # map pipeline, store scans) records into the process-global
-        # registry installed here, so /metrics shows blaeu_graph_*,
-        # blaeu_pipeline_* and blaeu_store_* alongside the HTTP numbers.
-        self._metrics = reset_metrics()
         self._tracer = configure_tracing(
             enabled=self._config.trace.enabled,
             buffer_size=self._config.trace.buffer_size,
@@ -196,21 +192,6 @@ class BlaeuService:
     def engine(self) -> Blaeu:
         """The engine this service fronts."""
         return self._engine
-
-    @property
-    def cache(self) -> object:
-        """The shared map result cache (usually an :class:`LRUCache`).
-
-        An engine may arrive with its own duck-typed cache installed
-        (``get``/``put`` is the only required surface), so callers that
-        want statistics must go through :meth:`cache_stats`.
-        """
-        return self._engine.map_cache
-
-    def cache_stats(self) -> "CacheStats | None":
-        """The cache's statistics, or ``None`` for stat-less caches."""
-        stats = getattr(self._engine.map_cache, "stats", None)
-        return stats() if callable(stats) else None
 
     @property
     def metrics(self) -> Metrics:
@@ -673,8 +654,11 @@ class BlaeuService:
             if self._started_at is not None
             else 0.0
         )
-        cache = self.cache_stats()
         pool = self._pool.stats()
+        l1 = {"tier": "l1"}
+        hits = self._metrics.labeled("blaeu_cache_hits_total", l1)
+        misses = self._metrics.labeled("blaeu_cache_misses_total", l1)
+        looked_up = hits + misses
         payload: dict[str, object] = {
             "ok": not self._stopping,
             "status": "draining" if self._stopping else "healthy",
@@ -685,14 +669,13 @@ class BlaeuService:
                 "in_flight": pool.in_flight,
                 "workers": pool.workers,
             },
+            "cache": {
+                "size": len(self._cache.memory),
+                "hits": hits,
+                "misses": misses,
+                "hit_rate": round(hits / looked_up, 4) if looked_up else 0.0,
+            },
         }
-        if cache is not None:
-            payload["cache"] = {
-                "size": cache.size,
-                "hits": cache.hits,
-                "misses": cache.misses,
-                "hit_rate": round(cache.hit_rate, 4),
-            }
         return json_response(payload)
 
     async def _serve_traces(self, request: HttpRequest) -> HttpResponse:
@@ -707,46 +690,21 @@ class BlaeuService:
         )
 
     async def _serve_metrics(self, request: HttpRequest) -> HttpResponse:
-        cache = self.cache_stats()
+        """The registry, plus the gauges read off live state at scrape
+        time.  Every count is a registry counter, kept where its event
+        happens; nothing here copies one."""
         pool = self._pool.stats()
-        tiered = isinstance(self._engine.map_cache, TieredCache)
-        if cache is not None:
-            self._metrics.set_gauge("blaeu_cache_entries", cache.size)
-            if not tiered:
-                # A tiered cache reports hits/misses as per-tier labeled
-                # counters (blaeu_cache_hits_total{tier="l1"|"l2"});
-                # emitting the legacy unlabeled gauges under the same
-                # names would render two TYPE lines for one metric.
-                self._metrics.set_gauge("blaeu_cache_hits_total", cache.hits)
-                self._metrics.set_gauge(
-                    "blaeu_cache_misses_total", cache.misses
-                )
+        self._metrics.set_gauge("blaeu_cache_entries", len(self._cache.memory))
+        disk = self._cache.disk
+        if disk is not None:
+            census = disk.stats()
+            self._metrics.set_gauge("blaeu_artifact_cache_entries", census.entries)
             self._metrics.set_gauge(
-                "blaeu_cache_evictions_total", cache.evictions
+                "blaeu_artifact_cache_bytes", census.total_bytes
             )
-        if tiered:
-            self._metrics.set_gauge(
-                "blaeu_artifact_cache_promotions",
-                self._metrics.counter("blaeu_cache_promotions_total"),
-            )
-            disk = self._engine.map_cache.disk
-            if disk is not None:
-                disk_stats = disk.stats()
-                self._metrics.set_gauge(
-                    "blaeu_artifact_cache_entries", disk_stats.entries
-                )
-                self._metrics.set_gauge(
-                    "blaeu_artifact_cache_bytes", disk_stats.total_bytes
-                )
         self._metrics.set_gauge("blaeu_pool_in_flight", pool.in_flight)
-        self._metrics.set_gauge("blaeu_pool_completed_total", pool.completed)
-        self._metrics.set_gauge("blaeu_pool_failed_total", pool.failed)
-        self._metrics.set_gauge("blaeu_pool_rejected_total", pool.rejected)
         self._metrics.set_gauge(
             "blaeu_pool_background_in_flight", pool.background_in_flight
-        )
-        self._metrics.set_gauge(
-            "blaeu_resilience_pool_deadline_shed_total", pool.deadline_shed
         )
         if self._breaker is not None:
             self._metrics.set_gauge(
@@ -754,9 +712,8 @@ class BlaeuService:
                 STATE_CODES[self._breaker.state],
             )
         if self._prefetcher is not None:
-            guide = self._prefetcher.stats()
             self._metrics.set_gauge(
-                "blaeu_guide_prefetch_in_flight", guide["in_flight"]
+                "blaeu_guide_prefetch_in_flight", self._prefetcher.in_flight
             )
         self._metrics.set_gauge(
             "blaeu_sessions_active", len(self._manager.session_ids())

@@ -13,11 +13,14 @@ enforced on every access, and an injectable clock keeps the TTL logic
 deterministically testable.
 
 :class:`TieredCache` stacks this in-memory hot tier (L1) over the
-disk-backed :class:`~repro.store.artifacts.ArtifactCache` (L2): reads
-fall through to disk and *promote* back into memory; writes land in
-memory always and on disk when the value is codec-serializable.  That
-is how multiple worker processes share warm artifacts, and how a
-restarted worker serves its first request warm.
+disk-backed :class:`~repro.store.artifacts.ArtifactCache` (L2), or over
+nothing in a single process: reads fall through to disk and *promote*
+back into memory; writes land in memory always and on disk when the
+value is codec-serializable.  That is how multiple worker processes
+share warm artifacts, and how a restarted worker serves its first
+request warm.  Every count lives in the process-global metrics registry
+alone: the tiered cache counts each lookup per tier, and the L1 counts
+its evictions.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Hashable
 
 from repro.obs.metrics import get_metrics
@@ -33,25 +35,7 @@ from repro.obs.metrics import get_metrics
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.store.artifacts import ArtifactCache
 
-__all__ = ["CacheStats", "LRUCache", "TieredCache"]
-
-
-@dataclass(frozen=True)
-class CacheStats:
-    """A point-in-time snapshot of cache effectiveness."""
-
-    hits: int
-    misses: int
-    evictions: int
-    expirations: int
-    size: int
-    max_size: int
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from the cache (0 when unused)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
+__all__ = ["LRUCache", "TieredCache"]
 
 
 class LRUCache:
@@ -64,8 +48,8 @@ class LRUCache:
         recently used entry.
     ttl:
         Seconds an entry stays valid after insertion; ``None`` disables
-        expiry.  Expired entries count as misses and are dropped lazily
-        on access (plus eagerly by :meth:`purge_expired`).
+        expiry.  An expired entry is dropped on access and reads as a
+        miss.
     clock:
         Monotonic time source, injectable for tests.
     """
@@ -85,10 +69,8 @@ class LRUCache:
         self._clock = clock
         self._entries: OrderedDict[Hashable, tuple[object, float]] = OrderedDict()
         self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-        self._expirations = 0
+        # The eviction counter renders from the start, at zero.
+        get_metrics().increment("blaeu_cache_evictions_total", 0)
 
     # ------------------------------------------------------------------
     # Mapping operations
@@ -99,32 +81,28 @@ class LRUCache:
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
-                self._misses += 1
                 return None
             value, stored_at = entry
             if self._ttl is not None and self._clock() - stored_at > self._ttl:
                 del self._entries[key]
-                self._expirations += 1
-                self._misses += 1
                 return None
             self._entries.move_to_end(key)
-            self._hits += 1
             return value
 
     def put(self, key: Hashable, value: object) -> None:
-        """Insert (or refresh) an entry, evicting the LRU one if full."""
+        """Insert (or refresh) an entry, evicting the LRU one if full.
+
+        Each eviction is one ``blaeu_cache_evictions_total`` count.
+        """
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
             self._entries[key] = (value, self._clock())
-            while len(self._entries) > self._max_size:
+            evict = len(self._entries) > self._max_size
+            if evict:
                 self._entries.popitem(last=False)
-                self._evictions += 1
-
-    def clear(self) -> None:
-        """Drop every entry (statistics are kept)."""
-        with self._lock:
-            self._entries.clear()
+        if evict:
+            get_metrics().increment("blaeu_cache_evictions_total")
 
     # ------------------------------------------------------------------
     # Introspection
@@ -142,28 +120,6 @@ class LRUCache:
             if self._ttl is not None and self._clock() - entry[1] > self._ttl:
                 return False
             return True
-
-    @property
-    def max_size(self) -> int:
-        """The eviction bound."""
-        return self._max_size
-
-    @property
-    def ttl(self) -> float | None:
-        """The per-entry time-to-live in seconds (``None``: no expiry)."""
-        return self._ttl
-
-    def stats(self) -> CacheStats:
-        """A consistent snapshot of the cache counters."""
-        with self._lock:
-            return CacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                evictions=self._evictions,
-                expirations=self._expirations,
-                size=len(self._entries),
-                max_size=self._max_size,
-            )
 
 
 class TieredCache:
@@ -244,19 +200,3 @@ class TieredCache:
             get_metrics().increment("blaeu_artifact_cache_writes_total")
         else:
             get_metrics().increment("blaeu_artifact_cache_write_skips_total")
-
-    def clear(self) -> None:
-        """Drop every entry from both tiers."""
-        self._memory.clear()
-        if self._disk is not None:
-            self._disk.clear()
-
-    def stats(self) -> CacheStats:
-        """The L1 snapshot (duck-compatible with :class:`LRUCache`).
-
-        The serving layer's health endpoint reads ``stats()`` off
-        whatever cache the engine carries; keeping the L1 shape here
-        means tiering never changes that surface.  Per-tier counters are
-        in the metrics registry.
-        """
-        return self._memory.stats()

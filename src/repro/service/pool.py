@@ -7,7 +7,10 @@ on a small thread pool with an explicit admission bound: when
 ``max_pending`` jobs are already in flight the pool *refuses* new work
 (:class:`PoolSaturatedError`) instead of queueing unboundedly, which
 the HTTP layer translates to ``503`` — load shedding, not latency
-collapse.
+collapse.  Its outcomes are counted in the process-global metrics
+registry alone (``blaeu_pool_{completed,failed,rejected}_total`` and
+``blaeu_resilience_pool_deadline_shed_total``); the pool keeps only the
+load it admits on.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, TypeVar
 
+from repro.obs.metrics import get_metrics
 from repro.resilience.deadline import DeadlineExceeded, current_deadline
 
 __all__ = ["PoolSaturatedError", "PoolStats", "WorkerPool"]
@@ -36,14 +40,7 @@ class PoolStats:
 
     workers: int
     in_flight: int
-    max_pending: int
-    completed: int
-    failed: int
-    rejected: int
-    background_in_flight: int = 0
-    background_completed: int = 0
-    background_rejected: int = 0
-    deadline_shed: int = 0
+    background_in_flight: int
 
 
 class WorkerPool:
@@ -70,14 +67,12 @@ class WorkerPool:
         )
         self._lock = threading.Lock()
         self._in_flight = 0
-        self._completed = 0
-        self._failed = 0
-        self._rejected = 0
         self._background_in_flight = 0
-        self._background_completed = 0
-        self._background_rejected = 0
-        self._deadline_shed = 0
         self._closed = False
+        # Each outcome counter renders from the start, at zero.
+        for outcome in ("completed", "failed", "rejected"):
+            get_metrics().increment(f"blaeu_pool_{outcome}_total", 0)
+        get_metrics().increment("blaeu_resilience_pool_deadline_shed_total", 0)
 
     async def run(
         self, fn: Callable[..., T], *args: Any, background: bool = False
@@ -105,8 +100,9 @@ class WorkerPool:
         if not background:
             deadline = current_deadline()
             if deadline is not None and deadline.expired():
-                with self._lock:
-                    self._deadline_shed += 1
+                get_metrics().increment(
+                    "blaeu_resilience_pool_deadline_shed_total"
+                )
                 raise DeadlineExceeded(
                     f"deadline of {deadline.budget:.3f}s expired before "
                     "the job reached the pool",
@@ -117,14 +113,13 @@ class WorkerPool:
             if self._closed:
                 raise RuntimeError("worker pool is shut down")
             if background and self._in_flight >= self._workers:
-                self._background_rejected += 1
                 raise PoolSaturatedError(
                     f"no idle worker for background job "
                     f"({self._in_flight} jobs in flight, "
                     f"{self._workers} workers)"
                 )
             if self._in_flight >= self._max_pending:
-                self._rejected += 1
+                get_metrics().increment("blaeu_pool_rejected_total")
                 raise PoolSaturatedError(
                     f"worker pool saturated ({self._in_flight} jobs in "
                     f"flight, limit {self._max_pending})"
@@ -142,37 +137,27 @@ class WorkerPool:
             self._in_flight += 1
             if background:
                 self._background_in_flight += 1
+        outcome = "failed"
         try:
             result = await asyncio.wrap_future(future)
-        except BaseException:
+            outcome = "completed"
+        finally:
+            # Counted before the slot is released: whoever sees the pool
+            # idle sees the job counted too.
+            get_metrics().increment(f"blaeu_pool_{outcome}_total")
             with self._lock:
                 self._in_flight -= 1
-                self._failed += 1
                 if background:
                     self._background_in_flight -= 1
-            raise
-        with self._lock:
-            self._in_flight -= 1
-            self._completed += 1
-            if background:
-                self._background_in_flight -= 1
-                self._background_completed += 1
         return result
 
     def stats(self) -> PoolStats:
-        """A consistent snapshot of the pool counters."""
+        """A consistent snapshot of the pool load."""
         with self._lock:
             return PoolStats(
                 workers=self._workers,
                 in_flight=self._in_flight,
-                max_pending=self._max_pending,
-                completed=self._completed,
-                failed=self._failed,
-                rejected=self._rejected,
                 background_in_flight=self._background_in_flight,
-                background_completed=self._background_completed,
-                background_rejected=self._background_rejected,
-                deadline_shed=self._deadline_shed,
             )
 
     def shutdown(self, wait: bool = True) -> None:

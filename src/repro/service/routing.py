@@ -8,11 +8,11 @@ them.  Keys are content fingerprints (not names), the same identity
 the cache tiers use — two names bound to identical data route
 together, exactly like they share cache entries.
 
-A classic hash ring with virtual nodes keeps the mapping stable under
-membership change: when one of N slots is removed, only ~1/N of the
-keyspace moves.  Slots are small integers (worker *slots*, not
-processes — a restarted worker reoccupies its slot and, thanks to the
-disk artifact tier, rewarms from what its predecessor persisted).
+A classic hash ring with virtual nodes keeps the mapping stable across
+fleet sizes: a ring without one of N slots places only that slot's ~1/N
+of the keyspace elsewhere.  Slots are small integers (worker *slots*,
+not processes — a restarted worker reoccupies its slot and, thanks to
+the disk artifact tier, rewarms from what its predecessor persisted).
 """
 
 from __future__ import annotations
@@ -50,11 +50,6 @@ class HashRing:
         for slot in slots:
             self.add(slot)
 
-    @property
-    def slots(self) -> tuple[int, ...]:
-        """The live slots, ascending."""
-        return tuple(sorted(self._slots))
-
     def add(self, slot: int) -> None:
         """Add a slot (idempotent)."""
         if slot in self._slots:
@@ -65,18 +60,6 @@ class HashRing:
             index = bisect.bisect_left(self._points, point)
             self._points.insert(index, point)
             self._owners[point] = slot
-
-    def remove(self, slot: int) -> None:
-        """Remove a slot (idempotent); its keyspace spills to neighbours."""
-        if slot not in self._slots:
-            return
-        self._slots.discard(slot)
-        for replica in range(self._replicas):
-            point = _point(f"slot:{slot}:{replica}")
-            index = bisect.bisect_left(self._points, point)
-            if index < len(self._points) and self._points[index] == point:
-                del self._points[index]
-            self._owners.pop(point, None)
 
     def owner(self, key: str) -> int:
         """The slot owning ``key`` (clockwise successor on the ring)."""

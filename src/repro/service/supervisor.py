@@ -145,10 +145,10 @@ def merge_metrics(bodies: list[str], extra: list[str] | None = None) -> str:
     """Sum per-worker Prometheus expositions into one body.
 
     Series with identical names and labels are summed — correct for
-    counters, histogram buckets/sums/counts, and the gauge-as-total
-    style this codebase uses.  ``# TYPE`` lines are kept (first wins)
-    and re-emitted ahead of their series, so the merged body is valid
-    exposition text.
+    counters, histogram buckets/sums/counts, and the fleet-wide size of
+    a per-worker gauge (cache entries, jobs in flight).  ``# TYPE``
+    lines are kept (first wins) and re-emitted ahead of their series, so
+    the merged body is valid exposition text.
     """
     types: dict[str, str] = {}
     series: dict[str, float] = {}

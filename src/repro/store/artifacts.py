@@ -144,11 +144,6 @@ class ArtifactCache:
         """The cache directory."""
         return self._root
 
-    @property
-    def max_bytes(self) -> int:
-        """The size budget."""
-        return self._max_bytes
-
     def stats(self) -> ArtifactCacheStats:
         """The on-disk entry census."""
         census = self._census()
@@ -230,12 +225,6 @@ class ArtifactCache:
         self._stamp(path)
         self._evict(len(blob))
         return True
-
-    def clear(self) -> None:
-        """Drop every entry."""
-        for *_, path in self._census():
-            with contextlib.suppress(OSError):
-                os.unlink(path)
 
     @contextlib.contextmanager
     def lock(self, key: object) -> Iterator[None]:

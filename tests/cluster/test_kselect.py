@@ -6,6 +6,7 @@ import pytest
 from repro.cluster.distance import pairwise_distances
 from repro.cluster.kselect import select_k, select_k_points
 from repro.cluster.pam import pam
+from repro.cluster.silhouette import SharedSilhouette
 
 
 def _blobs(rng, k, n_per=40, gap=12.0):
@@ -52,9 +53,11 @@ class TestSelectKPoints:
         def cluster_fn(pts, k):
             return pam(pairwise_distances(pts), k)
 
+        shared = SharedSilhouette(
+            points, n_subsamples=6, subsample_size=80, rng=rng
+        )
         selection = select_k_points(
-            points, cluster_fn, k_values=(2, 3, 4),
-            n_subsamples=6, subsample_size=80, rng=rng,
+            points, cluster_fn, k_values=(2, 3, 4), shared=shared
         )
         assert selection.k == 3
 
@@ -64,5 +67,8 @@ class TestSelectKPoints:
         def cluster_fn(pts, k):
             return pam(pairwise_distances(pts), k)
 
-        selection = select_k_points(points, cluster_fn, k_values=(2,), rng=rng)
+        shared = SharedSilhouette(points, rng=rng)
+        selection = select_k_points(
+            points, cluster_fn, k_values=(2,), shared=shared
+        )
         assert selection.k in (1, 2)

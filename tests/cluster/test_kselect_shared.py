@@ -98,8 +98,9 @@ class TestSelectKPointsShared:
         def cluster_fn(pts, k):
             return pam(pairwise_distances(pts), k)
 
+        shared = SharedSilhouette(points, exact_threshold=1000, rng=rng)
         selection = select_k_points(
-            points, cluster_fn, k_values=(2, 3, 4), exact_threshold=1000, rng=rng
+            points, cluster_fn, k_values=(2, 3, 4), shared=shared
         )
 
         # Legacy reference: recompute matrix and silhouette for every k.
@@ -118,8 +119,9 @@ class TestSelectKPointsShared:
         def cluster_fn(pts, k):
             return pam(pairwise_distances(pts), k)
 
+        shared = SharedSilhouette(points, exact_threshold=500, rng=rng)
         selection = select_k_points(
-            points, cluster_fn, k_values=(2, 3, 4, 5), exact_threshold=500, rng=rng
+            points, cluster_fn, k_values=(2, 3, 4, 5), shared=shared
         )
         assert selection.k == 4
 
@@ -132,7 +134,7 @@ class TestSelectKPointsShared:
             return pam(matrix, k, validate=False)
 
         selection = select_k_points(
-            points, cluster_fn, k_values=(2, 3), rng=rng, shared=shared
+            points, cluster_fn, k_values=(2, 3), shared=shared
         )
         for candidate in selection.candidates:
             expected = mean_silhouette(matrix, candidate.clustering.labels)

@@ -7,16 +7,26 @@ from repro.core.config import BlaeuConfig
 from repro.core.engine import Blaeu
 from repro.core.pipeline import MapPipeline, build_map, map_cache_key
 from repro.datasets.oecd import oecd
-from repro.service.cache import LRUCache
+from repro.obs.metrics import reset_metrics
+from repro.service.cache import LRUCache, TieredCache
 from repro.viz.export import export_map_json
+from scrape import scraped
 from synthetic import mixed_blobs
 
 CONFIG = BlaeuConfig(map_k_values=(2, 3), seed=5)
 
 
+def lookups(metrics) -> tuple[float, float]:
+    """The map cache's ``(hits, misses)``, as ``/metrics`` renders them."""
+    return (
+        scraped(metrics, "blaeu_cache_hits_total", tier="l1"),
+        scraped(metrics, "blaeu_cache_misses_total", tier="l1"),
+    )
+
+
 @pytest.fixture
 def engine():
-    blaeu = Blaeu(CONFIG, map_cache=LRUCache(max_size=16))
+    blaeu = Blaeu(CONFIG, map_cache=TieredCache(LRUCache(max_size=16)))
     blaeu.register(mixed_blobs(n_rows=300, k=2, seed=61).table)
     return blaeu
 
@@ -86,21 +96,18 @@ class TestMapCacheKey:
 
 class TestSharedCacheAcrossSessions:
     def test_two_explorers_share_one_clustering_run(self, engine):
-        cache = engine.map_cache
+        metrics = reset_metrics()
         first = engine.explore("mixed_blobs")
         first.open_columns(("x0", "x1"))
         # A cold open misses the finished map plus the five pipeline
         # stage artifacts (sample, space, distances, cluster, describe).
-        assert cache.stats().misses == 6
-        assert cache.stats().hits == 0
+        assert lookups(metrics) == (0, 6)
 
         second = engine.explore("mixed_blobs")
         second_map = second.open_columns(("x0", "x1"))
-        stats = cache.stats()
         # The warm open is answered by the finished-map entry alone: one
         # lookup, no stage artifact is even consulted.
-        assert stats.hits == 1
-        assert stats.misses == 6
+        assert lookups(metrics) == (1, 6)
         # The exact same map object is served to both sessions.
         assert second_map is first.state.map
 
@@ -109,27 +116,24 @@ class TestSharedCacheAcrossSessions:
         data_map = first.open_columns(("x0", "x1"))
         target = max(data_map.leaves(), key=lambda r: r.n_rows)
         first.zoom(target.region_id)
-        before = engine.map_cache.stats()
+        metrics = reset_metrics()
 
         second = engine.explore("mixed_blobs")
         second.open_columns(("x0", "x1"))
         second.zoom(target.region_id)
-        after = engine.map_cache.stats()
-        assert after.hits == before.hits + 2  # the open and the zoom
-        assert after.misses == before.misses
+        assert lookups(metrics) == (2, 0)  # the open and the zoom
 
     def test_different_columns_do_not_collide(self, engine):
+        metrics = reset_metrics()
         explorer = engine.explore("mixed_blobs")
         first = explorer.open_columns(("x0", "x1"))
         other = engine.explore("mixed_blobs")
         second = other.open_columns(("x1", "x2"))
         assert second is not first
-        stats = engine.map_cache.stats()
         # Distinct column sets never share a finished map — but they
         # *do* share the Sample artifact of the same selection (the one
         # cache hit): a project re-enters the pipeline at Preprocess.
-        assert stats.hits == 1
-        assert stats.misses == 11
+        assert lookups(metrics) == (1, 11)
 
     def test_maps_do_not_depend_on_cache_warmth(self):
         """The same action path yields the same map, hit or miss.
@@ -158,11 +162,10 @@ class TestSharedCacheAcrossSessions:
         assert export_map_json(warm) == export_map_json(cold)
 
     def test_one_shot_map_uses_the_cache(self, engine):
+        metrics = reset_metrics()
         engine.map("mixed_blobs", ("x0", "x1"), k=2)
         engine.map("mixed_blobs", ("x0", "x1"), k=2)
-        stats = engine.map_cache.stats()
-        assert stats.hits == 1
-        assert stats.misses == 6
+        assert lookups(metrics) == (1, 6)
 
     def test_cache_off_by_default(self):
         blaeu = Blaeu(CONFIG)

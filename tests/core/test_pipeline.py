@@ -34,13 +34,14 @@ from repro.core.pipeline import (
 )
 from repro.core.preprocess import preprocess
 from repro.obs.metrics import reset_metrics
-from repro.service.cache import LRUCache
+from repro.service.cache import LRUCache, TieredCache
 from repro.store import StoredTable, write_store
 from repro.table.predicates import Comparison, Everything
 from repro.table.sampling import seed_for
 from repro.tree.cart import fit_tree
 from repro.tree.prune import prune_for_legibility
 from repro.viz.export import export_map_json
+from scrape import scraped
 from synthetic import mixed_blobs
 
 CONFIG = BlaeuConfig(
@@ -89,7 +90,6 @@ def _legacy_cluster(matrix, config, rng, forced_k):
         matrix,
         cluster_fn,
         k_values=config.map_k_values,
-        rng=rng,
         shared=shared,
     )
     return selection.clustering, selection.best.silhouette, shared_matrix
@@ -448,7 +448,8 @@ class TestMapBuildErrors:
 
 class TestPipelineMechanics:
     def test_stage_artifacts_are_keyed_by_selection(self, table):
-        cache = LRUCache(max_size=64)
+        metrics = reset_metrics()
+        cache = TieredCache(LRUCache(max_size=64))
         MapPipeline(table, COLUMNS, CONFIG, cache=cache).build()
         MapPipeline(
             table,
@@ -458,7 +459,7 @@ class TestPipelineMechanics:
             cache=cache,
         ).build()
         # Distinct selections never share artifacts.
-        assert cache.stats().hits == 0
+        assert scraped(metrics, "blaeu_cache_hits_total", tier="l1") == 0
 
     def test_everything_selection_matches_none(self, table):
         a = MapPipeline(table, COLUMNS, CONFIG).build()

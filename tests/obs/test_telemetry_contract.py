@@ -84,6 +84,7 @@ EXPECTED_COUNTS = {
     "blaeu_artifact_cache_misses_total": 22,
     "blaeu_artifact_cache_quarantined_total": 1,
     "blaeu_artifact_cache_writes_total": 24,
+    "blaeu_cache_evictions_total": 0,
     'blaeu_cache_hits_total{tier="l1"}': 7,
     'blaeu_cache_hits_total{tier="l2"}': 1,
     'blaeu_cache_misses_total{tier="l1"}': 23,

@@ -1,4 +1,8 @@
-"""Unit tests for the circuit breaker, driven by a fake clock."""
+"""Unit tests for the circuit breaker, driven by a fake clock.
+
+The breaker keeps only its state; its opens and short-circuits are
+counted in the process-global registry, read here as a scraper does.
+"""
 
 from __future__ import annotations
 
@@ -6,12 +10,14 @@ import threading
 
 import pytest
 
+from repro.obs.metrics import reset_metrics
 from repro.resilience.breaker import (
     CLOSED,
     HALF_OPEN,
     OPEN,
     CircuitBreaker,
 )
+from scrape import scraped
 
 
 class FakeClock:
@@ -36,6 +42,21 @@ def make(clock, **overrides) -> CircuitBreaker:
     return CircuitBreaker(**kwargs)
 
 
+def opens(metrics) -> float:
+    return scraped(
+        metrics,
+        "blaeu_resilience_breaker_transitions_total",
+        breaker="test",
+        to="open",
+    )
+
+
+def short_circuits(metrics) -> float:
+    return scraped(
+        metrics, "blaeu_resilience_breaker_short_circuits_total", breaker="test"
+    )
+
+
 class TestTripping:
     def test_stays_closed_below_the_threshold(self):
         breaker = make(FakeClock())
@@ -45,11 +66,12 @@ class TestTripping:
         assert breaker.allow()
 
     def test_consecutive_failures_trip_it_open(self):
+        metrics = reset_metrics()
         breaker = make(FakeClock())
         for _ in range(3):
             breaker.record_failure()
         assert breaker.state == OPEN
-        assert breaker.stats().opens == 1
+        assert opens(metrics) == 1
 
     def test_a_success_resets_the_failure_streak(self):
         breaker = make(FakeClock())
@@ -61,12 +83,13 @@ class TestTripping:
         assert breaker.state == CLOSED  # never three in a row
 
     def test_open_short_circuits_without_touching_the_dependency(self):
+        metrics = reset_metrics()
         breaker = make(FakeClock())
         for _ in range(3):
             breaker.record_failure()
         assert not breaker.allow()
         assert not breaker.allow()
-        assert breaker.stats().short_circuits == 2
+        assert short_circuits(metrics) == 2
 
 
 class TestRecovery:
@@ -101,6 +124,7 @@ class TestRecovery:
         assert breaker.allow()
 
     def test_probe_failure_reopens_for_another_full_window(self):
+        metrics = reset_metrics()
         clock = FakeClock()
         breaker = make(clock)
         for _ in range(3):
@@ -109,7 +133,7 @@ class TestRecovery:
         assert breaker.allow()
         breaker.record_failure()
         assert breaker.state == OPEN
-        assert breaker.stats().opens == 2
+        assert opens(metrics) == 2
         clock.advance(4.9)
         assert breaker.state == OPEN  # window restarted at the re-open
 
@@ -130,6 +154,7 @@ class TestLatencyThreshold:
 
 class TestThreadSafety:
     def test_concurrent_failures_trip_exactly_once(self):
+        metrics = reset_metrics()
         breaker = make(FakeClock(), failure_threshold=8)
         barrier = threading.Barrier(8)
 
@@ -143,7 +168,7 @@ class TestThreadSafety:
         for thread in threads:
             thread.join()
         assert breaker.state == OPEN
-        assert breaker.stats().opens == 1
+        assert opens(metrics) == 1
 
 
 @pytest.mark.parametrize(

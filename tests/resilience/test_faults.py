@@ -203,9 +203,10 @@ class TestStoreIntegration:
 
         entry_bytes = len(encode(self._payload(0)))
         ticks = iter(range(1000))
+        budget = entry_bytes * 2 + 64
         cache = ArtifactCache(
             tmp_path / "c",
-            max_bytes=entry_bytes * 2 + 64,
+            max_bytes=budget,
             clock=lambda: float(next(ticks)),
         )
         cache.put("a", self._payload(1))
@@ -235,4 +236,4 @@ class TestStoreIntegration:
         # The recomputed "c" lands, inside the budget.
         assert cache.put("c", self._payload(3)) is True
         assert cache.get("c") is not None
-        assert cache.stats().total_bytes <= cache.max_bytes
+        assert cache.stats().total_bytes <= budget

@@ -1,10 +1,16 @@
-"""Unit tests for the shared LRU+TTL result cache."""
+"""Unit tests for the shared LRU+TTL result cache.
+
+The L1 keeps entries only: its lookups are counted by the
+:class:`TieredCache` in front of it, and its evictions in the registry.
+"""
 
 import threading
 
 import pytest
 
-from repro.service.cache import LRUCache
+from repro.obs.metrics import reset_metrics
+from repro.service.cache import LRUCache, TieredCache
+from scrape import scraped
 
 
 class FakeClock:
@@ -22,13 +28,13 @@ class FakeClock:
 
 class TestBasics:
     def test_miss_then_hit(self):
-        cache = LRUCache(max_size=4)
+        metrics = reset_metrics()
+        cache = TieredCache(LRUCache(max_size=4))
         assert cache.get("k") is None
         cache.put("k", "v")
         assert cache.get("k") == "v"
-        stats = cache.stats()
-        assert (stats.hits, stats.misses) == (1, 1)
-        assert stats.hit_rate == 0.5
+        assert scraped(metrics, "blaeu_cache_hits_total", tier="l1") == 1
+        assert scraped(metrics, "blaeu_cache_misses_total", tier="l1") == 1
 
     def test_put_refreshes_value(self):
         cache = LRUCache(max_size=4)
@@ -43,14 +49,6 @@ class TestBasics:
         assert "k" in cache
         assert "other" not in cache
 
-    def test_clear_keeps_statistics(self):
-        cache = LRUCache(max_size=4)
-        cache.put("k", "v")
-        cache.get("k")
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.stats().hits == 1
-
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError, match="max_size"):
             LRUCache(max_size=0)
@@ -60,6 +58,7 @@ class TestBasics:
 
 class TestEviction:
     def test_lru_entry_evicted_first(self):
+        metrics = reset_metrics()
         cache = LRUCache(max_size=2)
         cache.put("a", 1)
         cache.put("b", 2)
@@ -67,7 +66,7 @@ class TestEviction:
         assert cache.get("a") is None
         assert cache.get("b") == 2
         assert cache.get("c") == 3
-        assert cache.stats().evictions == 1
+        assert scraped(metrics, "blaeu_cache_evictions_total") == 1
 
     def test_get_refreshes_recency(self):
         cache = LRUCache(max_size=2)
@@ -79,11 +78,12 @@ class TestEviction:
         assert cache.get("a") == 1
 
     def test_size_never_exceeds_bound(self):
+        metrics = reset_metrics()
         cache = LRUCache(max_size=3)
         for i in range(10):
             cache.put(i, i)
         assert len(cache) == 3
-        assert cache.stats().evictions == 7
+        assert scraped(metrics, "blaeu_cache_evictions_total") == 7
 
 
 class TestTTL:
@@ -95,18 +95,18 @@ class TestTTL:
         assert cache.get("k") == "v"
         clock.advance(2.0)
         assert cache.get("k") is None
-        stats = cache.stats()
-        assert stats.expirations == 1
-        assert stats.size == 0
+        assert len(cache) == 0
 
     def test_expired_entry_counts_as_miss(self):
+        metrics = reset_metrics()
         clock = FakeClock()
-        cache = LRUCache(max_size=4, ttl=1.0, clock=clock)
+        cache = TieredCache(LRUCache(max_size=4, ttl=1.0, clock=clock))
         cache.put("k", "v")
         clock.advance(2.0)
         cache.get("k")
-        assert cache.stats().misses == 1
-        assert cache.stats().hits == 0
+        assert scraped(metrics, "blaeu_cache_misses_total", tier="l1") == 1
+        assert scraped(metrics, "blaeu_cache_hits_total", tier="l1") == 0
+        assert scraped(metrics, "blaeu_cache_evictions_total") == 0
 
     def test_contains_respects_ttl(self):
         clock = FakeClock()

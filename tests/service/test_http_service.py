@@ -8,6 +8,8 @@ import socket
 import threading
 import time
 
+from scrape import scraped
+
 
 class TestHealthAndMetrics:
     def test_healthz_reports_service_state(self, service):
@@ -17,6 +19,30 @@ class TestHealthAndMetrics:
         assert payload["status"] == "healthy"
         assert payload["tables"] == 1
         assert "cache" in payload and "pool" in payload
+
+    def test_healthz_keeps_its_shape_and_reads_the_l1_from_the_registry(
+        self, service
+    ):
+        service.post(
+            "/v1/commands/open",
+            {"session": "health", "table": "mixed_blobs", "theme": 0},
+        )
+        service.post("/v1/commands/close", {"session": "health"})
+        _, payload = service.get_json("/healthz")
+        _, body = service.get("/metrics")
+        text = body.decode()
+        assert set(payload) == {
+            "ok", "status", "uptime_seconds", "tables", "sessions", "pool", "cache"
+        }
+        assert set(payload["pool"]) == {"in_flight", "workers"}
+        cache = payload["cache"]
+        assert set(cache) == {"size", "hits", "misses", "hit_rate"}
+        hits = scraped(text, "blaeu_cache_hits_total", tier="l1")
+        misses = scraped(text, "blaeu_cache_misses_total", tier="l1")
+        assert (cache["hits"], cache["misses"]) == (hits, misses)
+        assert misses > 0
+        assert cache["hit_rate"] == round(hits / (hits + misses), 4)
+        assert cache["size"] == scraped(text, "blaeu_cache_entries") > 0
 
     def test_metrics_renders_prometheus_text(self, service):
         service.get_json("/healthz")  # guarantee at least one request
@@ -102,7 +128,7 @@ class TestProtocolCommands:
         assert payload["themes"]["type"] == "blaeu.themes"
 
     def test_repeated_open_hits_shared_cache(self, service):
-        before = service.service.cache.stats()
+        _, before = service.get_json("/healthz")
         status, _ = service.post(
             "/v1/commands/open",
             {"session": "cache-a", "table": "mixed_blobs", "theme": 0},
@@ -113,8 +139,8 @@ class TestProtocolCommands:
             {"session": "cache-b", "table": "mixed_blobs", "theme": 0},
         )
         assert status == 200
-        after = service.service.cache.stats()
-        assert after.hits > before.hits
+        _, after = service.get_json("/healthz")
+        assert after["cache"]["hits"] > before["cache"]["hits"]
         for session in ("cache-a", "cache-b"):
             service.post("/v1/commands/close", {"session": session})
 

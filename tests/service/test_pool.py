@@ -1,20 +1,42 @@
-"""Unit tests for the bounded worker pool."""
+"""Unit tests for the bounded worker pool.
+
+The pool keeps only the load it admits on; what happened to each job is
+counted in the process-global registry, read here as a scraper does.
+"""
 
 import asyncio
+import sys
 import threading
 import time
 
 import pytest
 
+from repro.obs.metrics import reset_metrics
 from repro.service.pool import PoolSaturatedError, WorkerPool
+from scrape import scraped
 
 
 def run(coroutine):
     return asyncio.run(coroutine)
 
 
+#: Every pool outcome counter, by the name of the event it counts.
+OUTCOMES = {
+    "completed": "blaeu_pool_completed_total",
+    "failed": "blaeu_pool_failed_total",
+    "rejected": "blaeu_pool_rejected_total",
+    "deadline_shed": "blaeu_resilience_pool_deadline_shed_total",
+}
+
+
+def counts(metrics) -> dict[str, float]:
+    """Every pool outcome count, as ``/metrics`` renders it."""
+    return {outcome: scraped(metrics, name) for outcome, name in OUTCOMES.items()}
+
+
 class TestRun:
     def test_runs_function_off_the_event_loop(self):
+        metrics = reset_metrics()
         pool = WorkerPool(workers=2, max_pending=4)
 
         async def main():
@@ -25,9 +47,10 @@ class TestRun:
         loop_thread, worker_thread = run(main())
         assert worker_thread != loop_thread
         pool.shutdown()
-        assert pool.stats().completed == 1
+        assert counts(metrics)["completed"] == 1
 
     def test_returns_value_and_propagates_exceptions(self):
+        metrics = reset_metrics()
         pool = WorkerPool(workers=1, max_pending=2)
 
         async def main():
@@ -36,10 +59,11 @@ class TestRun:
                 await pool.run(lambda: 1 / 0)
 
         run(main())
-        stats = pool.stats()
-        assert stats.completed == 1  # failures are counted separately
-        assert stats.failed == 1
-        assert stats.in_flight == 0
+        # Failures are counted separately.
+        assert counts(metrics) == {
+            "completed": 1, "failed": 1, "rejected": 0, "deadline_shed": 0
+        }
+        assert pool.stats().in_flight == 0
         pool.shutdown()
 
     def test_concurrent_jobs_overlap(self):
@@ -58,6 +82,7 @@ class TestRun:
 
 class TestAdmissionControl:
     def test_saturation_raises_instead_of_queueing(self):
+        metrics = reset_metrics()
         pool = WorkerPool(workers=1, max_pending=1)
         release = threading.Event()
 
@@ -70,9 +95,8 @@ class TestAdmissionControl:
             await blocker
 
         run(main())
-        stats = pool.stats()
-        assert stats.rejected == 1
-        assert stats.completed == 1
+        assert counts(metrics)["rejected"] == 1
+        assert counts(metrics)["completed"] == 1
         pool.shutdown()
 
     def test_slot_freed_after_completion(self):
@@ -95,20 +119,21 @@ class TestAdmissionControl:
 
 class TestBackgroundAdmission:
     def test_background_runs_on_idle_worker(self):
+        metrics = reset_metrics()
         pool = WorkerPool(workers=1, max_pending=2)
 
         async def main():
             assert await pool.run(lambda: 7, background=True) == 7
 
         run(main())
-        stats = pool.stats()
-        assert stats.background_completed == 1
-        assert stats.background_in_flight == 0
+        assert counts(metrics)["completed"] == 1
+        assert pool.stats().background_in_flight == 0
         pool.shutdown()
 
     def test_background_rejected_when_no_idle_worker(self):
         # Foreground admission tolerates a queue up to max_pending;
         # background must not — it is admitted onto idle threads only.
+        metrics = reset_metrics()
         pool = WorkerPool(workers=1, max_pending=4)
         release = threading.Event()
 
@@ -124,13 +149,13 @@ class TestBackgroundAdmission:
             await blocker
 
         run(main())
-        stats = pool.stats()
-        assert stats.background_rejected == 1
-        assert stats.background_completed == 0
-        assert stats.completed == 2
+        # A refused speculation is not a shed foreground request.
+        assert counts(metrics)["rejected"] == 0
+        assert counts(metrics)["completed"] == 2
         pool.shutdown()
 
     def test_background_leaves_no_slot_behind_on_failure(self):
+        metrics = reset_metrics()
         pool = WorkerPool(workers=1, max_pending=2)
 
         async def main():
@@ -143,12 +168,13 @@ class TestBackgroundAdmission:
         stats = pool.stats()
         assert stats.in_flight == 0
         assert stats.background_in_flight == 0
-        assert stats.failed == 1
+        assert counts(metrics)["failed"] == 1
         pool.shutdown()
 
     def test_background_rejection_does_not_consume_admission(self):
         # A burst of rejected background offers must not eat into the
         # pending budget foreground requests rely on.
+        metrics = reset_metrics()
         pool = WorkerPool(workers=1, max_pending=2)
         release = threading.Event()
 
@@ -165,11 +191,47 @@ class TestBackgroundAdmission:
             await asyncio.gather(blocker, foreground)
 
         run(main())
-        stats = pool.stats()
-        assert stats.background_rejected == 10
-        assert stats.completed == 2
-        assert stats.in_flight == 0
+        assert counts(metrics)["rejected"] == 0
+        assert counts(metrics)["completed"] == 2
+        assert pool.stats().in_flight == 0
         pool.shutdown()
+
+
+class TestCountsUnderContention:
+    def test_every_job_is_counted_once(self):
+        """More workers than cores, a short switch interval, a few
+        hundred jobs: a lost update in the registry or in the pool's
+        admission count shows as a wrong total or a leaked slot."""
+        metrics = reset_metrics()
+        pool = WorkerPool(workers=8, max_pending=400)
+
+        async def main():
+            def job(index: int) -> int:
+                if index % 7 == 0:
+                    raise ValueError(index)
+                return index
+
+            return await asyncio.gather(
+                *(pool.run(job, index) for index in range(300)),
+                return_exceptions=True,
+            )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = asyncio.run(asyncio.wait_for(main(), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+            pool.shutdown()
+        failed = sum(isinstance(result, ValueError) for result in results)
+        assert failed == 43
+        assert counts(metrics) == {
+            "completed": 300 - failed,
+            "failed": failed,
+            "rejected": 0,
+            "deadline_shed": 0,
+        }
+        assert pool.stats().in_flight == 0
 
 
 class TestShutdown:
@@ -208,6 +270,7 @@ class TestDeadlineShedding:
             set_deadline,
         )
 
+        metrics = reset_metrics()
         pool = WorkerPool(workers=1, max_pending=2)
         ran = []
 
@@ -222,10 +285,9 @@ class TestDeadlineShedding:
                 reset_deadline(token)
 
         run(main())
-        stats = pool.stats()
         assert ran == []
-        assert stats.deadline_shed == 1
-        assert stats.completed == 0
+        assert counts(metrics)["deadline_shed"] == 1
+        assert counts(metrics)["completed"] == 0
         pool.shutdown()
 
     def test_deadline_rides_into_the_worker_thread(self):
@@ -248,6 +310,7 @@ class TestDeadlineShedding:
             set_deadline,
         )
 
+        metrics = reset_metrics()
         pool = WorkerPool(workers=2, max_pending=4)
 
         async def main():
@@ -260,5 +323,5 @@ class TestDeadlineShedding:
                 reset_deadline(token)
 
         assert run(main()) == "ran"
-        assert pool.stats().deadline_shed == 0
+        assert counts(metrics)["deadline_shed"] == 0
         pool.shutdown()

@@ -33,8 +33,8 @@ class TestHashRing:
         keys = _keys(2000)
         ring = HashRing(range(5))
         before = {key: ring.owner(key) for key in keys}
-        ring.remove(2)
-        after = {key: ring.owner(key) for key in keys}
+        without = HashRing([0, 1, 3, 4])
+        after = {key: without.owner(key) for key in keys}
         moved = [key for key in keys if before[key] != after[key]]
         # Exactly the evicted slot's keys move, nowhere else.
         assert all(before[key] == 2 for key in moved)
@@ -43,9 +43,8 @@ class TestHashRing:
 
     def test_a_restarted_slot_reclaims_exactly_its_keyspace(self):
         keys = _keys(500)
-        ring = HashRing(range(3))
-        before = {key: ring.owner(key) for key in keys}
-        ring.remove(1)
+        before = {key: HashRing(range(3)).owner(key) for key in keys}
+        ring = HashRing([0, 2])
         ring.add(1)  # the respawned worker reoccupies its slot
         assert {key: ring.owner(key) for key in keys} == before
 
@@ -53,10 +52,17 @@ class TestHashRing:
         ring = HashRing(range(2))
         assert len(ring) == 2 and 1 in ring and 5 not in ring
         ring.add(5)
-        assert ring.slots == (0, 1, 5)
-        ring.remove(5)
-        ring.remove(5)  # idempotent
-        assert ring.slots == (0, 1)
+        ring.add(5)  # idempotent
+        assert len(ring) == 3 and 5 in ring
+
+    def test_a_two_slot_placement_is_pinned(self):
+        # The ledger pins each fleet walk to ``HashRing(range(2)).owner``
+        # of its table; these owners were recorded before the ring lost
+        # its ``remove``, and must not move.
+        ring = HashRing(range(2))
+        assert [ring.owner(key) for key in _keys(16)] == [
+            0, 1, 1, 0, 0, 0, 0, 1, 0, 0, 1, 1, 0, 0, 1, 0,
+        ]
 
     def test_owners_lists_distinct_failover_targets_in_order(self):
         ring = HashRing(range(4))
@@ -68,14 +74,14 @@ class TestHashRing:
 
     def test_owners_failover_is_stable_under_unrelated_churn(self):
         # The proxy's fallback slot must not reshuffle when some other
-        # slot leaves the ring — only keys owned by the leaver move.
+        # slot is missing from the ring — only keys owned by it move.
         keys = _keys(300)
         ring = HashRing(range(4))
         before = {key: ring.owners(key, 2) for key in keys}
-        ring.remove(3)
+        without = HashRing(range(3))
         for key in keys:
             if 3 not in before[key]:
-                assert ring.owners(key, 2) == before[key]
+                assert without.owners(key, 2) == before[key]
 
     def test_owners_clamps_at_the_fleet_size(self):
         ring = HashRing(range(2))

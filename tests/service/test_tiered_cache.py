@@ -1,4 +1,4 @@
-"""The two-tier result cache: promotion, best-effort disk, stats shape."""
+"""The two-tier result cache: promotion, best-effort disk, tier counts."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.obs.metrics import reset_metrics
-from repro.service.cache import CacheStats, LRUCache, TieredCache
+from repro.service.cache import LRUCache, TieredCache
 from repro.store.artifacts import ArtifactCache, _key_hash
 from scrape import scraped
 
@@ -23,6 +23,12 @@ def _tiered(tmp_path, max_size: int = 8, max_bytes: int = 1 << 30) -> TieredCach
     )
 
 
+def _restarted(cache: TieredCache) -> TieredCache:
+    """A fresh L1 over the same disk tier, as after an eviction or a
+    worker restart."""
+    return TieredCache(LRUCache(max_size=8), cache.disk)
+
+
 # One disk-tier event each; what the registry must then hold.
 
 
@@ -35,8 +41,7 @@ def _l1_hit(tmp_path):
 def _l2_hit(tmp_path):
     cache = _tiered(tmp_path)
     cache.put("k", {"v": 1})
-    cache.memory.clear()
-    cache.get("k")
+    _restarted(cache).get("k")
 
 
 def _miss(tmp_path):
@@ -57,8 +62,7 @@ def _quarantine(tmp_path):
     name = _key_hash("k")
     path = cache.disk.root / "objects" / name[:2] / f"{name}.art"
     path.write_bytes(path.read_bytes()[:10])
-    cache.memory.clear()
-    cache.get("k")
+    _restarted(cache).get("k")
 
 
 _DISK_SERIES = ("hits", "misses", "writes", "write_skips", "evictions", "quarantined")
@@ -86,7 +90,7 @@ class TestReads:
         metrics = reset_metrics()
         cache = _tiered(tmp_path)
         cache.put("k", {"v": np.arange(4.0)})
-        cache.memory.clear()  # as after an eviction or a restart
+        cache = _restarted(cache)
         value = cache.get("k")
         np.testing.assert_array_equal(value["v"], np.arange(4.0))
         assert scraped(metrics, HITS, **L2) == 1
@@ -127,16 +131,6 @@ class TestWrites:
         assert metrics.counter("blaeu_artifact_cache_write_skips_total") == 1
         assert cache.disk.get("k") is None  # L2 politely declined
 
-    def test_clear_reaches_both_tiers(self, tmp_path):
-        cache = _tiered(tmp_path)
-        cache.put("a", {"v": 1})
-        cache.put("b", {"v": 2})
-        assert len(cache.disk) == 2
-        cache.clear()
-        assert cache.get("a") is None
-        assert cache.get("b") is None
-        assert len(cache.disk) == 0
-
 
 class TestTierMetrics:
     def test_hits_and_misses_split_by_tier_label(self, tmp_path):
@@ -144,7 +138,7 @@ class TestTierMetrics:
         cache = _tiered(tmp_path)
         cache.put("k", {"v": 1})
         cache.get("k")  # L1 hit
-        cache.memory.clear()
+        cache = _restarted(cache)
         cache.get("k")  # L1 miss -> L2 hit + promotion
         cache.get("absent")  # miss in both tiers
 
@@ -162,8 +156,7 @@ class TestTierMetrics:
         cache = _tiered(tmp_path)
         cache.put("k", {"v": 1})
         cache.get("k")
-        cache.memory.clear()
-        cache.get("k")
+        _restarted(cache).get("k")
         text = metrics.render()
         assert text.count("# TYPE blaeu_cache_hits_total counter") == 1
         assert 'blaeu_cache_hits_total{tier="l1"} 1' in text
@@ -190,26 +183,10 @@ class TestDiskEventsCountOnce:
         assert counts == {name: expected.get(name, 0) for name in _DISK_SERIES}
 
 
-class TestStatsShape:
-    def test_stats_stays_l1_shaped_for_duck_typed_callers(self, tmp_path):
-        # /healthz reads .stats() off whatever cache the engine holds;
-        # tiering must not change that surface.
-        cache = _tiered(tmp_path)
-        cache.put("k", {"v": 1})
-        cache.get("k")
-        stats = cache.stats()
-        assert isinstance(stats, CacheStats)
-        assert stats.hits == 1 and stats.size == 1
-
-    def test_stats_is_the_memory_tier_snapshot(self, tmp_path):
-        cache = _tiered(tmp_path)
-        cache.put("k", {"v": 1})
-        assert cache.stats() == cache.memory.stats()
-        assert cache.stats().size == 1
-
-
 class TestServiceGauges:
-    def test_promotions_gauge_reads_the_registry(self, tmp_path, service_runner):
+    def test_promotions_are_one_registry_counter(self, tmp_path, service_runner):
+        """A promotion is counted once, as ``blaeu_cache_promotions_total``;
+        ``/metrics`` renders no gauge copy of it."""
         from repro.core.config import BlaeuConfig
         from repro.core.engine import Blaeu
         from repro.service.config import CacheConfig, PoolConfig, ServiceConfig
@@ -224,12 +201,13 @@ class TestServiceGauges:
         )
         running = service_runner(engine, config).start()
         try:
-            cache = running.service.engine.map_cache
-            cache.put("k", {"v": 1})
-            cache.memory.clear()
-            cache.get("k")  # L1 miss -> L2 hit + promotion
+            # Another worker's write, then this worker's first read.
+            _restarted(running.service.engine.map_cache).put("k", {"v": 1})
+            running.service.engine.map_cache.get("k")  # L1 miss -> L2 hit
             status, body = running.get("/metrics")
         finally:
             running.stop()
         assert status == 200
-        assert "blaeu_artifact_cache_promotions 1\n" in body.decode()
+        text = body.decode()
+        assert "blaeu_cache_promotions_total 1\n" in text
+        assert "blaeu_artifact_cache_promotions" not in text

@@ -93,30 +93,21 @@ class TestBasics:
         assert cache.get("k") is None
         assert len(cache) == 0
 
-    def test_clear(self, tmp_path):
-        cache = ArtifactCache(tmp_path / "c")
-        cache.put("a", _payload(1))
-        cache.put("b", _payload(2))
-        assert len(cache) == 2
-        cache.clear()
-        assert cache.get("a") is None
-        assert cache.get("b") is None
-        assert len(cache) == 0
-
 
 class TestEviction:
     def test_lru_eviction_respects_the_byte_budget(self, tmp_path):
         metrics = reset_metrics()
         one_entry = len(encode(_payload(0)))
         clock = iter(range(1000))
+        budget = one_entry * 3 + 16
         cache = ArtifactCache(
             tmp_path / "c",
-            max_bytes=one_entry * 3 + 16,
+            max_bytes=budget,
             clock=lambda: float(next(clock)),
         )
         for i in range(6):
             cache.put(f"k{i}", _payload(i))
-        assert cache.stats().total_bytes <= cache.max_bytes
+        assert cache.stats().total_bytes <= budget
         assert scraped(metrics, "blaeu_artifact_cache_evictions_total") >= 3
         # The most recent keys survive, the oldest are gone.
         assert cache.get("k5") is not None

@@ -1,17 +1,18 @@
 """Satellite: the service cache keys store-backed builds on the manifest
 fingerprint — O(1), never a full-column re-hash on the hot path."""
 
-import numpy as np
 import pytest
 
 from repro.core.config import BlaeuConfig
 from repro.core.engine import Blaeu
 from repro.core.pipeline import MapBuilder, map_cache_key
-from repro.service.cache import LRUCache
+from repro.obs.metrics import reset_metrics
+from repro.service.cache import LRUCache, TieredCache
 from repro.store import StoredTable, write_store
 from repro.table.column import CategoricalColumn, NumericColumn
 from repro.table.table import Table
 from repro.viz.export import export_map_json
+from scrape import scraped
 
 
 @pytest.fixture
@@ -63,7 +64,8 @@ class TestSharedMapCache:
     def test_store_build_hits_cache_warmed_by_memory_build(
         self, stored, table
     ):
-        cache = LRUCache(max_size=8)
+        metrics = reset_metrics()
+        cache = TieredCache(LRUCache(max_size=8))
         config = BlaeuConfig()
         first = MapBuilder(result_cache=cache).build(
             table, ("x", "y"), config=config
@@ -72,10 +74,10 @@ class TestSharedMapCache:
         second = MapBuilder(result_cache=cache).build(
             stored, ("x", "y"), config=config
         )
-        stats = cache.stats()
         # One warm lookup answers the store build (the six cold misses
         # are the memory build's map + five pipeline stage artifacts).
-        assert stats.hits == 1 and stats.misses == 6
+        assert scraped(metrics, "blaeu_cache_hits_total", tier="l1") == 1
+        assert scraped(metrics, "blaeu_cache_misses_total", tier="l1") == 6
         assert second is first  # the cached DataMap object, verbatim
         assert stored.data_reads == reads_before, (
             "a cache hit should not touch store data at all"

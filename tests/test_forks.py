@@ -51,6 +51,18 @@ def test_no_function_takes_a_selector(function):
     assert SELECTORS.isdisjoint(inspect.signature(function).parameters)
 
 
+def test_select_k_points_scores_only_with_the_callers_scorer():
+    """The map pipeline hands ``select_k_points`` its own
+    :class:`SharedSilhouette`, so the parameters that built one inside
+    it are gone, and the scorer is required."""
+    parameters = inspect.signature(select_k_points).parameters
+    gone = {"n_subsamples", "subsample_size", "exact_threshold", "rng"}
+    assert gone.isdisjoint(parameters)
+    shared = parameters["shared"]
+    assert shared.kind is inspect.Parameter.KEYWORD_ONLY
+    assert shared.default is inspect.Parameter.empty
+
+
 @pytest.mark.parametrize(
     "module", ["repro.cluster.parallel", "repro.stats.correlation"]
 )
