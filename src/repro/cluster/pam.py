@@ -44,6 +44,11 @@ __all__ = ["Clustering", "pam", "pam_batch", "canonical_order"]
 #: candidate gather that one position needs anyway.
 _SWAP_BLOCK = 1 << 17
 
+#: Safety cap on SWAP exchanges per run.  The algorithm normally
+#: converges in far fewer; each exchange strictly decreases the cost, so
+#: it cannot cycle.
+MAX_SWAPS = 200
+
 
 @dataclass(frozen=True)
 class Clustering:
@@ -86,7 +91,6 @@ class Clustering:
 def pam(
     distances: np.ndarray,
     k: int,
-    max_iter: int = 200,
     validate: bool = True,
 ) -> Clustering:
     """Cluster the points of a dissimilarity matrix around ``k`` medoids.
@@ -99,10 +103,6 @@ def pam(
         Symmetric n×n dissimilarity matrix with zero diagonal.
     k:
         Number of clusters, ``1 <= k <= n``.
-    max_iter:
-        Safety cap on SWAP exchanges (the algorithm normally converges in
-        far fewer; each exchange strictly decreases the cost, so it cannot
-        cycle).
     validate:
         Check the matrix (symmetry, zero diagonal, non-negativity) before
         clustering.  Hot paths that build the matrix with
@@ -120,7 +120,7 @@ def pam(
         labels = np.arange(n, dtype=np.intp)
         return Clustering(labels=labels, medoids=labels.copy(), cost=0.0)
     stack = np.ascontiguousarray(distances)[None]
-    medoids, labels, costs, n_swaps = pam_batch(stack, k, max_iter)
+    medoids, labels, costs, n_swaps = pam_batch(stack, k)
     return Clustering(
         labels=labels[0],
         medoids=medoids[0],
@@ -130,17 +130,18 @@ def pam(
 
 
 def pam_batch(
-    distances: np.ndarray, k: int, max_iter: int = 200
+    distances: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """PAM on every matrix of a ``(B, n, n)`` stack, ``1 <= k < n``.
 
     Returns ``(medoids, labels, costs, n_swaps)`` of shapes ``(B, k)``,
     ``(B, n)``, ``(B,)`` and ``(B,)``, clusters in :func:`canonical_order`
     — row b is exactly what :func:`pam` returns for ``distances[b]``.
-    The matrices are trusted (no validation).
+    Each run makes at most :data:`MAX_SWAPS` exchanges.  The matrices
+    are trusted (no validation).
     """
     medoids = _build(distances, k)
-    medoids, n_swaps = _swap(distances, medoids, max_iter)
+    medoids, n_swaps = _swap(distances, medoids, MAX_SWAPS)
     labels, costs = _assign(distances, medoids)
     order = canonical_order(medoids, labels)
     runs = _column(medoids.shape[0])

@@ -33,6 +33,9 @@ MIN_EFFECT = 0.2
 #: Labels need this many in-region rows before a lift is trusted.
 MIN_LABEL_SUPPORT = 5
 
+#: Contrasts a region's headline names.
+HEADLINE_ITEMS = 4
+
 
 @dataclass(frozen=True)
 class NumericInsight:
@@ -85,12 +88,13 @@ class InsightReport:
     numeric: tuple[NumericInsight, ...]
     categories: tuple[CategoryInsight, ...]
 
-    def headline(self, max_items: int = 4) -> str:
-        """The analyst's one-line caption for the region."""
+    def headline(self) -> str:
+        """The analyst's one-line caption for the region: its
+        :data:`HEADLINE_ITEMS` strongest contrasts, numeric first."""
         parts: list[str] = []
-        for insight in self.numeric[:max_items]:
+        for insight in self.numeric[:HEADLINE_ITEMS]:
             parts.append(f"{insight.direction} {insight.column}")
-        remaining = max_items - len(parts)
+        remaining = HEADLINE_ITEMS - len(parts)
         for insight in self.categories[:remaining]:
             parts.append(f"mostly {insight.column}={insight.label}")
         if not parts:
@@ -108,13 +112,8 @@ class InsightReport:
         return "\n".join(lines)
 
 
-def region_insights(
-    table: Table,
-    region_predicate: Predicate,
-    columns: tuple[str, ...] | None = None,
-    min_effect: float = MIN_EFFECT,
-) -> InsightReport:
-    """Contrast a region against the rest of ``table``.
+def region_insights(table: Table, region_predicate: Predicate) -> InsightReport:
+    """Contrast a region against the rest of ``table``, column by column.
 
     Parameters
     ----------
@@ -122,15 +121,12 @@ def region_insights(
         The active selection (the region is a subset of it).
     region_predicate:
         Which rows form the region.
-    columns:
-        Columns to contrast (default: all).
-    min_effect:
-        Noise floor: numeric |d| and |log2(lift)| below this are dropped.
+
+    Numeric |d| and |log2(lift)| below :data:`MIN_EFFECT` are dropped.
     """
     inside_mask = region_predicate.mask(table)
     n_inside = int(inside_mask.sum())
     n_outside = table.n_rows - n_inside
-    names = columns if columns is not None else table.column_names
 
     numeric: list[NumericInsight] = []
     categories: list[CategoryInsight] = []
@@ -145,16 +141,14 @@ def region_insights(
             numeric=(), categories=(),
         )
 
-    for name in names:
+    for name in table.column_names:
         column = table.column(name)
         if isinstance(column, NumericColumn):
             insight = _numeric_contrast(column, inside_mask)
-            if insight is not None and abs(insight.effect_size) >= min_effect:
+            if insight is not None and abs(insight.effect_size) >= MIN_EFFECT:
                 numeric.append(insight)
         elif isinstance(column, CategoricalColumn):
-            categories.extend(
-                _category_contrasts(column, inside_mask, min_effect)
-            )
+            categories.extend(_category_contrasts(column, inside_mask))
 
     numeric.sort(key=lambda i: -abs(i.effect_size))
     categories.sort(key=lambda i: -abs(np.log(max(i.lift, 1e-9))))
@@ -188,9 +182,7 @@ def _numeric_contrast(
 
 
 def _category_contrasts(
-    column: CategoricalColumn,
-    inside_mask: np.ndarray,
-    min_effect: float,
+    column: CategoricalColumn, inside_mask: np.ndarray
 ) -> list[CategoryInsight]:
     present = column.present_mask
     inside_codes = column.codes[inside_mask & present]
@@ -222,7 +214,7 @@ def _category_contrasts(
         lift = inside_share / overall_share
         if not np.isfinite(lift):
             continue
-        if abs(np.log2(max(lift, 1e-9))) < min_effect:
+        if abs(np.log2(max(lift, 1e-9))) < MIN_EFFECT:
             continue
         out.append(
             CategoryInsight(

@@ -631,7 +631,6 @@ class MapBuilder:
         columns: tuple[str, ...],
         config: BlaeuConfig | None = None,
         selection: Predicate | None = None,
-        k: int | None = None,
         current_map: DataMap | None = None,
     ) -> DataMap:
         """Upgrade an approximate map to exact counts.
@@ -650,7 +649,7 @@ class MapBuilder:
             key = None
             if cache is not None:
                 key = map_cache_key(
-                    table, _selection_sql(selection), columns, config, k=k
+                    table, _selection_sql(selection), columns, config
                 )
                 hit = cache.get(key)
                 if hit is not None:
@@ -665,7 +664,6 @@ class MapBuilder:
                     columns,
                     config=config,
                     selection=selection,
-                    k=k,
                     count_mode="exact",
                 )
             if current_map.counts_status == "exact":
@@ -676,7 +674,7 @@ class MapBuilder:
                 columns,
                 config,
                 selection,
-                k,
+                None,
                 key,
                 "refine",
                 started,

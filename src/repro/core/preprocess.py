@@ -82,7 +82,6 @@ def preprocess(
     table: Table,
     columns: tuple[str, ...] | None = None,
     max_categorical_cardinality: int = 50,
-    drop_keys: bool = True,
 ) -> FeatureSpace:
     """Turn (a column subset of) a table into clustering vectors.
 
@@ -91,21 +90,17 @@ def preprocess(
     table:
         Source rows (typically the interaction-time sample).
     columns:
-        Columns to encode (default: all).  Key columns are removed from
-        this set when ``drop_keys`` is true.
+        Columns to encode (default: all).  Primary-key detection runs
+        on them, and the detected key columns are removed.
     max_categorical_cardinality:
         Exclusion cap for wide categoricals (see module docstring).
-    drop_keys:
-        Whether to run primary-key detection and drop matches.
     """
     names = list(columns) if columns is not None else list(table.column_names)
     for name in names:
         table.column(name)  # fail fast on unknown columns
 
-    dropped_keys: tuple[str, ...] = ()
-    if drop_keys:
-        dropped_keys = detect_keys(table, names)
-        names = [n for n in names if n not in dropped_keys]
+    dropped_keys = detect_keys(table, names)
+    names = [n for n in names if n not in dropped_keys]
 
     blocks: list[np.ndarray] = []
     feature_names: list[str] = []

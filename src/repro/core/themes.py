@@ -24,13 +24,17 @@ from repro.table.table import Table
 
 __all__ = ["Theme", "ThemeSet", "default_theme_k_grid", "extract_themes"]
 
+#: The most candidate theme counts one extraction scores.
+MAX_K_POINTS = 14
 
-def default_theme_k_grid(n_columns: int, max_points: int = 14) -> tuple[int, ...]:
+
+def default_theme_k_grid(n_columns: int) -> tuple[int, ...]:
     """A logarithmic candidate grid for the number of themes.
 
     Dense at small k (where one step changes the picture) and sparse at
     large k, topping out near ``n_columns / 5`` — wide tables carry many
-    themes, but never one theme per column or two.
+    themes, but never one theme per column or two — and thinned evenly
+    to at most :data:`MAX_K_POINTS` candidates.
     """
     if n_columns < 3:
         return (2,)
@@ -44,10 +48,10 @@ def default_theme_k_grid(n_columns: int, max_points: int = 14) -> tuple[int, ...
         value *= 1.35
     if grid[-1] != top:
         grid.append(top)
-    if len(grid) > max_points:
+    if len(grid) > MAX_K_POINTS:
         picks = {
-            grid[round(i * (len(grid) - 1) / (max_points - 1))]
-            for i in range(max_points)
+            grid[round(i * (len(grid) - 1) / (MAX_K_POINTS - 1))]
+            for i in range(MAX_K_POINTS)
         }
         grid = sorted(picks)
     return tuple(grid)

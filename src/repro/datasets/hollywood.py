@@ -36,11 +36,10 @@ _STUDIOS = {
 }
 
 
-def hollywood(
-    n_rows: int = 900, seed: int = 2007, name: str = "hollywood"
-) -> Table:
-    """Generate the Hollywood movies table (12 columns, ~900 rows)."""
-    rng = np.random.default_rng(seed)
+def hollywood() -> Table:
+    """Generate the Hollywood movies table (12 columns, 900 rows)."""
+    n_rows = 900
+    rng = np.random.default_rng(2007)
     segments = rng.choice(3, size=n_rows, p=[0.25, 0.35, 0.40])
 
     titles: list[str] = []
@@ -111,4 +110,4 @@ def hollywood(
         NumericColumn("TheatersOpening", np.round(theaters, 0)),
         NumericColumn("OpeningWeekend", np.round(opening, 1)),
     ]
-    return Table(name, columns)
+    return Table("hollywood", columns)

@@ -31,18 +31,14 @@ LOFAR_POPULATIONS = (
 )
 
 
-def lofar(
-    n_rows: int = 200_000,
-    missing_rate: float = 0.015,
-    seed: int = 151,
-    name: str = "lofar",
-) -> Table:
-    """Generate the LOFAR light-source catalog (~20 columns).
+def lofar(n_rows: int = 200_000) -> Table:
+    """Generate the LOFAR light-source catalog (~20 columns, 1.5 % of
+    the measured cells missing).
 
     The default 200k rows matches the paper's "100,000s of tuples"; tests
     use far fewer via the ``n_rows`` parameter.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(151)
     population = rng.choice(4, size=n_rows, p=[0.42, 0.28, 0.22, 0.08])
 
     # Position: uniform on the northern sky (LOFAR's footprint).
@@ -107,7 +103,7 @@ def lofar(
 
     def punch(values: np.ndarray) -> np.ndarray:
         out = values.astype(np.float64, copy=True)
-        out[rng.random(n_rows) < missing_rate] = np.nan
+        out[rng.random(n_rows) < 0.015] = np.nan
         return out
 
     columns = [
@@ -129,4 +125,4 @@ def lofar(
         NumericColumn("NDetections", n_detections),
         CategoricalColumn.from_labels("Morphology", morphology),
     ]
-    return Table(name, columns)
+    return Table("lofar", columns)

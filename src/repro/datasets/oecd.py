@@ -97,27 +97,16 @@ _EXTRA_GROUP_BASES = (
 )
 
 
-def oecd(
-    n_rows: int = 6823,
-    n_regions: int = 1520,
-    n_extra_groups: int = 36,
-    extra_group_width: int = 10,
-    n_misc: int = 6,
-    missing_rate: float = 0.02,
-    seed: int = 1961,
-    name: str = "countries",
-) -> Table:
-    """Generate the Countries-and-Work table (defaults: 6,823 × 378).
+def oecd() -> Table:
+    """Generate the Countries-and-Work table: 6,823 rows of 1,520
+    regions, 2 % of every measured cell missing.
 
     Column count = 3 id columns (CountryName, RegionName, Year)
-    + 9 named theme columns + ``n_extra_groups · extra_group_width``
-    + ``n_misc`` = 378 with the defaults.
+    + 9 named theme columns + 36 filler groups · 10 indicators
+    + 6 misc indices = 378.
     """
-    if n_extra_groups > len(_EXTRA_GROUP_BASES):
-        raise ValueError(
-            f"at most {len(_EXTRA_GROUP_BASES)} extra groups are available"
-        )
-    rng = np.random.default_rng(seed)
+    n_rows, n_regions = 6823, 1520
+    rng = np.random.default_rng(1961)
 
     # ------------------------------------------------------------------
     # Rows: regions within countries, observed in some year.
@@ -197,33 +186,32 @@ def oecd(
         CategoricalColumn.from_labels("CountryName", country_names),
         CategoricalColumn.from_labels("RegionName", region_names),
         NumericColumn("Year", years),
-        NumericColumn(LABOR_THEME[0], _holes(long_hours, missing_rate, rng)),
-        NumericColumn(LABOR_THEME[1], _holes(income, missing_rate, rng)),
-        NumericColumn(LABOR_THEME[2], _holes(leisure, missing_rate, rng)),
+        NumericColumn(LABOR_THEME[0], _holes(long_hours, rng)),
+        NumericColumn(LABOR_THEME[1], _holes(income, rng)),
+        NumericColumn(LABOR_THEME[2], _holes(leisure, rng)),
         NumericColumn(
-            UNEMPLOYMENT_THEME[0], _holes(unemployment, missing_rate, rng)
+            UNEMPLOYMENT_THEME[0], _holes(unemployment, rng)
         ),
         NumericColumn(
-            UNEMPLOYMENT_THEME[1], _holes(long_term, missing_rate, rng)
+            UNEMPLOYMENT_THEME[1], _holes(long_term, rng)
         ),
-        NumericColumn(UNEMPLOYMENT_THEME[2], _holes(female, missing_rate, rng)),
-        NumericColumn(HEALTH_THEME[0], _holes(insurance, missing_rate, rng)),
+        NumericColumn(UNEMPLOYMENT_THEME[2], _holes(female, rng)),
+        NumericColumn(HEALTH_THEME[0], _holes(insurance, rng)),
         NumericColumn(
-            HEALTH_THEME[1], _holes(life_expectancy, missing_rate, rng)
+            HEALTH_THEME[1], _holes(life_expectancy, rng)
         ),
         NumericColumn(
-            HEALTH_THEME[2], _holes(health_spending, missing_rate, rng)
+            HEALTH_THEME[2], _holes(health_spending, rng)
         ),
     ]
 
     # ------------------------------------------------------------------
     # Filler indicator groups: shared latent factor per group per country.
     # ------------------------------------------------------------------
-    for g in range(n_extra_groups):
-        base = _EXTRA_GROUP_BASES[g]
+    for base in _EXTRA_GROUP_BASES:
         country_factor = rng.normal(0.0, 1.0, len(COUNTRIES))
         factor = country_factor[row_country] + rng.normal(0.0, 0.4, n_rows)
-        for j in range(extra_group_width):
+        for j in range(10):
             loading = rng.uniform(0.7, 1.3) * (1 if rng.random() < 0.8 else -1)
             scale = rng.uniform(1.0, 25.0)
             offset = rng.uniform(10.0, 120.0)
@@ -233,25 +221,19 @@ def oecd(
             columns.append(
                 NumericColumn(
                     f"{base} Indicator {j + 1}",
-                    _holes(values, missing_rate, rng),
+                    _holes(values, rng),
                 )
             )
 
-    for m in range(n_misc):
+    for m in range(6):
         values = rng.normal(50.0, 12.0, n_rows)
-        columns.append(
-            NumericColumn(f"Misc Index {m + 1}", _holes(values, missing_rate, rng))
-        )
+        columns.append(NumericColumn(f"Misc Index {m + 1}", _holes(values, rng)))
 
-    return Table(name, columns)
+    return Table("countries", columns)
 
 
-def _holes(
-    values: np.ndarray, missing_rate: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Punch independent missing cells into a copy of ``values``."""
-    if missing_rate <= 0.0:
-        return values
+def _holes(values: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Punch independent missing cells (2 %) into a copy of ``values``."""
     out = values.astype(np.float64, copy=True)
-    out[rng.random(values.shape[0]) < missing_rate] = np.nan
+    out[rng.random(values.shape[0]) < 0.02] = np.nan
     return out

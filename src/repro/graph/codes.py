@@ -263,8 +263,8 @@ def _derive_entry(
 
 def _numeric_cuts(column: NumericColumn) -> np.ndarray:
     """Equal-frequency cuts of a numeric column's present sample values,
-    as many bins as :func:`~repro.stats.discretize.suggest_bin_count`
-    suggests for them."""
+    into as many bins as Sturges' rule gives for them
+    (:func:`~repro.stats.discretize.suggest_bin_count`, at most 32)."""
     present = column.present_values()
     if present.size == 0:
         return np.empty(0, dtype=np.float64)

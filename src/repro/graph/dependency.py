@@ -94,8 +94,8 @@ class DependencyGraph:
         j = self.columns.index(b)
         return float(self.weights[i, j])
 
-    def edges(self, min_weight: float = 0.0) -> list[tuple[str, str, float]]:
-        """All edges at or above ``min_weight``, strongest first.
+    def edges(self) -> list[tuple[str, str, float]]:
+        """All edges, strongest first.
 
         Zero-weight pairs are non-edges and never listed.
         """
@@ -103,7 +103,7 @@ class DependencyGraph:
         for i in range(self.n_columns):
             for j in range(i + 1, self.n_columns):
                 weight = float(self.weights[i, j])
-                if weight >= min_weight and weight > 0.0:
+                if weight > 0.0:
                     out.append((self.columns[i], self.columns[j], weight))
         out.sort(key=lambda edge: (-edge[2], edge[0], edge[1]))
         return out
@@ -126,13 +126,9 @@ class GraphBuilder:
     depends on neither cache warmth nor whether a cache is installed.
     """
 
-    def __init__(
-        self,
-        result_cache: object | None = None,
-        code_cache: CodeCache | None = None,
-    ) -> None:
+    def __init__(self, result_cache: object | None = None) -> None:
         self._result_cache = result_cache
-        self._code_cache = code_cache if code_cache is not None else CodeCache()
+        self._code_cache = CodeCache()
         #: Wall seconds of the most recent computed build (0 before one).
         self.last_build_seconds = 0.0
 

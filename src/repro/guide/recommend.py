@@ -140,23 +140,16 @@ def score_state(
     columns: tuple[str, ...],
     selection: Predicate,
     limit: int = 5,
-    max_insight_rows: int = MAX_INSIGHT_ROWS,
 ) -> list[Suggestion]:
     """Ranked next actions from one (selection, columns, map) state."""
     suggestions: list[Suggestion] = []
-    suggestions.extend(
-        _zoom_candidates(table, config, data_map, selection, max_insight_rows)
-    )
+    suggestions.extend(_zoom_candidates(table, config, data_map, selection))
     suggestions.extend(_project_candidates(themes, columns))
     suggestions.extend(_recluster_candidates(config, data_map))
     return _ranked(suggestions, limit)
 
 
-def suggest_actions(
-    explorer: "Explorer",
-    limit: int = 5,
-    max_insight_rows: int = MAX_INSIGHT_ROWS,
-) -> list[Suggestion]:
+def suggest_actions(explorer: "Explorer", limit: int = 5) -> list[Suggestion]:
     """Ranked next actions for an explorer session.
 
     Before the first map the candidates are the themes to open;
@@ -175,7 +168,6 @@ def suggest_actions(
         state.columns,
         state.selection,
         limit=limit,
-        max_insight_rows=max_insight_rows,
     )
 
 
@@ -220,7 +212,6 @@ def _zoom_candidates(
     config: BlaeuConfig,
     data_map: DataMap,
     selection: Predicate,
-    max_insight_rows: int,
 ) -> list[Suggestion]:
     leaves = [
         region
@@ -230,7 +221,7 @@ def _zoom_candidates(
     if not leaves:
         return []
     selection_rows = None
-    if data_map.n_rows <= max_insight_rows:
+    if data_map.n_rows <= MAX_INSIGHT_ROWS:
         selection_rows = table.select(selection)
     w_div, w_sil, w_size = _ZOOM_WEIGHTS
     out: list[Suggestion] = []

@@ -13,7 +13,7 @@ graph and store layers can all record into it without cycles:
 """
 
 from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
+    BUCKETS,
     Histogram,
     Metrics,
     escape_label_value,
@@ -36,7 +36,7 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "DEFAULT_BUCKETS",
+    "BUCKETS",
     "Histogram",
     "Metrics",
     "NULL_SPAN",

@@ -25,7 +25,7 @@ import threading
 from bisect import bisect_left
 
 __all__ = [
-    "DEFAULT_BUCKETS",
+    "BUCKETS",
     "Histogram",
     "Metrics",
     "escape_label_value",
@@ -34,8 +34,9 @@ __all__ = [
     "set_global_metrics",
 ]
 
-#: Default latency buckets (seconds): 1 ms … 10 s, roughly log-spaced.
-DEFAULT_BUCKETS: tuple[float, ...] = (
+#: Every histogram's latency buckets (seconds): 1 ms … 10 s, roughly
+#: log-spaced.
+BUCKETS: tuple[float, ...] = (
     0.001,
     0.0025,
     0.005,
@@ -108,20 +109,17 @@ def escape_label_value(value: str) -> str:
 
 
 class Histogram:
-    """A fixed-bucket histogram of observed values (seconds)."""
+    """A histogram of observed values (seconds) over :data:`BUCKETS`."""
 
-    def __init__(self, buckets: tuple[float, ...] = DEFAULT_BUCKETS) -> None:
-        if not buckets or list(buckets) != sorted(buckets):
-            raise ValueError("buckets must be a non-empty ascending sequence")
-        self._buckets = tuple(float(b) for b in buckets)
-        self._counts = [0] * (len(self._buckets) + 1)  # +1: the +Inf bucket
+    def __init__(self) -> None:
+        self._counts = [0] * (len(BUCKETS) + 1)  # +1: the +Inf bucket
         self._sum = 0.0
         self._count = 0
         self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
         """Record one observation."""
-        index = bisect_left(self._buckets, value)
+        index = bisect_left(BUCKETS, value)
         with self._lock:
             self._counts[index] += 1
             self._sum += value
@@ -145,7 +143,7 @@ class Histogram:
             counts = list(self._counts)
         out: list[tuple[float, int]] = []
         running = 0
-        for bound, count in zip(self._buckets, counts):
+        for bound, count in zip(BUCKETS, counts):
             running += count
             out.append((bound, running))
         out.append((float("inf"), running + counts[-1]))
@@ -162,8 +160,8 @@ class Histogram:
         threshold = q * total
         for bound, running in cumulative:
             if running >= threshold:
-                return bound if bound != float("inf") else self._buckets[-1]
-        return self._buckets[-1]  # pragma: no cover - loop always returns
+                return bound if bound != float("inf") else BUCKETS[-1]
+        return BUCKETS[-1]  # pragma: no cover - loop always returns
 
 
 class Metrics:
@@ -218,10 +216,8 @@ class Metrics:
         with self._lock:
             return self._counters.get(name, 0)
 
-    def increment_labeled(
-        self, name: str, labels: dict[str, str], by: int = 1
-    ) -> None:
-        """Add to one labeled series of a monotonic counter.
+    def increment_labeled(self, name: str, labels: dict[str, str]) -> None:
+        """Add one to a labeled series of a monotonic counter.
 
         The labeled sibling of :meth:`increment` — one counter name
         carries several ``{label="value"}`` series (the tiered cache
@@ -241,7 +237,7 @@ class Metrics:
                     _validate_name(label)
                     _validate_label_value(value)
                 series = self._labeled.setdefault(name, {})
-            series[key] = series.get(key, 0) + by
+            series[key] = series.get(key, 0) + 1
 
     def labeled(self, name: str, labels: dict[str, str]) -> int:
         """Current value of one labeled counter series (0 before its
@@ -351,7 +347,9 @@ def set_global_metrics(metrics: Metrics) -> Metrics:
 def reset_metrics() -> Metrics:
     """Install (and return) a fresh process-global registry.
 
-    The service and the shell call this at construction so their
-    telemetry starts from zero — one composition root, one registry.
+    The shell calls this at construction so its build reports start
+    from zero, and tests call it (or have their fixture call it) to
+    count from zero.  A service does not: one process has one registry,
+    which every layer records into at each event.
     """
     return set_global_metrics(Metrics())

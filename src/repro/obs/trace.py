@@ -199,17 +199,15 @@ class Tracer:
         self._slow_threshold = slow_op_threshold
         self._slow_sink = slow_op_sink or _default_slow_sink
 
-    def span(self, name: str, parent: "Span | None" = None):
+    def span(self, name: str):
         """Open a span (enter it with ``with``); no-op when disabled.
 
-        The parent defaults to the context-local current span, so the
-        call sites never thread span objects around; pass ``parent``
-        only to link work scheduled outside the originating context
-        (e.g. a background refinement keyed to its request).
+        The parent is the context-local current span, so the call sites
+        never thread span objects around.
         """
         if not self.enabled:
             return NULL_SPAN
-        current = parent if parent is not None else _CURRENT.get()
+        current = _CURRENT.get()
         if current is not None and current.enabled:
             return Span(self, name, current.trace_id, current.span_id)
         return Span(self, name, _new_id(8), None)
@@ -299,7 +297,6 @@ def configure_tracing(
     enabled: bool = True,
     buffer_size: int = 512,
     slow_op_threshold: float | None = None,
-    slow_op_sink: Callable[[str], None] | None = None,
 ) -> Tracer:
     """Replace the global tracer with a freshly configured one."""
     return set_tracer(
@@ -307,7 +304,6 @@ def configure_tracing(
             enabled=enabled,
             buffer_size=buffer_size,
             slow_op_threshold=slow_op_threshold,
-            slow_op_sink=slow_op_sink,
         )
     )
 

@@ -4,8 +4,8 @@ Wraps the L2 disk artifact tier: consecutive IO errors (or calls slower
 than ``latency_threshold``) trip the breaker **open**, after which calls
 short-circuit without touching the disk — the cache serves L1 or
 recomputes.  After ``recovery_time`` the breaker goes **half-open** and
-lets a bounded number of probe calls through; enough successes close it,
-any failure re-opens it.
+lets one probe call through; its success closes it, its failure
+re-opens it.
 
 Thread-safe (the artifact cache is hit from pool threads) and clocked by
 an injectable ``clock`` so tests drive state transitions without
@@ -42,7 +42,6 @@ class CircuitBreaker:
         failure_threshold: int = 3,
         recovery_time: float = 5.0,
         latency_threshold: float | None = None,
-        half_open_probes: int = 1,
         clock: Callable[[], float] = time.monotonic,
     ):
         if failure_threshold < 1:
@@ -53,14 +52,12 @@ class CircuitBreaker:
         self._failure_threshold = failure_threshold
         self._recovery_time = recovery_time
         self._latency_threshold = latency_threshold
-        self._half_open_probes = max(half_open_probes, 1)
         self._clock = clock
         self._lock = threading.Lock()
         self._state = CLOSED
         self._consecutive_failures = 0
         self._opened_at = 0.0
-        self._probes_in_flight = 0
-        self._probe_successes = 0
+        self._probing = False
 
     @property
     def state(self) -> str:
@@ -74,8 +71,7 @@ class CircuitBreaker:
             self._clock() - self._opened_at >= self._recovery_time
         ):
             self._transition(HALF_OPEN)
-            self._probes_in_flight = 0
-            self._probe_successes = 0
+            self._probing = False
         return self._state
 
     def _transition(self, state: str) -> None:
@@ -93,8 +89,8 @@ class CircuitBreaker:
             state = self._peek_state()
             if state == CLOSED:
                 return True
-            if state == HALF_OPEN and self._probes_in_flight < self._half_open_probes:
-                self._probes_in_flight += 1
+            if state == HALF_OPEN and not self._probing:
+                self._probing = True
                 return True
             get_metrics().increment_labeled(
                 "blaeu_resilience_breaker_short_circuits_total",
@@ -111,12 +107,8 @@ class CircuitBreaker:
             return
         with self._lock:
             if self._state == HALF_OPEN:
-                self._probe_successes += 1
-                if self._probe_successes >= self._half_open_probes:
-                    self._transition(CLOSED)
-                    self._consecutive_failures = 0
-            else:
-                self._consecutive_failures = 0
+                self._transition(CLOSED)
+            self._consecutive_failures = 0
 
     def record_failure(self) -> None:
         with self._lock:

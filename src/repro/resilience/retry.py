@@ -46,11 +46,10 @@ def jittered_backoff(
     attempt: int,
     *,
     base: float = 0.05,
-    cap: float = 1.0,
     rng: random.Random | None = None,
 ) -> float:
     """Sleep span before retry ``attempt`` (0-based): full jitter over
-    an exponentially growing window, capped at ``cap`` seconds."""
-    window = min(cap, base * (2 ** max(attempt, 0)))
+    an exponentially growing window, capped at one second."""
+    window = min(1.0, base * (2 ** max(attempt, 0)))
     draw = (rng or random).random()
     return window * (0.5 + 0.5 * draw)

@@ -29,7 +29,7 @@ from typing import Callable
 from repro.core.engine import Blaeu
 from repro.core.pipeline import MapBuildError
 from repro.guide.prefetch import PrefetchScheduler, plan_session, plan_table
-from repro.obs.metrics import Metrics, reset_metrics
+from repro.obs.metrics import Metrics, get_metrics
 from repro.obs.trace import (
     Tracer,
     collect_notes,
@@ -109,11 +109,6 @@ class BlaeuService:
     ) -> None:
         self._config = config or ServiceConfig()
         self._engine = engine
-        # One composition root, one registry: every layer (graph builds,
-        # map pipeline, store scans, the pool and the cache tiers below)
-        # records into the process-global registry installed here, so
-        # /metrics shows all of it alongside the HTTP numbers.
-        self._metrics = reset_metrics()
         cache_config = self._config.cache
         resilience = self._config.resilience
         #: Circuit breaker guarding the L2 disk tier (None without one).
@@ -195,8 +190,11 @@ class BlaeuService:
 
     @property
     def metrics(self) -> Metrics:
-        """The metric registry behind ``/metrics``."""
-        return self._metrics
+        """The metric registry behind ``/metrics``: the process-global
+        one, which every layer (graph builds, map pipeline, store scans,
+        the pool and the cache tiers) records into at each event, so one
+        process has one registry however many services it builds."""
+        return get_metrics()
 
     @property
     def tracer(self) -> Tracer:
@@ -318,7 +316,7 @@ class BlaeuService:
                 token = set_deadline(self._request_deadline(request))
                 response = await self._dispatch(request, route, params)
             except DeadlineExceeded as error:
-                self._metrics.increment(
+                get_metrics().increment(
                     "blaeu_resilience_deadline_exceeded_total"
                 )
                 response = error_response(504, "deadline_exceeded", str(error))
@@ -336,7 +334,7 @@ class BlaeuService:
                 span.set("status", response.status)
                 response.headers["X-Blaeu-Trace"] = span.trace_id
         duration = time.perf_counter() - started
-        self._metrics.observe_request(label, response.status, duration)
+        get_metrics().observe_request(label, response.status, duration)
         if self._config.trace.access_log:
             fields: dict[str, object] = {
                 "method": request.method,
@@ -411,7 +409,7 @@ class BlaeuService:
             # Every thread is busy (or the budget is nearly spent):
             # serve approximate counts now rather than queue an exact
             # build past the deadline.
-            self._metrics.increment("blaeu_resilience_degraded_total")
+            get_metrics().increment("blaeu_resilience_degraded_total")
             handler = functools.partial(
                 self._handle_map, count_mode="approximate"
             )
@@ -656,8 +654,9 @@ class BlaeuService:
         )
         pool = self._pool.stats()
         l1 = {"tier": "l1"}
-        hits = self._metrics.labeled("blaeu_cache_hits_total", l1)
-        misses = self._metrics.labeled("blaeu_cache_misses_total", l1)
+        metrics = get_metrics()
+        hits = metrics.labeled("blaeu_cache_hits_total", l1)
+        misses = metrics.labeled("blaeu_cache_misses_total", l1)
         looked_up = hits + misses
         payload: dict[str, object] = {
             "ok": not self._stopping,
@@ -694,47 +693,48 @@ class BlaeuService:
         time.  Every count is a registry counter, kept where its event
         happens; nothing here copies one."""
         pool = self._pool.stats()
-        self._metrics.set_gauge("blaeu_cache_entries", len(self._cache.memory))
+        metrics = get_metrics()
+        metrics.set_gauge("blaeu_cache_entries", len(self._cache.memory))
         disk = self._cache.disk
         if disk is not None:
             census = disk.stats()
-            self._metrics.set_gauge("blaeu_artifact_cache_entries", census.entries)
-            self._metrics.set_gauge(
+            metrics.set_gauge("blaeu_artifact_cache_entries", census.entries)
+            metrics.set_gauge(
                 "blaeu_artifact_cache_bytes", census.total_bytes
             )
-        self._metrics.set_gauge("blaeu_pool_in_flight", pool.in_flight)
-        self._metrics.set_gauge(
+        metrics.set_gauge("blaeu_pool_in_flight", pool.in_flight)
+        metrics.set_gauge(
             "blaeu_pool_background_in_flight", pool.background_in_flight
         )
         if self._breaker is not None:
-            self._metrics.set_gauge(
+            metrics.set_gauge(
                 "blaeu_resilience_breaker_state",
                 STATE_CODES[self._breaker.state],
             )
         if self._prefetcher is not None:
-            self._metrics.set_gauge(
+            metrics.set_gauge(
                 "blaeu_guide_prefetch_in_flight", self._prefetcher.in_flight
             )
-        self._metrics.set_gauge(
+        metrics.set_gauge(
             "blaeu_sessions_active", len(self._manager.session_ids())
         )
-        self._metrics.set_gauge(
+        metrics.set_gauge(
             "blaeu_graph_last_build_seconds",
             self._engine.graph_builder.last_build_seconds,
         )
-        self._metrics.set_gauge(
+        metrics.set_gauge(
             "blaeu_graph_code_cache_entries",
             len(self._engine.graph_builder.code_cache),
         )
         last_map = self._engine.map_builder.last
-        self._metrics.set_gauge(
+        metrics.set_gauge(
             "blaeu_pipeline_last_build_seconds",
             last_map.seconds if last_map is not None else 0.0,
         )
-        self._metrics.set_gauge(
+        metrics.set_gauge(
             "blaeu_pipeline_refining_sessions", len(self._refining)
         )
-        return text_response(self._metrics.render())
+        return text_response(metrics.render())
 
     async def _run_command(
         self,
@@ -854,19 +854,19 @@ class BlaeuService:
                         await asyncio.sleep(0.05)
                         continue
                     except DeadlineExceeded:
-                        self._metrics.increment(
+                        get_metrics().increment(
                             "blaeu_resilience_background_deadline_total"
                         )
                         return
                     except RuntimeError as error:
                         if "worker pool is shut down" in str(error):
                             return  # service stopping; nothing to record
-                        self._metrics.increment(
+                        get_metrics().increment(
                             "blaeu_pipeline_refine_errors_total"
                         )
                         return
                     except Exception:
-                        self._metrics.increment(
+                        get_metrics().increment(
                             "blaeu_pipeline_refine_errors_total"
                         )
                         return

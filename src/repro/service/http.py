@@ -203,10 +203,10 @@ def error_response(
     )
 
 
-def text_response(text: str, status: int = 200) -> HttpResponse:
-    """A plain-text response (used by ``/metrics``)."""
+def text_response(text: str) -> HttpResponse:
+    """A plain-text 200 response (used by ``/metrics``)."""
     return HttpResponse(
-        status=status,
+        status=200,
         body=text.encode("utf-8"),
         content_type="text/plain; charset=utf-8",
     )

@@ -22,6 +22,9 @@ import hashlib
 
 __all__ = ["HashRing"]
 
+#: Virtual nodes per slot; more replicas = smoother key spread.
+REPLICAS = 64
+
 
 def _point(token: str) -> int:
     """A uniform 64-bit ring position for a token."""
@@ -35,15 +38,11 @@ class HashRing:
     Parameters
     ----------
     slots:
-        The worker slot ids (e.g. ``range(n_workers)``).
-    replicas:
-        Virtual nodes per slot; more replicas = smoother key spread.
+        The worker slot ids (e.g. ``range(n_workers)``), each placed at
+        :data:`REPLICAS` virtual nodes.
     """
 
-    def __init__(self, slots: range | list[int], replicas: int = 64) -> None:
-        if replicas < 1:
-            raise ValueError("replicas must be at least 1")
-        self._replicas = replicas
+    def __init__(self, slots: range | list[int]) -> None:
         self._points: list[int] = []
         self._owners: dict[int, int] = {}
         self._slots: set[int] = set()
@@ -55,7 +54,7 @@ class HashRing:
         if slot in self._slots:
             return
         self._slots.add(slot)
-        for replica in range(self._replicas):
+        for replica in range(REPLICAS):
             point = _point(f"slot:{slot}:{replica}")
             index = bisect.bisect_left(self._points, point)
             self._points.insert(index, point)

@@ -21,9 +21,9 @@ Request placement is consistent-hash routing
 * session commands route on the session id — sessions are sticky to a
   *slot*, and a restarted worker reoccupies its slot;
 * ``/metrics`` and ``/v1/traces`` fan out to every worker and answer
-  the merged view (counters summed, traces interleaved), each series
-  also broken out per worker slot where it matters
-  (``blaeu_worker_up``).
+  the merged view (counters and histograms summed, each gauge kept per
+  worker under a ``slot`` label as ``blaeu_worker_up`` is, traces
+  interleaved).
 
 The hop to a worker is one HTTP/1.1 exchange over a *pooled keep-alive
 connection*: each slot keeps the idle connections its exchanges left
@@ -49,6 +49,7 @@ import contextlib
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -141,18 +142,23 @@ class WorkerProcess:
         return self.process is not None and self.process.poll() is None
 
 
-def merge_metrics(bodies: list[str], extra: list[str] | None = None) -> str:
-    """Sum per-worker Prometheus expositions into one body.
+def merge_metrics(
+    bodies: list[tuple[int, str]], extra: list[str] | None = None
+) -> str:
+    """Merge per-worker Prometheus expositions, ``(slot, body)`` pairs,
+    into one body by each series' ``# TYPE``.
 
-    Series with identical names and labels are summed — correct for
-    counters, histogram buckets/sums/counts, and the fleet-wide size of
-    a per-worker gauge (cache entries, jobs in flight).  ``# TYPE``
+    Counter and histogram series (buckets, sums, counts) with identical
+    names and labels are summed, as are untyped ones.  A gauge is one
+    worker's state (a breaker's, its last build's seconds), which a sum
+    would misreport, so each worker's series is kept under a
+    ``slot="<n>"`` label, as ``blaeu_worker_up`` has it.  ``# TYPE``
     lines are kept (first wins) and re-emitted ahead of their series, so
     the merged body is valid exposition text.
     """
     types: dict[str, str] = {}
     series: dict[str, float] = {}
-    for body in bodies:
+    for slot, body in bodies:
         for line in body.splitlines():
             line = line.strip()
             if not line:
@@ -169,6 +175,8 @@ def merge_metrics(bodies: list[str], extra: list[str] | None = None) -> str:
                 number = float(value)
             except ValueError:
                 continue
+            if types.get(key.split("{", 1)[0], "").endswith(" gauge"):
+                key = _with_slot(key, slot)
             series[key] = series.get(key, 0.0) + number
 
     def metric_name(key: str) -> str:
@@ -198,6 +206,14 @@ def merge_metrics(bodies: list[str], extra: list[str] | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _with_slot(key: str, slot: int) -> str:
+    """A series key (``name`` or ``name{labels}``) with a ``slot`` label."""
+    name, brace, labels = key.partition("{")
+    if brace:
+        return f'{name}{{{labels[:-1]},slot="{slot}"}}'
+    return f'{name}{{slot="{slot}"}}'
+
+
 class Supervisor:
     """The multi-worker front: spawn, route, aggregate, respawn.
 
@@ -214,16 +230,12 @@ class Supervisor:
     sources:
         What each worker serves: the data arguments of ``blaeu serve``
         (CSV files / store directories, or ``--demo <name>``).
-    state_dir:
-        Where port files live; a temp directory by default.
+
+    The workers' port files live in a temp directory that :meth:`start`
+    makes and :meth:`stop` removes.
     """
 
-    def __init__(
-        self,
-        config: ServiceConfig,
-        sources: list[str],
-        state_dir: str | Path | None = None,
-    ) -> None:
+    def __init__(self, config: ServiceConfig, sources: list[str]) -> None:
         if config.pool.processes < 2:
             raise ValueError("a supervisor needs at least 2 workers")
         if config.cache.dir is None:
@@ -236,18 +248,10 @@ class Supervisor:
         self._config = config
         self._sources = list(sources)
         self._n_workers = config.pool.processes
-        self._state_dir = (
-            Path(state_dir)
-            if state_dir is not None
-            else Path(tempfile.mkdtemp(prefix="blaeu-supervisor-"))
-        )
-        self._state_dir.mkdir(parents=True, exist_ok=True)
-        self._workers = [
-            WorkerProcess(
-                slot=slot, port_file=self._state_dir / f"worker-{slot}.port"
-            )
-            for slot in range(self._n_workers)
-        ]
+        # The port files' directory: made by :meth:`start`, removed by
+        # :meth:`stop`, so a supervisor that never starts leaves nothing.
+        self._state_dir: Path | None = None
+        self._workers = [WorkerProcess(slot=slot) for slot in range(self._n_workers)]
         self._ring = HashRing(range(self._n_workers))
         self._fingerprints: dict[str, str] = {}  # name -> fingerprint
         self._http = HttpServer(
@@ -307,8 +311,11 @@ class Supervisor:
     # ------------------------------------------------------------------
 
     async def start(self) -> None:
-        """Spawn every worker, wait for their ports, open the front."""
+        """Make the port files' directory, spawn every worker, wait for
+        their ports, open the front."""
+        self._state_dir = Path(tempfile.mkdtemp(prefix="blaeu-supervisor-"))
         for worker in self._workers:
+            worker.port_file = self._state_dir / f"worker-{worker.slot}.port"
             self._spawn(worker)
         await asyncio.gather(
             *(self._await_port(worker) for worker in self._workers)
@@ -319,7 +326,7 @@ class Supervisor:
 
     async def stop(self) -> None:
         """Stop the front, close every pooled connection, terminate the
-        fleet."""
+        fleet and remove its port files' directory."""
         self._stopping = True
         if self._monitor_task is not None:
             self._monitor_task.cancel()
@@ -340,6 +347,9 @@ class Supervisor:
         )
         for worker in self._workers:
             self._terminate(worker)
+        if self._state_dir is not None:
+            shutil.rmtree(self._state_dir, ignore_errors=True)
+            self._state_dir = None
 
     async def serve_forever(self) -> None:
         """Serve until cancelled."""
@@ -943,8 +953,8 @@ class Supervisor:
     async def _serve_metrics(self, request: HttpRequest) -> HttpResponse:
         results = await self._fan_out("GET", "/metrics")
         bodies = [
-            response.body.decode("utf-8")
-            for _, response in results
+            (worker.slot, response.body.decode("utf-8"))
+            for worker, response in results
             if response is not None and response.status == 200
         ]
         extra = ["# TYPE blaeu_worker_up gauge"]

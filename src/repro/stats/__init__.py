@@ -16,7 +16,6 @@ from repro.stats.batched import (
     pairwise_nmi_matrix,
 )
 from repro.stats.discretize import (
-    BinningRule,
     apply_bin_cuts,
     equal_frequency_cuts,
     suggest_bin_count,
@@ -25,7 +24,6 @@ from repro.stats.entropy import c_log_c, entropies_from_sums
 from repro.stats.normalize import zscore
 
 __all__ = [
-    "BinningRule",
     "ColumnCodes",
     "StreamingPairwiseNMI",
     "apply_bin_cuts",

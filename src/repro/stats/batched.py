@@ -121,14 +121,11 @@ class ColumnCodes:
         )
 
 
-def pairwise_nmi_matrix(
-    codes: ColumnCodes,
-    min_complete_rows: int = MIN_COMPLETE_ROWS,
-) -> np.ndarray:
+def pairwise_nmi_matrix(codes: ColumnCodes) -> np.ndarray:
     """The symmetric all-pairs NMI matrix of an encoded table.
 
-    Unit diagonal; pairs with fewer than ``min_complete_rows`` complete
-    rows (or a constant/empty side) get weight 0, matching the scalar
+    Unit diagonal; pairs with fewer than :data:`MIN_COMPLETE_ROWS`
+    complete rows (or a constant/empty side) get weight 0, matching the scalar
     reference.  An expired deadline aborts between left columns
     (``graph.nmi.row``), never mid-kernel.
     """
@@ -142,7 +139,7 @@ def pairwise_nmi_matrix(
 
     for i in range(m - 1):
         checkpoint("graph.nmi.row")
-        row = _left_row_weights(i, shifted, cards, min_complete_rows)
+        row = _left_row_weights(i, shifted, cards)
         weights[i, i + 1 :] = row
         weights[i + 1 :, i] = row
     return weights
@@ -160,15 +157,9 @@ class StreamingPairwiseNMI:
     chunks — complete-row restriction happens once, at finalize.
     """
 
-    def __init__(
-        self,
-        names: Sequence[str],
-        n_codes: Sequence[int],
-        min_complete_rows: int = MIN_COMPLETE_ROWS,
-    ) -> None:
+    def __init__(self, names: Sequence[str], n_codes: Sequence[int]) -> None:
         self._names = tuple(names)
         self._cards = np.asarray(n_codes, dtype=np.int64)
-        self._min_complete = min_complete_rows
         m = len(self._names)
         if len(self._cards) != m:
             raise ValueError("n_codes must have one entry per name")
@@ -219,11 +210,7 @@ class StreamingPairwiseNMI:
             row = np.zeros(self._m - i - 1, dtype=np.float64)
             for group, counts in zip(self._groups[i], self._counts[i]):
                 values = _group_weights(
-                    counts,
-                    group.n_pairs,
-                    group.n_i,
-                    group.n_j,
-                    self._min_complete,
+                    counts, group.n_pairs, group.n_i, group.n_j
                 )
                 row[group.positions] = values
             weights[i, i + 1 :] = row
@@ -323,7 +310,6 @@ def _group_weights(
     n_pairs: int,
     n_i: int,
     n_j: int,
-    min_complete_rows: int,
 ) -> np.ndarray:
     """Per-pair NMI from a group's flat contingency counts.
 
@@ -344,15 +330,12 @@ def _group_weights(
     with np.errstate(divide="ignore", invalid="ignore"):
         mi = np.maximum(h_x + h_y - h_joint, 0.0)
         value = mi / np.sqrt(h_x * h_y)
-    ok = (h_x > 0.0) & (h_y > 0.0) & (totals >= min_complete_rows)
+    ok = (h_x > 0.0) & (h_y > 0.0) & (totals >= MIN_COMPLETE_ROWS)
     return np.clip(np.where(ok, value, 0.0), 0.0, 1.0)
 
 
 def _left_row_weights(
-    i: int,
-    shifted: np.ndarray,
-    cards: np.ndarray,
-    min_complete_rows: int,
+    i: int, shifted: np.ndarray, cards: np.ndarray
 ) -> np.ndarray:
     """Weights of column ``i`` against every column ``j > i``."""
     out = np.zeros(shifted.shape[0] - i - 1, dtype=np.float64)
@@ -363,7 +346,7 @@ def _left_row_weights(
         for start, stop in _blocks(group.n_pairs, n, group.base):
             counts = _fused_counts(x1, shifted, group, start, stop)
             values[start:stop] = _group_weights(
-                counts, stop - start, group.n_i, group.n_j, min_complete_rows
+                counts, stop - start, group.n_i, group.n_j
             )
         out[group.positions] = values
     return out

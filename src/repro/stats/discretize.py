@@ -7,18 +7,16 @@ far less sensitive to outliers and skew (heavy-tailed indicators are
 common in the paper's OECD data).  A binning is kept as its interior
 cut points (:func:`equal_frequency_cuts`, drawn from a sample) and
 applied to any rows later (:func:`apply_bin_cuts`); the bin count
-follows one of the standard rules (:func:`suggest_bin_count`).
+follows Sturges' rule (:func:`suggest_bin_count`).
 """
 
 from __future__ import annotations
 
 import math
-from enum import Enum
 
 import numpy as np
 
 __all__ = [
-    "BinningRule",
     "suggest_bin_count",
     "equal_frequency_cuts",
     "apply_bin_cuts",
@@ -27,28 +25,16 @@ __all__ = [
 #: Code assigned to missing cells in discretized output.
 MISSING_BIN = -1
 
-
-class BinningRule(Enum):
-    """Rules for choosing the number of bins from the sample size."""
-
-    STURGES = "sturges"
-    RICE = "rice"
-    SQRT = "sqrt"
+#: The most bins a numeric column is cut into.
+MAX_BINS = 32
 
 
-def suggest_bin_count(
-    n: int, rule: BinningRule = BinningRule.STURGES, max_bins: int = 32
-) -> int:
-    """A bin count for ``n`` observations under the given rule, ≥ 1."""
+def suggest_bin_count(n: int) -> int:
+    """A bin count for ``n`` observations by Sturges' rule,
+    ``ceil(log2(n) + 1)``, at least 1 and at most :data:`MAX_BINS`."""
     if n <= 1:
         return 1
-    if rule is BinningRule.STURGES:
-        bins = int(math.ceil(math.log2(n) + 1))
-    elif rule is BinningRule.RICE:
-        bins = int(math.ceil(2.0 * n ** (1.0 / 3.0)))
-    else:
-        bins = int(math.ceil(math.sqrt(n)))
-    return max(1, min(bins, max_bins))
+    return min(int(math.ceil(math.log2(n) + 1)), MAX_BINS)
 
 
 def equal_frequency_cuts(values: np.ndarray, n_bins: int) -> np.ndarray:

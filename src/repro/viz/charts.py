@@ -14,20 +14,23 @@ from repro.table.column import CategoricalColumn, NumericColumn
 
 __all__ = ["text_histogram", "text_scatter"]
 
+#: A histogram's numeric bins (and most category bars) and its bar width.
+HISTOGRAM_BINS = 10
+BAR_WIDTH = 40
 
-def text_histogram(
-    column: NumericColumn | CategoricalColumn,
-    n_bins: int = 10,
-    width: int = 40,
-) -> str:
+#: A scatter plot's grid, in characters.
+SCATTER_WIDTH = 50
+SCATTER_HEIGHT = 18
+
+
+def text_histogram(column: NumericColumn | CategoricalColumn) -> str:
     """A horizontal-bar histogram of one column.
 
-    Numeric columns are binned into ``n_bins`` equal-width intervals;
-    categorical columns get one bar per label (most frequent first).
-    Missing cells are counted on a separate ∅ bar when present.
+    Numeric columns are binned into :data:`HISTOGRAM_BINS` equal-width
+    intervals; categorical columns get one bar per label (most frequent
+    first, at most that many).  Missing cells are counted on a separate
+    ∅ bar when present.
     """
-    if width < 1:
-        raise ValueError("width must be positive")
     lines = [f"{column.name} ({len(column)} rows)"]
     if isinstance(column, NumericColumn):
         present = column.present_values()
@@ -38,10 +41,10 @@ def text_histogram(
             edges = np.asarray([low, high])
             counts = np.asarray([present.size])
         else:
-            counts, edges = np.histogram(present, bins=n_bins)
+            counts, edges = np.histogram(present, bins=HISTOGRAM_BINS)
         top = max(int(counts.max()), 1)
         for b, count in enumerate(counts):
-            bar = "█" * round(width * count / top)
+            bar = "█" * round(BAR_WIDTH * count / top)
             lines.append(
                 f"  [{edges[b]:>10.3g}, {edges[b + 1]:>10.3g}) "
                 f"{bar} {count}"
@@ -51,27 +54,22 @@ def text_histogram(
         if not counts:
             return "\n".join(lines + ["  (all values missing)"])
         top = max(counts.values())
-        for label, count in list(counts.items())[:n_bins]:
-            bar = "█" * round(width * count / top)
+        for label, count in list(counts.items())[:HISTOGRAM_BINS]:
+            bar = "█" * round(BAR_WIDTH * count / top)
             lines.append(f"  {label[:18]:<18} {bar} {count}")
     if column.n_missing:
         lines.append(f"  {'∅ missing':<18} {column.n_missing}")
     return "\n".join(lines)
 
 
-def text_scatter(
-    x: NumericColumn,
-    y: NumericColumn,
-    width: int = 50,
-    height: int = 18,
-) -> str:
-    """A character-grid scatter plot of two numeric columns.
+def text_scatter(x: NumericColumn, y: NumericColumn) -> str:
+    """A character-grid scatter plot of two numeric columns, on a
+    :data:`SCATTER_WIDTH` × :data:`SCATTER_HEIGHT` grid.
 
     Cells hold ``·`` for 1 point, ``o`` for a few, ``●`` for many; rows
     with a missing value in either column are dropped.
     """
-    if width < 2 or height < 2:
-        raise ValueError("scatter grid must be at least 2x2")
+    width, height = SCATTER_WIDTH, SCATTER_HEIGHT
     both = x.present_mask & y.present_mask
     xs = x.values[both]
     ys = y.values[both]

@@ -18,8 +18,9 @@ from repro.viz.treemap import treemap_layout
 __all__ = ["export_map_json", "export_themes_json"]
 
 
-def export_map_json(data_map: DataMap, indent: int | None = None) -> str:
-    """The map as a JSON document: hierarchy + treemap rectangles.
+def export_map_json(data_map: DataMap) -> str:
+    """The map as a one-line JSON document: hierarchy + treemap
+    rectangles.
 
     The shape follows D3's hierarchy conventions (``name``, ``value``,
     ``children``) so a ``d3.hierarchy`` call could consume it directly.
@@ -61,11 +62,11 @@ def export_map_json(data_map: DataMap, indent: int | None = None) -> str:
         "counts_status": data_map.counts_status,
         "root": node(data_map.root.to_dict()),
     }
-    return json.dumps(payload, indent=indent, sort_keys=True)
+    return json.dumps(payload, sort_keys=True)
 
 
-def export_themes_json(themes: ThemeSet, indent: int | None = None) -> str:
-    """The theme list as a JSON document for the theme view."""
+def export_themes_json(themes: ThemeSet) -> str:
+    """The theme list as a one-line JSON document for the theme view."""
     payload = {
         "type": "blaeu.themes",
         "silhouette": round(themes.silhouette, 4),
@@ -80,4 +81,4 @@ def export_themes_json(themes: ThemeSet, indent: int | None = None) -> str:
             for theme in themes
         ],
     }
-    return json.dumps(payload, indent=indent, sort_keys=True)
+    return json.dumps(payload, sort_keys=True)

@@ -40,8 +40,9 @@ def render_theme_view(themes: ThemeSet, max_columns: int = 6) -> str:
     return "\n".join(lines)
 
 
-def render_map(data_map: DataMap, show_bars: bool = True) -> str:
-    """The map view: the region hierarchy as an indented tree."""
+def render_map(data_map: DataMap) -> str:
+    """The map view: the region hierarchy as an indented tree, each leaf
+    with a bar of its share."""
     lines: list[str] = [
         (
             f"DATA MAP over {', '.join(data_map.columns[:4])}"
@@ -60,16 +61,11 @@ def render_map(data_map: DataMap, show_bars: bool = True) -> str:
         ),
         "",
     ]
-    _render_region(data_map.root, data_map.n_rows, lines, show_bars)
+    _render_region(data_map.root, data_map.n_rows, lines)
     return "\n".join(lines)
 
 
-def _render_region(
-    region: Region,
-    total: int,
-    lines: list[str],
-    show_bars: bool,
-) -> None:
+def _render_region(region: Region, total: int, lines: list[str]) -> None:
     indent = "  " * region.depth
     share = region.fraction_of(total)
     parts = [f"{indent}[{region.region_id}] {region.label}"]
@@ -80,12 +76,11 @@ def _render_region(
     if region.is_leaf:
         if region.silhouette is not None:
             parts.append(f"s={region.silhouette:.2f}")
-        if show_bars:
-            filled = round(share * _BAR_WIDTH)
-            parts.append("▇" * max(filled, 1 if region.n_rows else 0))
+        filled = round(share * _BAR_WIDTH)
+        parts.append("▇" * max(filled, 1 if region.n_rows else 0))
     lines.append(" ".join(parts))
     for child in region.children:
-        _render_region(child, total, lines, show_bars)
+        _render_region(child, total, lines)
 
 
 def render_region_panel(highlight: Highlight) -> str:

@@ -27,21 +27,15 @@ class Rect:
     height: float
 
 
-def treemap_layout(
-    data_map: DataMap,
-    width: float = 1.0,
-    height: float = 1.0,
-) -> dict[str, Rect]:
+def treemap_layout(data_map: DataMap) -> dict[str, Rect]:
     """Rectangle per region id, slice-and-dice, area ∝ tuple count.
 
     Regions with zero tuples receive zero-area rectangles (they remain
-    addressable but invisible).  The root rectangle is
-    ``Rect(0, 0, width, height)``.
+    addressable but invisible).  The root rectangle is the unit square
+    ``Rect(0, 0, 1, 1)``, so a region's area is its share of the map.
     """
-    if width <= 0 or height <= 0:
-        raise ValueError("canvas dimensions must be positive")
     out: dict[str, Rect] = {}
-    _layout(data_map.root, Rect(0.0, 0.0, width, height), out, horizontal=True)
+    _layout(data_map.root, Rect(0.0, 0.0, 1.0, 1.0), out, horizontal=True)
     return out
 
 

@@ -14,6 +14,9 @@ kernels run Euclidean in float64; PAM and the silhouette also score
 float32 matrices, which they accept as input.
 """
 
+import importlib
+from unittest import mock
+
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -28,6 +31,8 @@ from repro.cluster.silhouette import (
 )
 from repro.cluster.stages import ClusterParams
 
+# ``repro.cluster`` binds ``pam`` to the function, which hides the module.
+pam_module = importlib.import_module("repro.cluster.pam")
 CLARA_THRESHOLD = ClusterParams().clara_threshold
 
 # ----------------------------------------------------------------------
@@ -320,12 +325,13 @@ def _stacks(draw):
 @settings(max_examples=100, deadline=None, suppress_health_check=_RELAXED)
 @given(case=_stacks())
 def test_every_run_of_a_batch_matches_its_own_pam(case):
-    """A converged run is frozen while the others go on, and ``max_iter``
-    caps each run on its own."""
-    stack, k, max_iter = case
-    medoids, labels, costs, n_swaps = pam_batch(stack, k, max_iter)
+    """A converged run is frozen while the others go on, and
+    ``MAX_SWAPS`` caps each run on its own."""
+    stack, k, max_swaps = case
+    with mock.patch.object(pam_module, "MAX_SWAPS", max_swaps):
+        medoids, labels, costs, n_swaps = pam_batch(stack, k)
     for run, distances in enumerate(stack):
-        reference = _reference_pam(distances, k, max_iter)
+        reference = _reference_pam(distances, k, max_swaps)
         batched = Clustering(
             labels=labels[run],
             medoids=medoids[run],

@@ -48,20 +48,18 @@ class TestRegionInsights:
         assert all(insight.column != "y" for insight in report.numeric)
 
     def test_category_lift_found(self, contrasted):
-        report = region_insights(
-            contrasted,
-            Comparison("flag", "==", "in"),
-            columns=("x", "y", "color"),
-        )
+        report = region_insights(contrasted, Comparison("flag", "==", "in"))
         reds = [i for i in report.categories if i.label == "red"]
         assert reds and reds[0].lift > 1.5
 
     def test_direction_flips_for_complement(self, contrasted):
         region = Comparison("flag", "==", "in")
-        inside = region_insights(contrasted, region, columns=("x",))
-        outside = region_insights(contrasted, Not(region), columns=("x",))
-        assert inside.numeric[0].effect_size > 0
-        assert outside.numeric[0].effect_size < 0
+        inside = region_insights(contrasted, region)
+        outside = region_insights(contrasted, Not(region))
+        (x_inside,) = [i for i in inside.numeric if i.column == "x"]
+        (x_outside,) = [i for i in outside.numeric if i.column == "x"]
+        assert x_inside.effect_size > 0
+        assert x_outside.effect_size < 0
 
     def test_headline_reads_naturally(self, contrasted):
         report = region_insights(contrasted, Comparison("flag", "==", "in"))
@@ -69,10 +67,7 @@ class TestRegionInsights:
         assert "high x" in headline
 
     def test_describe_contains_all_sections(self, contrasted):
-        report = region_insights(
-            contrasted, Comparison("flag", "==", "in"),
-            columns=("x", "color"),
-        )
+        report = region_insights(contrasted, Comparison("flag", "==", "in"))
         text = report.describe()
         assert "80 tuples" in text
         assert "x: high" in text
@@ -86,12 +81,6 @@ class TestRegionInsights:
         assert empty.headline() == (
             "no distinguishing columns at the current noise floor"
         )
-
-    def test_min_effect_threshold(self, contrasted):
-        strict = region_insights(
-            contrasted, Comparison("flag", "==", "in"), min_effect=10.0
-        )
-        assert strict.numeric == ()
 
     def test_empty_region_yields_empty_report(self, contrasted):
         report = region_insights(contrasted, Comparison("x", ">", 1e9))

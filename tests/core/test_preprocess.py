@@ -123,12 +123,6 @@ class TestPreprocess:
         with pytest.raises(ValueError, match="no features"):
             preprocess(table)
 
-    def test_keep_keys_option(self, mixed_table):
-        space = preprocess(mixed_table, drop_keys=False)
-        assert space.dropped_keys == ()
-        # 60-label id exceeds the cardinality cap instead.
-        assert "id" in space.dropped_wide
-
     def test_scalers_invert_medoid_coordinates(self, mixed_table):
         space = preprocess(mixed_table)
         stats = space.scalers["income"]

@@ -52,8 +52,8 @@ class TestHollywood:
 
     def test_seeded(self):
         assert (
-            hollywood(seed=1).column("Budget").values.tolist()
-            == hollywood(seed=1).column("Budget").values.tolist()
+            hollywood().column("Budget").values.tolist()
+            == hollywood().column("Budget").values.tolist()
         )
 
 
@@ -63,6 +63,18 @@ class TestOecd:
         table = oecd()
         assert table.n_rows == 6823
         assert table.n_columns == 378
+
+    def test_small_variant_is_a_slice_of_the_full_table(self):
+        small, full = oecd_small(), oecd()
+        assert set(small.column_names) < set(full.column_names)
+        for name in small.column_names:
+            column = full.column(name)
+            if isinstance(column, NumericColumn):
+                np.testing.assert_array_equal(
+                    small.column(name).values, column.values[:900]
+                )
+            else:
+                assert small.column(name).labels() == column.labels()[:900]
 
     def test_small_variant_structure(self):
         table = oecd_small()

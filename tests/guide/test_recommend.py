@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.config import BlaeuConfig
 from repro.core.engine import Blaeu
+from repro.guide import recommend
 from repro.guide.recommend import (
     Suggestion,
     initial_suggestions,
@@ -77,12 +78,13 @@ class TestStateSuggestions:
             if suggestion.action == "recluster":
                 assert int(suggestion.target) != current_k
 
-    def test_insight_pass_skipped_above_row_cutoff(self, engine):
+    def test_insight_pass_skipped_above_row_cutoff(self, engine, monkeypatch):
         explorer = engine.explore("mixed_blobs")
         explorer.open_theme(0)
         # Force the skip: the divergence term drops to zero but the
         # ranking still works off silhouette + size.
-        suggestions = suggest_actions(explorer, limit=10, max_insight_rows=1)
+        monkeypatch.setattr(recommend, "MAX_INSIGHT_ROWS", 1)
+        suggestions = suggest_actions(explorer, limit=10)
         zooms = [s for s in suggestions if s.action == "zoom"]
         assert zooms
         assert all("divergence 0.00" in s.reason for s in zooms)

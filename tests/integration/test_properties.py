@@ -64,19 +64,19 @@ def test_quantized_queries_consistent_with_counts(scenario):
 @_settings
 @given(scenario=_scenarios)
 def test_treemap_mass_conservation(scenario):
-    """Treemap leaf areas always sum to the canvas area."""
+    """Treemap leaf areas always sum to the (unit) canvas area."""
     planted = mixed_blobs(**scenario)
     data_map = build_map(
         planted.table,
         planted.table.column_names,
         config=BlaeuConfig(map_k_values=(2, 3)),
     )
-    rectangles = treemap_layout(data_map, width=4.0, height=2.5)
+    rectangles = treemap_layout(data_map)
     leaf_area = sum(
         rectangles[leaf.region_id].width * rectangles[leaf.region_id].height
         for leaf in data_map.leaves()
     )
-    assert leaf_area == pytest.approx(10.0, rel=1e-9)
+    assert leaf_area == pytest.approx(1.0, rel=1e-9)
 
 
 @_settings

@@ -63,7 +63,8 @@ class TestNamedInstruments:
 
     def test_labeled_counter_series_share_one_type_line(self):
         metrics = Metrics()
-        metrics.increment_labeled("blaeu_cache_hits_total", {"tier": "l1"}, 2)
+        for _ in range(2):
+            metrics.increment_labeled("blaeu_cache_hits_total", {"tier": "l1"})
         metrics.increment_labeled("blaeu_cache_hits_total", {"tier": "l2"})
         assert scraped(metrics, "blaeu_cache_hits_total", tier="l1") == 2
         assert scraped(metrics, "blaeu_cache_hits_total", tier="l2") == 1

@@ -50,14 +50,6 @@ class TestSpans:
         assert a.trace_id != b.trace_id
         assert a.parent_id is None and b.parent_id is None
 
-    def test_explicit_parent_overrides_the_context(self):
-        tracer = Tracer(enabled=True)
-        with tracer.span("root") as root:
-            pass
-        with tracer.span("linked", parent=root) as linked:
-            assert linked.trace_id == root.trace_id
-            assert linked.parent_id == root.span_id
-
     def test_attributes_and_duration_are_recorded(self):
         tracer = Tracer(enabled=True)
         with tracer.span("op") as span:

@@ -29,7 +29,6 @@ from repro.cluster.silhouette import SharedSilhouette
 from repro.stats.batched import MIN_COMPLETE_ROWS, ColumnCodes
 from repro.stats.discretize import (
     MISSING_BIN,
-    BinningRule,
     _require_finite,
     apply_bin_cuts,
     equal_frequency_cuts,
@@ -96,7 +95,6 @@ def equal_frequency_bins(values: np.ndarray, n_bins: int) -> np.ndarray:
 def discretize_column(
     column: Column,
     n_bins: int | None = None,
-    rule: BinningRule = BinningRule.STURGES,
     equal_frequency: bool = True,
 ) -> np.ndarray:
     """Integer codes for any column; missing cells get :data:`MISSING_BIN`.
@@ -115,7 +113,7 @@ def discretize_column(
     if present_values.size == 0:
         return codes
     if n_bins is None:
-        n_bins = suggest_bin_count(present_values.size, rule)
+        n_bins = suggest_bin_count(present_values.size)
     if equal_frequency:
         binned = equal_frequency_bins(present_values, n_bins)
     else:

@@ -12,7 +12,6 @@ from repro.core.navigation import Explorer
 from repro.datasets.hollywood import hollywood
 from repro.viz.treemap import treemap_layout
 
-WIDTH, HEIGHT = 960.0, 540.0
 
 
 def test_fig6_treemap_area_is_proportional_to_tuple_count():
@@ -20,9 +19,9 @@ def test_fig6_treemap_area_is_proportional_to_tuple_count():
     data_map = explorer.open_columns(
         ("Budget", "WorldwideGross", "Profitability", "RottenTomatoes")
     )
-    rectangles = treemap_layout(data_map, WIDTH, HEIGHT)
+    rectangles = treemap_layout(data_map)
     assert len(rectangles) > 1
     for region in data_map.regions():
-        expected = region.n_rows / data_map.n_rows * WIDTH * HEIGHT
+        expected = region.n_rows / data_map.n_rows
         rect = rectangles[region.region_id]
-        assert abs(rect.width * rect.height - expected) < 1e-6
+        assert abs(rect.width * rect.height - expected) < 1e-12

@@ -36,10 +36,9 @@ def make(clock, **overrides) -> CircuitBreaker:
         name="test",
         failure_threshold=3,
         recovery_time=5.0,
-        clock=clock,
     )
     kwargs.update(overrides)
-    return CircuitBreaker(**kwargs)
+    return CircuitBreaker(clock=clock, **kwargs)
 
 
 def opens(metrics) -> float:
@@ -105,7 +104,7 @@ class TestRecovery:
 
     def test_half_open_admits_a_bounded_probe(self):
         clock = FakeClock()
-        breaker = make(clock, half_open_probes=1)
+        breaker = make(clock)
         for _ in range(3):
             breaker.record_failure()
         clock.advance(5.0)

@@ -77,7 +77,7 @@ class TestJitteredBackoff:
                 return 1.0
 
         delays = [
-            jittered_backoff(n, base=0.05, cap=1.0, rng=Top())
+            jittered_backoff(n, base=0.05, rng=Top())
             for n in range(8)
         ]
         assert delays[:5] == pytest.approx([0.05, 0.1, 0.2, 0.4, 0.8])

@@ -21,6 +21,7 @@ import pytest
 
 from repro.core.config import BlaeuConfig
 from repro.core.engine import Blaeu
+from repro.obs.metrics import reset_metrics
 from repro.service.app import BlaeuService, PoolConfig, ServiceConfig
 from synthetic import mixed_blobs
 
@@ -57,6 +58,9 @@ class RunningService:
         asyncio.run(self._main())
 
     async def _main(self) -> None:
+        # One registry per process, which the service never resets: a
+        # service under test counts from zero because its fixture does.
+        reset_metrics()
         self.service = BlaeuService(self._engine, self._config)
         await self.service.start()
         self._loop = asyncio.get_running_loop()

@@ -12,6 +12,7 @@ counts and ``/metrics`` copied them into gauges.
 
 from __future__ import annotations
 
+import asyncio
 import importlib
 import json
 import re
@@ -175,3 +176,33 @@ def test_metrics_after_a_fixed_walk(request, layers, surface):
         derived["pool.rejected"],
         round(derived["cache.l1_hit_share"], 6),
     ) == DERIVED[surface]
+
+
+def test_two_services_in_one_process_render_the_same_registry():
+    """One process has one registry: a second service built in it takes
+    none of the first one's counts, and both render them."""
+    from repro.obs.metrics import reset_metrics
+    from repro.service.app import BlaeuService
+    from repro.service.http import HttpRequest
+
+    reset_metrics()
+    config = ServiceConfig(port=0, pool=PoolConfig(threads=1, max_pending=4))
+    first = BlaeuService(Blaeu(), config)
+    second = BlaeuService(Blaeu(), config)
+    scrape = HttpRequest("GET", "/metrics", query={}, headers={}, body=b"")
+
+    async def run():
+        try:
+            await first.pool.run(int, "7")
+            return [
+                (await service._route(scrape)).body.decode("utf-8")
+                for service in (first, second)
+            ]
+        finally:
+            first.pool.shutdown(wait=True)
+            second.pool.shutdown(wait=True)
+
+    bodies = asyncio.run(run())
+    assert first.metrics is second.metrics
+    for body in bodies:
+        assert "blaeu_pool_completed_total 1" in body.splitlines()

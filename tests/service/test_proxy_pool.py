@@ -141,7 +141,7 @@ def fleet(tmp_path, monkeypatch):
             cache=CacheConfig(dir=str(tmp_path / "cache")),
         )
         return Fleet(
-            Supervisor(config, [str(s) for s in sources], tmp_path / "state")
+            Supervisor(config, [str(s) for s in sources])
         )
 
     return make
@@ -400,7 +400,7 @@ def _exchange_with_fake_worker(tmp_path, reply: bytes, hang_up: bool = False):
             pool=PoolConfig(processes=2),
             cache=CacheConfig(dir=str(tmp_path / "cache")),
         )
-        supervisor = Supervisor(config, ["--demo", "hollywood"], tmp_path / "state")
+        supervisor = Supervisor(config, ["--demo", "hollywood"])
         alive = types.SimpleNamespace(poll=lambda: None, pid=0)
         for worker in supervisor.workers:
             worker.port, worker.process = port, alive

@@ -395,7 +395,35 @@ def supervisor(tmp_path_factory):
         pool=PoolConfig(processes=3),
         cache=CacheConfig(dir=str(scratch / "cache")),
     )
-    return Supervisor(config, ["--demo", "hollywood"], state_dir=scratch / "state")
+    return Supervisor(config, ["--demo", "hollywood"])
+
+
+def test_port_files_directory_lives_from_start_to_stop(tmp_path, monkeypatch):
+    """A supervisor that never starts makes no directory; one that
+    starts puts every port file in one, and stopping removes it."""
+    config = ServiceConfig(
+        port=0, pool=PoolConfig(processes=2), cache=CacheConfig(dir=str(tmp_path))
+    )
+    supervisor = Supervisor(config, ["--demo", "hollywood"])
+    assert supervisor._state_dir is None
+
+    async def announced(worker):
+        worker.port = 1
+
+    # No worker processes: the lifecycle around them is what is checked.
+    monkeypatch.setattr(supervisor, "_spawn", lambda worker: None)
+    monkeypatch.setattr(supervisor, "_await_port", announced)
+
+    async def main():
+        await supervisor.start()
+        state = supervisor._state_dir
+        assert state.is_dir()
+        assert {worker.port_file.parent for worker in supervisor.workers} == {state}
+        await supervisor.stop()
+        return state
+
+    assert not asyncio.run(main()).exists()
+    assert supervisor._state_dir is None
 
 
 def request(method, target, body=b""):

@@ -92,10 +92,6 @@ class TestHashRing:
         with pytest.raises(LookupError):
             ring.owner("anything")
 
-    def test_replicas_must_be_positive(self):
-        with pytest.raises(ValueError):
-            HashRing(range(2), replicas=0)
-
 
 class TestMergeMetrics:
     def test_sums_matching_series_across_workers(self):
@@ -108,7 +104,7 @@ class TestMergeMetrics:
             'blaeu_http_requests_total{route="/v1/tables"} 4\n'
             'blaeu_http_requests_total{route="/healthz"} 1\n'
         )
-        merged = merge_metrics([worker_a, worker_b])
+        merged = merge_metrics([(0, worker_a), (1, worker_b)])
         assert 'blaeu_http_requests_total{route="/v1/tables"} 7' in merged
         assert 'blaeu_http_requests_total{route="/healthz"} 1' in merged
         assert merged.count("# TYPE blaeu_http_requests_total counter") == 1
@@ -120,7 +116,7 @@ class TestMergeMetrics:
             "blaeu_build_seconds_sum 1.5\n"
             "blaeu_build_seconds_count 2\n"
         )
-        merged = merge_metrics([body, body])
+        merged = merge_metrics([(0, body), (1, body)])
         lines = merged.splitlines()
         type_at = lines.index("# TYPE blaeu_build_seconds histogram")
         assert 'blaeu_build_seconds_bucket{le="1"} 4' in lines[type_at:]
@@ -129,12 +125,35 @@ class TestMergeMetrics:
 
     def test_extra_lines_append_supervisor_series(self):
         merged = merge_metrics(
-            ["# TYPE up gauge\nup 1\n"],
+            [(0, "# TYPE up gauge\nup 1\n")],
             extra=["blaeu_supervisor_workers 2"],
         )
         assert merged.rstrip().endswith("blaeu_supervisor_workers 2")
 
     def test_garbage_lines_are_dropped_not_fatal(self):
-        merged = merge_metrics(["up 1\nnot a metric line at all\n\nup one\n"])
+        merged = merge_metrics(
+            [(0, "up 1\nnot a metric line at all\n\nup one\n")]
+        )
         assert "up 1" in merged
         assert "not a metric" not in merged
+
+    def test_gauges_keep_one_series_per_worker_slot(self):
+        """Two half-open breakers read half-open (1) on each slot, not
+        open (2), and a last-build gauge is each worker's own."""
+        body = (
+            "# TYPE blaeu_resilience_breaker_state gauge\n"
+            "blaeu_resilience_breaker_state 1\n"
+            "# TYPE blaeu_graph_last_build_seconds gauge\n"
+            'blaeu_graph_last_build_seconds{kind="nmi"} 0.05\n'
+            "# TYPE blaeu_pool_completed_total counter\n"
+            "blaeu_pool_completed_total 3\n"
+        )
+        lines = merge_metrics([(0, body), (1, body)]).splitlines()
+        assert 'blaeu_resilience_breaker_state{slot="0"} 1' in lines
+        assert 'blaeu_resilience_breaker_state{slot="1"} 1' in lines
+        assert (
+            'blaeu_graph_last_build_seconds{kind="nmi",slot="1"} 0.05' in lines
+        )
+        assert "blaeu_pool_completed_total 6" in lines
+        assert not [line for line in lines if line.endswith(" 2")]
+        assert lines.count("# TYPE blaeu_resilience_breaker_state gauge") == 1

@@ -74,6 +74,14 @@ class TestWriteStore:
         manifest = write_store(table, tmp_path)
         assert manifest.fingerprint == table.fingerprint()
 
+    def test_priority_seed_draws_the_ingest_permutation(self, table, tmp_path):
+        """The in-memory twin of ``ingest_csv(priority_seed=)``."""
+        manifest = write_store(table, tmp_path, priority_seed=9)
+        assert manifest.priority_seed == 9
+        priorities = np.fromfile(tmp_path / manifest.priority_file, "<i8")
+        expected = np.random.default_rng(9).permutation(table.n_rows)
+        np.testing.assert_array_equal(priorities, expected)
+
     def test_truncated_data_file_detected_on_open(self, table, tmp_path):
         manifest = write_store(table, tmp_path)
         values = tmp_path / manifest.columns[0].files["values"]

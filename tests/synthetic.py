@@ -17,6 +17,7 @@ is a fast, narrow variant of the OECD demo table.
 
 from __future__ import annotations
 
+import functools
 import string
 from dataclasses import dataclass
 
@@ -237,19 +238,24 @@ def numeric_columns(table: Table) -> list[NumericColumn]:
     return [c for c in table.columns if isinstance(c, NumericColumn)]
 
 
-def oecd_small(
-    n_rows: int = 900,
-    seed: int = 1961,
-    name: str = "countries_small",
-) -> Table:
-    """A fast variant of :func:`~repro.datasets.oecd.oecd` for tests:
-    same planted structure, 42 columns."""
-    return oecd(
-        n_rows=n_rows,
-        n_regions=220,
-        n_extra_groups=3,
-        extra_group_width=8,
-        n_misc=3,
-        seed=seed,
-        name=name,
-    )
+@functools.cache
+def _oecd() -> Table:
+    """The full :func:`~repro.datasets.oecd.oecd` table, built once per
+    session; :func:`oecd_small` gathers copies of its rows."""
+    return oecd()
+
+
+def oecd_small(n_rows: int = 900) -> Table:
+    """A fast-to-map slice of :func:`~repro.datasets.oecd.oecd` for
+    tests: its first ``n_rows`` rows and 39 of its columns — the id and
+    theme columns, three filler groups of eight indicators and three
+    misc indices — so the same planted structure."""
+    table = _oecd()
+    fillers = [
+        f"{base} Indicator {j}"
+        for base in ("Education", "Housing", "Environment")
+        for j in range(1, 9)
+    ]
+    misc = [f"Misc Index {m}" for m in (1, 2, 3)]
+    names = [*table.column_names[:12], *fillers, *misc]
+    return table.project(names).take(np.arange(n_rows), name="countries_small")

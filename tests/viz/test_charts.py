@@ -1,7 +1,6 @@
 """Unit tests for the text histogram and scatter plot."""
 
 import numpy as np
-import pytest
 
 from repro.table.column import CategoricalColumn, NumericColumn
 from repro.viz.charts import text_histogram, text_scatter
@@ -10,9 +9,9 @@ from repro.viz.charts import text_histogram, text_scatter
 class TestHistogram:
     def test_numeric_bins_and_counts(self, rng):
         column = NumericColumn("x", rng.normal(0, 1, 500))
-        text = text_histogram(column, n_bins=8)
+        text = text_histogram(column)
         assert text.startswith("x (500 rows)")
-        assert text.count("[") == 8
+        assert text.count("[") == 10
         # The counts at line ends sum to the row count.
         counts = [int(line.rsplit(" ", 1)[1]) for line in text.splitlines()[1:]]
         assert sum(counts) == 500
@@ -40,25 +39,21 @@ class TestHistogram:
         empty = CategoricalColumn.from_labels("c", [None, None])
         assert "(all values missing)" in text_histogram(empty)
 
-    def test_invalid_width(self):
-        with pytest.raises(ValueError):
-            text_histogram(NumericColumn("x", [1.0]), width=0)
-
 
 class TestScatter:
     def test_grid_shape(self, rng):
         x = NumericColumn("x", rng.normal(0, 1, 200))
         y = NumericColumn("y", rng.normal(0, 1, 200))
-        lines = text_scatter(x, y, width=30, height=10).splitlines()
-        assert len(lines) == 1 + 10 + 2  # header + rows + axis + ranges
-        assert all(len(line) == 31 for line in lines[1:11])
+        lines = text_scatter(x, y).splitlines()
+        assert len(lines) == 1 + 18 + 2  # header + rows + axis + ranges
+        assert all(len(line) == 51 for line in lines[1:19])
 
     def test_correlated_data_fills_diagonal(self, rng):
         base = np.linspace(0, 1, 300)
         x = NumericColumn("x", base)
         y = NumericColumn("y", base)
-        text = text_scatter(x, y, width=20, height=10)
-        rows = text.splitlines()[1:11]
+        text = text_scatter(x, y)
+        rows = text.splitlines()[1:19]
         # Bottom-left and top-right are populated; top-left is empty.
         assert rows[0][-3:].strip() or rows[1][-3:].strip()
         assert not rows[0][1:5].strip()
@@ -72,8 +67,3 @@ class TestScatter:
         x = NumericColumn("x", [np.nan])
         y = NumericColumn("y", [1.0])
         assert "no complete pairs" in text_scatter(x, y)
-
-    def test_tiny_grid_rejected(self, rng):
-        x = NumericColumn("x", rng.normal(0, 1, 10))
-        with pytest.raises(ValueError):
-            text_scatter(x, x, width=1)

@@ -56,9 +56,6 @@ class TestMapExport:
 
         assert sum(leaf_values(payload["root"])) == data_map.n_rows
 
-    def test_indent_option(self, data_map):
-        assert "\n" in export_map_json(data_map, indent=2)
-
 
 class TestThemesExport:
     def test_valid_json(self):

@@ -38,10 +38,9 @@ class TestRenderMap:
             line = next(l for l in lines if f"[{region.region_id}]" in l)
             assert line.startswith("  " * region.depth + "[")
 
-    def test_bars_optional(self, session):
+    def test_leaves_carry_share_bars(self, session):
         _, data_map = session
-        assert "▇" in render_map(data_map, show_bars=True)
-        assert "▇" not in render_map(data_map, show_bars=False)
+        assert "▇" in render_map(data_map)
 
     def test_deterministic(self, session):
         _, data_map = session

@@ -24,9 +24,9 @@ def data_map() -> DataMap:
 
 class TestLayout:
     def test_root_covers_canvas(self, data_map):
-        rectangles = treemap_layout(data_map, width=2.0, height=3.0)
+        rectangles = treemap_layout(data_map)
         root = rectangles["r"]
-        assert (root.x, root.y, root.width, root.height) == (0, 0, 2.0, 3.0)
+        assert (root.x, root.y, root.width, root.height) == (0, 0, 1.0, 1.0)
 
     def test_every_region_has_a_rectangle(self, data_map):
         rectangles = treemap_layout(data_map)
@@ -72,10 +72,6 @@ class TestLayout:
                     0.0, min(a.y + a.height, b.y + b.height) - max(a.y, b.y)
                 )
                 assert overlap_w * overlap_h == pytest.approx(0.0, abs=1e-9)
-
-    def test_invalid_canvas_rejected(self, data_map):
-        with pytest.raises(ValueError):
-            treemap_layout(data_map, width=0.0)
 
 
 class TestRect:
