@@ -159,13 +159,22 @@ class BlaeuConfig:
         result-neutral knob ``count_mode`` is excluded: two-phase
         counting never changes the final exact map, so sessions
         differing only there share cache entries and refinements.
+
+        Computed once per instance (the config is frozen) and kept in
+        its ``__dict__``, not in a field, so ``asdict`` never hashes it;
+        ``dataclasses.replace`` builds a new instance, which computes
+        its own.
         """
-        payload = dataclasses.asdict(self)
-        for knob in self._RESULT_NEUTRAL_KNOBS:
-            payload.pop(knob)
-        payload.update(self._RETIRED_KNOBS)
-        text = json.dumps(payload, sort_keys=True, default=repr)
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+        digest = self.__dict__.get("_digest")
+        if digest is None:
+            payload = dataclasses.asdict(self)
+            for knob in self._RESULT_NEUTRAL_KNOBS:
+                payload.pop(knob)
+            payload.update(self._RETIRED_KNOBS)
+            text = json.dumps(payload, sort_keys=True, default=repr)
+            digest = hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+            self.__dict__["_digest"] = digest
+        return digest
 
 
 #: The curated public name of the engine configuration: exploration is

@@ -26,6 +26,10 @@ __all__ = ["Region", "DataMap"]
 class Region:
     """A node of the map hierarchy.
 
+    Written only while the pipeline builds its map, never after the
+    :class:`DataMap` holding it exists: the map's kept export text
+    (:mod:`repro.viz.export`) would go stale.
+
     Attributes
     ----------
     region_id:
@@ -102,9 +106,15 @@ class Region:
         return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class DataMap:
     """A complete data map over one selection and one column set.
+
+    A map is never changed once built: its fields are frozen, and its
+    regions are only written while the pipeline builds them (a count
+    refinement builds a new map).  :mod:`repro.viz.export` relies on
+    this: it keeps a map's export text with the map and serves that
+    text for every later export.
 
     Attributes
     ----------

@@ -21,6 +21,13 @@ history     session
 suggest     session, limit (optional)
 close       session
 ========== =====================================================
+
+A map (or theme list) is encoded once: the session tier passes the text
+:mod:`repro.viz.export` kept with the immutable map as a
+:class:`JsonText` payload value, and :func:`encode_payload` — the one
+response encoder, shared with the HTTP tier — splices that text verbatim
+at its sorted key instead of decoding and re-encoding it.  This module
+stays stdlib-only: the fleet's supervisor loads it.
 """
 
 from __future__ import annotations
@@ -30,10 +37,13 @@ from dataclasses import dataclass, field
 
 __all__ = [
     "ProtocolError",
+    "JsonText",
     "Request",
     "Response",
     "ErrorResponse",
+    "encode_payload",
     "parse_request",
+    "validate_request",
 ]
 
 #: Commands the dispatcher understands, with their required arguments.
@@ -58,6 +68,33 @@ class ProtocolError(ValueError):
     """A malformed or invalid client request."""
 
 
+class JsonText(str):
+    """A JSON document already encoded: :func:`encode_payload` splices
+    it verbatim where a payload's top-level value would be encoded.
+
+    The type, not the content, marks it, so no session id or error text
+    can pass for one.
+    """
+
+    __slots__ = ()
+
+
+_ENCODER = json.JSONEncoder(sort_keys=True, default=str)
+
+
+def encode_payload(payload: dict[str, object]) -> str:
+    """``payload`` as ``json.dumps(payload, sort_keys=True, default=str)``
+    reads, byte for byte — with each top-level :class:`JsonText` value
+    spliced as the document it holds rather than encoded as a string.
+    """
+    items = (
+        f"{_ENCODER.encode(key)}: "
+        + (value if isinstance(value, JsonText) else _ENCODER.encode(value))
+        for key, value in sorted(payload.items())
+    )
+    return "{" + ", ".join(items) + "}"
+
+
 @dataclass(frozen=True)
 class Request:
     """A parsed, validated client request."""
@@ -76,9 +113,15 @@ class Request:
 
 @dataclass(frozen=True)
 class Response:
-    """A successful server response."""
+    """A successful server response.
+
+    A map-bearing payload holds its map as :class:`JsonText`;
+    ``counts_status`` is that map's count status (``None`` on a response
+    that carries no map), so the service need not decode the text.
+    """
 
     payload: dict[str, object]
+    counts_status: str | None = field(default=None, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -87,7 +130,7 @@ class Response:
 
     def to_json(self) -> str:
         """Serialize to wire format."""
-        return json.dumps({"ok": True, **self.payload}, sort_keys=True, default=str)
+        return encode_payload({"ok": True, **self.payload})
 
 
 @dataclass(frozen=True)
@@ -121,13 +164,24 @@ class ErrorResponse:
 def parse_request(text: str) -> Request:
     """Parse and validate one JSON request line.
 
-    Raises :class:`ProtocolError` on malformed JSON, unknown commands or
-    missing required arguments.
+    Raises :class:`ProtocolError` on malformed JSON and wherever
+    :func:`validate_request` does.
     """
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as error:
         raise ProtocolError(f"malformed JSON: {error}") from error
+    return validate_request(raw)
+
+
+def validate_request(raw: object) -> Request:
+    """The request a decoded JSON value states: an object with a known
+    string ``command`` and that command's required arguments.
+
+    The one validation path of every request, off the wire or off an
+    HTTP route.  Pops ``command`` off ``raw``; every other key becomes
+    an argument.  Raises :class:`ProtocolError` on anything else.
+    """
     if not isinstance(raw, dict):
         raise ProtocolError("request must be a JSON object")
     command = raw.pop("command", None)

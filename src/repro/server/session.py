@@ -3,23 +3,27 @@
 A :class:`Session` wraps one :class:`~repro.core.navigation.Explorer`;
 the :class:`SessionManager` owns the engine, creates sessions on
 ``open``, routes every protocol command to the right session and renders
-results as JSON payloads (via :mod:`repro.viz.export` for maps and
-themes).  Engine-side failures never crash the dispatcher: they come
-back as :class:`~repro.server.protocol.ErrorResponse`.
+results as JSON payloads.  A map or theme list rides in its payload as
+the text :mod:`repro.viz.export` encoded once and kept with it
+(:class:`~repro.server.protocol.JsonText`), which the response encoder
+splices: a map served again is never encoded again.  Engine-side
+failures never crash the dispatcher: they come back as
+:class:`~repro.server.protocol.ErrorResponse`.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 from dataclasses import dataclass, field
 
+from repro.core.datamap import DataMap
 from repro.core.engine import Blaeu
 from repro.core.navigation import Explorer, Highlight
 from repro.core.pipeline import MapBuildError
 from repro.server.protocol import (
     COMMANDS,
     ErrorResponse,
+    JsonText,
     ProtocolError,
     Request,
     Response,
@@ -137,7 +141,7 @@ class SessionManager:
         table = str(request.arg("table"))
         themes = self._engine.themes(table)
         return Response(
-            {"table": table, "themes": json.loads(export_themes_json(themes))}
+            {"table": table, "themes": JsonText(export_themes_json(themes))}
         )
 
     def _handle_open(self, request: Request) -> Response:
@@ -163,30 +167,16 @@ class SessionManager:
         finally:
             with self._lock:
                 self._reserved.discard(session_id)
-        return Response(
-            {"session": session_id, "map": json.loads(export_map_json(data_map))}
-        )
+        return _map_response(session_id, data_map)
 
     def _handle_map(self, request: Request) -> Response:
         session = self._require(request)
-        data_map = session.explorer.state.map
-        return Response(
-            {
-                "session": session.session_id,
-                "map": json.loads(export_map_json(data_map)),
-            }
-        )
+        return _map_response(session.session_id, session.explorer.state.map)
 
     def _handle_zoom(self, request: Request) -> Response:
         session = self._require(request)
         region = str(request.arg("region"))
-        data_map = session.explorer.zoom(region)
-        return Response(
-            {
-                "session": session.session_id,
-                "map": json.loads(export_map_json(data_map)),
-            }
-        )
+        return _map_response(session.session_id, session.explorer.zoom(region))
 
     def _handle_project(self, request: Request) -> Response:
         session = self._require(request)
@@ -195,12 +185,7 @@ class SessionManager:
             data_map = session.explorer.project(theme)
         else:
             data_map = session.explorer.project(str(theme))
-        return Response(
-            {
-                "session": session.session_id,
-                "map": json.loads(export_map_json(data_map)),
-            }
-        )
+        return _map_response(session.session_id, data_map)
 
     def _handle_highlight(self, request: Request) -> Response:
         session = self._require(request)
@@ -218,13 +203,7 @@ class SessionManager:
 
     def _handle_rollback(self, request: Request) -> Response:
         session = self._require(request)
-        data_map = session.explorer.rollback()
-        return Response(
-            {
-                "session": session.session_id,
-                "map": json.loads(export_map_json(data_map)),
-            }
-        )
+        return _map_response(session.session_id, session.explorer.rollback())
 
     def _handle_sql(self, request: Request) -> Response:
         session = self._require(request)
@@ -367,6 +346,14 @@ class SessionManager:
                     f"no session {session_id!r}; open one first "
                     f"(active: {list(self._sessions)})"
                 ) from None
+
+
+def _map_response(session_id: str, data_map: DataMap) -> Response:
+    """A map-bearing response: the map's kept export text, spliced."""
+    return Response(
+        {"session": session_id, "map": JsonText(export_map_json(data_map))},
+        counts_status=data_map.counts_status,
+    )
 
 
 def _highlight_payload(highlight: Highlight) -> dict[str, object]:

@@ -20,7 +20,6 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import functools
-import json
 import os
 import sys
 import time
@@ -52,7 +51,7 @@ from repro.server.protocol import (
     ErrorResponse,
     ProtocolError,
     Response,
-    parse_request,
+    validate_request,
 )
 from repro.server.session import SessionManager
 from repro.service import routes
@@ -743,23 +742,19 @@ class BlaeuService:
         args: dict[str, object],
     ) -> HttpResponse:
         """Validate a protocol command and run it on the worker pool."""
-        payload = dict(args)
-        payload["command"] = command  # the route, not the body, is authoritative
         try:
-            parsed = parse_request(json.dumps(payload))
+            # The route, not the body, is authoritative for the command.
+            parsed = validate_request({**args, "command": command})
         except ProtocolError as error:
             return error_response(400, "bad_request", str(error))
-        except TypeError as error:
-            return error_response(
-                400, "bad_request", f"unserializable arguments: {error}"
-            )
         try:
             result = await self._pool.run(self._manager.handle, parsed)
         except PoolSaturatedError as error:
             return self._saturated(error)
         if isinstance(result, Response):
             payload: dict[str, object] = {"ok": True, **result.payload}
-            self._annotate_counts(payload)
+            if result.counts_status is not None:
+                self._annotate_counts(payload, result.counts_status)
             return json_response(payload)
         assert isinstance(result, ErrorResponse)
         status = self._error_status(result.error)
@@ -770,8 +765,9 @@ class BlaeuService:
         code = result.code or ("not_found" if status == 404 else "bad_request")
         return error_response(status, code, result.error, command=command)
 
-    def _annotate_counts(self, payload: dict[str, object]) -> None:
-        """Surface count-refinement status on map-bearing responses.
+    def _annotate_counts(self, payload: dict[str, object], status: str) -> None:
+        """Surface the count-refinement status of the map a response
+        carries.
 
         Approximate maps additionally schedule the exact routing pass
         on the worker pool, so ``/map`` (and every other map-returning
@@ -779,10 +775,6 @@ class BlaeuService:
         ``counts_status="exact"`` once the background pass patched the
         shared cache and the session state.
         """
-        data_map = payload.get("map")
-        if not isinstance(data_map, dict) or "counts_status" not in data_map:
-            return
-        status = str(data_map["counts_status"])
         session_id = str(payload.get("session", ""))
         if status != "exact" and session_id:
             self._schedule_refine(session_id)

@@ -72,7 +72,7 @@ class CacheConfig:
         "BLAEU_CACHE_DIR",
         "shared on-disk artifact cache (the L2 tier); created if "
         "missing.  Workers of one supervisor always share a cache dir "
-        "(a temp dir when this is unset)",
+        "(when this is unset, a temp dir the fleet removes on stop)",
     )
     # The literal keeps this module (and so the supervisor) free of the
     # store and the engine; a test pins it to ArtifactCache's default.

@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 from typing import Awaitable, Callable
 from urllib.parse import parse_qs, unquote, urlsplit
 
+from repro.server.protocol import encode_payload
+
 __all__ = [
     "HttpError",
     "HttpRequest",
@@ -117,12 +119,14 @@ class HttpRequest:
     target: str = ""
 
     def json(self) -> dict[str, object]:
-        """The body parsed as a JSON object (400 on anything else)."""
+        """The body parsed as a JSON object (400 on anything else:
+        bytes that are not JSON, not UTF-8/16/32, or nested past the
+        decoder's recursion limit)."""
         if not self.body:
             return {}
         try:
             payload = json.loads(self.body)
-        except json.JSONDecodeError as error:
+        except (ValueError, RecursionError) as error:
             raise HttpError(400, f"malformed JSON body: {error}") from error
         if not isinstance(payload, dict):
             raise HttpError(400, "JSON body must be an object")
@@ -178,8 +182,10 @@ def json_response(
     status: int = 200,
     headers: dict[str, str] | None = None,
 ) -> HttpResponse:
-    """A JSON response from a payload dictionary."""
-    body = json.dumps(payload, sort_keys=True, default=str).encode("utf-8")
+    """A JSON response from a payload dictionary, through the one
+    response encoder (:func:`~repro.server.protocol.encode_payload`: a
+    map's kept text is spliced, not re-encoded)."""
+    body = encode_payload(payload).encode("utf-8")
     return HttpResponse(status=status, body=body, headers=headers or {})
 
 

@@ -226,7 +226,8 @@ class Supervisor:
         ``resilience.drain_timeout`` how long a draining slot may finish
         in-flight requests before a graceful restart terminates it.
         Every worker boots under this config (:func:`worker_env`), over
-        one shared ``cache.dir`` — a temp directory when none is set.
+        one shared ``cache.dir`` — a temp directory when none is set,
+        which :meth:`start` makes and :meth:`stop` removes.
     sources:
         What each worker serves: the data arguments of ``blaeu serve``
         (CSV files / store directories, or ``--demo <name>``).
@@ -238,19 +239,15 @@ class Supervisor:
     def __init__(self, config: ServiceConfig, sources: list[str]) -> None:
         if config.pool.processes < 2:
             raise ValueError("a supervisor needs at least 2 workers")
-        if config.cache.dir is None:
-            config = replace(
-                config,
-                cache=replace(
-                    config.cache, dir=tempfile.mkdtemp(prefix="blaeu-cache-")
-                ),
-            )
         self._config = config
         self._sources = list(sources)
         self._n_workers = config.pool.processes
-        # The port files' directory: made by :meth:`start`, removed by
-        # :meth:`stop`, so a supervisor that never starts leaves nothing.
+        # The port files' directory, and the shared cache directory of a
+        # fleet configured without one: made by :meth:`start`, removed
+        # by :meth:`stop`, so a supervisor that never starts leaves
+        # nothing.
         self._state_dir: Path | None = None
+        self._temp_cache: Path | None = None
         self._workers = [WorkerProcess(slot=slot) for slot in range(self._n_workers)]
         self._ring = HashRing(range(self._n_workers))
         self._fingerprints: dict[str, str] = {}  # name -> fingerprint
@@ -311,9 +308,16 @@ class Supervisor:
     # ------------------------------------------------------------------
 
     async def start(self) -> None:
-        """Make the port files' directory, spawn every worker, wait for
-        their ports, open the front."""
+        """Make the port files' directory (and a cache directory when
+        none is configured), spawn every worker, wait for their ports,
+        open the front."""
         self._state_dir = Path(tempfile.mkdtemp(prefix="blaeu-supervisor-"))
+        if self._config.cache.dir is None:
+            self._temp_cache = Path(tempfile.mkdtemp(prefix="blaeu-cache-"))
+            self._config = replace(
+                self._config,
+                cache=replace(self._config.cache, dir=str(self._temp_cache)),
+            )
         for worker in self._workers:
             worker.port_file = self._state_dir / f"worker-{worker.slot}.port"
             self._spawn(worker)
@@ -326,7 +330,7 @@ class Supervisor:
 
     async def stop(self) -> None:
         """Stop the front, close every pooled connection, terminate the
-        fleet and remove its port files' directory."""
+        fleet and remove the directories :meth:`start` made."""
         self._stopping = True
         if self._monitor_task is not None:
             self._monitor_task.cancel()
@@ -350,6 +354,12 @@ class Supervisor:
         if self._state_dir is not None:
             shutil.rmtree(self._state_dir, ignore_errors=True)
             self._state_dir = None
+        if self._temp_cache is not None:
+            shutil.rmtree(self._temp_cache, ignore_errors=True)
+            self._temp_cache = None
+            self._config = replace(
+                self._config, cache=replace(self._config.cache, dir=None)
+            )
 
     async def serve_forever(self) -> None:
         """Serve until cancelled."""

@@ -1,5 +1,7 @@
 """Unit tests for engine configuration validation."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import BlaeuConfig
@@ -37,3 +39,31 @@ class TestBlaeuConfig:
     def test_explicit_theme_k_values_accepted(self):
         config = BlaeuConfig(theme_k_values=(2, 4, 8))
         assert config.theme_k_values == (2, 4, 8)
+
+
+class TestDigestMemo:
+    """The digest is computed once per frozen instance, and the memo
+    never leaks into what the digest, ``==`` or ``hash`` read."""
+
+    def test_the_default_digest_holds_before_and_after_a_first_call(self):
+        config = BlaeuConfig()
+        assert "_digest" not in config.__dict__
+        assert config.digest() == "16a753f91cf0ec48"
+        assert config.__dict__["_digest"] == "16a753f91cf0ec48"
+        assert config.digest() == "16a753f91cf0ec48"
+
+    def test_replace_computes_a_fresh_digest(self):
+        config = BlaeuConfig()
+        config.digest()
+        reseeded = dataclasses.replace(config, seed=7)
+        assert reseeded.digest() != config.digest()
+        assert dataclasses.replace(reseeded, seed=42).digest() == config.digest()
+
+    def test_the_memo_is_no_field(self):
+        warm, cold = BlaeuConfig(), BlaeuConfig()
+        warm.digest()
+        assert warm == cold
+        assert hash(warm) == hash(cold)
+        assert repr(warm) == repr(cold)
+        assert dataclasses.asdict(warm) == dataclasses.asdict(cold)
+        assert "_digest" not in {field.name for field in dataclasses.fields(warm)}

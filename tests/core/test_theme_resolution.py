@@ -8,6 +8,7 @@ state what the early exits promise; the engine tests state who computes
 themes, how often, and where everybody else gets them from.
 """
 
+import json
 import sys
 import tempfile
 import threading
@@ -408,7 +409,7 @@ def test_eight_concurrent_opens_extract_themes_once(monkeypatch):
     assert not any(thread.is_alive() for thread in threads)
     assert len(calls) == 1
     assert all(response.ok for response in responses.values())
-    maps = [responses[i].payload["map"] for i in range(8)]
+    maps = [json.loads(responses[i].payload["map"]) for i in range(8)]
     assert all(served == maps[0] for served in maps)
 
 

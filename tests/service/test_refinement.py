@@ -22,10 +22,12 @@ import pytest
 from repro.core.config import BlaeuConfig
 from repro.core.engine import Blaeu
 from repro.core.navigation import Explorer
-from repro.core.pipeline import MapBuildError
-from repro.server.protocol import parse_request
+from repro.core.pipeline import MapBuildError, MapBuilder
+from repro.server.protocol import parse_request, validate_request
 from repro.server.session import SessionManager
 from repro.service.app import BlaeuService, PoolConfig, ServiceConfig
+from repro.service.cache import LRUCache
+from repro.viz.export import export_map_json
 from synthetic import mixed_blobs
 
 APPROX_CONFIG = BlaeuConfig(
@@ -126,6 +128,80 @@ class TestApproximateFirstResponses:
         assert "blaeu_pipeline_refinements_total" in text
         assert "blaeu_pipeline_sample_misses_total" in text
         assert "blaeu_pipeline_last_build_seconds" in text
+
+
+class TestRefinedMapsServeTheirOwnText:
+    """A map's export text is kept with the map; refinement makes a new
+    map, so no response after a session moved to exact counts may carry
+    the approximate map's kept text."""
+
+    def test_a_refined_session_serves_the_blocking_exact_builds_text(self):
+        table = mixed_blobs(n_rows=900, k=3, seed=61).table
+        engine = Blaeu(APPROX_CONFIG)
+        engine.set_map_cache(LRUCache(max_size=16))  # as the service does
+        engine.register(table)
+        manager = SessionManager(engine)
+
+        def send(command, **args):
+            response = manager.handle(
+                validate_request({"command": command, "session": "s", **args})
+            )
+            assert response.ok, response
+            return response
+
+        opened = send("open", table="mixed_blobs", theme=0)
+        approximate_map = manager.peek("s").state.map
+        approximate = opened.payload["map"]
+        assert opened.counts_status == "approximate"
+        assert json.loads(approximate)["counts_status"] == "approximate"
+        assert approximate == export_map_json(approximate_map)
+
+        assert manager.refine_session("s")
+        exact = export_map_json(
+            MapBuilder().build(
+                table,
+                approximate_map.columns,
+                config=APPROX_CONFIG,
+                count_mode="exact",
+            )
+        )
+        assert json.loads(exact)["counts_status"] == "exact"
+        leaves = [r for r in approximate_map.leaves() if r.n_rows >= 40]
+        served = [send("map")]
+        send("zoom", region=leaves[0].region_id)
+        served += [send("rollback"), send("map")]
+        for response in served:
+            assert response.payload["map"] == exact
+            assert response.counts_status == "exact"
+        wire = json.loads(
+            manager.handle_json('{"command": "map", "session": "s"}')
+        )
+        assert wire["map"] == json.loads(exact)
+
+    def test_no_response_after_the_exact_one_is_approximate(
+        self, approx_service
+    ):
+        approx_service.post(
+            "/v1/commands/open",
+            {"session": "ap5", "table": "mixed_blobs", "theme": 0},
+        )
+        refined = _poll_exact(approx_service, "ap5")
+        served = approx_service.service.engine
+        exact = MapBuilder().build(
+            served.database.table("mixed_blobs"),
+            tuple(refined["map"]["columns"]),
+            config=served.config,
+            count_mode="exact",
+        )
+        expected = json.loads(export_map_json(exact))
+        assert refined["map"] == expected
+        for _ in range(3):
+            status, payload = approx_service.post(
+                "/v1/commands/map", {"session": "ap5"}
+            )
+            assert status == 200
+            assert payload["counts_status"] == "exact"
+            assert payload["map"] == expected
 
 
 class TestStructuredMapBuildErrors:
@@ -235,9 +311,6 @@ class TestNumpyRngEquivalence:
     def test_session_mode_refine_matches_service_exact(self):
         """An explorer without any cache refines to the same exact map a
         blocking exact build produces."""
-        from repro.core.pipeline import MapBuilder
-        from repro.viz.export import export_map_json
-
         table = mixed_blobs(n_rows=900, k=3, seed=61).table
         explorer = Explorer(table, config=APPROX_CONFIG)
         explorer.open_theme(0)

@@ -13,13 +13,19 @@ from __future__ import annotations
 import asyncio
 import json
 import re
+import tempfile
 from pathlib import Path
 from urllib.parse import parse_qs
 
 import pytest
 
 from repro.server.protocol import COMMANDS
-from repro.service.config import CacheConfig, PoolConfig, ServiceConfig
+from repro.service.config import (
+    CacheConfig,
+    PoolConfig,
+    ServiceConfig,
+    worker_env,
+)
 from repro.service.http import HttpRequest
 from repro.service.routes import ROUTES, match, unknown_label
 from repro.service.supervisor import Supervisor
@@ -424,6 +430,63 @@ def test_port_files_directory_lives_from_start_to_stop(tmp_path, monkeypatch):
 
     assert not asyncio.run(main()).exists()
     assert supervisor._state_dir is None
+
+
+def test_a_cache_less_fleet_removes_the_cache_directory_it_made(
+    tmp_path, monkeypatch
+):
+    """A fleet configured without a cache directory shares one the
+    supervisor makes on start and removes on stop; a start/stop cycle
+    leaves no ``blaeu-cache-*`` directory behind."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    config = ServiceConfig(port=0, pool=PoolConfig(processes=2))
+    assert config.cache.dir is None
+    supervisor = Supervisor(config, ["--demo", "hollywood"])
+    assert list(tmp_path.glob("blaeu-cache-*")) == []
+
+    async def announced(worker):
+        worker.port = 1
+
+    monkeypatch.setattr(supervisor, "_spawn", lambda worker: None)
+    monkeypatch.setattr(supervisor, "_await_port", announced)
+
+    async def main():
+        await supervisor.start()
+        made = list(tmp_path.glob("blaeu-cache-*"))
+        # Every worker would boot over the one directory made.
+        assert [Path(supervisor._config.cache.dir)] == made
+        assert worker_env(supervisor._config, {})["BLAEU_CACHE_DIR"] == str(
+            made[0]
+        )
+        await supervisor.stop()
+
+    asyncio.run(main())
+    assert list(tmp_path.glob("blaeu-cache-*")) == []
+    assert supervisor._config.cache.dir is None
+
+
+def test_a_configured_cache_directory_outlives_the_fleet(tmp_path, monkeypatch):
+    """Only a directory the supervisor made is removed."""
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    config = ServiceConfig(
+        port=0, pool=PoolConfig(processes=2), cache=CacheConfig(dir=str(cache))
+    )
+    supervisor = Supervisor(config, ["--demo", "hollywood"])
+
+    async def announced(worker):
+        worker.port = 1
+
+    monkeypatch.setattr(supervisor, "_spawn", lambda worker: None)
+    monkeypatch.setattr(supervisor, "_await_port", announced)
+
+    async def main():
+        await supervisor.start()
+        await supervisor.stop()
+
+    asyncio.run(main())
+    assert cache.is_dir()
+    assert supervisor._config.cache.dir == str(cache)
 
 
 def request(method, target, body=b""):

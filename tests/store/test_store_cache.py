@@ -137,7 +137,9 @@ class TestServiceCatalogResidency:
         # cache hit: no store IO beyond what the first build did.
         reads_after_first = stored.data_reads
         reopened = send(command="open", session="s2", table="blobs", theme=0)
-        assert reopened.payload["map"] == opened.payload["map"]
+        assert json.loads(reopened.payload["map"]) == json.loads(
+            opened.payload["map"]
+        )
         assert stored.data_reads == reads_after_first
 
     def test_zoom_and_highlight_on_store_backed_session(self, stored):
@@ -154,7 +156,7 @@ class TestServiceCatalogResidency:
 
         opened = send(command="open", session="s1", table="blobs", theme=0)
         # Zoom into the root's largest child region.
-        children = opened.payload["map"]["root"]["children"]
+        children = json.loads(opened.payload["map"])["root"]["children"]
         region_id = max(children, key=lambda c: c["value"])["id"]
         zoomed = send(command="zoom", session="s1", region=region_id)
         assert "map" in getattr(zoomed, "payload", {}), getattr(

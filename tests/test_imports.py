@@ -269,6 +269,25 @@ class TestImportClosure:
             SUPERVISOR_CLOSURE
         )
 
+    def test_encoding_responses_keeps_the_supervisor_closure(self):
+        """The supervisor encodes bodies with the encoder the workers
+        splice kept map text with: running it — not only importing it —
+        loads nothing past the proxy's closure, and no NumPy."""
+        loaded = _fresh_modules(
+            "import repro.service.supervisor\n"
+            "from repro.server.protocol import ErrorResponse, JsonText, Response\n"
+            "from repro.service.http import error_response, json_response\n"
+            "kept = JsonText('{\"type\": \"blaeu.map\"}')\n"
+            "Response({'session': 's', 'map': kept}).to_json()\n"
+            "ErrorResponse(error='e', command='zoom', code='c').to_json()\n"
+            "json_response({'ok': True, 'map': kept, 'refining': False})\n"
+            "error_response(404, 'not_found', 'no session')\n"
+        )
+        assert {name for name in loaded if name.startswith("repro")} == (
+            SUPERVISOR_CLOSURE
+        )
+        assert sorted(name for name in loaded if _is_engine(name)) == []
+
     def test_importing_every_module_loads_only_declared_packages(self):
         new = _child(
             "-c",

@@ -1,12 +1,16 @@
 """Unit tests for JSON export (the D3 payloads)."""
 
+import dataclasses
 import json
+import sys
+import threading
 
 import pytest
 
 from repro.core.config import BlaeuConfig
 from repro.core.pipeline import build_map
 from repro.core.themes import extract_themes
+from repro.store import codec
 from repro.viz.export import export_map_json, export_themes_json
 from synthetic import numeric_blobs, planted_themes
 
@@ -57,6 +61,52 @@ class TestMapExport:
         assert sum(leaf_values(payload["root"])) == data_map.n_rows
 
 
+class TestEncodedOnce:
+    """The export text is kept with the (never patched) map or theme
+    set: a second export returns it, and it is no part of what the map
+    is."""
+
+    def test_a_second_export_returns_the_kept_text(self, data_map):
+        first = export_map_json(data_map)
+        assert export_map_json(data_map) is first
+
+    def test_the_kept_text_is_no_part_of_the_map(self, data_map):
+        export_map_json(data_map)
+        copy = dataclasses.replace(data_map)
+        assert "_export_json" not in copy.__dict__
+        assert copy == data_map
+        assert repr(copy) == repr(data_map)
+        assert codec.encode(copy) == codec.encode(data_map)
+        decoded = codec.decode(codec.encode(data_map))
+        assert export_map_json(decoded) == export_map_json(data_map)
+
+    def test_concurrent_first_exports_agree(self, data_map):
+        """Threads racing on a fresh map's first export each get the
+        text a lone export makes, and one such text is kept."""
+        expected = export_map_json(data_map)
+        fresh = dataclasses.replace(data_map)
+        texts = []
+        barrier = threading.Barrier(8)
+
+        def export():
+            barrier.wait(timeout=10)
+            texts.append(export_map_json(fresh))
+
+        threads = [threading.Thread(target=export) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert texts == [expected] * 8
+        assert export_map_json(fresh) == expected
+
+
 class TestThemesExport:
     def test_valid_json(self):
         planted = planted_themes(
@@ -66,7 +116,9 @@ class TestThemesExport:
             planted.table,
             config=BlaeuConfig(theme_k_values=(2, 3)),
         )
-        payload = json.loads(export_themes_json(themes))
+        text = export_themes_json(themes)
+        assert export_themes_json(themes) is text
+        payload = json.loads(text)
         assert payload["type"] == "blaeu.themes"
         assert len(payload["themes"]) == len(themes)
         for entry in payload["themes"]:
