@@ -9,7 +9,7 @@ selection.  This module makes the pipeline explicit:
 ========== ============================================================
 stage       artifact
 ========== ============================================================
-sample      the sampled slice of the selection (+ selection mask/size)
+sample      the sampled slice of the selection (+ selection bitmap/size)
 preprocess  the :class:`~repro.core.preprocess.FeatureSpace`
 distances   the shared pairwise matrix (``None`` at CLARA scale)
 cluster     the clustering, its silhouette, per-leaf silhouettes
@@ -129,9 +129,13 @@ def map_cache_key(
 class SampleArtifact:
     """The Sample stage's output: the slice the pipeline clusters.
 
-    ``rng_state`` is the generator state *after* sampling; the Cluster
-    stage resumes it, so a build entering mid-pipeline consumes exactly
-    the random stream a cold single pass would have.
+    ``selection_mask`` is the selection as a packed bitmap
+    (``np.packbits`` of the boolean row mask: ⌈n/8⌉ bytes, ``None`` for
+    every row), so a cached sample costs what its sample holds, not a
+    byte per table row.  ``rng_state`` is the generator state *after*
+    sampling; the Cluster stage resumes it, so a build entering
+    mid-pipeline consumes exactly the random stream a cold single pass
+    would have.
     """
 
     sample: Table
@@ -366,7 +370,7 @@ class MapPipeline:
             sample = table.take(np.arange(table.n_rows, dtype=np.intp))
         return SampleArtifact(
             sample=sample,
-            selection_mask=mask,
+            selection_mask=None if mask is None else np.packbits(mask),
             n_selection=n_selection,
             rng_state=copy.deepcopy(rng.bit_generator.state),
         )
@@ -805,7 +809,7 @@ def refine_exact(
     if selection is None or isinstance(selection, Everything):
         mask = None
     else:
-        mask = table.scan_mask(selection)
+        mask = np.packbits(table.scan_mask(selection))
     leaves = [leaf for leaf in approximate.leaves() if leaf.cluster is not None]
     root = _exact_regions(
         tree,
@@ -829,11 +833,12 @@ def refine_exact(
 def _exact_regions(
     tree: DecisionTree,
     table: Table,
-    selection_mask: np.ndarray | None,
+    selection: np.ndarray | None,
     leaf_silhouettes: dict[int, float],
     exemplars: dict[int, dict[str, object]],
 ) -> Region:
-    """Region hierarchy with exact counts over the full selection.
+    """Region hierarchy with exact counts over the full selection
+    (a packed bitmap, ``None`` for every row).
 
     The selection is never materialized, on either residency: the
     count pass (:func:`_node_counts`) reads only the split columns,
@@ -850,52 +855,91 @@ def _exact_regions(
         leaf_silhouettes,
         exemplars,
     )
-    counts = _node_counts(tree, table, selection_mask)
+    counts = _node_counts(tree, table, selection)
     for region, count in zip(root.walk(), counts):
         region.n_rows = int(count)
     return root
 
 
+#: Set bits per byte value: a bitmap's row count without unpacking it.
+_POPCOUNT = np.array([bin(byte).count("1") for byte in range(256)], dtype=np.uint8)
+
+
+def packed_count(selection: np.ndarray) -> int:
+    """How many rows a packed selection bitmap selects."""
+    return int(_POPCOUNT[selection].sum(dtype=np.int64))
+
+
+def _selection_rows(selection: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Rows ``[start, stop)`` of a packed selection bitmap as a boolean
+    mask: the byte-aligned superset is unpacked, then sliced."""
+    first = start // 8
+    bits = np.unpackbits(selection[first : -(-stop // 8)])
+    return bits[start - 8 * first : stop - 8 * first].view(bool)
+
+
 def _node_counts(
-    tree: DecisionTree, table: Table, selection_mask: np.ndarray | None
+    tree: DecisionTree, table: Table, selection: np.ndarray | None
 ) -> np.ndarray:
     """Selected rows reaching each tree node (walk order).
 
-    One selection pass over just the columns the tree splits on, which
-    costs what the selection holds, not what the table holds: a
-    partition without a selected row is not visited, a chunk without
-    one is never read, and each chunk routes its selection segment into
-    one counts array.  The pass runs under a ``store.count`` span saying
-    what it read and what it skipped.
+    ``selection`` is a packed bitmap over the table's rows (``None``
+    for every row), unpacked one partition at a time, so no mask of
+    the whole table is ever held.  One selection pass over just the
+    columns the tree splits on, which costs what the selection holds,
+    not what the table holds: a partition without a selected row is not
+    visited, a chunk without one is never read, and each chunk routes
+    its selection segment into one counts array.  The pass runs under a
+    ``store.count`` span saying what it read and what it skipped.
     """
-    mask = (
-        selection_mask
-        if selection_mask is not None
-        else np.ones(table.n_rows, dtype=bool)
-    )
+    if selection is not None and selection.shape != (-(-table.n_rows // 8),):
+        raise ValueError(
+            f"selection bitmap of shape {selection.shape} does not cover "
+            f"the {table.n_rows} rows of table {table.name!r}"
+        )
     nodes = list(tree.root.walk())
     needed = tuple(sorted({n.column or "" for n in nodes if not n.is_leaf}))
+    selected = (
+        table.n_rows
+        if selection is None
+        else packed_count(selection)
+    )
     if not needed:  # a single leaf: every selected row is in it
-        return np.asarray([mask.sum()], dtype=np.int64)
+        return np.asarray([selected], dtype=np.int64)
     counts = np.zeros(len(nodes), dtype=np.int64)
     step = table.chunk_rows
     partitions = table.partitions
     with get_tracer().span("store.count") as span:
-        live = [p for p in partitions if mask[p.start : p.stop].any()]
-        chunks = 0
-        for lo, hi, chunk, _ in table.scan_partitions(live, needed, where=mask):
-            checkpoint("count.chunk")
-            counts += count_reaching(tree.root, chunk, mask[lo:hi])
-            chunks += 1
+        live = chunks = 0
+        with table.chunk_reader() as reader:
+            for partition in partitions:
+                start, stop = partition.start, partition.stop
+                rows = (
+                    np.ones(stop - start, dtype=bool)
+                    if selection is None
+                    else _selection_rows(selection, start, stop)
+                )
+                if not rows.any():
+                    continue
+                live += 1
+                checkpoint("store.partition")
+                for lo, hi, chunk in table.scan_chunks(
+                    reader, needed, None, start, stop, rows
+                ):
+                    checkpoint("count.chunk")
+                    counts += count_reaching(
+                        tree.root, chunk, rows[lo - start : hi - start]
+                    )
+                    chunks += 1
         skipped = sum(-(-p.rows // step) for p in partitions) - chunks
         get_metrics().increment("blaeu_store_chunks_skipped_total", skipped)
         if span.enabled:
-            span.set("rows_selected", int(np.count_nonzero(mask)))
+            span.set("rows_selected", selected)
             span.set("columns", len(needed))
             span.set("chunks", chunks)
             span.set("chunks_skipped", skipped)
-            span.set("partitions", len(live))
-            span.set("partitions_skipped", len(partitions) - len(live))
+            span.set("partitions", live)
+            span.set("partitions_skipped", len(partitions) - live)
     return counts
 
 

@@ -10,7 +10,7 @@ command     arguments
 tables      —
 catalog     —
 themes      table
-open        session, table, theme (name or index)
+open        session, table, theme
 map         session
 zoom        session, region
 project     session, theme
@@ -21,6 +21,14 @@ history     session
 suggest     session, limit (optional)
 close       session
 ========== =====================================================
+
+Each argument has one JSON type (:data:`ARGUMENTS`): ``session``,
+``table`` and ``region`` are strings, ``theme`` a name (string) or an
+index (integer), ``columns`` a list of strings and ``limit`` an
+integer; a ``bool`` is never an integer, and ``null`` for an optional
+argument is its absence.  A request that breaks this is refused by
+:func:`validate_request` with a :class:`ProtocolError` naming the
+argument, before any session, table or theme is looked up.
 
 A map (or theme list) is encoded once: the session tier passes the text
 :mod:`repro.viz.export` kept with the immutable map as a
@@ -34,6 +42,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Callable
 
 __all__ = [
     "ProtocolError",
@@ -61,6 +70,40 @@ COMMANDS: dict[str, tuple[str, ...]] = {
     "history": ("session",),
     "suggest": ("session",),
     "close": ("session",),
+}
+
+
+#: The arguments a command takes without requiring them.
+OPTIONAL: dict[str, tuple[str, ...]] = {
+    "highlight": ("columns",),
+    "sql": ("region",),
+    "suggest": ("limit",),
+}
+
+
+def _is_string(value: object) -> bool:
+    return isinstance(value, str)
+
+
+def _is_integer(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+#: Every argument's JSON type: a test of the decoded value, and what
+#: the refusal says it must be.
+ARGUMENTS: dict[str, tuple[Callable[[object], bool], str]] = {
+    "session": (_is_string, "a string"),
+    "table": (_is_string, "a string"),
+    "region": (_is_string, "a string"),
+    "theme": (
+        lambda v: _is_string(v) or _is_integer(v),
+        "a theme name (string) or index (integer)",
+    ),
+    "columns": (
+        lambda v: isinstance(v, list) and all(isinstance(c, str) for c in v),
+        "a list of strings",
+    ),
+    "limit": (_is_integer, "an integer"),
 }
 
 
@@ -102,9 +145,9 @@ class Request:
     command: str
     args: dict[str, object] = field(default_factory=dict)
 
-    def arg(self, name: str, default: object = None) -> object:
-        """The named argument (or ``default``)."""
-        return self.args.get(name, default)
+    def arg(self, name: str) -> object:
+        """The named argument (``None`` when absent)."""
+        return self.args.get(name)
 
     def to_json(self) -> str:
         """Serialize back to wire format."""
@@ -176,11 +219,13 @@ def parse_request(text: str) -> Request:
 
 def validate_request(raw: object) -> Request:
     """The request a decoded JSON value states: an object with a known
-    string ``command`` and that command's required arguments.
+    string ``command``, that command's required arguments, and each
+    argument the command takes of its JSON type (:data:`ARGUMENTS`).
 
     The one validation path of every request, off the wire or off an
     HTTP route.  Pops ``command`` off ``raw``; every other key becomes
-    an argument.  Raises :class:`ProtocolError` on anything else.
+    an argument (one the command does not take is ignored).  Raises
+    :class:`ProtocolError` on anything else.
     """
     if not isinstance(raw, dict):
         raise ProtocolError("request must be a JSON object")
@@ -196,4 +241,28 @@ def validate_request(raw: object) -> Request:
         raise ProtocolError(
             f"command {command!r} is missing arguments: {missing}"
         )
+    optional = OPTIONAL.get(command, ())
+    for name in COMMANDS[command] + optional:
+        value = raw.get(name)
+        if value is None and name in optional:
+            continue
+        accepts, expected = ARGUMENTS[name]
+        if not accepts(value):
+            found = _JSON_TYPES.get(type(value), type(value).__name__)
+            raise ProtocolError(
+                f"argument {name!r} of command {command!r} must be "
+                f"{expected}, got {found}"
+            )
     return Request(command=command, args=raw)
+
+
+#: The JSON name of each type :func:`json.loads` decodes to.
+_JSON_TYPES = {
+    type(None): "null",
+    bool: "a boolean",
+    int: "a number",
+    float: "a number",
+    str: "a string",
+    list: "an array",
+    dict: "an object",
+}

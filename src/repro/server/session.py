@@ -138,15 +138,15 @@ class SessionManager:
         return Response({"catalog": self._engine.database.catalog()})
 
     def _handle_themes(self, request: Request) -> Response:
-        table = str(request.arg("table"))
+        table = request.arg("table")
         themes = self._engine.themes(table)
         return Response(
             {"table": table, "themes": JsonText(export_themes_json(themes))}
         )
 
     def _handle_open(self, request: Request) -> Response:
-        session_id = str(request.arg("session"))
-        table = str(request.arg("table"))
+        session_id = request.arg("session")
+        table = request.arg("table")
         with self._lock:
             if session_id in self._sessions or session_id in self._reserved:
                 raise ValueError(f"session {session_id!r} already exists")
@@ -155,11 +155,7 @@ class SessionManager:
             self._reserved.add(session_id)
         try:
             explorer = self._engine.explore(table)
-            theme = request.arg("theme")
-            if isinstance(theme, int):
-                data_map = explorer.open_theme(theme)
-            else:
-                data_map = explorer.open_theme(str(theme))
+            data_map = explorer.open_theme(request.arg("theme"))
             with self._lock:
                 self._sessions[session_id] = Session(
                     session_id=session_id, table_name=table, explorer=explorer
@@ -175,27 +171,19 @@ class SessionManager:
 
     def _handle_zoom(self, request: Request) -> Response:
         session = self._require(request)
-        region = str(request.arg("region"))
+        region = request.arg("region")
         return _map_response(session.session_id, session.explorer.zoom(region))
 
     def _handle_project(self, request: Request) -> Response:
         session = self._require(request)
-        theme = request.arg("theme")
-        if isinstance(theme, int):
-            data_map = session.explorer.project(theme)
-        else:
-            data_map = session.explorer.project(str(theme))
+        data_map = session.explorer.project(request.arg("theme"))
         return _map_response(session.session_id, data_map)
 
     def _handle_highlight(self, request: Request) -> Response:
         session = self._require(request)
-        region = str(request.arg("region"))
         columns = request.arg("columns")
-        if columns is not None and not isinstance(columns, list):
-            raise ValueError("'columns' must be a list of column names")
         highlight = session.explorer.highlight(
-            region,
-            columns=tuple(str(c) for c in columns) if columns else None,
+            request.arg("region"), columns=tuple(columns) if columns else None
         )
         return Response(
             {"session": session.session_id, "highlight": _highlight_payload(highlight)}
@@ -207,8 +195,7 @@ class SessionManager:
 
     def _handle_sql(self, request: Request) -> Response:
         session = self._require(request)
-        region = request.arg("region")
-        sql = session.explorer.sql(str(region) if region is not None else None)
+        sql = session.explorer.sql(request.arg("region"))
         return Response({"session": session.session_id, "sql": sql})
 
     def _handle_history(self, request: Request) -> Response:
@@ -222,8 +209,10 @@ class SessionManager:
 
     def _handle_suggest(self, request: Request) -> Response:
         session = self._require(request)
-        limit = request.arg("limit", 5)
-        if not isinstance(limit, int) or limit < 1:
+        limit = request.arg("limit")
+        if limit is None:
+            limit = 5
+        elif limit < 1:
             raise ValueError("'limit' must be a positive integer")
         suggestions = session.explorer.suggest(limit=limit)
         return Response(
@@ -242,7 +231,7 @@ class SessionManager:
         )
 
     def _handle_close(self, request: Request) -> Response:
-        session_id = str(request.arg("session"))
+        session_id = request.arg("session")
         with self._lock:
             session = self._sessions.get(session_id)
             if session is None:
@@ -337,7 +326,7 @@ class SessionManager:
         return True
 
     def _require(self, request: Request) -> Session:
-        session_id = str(request.arg("session"))
+        session_id = request.arg("session")
         with self._lock:
             try:
                 return self._sessions[session_id]

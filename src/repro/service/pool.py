@@ -11,19 +11,30 @@ collapse.  Its outcomes are counted in the process-global metrics
 registry alone (``blaeu_pool_{completed,failed,rejected}_total`` and
 ``blaeu_resilience_pool_deadline_shed_total``); the pool keeps only the
 load it admits on.
+
+The threads take jobs most recently idle first (:class:`_LifoExecutor`):
+a thread that finishes a job goes back on top of the idle stack before
+its result is published, so the next request of a client that waits
+for each answer runs on the same warm thread — its stack, its caches
+and its one malloc arena — and an idle second thread stays cold instead
+of growing an arena of its own.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextvars
+import queue
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Any, Callable, TypeVar
 
 from repro.obs.metrics import get_metrics
+from repro.obs.trace import Span, get_tracer
 from repro.resilience.deadline import DeadlineExceeded, current_deadline
+from repro.resilience.faults import fault_point
 
 __all__ = ["PoolSaturatedError", "PoolStats", "WorkerPool"]
 
@@ -43,13 +54,136 @@ class PoolStats:
     background_in_flight: int
 
 
+#: A job: its future, the callable and its arguments.
+_Job = tuple[Future, Callable[..., Any], tuple]
+
+#: What a thread does after a job when the backlog is empty: wait idle.
+_IDLE = object()
+
+
+class _LifoExecutor:
+    """Up to ``threads`` threads, started on demand, that take jobs from
+    a stack of idle threads: the most recently idle thread runs the next
+    job.
+
+    A submitted job goes to the thread on top of the idle stack, else
+    to a new thread while fewer than ``threads`` run, else to the
+    backlog, which a thread drains before it goes idle.  Each check of
+    the idle stack and the act on it happen under one lock, as does
+    the closed check of :meth:`submit` and :meth:`shutdown`; the
+    ``pool.submit`` and ``pool.idle`` fault points sit just before them.
+    """
+
+    def __init__(self, threads: int, name: str) -> None:
+        self._threads_max = threads
+        self._name = name
+        self._lock = threading.Lock()
+        self._idle: list[queue.SimpleQueue] = []  # each idle thread's inbox
+        self._backlog: deque[_Job] = deque()
+        self._threads: list[threading.Thread] = []
+        self._closed = False
+
+    def submit(self, fn: Callable[..., Any], *args: Any) -> Future:
+        """Schedule ``fn(*args)``; raises ``RuntimeError`` after shutdown."""
+        future: Future = Future()
+        job = (future, fn, args)
+        fault_point("pool.submit")
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("cannot schedule new jobs after shutdown")
+            if self._idle:
+                self._idle.pop().put(job)
+            elif len(self._threads) < self._threads_max:
+                inbox: queue.SimpleQueue = queue.SimpleQueue()
+                inbox.put(job)
+                thread = threading.Thread(
+                    target=self._work,
+                    args=(inbox,),
+                    name=f"{self._name}_{len(self._threads)}",
+                    daemon=True,
+                )
+                thread.start()
+                self._threads.append(thread)
+            else:
+                self._backlog.append(job)
+        return future
+
+    def _work(self, inbox: queue.SimpleQueue) -> None:
+        job = inbox.get()
+        while job is not None:
+            job = self._run(inbox, *job)
+            if job is _IDLE:
+                job = inbox.get()
+
+    def _run(
+        self,
+        inbox: queue.SimpleQueue,
+        future: Future,
+        fn: Callable[..., Any],
+        args: tuple,
+    ) -> object:
+        """Run one job and return what the thread does next: the
+        backlog's head, wait idle (:data:`_IDLE`) or exit (``None``).
+
+        The thread is back on the idle stack before the result is
+        published, so the submission that result unblocks finds it
+        there.  The job's references die with this frame, before the
+        thread waits for the next one.
+        """
+        outcome = None
+        if future.set_running_or_notify_cancel():
+            try:
+                outcome = (fn(*args), None)
+                fault_point("pool.idle")
+            # As concurrent.futures does: whatever the job raises is
+            # its caller's, delivered through the future, and the
+            # thread lives on to serve the next job.
+            except BaseException as error:
+                outcome = (None, error)
+        with self._lock:
+            if self._backlog:
+                following: object = self._backlog.popleft()
+            elif self._closed:
+                following = None
+            else:
+                self._idle.append(inbox)
+                following = _IDLE
+        if outcome is not None:
+            result, error = outcome
+            if error is None:
+                future.set_result(result)
+            else:
+                future.set_exception(error)
+        return following
+
+    def shutdown(self, wait: bool) -> None:
+        """Refuse new jobs; idle threads exit, busy ones once the backlog
+        is drained.  ``wait`` joins every thread."""
+        with self._lock:
+            self._closed = True
+            idle, self._idle = self._idle, []
+            threads = list(self._threads)
+        for inbox in idle:
+            inbox.put(None)
+        if wait:
+            for thread in threads:
+                thread.join()
+
+
+def _started(waiting: Span, fn: Callable[..., T], *args: Any) -> T:
+    """End the job's ``pool.wait`` span as it starts, then run it."""
+    waiting.__exit__(None, None, None)
+    return fn(*args)
+
+
 class WorkerPool:
-    """A ThreadPoolExecutor with admission control and async submission.
+    """A thread pool with admission control and async submission.
 
     Parameters
     ----------
     workers:
-        Threads executing jobs concurrently.
+        Threads executing jobs concurrently; the most recently idle one
+        takes the next job.
     max_pending:
         Maximum jobs admitted at once (running + queued).  Submissions
         beyond it raise :class:`PoolSaturatedError` immediately.
@@ -62,9 +196,7 @@ class WorkerPool:
             raise ValueError("max_pending must be >= workers")
         self._workers = workers
         self._max_pending = max_pending
-        self._executor = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="blaeu-worker"
-        )
+        self._executor = _LifoExecutor(workers, "blaeu-worker")
         self._lock = threading.Lock()
         self._in_flight = 0
         self._background_in_flight = 0
@@ -128,8 +260,12 @@ class WorkerPool:
             # shutdown() cannot slip between the check and the submit.
             # The job runs under a copy of the submitter's context, so
             # trace spans opened on the worker thread parent to the
-            # request span that scheduled them.
+            # request span that scheduled them; a traced job's wait for
+            # a thread is its ``pool.wait`` span.
             context = contextvars.copy_context()
+            tracer = get_tracer()
+            if tracer.enabled:
+                fn, args = _started, (tracer.span("pool.wait"), fn, *args)
             try:
                 future = self._executor.submit(context.run, fn, *args)
             except RuntimeError as error:

@@ -47,6 +47,7 @@ from repro.core.pipeline import (
     DistanceArtifact,
     SampleArtifact,
     SpaceArtifact,
+    packed_count,
 )
 from repro.core.preprocess import FeatureSpace
 from repro.core.themes import Theme, ThemeSet
@@ -379,11 +380,34 @@ _register(
     lambda f: ThemeSet(**f),
 )
 
+def _sample_artifact(f: dict[str, object]) -> SampleArtifact:
+    """A Sample artifact whose selection is a packed bitmap that holds
+    exactly ``n_selection`` rows.
+
+    An entry written when the selection was a byte per row (a boolean
+    mask) would be counted as bits, so any other dtype, shape or row
+    count is corrupt.
+    """
+    mask = f["selection_mask"]
+    if mask is not None and not (
+        isinstance(mask, np.ndarray)
+        and mask.dtype == np.uint8
+        and mask.ndim == 1
+        and packed_count(mask) == f["n_selection"]
+    ):
+        found = mask.dtype.str if isinstance(mask, np.ndarray) else type(mask)
+        raise ArtifactCorruptError(
+            f"selection of {found} does not pack the "
+            f"{f['n_selection']!r} selected rows into a uint8 bitmap"
+        )
+    return SampleArtifact(**f)
+
+
 _register(
     "art.sample",
     SampleArtifact,
     _fields("sample", "selection_mask", "n_selection", "rng_state"),
-    lambda f: SampleArtifact(**f),
+    _sample_artifact,
 )
 _register(
     "art.space", SpaceArtifact, _fields("space"), lambda f: SpaceArtifact(**f)

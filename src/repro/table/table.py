@@ -363,7 +363,6 @@ class Table:
         partitions: Sequence["PartitionMeta"],
         columns: Sequence[str],
         chunk_rows: int | None = None,
-        where: np.ndarray | None = None,
     ) -> Iterator[tuple[int, int, "Table", object]]:
         """One partition pass: yield ``(start, stop, chunk, reader)`` for
         the chunks of the ``columns`` over ``partitions``, in order.
@@ -374,18 +373,15 @@ class Table:
         abandoned.  Each pass feeds one accumulator chunk by chunk, so
         its result is the serial fold over the rows in order: it cannot
         depend on how the rows are cut into partitions and chunks.
-        ``where`` is a boolean mask over every row of the table; a chunk
-        in which it selects no row is skipped unread.  ``reader`` is the
-        pass's reader, for a consumer that reads more columns of a chunk
-        (:meth:`read_chunk`) once it has seen the first ones.
+        ``reader`` is the pass's reader, for a consumer that reads more
+        columns of a chunk (:meth:`read_chunk`) once it has seen the
+        first ones.
         """
         with self.chunk_reader() as reader:
             for partition in partitions:
                 checkpoint("store.partition")
-                start, stop = partition.start, partition.stop
-                segment = None if where is None else where[start:stop]
                 for lo, hi, chunk in self.scan_chunks(
-                    reader, columns, chunk_rows, start, stop, segment
+                    reader, columns, chunk_rows, partition.start, partition.stop
                 ):
                     yield lo, hi, chunk, reader
 

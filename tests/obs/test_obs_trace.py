@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import threading
 import tracemalloc
 
 import numpy as np
@@ -126,6 +127,50 @@ class TestPropagation:
         root, results = asyncio.run(main())
         assert {trace_id for trace_id, _ in results} == {root.trace_id}
         assert {parent for _, parent in results} == {root.span_id}
+
+    def test_each_pool_job_records_its_wait_for_a_thread(self):
+        """A ``pool.wait`` span covers each job's submit → start wait,
+        under the request span: a job queued behind the only thread
+        waits as long as that thread stays busy."""
+        tracer = configure_tracing(enabled=True, buffer_size=64)
+        release = threading.Event()
+
+        async def main():
+            pool = WorkerPool(workers=1, max_pending=4)
+            try:
+                with tracer.span("http.request") as root:
+                    busy = asyncio.ensure_future(pool.run(release.wait, 10))
+                    queued = asyncio.ensure_future(pool.run(int))
+                    await asyncio.sleep(0.05)
+                    release.set()
+                    await asyncio.gather(busy, queued)
+                return root
+            finally:
+                pool.shutdown(wait=True)
+
+        root = asyncio.run(main())
+        waits = [span for span in tracer.spans() if span.name == "pool.wait"]
+        assert [(s.trace_id, s.parent_id) for s in waits] == [
+            (root.trace_id, root.span_id)
+        ] * 2
+        assert max(span.duration for span in waits) >= 0.04  # the queued job
+
+    def test_an_untraced_pool_job_runs_unwrapped(self):
+        configure_tracing(enabled=False)
+        pool = WorkerPool(workers=1, max_pending=2)
+        submitted = []
+        submit = pool._executor.submit
+
+        def recording(fn, *args):
+            submitted.append(args[0])  # fn is the context's run
+            return submit(fn, *args)
+
+        pool._executor.submit = recording
+        try:
+            assert asyncio.run(pool.run(int, "7")) == 7
+        finally:
+            pool.shutdown(wait=True)
+        assert submitted == [int]
 
     def test_clara_draw_spans_join_the_callers_trace(self):
         """One span per CLARA run (its draws run as one batch), parented

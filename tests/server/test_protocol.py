@@ -50,6 +50,45 @@ class TestParseRequest:
         assert request.command == command
 
 
+_REGION = {"session": "s", "region": "r"}
+
+
+class TestArgumentTypes:
+    @pytest.mark.parametrize("theme", [0, 3, "", "Theme 1"])
+    def test_a_theme_is_a_name_or_an_index(self, theme):
+        body = {"command": "project", "session": "s", "theme": theme}
+        assert parse_request(json.dumps(body)).arg("theme") == theme
+
+    @pytest.mark.parametrize(
+        "body, name",
+        [
+            ({"command": "project", "session": "s", "theme": True}, "theme"),
+            ({"command": "suggest", "session": "s", "limit": False}, "limit"),
+            ({"command": "suggest", "session": "s", "limit": 2.0}, "limit"),
+            ({"command": "zoom", "session": "s", "region": 0}, "region"),
+            ({"command": "highlight", **_REGION, "columns": "a"}, "columns"),
+            ({"command": "highlight", **_REGION, "columns": [1]}, "columns"),
+            ({"command": "themes", "table": None}, "table"),
+            ({"command": "close", "session": ["s"]}, "session"),
+        ],
+    )
+    def test_a_wrong_json_type_names_the_argument(self, body, name):
+        with pytest.raises(ProtocolError, match=f"argument {name!r}"):
+            parse_request(json.dumps(body))
+
+    @pytest.mark.parametrize(
+        "command, name",
+        [("highlight", "columns"), ("sql", "region"), ("suggest", "limit")],
+    )
+    def test_null_is_an_absent_optional_argument(self, command, name):
+        body = {"command": command, "session": "s", "region": "r", name: None}
+        assert parse_request(json.dumps(body)).arg(name) is None
+
+    def test_an_argument_the_command_does_not_take_is_not_checked(self):
+        body = {"command": "map", "session": "s", "theme": True, "limit": {}}
+        assert parse_request(json.dumps(body)).command == "map"
+
+
 class TestSerialization:
     def test_request_roundtrip(self):
         request = Request(command="zoom", args={"session": "s", "region": "r0"})

@@ -41,9 +41,10 @@ VALID: dict[str, dict[str, object]] = {
     "close": {"session": "live"},
 }
 
-#: Values of the wrong type for an argument.  No ``bool`` (an ``int``
-#: to Python) and no ``None`` / ``[]`` (which the optional arguments
-#: accept as "absent"), so each one leaves the request invalid.
+#: Values of the wrong type (or, for a name, of no existing thing) for
+#: an argument.  No ``None`` / ``[]`` (which the optional arguments
+#: accept as "absent"), so each one leaves the request invalid; a
+#: ``bool`` has its own test below.
 WRONG = (1.5, -1, {}, {"a": [1]}, [1, "x"], "", "é☃")
 
 #: The arguments a case gives a wrong value: every one but ``open``'s
@@ -99,20 +100,26 @@ def _cases() -> list[tuple[str, str, bytes]]:
 
 CASES = _cases()
 
-#: The cases answered 404: well-formed requests naming a session, table,
-#: theme or region that does not exist (a wrong-typed value is read as
-#: its ``str``).  Every other case is a 400.
+#: The cases answered 404: well-formed requests whose every argument
+#: has its JSON type but names a session or region that does not exist.
+#: Every other case is a 400.
 NOT_FOUND = {
+    "highlight/wrong_region/53", "history/wrong_session/79",
+    "rollback/wrong_session/62", "zoom/wrong_session/34",
+}  # fmt: skip
+
+#: The cases that were 404s (404 → 400) until ``validate_request``
+#: checked each argument's JSON type: a wrong-typed value was read as
+#: its ``str`` and looked up as a name (``{"session": 1.5}`` was "no
+#: session '1.5'").  Now each is a 400 naming the argument.
+WERE_404 = {
     "close/deep_session/100", "close/wrong_session/96",
-    "highlight/wrong_region/53", "highlight/wrong_session/52",
-    "history/wrong_session/79", "map/wrong_session/26",
+    "highlight/wrong_session/52", "map/wrong_session/26",
     "open/wrong_table/17", "open/wrong_theme/18",
     "project/wrong_session/43", "project/wrong_theme/44",
-    "rollback/wrong_session/62", "sql/deep_session/75",
-    "sql/wrong_region/71", "sql/wrong_session/70",
+    "sql/deep_session/75", "sql/wrong_region/71", "sql/wrong_session/70",
     "suggest/wrong_session/87", "themes/deep_table/13",
     "themes/wrong_table/9", "zoom/wrong_region/35",
-    "zoom/wrong_session/34",
 }  # fmt: skip
 
 #: The cases that were 500s — an uncaught ``UnicodeDecodeError`` or
@@ -174,7 +181,8 @@ def test_the_fuzzer_covers_every_family():
     assert any(f.endswith("_with_extras") for f in families)
     # The recorded ids still name generated cases (a changed generator
     # must re-record them).
-    assert NOT_FOUND | WERE_500 <= set(EXPECTED)
+    assert NOT_FOUND | WERE_404 | WERE_500 <= set(EXPECTED)
+    assert not NOT_FOUND & WERE_404
     assert len(CASES) == 104
 
 
@@ -191,3 +199,24 @@ def test_every_mutated_body_gets_its_typed_4xx(live):
     status, history = live.post("/v1/commands/history", {"session": "live"})
     assert status == 200 and len(history["history"]) == 1
     assert live.post("/v1/commands/map", {"session": "fresh"})[0] == 404
+
+
+@pytest.mark.parametrize(
+    "verb, body, argument",
+    [
+        ("open", {"session": "b", "table": "mixed_blobs", "theme": True}, "theme"),
+        ("project", {"session": "live", "theme": False}, "theme"),
+        ("suggest", {"session": "live", "limit": True}, "limit"),
+        ("map", {"session": 1.5}, "session"),
+        ("open", {"session": 7, "table": "mixed_blobs", "theme": 0}, "session"),
+    ],
+)
+def test_a_wrong_json_type_is_a_400_naming_the_argument(live, verb, body, argument):
+    """A ``bool`` is never an integer (``{"theme": true}`` opened theme
+    1), and no value is read as its ``str`` (``{"session": 1.5}`` was a
+    404 for session ``'1.5'``)."""
+    status, raw = _exchange(live.port, verb, json.dumps(body).encode())
+    payload = json.loads(raw)
+    assert status == 400 and payload["code"] == "bad_request", payload
+    assert f"argument {argument!r}" in payload["error"]
+    assert live.post("/v1/commands/map", {"session": "b"})[0] == 404

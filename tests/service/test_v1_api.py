@@ -108,7 +108,7 @@ class TestErrorCodes:
 
     def test_missing_session_code(self, service):
         status, _, payload = _raw(
-            service, "POST", "/v1/commands/zoom", {"session": "ghost", "region": 0}
+            service, "POST", "/v1/commands/zoom", {"session": "ghost", "region": "r0"}
         )
         assert status == 404
         assert payload["code"] == "not_found"

@@ -154,7 +154,7 @@ def _highlight(base, selection, n_selected):
 def _passes(stored, predicate, tree):
     """What the three passes of one action compute on a store."""
     mask = stored.scan_mask(predicate)
-    counts = _node_counts(tree, stored, mask)
+    counts = _node_counts(tree, stored, np.packbits(mask))
     return mask, counts, _highlight(stored, predicate, int(mask.sum()))
 
 
@@ -365,7 +365,7 @@ class TestReadBudgets:
                 _file(stored, "holes", "mask"),
             ]
         )
-        _node_counts(tree, stored, mask)
+        _node_counts(tree, stored, np.packbits(mask))
         _highlight(stored, PREDICATE, int(mask.sum()))
         # The scan, the count pass and the highlight's one pass (the
         # predicate and the matches together): each opened what it

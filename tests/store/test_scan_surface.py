@@ -18,8 +18,9 @@ import numpy as np
 import pytest
 
 from repro.core.navigation import Explorer
-from repro.core.pipeline import MapBuilder
+from repro.core.pipeline import MapBuilder, _node_counts
 from repro.graph.dependency import GraphBuilder
+from repro.obs.metrics import reset_metrics
 from repro.resilience.deadline import DeadlineExceeded, deadline_scope
 from repro.resilience.faults import InjectedFault, install_faults, parse_faults
 from repro.store import StoredTable, write_store
@@ -35,6 +36,8 @@ from repro.table.predicates import (
     Or,
 )
 from repro.table.table import Table
+from repro.tree.cart import count_reaching, fit_tree
+from scrape import scraped
 
 #: Rows per chunk of every scan here: 100 rows are 8 chunks, the last short.
 CHUNK = 13
@@ -239,20 +242,36 @@ class TestScanPartitions:
         chunks = self._pass(resident, [last])
         assert chunks[0][0] == last.start and chunks[-1][1] == last.stop
 
-    def test_where_skips_chunks_without_a_selected_row(self, resident):
-        where = np.zeros(100, dtype=bool)
-        where[[3, 90]] = True
-        every = self._pass(resident, resident.partitions)
-        chunks = self._pass(resident, resident.partitions, where=where)
-        assert [(lo, hi) for lo, hi, _, _ in chunks] == [
-            (lo, hi) for lo, hi, _, _ in every if where[lo:hi].any()
-        ]
-        assert len(chunks) == 2
-
     def test_an_expired_deadline_stops_the_pass_at_a_partition(self, resident):
         with deadline_scope(1e-9), pytest.raises(DeadlineExceeded) as excinfo:
             self._pass(resident, resident.partitions)
         assert excinfo.value.stage == "store.partition"
+
+
+class TestCountPass:
+    """The exact count pass takes the selection as a packed bitmap and
+    unpacks it one partition at a time."""
+
+    def test_a_packed_selection_skips_chunks_without_a_selected_row(
+        self, resident, table, monkeypatch
+    ):
+        monkeypatch.setattr(Table, "chunk_rows", CHUNK)  # the store's own
+        labels = (np.nan_to_num(table.column("x").values) > 0).astype(np.intp)
+        tree = fit_tree(table, labels, feature_names=["x"])
+        where = np.zeros(100, dtype=bool)
+        where[[3, 90]] = True
+        every = self._chunks(resident)
+        metrics = reset_metrics()
+        counts = _node_counts(tree, resident, np.packbits(where))
+        skipped = scraped(metrics, "blaeu_store_chunks_skipped_total")
+        assert skipped == every - 2
+        np.testing.assert_array_equal(
+            counts, count_reaching(tree.root, table, where)
+        )
+
+    @staticmethod
+    def _chunks(resident) -> int:
+        return sum(-(-p.rows // resident.chunk_rows) for p in resident.partitions)
 
 
 # ----------------------------------------------------------------------

@@ -139,7 +139,7 @@ def _check_against_memory(case, check_zones_and_nmi):
         mask = stored.scan_mask(selection)
         np.testing.assert_array_equal(mask, expected)
 
-        passed = None if isinstance(selection, Everything) else mask
+        passed = None if isinstance(selection, Everything) else np.packbits(mask)
         on_store = _exact_regions(tree, stored, passed, {}, {})
         in_memory = _exact_regions(tree, table, passed, {}, {})
         assert _counts(on_store) == _counts(in_memory)
@@ -201,26 +201,28 @@ class TestReadBudgets:
         stored = StoredTable(store_root)
         mask = np.zeros(N_ROWS, dtype=bool)
         mask[200:300] = True  # exactly partition 2
+        bitmap = np.packbits(mask)
         before = stored.data_reads
-        root = _exact_regions(tree, stored, mask, {}, {})
+        root = _exact_regions(tree, stored, bitmap, {}, {})
         assert stored.data_reads - before == CHUNKS_PER_PARTITION * len(
             _split_columns(tree)
         )
-        assert _counts(root) == _counts(_exact_regions(tree, table, mask, {}, {}))
+        assert _counts(root) == _counts(_exact_regions(tree, table, bitmap, {}, {}))
 
     def test_count_pass_skips_chunks_inside_a_partition(self, store_root, tree):
         stored = StoredTable(store_root)
         mask = np.zeros(N_ROWS, dtype=bool)
         mask[205:215] = True  # one chunk of partition 2: rows [200, 230)
         before = stored.data_reads
-        root = _exact_regions(tree, stored, mask, {}, {})
+        root = _exact_regions(tree, stored, np.packbits(mask), {}, {})
         assert stored.data_reads - before == len(_split_columns(tree))
         assert root.n_rows == 10
 
     def test_empty_selection_reads_nothing(self, store_root, tree):
         stored = StoredTable(store_root)
         before = stored.data_reads
-        root = _exact_regions(tree, stored, np.zeros(N_ROWS, dtype=bool), {}, {})
+        empty = np.packbits(np.zeros(N_ROWS, dtype=bool))
+        root = _exact_regions(tree, stored, empty, {}, {})
         assert stored.data_reads == before
         assert {r.n_rows for r in root.walk()} == {0}
 
@@ -272,7 +274,7 @@ class TestOneOpenTablePerScan:
         predicate = Comparison("x", ">", -10.0)  # no partition prunable
         mask = stored.scan_mask(predicate)
         assert stored.partitions_skipped == 0 and len(stored.partitions) == 4
-        _exact_regions(tree, stored, mask, {}, {})
+        _exact_regions(tree, stored, np.packbits(mask), {}, {})
         _highlight(stored, predicate, int(mask.sum()))
 
     def test_serial_scans_never_reopen(self, store_root, tree, opens):
